@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Spec goldens: rerun every shipped experiment spec through the CLI and diff
+# its JSON report against the committed golden in tests/golden/. planning_ms
+# (planner wall-clock time, the one nondeterministic field) is zeroed on
+# both sides first, exactly as CI's cross-build diff does.
+#
+#   scripts/check_spec_goldens.sh build/example_agar_cli
+#
+# Each golden is the normalized output of
+#   example_agar_cli --spec examples/specs/<name>.json --json
+# for every spec except daemon_routes.json (an agard routing table, not an
+# experiment), plus <name>.verify.json for agar_vs_lfu.json run with
+# `--set verify=true`. The other determinism checks compare two builds or
+# two construction paths of one commit; these compare a commit with the
+# results its parent committed, so a change that moves every build the same
+# way still fails here. A change meant to move results regenerates the
+# goldens with the commands above and says why.
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <path to example_agar_cli>" >&2
+  exit 2
+fi
+cli=$1
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+normalize() { sed 's/"planning_ms": [^,}]*/"planning_ms": 0/g'; }
+
+failures=0
+check() {  # check <golden name> <cli args...>
+  local name=$1
+  shift
+  local golden="$root/tests/golden/$name.json"
+  if [[ ! -f $golden ]]; then
+    echo "spec_goldens: no golden $golden" >&2
+    failures=$((failures + 1))
+    return
+  fi
+  "$cli" "$@" --json | normalize > "$tmp/$name.json"
+  normalize < "$golden" > "$tmp/$name.golden.json"
+  if ! diff -u "$tmp/$name.golden.json" "$tmp/$name.json"; then
+    echo "spec_goldens: $name differs from its golden" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+for spec in "$root"/examples/specs/*.json; do
+  name=$(basename "$spec" .json)
+  [[ $name == daemon_routes ]] && continue
+  check "$name" --spec "$spec"
+done
+check agar_vs_lfu.verify --spec "$root/examples/specs/agar_vs_lfu.json" \
+  --set verify=true
+
+if ((failures > 0)); then
+  echo "spec_goldens: $failures spec(s) failed" >&2
+  exit 1
+fi
+echo "spec_goldens: all specs match their goldens"
