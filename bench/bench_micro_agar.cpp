@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "api/registry.hpp"
-#include "core/agar_node.hpp"
+#include "client/agar_strategy.hpp"
 #include "core/knapsack.hpp"
 #include "core/option_generator.hpp"
 #include "core/planner.hpp"
@@ -116,7 +116,8 @@ void bm_planner_warm_replan(benchmark::State& state,
   }
 }
 
-// --- a full reconfiguration (probe + roll + solve + install) ---------------
+// --- a full reconfiguration (probe round + roll + solve + install +
+// population downloads), through the pipeline the periodic timer runs -----
 
 class ReconfigFixture : public benchmark::Fixture {
  public:
@@ -130,36 +131,44 @@ class ReconfigFixture : public benchmark::Fixture {
     for (int i = 0; i < 300; ++i) {
       backend_->register_object("object" + std::to_string(i), 1_MB);
     }
-    core::AgarNodeParams p;
-    p.region = sim::region::kFrankfurt;
+    loop_ = std::make_unique<sim::EventLoop>();
+    network_->bind_loop(loop_.get());
+    client::ClientContext ctx;
+    ctx.backend = backend_.get();
+    ctx.network = network_.get();
+    ctx.loop = loop_.get();
+    ctx.region = sim::region::kFrankfurt;
+    client::AgarParams p;
     p.cache_capacity_bytes = 10_MB;
     p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
-    node_ = std::make_unique<core::AgarNode>(backend_.get(), network_.get(),
-                                             p);
-    node_->warm_up();
+    agar_ = std::make_unique<client::AgarStrategy>(ctx, p);
+    agar_->warm_up();
   }
 
   void TearDown(const benchmark::State&) override {
-    node_.reset();
+    agar_.reset();
     backend_.reset();
     network_.reset();
+    loop_.reset();
     topology_.reset();
   }
 
   std::unique_ptr<sim::Topology> topology_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<store::BackendCluster> backend_;
-  std::unique_ptr<core::AgarNode> node_;
+  std::unique_ptr<sim::EventLoop> loop_;
+  std::unique_ptr<client::AgarStrategy> agar_;
 };
 
 BENCHMARK_F(ReconfigFixture, FullReconfiguration)(benchmark::State& state) {
   for (auto _ : state) {
     // Keep the monitor warm so the solver sees a realistic key set.
     for (int i = 0; i < 300; ++i) {
-      (void)node_->request_monitor().record_access(
+      (void)agar_->request_monitor().record_access(
           "object" + std::to_string(i % 50));
     }
-    node_->reconfigure();
+    agar_->start_reconfiguration();
+    loop_->run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

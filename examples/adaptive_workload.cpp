@@ -36,9 +36,11 @@ int main() {
   client::DeploymentConfig dep = spec.experiment.deployment;
   dep.store_payloads = false;
   client::Deployment deployment(dep);
+  sim::EventLoop loop;
+  deployment.network().bind_loop(&loop);
 
-  const auto strategy = api::make_strategy(spec, deployment,
-                                           spec.experiment.client_region);
+  const auto strategy = api::make_strategy_factory(spec)(
+      spec.experiment, deployment, spec.experiment.client_region, &loop);
   auto& agar = *dynamic_cast<client::AgarStrategy*>(strategy.get());
   agar.warm_up();
 
@@ -50,13 +52,17 @@ int main() {
       for (const auto& key : hot_keys) {
         latencies.add(agar.read(key).latency_ms);
       }
-      // One reconfiguration per round of traffic: in the real system this
-      // happens on the 30 s timer; here we drive it explicitly.
-      if (r % 10 == 9) agar.node().reconfigure();
+      // One reconfiguration every ten rounds of traffic: in the real
+      // system the 30 s timer starts it; here we start the same pipeline
+      // explicitly and run it to completion.
+      if (r % 10 == 9) {
+        agar.start_reconfiguration();
+        loop.run();
+      }
     }
     std::cout << name << ": mean " << latencies.mean() << " ms over "
               << latencies.count() << " reads\n";
-    print_config(agar.node().cache_manager().current(), name);
+    print_config(agar.cache_manager().current(), name);
   };
 
   run_phase("phase 1 (hot: object0, object1)", {"object0", "object1"}, 40);

@@ -18,8 +18,10 @@ int main() {
       {"system=backend", "objects=5", "object_bytes=45KB", "seed=21",
        "verify=true", "region=frankfurt"});
   client::Deployment deployment(spec.experiment.deployment);
-  const auto reader =
-      api::make_strategy(spec, deployment, spec.experiment.client_region);
+  sim::EventLoop loop;
+  deployment.network().bind_loop(&loop);
+  const auto reader = api::make_strategy_factory(spec)(
+      spec.experiment, deployment, spec.experiment.client_region, &loop);
 
   auto read_all = [&](const std::string& label) {
     std::size_t ok = 0;

@@ -26,10 +26,19 @@ int main() {
   client::Deployment deployment(base.experiment.deployment);
   const RegionId region = base.experiment.client_region;
 
+  // Every system runs on the simulator's event loop: reads, cache
+  // population downloads and Agar's reconfigurations are events on it.
+  sim::EventLoop loop;
+  deployment.network().bind_loop(&loop);
+  auto make_system = [&](const std::vector<std::string>& pairs) {
+    const auto spec = base.with(pairs);
+    return api::make_strategy_factory(spec)(spec.experiment, deployment,
+                                            region, &loop);
+  };
+
   // 2. Read straight from the backend: latency is dominated by the most
   //    distant of the k = 9 chunks the client must fetch.
-  const auto backend =
-      api::make_strategy(base.with({"system=backend"}), deployment, region);
+  const auto backend = make_system({"system=backend"});
   const auto cold = backend->read("object0");
   std::cout << "backend read        : " << cold.latency_ms << " ms (decoded "
             << (cold.verified ? "OK" : "FAIL") << ")\n";
@@ -38,9 +47,7 @@ int main() {
   //    ("lru" is a registered cache engine run through the fixed-chunks
   //    adapter — swap the name for "arc" or "tinylfu" and nothing else
   //    changes.)
-  const auto lru = api::make_strategy(
-      base.with({"system=lru", "chunks=9", "cache_bytes=10MB"}), deployment,
-      region);
+  const auto lru = make_system({"system=lru", "chunks=9", "cache_bytes=10MB"});
   (void)lru->read("object0");
   const auto lru_hit = lru->read("object0");
   std::cout << "LRU-9 second read   : " << lru_hit.latency_ms
@@ -48,15 +55,15 @@ int main() {
             << ")\n";
 
   // 4. Agar: accesses train the request monitor; a reconfiguration installs
-  //    the knapsack-optimal mix of chunks; later reads hit the cache.
-  const auto strategy = api::make_strategy(
-      base.with({"system=agar", "cache_bytes=10MB"}), deployment, region);
+  //    the knapsack-optimal mix of chunks and downloads them into the
+  //    cache; later reads hit the cache.
+  const auto strategy = make_system({"system=agar", "cache_bytes=10MB"});
   auto* agar_strategy = dynamic_cast<client::AgarStrategy*>(strategy.get());
   strategy->warm_up();
 
   for (int i = 0; i < 30; ++i) (void)strategy->read("object0");
-  agar_strategy->node().reconfigure();
-  (void)strategy->read("object0");  // populates the configured chunks
+  agar_strategy->start_reconfiguration();  // probe round, plan, population
+  loop.run();
   const auto agar_hit = strategy->read("object0");
   std::cout << "Agar after reconfig : " << agar_hit.latency_ms
             << " ms (chunks from cache: " << agar_hit.cache_chunks
@@ -64,7 +71,7 @@ int main() {
             << ")\n\n";
 
   // 5. Peek at the configuration the knapsack solver chose.
-  const auto& config = agar_strategy->node().cache_manager().current();
+  const auto& config = agar_strategy->cache_manager().current();
   std::cout << "installed configuration: " << config.entries.size()
             << " object(s), " << config.total_chunks << " chunks, "
             << format_bytes(config.total_bytes) << "\n";

@@ -42,13 +42,6 @@ client::StrategyFactory make_strategy_factory(const ExperimentSpec& spec) {
   };
 }
 
-std::unique_ptr<client::ReadStrategy> make_strategy(
-    const ExperimentSpec& spec, client::Deployment& deployment,
-    RegionId region) {
-  return make_strategy_factory(spec)(spec.experiment, deployment, region,
-                                     nullptr);
-}
-
 RunReport run(const ExperimentSpec& spec) {
   const client::StrategyFactory factory = make_strategy_factory(spec);
   return RunReport{

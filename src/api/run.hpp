@@ -26,12 +26,6 @@ struct RunReport {
 [[nodiscard]] client::StrategyFactory make_strategy_factory(
     const ExperimentSpec& spec);
 
-/// Convenience for tests/examples that hold a strategy directly: build one
-/// instance for `region` against a deployment (no event loop).
-[[nodiscard]] std::unique_ptr<client::ReadStrategy> make_strategy(
-    const ExperimentSpec& spec, client::Deployment& deployment,
-    RegionId region);
-
 /// Validate and run one spec (all runs).
 [[nodiscard]] RunReport run(const ExperimentSpec& spec);
 

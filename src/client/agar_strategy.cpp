@@ -1,6 +1,7 @@
 #include "client/agar_strategy.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "api/registry.hpp"
 #include "client/runner.hpp"
@@ -26,8 +27,7 @@ const api::StrategyRegistration kAgar{{
          "(monitor.<param> passes estimator-specific knobs)"},
     }},
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
-      core::AgarNodeParams p;
-      p.region = ctx.client->region;
+      AgarParams p;
       p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
       p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
       p.probes_per_region =
@@ -53,47 +53,58 @@ const api::StrategyRegistration kAgar{{
       return tags.empty() ? std::string("Agar") : "Agar[" + tags + "]";
     }}};
 
+core::RegionManagerParams region_manager_params(const ClientContext& ctx,
+                                                const AgarParams& p) {
+  core::RegionManagerParams out;
+  out.local_region = ctx.region;
+  out.probes_per_region = p.probes_per_region;
+  return out;
+}
+
 }  // namespace
 
-AgarStrategy::AgarStrategy(ClientContext ctx, core::AgarNodeParams node_params)
+AgarStrategy::AgarStrategy(ClientContext ctx, AgarParams params)
     : ReadStrategy(ctx),
-      node_(std::make_unique<core::AgarNode>(ctx.backend, ctx.network,
-                                             node_params)) {}
+      params_(std::move(params)),
+      cache_(params_.cache_capacity_bytes),
+      region_manager_(ctx.backend, ctx.network,
+                      region_manager_params(ctx, params_)),
+      request_monitor_(params_.monitor),
+      cache_manager_(ctx.backend, &region_manager_, &request_monitor_, &cache_,
+                     params_.cache_manager) {}
 
-void AgarStrategy::warm_up() { node_->warm_up(); }
+void AgarStrategy::warm_up() { region_manager_.probe(); }
 
-void AgarStrategy::populate_configuration() {
-  for (const auto& [key, option] : node_->cache_manager().current().entries) {
+void AgarStrategy::start_control_plane() {
+  reconfig_timer_ = region_manager_.schedule_probe_pipeline(
+      *ctx_.loop, params_.reconfig_period_ms,
+      [this] { apply_reconfiguration(); });
+}
+
+void AgarStrategy::start_reconfiguration() {
+  region_manager_.start_probe([this] { apply_reconfiguration(); });
+}
+
+void AgarStrategy::apply_reconfiguration() {
+  cache_manager_.reconfigure();
+  for (const auto& [key, option] : cache_manager_.current().entries) {
     for (const ChunkIndex idx : option.chunks) {
-      if (ctx_.loop != nullptr) {
-        populate_chunk_async(key, idx, node_->cache());
-      } else {
-        (void)prefetch_chunk(key, idx, node_->cache());
-      }
+      populate_chunk_async(key, idx, cache_);
     }
   }
+  if (on_reconfigure_) on_reconfigure_();
 }
 
-void AgarStrategy::reconfigure() {
-  node_->reconfigure();
-  populate_configuration();
-}
-
-void AgarStrategy::attach_to_loop(sim::EventLoop& loop) {
-  ReadStrategy::attach_to_loop(loop);
-  // Event-driven reconfiguration pipeline (shared with the node): a probe
-  // round fires, and only once its fetches have landed is the
-  // configuration recomputed and the population downloads started. The
-  // reconfigure observer (collab config log) runs after the population
-  // kicks off, with the installed configuration current.
-  reconfig_timer_ = node_->attach_to_loop(loop, [this] {
-    populate_configuration();
-    if (on_reconfigure_) on_reconfigure_();
-  });
-}
-
-core::PeerInfo AgarStrategy::collab_info() {
-  return core::broadcast_info(*node_);
+collab::PeerInfo AgarStrategy::collab_info() {
+  collab::PeerInfo info;
+  info.region = ctx_.region;
+  for (const auto& [key, opt] : cache_manager_.current().entries) {
+    for (const ChunkIndex idx : opt.chunks) {
+      info.configured_chunks.insert(ChunkId{opt.key, idx}.cache_key());
+    }
+  }
+  info.popularity = request_monitor_.snapshot();
+  return info;
 }
 
 void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {
@@ -101,14 +112,27 @@ void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {
   // optimization: merged popularity snapshots and peer-aware chunk costs.
   // scope=region (the default) keeps planning local — the tier then only
   // contributes peer-fetch on the data path.
-  if (node_->params().cache_manager.planner_params.get_string(
-          "scope", "region") == "global") {
-    node_->cache_manager().set_collab_hooks(hooks);
+  if (params_.cache_manager.planner_params.get_string("scope", "region") ==
+      "global") {
+    cache_manager_.set_collab_hooks(hooks);
   }
 }
 
+core::ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
+  const double overhead = request_monitor_.record_access(key);
+  const auto& config = cache_manager_.current();
+  core::ReadPlan plan = core::plan_chunk_sources(
+      *ctx_.backend, region_manager_, cache_,
+      [&config](const ObjectKey& k, ChunkIndex idx) {
+        return config.contains_chunk(k, idx);
+      },
+      key);
+  plan.monitor_overhead_ms = overhead;
+  return plan;
+}
+
 void AgarStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  start_plan(key, node_->plan_read(key), node_->cache(), std::move(done));
+  start_plan(key, plan_read(key), cache_, std::move(done));
 }
 
 }  // namespace agar::client

@@ -1,73 +1,108 @@
-// Agar strategy (paper §V-A "Agar"): reads go through an AgarNode — the
-// request monitor supplies hints, resident configured chunks come from the
-// Agar cache, the rest from the backend; after the read the client
-// populates the cache with the chunks the current configuration wants
-// (asynchronously, off the latency path).
+// Agar strategy (paper §V-A "Agar"): one region-level Agar deployment
+// (paper Fig. 3) — the cache plus the region manager, request monitor and
+// cache manager — behind the event-loop read path. The request monitor
+// supplies hints, resident configured chunks come from the Agar cache, the
+// rest from the backend; after the read the client populates the cache
+// with the chunks the current configuration wants (asynchronously, off the
+// latency path).
 //
-// On the event loop the whole control plane is background events: latency
-// probes are asynchronous fetches, each reconfiguration waits for its probe
-// round to land, and the a-priori population downloads go through the
-// strategy's coalescing fetch table so they merge with concurrent reads.
+// The whole control plane is background events on the loop: latency
+// probes are asynchronous fetches, each reconfiguration (30 s in the
+// paper's experiments) waits for its probe round to land, and the a-priori
+// population downloads go through the strategy's coalescing fetch table so
+// they merge with concurrent reads.
 #pragma once
 
-#include <memory>
-
+#include "cache/static_cache.hpp"
 #include "client/strategy.hpp"
-#include "core/agar_node.hpp"
+#include "core/cache_manager.hpp"
+#include "core/read_planner.hpp"
+#include "core/region_manager.hpp"
+#include "core/request_monitor.hpp"
 
 namespace agar::client {
 
+struct AgarParams {
+  std::size_t cache_capacity_bytes = 10_MB;
+  SimTimeMs reconfig_period_ms = 30'000.0;  ///< paper: 30 seconds
+  core::RequestMonitorParams monitor;
+  core::CacheManagerParams cache_manager;
+  std::size_t probes_per_region = 6;
+};
+
 class AgarStrategy final : public ReadStrategy {
  public:
-  AgarStrategy(ClientContext ctx, core::AgarNodeParams node_params);
+  AgarStrategy(ClientContext ctx, AgarParams params);
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
   [[nodiscard]] std::string name() const override { return "Agar"; }
 
+  /// Warm-up phase: probe per-region latencies synchronously (paper §IV:
+  /// "the region manager computes this by retrieving several data blocks
+  /// from each region in a warm-up phase").
   void warm_up() override;
-  void attach_to_loop(sim::EventLoop& loop) override;
 
-  /// One reconfiguration plus the a-priori population downloads for every
-  /// configured-but-missing chunk (paper §IV-A; performed by the
-  /// population thread pool, off the read path). Synchronous variant for
-  /// loop-less callers; the periodic pipeline on the loop runs the same
-  /// steps as events (async probe round, then reconfigure + population).
-  void reconfigure();
+  /// Schedule the periodic reconfiguration pipeline on the loop.
+  void start_control_plane() override;
 
-  [[nodiscard]] core::AgarNode& node() { return *node_; }
+  /// One reconfiguration through the same pipeline the periodic timer
+  /// runs: an asynchronous probe round, then — once its fetches land — the
+  /// plan is installed and the a-priori population downloads for every
+  /// configured-but-missing chunk start (paper §IV-A). All of it happens
+  /// as events; run the loop to complete it.
+  void start_reconfiguration();
+
+  /// The "hint" protocol: records the access with the request monitor and
+  /// resolves every chunk of the object to a source (local cache / backend
+  /// region / asynchronous population fetch).
+  [[nodiscard]] core::ReadPlan plan_read(const ObjectKey& key);
+
+  [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
+  [[nodiscard]] core::RegionManager& region_manager() {
+    return region_manager_;
+  }
+  [[nodiscard]] core::RequestMonitor& request_monitor() {
+    return request_monitor_;
+  }
+  [[nodiscard]] core::CacheManager& cache_manager() { return cache_manager_; }
+  [[nodiscard]] const AgarParams& params() const { return params_; }
 
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
-    return &node_->cache();
+    return &cache_;
   }
   [[nodiscard]] std::map<std::size_t, std::size_t> config_weight_histogram()
       const override {
-    return node_->cache_manager().current().weight_histogram();
+    return cache_manager_.current().weight_histogram();
   }
   [[nodiscard]] core::ControlPlaneStats control_plane_stats() const override {
-    return node_->cache_manager().control_plane_stats();
+    return cache_manager_.control_plane_stats();
   }
 
   /// Broadcastable cache state for the cooperative tier (configured chunk
   /// keys + popularity snapshot — the paper's §VI broadcast).
-  [[nodiscard]] core::PeerInfo collab_info() override;
+  [[nodiscard]] collab::PeerInfo collab_info() override;
 
   /// Forward the cooperative-planning hooks to the cache manager when the
   /// planner runs at global scope (planner.scope=global); no-op otherwise.
   void set_collab_hooks(const core::CollabPlannerHooks& hooks) override;
 
-  /// Cancel handle of the periodic reconfiguration (0 until attached);
+  /// Cancel handle of the periodic reconfiguration (0 until started);
   /// pass to EventLoop::cancel to stop the control plane mid-run.
   [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
     return reconfig_timer_;
   }
 
  private:
-  /// Download every configured-but-missing chunk: background events through
-  /// the coalescing table when a loop is attached, synchronous otherwise.
-  void populate_configuration();
+  /// Install a new plan, start its population downloads, then notify the
+  /// reconfigure observer (collab config log) with the plan current.
+  void apply_reconfiguration();
 
-  std::unique_ptr<core::AgarNode> node_;
+  AgarParams params_;
   sim::EventLoop::TimerId reconfig_timer_ = 0;
+  cache::StaticConfigCache cache_;
+  core::RegionManager region_manager_;
+  core::RequestMonitor request_monitor_;
+  core::CacheManager cache_manager_;
 };
 
 }  // namespace agar::client

@@ -69,12 +69,16 @@ std::string LfuConfigStrategy::name() const {
 
 void LfuConfigStrategy::warm_up() { region_manager_.probe(); }
 
-void LfuConfigStrategy::attach_to_loop(sim::EventLoop& loop) {
-  ReadStrategy::attach_to_loop(loop);
+void LfuConfigStrategy::start_control_plane() {
   // Same event-driven pipeline as Agar: async probe round, then apply the
   // configuration once the probes have landed.
   reconfig_timer_ = region_manager_.schedule_probe_pipeline(
-      loop, params_.reconfig_period_ms, [this] { apply_configuration(); });
+      *ctx_.loop, params_.reconfig_period_ms,
+      [this] { apply_configuration(); });
+}
+
+void LfuConfigStrategy::start_reconfiguration() {
+  region_manager_.start_probe([this] { apply_configuration(); });
 }
 
 std::vector<ChunkIndex> LfuConfigStrategy::designated_chunks(
@@ -101,11 +105,6 @@ std::vector<ChunkIndex> LfuConfigStrategy::designated_chunks(
     out.push_back(costs[i].index);
   }
   return out;
-}
-
-void LfuConfigStrategy::reconfigure() {
-  region_manager_.probe();
-  apply_configuration();
 }
 
 void LfuConfigStrategy::apply_configuration() {
@@ -144,13 +143,7 @@ void LfuConfigStrategy::apply_configuration() {
   // population mechanism identical across systems isolates the
   // configuration policy (knapsack vs fixed-c) in comparisons.
   for (const auto& [key, chunks] : configured_) {
-    for (const ChunkIndex idx : chunks) {
-      if (ctx_.loop != nullptr) {
-        populate_chunk_async(key, idx, cache_);
-      } else {
-        (void)prefetch_chunk(key, idx, cache_);
-      }
-    }
+    for (const ChunkIndex idx : chunks) populate_chunk_async(key, idx, cache_);
   }
 }
 

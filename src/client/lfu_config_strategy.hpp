@@ -42,11 +42,12 @@ class LfuConfigStrategy final : public ReadStrategy {
   [[nodiscard]] std::string name() const override;
 
   void warm_up() override;
-  void attach_to_loop(sim::EventLoop& loop) override;
+  void start_control_plane() override;
 
-  /// Recompute the configuration now: probe synchronously, then apply.
-  /// (On the loop, the periodic pipeline probes asynchronously instead.)
-  void reconfigure();
+  /// One reconfiguration through the periodic pipeline: an asynchronous
+  /// probe round, then the configuration is applied once it lands. Run the
+  /// loop to complete it.
+  void start_reconfiguration();
 
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
@@ -55,7 +56,7 @@ class LfuConfigStrategy final : public ReadStrategy {
   [[nodiscard]] core::RequestMonitor& monitor() { return monitor_; }
   [[nodiscard]] const LfuConfigParams& params() const { return params_; }
 
-  /// Cancel handle of the periodic reconfiguration (0 until attached);
+  /// Cancel handle of the periodic reconfiguration (0 until started);
   /// pass to EventLoop::cancel to stop the control plane mid-run.
   [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
     return reconfig_timer_;

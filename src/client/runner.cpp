@@ -6,7 +6,6 @@
 
 #include "api/registry.hpp"
 #include "collab/collab.hpp"
-#include "common/logging.hpp"
 #include "scenario/engine.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/sharded_engine.hpp"
@@ -146,15 +145,16 @@ RunResult run_once(const ExperimentConfig& config,
           std::make_unique<stats::WindowedHistogram>(window_ms);
     }
 
-    // One strategy instance (for Agar: one AgarNode) per client region.
+    // One strategy instance (for Agar: one cache + control plane) per
+    // client region.
     auto strategy = factory(config, deployment, regions[ri], &loop);
     strategy->warm_up();
-    // The collab tier hooks in between warm-up and loop attachment: the
-    // peer-fetch transport and planner hooks must be installed before the
-    // first reconfiguration, and the broadcast timer is scheduled here so
-    // it carries this lane's ordering key.
+    // The collab tier hooks in between warm-up and the control plane's
+    // start: the peer-fetch transport and planner hooks must be installed
+    // before the first reconfiguration, and the broadcast timer is
+    // scheduled here so it carries this lane's ordering key.
     if (crt != nullptr) crt->attach(ri, *strategy);
-    strategy->attach_to_loop(loop);
+    strategy->start_control_plane();
     lane.strategy = std::move(strategy);
 
     // Scenario engine, one per lane: scripted network events apply to this
@@ -566,8 +566,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
         config.deployment.seed + r * 1000003ULL;
     result.runs.push_back(run_once(config, factory, run_seed));
   }
-  log_info("runner") << result.label << ": mean " << result.mean_latency_ms()
-                     << " ms, hit ratio " << result.hit_ratio();
   return result;
 }
 

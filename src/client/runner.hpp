@@ -102,7 +102,8 @@ struct ExperimentConfig {
   WorkloadSpec workload = WorkloadSpec::zipfian(1.1);
   RegionId client_region = sim::region::kFrankfurt;
   /// Client populations in multiple regions (one strategy instance — for
-  /// Agar, one AgarNode — per region). Empty means {client_region}.
+  /// Agar, one cache and control plane — per region). Empty means
+  /// {client_region}.
   std::vector<RegionId> client_regions;
   std::size_t ops_per_run = 1000;  ///< paper: 1,000 reads (total, all regions)
   std::size_t runs = 5;            ///< paper: averages of 5 runs
@@ -254,7 +255,7 @@ struct RunResult {
   double paxos_append_p99_ms = 0.0;
   std::uint64_t config_epochs = 0;  ///< decided prefix of the config log
   /// Mean pairwise cache-content overlap across regions at run end
-  /// (core::OverlapReport::shared_fraction).
+  /// (collab::OverlapReport::shared_fraction).
   double config_overlap = 0.0;
 
   /// Windowed time series (metric_window_ms > 0), windows with no
@@ -302,8 +303,9 @@ struct ExperimentResult {
 /// Builds one strategy instance per client region. The runner owns no
 /// knowledge of concrete systems — api::make_strategy_factory turns a
 /// declarative ExperimentSpec into one of these via the registries, and
-/// tests can hand-roll them. `loop` may be null (the synchronous wrapper
-/// path); the config passed at call time is the experiment being run.
+/// tests can hand-roll them. `loop` is the lane's loop, already bound to the
+/// region's network; the config passed at call time is the experiment
+/// being run.
 using StrategyFactory = std::function<std::unique_ptr<ReadStrategy>(
     const ExperimentConfig& config, Deployment& deployment,
     RegionId client_region, sim::EventLoop* loop)>;

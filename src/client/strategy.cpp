@@ -9,8 +9,9 @@
 namespace agar::client {
 
 ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network) {
-  if (ctx_.backend == nullptr || ctx_.network == nullptr) {
-    throw std::invalid_argument("ReadStrategy: null backend/network");
+  if (ctx_.backend == nullptr || ctx_.network == nullptr ||
+      ctx_.loop == nullptr) {
+    throw std::invalid_argument("ReadStrategy: null backend/network/loop");
   }
   if (ctx_.fetch_policy != nullptr) {
     // Install the policy *under* the coalescing table: one in-flight entry
@@ -53,46 +54,15 @@ void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
 ReadResult ReadStrategy::read(const ObjectKey& key) {
   ReadResult out;
   bool done = false;
-  if (ctx_.loop != nullptr) {
-    start_read(key, [&](const ReadResult& r) {
-      out = r;
-      done = true;
-    });
-    // Drive the shared loop one event at a time; other events (timers,
-    // populations, other clients' fetches) interleave as they would in a
-    // real run.
-    while (!done && ctx_.loop->step()) {
-    }
-    return out;
+  start_read(key, [&](const ReadResult& r) {
+    out = r;
+    done = true;
+  });
+  // Drive the shared loop one event at a time; other events (timers,
+  // populations, other clients' fetches) interleave as they would in a
+  // real run.
+  while (!done && ctx_.loop->step()) {
   }
-  // Loop-less caller: a private loop serves this read and its trailing
-  // population events, then the network is handed back. A verify-mode
-  // decode failure throws from a completion event; the loop must still be
-  // drained (so the network's in-flight accounting returns to zero) and
-  // the bindings restored before the exception continues to the caller.
-  sim::EventLoop local;
-  sim::EventLoop* const prev = ctx_.network->loop();
-  ctx_.network->bind_loop(&local);
-  ctx_.loop = &local;
-  std::exception_ptr error;
-  try {
-    start_read(key, [&](const ReadResult& r) {
-      out = r;
-      done = true;
-    });
-  } catch (...) {
-    error = std::current_exception();
-  }
-  while (!local.empty()) {
-    try {
-      local.run();
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  ctx_.loop = nullptr;
-  ctx_.network->bind_loop(prev);
-  if (error) std::rethrow_exception(error);
   return out;
 }
 
@@ -121,9 +91,6 @@ struct ReadStrategy::BatchState {
 void ReadStrategy::start_fetch_batch(const ObjectKey& key, BatchSpec spec,
                                      ReadResult partial, BatchCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
-  if (loop == nullptr) {
-    throw std::logic_error("ReadStrategy: start_read requires a loop");
-  }
   auto st = std::make_shared<BatchState>();
   st->key = key;
   st->chunk_bytes = spec.chunk_bytes;
@@ -326,23 +293,6 @@ void ReadStrategy::populate_chunk_async(const ObjectKey& key, ChunkIndex index,
         if (ctx_.verify_data && payload.empty()) return;  // no backend bytes
         cache.put(ChunkId{key, index}.cache_key(), std::move(payload));
       });
-}
-
-bool ReadStrategy::prefetch_chunk(const ObjectKey& key, ChunkIndex index,
-                                  cache::CacheEngine& cache) {
-  const std::string ck = ChunkId{key, index}.cache_key();
-  if (cache.contains(ck)) return true;
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const RegionId region = ctx_.backend->placement().region_of(
-      key, index, ctx_.backend->num_regions());
-  // The fetch crosses the WAN (traffic is real) but happens on the
-  // population pool, so no read pays for it.
-  const auto latency =
-      ctx_.network->backend_fetch(ctx_.region, region, info.chunk_size);
-  if (!latency.has_value()) return false;  // region down; retry next period
-  SharedBytes payload = population_payload(key, index, info.chunk_size);
-  if (ctx_.verify_data && payload.empty()) return false;  // no backend bytes
-  return cache.put(ck, std::move(payload));
 }
 
 bool ReadStrategy::verify_payload(const ObjectKey& key,

@@ -7,8 +7,8 @@
 // concurrency limits), duplicate fetches coalesce in the strategy's
 // in-flight table, and `done` fires at the virtual time the read completes
 // — so concurrent clients genuinely overlap on the timeline. A thin
-// synchronous `read(key)` wrapper drives a loop to completion for tests and
-// simple callers.
+// synchronous `read(key)` wrapper drives the strategy's loop until the read
+// completes (the daemon's serve path, tests and examples).
 #pragma once
 
 #include <map>
@@ -18,8 +18,9 @@
 
 #include "cache/static_cache.hpp"
 #include "client/fetch_policy.hpp"
+#include "collab/peer_info.hpp"
 #include "common/types.hpp"
-#include "core/collaboration.hpp"
+#include "core/cache_manager.hpp"
 #include "core/fetch_coordinator.hpp"
 #include "core/planner.hpp"
 #include "core/read_planner.hpp"
@@ -58,8 +59,8 @@ struct ClientContext {
   /// backend's shared codec; lane-parallel runs install a per-lane clone
   /// so the decode-plan cache is never shared across shard threads.
   const ec::ObjectCodec* codec = nullptr;
-  /// Loop that reads run on. May be null: the synchronous wrapper then
-  /// spins up a private loop per read (tests, simple examples).
+  /// Loop that reads, population downloads and the control plane run on;
+  /// required. The network must be bound to the same loop.
   sim::EventLoop* loop = nullptr;
   RegionId region = 0;
   /// Simulated decode cost: ms per MB of object decoded (CPU time of the
@@ -89,15 +90,16 @@ class ReadStrategy {
   virtual void start_read(const ObjectKey& key, ReadCallback done) = 0;
 
   /// Thin synchronous wrapper: starts the read and drives the loop until
-  /// it completes. With no loop in the context, a private loop serves just
-  /// this read (and its trailing population events).
+  /// it completes. Other events (timers, populations, other clients'
+  /// fetches) interleave as they would in a full run.
   [[nodiscard]] ReadResult read(const ObjectKey& key);
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Hook for periodic work (Agar reconfigurations) on the sim loop. The
-  /// base records the loop in the context so reads become events on it.
-  virtual void attach_to_loop(sim::EventLoop& loop) { ctx_.loop = &loop; }
+  /// Start the periodic control plane (Agar and LFU reconfigurations) on
+  /// the loop. Called once, after warm-up and collab hooks are installed;
+  /// strategies without a control plane do nothing.
+  virtual void start_control_plane() {}
 
   /// Warm-up before measurement starts (latency probes etc.).
   virtual void warm_up() {}
@@ -116,8 +118,8 @@ class ReadStrategy {
 
   // ------------------------------------------- cooperative cache tier
   // Installed by collab::CollabRuntime::attach between construction and
-  // attach_to_loop; never called on the collab=none path, so the historical
-  // wire path stays byte-identical.
+  // start_control_plane; never called on the collab=none path, so the
+  // historical wire path stays byte-identical.
 
   /// Peer-fetch routing: picks the region a wire fetch should actually go
   /// to (the chunk's home region when no peer cache is cheaper).
@@ -145,7 +147,7 @@ class ReadStrategy {
   /// chunks + popularity). Default: an empty snapshot — strategies without
   /// a configured cache still participate in the broadcast protocol so
   /// determinism is uniform, they just never attract peer fetches.
-  [[nodiscard]] virtual core::PeerInfo collab_info() { return {}; }
+  [[nodiscard]] virtual collab::PeerInfo collab_info() { return {}; }
 
   /// Cooperative-planning hooks (merged popularity, peer-aware chunk
   /// costs). Default ignores them — only strategies with a planning
@@ -214,11 +216,6 @@ class ReadStrategy {
   /// the transfer lands. Off the latency path. No-op if already resident.
   void populate_chunk_async(const ObjectKey& key, ChunkIndex index,
                             cache::CacheEngine& cache);
-
-  /// Synchronous population for loop-less callers (tests drive reconfigure
-  /// directly). Returns true if the chunk is resident afterwards.
-  bool prefetch_chunk(const ObjectKey& key, ChunkIndex index,
-                      cache::CacheEngine& cache);
 
   /// Payload to install for a populated chunk (in verify mode, a shared
   /// handle to the backend's buffer — no copy).

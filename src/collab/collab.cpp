@@ -109,7 +109,7 @@ RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
     if (peer == home) continue;  // redirect would be the identity
     const std::size_t peer_lane = lane_of_region_[peer];
     if (peer_lane == static_cast<std::size_t>(-1)) continue;  // no cache there
-    const core::PeerInfo& info = st.directory[peer_lane];
+    const PeerInfo& info = st.directory[peer_lane];
     if (info.region == kInvalidRegion) continue;        // nothing heard yet
     if (!connected(lane, self, peer)) continue;         // across the cut
     if (net.is_down(peer)) continue;                    // outage: fail fast
@@ -138,7 +138,7 @@ void CollabRuntime::fetch_done(std::size_t lane, RegionId target,
 
 void CollabRuntime::broadcast(std::size_t lane,
                               client::ReadStrategy& strategy) {
-  core::PeerInfo info = strategy.collab_info();
+  PeerInfo info = strategy.collab_info();
   info.region = lane_regions_[lane];
   const SimTimeMs now = engine_->loop_of_lane(lane).now();
   for (std::size_t j = 0; j < lane_regions_.size(); ++j) {
@@ -152,7 +152,7 @@ void CollabRuntime::broadcast(std::size_t lane,
 }
 
 void CollabRuntime::deliver(std::size_t to_lane, std::size_t from_lane,
-                            core::PeerInfo info) {
+                            PeerInfo info) {
   LaneState& st = lanes_[to_lane];
   // Partition check at delivery time: a broadcast in flight when the cut
   // happens is lost like any other cross-partition message.
@@ -242,13 +242,12 @@ std::uint64_t CollabRuntime::take_window_stale_reads(std::size_t lane) {
   return std::exchange(lanes_[lane].stats.window_stale_reads, 0);
 }
 
-std::vector<core::PeerInfo> CollabRuntime::visible_peers(
-    std::size_t lane) const {
-  std::vector<core::PeerInfo> peers;
+std::vector<PeerInfo> CollabRuntime::visible_peers(std::size_t lane) const {
+  std::vector<PeerInfo> peers;
   const RegionId self = lane_regions_[lane];
   for (std::size_t j = 0; j < lanes_[lane].directory.size(); ++j) {
     if (j == lane) continue;
-    const core::PeerInfo& info = lanes_[lane].directory[j];
+    const PeerInfo& info = lanes_[lane].directory[j];
     if (info.region == kInvalidRegion) continue;
     if (!connected(lane, self, info.region)) continue;
     peers.push_back(info);
@@ -265,7 +264,7 @@ std::vector<std::pair<ObjectKey, double>> CollabRuntime::merge_popularity(
   // Key-sorted merge preserving the monitor snapshot's determinism
   // contract; peer weights are summed in lane order.
   std::map<ObjectKey, double> merged(local.begin(), local.end());
-  for (const core::PeerInfo& peer : lanes_[lane].planning_peers) {
+  for (const PeerInfo& peer : lanes_[lane].planning_peers) {
     for (const auto& [key, weight] : peer.popularity) merged[key] += weight;
   }
   return {merged.begin(), merged.end()};
@@ -274,10 +273,9 @@ std::vector<std::pair<ObjectKey, double>> CollabRuntime::merge_popularity(
 std::vector<core::ChunkCost> CollabRuntime::adjust_costs(
     std::size_t lane, std::vector<core::ChunkCost> costs,
     const ObjectKey& key) const {
-  return core::peer_aware_costs(std::move(costs), key,
-                                lanes_[lane].planning_peers, *topology_,
-                                lane_regions_[lane], 0.75,
-                                settings_.peer_threshold_ms);
+  return peer_aware_costs(std::move(costs), key, lanes_[lane].planning_peers,
+                          *topology_, lane_regions_[lane], 0.75,
+                          settings_.peer_threshold_ms);
 }
 
 void CollabRuntime::set_partition(std::size_t lane,
@@ -312,10 +310,10 @@ CollabRuntime::Summary CollabRuntime::summarize(
   // Overlap over the lanes' FINAL snapshots (not the possibly-stale
   // directories): how much capacity nearby caches spend on the same chunks
   // — the paper's Frankfurt/Dublin redundancy example.
-  std::vector<core::PeerInfo> final_infos;
+  std::vector<PeerInfo> final_infos;
   final_infos.reserve(strategies.size());
   for (std::size_t i = 0; i < strategies.size(); ++i) {
-    core::PeerInfo info = strategies[i]->collab_info();
+    PeerInfo info = strategies[i]->collab_info();
     info.region = lane_regions_[i];
     final_infos.push_back(std::move(info));
   }
@@ -324,7 +322,7 @@ CollabRuntime::Summary CollabRuntime::summarize(
   for (std::size_t a = 0; a < final_infos.size(); ++a) {
     for (std::size_t b = a + 1; b < final_infos.size(); ++b) {
       overlap_sum +=
-          core::overlap_of(final_infos[a], final_infos[b]).shared_fraction();
+          overlap_of(final_infos[a], final_infos[b]).shared_fraction();
       ++pairs;
     }
   }

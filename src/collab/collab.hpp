@@ -14,7 +14,7 @@
 //
 // Pieces:
 //  * peer directory — each lane's view of what every other lane last
-//    broadcast (core::PeerInfo). Broadcasts are periodic events on the
+//    broadcast (PeerInfo). Broadcasts are periodic events on the
 //    owning lane's loop, delivered to each peer after the inter-region base
 //    latency; a recipient inside a network partition drops broadcasts from
 //    the other side. Directory staleness is bounded by the period: the
@@ -39,8 +39,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "collab/peer_info.hpp"
 #include "common/types.hpp"
-#include "core/collaboration.hpp"
 #include "paxos/replicated_log.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_engine.hpp"
@@ -59,7 +59,7 @@ struct CollabSettings {
   bool enabled = false;               ///< false: tier fully inert ("none")
   SimTimeMs broadcast_period_ms = 5000.0;
   /// Peers farther than this base latency are never worth consulting
-  /// (also the max_peer_ms bound fed to core::peer_aware_costs).
+  /// (also the max_peer_ms bound fed to peer_aware_costs).
   double peer_threshold_ms = 400.0;
   /// Delay between learning a decided config epoch and applying it; reads
   /// completing in between are counted as stale-config reads.
@@ -161,12 +161,12 @@ class CollabRuntime {
   struct LaneState {
     /// Last broadcast received from each lane (region == kInvalidRegion
     /// until the first delivery).
-    std::vector<core::PeerInfo> directory;
+    std::vector<PeerInfo> directory;
     /// Current partition group; empty = fully connected.
     std::unordered_set<RegionId> partition;
     /// Peers visible at the last reconfiguration (rebuilt by the
     /// merge-popularity hook, reused by the per-key cost hook).
-    std::vector<core::PeerInfo> planning_peers;
+    std::vector<PeerInfo> planning_peers;
     std::uint64_t reconfig_seq = 0;
     std::uint64_t learned_epoch = 0;
     std::uint64_t applied_epoch = 0;
@@ -182,16 +182,14 @@ class CollabRuntime {
   void fetch_done(std::size_t lane, RegionId target, RegionId home,
                   std::size_t bytes, bool ok);
   void broadcast(std::size_t lane, client::ReadStrategy& strategy);
-  void deliver(std::size_t to_lane, std::size_t from_lane,
-               core::PeerInfo info);
+  void deliver(std::size_t to_lane, std::size_t from_lane, PeerInfo info);
   void on_reconfigure(std::size_t lane);
   /// Lane 0 only: run the append against the replicated log and post the
   /// outcome (and, on success, the decided epoch) back out.
   void serve_append(std::size_t lane, const std::string& record);
   void record_append(std::size_t lane, const paxos::AppendOutcome& outcome);
   void learn(std::size_t lane, std::uint64_t epoch);
-  [[nodiscard]] std::vector<core::PeerInfo> visible_peers(
-      std::size_t lane) const;
+  [[nodiscard]] std::vector<PeerInfo> visible_peers(std::size_t lane) const;
   std::vector<std::pair<ObjectKey, double>> merge_popularity(
       std::size_t lane, std::vector<std::pair<ObjectKey, double>> local);
   std::vector<core::ChunkCost> adjust_costs(std::size_t lane,

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
-#include "common/logging.hpp"
 
 namespace agar::core {
 
@@ -153,13 +152,6 @@ const CacheConfiguration& CacheManager::reconfigure() {
   cache_->install_configuration(
       {configured_keys.begin(), configured_keys.end()});
   installed_chunk_keys_ = std::move(configured_keys);
-
-  log_info("cache-manager") << "reconfiguration #" << reconfigs_ << " ("
-                            << planner_->name() << ", " << plan_ms
-                            << " ms): " << config_.entries.size()
-                            << " objects, " << config_.total_chunks
-                            << " chunks (+" << installed << "/-" << evicted
-                            << "), value " << config_.total_value;
   return config_;
 }
 

@@ -45,7 +45,7 @@ struct CacheManagerParams {
 /// snapshot is merged with the peers' broadcasts (input and output sorted
 /// by key — the estimator determinism contract carries through), and each
 /// key's chunk costs are adjusted with peer placements
-/// (core::peer_aware_costs). Both empty by default: planning stays local.
+/// (collab::peer_aware_costs). Both empty by default: planning stays local.
 struct CollabPlannerHooks {
   std::function<std::vector<std::pair<ObjectKey, double>>(
       std::vector<std::pair<ObjectKey, double>>)>

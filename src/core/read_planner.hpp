@@ -1,10 +1,10 @@
 // Shared read planning: resolve every chunk of one read to a source.
 //
-// Used by AgarNode and by the paper's periodic-LFU baseline (which shares
-// Agar's machinery — request proxy, latency estimates, static configured
-// cache — but fixes the chunks-per-object count instead of running the
-// knapsack). Keeping the planner in one place guarantees the systems being
-// compared differ ONLY in their configuration policy.
+// Used by the Agar strategy and by the paper's periodic-LFU baseline (which
+// shares Agar's machinery — request proxy, latency estimates, static
+// configured cache — but fixes the chunks-per-object count instead of
+// running the knapsack). Keeping the planner in one place guarantees the
+// systems being compared differ ONLY in their configuration policy.
 #pragma once
 
 #include <functional>

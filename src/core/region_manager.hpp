@@ -36,8 +36,9 @@ class RegionManager {
                 RegionManagerParams params);
 
   /// Measure chunk-read latency to every region and fold the samples into
-  /// the estimator. Down regions are skipped (their estimate goes stale,
-  /// which is what a real prober would observe as timeouts).
+  /// the estimator, synchronously and in issue order (the warm-up before
+  /// measurement starts). Down regions are skipped (their estimate goes
+  /// stale, which is what a real prober would observe as timeouts).
   void probe();
 
   /// Asynchronous probe round as background events on the network's loop:
@@ -47,10 +48,11 @@ class RegionManager {
   /// pass {} for fire-and-forget warm-up.
   void start_probe(std::function<void()> done);
 
-  /// The canonical event-driven control plane, shared by AgarNode and the
-  /// periodic-LFU baseline: a warm-up probe round at t=0 if nothing has
-  /// probed yet, then every `period` an asynchronous probe round followed
-  /// by `apply` (reconfigure + population) once the round's fetches land.
+  /// The canonical event-driven control plane, shared by the Agar strategy
+  /// and the periodic-LFU baseline: a warm-up probe round at t=0 if nothing
+  /// has probed yet, then every `period` an asynchronous probe round
+  /// followed by `apply` (reconfigure + population) once the round's
+  /// fetches land.
   /// Returns the periodic timer's cancel handle.
   sim::EventLoop::TimerId schedule_probe_pipeline(sim::EventLoop& loop,
                                                   SimTimeMs period,

@@ -11,12 +11,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "api/json.hpp"
 #include "client/report.hpp"
-#include "common/logging.hpp"
 
 namespace agar::daemon {
 namespace {
@@ -208,11 +208,6 @@ void Server::start() {
       }
     });
   }
-  log_info("agard") << "listening on " << uds_path_
-                    << (tcp_fd_ >= 0
-                            ? " and 127.0.0.1:" + std::to_string(tcp_port_)
-                            : "")
-                    << " (" << table()->rules.size() << " routes)";
 }
 
 void Server::accept_loop() {
@@ -239,12 +234,13 @@ void Server::accept_loop() {
       if (quit) request_stop();
       if (!running_.load()) break;
       if (hup) {
+        // No reply channel for a signal: a rejected config is reported on
+        // stderr, and the old table keeps serving.
         try {
-          const std::string summary = reload("");
-          log_info("agard") << "SIGHUP reload: " << summary;
+          (void)reload("");
         } catch (const std::exception& e) {
-          log_info("agard") << "SIGHUP reload failed (old config stays): "
-                            << e.what();
+          std::cerr << "agard: SIGHUP reload failed (old config stays): "
+                    << e.what() << "\n";
         }
       }
     }

@@ -27,7 +27,7 @@ ServiceInstance::ServiceInstance(const RouteRule& rule) : rule_(rule) {
       api::make_strategy_factory(rule_.spec);
   strategy_ = factory(config, *deployment_, config.client_region, &loop_);
   strategy_->warm_up();
-  strategy_->attach_to_loop(loop_);
+  strategy_->start_control_plane();
 }
 
 GetResponse ServiceInstance::serve_get(const std::string& key,

@@ -3,9 +3,9 @@
 // phases; concurrent appends to the same slot are resolved by Paxos itself
 // and the loser moves to the next slot).
 //
-// The log is the ordering service behind write coherence: every object
-// write appends an invalidation record; caches consume the log in slot
-// order, so all regions see the same write order.
+// The log is the cooperative tier's configuration log (collab/): each region
+// appends the cache configuration it installs, and the decided prefix is
+// the config epoch every region agrees on.
 #pragma once
 
 #include <cstdint>

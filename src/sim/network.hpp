@@ -8,9 +8,10 @@
 // wait in a per-region FIFO, so contention shows up as queueing latency
 // instead of being invisible to the virtual timeline.
 //
-// The legacy synchronous API (`backend_fetch` returning a latency number)
-// is kept for latency probes and for the thin synchronous read wrapper that
-// tests use; the strategy hot path goes through `begin_fetch`.
+// The synchronous `backend_fetch` (returning a latency number) serves the
+// warm-up probe round before measurement and the Paxos proposer's RTT
+// samples; reads, population downloads and the control plane's periodic
+// probes all go through `begin_fetch`.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ class Network {
 
   /// Bind the loop that completion events are scheduled on. Must be called
   /// before `begin_fetch`. Rebinding is allowed only while no fetches are
-  /// outstanding (the synchronous read wrapper swaps in a private loop).
+  /// outstanding.
   void bind_loop(EventLoop* loop);
   [[nodiscard]] EventLoop* loop() const { return loop_; }
 
@@ -81,7 +82,7 @@ class Network {
   [[nodiscard]] std::size_t down_count() const { return down_.size(); }
 
   /// Latency for one backend chunk fetch, or nullopt if `to` is down.
-  /// Synchronous path: latency probes and loop-less test reads.
+  /// Synchronous path: the warm-up probe round and Paxos RTT samples.
   [[nodiscard]] std::optional<SimTimeMs> backend_fetch(RegionId from,
                                                        RegionId to,
                                                        std::size_t bytes);
@@ -90,8 +91,8 @@ class Network {
   /// client's region, so it never fails in this model).
   [[nodiscard]] SimTimeMs cache_fetch(std::size_t bytes);
 
-  /// Completion time of a parallel batch: max of the elements, 0 if empty.
-  /// Only the synchronous wrapper and tests use this now.
+  /// Completion time of a parallel batch: max of the elements, 0 if empty
+  /// (the cache arm of a read: its cache-resident chunks in parallel).
   [[nodiscard]] static SimTimeMs parallel_batch_ms(
       const std::vector<SimTimeMs>& latencies);
 

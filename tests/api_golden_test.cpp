@@ -94,8 +94,7 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
           ctx, p, engine_of("tinylfu", kCacheBytes));
     }
     // agar
-    core::AgarNodeParams p;
-    p.region = region;
+    client::AgarParams p;
     p.cache_capacity_bytes = kCacheBytes;
     p.reconfig_period_ms = config.reconfig_period_ms;
     p.cache_manager.candidate_weights = config.agar_candidate_weights;

@@ -201,6 +201,31 @@ TEST_F(ServerFixture, SighupTriggersReload) {
   server->stop();
 }
 
+TEST_F(ServerFixture, FailedSighupReloadKeepsOldTableAndReportsOnStderr) {
+  auto server = start_server(/*install_sighup=*/true);
+  DaemonClient control = DaemonClient::connect_uds(socket_path_);
+  ASSERT_EQ(control.ping().status, Status::kOk);
+
+  std::ofstream(config_path_) << R"({"routes": []})";
+  ::testing::internal::CaptureStderr();
+  ASSERT_EQ(::raise(SIGHUP), 0);
+  // The accept thread drains the signal's pipe byte (and runs the reload)
+  // before it accepts any connection made after the signal, so a fresh
+  // connection answering a ping proves the reload attempt has finished.
+  // The captured text can be read only once, hence this barrier instead of
+  // a polling loop.
+  const Status barrier = DaemonClient::connect_uds(socket_path_).ping().status;
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(barrier, Status::kOk);
+  EXPECT_NE(err.find("SIGHUP reload failed"), std::string::npos) << err;
+  EXPECT_NE(err.find("needs a non-empty 'routes' array"), std::string::npos)
+      << err;
+  EXPECT_NE(control.routes().text.find("\"system\": \"backend\""),
+            std::string::npos);
+  EXPECT_EQ(control.get("hot", "object1", false).status, Status::kOk);
+  server->stop();
+}
+
 // The acceptance contract: serving the runner's exact key stream over the
 // socket, then draining, yields the same results_json as the in-process
 // batch run of the same spec — modulo planning_ms, which is wall clock.

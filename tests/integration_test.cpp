@@ -138,7 +138,8 @@ TEST(Integration, FrankfurtVsSydneyGeographyMatters) {
 
 TEST(Integration, AgarSurvivesRegionOutageMidRun) {
   // Fail a region before the run; every read must still assemble k chunks
-  // (fallback to parity) and verify.
+  // (fallback to parity) and verify, while the control plane keeps
+  // reconfiguring around the outage.
   auto config = paper_mini();
   config.verify_data = true;
   config.ops_per_run = 150;
@@ -146,19 +147,23 @@ TEST(Integration, AgarSurvivesRegionOutageMidRun) {
 
   DeploymentConfig dep = config.deployment;
   Deployment deployment(dep);
+  sim::EventLoop loop;
+  deployment.network().bind_loop(&loop);
   deployment.network().fail_region(sim::region::kVirginia);
 
   const auto spec = spec_for(
       config, {"system=agar",
                "cache_bytes=" + std::to_string(cache_for_objects(config, 4))});
-  const auto strategy =
-      api::make_strategy(spec, deployment, config.client_region);
+  const auto strategy = api::make_strategy_factory(spec)(
+      config, deployment, config.client_region, &loop);
   strategy->warm_up();
+  strategy->start_control_plane();
   Workload workload(config.workload, dep.num_objects, 99);
   for (int i = 0; i < 150; ++i) {
     const auto r = strategy->read(workload.next_key());
     EXPECT_TRUE(r.verified);
   }
+  EXPECT_GT(strategy->control_plane_stats().reconfigurations, 0u);
 }
 
 TEST(Integration, ReportFormattingSmoke) {

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "api/api.hpp"
+#include "client/backend_strategy.hpp"
 
 namespace agar::client {
 namespace {
@@ -209,12 +210,14 @@ TEST(Runner, CustomFactoriesRunWithoutRegistry) {
   auto config = small_config();
   config.runs = 1;
   const StrategyFactory factory =
-      [](const ExperimentConfig& cfg, Deployment& deployment, RegionId region,
-         sim::EventLoop* loop) {
-        auto spec = api::ExperimentSpec::from_pairs({"system=backend"});
-        spec.experiment = cfg;
-        (void)loop;
-        return api::make_strategy(spec, deployment, region);
+      [](const ExperimentConfig&, Deployment& deployment, RegionId region,
+         sim::EventLoop* loop) -> std::unique_ptr<ReadStrategy> {
+        ClientContext ctx;
+        ctx.backend = &deployment.backend();
+        ctx.network = &deployment.network_for(region);
+        ctx.loop = loop;
+        ctx.region = region;
+        return std::make_unique<BackendStrategy>(ctx);
       };
   const auto result = run_experiment(config, factory, "hand-rolled");
   EXPECT_EQ(result.label, "hand-rolled");

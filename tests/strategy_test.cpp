@@ -1,5 +1,5 @@
 // Read strategies: latency composition, hit accounting, verify-mode decode,
-// failure fallback.
+// failure fallback, and Agar's read planning and control plane on the loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include "client/lfu_config_strategy.hpp"
 
 #include "api/registry.hpp"
+#include "api/run.hpp"
 
 namespace agar::client {
 namespace {
@@ -30,6 +31,7 @@ class StrategyTest : public ::testing::Test {
         backend_(6, ec::CodecParams{9, 3},
                  std::make_shared<ec::RoundRobinPlacement>(false)) {
     store::populate_working_set(backend_, 5, 9000);
+    network_.bind_loop(&loop_);
   }
 
   static sim::LatencyModelParams zero_jitter() {
@@ -46,15 +48,25 @@ class StrategyTest : public ::testing::Test {
     ClientContext c;
     c.backend = &backend_;
     c.network = &network_;
+    c.loop = &loop_;
     c.region = region;
     c.decode_ms_per_mb = 0.0;  // keep latency math exact in tests
     c.verify_data = verify;
     return c;
   }
 
+  /// One reconfiguration through the periodic timer's pipeline (probe
+  /// round, plan, population downloads), run to completion.
+  template <typename Strategy>
+  void reconfigure(Strategy& s) {
+    s.start_reconfiguration();
+    loop_.run();
+  }
+
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
+  sim::EventLoop loop_;
 };
 
 TEST_F(StrategyTest, BackendLatencyIsSlowestNeededChunk) {
@@ -173,9 +185,9 @@ TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
   const ReadResult cold = s.read("object0");
   EXPECT_DOUBLE_EQ(cold.latency_ms, 1130.5);
   // After the period rolls, object0 is the most frequent and gets its 9
-  // designated chunks configured; the next read populates them on-path.
-  s.reconfigure();
-  (void)s.read("object0");
+  // designated chunks configured; the pipeline's population downloads land
+  // before the next read.
+  reconfigure(s);
   const ReadResult hit = s.read("object0");
   EXPECT_TRUE(hit.full_hit);
   EXPECT_DOUBLE_EQ(hit.latency_ms, 55.5);
@@ -191,9 +203,8 @@ TEST_F(StrategyTest, PeriodicLfuRanksByFrequency) {
   s.warm_up();
   for (int i = 0; i < 5; ++i) (void)s.read("object1");
   (void)s.read("object0");
-  s.reconfigure();
+  reconfigure(s);
   // Only the most frequent object (object1) fits the configuration.
-  (void)s.read("object1");
   EXPECT_TRUE(s.read("object1").full_hit);
   EXPECT_FALSE(s.read("object0").partial_hit);
 }
@@ -205,8 +216,7 @@ TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
   LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
   s.warm_up();
   (void)s.read("object0");
-  s.reconfigure();
-  (void)s.read("object0");
+  reconfigure(s);
   const ReadResult r = s.read("object0");
   // 5 most distant needed chunks cached; residual is Dublin (100 ms).
   EXPECT_EQ(r.cache_chunks, 5u);
@@ -256,9 +266,8 @@ TEST_F(StrategyTest, ZeroChunksPerObjectThrows) {
   EXPECT_THROW(make_fixed(ctx(0), p), std::invalid_argument);
 }
 
-core::AgarNodeParams agar_params(std::size_t cache_bytes) {
-  core::AgarNodeParams p;
-  p.region = sim::region::kFrankfurt;
+AgarParams agar_params(std::size_t cache_bytes) {
+  AgarParams p;
   p.cache_capacity_bytes = cache_bytes;
   p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
   p.cache_manager.cache_latency_ms = 55.0;
@@ -278,9 +287,7 @@ TEST_F(StrategyTest, AgarReadsFromCacheAfterReconfiguration) {
   AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(100_MB));
   s.warm_up();
   for (int i = 0; i < 50; ++i) (void)s.read("object0");
-  s.node().reconfigure();
-  // Population happened during the post-reconfig reads.
-  (void)s.read("object0");
+  reconfigure(s);
   const ReadResult r = s.read("object0");
   EXPECT_TRUE(r.full_hit);
   EXPECT_DOUBLE_EQ(r.latency_ms, 55.5);
@@ -298,7 +305,7 @@ TEST_F(StrategyTest, AgarPartialConfigurationsYieldPartialHits) {
       (void)s.read("object" + std::to_string(k));
     }
   }
-  s.node().reconfigure();
+  reconfigure(s);
   for (int round = 0; round < 3; ++round) {
     for (int k = 0; k < 5; ++k) {
       (void)s.read("object" + std::to_string(k));
@@ -322,6 +329,95 @@ TEST_F(StrategyTest, AgarSurvivesRegionFailure) {
   const ReadResult r = s.read("object0");
   EXPECT_EQ(r.cache_chunks + r.backend_chunks, 9u);
   EXPECT_TRUE(r.verified);
+}
+
+TEST_F(StrategyTest, AgarPlanCoversExactlyKChunks) {
+  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
+  s.warm_up();
+  const core::ReadPlan plan = s.plan_read("object0");
+  EXPECT_EQ(plan.chunks_on_path(), 9u);
+  EXPECT_TRUE(plan.from_cache.empty());  // nothing configured yet
+  EXPECT_DOUBLE_EQ(plan.monitor_overhead_ms, 0.5);
+}
+
+TEST_F(StrategyTest, AgarPlanLeavesTheMFurthestChunksOff) {
+  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
+  s.warm_up();
+  const core::ReadPlan plan = s.plan_read("object0");
+  // The m = 3 most distant chunks (2x Sydney + 1x Tokyo from Frankfurt)
+  // must not be on the plan.
+  std::size_t sydney = 0, tokyo = 0;
+  for (const auto& [idx, region] : plan.from_backend) {
+    if (region == sim::region::kSydney) ++sydney;
+    if (region == sim::region::kTokyo) ++tokyo;
+  }
+  EXPECT_EQ(sydney, 0u);
+  EXPECT_EQ(tokyo, 1u);
+}
+
+TEST_F(StrategyTest, AgarPlanRecordsAccessInMonitor) {
+  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
+  s.warm_up();
+  (void)s.plan_read("object3");
+  (void)s.plan_read("object3");
+  EXPECT_EQ(s.request_monitor().accesses(), 2u);
+  EXPECT_GT(s.request_monitor().popularity("object3"), 0.0);
+}
+
+TEST_F(StrategyTest, AgarControlPlaneReconfiguresOncePerPeriod) {
+  AgarParams p = agar_params(10_MB);
+  p.reconfig_period_ms = 1000.0;
+  AgarStrategy s(ctx(sim::region::kFrankfurt), p);
+  s.warm_up();
+  s.start_control_plane();
+  for (int i = 0; i < 20; ++i) (void)s.plan_read("object0");
+  // By 3.5 s the timer has started three probe rounds after the warm-up.
+  // Each reconfiguration lands when its round does — up to Sydney's
+  // 1530 ms later — so stop the timer and drain the rounds in flight.
+  loop_.run_until(3500.0);
+  EXPECT_EQ(s.region_manager().probe_rounds(), 4u);
+  loop_.cancel(s.reconfig_timer());
+  loop_.run();
+  EXPECT_EQ(s.cache_manager().reconfigurations(), 3u);
+}
+
+TEST_F(StrategyTest, AgarReconfigurationEvictsStaleResidents) {
+  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(3 * 9 * 1000));
+  s.warm_up();
+  for (int i = 0; i < 50; ++i) (void)s.plan_read("object0");
+  reconfigure(s);
+  const auto opt0 = s.cache_manager().current().entries.at("object0");
+  for (const ChunkIndex idx : opt0.chunks) {
+    ASSERT_TRUE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
+  }
+  // Shift the workload for enough periods that object0 decays away.
+  for (int period = 0; period < 8; ++period) {
+    for (int i = 0; i < 100; ++i) (void)s.plan_read("object3");
+    reconfigure(s);
+  }
+  EXPECT_FALSE(s.cache_manager().current().entries.contains("object0"));
+  // Its chunks must be gone from the cache.
+  for (const ChunkIndex idx : opt0.chunks) {
+    EXPECT_FALSE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
+  }
+}
+
+TEST_F(StrategyTest, EveryRunnableSystemRequiresALoop) {
+  api::ExperimentSpec spec;
+  spec.experiment.deployment.num_objects = 5;
+  spec.experiment.deployment.object_size_bytes = 9000;
+  Deployment deployment(spec.experiment.deployment);
+  deployment.network().bind_loop(&loop_);
+  const RegionId region = spec.experiment.client_region;
+  for (const std::string& system : api::runnable_systems()) {
+    spec.system = system;
+    const StrategyFactory factory = api::make_strategy_factory(spec);
+    EXPECT_NO_THROW((void)factory(spec.experiment, deployment, region, &loop_))
+        << system;
+    EXPECT_THROW((void)factory(spec.experiment, deployment, region, nullptr),
+                 std::invalid_argument)
+        << system;
+  }
 }
 
 }  // namespace
