@@ -65,7 +65,6 @@ class AgarStrategy final : public ReadStrategy {
     return request_monitor_;
   }
   [[nodiscard]] core::CacheManager& cache_manager() { return cache_manager_; }
-  [[nodiscard]] const AgarParams& params() const { return params_; }
 
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
     return &cache_;
