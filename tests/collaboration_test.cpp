@@ -1,16 +1,21 @@
-// Cache collaboration extension (§VI): broadcast, overlap, peer-aware costs.
-#include "core/collaboration.hpp"
-
+// Cache collaboration helpers (§VI): the broadcast snapshot an Agar node
+// publishes, configuration overlap between two regions, and peer-aware
+// chunk costs.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
-namespace agar::core {
+#include "client/agar_strategy.hpp"
+#include "collab/peer_info.hpp"
+
+namespace agar {
 namespace {
 
-class CollaborationTest : public ::testing::Test {
+class PeerInfoTest : public ::testing::Test {
  protected:
-  CollaborationTest()
+  PeerInfoTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, {}, 31)),
         backend_(6, ec::CodecParams{9, 3},
@@ -18,72 +23,59 @@ class CollaborationTest : public ::testing::Test {
     for (int i = 0; i < 6; ++i) {
       backend_.register_object("object" + std::to_string(i), 1_MB);
     }
+    network_.bind_loop(&loop_);
   }
 
-  std::unique_ptr<AgarNode> make_node(RegionId region) {
-    AgarNodeParams p;
-    p.region = region;
+  std::unique_ptr<client::AgarStrategy> make_agar(RegionId region) {
+    client::ClientContext ctx;
+    ctx.backend = &backend_;
+    ctx.network = &network_;
+    ctx.loop = &loop_;
+    ctx.region = region;
+    client::AgarParams p;
     p.cache_capacity_bytes = 10_MB;
     p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
-    auto node = std::make_unique<AgarNode>(&backend_, &network_, p);
-    node->warm_up();
-    return node;
+    auto agar = std::make_unique<client::AgarStrategy>(ctx, p);
+    agar->warm_up();
+    return agar;
+  }
+
+  /// Train `agar` on `hits` accesses of object0, then reconfigure through
+  /// the periodic pipeline and run it to completion.
+  void configure_hot_object(client::AgarStrategy& agar, int hits) {
+    for (int i = 0; i < hits; ++i) (void)agar.plan_read("object0");
+    agar.start_reconfiguration();
+    loop_.run();
   }
 
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
+  sim::EventLoop loop_;
 };
 
-TEST_F(CollaborationTest, BroadcastContainsConfiguredChunks) {
-  auto node = make_node(sim::region::kFrankfurt);
-  for (int i = 0; i < 50; ++i) (void)node->plan_read("object0");
-  node->reconfigure();
-  const PeerInfo info = broadcast_info(*node);
+TEST_F(PeerInfoTest, BroadcastContainsConfiguredChunks) {
+  auto agar = make_agar(sim::region::kFrankfurt);
+  configure_hot_object(*agar, 50);
+  const collab::PeerInfo info = agar->collab_info();
   EXPECT_EQ(info.region, sim::region::kFrankfurt);
   std::size_t expected = 0;
-  for (const auto& [key, opt] :
-       node->cache_manager().current().entries) {
+  for (const auto& [key, opt] : agar->cache_manager().current().entries) {
     expected += opt.chunks.size();
   }
+  EXPECT_GT(expected, 0u);
   EXPECT_EQ(info.configured_chunks.size(), expected);
   EXPECT_FALSE(info.popularity.empty());
 }
 
-TEST_F(CollaborationTest, AddNullNodeThrows) {
-  CollaborationGroup group;
-  EXPECT_THROW(group.add_node(nullptr), std::invalid_argument);
-}
-
-TEST_F(CollaborationTest, ExchangePublishesAllMembers) {
-  auto fra = make_node(sim::region::kFrankfurt);
-  auto dub = make_node(sim::region::kDublin);
-  CollaborationGroup group;
-  group.add_node(fra.get());
-  group.add_node(dub.get());
-  group.exchange();
-  EXPECT_EQ(group.peers().size(), 2u);
-  EXPECT_EQ(group.peers_of(sim::region::kFrankfurt).size(), 1u);
-  EXPECT_EQ(group.peers_of(sim::region::kFrankfurt)[0].region,
-            sim::region::kDublin);
-}
-
-TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
-  auto fra = make_node(sim::region::kFrankfurt);
-  auto dub = make_node(sim::region::kDublin);
+TEST_F(PeerInfoTest, OverlapBetweenSimilarWorkloads) {
   // Same hot object in both regions -> overlapping configurations.
-  for (int i = 0; i < 50; ++i) {
-    (void)fra->plan_read("object0");
-    (void)dub->plan_read("object0");
-  }
-  fra->reconfigure();
-  dub->reconfigure();
-  CollaborationGroup group;
-  group.add_node(fra.get());
-  group.add_node(dub.get());
-  group.exchange();
-  const OverlapReport report =
-      group.overlap(sim::region::kFrankfurt, sim::region::kDublin);
+  auto fra = make_agar(sim::region::kFrankfurt);
+  auto dub = make_agar(sim::region::kDublin);
+  configure_hot_object(*fra, 50);
+  configure_hot_object(*dub, 50);
+  const collab::OverlapReport report =
+      collab::overlap_of(fra->collab_info(), dub->collab_info());
   EXPECT_GT(report.chunks_a, 0u);
   EXPECT_GT(report.chunks_b, 0u);
   EXPECT_GT(report.shared, 0u);
@@ -91,33 +83,23 @@ TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
   EXPECT_LE(report.shared_fraction(), 1.0);
 }
 
-TEST_F(CollaborationTest, OverlapUnknownRegionThrows) {
-  CollaborationGroup group;
-  auto fra = make_node(sim::region::kFrankfurt);
-  group.add_node(fra.get());
-  group.exchange();
-  EXPECT_THROW((void)group.overlap(sim::region::kFrankfurt,
-                                   sim::region::kSydney),
-               std::invalid_argument);
-}
-
-TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
+TEST_F(PeerInfoTest, PeerAwareCostsDiscountNearbyPeerChunks) {
   // Dublin caches chunk "object0#4"; a Frankfurt planner should see that
   // chunk cheaper than its Tokyo home region.
-  PeerInfo dublin;
+  collab::PeerInfo dublin;
   dublin.region = sim::region::kDublin;
   dublin.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
 
-  std::vector<ChunkCost> costs;
+  std::vector<core::ChunkCost> costs;
   for (ChunkIndex i = 0; i < 12; ++i) {
     const RegionId region = i % 6;
-    costs.push_back(ChunkCost{
+    costs.push_back(core::ChunkCost{
         i, region,
         topology_.base_latency_ms(sim::region::kFrankfurt, region)});
   }
   const auto adjusted =
-      peer_aware_costs(costs, "object0", {dublin}, topology_,
-                       sim::region::kFrankfurt, 0.75, 400.0);
+      collab::peer_aware_costs(costs, "object0", {dublin}, topology_,
+                               sim::region::kFrankfurt, 0.75, 400.0);
   // Chunk 4 (Tokyo, 1130 ms base) now costs the Dublin peer fetch:
   // 100 ms * 0.75 = 75 ms.
   EXPECT_DOUBLE_EQ(adjusted[4].latency_ms, 75.0);
@@ -125,29 +107,29 @@ TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
   EXPECT_DOUBLE_EQ(adjusted[5].latency_ms, costs[5].latency_ms);
 }
 
-TEST_F(CollaborationTest, PeerAwareCostsIgnoreDistantPeers) {
-  PeerInfo sydney;
+TEST_F(PeerInfoTest, PeerAwareCostsIgnoreDistantPeers) {
+  collab::PeerInfo sydney;
   sydney.region = sim::region::kSydney;
   sydney.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
 
-  std::vector<ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
-  // Sydney is 1200 ms from Frankfurt > max_peer_ms 400: no discount.
-  const auto adjusted = peer_aware_costs(
+  std::vector<core::ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
+  // Sydney is 1530 ms from Frankfurt > max_peer_ms 400: no discount.
+  const auto adjusted = collab::peer_aware_costs(
       costs, "object0", {sydney}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 1100.0);
 }
 
-TEST_F(CollaborationTest, PeerAwareCostsNeverIncrease) {
-  PeerInfo dublin;
+TEST_F(PeerInfoTest, PeerAwareCostsNeverIncrease) {
+  collab::PeerInfo dublin;
   dublin.region = sim::region::kDublin;
   dublin.configured_chunks.insert(ChunkId{"object0", 0}.cache_key());
   // Local chunk already cheaper than the peer fetch (100 ms * 0.75 = 75):
   // keep the original.
-  std::vector<ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
-  const auto adjusted = peer_aware_costs(
+  std::vector<core::ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
+  const auto adjusted = collab::peer_aware_costs(
       costs, "object0", {dublin}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 70.0);
 }
 
 }  // namespace
-}  // namespace agar::core
+}  // namespace agar

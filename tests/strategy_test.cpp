@@ -1,5 +1,5 @@
 // Read strategies: latency composition, hit accounting, verify-mode decode,
-// failure fallback, and Agar's read planning and control plane on the loop.
+// failure fallback, and the event loop every strategy is built on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -329,77 +329,6 @@ TEST_F(StrategyTest, AgarSurvivesRegionFailure) {
   const ReadResult r = s.read("object0");
   EXPECT_EQ(r.cache_chunks + r.backend_chunks, 9u);
   EXPECT_TRUE(r.verified);
-}
-
-TEST_F(StrategyTest, AgarPlanCoversExactlyKChunks) {
-  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
-  s.warm_up();
-  const core::ReadPlan plan = s.plan_read("object0");
-  EXPECT_EQ(plan.chunks_on_path(), 9u);
-  EXPECT_TRUE(plan.from_cache.empty());  // nothing configured yet
-  EXPECT_DOUBLE_EQ(plan.monitor_overhead_ms, 0.5);
-}
-
-TEST_F(StrategyTest, AgarPlanLeavesTheMFurthestChunksOff) {
-  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
-  s.warm_up();
-  const core::ReadPlan plan = s.plan_read("object0");
-  // The m = 3 most distant chunks (2x Sydney + 1x Tokyo from Frankfurt)
-  // must not be on the plan.
-  std::size_t sydney = 0, tokyo = 0;
-  for (const auto& [idx, region] : plan.from_backend) {
-    if (region == sim::region::kSydney) ++sydney;
-    if (region == sim::region::kTokyo) ++tokyo;
-  }
-  EXPECT_EQ(sydney, 0u);
-  EXPECT_EQ(tokyo, 1u);
-}
-
-TEST_F(StrategyTest, AgarPlanRecordsAccessInMonitor) {
-  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
-  s.warm_up();
-  (void)s.plan_read("object3");
-  (void)s.plan_read("object3");
-  EXPECT_EQ(s.request_monitor().accesses(), 2u);
-  EXPECT_GT(s.request_monitor().popularity("object3"), 0.0);
-}
-
-TEST_F(StrategyTest, AgarControlPlaneReconfiguresOncePerPeriod) {
-  AgarParams p = agar_params(10_MB);
-  p.reconfig_period_ms = 1000.0;
-  AgarStrategy s(ctx(sim::region::kFrankfurt), p);
-  s.warm_up();
-  s.start_control_plane();
-  for (int i = 0; i < 20; ++i) (void)s.plan_read("object0");
-  // By 3.5 s the timer has started three probe rounds after the warm-up.
-  // Each reconfiguration lands when its round does — up to Sydney's
-  // 1530 ms later — so stop the timer and drain the rounds in flight.
-  loop_.run_until(3500.0);
-  EXPECT_EQ(s.region_manager().probe_rounds(), 4u);
-  loop_.cancel(s.reconfig_timer());
-  loop_.run();
-  EXPECT_EQ(s.cache_manager().reconfigurations(), 3u);
-}
-
-TEST_F(StrategyTest, AgarReconfigurationEvictsStaleResidents) {
-  AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(3 * 9 * 1000));
-  s.warm_up();
-  for (int i = 0; i < 50; ++i) (void)s.plan_read("object0");
-  reconfigure(s);
-  const auto opt0 = s.cache_manager().current().entries.at("object0");
-  for (const ChunkIndex idx : opt0.chunks) {
-    ASSERT_TRUE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
-  }
-  // Shift the workload for enough periods that object0 decays away.
-  for (int period = 0; period < 8; ++period) {
-    for (int i = 0; i < 100; ++i) (void)s.plan_read("object3");
-    reconfigure(s);
-  }
-  EXPECT_FALSE(s.cache_manager().current().entries.contains("object0"));
-  // Its chunks must be gone from the cache.
-  for (const ChunkIndex idx : opt0.chunks) {
-    EXPECT_FALSE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
-  }
 }
 
 TEST_F(StrategyTest, EveryRunnableSystemRequiresALoop) {
