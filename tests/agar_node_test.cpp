@@ -1,53 +1,83 @@
-// AgarNode facade: read planning, population protocol, periodic
-// reconfiguration on the event loop.
-#include "core/agar_node.hpp"
-
+// The Agar node (Fig. 3) as AgarStrategy runs it on the event loop: read
+// planning against the region manager's costs, the request monitor, the
+// periodic probe -> plan -> populate pipeline, and eviction of stale
+// residents.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <limits>
 #include <memory>
 
-namespace agar::core {
+#include "client/agar_strategy.hpp"
+
+namespace agar::client {
 namespace {
 
-class AgarNodeTest : public ::testing::Test {
+class AgarStrategyNodeTest : public ::testing::Test {
  protected:
-  AgarNodeTest()
+  AgarStrategyNodeTest()
       : topology_(sim::aws_six_regions()),
-        network_(sim::LatencyModel(&topology_, {}, 7)),
+        network_(sim::LatencyModel(&topology_, zero_jitter(), 3)),
         backend_(6, ec::CodecParams{9, 3},
                  std::make_shared<ec::RoundRobinPlacement>(false)) {
-    for (int i = 0; i < 10; ++i) {
-      backend_.register_object("object" + std::to_string(i), 1_MB);
-    }
+    store::populate_working_set(backend_, 5, 9000);
+    network_.bind_loop(&loop_);
   }
 
-  AgarNodeParams params(std::size_t cache_bytes = 10_MB) {
-    AgarNodeParams p;
-    p.region = sim::region::kFrankfurt;
+  /// Base latencies only, so the plan's region choices are exact.
+  static sim::LatencyModelParams zero_jitter() {
+    sim::LatencyModelParams p;
+    p.jitter_fraction = 0.0;
+    p.wan_bandwidth_mbps = std::numeric_limits<double>::infinity();
+    p.cache_bandwidth_mbps = std::numeric_limits<double>::infinity();
+    p.cache_base_ms = 55.0;
+    return p;
+  }
+
+  ClientContext ctx() {
+    ClientContext c;
+    c.backend = &backend_;
+    c.network = &network_;
+    c.loop = &loop_;
+    c.region = sim::region::kFrankfurt;
+    c.decode_ms_per_mb = 0.0;
+    c.verify_data = true;
+    return c;
+  }
+
+  static AgarParams params(std::size_t cache_bytes) {
+    AgarParams p;
     p.cache_capacity_bytes = cache_bytes;
     p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
+    p.cache_manager.cache_latency_ms = 55.0;
     return p;
+  }
+
+  /// One reconfiguration through the periodic timer's pipeline (probe
+  /// round, plan, population downloads), run to completion.
+  void reconfigure(AgarStrategy& s) {
+    s.start_reconfiguration();
+    loop_.run();
   }
 
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
+  sim::EventLoop loop_;
 };
 
-TEST_F(AgarNodeTest, PlanCoversExactlyKChunks) {
-  AgarNode node(&backend_, &network_, params());
-  node.warm_up();
-  const ReadPlan plan = node.plan_read("object0");
+TEST_F(AgarStrategyNodeTest, PlanCoversExactlyKChunks) {
+  AgarStrategy s(ctx(), params(10_MB));
+  s.warm_up();
+  const core::ReadPlan plan = s.plan_read("object0");
   EXPECT_EQ(plan.chunks_on_path(), 9u);
   EXPECT_TRUE(plan.from_cache.empty());  // nothing configured yet
   EXPECT_DOUBLE_EQ(plan.monitor_overhead_ms, 0.5);
 }
 
-TEST_F(AgarNodeTest, PlanPrefersCheapRegions) {
-  AgarNode node(&backend_, &network_, params());
-  node.warm_up();
-  const ReadPlan plan = node.plan_read("object0");
+TEST_F(AgarStrategyNodeTest, PlanPrefersCheapRegions) {
+  AgarStrategy s(ctx(), params(10_MB));
+  s.warm_up();
+  const core::ReadPlan plan = s.plan_read("object0");
   // The m = 3 most distant chunks (2x Sydney + 1x Tokyo from Frankfurt)
   // must not be on the plan.
   std::size_t sydney = 0, tokyo = 0;
@@ -56,115 +86,55 @@ TEST_F(AgarNodeTest, PlanPrefersCheapRegions) {
     if (region == sim::region::kTokyo) ++tokyo;
   }
   EXPECT_EQ(sydney, 0u);
-  EXPECT_LE(tokyo, 1u);
+  EXPECT_EQ(tokyo, 1u);
 }
 
-TEST_F(AgarNodeTest, PlanRecordsAccessInMonitor) {
-  AgarNode node(&backend_, &network_, params());
-  node.warm_up();
-  (void)node.plan_read("object3");
-  (void)node.plan_read("object3");
-  EXPECT_EQ(node.request_monitor().accesses(), 2u);
-  EXPECT_GT(node.request_monitor().popularity("object3"), 0.0);
+TEST_F(AgarStrategyNodeTest, PlanRecordsAccessInMonitor) {
+  AgarStrategy s(ctx(), params(10_MB));
+  s.warm_up();
+  (void)s.plan_read("object3");
+  (void)s.plan_read("object3");
+  EXPECT_EQ(s.request_monitor().accesses(), 2u);
+  EXPECT_GT(s.request_monitor().popularity("object3"), 0.0);
 }
 
-TEST_F(AgarNodeTest, ConfiguredChunksMarkedForPopulation) {
-  AgarNode node(&backend_, &network_, params());
-  node.warm_up();
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
-  ASSERT_TRUE(node.cache_manager().current().entries.contains("object0"));
-
-  const ReadPlan plan = node.plan_read("object0");
-  // Cache not yet populated: configured chunks appear either in
-  // populate_after_read (if fetched on-path) or async_populate.
-  const std::size_t configured =
-      node.cache_manager().current().entries.at("object0").chunks.size();
-  EXPECT_EQ(plan.populate_after_read.size() + plan.async_populate.size(),
-            configured);
-  EXPECT_TRUE(plan.from_cache.empty());
-}
-
-TEST_F(AgarNodeTest, ResidentChunksComeFromCache) {
-  AgarNode node(&backend_, &network_, params());
-  node.warm_up();
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
-  const auto& opt = node.cache_manager().current().entries.at("object0");
-
-  // Simulate the client population step.
-  const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
-  for (const ChunkIndex idx : opt.chunks) {
-    EXPECT_TRUE(node.cache().put(ChunkId{"object0", idx}.cache_key(),
-                                 Bytes(chunk_size, 0)));
-  }
-
-  const ReadPlan plan = node.plan_read("object0");
-  EXPECT_EQ(plan.from_cache.size(), opt.chunks.size());
-  EXPECT_EQ(plan.chunks_on_path(), 9u);
-  EXPECT_TRUE(plan.async_populate.empty());
-  // Cached chunks and backend chunks must not overlap.
-  for (const ChunkIndex c : plan.from_cache) {
-    for (const auto& [idx, region] : plan.from_backend) {
-      EXPECT_NE(c, idx);
-    }
-  }
-}
-
-TEST_F(AgarNodeTest, AttachToLoopReconfiguresPeriodically) {
-  AgarNodeParams p = params();
+TEST_F(AgarStrategyNodeTest, ControlPlaneReconfiguresOncePerPeriod) {
+  AgarParams p = params(10_MB);
   p.reconfig_period_ms = 1000.0;
-  AgarNode node(&backend_, &network_, p);
-  node.warm_up();
-  sim::EventLoop loop;
-  node.attach_to_loop(loop);
-  for (int i = 0; i < 20; ++i) (void)node.plan_read("object0");
-  loop.run_until(3500.0);
-  EXPECT_EQ(node.cache_manager().reconfigurations(), 3u);
+  AgarStrategy s(ctx(), p);
+  s.warm_up();
+  s.start_control_plane();
+  for (int i = 0; i < 20; ++i) (void)s.plan_read("object0");
+  // By 3.5 s the timer has started three probe rounds after the warm-up.
+  // Each reconfiguration lands when its round does — up to Sydney's
+  // 1530 ms later — so stop the timer and drain the rounds in flight.
+  loop_.run_until(3500.0);
+  EXPECT_EQ(s.region_manager().probe_rounds(), 4u);
+  loop_.cancel(s.reconfig_timer());
+  loop_.run();
+  EXPECT_EQ(s.cache_manager().reconfigurations(), 3u);
 }
 
-TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {
-  AgarNode node(&backend_, &network_, params(100_MB));
-  node.warm_up();
-  for (int i = 0; i < 100; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
-  const auto& entries = node.cache_manager().current().entries;
-  ASSERT_TRUE(entries.contains("object0"));
-  const auto& opt = entries.at("object0");
-  // With a huge cache and one hot object the solver takes the full replica.
-  ASSERT_EQ(opt.weight, 9u);
-  const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
-  for (const ChunkIndex idx : opt.chunks) {
-    node.cache().put(ChunkId{"object0", idx}.cache_key(),
-                     Bytes(chunk_size, 0));
-  }
-  const ReadPlan plan = node.plan_read("object0");
-  EXPECT_EQ(plan.from_cache.size(), 9u);
-  EXPECT_TRUE(plan.from_backend.empty());
-}
-
-TEST_F(AgarNodeTest, ReconfigurationEvictsStaleResidents) {
-  AgarNode node(&backend_, &network_, params(5_MB));
-  node.warm_up();
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
-  const auto opt0 = node.cache_manager().current().entries.at("object0");
-  const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
+TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
+  AgarStrategy s(ctx(), params(3 * 9 * 1000));
+  s.warm_up();
+  for (int i = 0; i < 50; ++i) (void)s.plan_read("object0");
+  reconfigure(s);
+  const auto opt0 = s.cache_manager().current().entries.at("object0");
   for (const ChunkIndex idx : opt0.chunks) {
-    node.cache().put(ChunkId{"object0", idx}.cache_key(),
-                     Bytes(chunk_size, 0));
+    ASSERT_TRUE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
   }
   // Shift the workload for enough periods that object0 decays away.
   for (int period = 0; period < 8; ++period) {
-    for (int i = 0; i < 100; ++i) (void)node.plan_read("object7");
-    node.reconfigure();
+    for (int i = 0; i < 100; ++i) (void)s.plan_read("object3");
+    reconfigure(s);
   }
-  EXPECT_FALSE(node.cache_manager().current().entries.contains("object0"));
+  EXPECT_FALSE(s.cache_manager().current().entries.contains("object0"));
   // Its chunks must be gone from the cache.
   for (const ChunkIndex idx : opt0.chunks) {
-    EXPECT_FALSE(node.cache().contains(ChunkId{"object0", idx}.cache_key()));
+    EXPECT_FALSE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
   }
 }
 
 }  // namespace
-}  // namespace agar::core
+}  // namespace agar::client
