@@ -9,12 +9,12 @@
 # Each golden is the normalized output of
 #   example_agar_cli --spec examples/specs/<name>.json --json
 # for every spec except daemon_routes.json (an agard routing table, not an
-# experiment), plus <name>.verify.json for agar_vs_lfu.json run with
-# `--set verify=true`. The other determinism checks compare two builds or
-# two construction paths of one commit; these compare a commit with the
-# results its parent committed, so a change that moves every build the same
-# way still fails here. A change meant to move results regenerates the
-# goldens with the commands above and says why.
+# experiment), plus <name>.verify.json for agar_vs_lfu.json and
+# systems_outage.json run with `--set verify=true`. The other determinism
+# checks compare two construction paths of one commit; these compare a
+# commit with the results its parent committed, so a change that moves
+# every build the same way still fails here. A change meant to move results
+# regenerates the goldens with the commands above and says why.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -52,6 +52,8 @@ for spec in "$root"/examples/specs/*.json; do
   check "$name" --spec "$spec"
 done
 check agar_vs_lfu.verify --spec "$root/examples/specs/agar_vs_lfu.json" \
+  --set verify=true
+check systems_outage.verify --spec "$root/examples/specs/systems_outage.json" \
   --set verify=true
 
 if ((failures > 0)); then

@@ -30,24 +30,29 @@ std::string temp_path(const std::string& stem, const std::string& suffix) {
   return "/tmp/" + stem + std::to_string(::getpid()) + suffix;
 }
 
-std::string route_spec(const std::string& system, const std::string& extra) {
-  return R"({"system": ")" + system +
-         R"(", "region": "frankfurt", "objects": 40,
+std::string route_spec(const std::string& system, const std::string& extra,
+                       const std::string& region = "frankfurt") {
+  return R"({"system": ")" + system + R"(", "region": ")" + region +
+         R"(", "objects": 40,
              "object_bytes": "9KB", "ops": 200, "runs": 1, "clients": 1,
              "seed": 7)" +
          extra + "}";
 }
 
+/// The 'hot' route every test serves unless it picks its own.
+const std::string kLruHotSpec =
+    route_spec("lru", R"(, "chunks": 5, "cache_bytes": "200KB")");
+
 std::string write_config(const std::string& path, const std::string& listen,
                          const std::string& default_system,
-                         const std::string& default_extra = "") {
+                         const std::string& default_extra = "",
+                         const std::string& hot_spec = kLruHotSpec) {
   const std::string text = R"({
     "listen": ")" + listen +
                            R"(",
     "routes": [
       {"name": "hot", "tag": "hot", "spec": )" +
-                           route_spec("lru", R"(, "chunks": 5,
-                             "cache_bytes": "200KB")") +
+                           hot_spec +
                            R"(},
       {"name": "default", "spec": )" +
                            route_spec(default_system, default_extra) + R"(}
@@ -226,10 +231,25 @@ TEST_F(ServerFixture, FailedSighupReloadKeepsOldTableAndReportsOnStderr) {
   server->stop();
 }
 
+/// One 'hot' route spec of the equivalence suite.
+struct HotRoute {
+  std::string name;  ///< test-name suffix
+  std::string spec;
+};
+
+class RouteEquivalence : public ServerFixture,
+                         public ::testing::WithParamInterface<HotRoute> {
+ protected:
+  void SetUp() override {
+    ServerFixture::SetUp();
+    write_config(config_path_, socket_path_, "backend", "", GetParam().spec);
+  }
+};
+
 // The acceptance contract: serving the runner's exact key stream over the
 // socket, then draining, yields the same results_json as the in-process
 // batch run of the same spec — modulo planning_ms, which is wall clock.
-TEST_F(ServerFixture, MetricsMatchInProcessRunForReplayedStream) {
+TEST_P(RouteEquivalence, MetricsMatchInProcessRunForReplayedStream) {
   auto server = start_server();
 
   DaemonConfig config = load_daemon_config(config_path_);
@@ -266,6 +286,30 @@ TEST_F(ServerFixture, MetricsMatchInProcessRunForReplayedStream) {
       << "daemon:\n" << daemon_norm << "\nin-process:\n" << inproc_norm;
   server->stop();
 }
+
+// Every kind of route: each read executor's plan shape (Agar, the periodic
+// LFU baseline, no cache, fixed chunks under two engines) and both fetch
+// policies, one of them from a second client region.
+INSTANTIATE_TEST_SUITE_P(
+    RouteKinds, RouteEquivalence,
+    ::testing::Values(
+        HotRoute{"agar", route_spec("agar", R"(, "cache_bytes": "200KB")")},
+        HotRoute{"lfu5", route_spec("lfu", R"(, "chunks": 5,
+                                    "cache_bytes": "200KB")")},
+        HotRoute{"backend", route_spec("backend", "")},
+        HotRoute{"lru5", kLruHotSpec},
+        HotRoute{"tinylfu5", route_spec("tinylfu", R"(, "chunks": 5,
+                                        "cache_bytes": "200KB")")},
+        HotRoute{"agar_hedge",
+                 route_spec("agar", R"(, "cache_bytes": "200KB",
+                            "fetch": "hedge")")},
+        HotRoute{"lru5_retry_sydney",
+                 route_spec("lru", R"(, "chunks": 5, "cache_bytes": "200KB",
+                            "fetch": "retry")",
+                            "sydney")}),
+    [](const ::testing::TestParamInfo<HotRoute>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace agar::daemon

@@ -169,10 +169,16 @@ TEST(Runner, VerifyModeDecodesEveryRead) {
   config.verify_data = true;
   config.ops_per_run = 60;
   config.runs = 1;
-  for (const std::vector<std::string>& pairs :
-       {std::vector<std::string>{"system=backend"},
-        {"system=lru", "chunks=5", "cache_bytes=5MB"},
-        {"system=agar", "cache_bytes=5MB"}}) {
+  // Every runnable system, strategies and engines alike, straight from
+  // registry introspection.
+  for (const std::string& system : api::runnable_systems()) {
+    std::vector<std::string> pairs{"system=" + system};
+    const auto& schema =
+        api::StrategyRegistry::instance()
+            .at(api::resolve_system(system, api::ParamMap{}).first)
+            .schema;
+    if (schema.has("chunks")) pairs.push_back("chunks=5");
+    if (schema.has("cache_bytes")) pairs.push_back("cache_bytes=5MB");
     const auto result = run_system(config, pairs);
     EXPECT_EQ(result.runs[0].verified, result.runs[0].ops) << result.label;
   }
