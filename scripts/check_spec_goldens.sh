@@ -2,7 +2,7 @@
 # Spec goldens: rerun every shipped experiment spec through the CLI and diff
 # its JSON report against the committed golden in tests/golden/. planning_ms
 # (planner wall-clock time, the one nondeterministic field) is zeroed on
-# both sides first, exactly as CI's cross-build diff does.
+# both sides first.
 #
 #   scripts/check_spec_goldens.sh build/example_agar_cli
 #
@@ -10,10 +10,13 @@
 #   example_agar_cli --spec examples/specs/<name>.json --json
 # for every spec except daemon_routes.json (an agard routing table, not an
 # experiment), plus <name>.verify.json for agar_vs_lfu.json and
-# systems_outage.json run with `--set verify=true`. The other determinism
-# checks compare two construction paths of one commit; these compare a
+# systems_outage.json run with `--set verify=true`. The specs that drive the
+# sharded engine (outage_flash_crowd, chaos_gray_failure, geo_partition)
+# rerun at `--shards 4` against the same goldens. These checks compare a
 # commit with the results its parent committed, so a change that moves
-# every build the same way still fails here. A change meant to move results
+# every build the same way still fails here; and since every build ctest
+# runs (SIMD, portable, sanitizers) must match the same goldens, the builds
+# and shard counts also match each other. A change meant to move results
 # regenerates the goldens with the commands above and says why.
 set -euo pipefail
 
@@ -41,7 +44,7 @@ check() {  # check <golden name> <cli args...>
   "$cli" "$@" --json | normalize > "$tmp/$name.json"
   normalize < "$golden" > "$tmp/$name.golden.json"
   if ! diff -u "$tmp/$name.golden.json" "$tmp/$name.json"; then
-    echo "spec_goldens: $name differs from its golden" >&2
+    echo "spec_goldens: $name ($*) differs from its golden" >&2
     failures=$((failures + 1))
   fi
 }
@@ -55,6 +58,9 @@ check agar_vs_lfu.verify --spec "$root/examples/specs/agar_vs_lfu.json" \
   --set verify=true
 check systems_outage.verify --spec "$root/examples/specs/systems_outage.json" \
   --set verify=true
+for name in outage_flash_crowd chaos_gray_failure geo_partition; do
+  check "$name" --spec "$root/examples/specs/$name.json" --shards 4
+done
 
 if ((failures > 0)); then
   echo "spec_goldens: $failures spec(s) failed" >&2

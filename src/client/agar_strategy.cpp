@@ -132,7 +132,7 @@ core::ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
 }
 
 void AgarStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  start_plan(key, plan_read(key), cache_, std::move(done));
+  start_plan(key, plan_read(key), &cache_, std::move(done));
 }
 
 }  // namespace agar::client

@@ -1,6 +1,5 @@
 #include "client/backend_strategy.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "api/registry.hpp"
@@ -21,65 +20,12 @@ const api::StrategyRegistration kBackend{{
 
 }  // namespace
 
-std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
-    const ClientContext& ctx, const ObjectKey& key) {
-  const store::ObjectInfo info = ctx.backend->object_info(key);
-  struct Entry {
-    ChunkIndex index;
-    RegionId region;
-    double expected_ms;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(info.locations.size());
-  for (const auto& loc : info.locations) {
-    entries.push_back(Entry{
-        loc.index, loc.region,
-        ctx.network->model().expected_backend_fetch_ms(
-            ctx.region, loc.region, info.chunk_size)});
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.expected_ms != b.expected_ms) return a.expected_ms < b.expected_ms;
-    if (a.region != b.region) return a.region < b.region;
-    return a.index < b.index;
-  });
-  std::vector<std::pair<ChunkIndex, RegionId>> out;
-  out.reserve(entries.size());
-  for (const auto& e : entries) out.emplace_back(e.index, e.region);
-  return out;
-}
-
 void BackendStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const std::size_t k = ctx_.backend->codec().k();
-
+  const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  BatchSpec spec;
-  spec.on_path.assign(candidates.begin(),
-                      candidates.begin() + static_cast<std::ptrdiff_t>(k));
-  spec.fallbacks.assign(candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                        candidates.end());
-  spec.want_total = k;
-  spec.chunk_bytes = info.chunk_size;
-  spec.extra_ms = decode_ms(info.object_size);
-
-  start_fetch_batch(
-      key, std::move(spec), ReadResult{},
-      [this, key, done = std::move(done)](ReadResult result,
-                                          std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        if (ctx_.verify_data && !result.failed) {
-          std::vector<ec::Chunk> chunks;
-          chunks.reserve(fetched.size());
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              chunks.push_back(ec::Chunk{idx, *bytes});  // shared, no copy
-            }
-          }
-          result.verified = verify_payload(key, chunks);
-        }
-        done(result);
-      });
+  core::ReadPlan plan;
+  plan.from_backend.assign(candidates.begin(), candidates.begin() + k);
+  start_plan(key, std::move(plan), nullptr, std::move(done));
 }
 
 }  // namespace agar::client

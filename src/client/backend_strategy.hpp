@@ -1,7 +1,7 @@
 // Backend strategy (paper §V-A "Backend"): no caching layer at all — every
-// read fetches the k cheapest chunks straight from the regional buckets and
-// decodes. The floor (or ceiling, latency-wise) every caching system is
-// compared against.
+// read plans the k cheapest chunks straight from the regional buckets and
+// decodes, through the same executor as every caching system. The floor
+// (or ceiling, latency-wise) every caching system is compared against.
 #pragma once
 
 #include "client/strategy.hpp"
@@ -15,11 +15,5 @@ class BackendStrategy final : public ReadStrategy {
   void start_read(const ObjectKey& key, ReadCallback done) override;
   [[nodiscard]] std::string name() const override { return "Backend"; }
 };
-
-/// Chunk candidates of `key` sorted by expected fetch latency, cheapest
-/// first (deterministic tie-break on region then index). Shared by all
-/// strategies.
-[[nodiscard]] std::vector<std::pair<ChunkIndex, RegionId>>
-chunks_by_expected_latency(const ClientContext& ctx, const ObjectKey& key);
 
 }  // namespace agar::client

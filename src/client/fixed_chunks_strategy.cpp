@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
-#include "client/backend_strategy.hpp"
 
 namespace agar::client {
 
@@ -42,78 +41,36 @@ std::string FixedChunksStrategy::name() const {
 }
 
 void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
   const std::size_t k = ctx_.backend->codec().k();
   const std::size_t c = std::min(params_.chunks_per_object, k);
 
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks.
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  std::vector<std::pair<ChunkIndex, RegionId>> needed(
-      candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(k));
-  // designated = last c of `needed` (most distant of the needed chunks).
-  const std::size_t designated_begin = k - c;
-
-  ReadResult partial;
-  std::vector<SimTimeMs> cache_latencies;
-  auto collected = std::make_shared<std::vector<ec::Chunk>>();  // verify mode
-  auto designated = std::make_shared<std::vector<ChunkIndex>>();
-
-  BatchSpec spec;
-  spec.fallbacks.assign(candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                        candidates.end());
-  for (std::size_t i = 0; i < needed.size(); ++i) {
-    const auto& [idx, region] = needed[i];
-    if (i >= designated_begin) {
-      designated->push_back(idx);
-      const std::string ck = ChunkId{key, idx}.cache_key();
-      const auto hit = cache_->get(ck);
-      if (hit.has_value()) {
-        cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
-        ++partial.cache_chunks;
-        if (ctx_.verify_data) {
-          collected->push_back(ec::Chunk{idx, *hit});  // shared, no copy
-        }
-        continue;
-      }
-    }
-    spec.on_path.emplace_back(idx, region);
+  core::ReadPlan plan;
+  plan.from_backend.assign(
+      candidates.begin(),
+      candidates.begin() + static_cast<std::ptrdiff_t>(k - c));
+  for (std::size_t i = k - c; i < k; ++i) {
+    plan.from_cache.push_back(candidates[i].first);
   }
+  plan.monitor_overhead_ms = params_.proxy_overhead_ms;
 
-  spec.want_total = k - partial.cache_chunks;
-  spec.chunk_bytes = info.chunk_size;
-  spec.cache_arm_ms = cache_latencies.empty()
-                          ? -1.0
-                          : sim::Network::parallel_batch_ms(cache_latencies);
-  spec.extra_ms = decode_ms(info.object_size) + params_.proxy_overhead_ms;
-
-  start_fetch_batch(
-      key, std::move(spec), partial,
-      [this, key, k, info, collected, designated,
-       done = std::move(done)](ReadResult result,
-                               std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        result.full_hit = result.cache_chunks == k;
-        result.partial_hit = result.cache_chunks > 0;
-
+  std::vector<ChunkIndex> designated = plan.from_cache;
+  start_plan(
+      key, std::move(plan), cache_.get(),
+      [this, key, designated = std::move(designated),
+       done = std::move(done)](const ReadResult& result) {
         // Populate: (re-)insert the designated chunks. Writes happen on a
         // separate thread pool in the paper's client — no latency charged.
-        for (const ChunkIndex idx : *designated) {
+        const std::size_t chunk_size =
+            ctx_.backend->object_info(key).chunk_size;
+        for (const ChunkIndex idx : designated) {
           const std::string ck = ChunkId{key, idx}.cache_key();
           if (cache_->contains(ck)) continue;  // hit earlier; recency kept
-          SharedBytes payload = population_payload(key, idx, info.chunk_size);
+          SharedBytes payload = population_payload(key, idx, chunk_size);
           if (ctx_.verify_data && payload.empty()) continue;
           cache_->put(ck, std::move(payload));
-        }
-
-        if (ctx_.verify_data && !result.failed) {
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              collected->push_back(ec::Chunk{idx, *bytes});
-            }
-          }
-          result.verified = verify_payload(key, *collected);
         }
         done(result);
       });

@@ -2,10 +2,11 @@
 // cache that "stores a predefined number of erasure-coded chunks for each
 // data record" under a replacement/admission policy. The client always
 // designates the c most distant of the k needed chunks (the motivating
-// experiment of §II-C caches most distant first); on a read it serves
-// designated chunks from the cache when resident, fetches the rest from
-// the backend, and (re-)inserts the designated chunks afterwards, letting
-// the policy evict.
+// experiment of §II-C caches most distant first). Each read plans the
+// designated chunks from the cache and the other k − c from the backend;
+// the shared executor fetches a designated chunk the engine does not hold
+// from its home region. After the read the strategy (re-)inserts the
+// designated chunks the engine does not hold, letting the policy evict.
 //
 // The policy is any engine in api::Registry<cache::CacheEngine>, looked up
 // by name — registering a new engine ("arc", ...) makes it a runnable
@@ -39,7 +40,6 @@ class FixedChunksStrategy final : public ReadStrategy {
   void start_read(const ObjectKey& key, ReadCallback done) override;
   [[nodiscard]] std::string name() const override;
 
-  [[nodiscard]] cache::CacheEngine& engine() { return *cache_; }
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
     return cache_.get();
   }

@@ -159,7 +159,7 @@ void LfuConfigStrategy::start_read(const ObjectKey& key, ReadCallback done) {
       },
       key);
   plan.monitor_overhead_ms = overhead;
-  start_plan(key, plan, cache_, std::move(done));
+  start_plan(key, std::move(plan), &cache_, std::move(done));
 }
 
 }  // namespace agar::client

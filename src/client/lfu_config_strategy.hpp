@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 
+#include "cache/static_cache.hpp"
 #include "client/strategy.hpp"
 #include "core/region_manager.hpp"
 #include "core/request_monitor.hpp"

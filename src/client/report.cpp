@@ -142,8 +142,8 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
           << ", \"used_bytes\": " << run.cache_used_bytes << "}"
           << ", \"decode_plan\": {\"hits\": " << run.decode_plan_hits
           << ", \"misses\": " << run.decode_plan_misses << "}"
-          // Control-plane telemetry: planner timing (wall clock — CI
-          // normalizes it before cross-build diffs) and config churn.
+          // Control-plane telemetry: planner timing (wall clock — the
+          // golden diffs normalize it) and config churn.
           << ", \"control_plane\": {\"reconfigurations\": "
           << run.reconfigurations
           << ", \"planning_ms\": " << num(run.planning_ms)

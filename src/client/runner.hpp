@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <map>
 #include <vector>
@@ -22,7 +23,12 @@
 #include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "stats/histogram.hpp"
+#include "stats/windowed.hpp"
 #include "store/backend.hpp"
+
+namespace agar::collab {
+class CollabRuntime;
+}  // namespace agar::collab
 
 namespace agar::client {
 
@@ -309,6 +315,72 @@ struct ExperimentResult {
 using StrategyFactory = std::function<std::unique_ptr<ReadStrategy>(
     const ExperimentConfig& config, Deployment& deployment,
     RegionId client_region, sim::EventLoop* loop)>;
+
+/// Width of the engine's run windows: a run advances in whole windows and
+/// ends at the first boundary at or after its last completion.
+/// daemon::ServiceInstance::drain runs to that same boundary, which the
+/// daemon's equivalence with an in-process run depends on.
+inline constexpr SimTimeMs kRunWindowMs = 1000.0;
+
+/// One client region of a run: the only code that sets up a client region,
+/// counts its reads and (through merge_lanes) turns lanes into a RunResult.
+/// run_experiment drives one lane per client region; daemon::ServiceInstance
+/// drives one lane request by request, so a daemon route is a runner lane.
+/// Callbacks on the loop hold its address, hence neither copyable nor
+/// movable.
+class Lane {
+ public:
+  /// The lane set-up: this lane's ordering key and a reserved event queue
+  /// on `loop`, the per-region fetch cap on the lane's network partition,
+  /// bound to `loop`, then the strategy `factory` builds for the lane's
+  /// client region, warmed up. The control plane is left to the caller, so
+  /// the collab tier can attach first.
+  Lane(const ExperimentConfig& config, const StrategyFactory& factory,
+       Deployment& deployment, std::size_t index, sim::EventLoop& loop);
+
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+  [[nodiscard]] ReadStrategy& strategy() { return *strategy_; }
+  [[nodiscard]] std::size_t issued() const { return issued_; }
+  [[nodiscard]] std::size_t completed() const { return completed_; }
+
+  /// Also account each completed read with the cooperative tier.
+  void set_collab(collab::CollabRuntime* collab) { collab_ = collab; }
+
+  /// Count one read as issued (the reads-in-flight gauge).
+  void begin_read();
+  /// Count one read as completed at the loop's current time.
+  void record(const ReadResult& r);
+
+ private:
+  friend RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
+                               Deployment& deployment);
+
+  struct WindowCounters {
+    std::uint64_t ops = 0, full = 0, partial = 0, failed = 0, degraded = 0;
+    std::uint64_t peer_hits = 0, stale = 0;  // collab tier only
+  };
+
+  std::size_t index_;
+  sim::EventLoop* loop_;
+  std::unique_ptr<ReadStrategy> strategy_;
+  collab::CollabRuntime* collab_ = nullptr;
+  RunResult counts_;  ///< read counters; merge_lanes adds the rest
+  std::size_t issued_ = 0;
+  std::size_t completed_ = 0;
+  std::size_t reads_in_flight_ = 0;
+  std::unique_ptr<stats::WindowedHistogram> window_latencies_;
+  std::vector<WindowCounters> window_counters_;
+};
+
+/// The run's result so far: lanes merged in lane order (float accumulation
+/// order is part of the determinism contract) with their windows, network,
+/// fetch-policy and control-plane telemetry, lane 0's cache snapshot and
+/// every lane's decode-plan counters. Run-wide parts (scenario, collab
+/// summary) are the caller's.
+[[nodiscard]] RunResult merge_lanes(
+    std::span<const std::unique_ptr<Lane>> lanes, Deployment& deployment);
 
 /// Run the full experiment (all runs) for one system.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "client/backend_strategy.hpp"
 
 namespace agar::client {
 
@@ -66,7 +65,7 @@ ReadResult ReadStrategy::read(const ObjectKey& key) {
   return out;
 }
 
-// ------------------------------------------------------------ fetch batch
+// ------------------------------------------------------------ read executor
 
 struct ReadStrategy::BatchState {
   ObjectKey key;
@@ -84,27 +83,121 @@ struct ReadStrategy::BatchState {
   std::vector<ChunkIndex> fetched;
   ReadResult result;
   SimTimeMs start = 0.0;
-  SimTimeMs extra = 0.0;
-  BatchCallback done;
+  SimTimeMs extra = 0.0;  // decode + monitor, after the batch
+  /// Fires once every arm has landed and `extra` has passed: the result
+  /// with its latency set, and the fetched chunk indices in arrival order.
+  std::function<void(ReadResult, std::vector<ChunkIndex>)> done;
 };
 
-void ReadStrategy::start_fetch_batch(const ObjectKey& key, BatchSpec spec,
-                                     ReadResult partial, BatchCallback done) {
+std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
+    const ClientContext& ctx, const ObjectKey& key) {
+  const store::ObjectInfo info = ctx.backend->object_info(key);
+  struct Entry {
+    ChunkIndex index;
+    RegionId region;
+    double expected_ms;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(info.locations.size());
+  for (const auto& loc : info.locations) {
+    entries.push_back(Entry{
+        loc.index, loc.region,
+        ctx.network->model().expected_backend_fetch_ms(
+            ctx.region, loc.region, info.chunk_size)});
+  }
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.expected_ms != b.expected_ms) return a.expected_ms < b.expected_ms;
+    if (a.region != b.region) return a.region < b.region;
+    return a.index < b.index;
+  });
+  std::vector<std::pair<ChunkIndex, RegionId>> out;
+  out.reserve(entries.size());
+  for (const auto& e : entries) out.emplace_back(e.index, e.region);
+  return out;
+}
+
+double ReadStrategy::decode_ms(std::size_t object_bytes) const {
+  return ctx_.decode_ms_per_mb * static_cast<double>(object_bytes) /
+         static_cast<double>(1_MB);
+}
+
+void ReadStrategy::start_plan(const ObjectKey& key, core::ReadPlan plan,
+                              cache::CacheEngine* cache, ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
+  const store::ObjectInfo info = ctx_.backend->object_info(key);
+  const std::size_t k = ctx_.backend->codec().k();
+
   auto st = std::make_shared<BatchState>();
   st->key = key;
-  st->chunk_bytes = spec.chunk_bytes;
-  st->want = spec.want_total;
-  st->on_path = std::move(spec.on_path);
-  st->fallbacks = std::move(spec.fallbacks);
-  st->result = std::move(partial);
+  st->chunk_bytes = info.chunk_size;
   st->start = loop->now();
-  st->extra = spec.extra_ms;
-  st->done = std::move(done);
+  st->extra = decode_ms(info.object_size) + plan.monitor_overhead_ms;
+  std::vector<SimTimeMs> cache_latencies;
+  std::vector<ec::Chunk> chunks;  // verify mode: cache hits, then fetched
 
-  if (spec.cache_arm_ms >= 0.0) {
+  // Cache chunks, fetched in parallel with the backend arms. One that is
+  // not resident goes on the read path from its home region instead.
+  st->on_path = plan.from_backend;
+  for (const ChunkIndex idx : plan.from_cache) {
+    const auto hit = cache->get(ChunkId{key, idx}.cache_key());
+    if (!hit.has_value()) {
+      st->on_path.emplace_back(idx, info.locations[idx].region);
+      continue;
+    }
+    cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
+    ++st->result.cache_chunks;
+    if (ctx_.verify_data) {
+      chunks.push_back(ec::Chunk{idx, *hit});  // shared, no copy
+    }
+  }
+
+  // Every other chunk (cheapest-first) is a fallback in case a region is
+  // down or a fetch fails.
+  for (const auto& cand : chunks_by_expected_latency(ctx_, key)) {
+    const bool planned =
+        std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
+                    [&](const auto& p) { return p.first == cand.first; }) ||
+        std::any_of(plan.from_cache.begin(), plan.from_cache.end(),
+                    [&](ChunkIndex i) { return i == cand.first; });
+    if (!planned) st->fallbacks.push_back(cand);
+  }
+  st->want = k - st->result.cache_chunks;
+
+  st->done = [this, key, plan = std::move(plan), cache,
+              chunks = std::move(chunks), k, info, done = std::move(done)](
+                 ReadResult result, std::vector<ChunkIndex> fetched) mutable {
+    result.backend_chunks = fetched.size();
+    result.full_hit = result.cache_chunks == k;
+    result.partial_hit = result.cache_chunks > 0;
+
+    // Populate the cache per plan (asynchronous in the prototype: a
+    // separate thread pool performs the writes, so no latency charged).
+    for (const ChunkIndex idx : plan.populate_after_read) {
+      SharedBytes payload = population_payload(key, idx, info.chunk_size);
+      if (ctx_.verify_data && payload.empty()) continue;
+      cache->put(ChunkId{key, idx}.cache_key(), std::move(payload));
+    }
+    for (const auto& [idx, region] : plan.async_populate) {
+      (void)region;
+      // Population fetch crosses the network as a background event
+      // (traffic counted; coalesces with any in-flight read of the
+      // same chunk); its latency is off the read path.
+      populate_chunk_async(key, idx, *cache);
+    }
+
+    if (ctx_.verify_data && !result.failed) {
+      for (const ChunkIndex idx : fetched) {
+        const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
+        if (bytes.has_value()) chunks.push_back(ec::Chunk{idx, *bytes});
+      }
+      result.verified = verify_payload(key, chunks);
+    }
+    done(result);
+  };
+
+  if (!cache_latencies.empty()) {
     ++st->pending;
-    loop->schedule_in(spec.cache_arm_ms,
+    loop->schedule_in(sim::Network::parallel_batch_ms(cache_latencies),
                       [this, st] { batch_arm_done(st); });
   }
   batch_issue(st);
@@ -171,91 +264,6 @@ void ReadStrategy::batch_arm_done(const std::shared_ptr<BatchState>& st) {
     st->result.latency_ms = loop->now() - st->start;
     st->done(std::move(st->result), std::move(st->fetched));
   });
-}
-
-// ---------------------------------------------------------- planned reads
-
-double ReadStrategy::decode_ms(std::size_t object_bytes) const {
-  return ctx_.decode_ms_per_mb * static_cast<double>(object_bytes) /
-         static_cast<double>(1_MB);
-}
-
-void ReadStrategy::start_plan(const ObjectKey& key, const core::ReadPlan& plan,
-                              cache::StaticConfigCache& cache,
-                              ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const std::size_t k = ctx_.backend->codec().k();
-
-  ReadResult partial;
-  std::vector<SimTimeMs> cache_latencies;
-  auto collected = std::make_shared<std::vector<ec::Chunk>>();  // verify mode
-
-  // Cache-resident chunks, fetched in parallel with the backend batch.
-  for (const ChunkIndex idx : plan.from_cache) {
-    const std::string ck = ChunkId{key, idx}.cache_key();
-    const auto hit = cache.get(ck);
-    if (!hit.has_value()) continue;  // raced with a reconfiguration
-    cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
-    ++partial.cache_chunks;
-    if (ctx_.verify_data) {
-      collected->push_back(ec::Chunk{idx, *hit});  // shared, no copy
-    }
-  }
-
-  // Backend chunks; every other chunk (cheapest-first) is a fallback in
-  // case a region is down or a cache entry vanished.
-  BatchSpec spec;
-  spec.on_path = plan.from_backend;
-  for (const auto& cand : chunks_by_expected_latency(ctx_, key)) {
-    const bool planned =
-        std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
-                    [&](const auto& p) { return p.first == cand.first; }) ||
-        std::any_of(plan.from_cache.begin(), plan.from_cache.end(),
-                    [&](ChunkIndex i) { return i == cand.first; });
-    if (!planned) spec.fallbacks.push_back(cand);
-  }
-  spec.want_total = k - partial.cache_chunks;
-  spec.chunk_bytes = info.chunk_size;
-  spec.cache_arm_ms = cache_latencies.empty()
-                          ? -1.0
-                          : sim::Network::parallel_batch_ms(cache_latencies);
-  spec.extra_ms = decode_ms(info.object_size) + plan.monitor_overhead_ms;
-
-  start_fetch_batch(
-      key, std::move(spec), partial,
-      [this, key, plan, &cache, collected, k, info,
-       done = std::move(done)](ReadResult result,
-                               std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        result.full_hit = result.cache_chunks == k;
-        result.partial_hit = result.cache_chunks > 0;
-
-        // Populate the cache per plan (asynchronous in the prototype: a
-        // separate thread pool performs the writes, so no latency charged).
-        for (const ChunkIndex idx : plan.populate_after_read) {
-          SharedBytes payload = population_payload(key, idx, info.chunk_size);
-          if (ctx_.verify_data && payload.empty()) continue;
-          cache.put(ChunkId{key, idx}.cache_key(), std::move(payload));
-        }
-        for (const auto& [idx, region] : plan.async_populate) {
-          (void)region;
-          // Population fetch crosses the network as a background event
-          // (traffic counted; coalesces with any in-flight read of the
-          // same chunk); its latency is off the read path.
-          populate_chunk_async(key, idx, cache);
-        }
-
-        if (ctx_.verify_data && !result.failed) {
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              collected->push_back(ec::Chunk{idx, *bytes});
-            }
-          }
-          result.verified = verify_payload(key, *collected);
-        }
-        done(result);
-      });
 }
 
 // ------------------------------------------------------------- population

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/static_cache.hpp"
+#include "cache/cache.hpp"
 #include "client/fetch_policy.hpp"
 #include "collab/peer_info.hpp"
 #include "common/types.hpp"
@@ -178,37 +178,19 @@ class ReadStrategy {
   }
 
  protected:
-  /// One parallel fetch batch: the backend arms (`on_path`, substituting
-  /// `fallbacks` for down regions until `want_total` are in flight) plus an
-  /// optional cache arm, completing when every arm has landed and charging
-  /// `extra_ms` (decode + monitor) after the last arrival.
-  struct BatchSpec {
-    std::vector<std::pair<ChunkIndex, RegionId>> on_path;
-    std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
-    std::size_t want_total = 0;
-    std::size_t chunk_bytes = 0;
-    SimTimeMs cache_arm_ms = -1.0;  ///< < 0 means no cache arm
-    SimTimeMs extra_ms = 0.0;       ///< decode + monitor, after the batch
-  };
-  using BatchCallback =
-      std::function<void(ReadResult, std::vector<ChunkIndex>)>;
-
-  /// Issue the batch on the loop. `partial` carries the cache-hit counters
-  /// already accounted; the callback receives it completed (latency set,
-  /// fetched chunk indices attached).
-  void start_fetch_batch(const ObjectKey& key, BatchSpec spec,
-                         ReadResult partial, BatchCallback done);
-
-  /// Execute a planned read against a configured cache asynchronously:
-  /// cache arms and the backend batch in parallel, monitor/proxy overhead
-  /// charged after, population per plan off-path. Shared by the Agar
-  /// strategy and the paper's periodic-LFU baseline so the two differ only
-  /// in their configuration policy.
-  void start_plan(const ObjectKey& key, const core::ReadPlan& plan,
-                  cache::StaticConfigCache& cache, ReadCallback done);
-
-  /// Decode-cost model.
-  [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
+  /// Execute a planned read on the loop: the one read executor, so the
+  /// systems under comparison differ only in what they plan and cache.
+  /// Resident `from_cache` chunks ride one cache arm in parallel with the
+  /// `from_backend` arms; a `from_cache` chunk that is not resident is
+  /// fetched from its home region after `from_backend`. Every chunk the plan
+  /// does not name is a fallback, cheapest first, for an arm whose region
+  /// is down or whose fetch fails. Decode and monitor/proxy overhead are
+  /// charged after the last arrival, the plan's populations run off the
+  /// latency path, and in verify mode the chunks are decoded and checked
+  /// before `done` fires. `cache` may be null only for a plan without
+  /// cache chunks or populations.
+  void start_plan(const ObjectKey& key, core::ReadPlan plan,
+                  cache::CacheEngine* cache, ReadCallback done);
 
   /// Population download as a background event (paper §IV-A: "caching items
   /// implies downloading them a priori"): fetch one chunk from its backend
@@ -223,11 +205,6 @@ class ReadStrategy {
                                                ChunkIndex index,
                                                std::size_t chunk_size) const;
 
-  /// Verify-mode helper: fetch the given chunks' real bytes from the
-  /// backend/caches is handled by subclasses; this decodes and checks.
-  [[nodiscard]] bool verify_payload(const ObjectKey& key,
-                                    const std::vector<ec::Chunk>& chunks) const;
-
   ClientContext ctx_;
   core::FetchCoordinator fetcher_;
   /// Fired after each completed reconfiguration (collab config log).
@@ -237,11 +214,26 @@ class ReadStrategy {
   mutable SharedBytes zero_payload_;
 
  private:
+  /// Decode-cost model.
+  [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
+
+  /// Verify mode: decode the read's chunks (cache hits and fetched backend
+  /// chunks) and check them against the object's payload.
+  [[nodiscard]] bool verify_payload(const ObjectKey& key,
+                                    const std::vector<ec::Chunk>& chunks) const;
+
+  /// One read's fetch batch: its backend arms plus the optional cache arm.
   struct BatchState;
-  /// Issue on-path/fallback fetches until `want_total` arms are in flight.
+  /// Issue on-path/fallback fetches until `want` arms are in flight.
   void batch_issue(const std::shared_ptr<BatchState>& st);
   /// One arm landed (ok) or died (down while queued → try a fallback).
   void batch_arm_done(const std::shared_ptr<BatchState>& st);
 };
+
+/// Chunk candidates of `key` sorted by expected fetch latency, cheapest
+/// first (deterministic tie-break on region then index). Shared by all
+/// strategies.
+[[nodiscard]] std::vector<std::pair<ChunkIndex, RegionId>>
+chunks_by_expected_latency(const ClientContext& ctx, const ObjectKey& key);
 
 }  // namespace agar::client

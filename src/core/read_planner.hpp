@@ -1,10 +1,12 @@
 // Shared read planning: resolve every chunk of one read to a source.
 //
-// Used by the Agar strategy and by the paper's periodic-LFU baseline (which
-// shares Agar's machinery — request proxy, latency estimates, static
-// configured cache — but fixes the chunks-per-object count instead of
-// running the knapsack). Keeping the planner in one place guarantees the
-// systems being compared differ ONLY in their configuration policy.
+// Every strategy hands a ReadPlan to the one read executor,
+// client::ReadStrategy::start_plan. `plan_chunk_sources` is the planner of
+// the Agar strategy and of the paper's periodic-LFU baseline (which shares
+// Agar's machinery — request proxy, latency estimates, static configured
+// cache — but fixes the chunks-per-object count instead of running the
+// knapsack). Keeping the planner in one place guarantees the systems being
+// compared differ ONLY in their configuration policy.
 #pragma once
 
 #include <functional>
@@ -18,7 +20,11 @@ namespace agar::core {
 /// Where each chunk of a read comes from. All `from_cache` and
 /// `from_backend` fetches happen in parallel on the latency path;
 /// `async_populate` fetches and the `populate_after_read` write-backs are
-/// off-path (the prototype's client performs them on a thread pool).
+/// off-path (the prototype's client performs them on a thread pool). A
+/// `from_cache` chunk the cache does not hold when the read starts is
+/// fetched on the latency path from its home region, after `from_backend`:
+/// fixed-chunks plans name their designated chunks this way, hit or miss,
+/// while `plan_chunk_sources` lists only resident chunks.
 struct ReadPlan {
   std::vector<ChunkIndex> from_cache;
   std::vector<std::pair<ChunkIndex, RegionId>> from_backend;

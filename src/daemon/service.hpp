@@ -1,16 +1,18 @@
-// One route's serving core: the simulator wired up exactly as the
-// experiment runner's single-lane setup, but driven request-by-request
-// from the socket instead of by closed-loop client events.
+// One route's serving core: one client::Lane — the experiment runner's own
+// lane set-up, read counters and end-of-run merge — driven
+// request-by-request from the socket instead of by closed-loop client
+// events.
 //
 // The equivalence contract this file exists for: serving the key stream of
 // a clients=1 runs=1 run through `serve_get`, then `drain()`, produces the
 // same RunResult — byte for byte, via client::results_json — as
-// client::run_experiment on the same spec. Virtual time advances only
-// while a request drives the loop (each read starts at the previous read's
-// completion time, which is precisely the closed-loop single-client
-// schedule), and `drain()` replays the windowed engine's final-boundary
-// semantics. That is what lets CI diff a daemon metrics dump against an
-// in-process agar_cli run.
+// client::run_experiment on the same spec. Set-up, counting and merge are
+// the runner's code, so what is left to hold is the schedule: virtual time
+// advances only while a request drives the loop (each read starts at the
+// previous read's completion time, which is precisely the closed-loop
+// single-client schedule), and `drain()` replays the windowed engine's
+// final-boundary semantics. That is what lets CI diff a daemon metrics
+// dump against an in-process agar_cli run.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +59,8 @@ class ServiceInstance {
   /// operator path, live behind the REPAIR control command).
   [[nodiscard]] store::RepairReport repair();
 
-  /// End-of-run result assembled exactly as the runner's lane merge; the
-  /// server serializes it through client::results_json.
+  /// End-of-run result through the runner's lane merge; the server
+  /// serializes it through client::results_json.
   [[nodiscard]] client::RunResult snapshot();
 
   /// Reads served so far (daemon-level counters).
@@ -69,8 +71,7 @@ class ServiceInstance {
   std::mutex mutex_;
   std::unique_ptr<client::Deployment> deployment_;
   sim::EventLoop loop_;
-  std::unique_ptr<client::ReadStrategy> strategy_;
-  client::RunResult partial_;  ///< completion counters, as the runner records
+  std::unique_ptr<client::Lane> lane_;
 };
 
 }  // namespace agar::daemon

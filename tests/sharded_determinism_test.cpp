@@ -4,8 +4,8 @@
 // scenario and the periodic control plane all active — at shards=1 (the
 // inline serial engine) and shards=4 (real threads, cross-shard rings),
 // and the full results_json reports are compared as strings. Only
-// planning_ms is wall clock; it is normalized exactly the way the CI
-// cross-build diff normalizes it.
+// planning_ms is wall clock; it is normalized exactly the way the
+// spec_goldens check normalizes it.
 #include <gtest/gtest.h>
 
 #include <regex>
