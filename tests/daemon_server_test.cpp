@@ -237,6 +237,8 @@ struct HotRoute {
   std::string spec;
 };
 
+void PrintTo(const HotRoute& route, std::ostream* os) { *os << route.name; }
+
 class RouteEquivalence : public ServerFixture,
                          public ::testing::WithParamInterface<HotRoute> {
  protected:
