@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-
 namespace agar::client {
 
 ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network) {
