@@ -335,15 +335,6 @@ void ExperimentSpec::validate() const {
     experiment.collab_params.validate(
         collabs.at(experiment.collab).schema,
         "collab tier '" + experiment.collab + "'");
-    // planner.scope=global draws on the peers' broadcast snapshots; without
-    // the cooperative tier there is nothing to merge — reject instead of
-    // silently planning on local data.
-    if (experiment.collab == "none" &&
-        effective.get_string("planner.scope", "region") == "global") {
-      throw std::invalid_argument(
-          "planner.scope=global requires collab=broadcast (a region-local "
-          "planner has no peer snapshots to merge)");
-    }
   }
   if (experiment.deployment.codec.k == 0 ||
       experiment.deployment.codec.m == 0) {

@@ -34,13 +34,6 @@ double ParamSchema::default_double(const std::string& name,
   return std::stod(info->default_value);
 }
 
-std::size_t ParamSchema::default_size(const std::string& name,
-                                      std::size_t fallback) const {
-  const ParamInfo* info = find(name);
-  if (info == nullptr || info->default_value.empty()) return fallback;
-  return parse_size(info->default_value);
-}
-
 std::size_t parse_size(const std::string& text) {
   if (text.empty()) {
     throw std::invalid_argument("empty size value");
@@ -248,14 +241,6 @@ void ParamMap::validate(const ParamSchema& schema, const std::string& context,
         break;
     }
   }
-}
-
-std::string ParamMap::to_string() const {
-  std::string out;
-  for (const auto& [k, v] : entries_) {
-    out += (out.empty() ? "" : " ") + k + "=" + v;
-  }
-  return out;
 }
 
 }  // namespace agar::api

@@ -36,11 +36,9 @@ struct ParamSchema {
   [[nodiscard]] bool has(const std::string& name) const {
     return find(name) != nullptr;
   }
-  /// Declared default parsed as a double/size (0 when absent).
+  /// Declared default parsed as a double (`fallback` when absent).
   [[nodiscard]] double default_double(const std::string& name,
                                       double fallback) const;
-  [[nodiscard]] std::size_t default_size(const std::string& name,
-                                         std::size_t fallback) const;
 };
 
 /// Parse "10MB" / "512KB" / "1GB" / "4096" into bytes (also accepts plain
@@ -104,9 +102,6 @@ class ParamMap {
   /// with a diagnostic naming the bad key and listing the accepted ones.
   void validate(const ParamSchema& schema, const std::string& context,
                 const std::vector<std::string>& extra_allowed = {}) const;
-
-  /// "chunks=5 cache_bytes=10MB" — for logs and error messages.
-  [[nodiscard]] std::string to_string() const;
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;

@@ -20,7 +20,9 @@
 //
 // Each entry carries a factory, a one-line description, a self-describing
 // ParamSchema, and a label formatter, so `--list` output, bench legends and
-// JSON report labels all derive from the same registration. Entries
+// JSON report labels all derive from the same registration. A factory may
+// return null: the "none" fetch policy and the "none" collab tier build
+// nothing, and their callers take a null product to mean "off". Entries
 // register themselves from their own translation unit at static-init time:
 //
 //   namespace {
@@ -46,7 +48,6 @@
 #include <vector>
 
 #include "api/param_map.hpp"
-#include "common/types.hpp"
 
 namespace agar::cache {
 class CacheEngine;
@@ -114,12 +115,11 @@ struct EstimatorContext {
 
 /// What a fetch-policy factory gets to work with: the region's network (the
 /// policy wraps its begin_fetch and reads its latency model for timeout
-/// sizing), the client region it serves, and a seed for the policy's own
-/// deterministic jitter stream (already mixed per lane by the caller, so
-/// shard packing cannot change the draws).
+/// sizing) and a seed for the policy's own deterministic jitter stream
+/// (already mixed per region by the caller, so shard packing cannot change
+/// the draws).
 struct FetchPolicyContext {
   sim::Network* network = nullptr;
-  RegionId region = 0;
   std::uint64_t seed = 0;
 };
 

@@ -19,20 +19,17 @@ client::StrategyFactory make_strategy_factory(const ExperimentSpec& spec) {
     client.region = region;
     client.decode_ms_per_mb = config.decode_ms_per_mb;
     client.verify_data = config.verify_data;
-    // "none" creates no policy object at all: the coordinator keeps the
+    // The "none" factory returns null: the coordinator keeps the
     // raw-network wire path and results stay byte-identical to a build
     // without the knob.
-    if (config.fetch_policy != "none") {
-      FetchPolicyContext fetch_ctx;
-      fetch_ctx.network = client.network;
-      fetch_ctx.region = region;
-      // Per-(run, region) jitter stream: the deployment carries the run's
-      // seed, the region offsets it — shard packing cannot change draws.
-      fetch_ctx.seed = deployment.config().seed +
-                       0x9E3779B97F4A7C15ULL * (region + 1) + 0xF7C4;
-      client.fetch_policy = FetchPolicyRegistry::instance().create(
-          config.fetch_policy, fetch_ctx, config.fetch_params);
-    }
+    FetchPolicyContext fetch_ctx;
+    fetch_ctx.network = client.network;
+    // Per-(run, region) jitter stream: the deployment carries the run's
+    // seed, the region offsets it — shard packing cannot change draws.
+    fetch_ctx.seed = deployment.config().seed +
+                     0x9E3779B97F4A7C15ULL * (region + 1) + 0xF7C4;
+    client.fetch_policy = FetchPolicyRegistry::instance().create(
+        config.fetch_policy, fetch_ctx, config.fetch_params);
 
     StrategyContext context;
     context.client = &client;

@@ -67,7 +67,6 @@ class CacheEngine {
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t used_bytes() const { return used_bytes_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
  protected:
   std::size_t capacity_bytes_;

@@ -103,19 +103,7 @@ collab::PeerInfo AgarStrategy::collab_info() {
       info.configured_chunks.insert(ChunkId{opt.key, idx}.cache_key());
     }
   }
-  info.popularity = request_monitor_.snapshot();
   return info;
-}
-
-void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {
-  // planner.scope=global turns the per-region planner into one global
-  // optimization: merged popularity snapshots and peer-aware chunk costs.
-  // scope=region (the default) keeps planning local — the tier then only
-  // contributes peer-fetch on the data path.
-  if (params_.cache_manager.planner_params.get_string("scope", "region") ==
-      "global") {
-    cache_manager_.set_collab_hooks(hooks);
-  }
 }
 
 core::ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {

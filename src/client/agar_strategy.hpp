@@ -77,13 +77,9 @@ class AgarStrategy final : public ReadStrategy {
     return cache_manager_.control_plane_stats();
   }
 
-  /// Broadcastable cache state for the cooperative tier (configured chunk
-  /// keys + popularity snapshot — the paper's §VI broadcast).
+  /// Broadcastable cache state for the cooperative tier: the configured
+  /// chunk keys (the paper's §VI broadcast).
   [[nodiscard]] collab::PeerInfo collab_info() override;
-
-  /// Forward the cooperative-planning hooks to the cache manager when the
-  /// planner runs at global scope (planner.scope=global); no-op otherwise.
-  void set_collab_hooks(const core::CollabPlannerHooks& hooks) override;
 
   /// Cancel handle of the periodic reconfiguration (0 until started);
   /// pass to EventLoop::cancel to stop the control plane mid-run.

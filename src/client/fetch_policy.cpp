@@ -278,8 +278,9 @@ const api::FetchPolicyRegistration kNone{{
     "fail-fast pass-through: no timeouts, retries or hedging (the historical "
     "read path, byte for byte)",
     api::ParamSchema{},
-    [](const api::FetchPolicyContext& ctx, const api::ParamMap&) {
-      return std::make_unique<PassThroughFetchPolicy>(ctx.network);
+    [](const api::FetchPolicyContext&,
+       const api::ParamMap&) -> std::unique_ptr<FetchPolicy> {
+      return nullptr;
     },
     {}}};
 

@@ -1,10 +1,10 @@
 // Fault-tolerant fetch policies — the client-side answer to gray failures.
 //
 // A FetchPolicy sits between the strategies' coalescing table
-// (core::FetchCoordinator) and sim::Network. The baseline "none" policy is
-// a verbatim pass-through reproducing the historical fail-fast semantics
-// byte for byte. The fault-tolerant policies wrap every wire fetch in a
-// state machine:
+// (core::FetchCoordinator) and sim::Network. The baseline "none" builds no
+// policy object: the coordinator calls the raw network, which keeps the
+// historical fail-fast semantics byte for byte. The fault-tolerant
+// policies wrap every wire fetch in a state machine:
 //
 //   * per-fetch timeout — a one-shot timer-wheel timer races the network
 //     completion; whichever fires first wins, the loser is ignored;
@@ -92,21 +92,6 @@ class FetchPolicy {
  private:
   std::vector<stats::Ewma> success_;
   std::vector<std::uint64_t> samples_;
-};
-
-/// Pass-through: the historical fail-fast semantics, bit for bit. No
-/// wrapping, no timers, no extra RNG draws, no health tracking.
-class PassThroughFetchPolicy final : public FetchPolicy {
- public:
-  explicit PassThroughFetchPolicy(sim::Network* network)
-      : FetchPolicy(network) {}
-
-  bool begin_fetch(RegionId from, RegionId to, std::size_t bytes,
-                   FetchCallback cb) override {
-    return network_->begin_fetch(from, to, bytes, std::move(cb));
-  }
-
-  [[nodiscard]] std::string name() const override { return "none"; }
 };
 
 struct FaultTolerantParams {

@@ -266,22 +266,19 @@ RunResult run_once(const ExperimentConfig& config,
   sim::ShardedEngine engine(config.shards, num_lanes);
 
   // Cooperative cache tier: one runtime per run, spanning every lane.
-  // collab=none builds nothing — the historical isolated-cache path, with
-  // byte-identical output.
+  // collab=none yields no settings and builds nothing — the historical
+  // isolated-cache path, with byte-identical output.
   std::unique_ptr<collab::CollabRuntime> collab_rt;
-  if (config.collab != "none") {
-    const auto settings = api::CollabRegistry::instance().create(
-        config.collab, api::CollabContext{}, config.collab_params);
-    if (settings != nullptr && settings->enabled) {
-      std::vector<sim::Network*> lane_nets;
-      lane_nets.reserve(num_lanes);
-      for (std::size_t i = 0; i < num_lanes; ++i) {
-        lane_nets.push_back(&deployment.lane_network(i));
-      }
-      collab_rt = std::make_unique<collab::CollabRuntime>(
-          *settings, &engine, &deployment.topology(), regions,
-          std::move(lane_nets));
+  if (const auto settings = api::CollabRegistry::instance().create(
+          config.collab, api::CollabContext{}, config.collab_params)) {
+    std::vector<sim::Network*> lane_nets;
+    lane_nets.reserve(num_lanes);
+    for (std::size_t i = 0; i < num_lanes; ++i) {
+      lane_nets.push_back(&deployment.lane_network(i));
     }
+    collab_rt = std::make_unique<collab::CollabRuntime>(
+        *settings, &engine, &deployment.topology(), regions,
+        std::move(lane_nets));
   }
   collab::CollabRuntime* const crt = collab_rt.get();
 
@@ -308,9 +305,9 @@ RunResult run_once(const ExperimentConfig& config,
     Lane& lane = *lanes.emplace_back(
         std::make_unique<Lane>(config, factory, deployment, ri, loop));
     // The collab tier hooks in between warm-up and the control plane's
-    // start: the peer-fetch transport and planner hooks must be installed
-    // before the first reconfiguration, and the broadcast timer is
-    // scheduled here so it carries this lane's ordering key.
+    // start: the peer-fetch transport and reconfigure observer must be
+    // installed before the first reconfiguration, and the broadcast timer
+    // is scheduled here so it carries this lane's ordering key.
     if (crt != nullptr) {
       lane.set_collab(crt);
       crt->attach(ri, lane.strategy());
@@ -522,26 +519,6 @@ std::uint64_t ExperimentResult::total_coalesced_fetches() const {
 std::uint64_t ExperimentResult::total_wire_fetches() const {
   std::uint64_t acc = 0;
   for (const auto& r : runs) acc += r.wire_fetches;
-  return acc;
-}
-
-std::uint64_t ExperimentResult::total_reconfigurations() const {
-  std::uint64_t acc = 0;
-  for (const auto& r : runs) acc += r.reconfigurations;
-  return acc;
-}
-
-double ExperimentResult::total_planning_ms() const {
-  double acc = 0.0;
-  for (const auto& r : runs) acc += r.planning_ms;
-  return acc;
-}
-
-std::uint64_t ExperimentResult::total_config_churn() const {
-  std::uint64_t acc = 0;
-  for (const auto& r : runs) {
-    acc += r.config_chunks_installed + r.config_chunks_evicted;
-  }
   return acc;
 }
 

@@ -299,11 +299,6 @@ struct ExperimentResult {
   [[nodiscard]] double mean_throughput_ops_per_s() const;
   [[nodiscard]] std::uint64_t total_coalesced_fetches() const;
   [[nodiscard]] std::uint64_t total_wire_fetches() const;
-  [[nodiscard]] std::uint64_t total_reconfigurations() const;
-  [[nodiscard]] double total_planning_ms() const;
-  /// Chunks installed + evicted across all runs — the config-churn scalar
-  /// planner comparisons report.
-  [[nodiscard]] std::uint64_t total_config_churn() const;
 };
 
 /// Builds one strategy instance per client region. The runner owns no

@@ -20,7 +20,6 @@
 #include "client/fetch_policy.hpp"
 #include "collab/peer_info.hpp"
 #include "common/types.hpp"
-#include "core/cache_manager.hpp"
 #include "core/fetch_coordinator.hpp"
 #include "core/planner.hpp"
 #include "core/read_planner.hpp"
@@ -97,7 +96,7 @@ class ReadStrategy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Start the periodic control plane (Agar and LFU reconfigurations) on
-  /// the loop. Called once, after warm-up and collab hooks are installed;
+  /// the loop. Called once, after warm-up and the collab tier's attach;
   /// strategies without a control plane do nothing.
   virtual void start_control_plane() {}
 
@@ -144,15 +143,10 @@ class ReadStrategy {
   }
 
   /// Broadcastable snapshot of this strategy's cache state (configured
-  /// chunks + popularity). Default: an empty snapshot — strategies without
+  /// chunks). Default: an empty snapshot — strategies without
   /// a configured cache still participate in the broadcast protocol so
   /// determinism is uniform, they just never attract peer fetches.
   [[nodiscard]] virtual collab::PeerInfo collab_info() { return {}; }
-
-  /// Cooperative-planning hooks (merged popularity, peer-aware chunk
-  /// costs). Default ignores them — only strategies with a planning
-  /// control plane (Agar, under planner.scope=global) forward them.
-  virtual void set_collab_hooks(const core::CollabPlannerHooks&) {}
 
   // ------------------------------------------------ observability hooks
   // The runner snapshots end-of-run state through these instead of

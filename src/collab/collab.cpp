@@ -1,14 +1,12 @@
 #include "collab/collab.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "api/registry.hpp"
 #include "client/strategy.hpp"
-#include "core/cache_manager.hpp"
 
 namespace agar::collab {
 
@@ -70,17 +68,6 @@ void CollabRuntime::attach(std::size_t lane, client::ReadStrategy& strategy) {
       [this, lane](RegionId target, RegionId home, std::size_t bytes,
                    bool ok) { fetch_done(lane, target, home, bytes, ok); });
   strategy.set_reconfigure_observer([this, lane] { on_reconfigure(lane); });
-
-  core::CollabPlannerHooks hooks;
-  hooks.merge_popularity =
-      [this, lane](std::vector<std::pair<ObjectKey, double>> local) {
-        return merge_popularity(lane, std::move(local));
-      };
-  hooks.adjust_chunk_costs = [this, lane](std::vector<core::ChunkCost> costs,
-                                          const ObjectKey& key) {
-    return adjust_costs(lane, std::move(costs), key);
-  };
-  strategy.set_collab_hooks(hooks);
 
   engine_->loop_of_lane(lane).schedule_periodic(
       settings_.broadcast_period_ms, [this, lane, &strategy] {
@@ -242,42 +229,6 @@ std::uint64_t CollabRuntime::take_window_stale_reads(std::size_t lane) {
   return std::exchange(lanes_[lane].stats.window_stale_reads, 0);
 }
 
-std::vector<PeerInfo> CollabRuntime::visible_peers(std::size_t lane) const {
-  std::vector<PeerInfo> peers;
-  const RegionId self = lane_regions_[lane];
-  for (std::size_t j = 0; j < lanes_[lane].directory.size(); ++j) {
-    if (j == lane) continue;
-    const PeerInfo& info = lanes_[lane].directory[j];
-    if (info.region == kInvalidRegion) continue;
-    if (!connected(lane, self, info.region)) continue;
-    peers.push_back(info);
-  }
-  return peers;
-}
-
-std::vector<std::pair<ObjectKey, double>> CollabRuntime::merge_popularity(
-    std::size_t lane, std::vector<std::pair<ObjectKey, double>> local) {
-  // Called once per reconfiguration, before the per-key cost hook: rebuild
-  // the planning peer set here so adjust_costs() reuses it per key instead
-  // of re-copying the directory for every object.
-  lanes_[lane].planning_peers = visible_peers(lane);
-  // Key-sorted merge preserving the monitor snapshot's determinism
-  // contract; peer weights are summed in lane order.
-  std::map<ObjectKey, double> merged(local.begin(), local.end());
-  for (const PeerInfo& peer : lanes_[lane].planning_peers) {
-    for (const auto& [key, weight] : peer.popularity) merged[key] += weight;
-  }
-  return {merged.begin(), merged.end()};
-}
-
-std::vector<core::ChunkCost> CollabRuntime::adjust_costs(
-    std::size_t lane, std::vector<core::ChunkCost> costs,
-    const ObjectKey& key) const {
-  return peer_aware_costs(std::move(costs), key, lanes_[lane].planning_peers,
-                          *topology_, lane_regions_[lane], 0.75,
-                          settings_.peer_threshold_ms);
-}
-
 void CollabRuntime::set_partition(std::size_t lane,
                                   const std::vector<RegionId>& group) {
   lanes_[lane].partition =
@@ -339,8 +290,9 @@ const api::CollabRegistration kNone{{
     "no cooperation: every region's cache works alone (the historical "
     "single-node behavior; all outputs byte-identical to before the knob)",
     api::ParamSchema{},
-    [](const api::CollabContext&, const api::ParamMap&) {
-      return std::make_unique<CollabSettings>();
+    [](const api::CollabContext&,
+       const api::ParamMap&) -> std::unique_ptr<CollabSettings> {
+      return nullptr;
     },
     {}}};
 
@@ -361,7 +313,6 @@ const api::CollabRegistration kBroadcast{{
     }},
     [](const api::CollabContext&, const api::ParamMap& params) {
       auto settings = std::make_unique<CollabSettings>();
-      settings->enabled = true;
       settings->broadcast_period_ms =
           params.get_double("period_s", 5.0) * 1000.0;
       settings->peer_threshold_ms =

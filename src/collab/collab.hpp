@@ -1,8 +1,8 @@
 // Cooperative geo-distributed cache tier — the paper's §VI discussion made
 // concrete: nearby Agar caches periodically broadcast their configured
-// chunks and popularity statistics, reads fetch a non-resident chunk from a
-// nearby peer cache when the latency model says it beats the chunk's home
-// region, and reconfigurations append the installed configuration to a
+// chunks, reads fetch a non-resident chunk from a nearby peer cache when
+// the latency model says it beats the chunk's home region, and
+// reconfigurations append the installed configuration to a
 // Paxos-replicated log so every region agrees on the current config epoch.
 //
 // The tier is a pure overlay on the lane-partitioned runner: every lane
@@ -54,12 +54,11 @@ namespace agar::collab {
 
 /// Parsed `collab=` settings — the api::CollabRegistry product. The
 /// registry validates/parses the namespaced `collab.*` params; the runner
-/// turns an enabled settings object into one CollabRuntime per run.
+/// turns a settings object into one CollabRuntime per run. `collab=none`
+/// builds no settings object, so no runtime exists.
 struct CollabSettings {
-  bool enabled = false;               ///< false: tier fully inert ("none")
   SimTimeMs broadcast_period_ms = 5000.0;
-  /// Peers farther than this base latency are never worth consulting
-  /// (also the max_peer_ms bound fed to peer_aware_costs).
+  /// Peers farther than this base latency are never worth consulting.
   double peer_threshold_ms = 400.0;
   /// Delay between learning a decided config epoch and applying it; reads
   /// completing in between are counted as stale-config reads.
@@ -125,10 +124,9 @@ class CollabRuntime {
 
   /// Install the tier on one lane's strategy: the peer-fetch transport
   /// (ReadStrategy::enable_collab), the reconfigure observer feeding the
-  /// config log, the global-scope planner hooks, and the periodic
-  /// broadcast timer. Must run during the lane's setup phase (the lane's
-  /// scheduling lane set, engine not yet running); `strategy` must outlive
-  /// the run.
+  /// config log, and the periodic broadcast timer. Must run during the
+  /// lane's setup phase (the lane's scheduling lane set, engine not yet
+  /// running); `strategy` must outlive the run.
   void attach(std::size_t lane, client::ReadStrategy& strategy);
 
   // ---- scenario hooks (fire as events on the owning lane's loop) ----
@@ -147,10 +145,6 @@ class CollabRuntime {
   [[nodiscard]] std::uint64_t take_window_peer_hits(std::size_t lane);
   [[nodiscard]] std::uint64_t take_window_stale_reads(std::size_t lane);
 
-  [[nodiscard]] const LaneStats& lane_stats(std::size_t lane) const {
-    return lanes_[lane].stats;
-  }
-
   /// End-of-run (single-threaded, engine stopped): merge lane counters in
   /// lane order and compute the configuration-overlap ratio from each
   /// strategy's final broadcast snapshot.
@@ -164,9 +158,6 @@ class CollabRuntime {
     std::vector<PeerInfo> directory;
     /// Current partition group; empty = fully connected.
     std::unordered_set<RegionId> partition;
-    /// Peers visible at the last reconfiguration (rebuilt by the
-    /// merge-popularity hook, reused by the per-key cost hook).
-    std::vector<PeerInfo> planning_peers;
     std::uint64_t reconfig_seq = 0;
     std::uint64_t learned_epoch = 0;
     std::uint64_t applied_epoch = 0;
@@ -189,12 +180,6 @@ class CollabRuntime {
   void serve_append(std::size_t lane, const std::string& record);
   void record_append(std::size_t lane, const paxos::AppendOutcome& outcome);
   void learn(std::size_t lane, std::uint64_t epoch);
-  [[nodiscard]] std::vector<PeerInfo> visible_peers(std::size_t lane) const;
-  std::vector<std::pair<ObjectKey, double>> merge_popularity(
-      std::size_t lane, std::vector<std::pair<ObjectKey, double>> local);
-  std::vector<core::ChunkCost> adjust_costs(std::size_t lane,
-                                            std::vector<core::ChunkCost> costs,
-                                            const ObjectKey& key) const;
 
   CollabSettings settings_;
   sim::ShardedEngine* engine_;      // non-owning

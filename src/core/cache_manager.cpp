@@ -68,24 +68,15 @@ std::vector<std::vector<CachingOption>> CacheManager::generate_options()
   const std::size_t quantum = weight_quantum_bytes();
 
   // The snapshot is sorted by key (the estimator contract), so the option
-  // groups — and thus the planner's input — are deterministic. At global
-  // scope the collab tier merges the peers' broadcast snapshots in (still
-  // key-sorted) and folds peer cache placements into each key's chunk
-  // costs, turning the per-region knapsack into one global optimization.
-  auto snapshot = request_monitor_->snapshot();
-  if (collab_hooks_.merge_popularity) {
-    snapshot = collab_hooks_.merge_popularity(std::move(snapshot));
-  }
+  // groups — and thus the planner's input — are deterministic.
+  const auto snapshot = request_monitor_->snapshot();
 
   std::vector<std::vector<CachingOption>> groups;
   groups.reserve(snapshot.size());
   for (const auto& [key, popularity] : snapshot) {
     if (popularity <= 0.0) continue;
     if (!backend_->has_object(key)) continue;
-    auto costs = region_manager_->chunk_costs(key);
-    if (collab_hooks_.adjust_chunk_costs) {
-      costs = collab_hooks_.adjust_chunk_costs(std::move(costs), key);
-    }
+    const auto costs = region_manager_->chunk_costs(key);
     auto options = generator.generate(key, costs, popularity);
     const std::size_t chunk_bytes = backend_->object_info(key).chunk_size;
     for (auto& opt : options) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -38,21 +37,6 @@ struct CacheManagerParams {
   /// Planner-specific parameters (threshold, ... — validated against the
   /// registered schema by the spec layer).
   api::ParamMap planner_params;
-};
-
-/// Cooperative-planning hooks installed by the collab tier when the
-/// planner runs at global scope (planner.scope=global): the popularity
-/// snapshot is merged with the peers' broadcasts (input and output sorted
-/// by key — the estimator determinism contract carries through), and each
-/// key's chunk costs are adjusted with peer placements
-/// (collab::peer_aware_costs). Both empty by default: planning stays local.
-struct CollabPlannerHooks {
-  std::function<std::vector<std::pair<ObjectKey, double>>(
-      std::vector<std::pair<ObjectKey, double>>)>
-      merge_popularity;
-  std::function<std::vector<ChunkCost>(std::vector<ChunkCost>,
-                                       const ObjectKey&)>
-      adjust_chunk_costs;
 };
 
 /// The installed configuration, per object, for inspection (Fig. 10).
@@ -94,11 +78,6 @@ class CacheManager {
   }
   [[nodiscard]] const Planner& planner() const { return *planner_; }
 
-  /// Install the cooperative-planning hooks (collab tier, global scope).
-  void set_collab_hooks(CollabPlannerHooks hooks) {
-    collab_hooks_ = std::move(hooks);
-  }
-
   /// Generate options for every tracked key, grouped per key in key-sorted
   /// order — the monitor snapshot's determinism contract carries through to
   /// the planner input (exposed for tests/benches).
@@ -114,7 +93,6 @@ class CacheManager {
   RequestMonitor* request_monitor_;       // non-owning
   cache::StaticConfigCache* cache_;       // non-owning
   CacheManagerParams params_;
-  CollabPlannerHooks collab_hooks_;
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
   /// Chunk cache-keys of the installed configuration (churn accounting),

@@ -1,6 +1,5 @@
 #include "core/fetch_coordinator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -35,7 +34,6 @@ FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
   if (!accepted) return FetchStart::kDown;
   inflight_.emplace(key, std::vector<Callback>{std::move(cb)});
   ++started_;
-  max_table_size_ = std::max(max_table_size_, inflight_.size());
   return FetchStart::kStarted;
 }
 

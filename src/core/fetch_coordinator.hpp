@@ -69,8 +69,6 @@ class FetchCoordinator {
   [[nodiscard]] std::uint64_t started() const { return started_; }
   /// Requests that joined an existing in-flight fetch (deduplicated work).
   [[nodiscard]] std::uint64_t coalesced() const { return coalesced_; }
-  [[nodiscard]] std::size_t table_size() const { return inflight_.size(); }
-  [[nodiscard]] std::size_t max_table_size() const { return max_table_size_; }
 
  private:
   sim::Network* network_;  // non-owning
@@ -78,7 +76,6 @@ class FetchCoordinator {
   std::unordered_map<std::string, std::vector<Callback>> inflight_;
   std::uint64_t started_ = 0;
   std::uint64_t coalesced_ = 0;
-  std::size_t max_table_size_ = 0;
 };
 
 }  // namespace agar::core

@@ -11,15 +11,6 @@ namespace agar::core {
 
 namespace {
 
-/// Every planner understands `scope`: the collab tier reads it to decide
-/// whether this region plans alone or over merged peer snapshots. The
-/// planners themselves are scope-agnostic — the scope only changes the
-/// inputs (popularity + chunk costs) the cache manager feeds them.
-const api::ParamInfo kScopeParam{
-    "scope", api::ParamType::kString, "region",
-    "planning scope: region (local popularity) or global (merged peer "
-    "snapshots + peer-aware chunk costs; needs collab=broadcast)"};
-
 /// Same usability rule as the solvers: consumes capacity, contributes value.
 bool usable(const CachingOption& o, std::size_t capacity_units) {
   return o.value > 0.0 && o.weight_units > 0 &&
@@ -234,7 +225,7 @@ const api::PlannerRegistration kDp{{
     "DP",
     "exact multiple-choice knapsack dynamic program (the paper's "
     "POPULATE/RELAX algorithm, §IV-B)",
-    api::ParamSchema{{kScopeParam}},
+    api::ParamSchema{},
     [](const api::PlannerContext&, const api::ParamMap&) {
       return std::make_unique<SolverPlanner<solve_dp>>("knapsack-dp");
     },
@@ -245,7 +236,7 @@ const api::PlannerRegistration kGreedy{{
     "greedy",
     "value-density greedy baseline (not optimal; the paper's §II-D "
     "ablation)",
-    api::ParamSchema{{kScopeParam}},
+    api::ParamSchema{},
     [](const api::PlannerContext&, const api::ParamMap&) {
       return std::make_unique<SolverPlanner<solve_greedy>>("greedy");
     },
@@ -256,7 +247,7 @@ const api::PlannerRegistration kBruteForce{{
     "brute-force",
     "exhaustive search over all per-key choices; exponential — test-sized "
     "instances only",
-    api::ParamSchema{{kScopeParam}},
+    api::ParamSchema{},
     [](const api::PlannerContext&, const api::ParamMap&) {
       return std::make_unique<SolverPlanner<solve_brute_force>>("brute-force");
     },
@@ -273,7 +264,6 @@ const api::PlannerRegistration kIncremental{{
          "relative change in a key's best option value that marks it dirty"},
         {"full_every", api::ParamType::kSize, "0",
          "force a full re-plan every N reconfigurations (0 = never)"},
-        kScopeParam,
     }},
     [](const api::PlannerContext&, const api::ParamMap& params) {
       return std::make_unique<IncrementalPlanner>(

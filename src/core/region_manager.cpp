@@ -78,9 +78,6 @@ void RegionManager::start_probe(std::function<void()> done) {
 
 sim::EventLoop::TimerId RegionManager::schedule_probe_pipeline(
     sim::EventLoop& loop, SimTimeMs period, std::function<void()> apply) {
-  if (probe_rounds_ == 0) {
-    loop.schedule_in(0.0, [this] { start_probe({}); });
-  }
   return loop.schedule_periodic(
       period, [this, apply = std::move(apply)]() {
         start_probe(apply);

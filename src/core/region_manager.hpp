@@ -49,10 +49,9 @@ class RegionManager {
   void start_probe(std::function<void()> done);
 
   /// The canonical event-driven control plane, shared by the Agar strategy
-  /// and the periodic-LFU baseline: a warm-up probe round at t=0 if nothing
-  /// has probed yet, then every `period` an asynchronous probe round
-  /// followed by `apply` (reconfigure + population) once the round's
-  /// fetches land.
+  /// and the periodic-LFU baseline: every `period` an asynchronous probe
+  /// round followed by `apply` (reconfigure + population) once the round's
+  /// fetches land. Callers warm up with probe() first.
   /// Returns the periodic timer's cancel handle.
   sim::EventLoop::TimerId schedule_probe_pipeline(sim::EventLoop& loop,
                                                   SimTimeMs period,

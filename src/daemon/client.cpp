@@ -1,9 +1,6 @@
 #include "daemon/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,72 +9,17 @@
 #include <utility>
 
 namespace agar::daemon {
-namespace {
-
-void read_exact(int fd, unsigned char* out, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::read(fd, out + got, len - got);
-    if (n == 0) throw std::runtime_error("daemon closed the connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("read: ") + std::strerror(errno));
-    }
-    got += static_cast<std::size_t>(n);
-  }
-}
-
-void write_all(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("write: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-}  // namespace
 
 DaemonClient DaemonClient::connect_uds(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("UDS path empty or too long: '" + path + "'");
-  }
+  sockaddr_un addr = uds_address(path);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
   }
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     const std::string err = std::strerror(errno);
     ::close(fd);
     throw std::runtime_error("connect '" + path + "': " + err);
-  }
-  return DaemonClient(fd);
-}
-
-DaemonClient DaemonClient::connect_tcp(const std::string& host,
-                                       std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("bad IPv4 address '" + host + "'");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("connect " + host + ":" + std::to_string(port) +
-                             ": " + err);
   }
   return DaemonClient(fd);
 }
@@ -101,15 +43,18 @@ std::string DaemonClient::roundtrip(const std::string& frame,
                                     MsgType expect_type) {
   write_all(fd_, frame);
   unsigned char header_bytes[kHeaderBytes];
-  read_exact(fd_, header_bytes, kHeaderBytes);
+  if (!read_exact(fd_, header_bytes, kHeaderBytes)) {
+    throw std::runtime_error("daemon closed the connection");
+  }
   const FrameHeader header = decode_header(header_bytes, kHeaderBytes);
   if (!header.is_reply || header.type != expect_type) {
     throw ProtocolError("unexpected reply frame type");
   }
   std::string body(header.body_len, '\0');
-  if (header.body_len > 0) {
-    read_exact(fd_, reinterpret_cast<unsigned char*>(body.data()),
-               body.size());
+  if (header.body_len > 0 &&
+      !read_exact(fd_, reinterpret_cast<unsigned char*>(body.data()),
+                  body.size())) {
+    throw std::runtime_error("daemon closed the connection");
   }
   return body;
 }

@@ -3,7 +3,6 @@
 // and bench_ext_daemon so the wire encoding lives in exactly one place.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "daemon/protocol.hpp"
@@ -14,8 +13,6 @@ class DaemonClient {
  public:
   /// Connect to a Unix-domain socket. Throws std::runtime_error.
   static DaemonClient connect_uds(const std::string& path);
-  /// Connect to a TCP endpoint (agard binds loopback only).
-  static DaemonClient connect_tcp(const std::string& host, std::uint16_t port);
 
   DaemonClient(DaemonClient&& other) noexcept;
   DaemonClient& operator=(DaemonClient&& other) noexcept;

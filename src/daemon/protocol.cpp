@@ -1,5 +1,9 @@
 #include "daemon/protocol.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 namespace agar::daemon {
@@ -267,6 +271,45 @@ ControlReply decode_control_reply(const std::string& body) {
   reply.status = decode_status(reader.u8());
   reply.text = reader.rest();
   return reply;
+}
+
+bool read_exact(int fd, unsigned char* out, std::size_t len) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::read(fd, out + got, len - got);
+    if (n == 0) {
+      if (got == 0) return false;
+      throw ProtocolError("connection closed mid-frame");
+    }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("read: ") + std::strerror(errno));
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+void write_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("write: ") + std::strerror(errno));
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+sockaddr_un uds_address(const std::string& path) {
+  sockaddr_un addr{};
+  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
+    throw std::runtime_error("UDS path empty or too long: '" + path + "'");
+  }
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return addr;
 }
 
 }  // namespace agar::daemon

@@ -1,5 +1,6 @@
 // agard wire protocol: a small length-prefixed binary framing shared by the
-// daemon, the agarctl client and the tests.
+// daemon, the agarctl client and the tests, plus the blocking socket I/O
+// both ends of a Unix-domain connection use.
 //
 // Every message is one frame:
 //
@@ -22,6 +23,8 @@
 // UTF-8 text in and UTF-8 JSON out, so new control verbs need no new
 // binary encodings.
 #pragma once
+
+#include <sys/un.h>
 
 #include <cstdint>
 #include <optional>
@@ -125,5 +128,20 @@ struct ControlReply {
 
 [[nodiscard]] std::string encode_control_reply(const ControlReply& reply);
 [[nodiscard]] ControlReply decode_control_reply(const std::string& body);
+
+// ------------------------------------------------------------- socket I/O
+
+/// Read exactly `len` bytes from `fd`. Returns false on a clean EOF before
+/// the first byte; throws ProtocolError on an EOF mid-frame and
+/// std::runtime_error on a read error.
+[[nodiscard]] bool read_exact(int fd, unsigned char* out, std::size_t len);
+
+/// Write every byte of `bytes` to `fd`. Throws std::runtime_error on a
+/// write error.
+void write_all(int fd, const std::string& bytes);
+
+/// The AF_UNIX address of `path`. Throws std::runtime_error when the path
+/// is empty or does not fit in sun_path.
+[[nodiscard]] sockaddr_un uds_address(const std::string& path);
 
 }  // namespace agar::daemon

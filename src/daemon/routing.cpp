@@ -10,26 +10,6 @@
 namespace agar::daemon {
 namespace {
 
-std::uint64_t member_size(const api::JsonValue& object, const std::string& key,
-                          std::uint64_t fallback, std::uint64_t max) {
-  const api::JsonValue* value = object.find(key);
-  if (value == nullptr) return fallback;
-  std::uint64_t parsed = 0;
-  try {
-    std::size_t pos = 0;
-    parsed = std::stoull(value->as_param_text(), &pos);
-    if (pos != value->as_param_text().size()) throw std::invalid_argument("");
-  } catch (const std::exception&) {
-    throw std::invalid_argument("daemon config: '" + key +
-                                "' must be a non-negative integer");
-  }
-  if (parsed > max) {
-    throw std::invalid_argument("daemon config: '" + key + "' exceeds " +
-                                std::to_string(max));
-  }
-  return parsed;
-}
-
 RouteRule parse_route(const api::JsonValue& entry, std::size_t index) {
   const std::string where = "daemon config: routes[" + std::to_string(index) +
                             "]";
@@ -105,11 +85,6 @@ DaemonConfig parse_daemon_config(const std::string& text) {
   if (const api::JsonValue* listen = doc.find("listen")) {
     config.listen = listen->as_param_text();
   }
-  config.tcp_port = static_cast<std::uint16_t>(
-      member_size(doc, "tcp_port", 0, 0xFFFF));
-  config.idle_tick_ms = static_cast<std::uint32_t>(
-      member_size(doc, "idle_tick_ms", 0, 3'600'000));
-
   const api::JsonValue* routes = doc.find("routes");
   if (routes == nullptr || !routes->is_array() || routes->array.empty()) {
     throw std::invalid_argument(

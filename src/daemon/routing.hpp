@@ -8,8 +8,6 @@
 //
 //   {
 //     "listen": "/tmp/agard.sock",      // UDS path (server may override)
-//     "tcp_port": 0,                    // optional TCP listener, 0 = off
-//     "idle_tick_ms": 0,                // wall-clock virtual-time ticks, 0 = off
 //     "routes": [
 //       {
 //         "name": "hot",                // unique handle (control commands)
@@ -20,6 +18,8 @@
 //     ]
 //   }
 //
+// Other top-level members are ignored.
+//
 // Matching is first-match-wins in file order: a request (tag, key) matches
 // a rule when the rule's tag is empty or equal to the request tag, AND the
 // rule's prefix is empty or a prefix of the key. Route specs are full
@@ -27,7 +27,6 @@
 // a typo fails the reload, never a request.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,13 +49,6 @@ struct RouteRule {
 
 struct DaemonConfig {
   std::string listen = "/tmp/agard.sock";
-  std::uint16_t tcp_port = 0;  ///< 0 disables the TCP listener
-  /// Wall-clock housekeeping period: every idle_tick_ms of real time the
-  /// server advances each idle route's virtual clock by the same amount,
-  /// so periodic control planes (probe -> reconfigure -> populate) fire
-  /// even with no traffic. 0 disables — virtual time then advances only
-  /// when requests are served, which keeps runs exactly replayable.
-  std::uint32_t idle_tick_ms = 0;
   std::vector<RouteRule> routes;
 };
 

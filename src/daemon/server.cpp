@@ -1,7 +1,5 @@
 #include "daemon/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -36,76 +34,18 @@ extern "C" void on_sighup(int) {
   }
 }
 
-/// Read exactly `len` bytes. Returns false on clean EOF at offset 0;
-/// throws on mid-frame EOF or I/O error.
-bool read_exact(int fd, unsigned char* out, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::read(fd, out + got, len - got);
-    if (n == 0) {
-      if (got == 0) return false;
-      throw ProtocolError("connection closed mid-frame");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("read: ") + std::strerror(errno));
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void write_all(int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("write: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
 int bind_uds(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("UDS path empty or too long: '" + path + "'");
-  }
+  sockaddr_un addr = uds_address(path);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
   }
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
   ::unlink(path.c_str());  // a stale socket from a crashed daemon
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
       ::listen(fd, 64) < 0) {
     const std::string err = std::strerror(errno);
     ::close(fd);
     throw std::runtime_error("bind/listen '" + path + "': " + err);
-  }
-  return fd;
-}
-
-int bind_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  // Loopback only: agard is a load-test target, not an internet service.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("bind/listen 127.0.0.1:" + std::to_string(port) +
-                             ": " + err);
   }
   return fd;
 }
@@ -123,7 +63,6 @@ Server::Server(DaemonConfig config, ServerOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
   uds_path_ = options_.listen_override.empty() ? config_.listen
                                                : options_.listen_override;
-  tcp_port_ = config_.tcp_port;
 }
 
 Server::~Server() { stop(); }
@@ -172,7 +111,6 @@ void Server::start() {
     throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
   }
   listen_fd_ = bind_uds(uds_path_);
-  if (tcp_port_ != 0) tcp_fd_ = bind_tcp(tcp_port_);
   if (options_.install_sighup) {
     g_sighup_pipe_fd.store(wake_pipe_[1], std::memory_order_relaxed);
     struct sigaction action{};
@@ -183,41 +121,12 @@ void Server::start() {
   running_.store(true);
   stopped_ = false;
   accept_thread_ = std::thread([this] { accept_loop(); });
-  if (config_.idle_tick_ms > 0) {
-    // The wall-clock bridge for the control plane: every tick advances
-    // each route's virtual clock by the tick width, so periodic
-    // reconfiguration fires on a quiet daemon. Off by default — a ticked
-    // daemon's metrics are no longer replayable against a batch run.
-    // Tick width is fixed at start (a reload cannot change it; restart to
-    // retune) so the thread never races reload's config writes.
-    const std::uint32_t tick_ms = std::max<std::uint32_t>(
-        1, config_.idle_tick_ms);
-    tick_thread_ = std::thread([this, tick_ms] {
-      std::unique_lock<std::mutex> lock(stopped_mutex_);
-      while (running_.load()) {
-        if (stopped_cv_.wait_for(lock, std::chrono::milliseconds(tick_ms),
-                                 [this] { return !running_.load(); })) {
-          break;
-        }
-        lock.unlock();
-        const auto t = table();
-        for (const auto& instance : t->instances) {
-          instance->advance_idle(static_cast<double>(tick_ms));
-        }
-        lock.lock();
-      }
-    });
-  }
 }
 
 void Server::accept_loop() {
   while (running_.load()) {
-    pollfd fds[3];
-    nfds_t nfds = 0;
-    fds[nfds++] = {wake_pipe_[0], POLLIN, 0};
-    fds[nfds++] = {listen_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) fds[nfds++] = {tcp_fd_, POLLIN, 0};
-    const int ready = ::poll(fds, nfds, -1);
+    pollfd fds[2] = {{wake_pipe_[0], POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+    const int ready = ::poll(fds, 2, -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -244,18 +153,16 @@ void Server::accept_loop() {
         }
       }
     }
-    for (nfds_t i = 1; i < nfds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int fd = ::accept(fds[i].fd, nullptr, nullptr);
-      if (fd < 0) continue;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.accepted;
-        ++stats_.active_connections;
-        conn_fds_.insert(fd);
-      }
-      conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    if ((fds[1].revents & POLLIN) == 0) continue;
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) continue;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.accepted;
+      ++stats_.active_connections;
+      conn_fds_.insert(fd);
     }
+    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
   }
 }
 
@@ -521,7 +428,6 @@ void Server::stop() {
     ::signal(SIGHUP, SIG_DFL);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (tick_thread_.joinable()) tick_thread_.join();
   {
     // Unblock connection threads parked in read().
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -531,7 +437,7 @@ void Server::stop() {
     if (thread.joinable()) thread.join();
   }
   conn_threads_.clear();
-  for (int* fd : {&listen_fd_, &tcp_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }

@@ -1,7 +1,6 @@
-// The agard server: a poll-driven accept loop on a Unix-domain socket
-// (plus an optional loopback TCP listener), one connection thread per
-// client, and a shared routing table of warm ServiceInstances swapped
-// atomically on reload.
+// The agard server: a poll-driven accept loop on a Unix-domain socket,
+// one connection thread per client, and a shared routing table of warm
+// ServiceInstances swapped atomically on reload.
 //
 // Reload semantics (SIGHUP or the RELOAD control command): the new config
 // is parsed and validated off to the side; rules whose identity
@@ -61,14 +60,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the listeners and start the accept thread. Throws
+  /// Bind the listener and start the accept thread. Throws
   /// std::runtime_error on bind failure.
   void start();
 
   /// Block until a SHUTDOWN command (or stop()) ends the serve loop.
   void wait();
 
-  /// Stop serving: closes listeners, shuts down live connections, joins
+  /// Stop serving: closes the listener, shuts down live connections, joins
   /// every thread. Idempotent.
   void stop();
 
@@ -83,7 +82,6 @@ class Server {
   [[nodiscard]] std::string metrics_json(bool results_only);
 
   [[nodiscard]] const std::string& socket_path() const { return uds_path_; }
-  [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
 
   /// Write end of the wake pipe: writing 'Q' stops the serve loop, 'H'
   /// triggers a reload. The async-signal-safe stop channel for callers
@@ -114,7 +112,6 @@ class Server {
   DaemonConfig config_;
   ServerOptions options_;
   std::string uds_path_;
-  std::uint16_t tcp_port_ = 0;
 
   std::mutex mutex_;  ///< guards table_, stats_, conn_fds_
   std::shared_ptr<const RouteTable> table_;
@@ -123,10 +120,8 @@ class Server {
 
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
-  int tcp_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: signal handler + stop()
   std::thread accept_thread_;
-  std::thread tick_thread_;  ///< idle_tick_ms > 0: wall-clock virtual ticks
   std::vector<std::thread> conn_threads_;
   std::condition_variable stopped_cv_;
   std::mutex stopped_mutex_;

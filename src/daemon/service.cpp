@@ -63,11 +63,6 @@ void ServiceInstance::drain() {
   loop_.run_until(boundary);
 }
 
-void ServiceInstance::advance_idle(double ms) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ms > 0.0) loop_.run_until(loop_.now() + ms);
-}
-
 store::RepairReport ServiceInstance::repair() {
   const std::lock_guard<std::mutex> lock(mutex_);
   // The repair scan reads chunk bytes out of the buckets; a metadata-only

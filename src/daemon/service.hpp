@@ -50,11 +50,6 @@ class ServiceInstance {
   /// timers at or before the boundary fire; later ones stay queued).
   void drain();
 
-  /// Advance the virtual clock by `ms` with no request in flight (the
-  /// wall-clock idle tick): periodic control planes keep reconfiguring on
-  /// a quiet daemon.
-  void advance_idle(double ms);
-
   /// Scan-and-repair this route's backend stripes (the store/repair
   /// operator path, live behind the REPAIR control command).
   [[nodiscard]] store::RepairReport repair();

@@ -119,29 +119,6 @@ bool Matrix::is_identity() const {
   return true;
 }
 
-Matrix vandermonde(std::size_t rows, std::size_t cols) {
-  if (rows > gf::kFieldSize) {
-    throw std::invalid_argument("vandermonde: too many rows for GF(256)");
-  }
-  Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      m.at(r, c) = gf::pow(static_cast<std::uint8_t>(r),
-                           static_cast<unsigned>(c));
-    }
-  }
-  return m;
-}
-
-Matrix systematic_vandermonde(std::size_t k, std::size_t m) {
-  // Right-multiplying V by the inverse of its top k x k square yields a
-  // matrix whose top square is the identity. Right multiplication by an
-  // invertible matrix preserves the "any k rows invertible" MDS property.
-  const Matrix v = vandermonde(k + m, k);
-  const Matrix top_inv = v.sub_rows(0, k).inverted();
-  return v.multiply(top_inv);
-}
-
 Matrix cauchy(std::size_t rows, std::size_t cols) {
   if (rows + cols > gf::kFieldSize) {
     throw std::invalid_argument("cauchy: rows + cols must be <= 256");

@@ -1,7 +1,6 @@
 // Dense matrices over GF(2^8) with just enough linear algebra for
 // Reed-Solomon coding: multiplication, Gauss-Jordan inversion, submatrix
-// extraction, and the Vandermonde / Cauchy constructions used to build
-// encoding matrices.
+// extraction, and the Cauchy construction used to build encoding matrices.
 #pragma once
 
 #include <cstdint>
@@ -62,18 +61,6 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<std::uint8_t> data_;
 };
-
-/// Vandermonde matrix V[r][c] = (r+1)^c? No — standard EC construction:
-/// V[r][c] = pow(r, c) over rows r in [0, rows), cols c in [0, cols).
-/// Any k rows of the (k+m) x k Vandermonde matrix are linearly independent
-/// provided the row generators are distinct, which holds for rows < 256.
-[[nodiscard]] Matrix vandermonde(std::size_t rows, std::size_t cols);
-
-/// Systematic encoding matrix for RS(k, m): the top k rows are the identity,
-/// the bottom m rows mix all k data chunks. Built by reducing the
-/// (k+m) x k Vandermonde matrix so its top square is the identity (the same
-/// construction Jerasure/ISA-L use). Any k of the k+m rows are invertible.
-[[nodiscard]] Matrix systematic_vandermonde(std::size_t k, std::size_t m);
 
 /// Cauchy matrix C[i][j] = 1 / (x_i + y_j) with x_i = i + k, y_j = j.
 /// Every square submatrix of a Cauchy matrix is invertible, which makes the

@@ -29,9 +29,7 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
   if (params_.total() > gf::kFieldSize) {
     throw std::invalid_argument("ReedSolomon: k + m must be <= 256");
   }
-  encode_ = params_.kind == MatrixKind::kCauchy
-                ? systematic_cauchy(params_.k, params_.m)
-                : systematic_vandermonde(params_.k, params_.m);
+  encode_ = systematic_cauchy(params_.k, params_.m);
 }
 
 void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,

@@ -24,14 +24,11 @@
 
 namespace agar::ec {
 
-/// Which matrix construction backs the code. Both are MDS; Cauchy matrices
-/// are invertible-by-construction, Vandermonde mirrors classic RS papers.
-enum class MatrixKind { kVandermonde, kCauchy };
-
+/// The code is backed by the systematic [I; Cauchy] matrix, which is MDS
+/// by construction.
 struct CodecParams {
   std::size_t k = 9;  ///< data chunks (paper default)
   std::size_t m = 3;  ///< parity chunks (paper default)
-  MatrixKind kind = MatrixKind::kCauchy;
 
   [[nodiscard]] std::size_t total() const { return k + m; }
 };

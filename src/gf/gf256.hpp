@@ -70,12 +70,6 @@ void mul_add_slice(std::uint8_t c, std::span<const std::uint8_t> src,
 void xor_slice(std::span<const std::uint8_t> src,
                std::span<std::uint8_t> dst);
 
-/// Legacy name for xor_slice.
-inline void add_slice(std::span<const std::uint8_t> src,
-                      std::span<std::uint8_t> dst) {
-  xor_slice(src, dst);
-}
-
 /// Fused multi-source apply (ISA-L gf_vect_mad style):
 ///   dst[i] ^= coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
 /// One pass over dst for all sources, so dst traffic is paid once per block

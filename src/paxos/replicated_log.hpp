@@ -40,8 +40,6 @@ class ReplicatedLog {
   /// Number of contiguous decided slots from 0.
   [[nodiscard]] std::size_t decided_prefix() const;
 
-  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
-
  private:
   struct Slot {
     std::vector<Acceptor> acceptors;

@@ -147,13 +147,4 @@ void EventLoop::run_until(SimTimeMs horizon) {
   now_ = std::max(now_, horizon);
 }
 
-SimTimeMs EventLoop::next_event_time() {
-  const Event* top = heap_.empty() ? nullptr : heap_.data();
-  const TimerWheel::Entry* timer = wheel_.peek_min();
-  SimTimeMs next = kForever;
-  if (top != nullptr) next = top->when;
-  if (timer != nullptr) next = std::min(next, timer->when);
-  return next;
-}
-
 }  // namespace agar::sim

@@ -110,10 +110,6 @@ class EventLoop {
   void schedule_keyed(SimTimeMs when, LaneId lane, std::uint64_t seq,
                       Callback fn);
 
-  /// Earliest pending fire time across the heap and the timer wheel, or
-  /// +infinity when idle (window planning in the sharded engine).
-  [[nodiscard]] SimTimeMs next_event_time();
-
  private:
   static constexpr std::size_t kDefaultReserve = 256;
 

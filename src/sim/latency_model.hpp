@@ -103,9 +103,6 @@ class LatencyModel {
   /// (scenario latency degradation). 1.0 is nominal; must be > 0. Applies
   /// to sampled and expected backend fetches alike.
   void set_region_slowdown(RegionId r, double factor);
-  [[nodiscard]] double region_slowdown(RegionId r) const {
-    return slowdown_.at(r);
-  }
 
   /// Gray-failure injection on fetches *served by* region `r`. p = 0
   /// clears the drop knob, frac = 0 (or mult = 1) clears the straggler

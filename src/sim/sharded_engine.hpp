@@ -76,9 +76,6 @@ class ShardedEngine {
   [[nodiscard]] EventLoop& loop_of_lane(LaneId lane) {
     return shards_[shard_of_lane(lane)]->loop;
   }
-  [[nodiscard]] EventLoop& loop_of_shard(std::size_t shard) {
-    return shards_[shard]->loop;
-  }
 
   /// Virtual time of the last completed window boundary.
   [[nodiscard]] SimTimeMs now() const { return shards_[0]->loop.now(); }

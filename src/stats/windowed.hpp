@@ -35,9 +35,6 @@ class WindowedHistogram {
     return windows_.at(i);
   }
   [[nodiscard]] double window_ms() const { return window_ms_; }
-  [[nodiscard]] double start_of(std::size_t i) const {
-    return static_cast<double>(i) * window_ms_;
-  }
 
  private:
   double window_ms_;

@@ -1,6 +1,5 @@
 // Cache collaboration helpers (§VI): the broadcast snapshot an Agar node
-// publishes, configuration overlap between two regions, and peer-aware
-// chunk costs.
+// publishes and configuration overlap between two regions.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -65,7 +64,6 @@ TEST_F(PeerInfoTest, BroadcastContainsConfiguredChunks) {
   }
   EXPECT_GT(expected, 0u);
   EXPECT_EQ(info.configured_chunks.size(), expected);
-  EXPECT_FALSE(info.popularity.empty());
 }
 
 TEST_F(PeerInfoTest, OverlapBetweenSimilarWorkloads) {
@@ -81,54 +79,6 @@ TEST_F(PeerInfoTest, OverlapBetweenSimilarWorkloads) {
   EXPECT_GT(report.shared, 0u);
   EXPECT_GT(report.shared_fraction(), 0.0);
   EXPECT_LE(report.shared_fraction(), 1.0);
-}
-
-TEST_F(PeerInfoTest, PeerAwareCostsDiscountNearbyPeerChunks) {
-  // Dublin caches chunk "object0#4"; a Frankfurt planner should see that
-  // chunk cheaper than its Tokyo home region.
-  collab::PeerInfo dublin;
-  dublin.region = sim::region::kDublin;
-  dublin.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
-
-  std::vector<core::ChunkCost> costs;
-  for (ChunkIndex i = 0; i < 12; ++i) {
-    const RegionId region = i % 6;
-    costs.push_back(core::ChunkCost{
-        i, region,
-        topology_.base_latency_ms(sim::region::kFrankfurt, region)});
-  }
-  const auto adjusted =
-      collab::peer_aware_costs(costs, "object0", {dublin}, topology_,
-                               sim::region::kFrankfurt, 0.75, 400.0);
-  // Chunk 4 (Tokyo, 1130 ms base) now costs the Dublin peer fetch:
-  // 100 ms * 0.75 = 75 ms.
-  EXPECT_DOUBLE_EQ(adjusted[4].latency_ms, 75.0);
-  // Other chunks unchanged.
-  EXPECT_DOUBLE_EQ(adjusted[5].latency_ms, costs[5].latency_ms);
-}
-
-TEST_F(PeerInfoTest, PeerAwareCostsIgnoreDistantPeers) {
-  collab::PeerInfo sydney;
-  sydney.region = sim::region::kSydney;
-  sydney.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
-
-  std::vector<core::ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
-  // Sydney is 1530 ms from Frankfurt > max_peer_ms 400: no discount.
-  const auto adjusted = collab::peer_aware_costs(
-      costs, "object0", {sydney}, topology_, sim::region::kFrankfurt);
-  EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 1100.0);
-}
-
-TEST_F(PeerInfoTest, PeerAwareCostsNeverIncrease) {
-  collab::PeerInfo dublin;
-  dublin.region = sim::region::kDublin;
-  dublin.configured_chunks.insert(ChunkId{"object0", 0}.cache_key());
-  // Local chunk already cheaper than the peer fetch (100 ms * 0.75 = 75):
-  // keep the original.
-  std::vector<core::ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
-  const auto adjusted = collab::peer_aware_costs(
-      costs, "object0", {dublin}, topology_, sim::region::kFrankfurt);
-  EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 70.0);
 }
 
 }  // namespace

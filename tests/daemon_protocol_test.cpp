@@ -36,7 +36,7 @@ TEST(DaemonProtocol, TruncatedHeaderThrows) {
   const std::string frame = encode_frame(MsgType::kPing, false, "");
   for (std::size_t len = 0; len < kHeaderBytes; ++len) {
     const auto bytes = header_bytes(frame);
-    EXPECT_THROW(decode_header(bytes.data(), len), ProtocolError)
+    EXPECT_THROW((void)decode_header(bytes.data(), len), ProtocolError)
         << "len=" << len;
   }
 }
@@ -45,35 +45,35 @@ TEST(DaemonProtocol, BadMagicThrows) {
   std::string frame = encode_frame(MsgType::kPing, false, "");
   frame[0] = 'X';
   const auto bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
 }
 
 TEST(DaemonProtocol, WrongVersionThrows) {
   std::string frame = encode_frame(MsgType::kPing, false, "");
   frame[4] = static_cast<char>(kVersion + 1);
   const auto bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
 }
 
 TEST(DaemonProtocol, ReservedBytesMustBeZero) {
   std::string frame = encode_frame(MsgType::kPing, false, "");
   frame[6] = 1;
   auto bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
   frame[6] = 0;
   frame[7] = 42;
   bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
 }
 
 TEST(DaemonProtocol, UnknownTypeThrows) {
   std::string frame = encode_frame(MsgType::kPing, false, "");
   frame[5] = 0;  // below kGet
   auto bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
   frame[5] = 99;  // above kSpecOf, reply bit clear
   bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
 }
 
 TEST(DaemonProtocol, OversizedBodyLengthThrows) {
@@ -84,7 +84,7 @@ TEST(DaemonProtocol, OversizedBodyLengthThrows) {
   frame[10] = static_cast<char>((huge >> 16) & 0xFF);
   frame[11] = static_cast<char>((huge >> 24) & 0xFF);
   const auto bytes = header_bytes(frame);
-  EXPECT_THROW(decode_header(bytes.data(), bytes.size()), ProtocolError);
+  EXPECT_THROW((void)decode_header(bytes.data(), bytes.size()), ProtocolError);
 }
 
 TEST(DaemonProtocol, GarbageHeaderThrows) {
@@ -96,7 +96,7 @@ TEST(DaemonProtocol, GarbageHeaderThrows) {
     b = x;
     x = static_cast<unsigned char>(x * 31 + 7);
   }
-  EXPECT_THROW(decode_header(noise, sizeof(noise)), ProtocolError);
+  EXPECT_THROW((void)decode_header(noise, sizeof(noise)), ProtocolError);
 }
 
 TEST(DaemonProtocol, GetRequestRoundtrip) {

@@ -16,9 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/json.hpp"
 #include "api/run.hpp"
 #include "client/report.hpp"
 #include "client/workload.hpp"
+#include "common/bytes.hpp"
 #include "daemon/client.hpp"
 
 namespace agar::daemon {
@@ -137,6 +139,58 @@ TEST_F(ServerFixture, UnmatchedAndUnknownRequests) {
       decode_control_reply(connection.roundtrip(bad, MsgType::kGet));
   EXPECT_EQ(bad_reply.status, Status::kBadRequest);
   EXPECT_EQ(connection.ping().status, Status::kOk);
+  server->stop();
+}
+
+TEST_F(ServerFixture, GetWithPayloadReturnsTheObjectBytes) {
+  auto server = start_server();
+  const DaemonConfig config = load_daemon_config(config_path_);
+  const std::size_t object_bytes =
+      config.routes[0].spec.experiment.deployment.object_size_bytes;
+  DaemonClient connection = DaemonClient::connect_uds(socket_path_);
+  const GetResponse response = connection.get("hot", "object3", true);
+  ASSERT_EQ(response.status, Status::kOk);
+  const Bytes expected = deterministic_payload("object3", object_bytes);
+  EXPECT_EQ(response.payload, std::string(expected.begin(), expected.end()));
+  server->stop();
+}
+
+TEST_F(ServerFixture, RepairScansAVerifyRoute) {
+  write_config(config_path_, socket_path_, "backend", "",
+               route_spec("lru", R"(, "chunks": 5, "cache_bytes": "200KB",
+                          "verify": true)"));
+  auto server = start_server();
+  const std::size_t objects =
+      load_daemon_config(config_path_).routes[0].spec.experiment.deployment
+          .num_objects;
+  DaemonClient control = DaemonClient::connect_uds(socket_path_);
+  const ControlReply reply = control.repair("hot");
+  ASSERT_EQ(reply.status, Status::kOk) << reply.text;
+  const api::JsonValue report = api::parse_json(reply.text);
+  ASSERT_TRUE(report.is_array());
+  ASSERT_EQ(report.array.size(), 1u);
+  const api::JsonValue& entry = report.array[0];
+  EXPECT_EQ(entry.find("name")->as_param_text(), "hot");
+  EXPECT_EQ(entry.find("objects_scanned")->as_param_text(),
+            std::to_string(objects));
+  EXPECT_EQ(entry.find("objects_damaged")->as_param_text(), "0");
+  server->stop();
+}
+
+TEST_F(ServerFixture, RepairRefusesAMetadataOnlyRoute) {
+  auto server = start_server();
+  DaemonClient control = DaemonClient::connect_uds(socket_path_);
+  const ControlReply reply = control.repair("hot");
+  EXPECT_EQ(reply.status, Status::kError);
+  EXPECT_NE(reply.text.find("metadata-only backend"), std::string::npos)
+      << reply.text;
+  server->stop();
+}
+
+TEST_F(ServerFixture, RepairOfAnUnknownRouteIsABadRequest) {
+  auto server = start_server();
+  DaemonClient control = DaemonClient::connect_uds(socket_path_);
+  EXPECT_EQ(control.repair("no-such-route").status, Status::kBadRequest);
   server->stop();
 }
 

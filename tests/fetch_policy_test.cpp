@@ -42,25 +42,6 @@ class FetchPolicyTest : public ::testing::Test {
   sim::EventLoop loop_;
 };
 
-TEST_F(FetchPolicyTest, PassThroughKeepsFailFastSemantics) {
-  PassThroughFetchPolicy policy(&network_);
-  EXPECT_EQ(policy.name(), "none");
-
-  std::optional<SimTimeMs> out;
-  ASSERT_TRUE(policy.begin_fetch(sim::region::kFrankfurt, sim::region::kDublin,
-                                 1000, [&](auto l) { out = l; }));
-  loop_.run();
-  ASSERT_TRUE(out.has_value());
-
-  // A down region is refused synchronously — exactly the raw network.
-  network_.fail_region(sim::region::kTokyo);
-  EXPECT_FALSE(policy.begin_fetch(sim::region::kFrankfurt,
-                                  sim::region::kTokyo, 1000, [](auto) {}));
-  // Pass-through never touches the telemetry.
-  EXPECT_EQ(policy.stats().attempts, 0u);
-  EXPECT_EQ(policy.region_samples(sim::region::kDublin), 0u);
-}
-
 TEST_F(FetchPolicyTest, InvalidParamsThrow) {
   auto bad = quick(1);
   bad.timeout_mult = 0.0;
@@ -74,7 +55,8 @@ TEST_F(FetchPolicyTest, InvalidParamsThrow) {
   bad.jitter = 1.0;
   EXPECT_THROW(FaultTolerantFetchPolicy(&network_, 1, bad),
                std::invalid_argument);
-  EXPECT_THROW(PassThroughFetchPolicy(nullptr), std::invalid_argument);
+  EXPECT_THROW(FaultTolerantFetchPolicy(nullptr, 1, quick(1)),
+               std::invalid_argument);
 }
 
 TEST_F(FetchPolicyTest, NameReflectsHedging) {

@@ -177,9 +177,9 @@ TEST(Gf256, MulAddSliceZeroCoefficientIsNoop) {
   EXPECT_EQ(dst, before);
 }
 
-TEST(Gf256, AddSliceIsXor) {
+TEST(Gf256, XorSliceIsBytewiseAdd) {
   std::vector<std::uint8_t> src{1, 2, 3}, dst{4, 5, 6};
-  add_slice(src, dst);
+  xor_slice(src, dst);
   EXPECT_EQ(dst, (std::vector<std::uint8_t>{5, 7, 5}));
 }
 
@@ -187,14 +187,14 @@ TEST(Gf256, SliceSizeMismatchThrows) {
   std::vector<std::uint8_t> a(3), b(4);
   EXPECT_THROW(mul_slice(2, a, b), std::invalid_argument);
   EXPECT_THROW(mul_add_slice(2, a, b), std::invalid_argument);
-  EXPECT_THROW(add_slice(a, b), std::invalid_argument);
+  EXPECT_THROW(xor_slice(a, b), std::invalid_argument);
 }
 
 TEST(Gf256, EmptySlicesAreFine) {
   std::vector<std::uint8_t> empty;
   mul_slice(7, empty, empty);
   mul_add_slice(7, empty, empty);
-  add_slice(empty, empty);
+  xor_slice(empty, empty);
 }
 
 // The reducing polynomial identity: x^8 = x^4 + x^3 + x^2 + 1, i.e.

@@ -1,5 +1,5 @@
 // Matrix algebra over GF(256): inversion, multiplication, and the MDS
-// property of the Vandermonde/Cauchy encoding matrices.
+// property of the Cauchy encoding matrix.
 #include "ec/matrix.hpp"
 
 #include <gtest/gtest.h>
@@ -108,23 +108,6 @@ TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((Matrix{{1, 2}, {3}}), std::invalid_argument);
 }
 
-TEST(Matrix, VandermondeShape) {
-  const Matrix v = vandermonde(12, 9);
-  EXPECT_EQ(v.rows(), 12u);
-  EXPECT_EQ(v.cols(), 9u);
-  // Row 0 is [1, 0, 0, ...]: pow(0,0)=1, pow(0,c)=0.
-  EXPECT_EQ(v.at(0, 0), 1);
-  for (std::size_t c = 1; c < 9; ++c) EXPECT_EQ(v.at(0, c), 0);
-  // Row 1 is all ones: pow(1,c)=1.
-  for (std::size_t c = 0; c < 9; ++c) EXPECT_EQ(v.at(1, c), 1);
-}
-
-TEST(Matrix, SystematicVandermondeTopIsIdentity) {
-  const Matrix s = systematic_vandermonde(9, 3);
-  EXPECT_TRUE(s.sub_rows(0, 9).is_identity());
-  EXPECT_EQ(s.rows(), 12u);
-}
-
 TEST(Matrix, SystematicCauchyTopIsIdentity) {
   const Matrix s = systematic_cauchy(9, 3);
   EXPECT_TRUE(s.sub_rows(0, 9).is_identity());
@@ -136,8 +119,7 @@ TEST(Matrix, CauchyTooLargeThrows) {
 }
 
 // The MDS property: ANY k rows of the systematic (k+m) x k matrix must be
-// invertible. Exhaustively check all C(k+m, k) row subsets for small codes
-// and both constructions.
+// invertible. Exhaustively check all C(k+m, k) row subsets for small codes.
 class MdsProperty : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 void check_all_subsets(const Matrix& mat, std::size_t k, std::size_t total) {
@@ -164,14 +146,6 @@ TEST_P(MdsProperty, AnyKRowsInvertibleCauchy) {
   const auto [k, m] = GetParam();
   const Matrix s = systematic_cauchy(static_cast<std::size_t>(k),
                                      static_cast<std::size_t>(m));
-  check_all_subsets(s, static_cast<std::size_t>(k),
-                    static_cast<std::size_t>(k + m));
-}
-
-TEST_P(MdsProperty, AnyKRowsInvertibleVandermonde) {
-  const auto [k, m] = GetParam();
-  const Matrix s = systematic_vandermonde(static_cast<std::size_t>(k),
-                                          static_cast<std::size_t>(m));
   check_all_subsets(s, static_cast<std::size_t>(k),
                     static_cast<std::size_t>(k + m));
 }

@@ -69,6 +69,18 @@ class NetworkOutageTest : public NetworkTest {
   EventLoop loop_;
 };
 
+TEST_F(NetworkOutageTest, BeginFetchToDownRegionIsRefused) {
+  // The fail-fast contract of the raw wire path (fetch=none): a fetch to a
+  // down region is refused synchronously and its callback never fires.
+  network_.fail_region(region::kTokyo);
+  bool fired = false;
+  EXPECT_FALSE(network_.begin_fetch(region::kFrankfurt, region::kTokyo, 1000,
+                                    [&](auto) { fired = true; }));
+  loop_.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(network_.in_flight(), 0u);
+}
+
 TEST_F(NetworkOutageTest, FailRegionAbortsInFlightFetches) {
   const RegionId to = region::kTokyo;
   std::vector<std::optional<SimTimeMs>> outcomes;

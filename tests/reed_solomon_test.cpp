@@ -119,19 +119,18 @@ TEST(ReedSolomon, ReconstructTargetOutOfRangeThrows) {
                std::invalid_argument);
 }
 
-// The central MDS contract, swept over (k, m) x matrix kind: encode, then
-// decode from EVERY possible subset of exactly k chunks.
+// The central MDS contract, swept over (k, m): encode, then decode from
+// EVERY possible subset of exactly k chunks.
 struct SweepParam {
   std::size_t k;
   std::size_t m;
-  MatrixKind kind;
 };
 
 class AnyKofKM : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(AnyKofKM, EverySubsetDecodes) {
-  const auto [k, m, kind] = GetParam();
-  const ReedSolomon rs(CodecParams{k, m, kind});
+  const auto [k, m] = GetParam();
+  const ReedSolomon rs(CodecParams{k, m});
   const std::size_t chunk_size = 96;
   const auto data = random_chunks(k, chunk_size, 1000 + k * 10 + m);
   const auto parity = rs.encode(views_of(data));
@@ -177,18 +176,9 @@ TEST_P(AnyKofKM, EverySubsetDecodes) {
 
 INSTANTIATE_TEST_SUITE_P(
     CodecSweep, AnyKofKM,
-    ::testing::Values(SweepParam{2, 1, MatrixKind::kCauchy},
-                      SweepParam{2, 2, MatrixKind::kCauchy},
-                      SweepParam{3, 2, MatrixKind::kCauchy},
-                      SweepParam{4, 2, MatrixKind::kCauchy},
-                      SweepParam{4, 3, MatrixKind::kCauchy},
-                      SweepParam{6, 3, MatrixKind::kCauchy},
-                      SweepParam{9, 3, MatrixKind::kCauchy},
-                      SweepParam{2, 1, MatrixKind::kVandermonde},
-                      SweepParam{3, 2, MatrixKind::kVandermonde},
-                      SweepParam{4, 3, MatrixKind::kVandermonde},
-                      SweepParam{6, 3, MatrixKind::kVandermonde},
-                      SweepParam{9, 3, MatrixKind::kVandermonde}));
+    ::testing::Values(SweepParam{2, 1}, SweepParam{2, 2}, SweepParam{3, 2},
+                      SweepParam{4, 2}, SweepParam{4, 3}, SweepParam{6, 3},
+                      SweepParam{9, 3}));
 
 TEST(ReedSolomon, LargeCodeRoundTrip) {
   // A wide code near the field-size limit still works.

@@ -9,7 +9,9 @@
 
 #include "api/experiment_spec.hpp"
 #include "cache/cache.hpp"
+#include "client/fetch_policy.hpp"
 #include "client/runner.hpp"
+#include "collab/collab.hpp"
 
 namespace agar::api {
 namespace {
@@ -136,6 +138,17 @@ TEST(Registry, EntriesWithoutFactoryAreRejected) {
   entry.name = "broken";
   EXPECT_THROW(EngineRegistry::instance().add(std::move(entry)),
                std::invalid_argument);
+}
+
+TEST(Registry, NoneBuildsNothing) {
+  // "none" is a valid fetch policy and collab tier, but it builds no
+  // object: callers read a null product as "off".
+  EXPECT_EQ(FetchPolicyRegistry::instance().create(
+                "none", FetchPolicyContext{}, ParamMap{}),
+            nullptr);
+  EXPECT_EQ(
+      CollabRegistry::instance().create("none", CollabContext{}, ParamMap{}),
+      nullptr);
 }
 
 TEST(Registry, EngineFactoryHonoursCapacity) {

@@ -40,7 +40,6 @@ void usage() {
       "\n"
       "connection (before the command):\n"
       "  --socket <path>       Unix-domain socket (default /tmp/agard.sock)\n"
-      "  --tcp <host:port>     TCP instead of UDS\n"
       "\n"
       "commands:\n"
       "  ping                  liveness probe\n"
@@ -72,19 +71,6 @@ int fail(const std::string& message) {
   std::cerr << "agarctl: " << message << "\n";
   return 2;
 }
-
-struct Endpoint {
-  std::string socket_path = "/tmp/agard.sock";
-  std::string tcp_host;
-  std::uint16_t tcp_port = 0;
-
-  [[nodiscard]] daemon::DaemonClient connect() const {
-    if (!tcp_host.empty()) {
-      return daemon::DaemonClient::connect_tcp(tcp_host, tcp_port);
-    }
-    return daemon::DaemonClient::connect_uds(socket_path);
-  }
-};
 
 /// Print a control reply; nonzero exit on a non-ok status.
 int finish(const daemon::ControlReply& reply) {
@@ -188,7 +174,8 @@ void print_summary(const LoadOptions& options, LoadTotals& totals,
             << totals.partial_hits << "\n";
 }
 
-int run_closed_loop(const Endpoint& endpoint, const LoadOptions& options) {
+int run_closed_loop(const std::string& socket_path,
+                    const LoadOptions& options) {
   LoadTotals totals;
   std::atomic<bool> aborted{false};
   std::string first_error;
@@ -203,7 +190,8 @@ int run_closed_loop(const Endpoint& endpoint, const LoadOptions& options) {
                                (c == 0 ? options.ops % options.clients : 0);
     workers.emplace_back([&, c, budget] {
       try {
-        daemon::DaemonClient connection = endpoint.connect();
+        daemon::DaemonClient connection =
+            daemon::DaemonClient::connect_uds(socket_path);
         // Per-client key stream, seeded exactly as the runner seeds its
         // closed-loop clients — one client replays a clients=1 run.
         client::Workload workload(
@@ -230,7 +218,8 @@ int run_closed_loop(const Endpoint& endpoint, const LoadOptions& options) {
   return 0;
 }
 
-int run_open_loop(const Endpoint& endpoint, const LoadOptions& options) {
+int run_open_loop(const std::string& socket_path,
+                  const LoadOptions& options) {
   LoadTotals totals;
   std::atomic<bool> aborted{false};
   std::string first_error;
@@ -253,7 +242,8 @@ int run_open_loop(const Endpoint& endpoint, const LoadOptions& options) {
   for (std::size_t c = 0; c < options.clients; ++c) {
     workers.emplace_back([&] {
       try {
-        daemon::DaemonClient connection = endpoint.connect();
+        daemon::DaemonClient connection =
+            daemon::DaemonClient::connect_uds(socket_path);
         while (true) {
           Arrival arrival;
           {
@@ -312,7 +302,10 @@ int run_open_loop(const Endpoint& endpoint, const LoadOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Endpoint endpoint;
+  std::string socket_path = "/tmp/agard.sock";
+  auto connect = [&socket_path] {
+    return daemon::DaemonClient::connect_uds(socket_path);
+  };
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
 
@@ -333,16 +326,7 @@ int main(int argc, char** argv) {
         usage();
         return 0;
       } else if (arg == "--socket") {
-        endpoint.socket_path = next_value(arg);
-      } else if (arg == "--tcp") {
-        const std::string spec = next_value(arg);
-        const std::size_t colon = spec.rfind(':');
-        if (colon == std::string::npos) {
-          return fail("--tcp needs host:port");
-        }
-        endpoint.tcp_host = spec.substr(0, colon);
-        endpoint.tcp_port =
-            static_cast<std::uint16_t>(std::stoul(spec.substr(colon + 1)));
+        socket_path = next_value(arg);
       } else {
         usage();
         return fail("unknown flag " + arg + " before the command");
@@ -355,7 +339,7 @@ int main(int argc, char** argv) {
     const std::string command = args[at++];
 
     if (command == "ping") {
-      return finish(endpoint.connect().ping());
+      return finish(connect().ping());
     } else if (command == "metrics") {
       bool results_only = false;
       while (at < args.size()) {
@@ -366,22 +350,22 @@ int main(int argc, char** argv) {
           return fail("unknown metrics flag " + args[at]);
         }
       }
-      return finish(endpoint.connect().metrics(results_only));
+      return finish(connect().metrics(results_only));
     } else if (command == "reload") {
       const std::string path = at < args.size() ? args[at++] : "";
-      return finish(endpoint.connect().reload(path));
+      return finish(connect().reload(path));
     } else if (command == "routes") {
-      return finish(endpoint.connect().routes());
+      return finish(connect().routes());
     } else if (command == "spec-of") {
       if (at >= args.size()) return fail("spec-of needs a route name");
-      return finish(endpoint.connect().spec_of(args[at]));
+      return finish(connect().spec_of(args[at]));
     } else if (command == "drain") {
-      return finish(endpoint.connect().drain());
+      return finish(connect().drain());
     } else if (command == "repair") {
       const std::string route = at < args.size() ? args[at++] : "";
-      return finish(endpoint.connect().repair(route));
+      return finish(connect().repair(route));
     } else if (command == "shutdown") {
-      return finish(endpoint.connect().shutdown());
+      return finish(connect().shutdown());
     } else if (command == "get") {
       std::string tag;
       bool payload = false;
@@ -399,7 +383,7 @@ int main(int argc, char** argv) {
         }
       }
       if (key.empty()) return fail("get needs a key");
-      daemon::DaemonClient connection = endpoint.connect();
+      daemon::DaemonClient connection = connect();
       const daemon::GetResponse response = connection.get(tag, key, payload);
       std::cout << "status=" << daemon::to_string(response.status)
                 << " hit="
@@ -471,8 +455,8 @@ int main(int argc, char** argv) {
         options.workload = experiment.workload;
         options.seed = experiment.deployment.seed;
       }
-      return options.rate > 0.0 ? run_open_loop(endpoint, options)
-                                : run_closed_loop(endpoint, options);
+      return options.rate > 0.0 ? run_open_loop(socket_path, options)
+                                : run_closed_loop(socket_path, options);
     }
     usage();
     return fail("unknown command " + command);

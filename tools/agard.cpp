@@ -3,9 +3,8 @@
 //   $ ./agard --config examples/specs/daemon_routes.json
 //   $ ./agard --config routes.json --listen /tmp/agard.sock --foreground
 //
-// Requests arrive on a Unix-domain socket (plus an optional loopback TCP
-// listener enabled by the config's "tcp_port") and are routed to
-// registered strategies/engines purely by the declarative routing config.
+// Requests arrive on a Unix-domain socket and are routed to registered
+// strategies/engines purely by the declarative routing config.
 // SIGHUP — or `agarctl reload` — re-reads the config without dropping
 // in-flight requests; `agarctl shutdown` (or SIGTERM/SIGINT) stops it.
 #include <signal.h>
