@@ -1,9 +1,9 @@
 // Simulation-core throughput harness: event dispatch through the rebuilt
-// loop (reserved heap + timer wheel + move-only pops) against a verbatim
-// copy of the seed's priority_queue loop, the wheel's periodic-timer path,
-// the inter-shard SPSC ring, the sharded engine's aggregate dispatch rate
-// at 1/2/4 worker threads, and end-to-end experiment reads/second at the
-// same shard counts.
+// loop (one reserved 4-ary heap for one-shots and timer firings, move-only
+// pops) against a verbatim copy of the seed's priority_queue loop, the
+// periodic-timer path, the sharded engine's aggregate dispatch rate at
+// 1/2/4 worker threads, and end-to-end experiment reads/second at the same
+// shard counts.
 //
 // The dispatch workload replays the production event mix: self-rescheduling
 // one-shot events whose closures exceed the std::function small-buffer (as
@@ -33,7 +33,6 @@
 #include "api/api.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/sharded_engine.hpp"
-#include "sim/spsc_ring.hpp"
 
 namespace {
 
@@ -192,7 +191,7 @@ struct Chain {
 /// Arm the standard workload on `lane_loop`: kChainsPerLane chains and
 /// kTimersPerLane periodic timers for the given lane. With an engine, 1/16
 /// of chain dispatches additionally post a one-shot event to the next lane
-/// (over a ring when the lanes live on different shards).
+/// (through an outbox when the lanes live on different shards).
 template <typename Loop>
 void arm_lane(Loop& lane_loop, sim::ShardedEngine* engine, std::size_t lane,
               std::vector<std::unique_ptr<Chain<Loop>>>& chains) {
@@ -264,15 +263,15 @@ void bench_sharded_dispatch(std::size_t shards, std::uint64_t target) {
                        [&] { return engine.events_executed() >= target; });
   });
   std::ostringstream note;
-  note << engine.cross_shard_messages() << " ring messages";
+  note << engine.cross_shard_messages() << " cross-shard messages";
   record("event_dispatch", "shards=" + std::to_string(shards),
          engine.events_executed(), sec, note.str());
 }
 
 // --------------------------------------------------------------- timers
 //
-// Periodic firings in isolation: the wheel's O(1) arm/fire/re-arm against
-// the seed's shared_ptr-rebind-per-firing.
+// Periodic firings in isolation: the loop's re-arm (one heap push of an
+// inline [this, id] thunk) against the seed's shared_ptr-rebind-per-firing.
 
 template <typename Loop>
 void bench_periodic_timers(const std::string& config, std::uint64_t target,
@@ -281,7 +280,7 @@ void bench_periodic_timers(const std::string& config, std::uint64_t target,
   std::uint64_t fired = 0;
   constexpr std::size_t kTimers = 64;
   for (std::size_t t = 0; t < kTimers; ++t) {
-    // Periods spread across wheel levels: 1 ms .. ~1 s.
+    // Periods spread from 1 ms to ~1 s.
     const SimTimeMs period = 1.0 + static_cast<double>((t * 17) % 997);
     loop.schedule_periodic(period, [&fired] {
       ++fired;
@@ -292,27 +291,6 @@ void bench_periodic_timers(const std::string& config, std::uint64_t target,
     while (fired < target) loop.run_until(loop.now() + 10'000.0);
   });
   record("periodic_timers", config, fired, sec, note);
-}
-
-// ----------------------------------------------------------------- ring
-
-void bench_ring(std::uint64_t target) {
-  sim::SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t transferred = 0;
-  const double sec = wall_seconds([&] {
-    std::uint64_t popped = 0;
-    while (transferred < target) {
-      // Batches of 512: half-fill, then drain — the window-boundary shape.
-      for (std::uint64_t i = 0; i < 512; ++i) {
-        std::uint64_t v = i;
-        if (!ring.try_push(std::move(v))) break;
-        ++transferred;
-      }
-      while (ring.try_pop(popped)) {
-      }
-    }
-  });
-  record("spsc_ring", "push+pop", transferred, sec, "single thread, cap 1024");
 }
 
 // ------------------------------------------------ end-to-end experiment
@@ -410,7 +388,6 @@ int main(int argc, char** argv) {
 
   const std::uint64_t dispatch_events = g_quick ? 300'000 : 2'000'000;
   const std::uint64_t timer_events = g_quick ? 200'000 : 1'000'000;
-  const std::uint64_t ring_events = g_quick ? 2'000'000 : 20'000'000;
   const std::size_t e2e_ops = g_quick ? 1'000 : 4'000;
   const std::string host_note =
       std::to_string(std::thread::hardware_concurrency()) +
@@ -420,15 +397,14 @@ int main(int argc, char** argv) {
       "seed-serial", dispatch_events,
       "pre-refactor priority_queue loop, copy per dispatch");
   bench_serial_dispatch<sim::EventLoop>("serial", dispatch_events,
-                                        "rebuilt loop, heap + wheel");
+                                        "rebuilt loop, one 4-ary heap");
   for (const int shards : {1, 2, 4}) {
     bench_sharded_dispatch(static_cast<std::size_t>(shards), dispatch_events);
   }
   bench_periodic_timers<seed::EventLoop>(
       "seed", timer_events, "shared_ptr rebind per firing");
-  bench_periodic_timers<sim::EventLoop>("wheel", timer_events,
+  bench_periodic_timers<sim::EventLoop>("heap", timer_events,
                                         "64 timers, periods 1 ms - 1 s");
-  bench_ring(ring_events);
   for (const int shards : {1, 2, 4}) {
     bench_e2e(static_cast<std::size_t>(shards), e2e_ops);
   }

@@ -42,8 +42,6 @@ struct FaultTolerantFetchPolicy::Pending {
   bool done = false;
   bool primary_outstanding = false;
   bool hedge_outstanding = false;
-  sim::EventLoop::TimerId timeout_timer = 0;
-  sim::EventLoop::TimerId hedge_timer = 0;
 };
 
 FaultTolerantFetchPolicy::FaultTolerantFetchPolicy(sim::Network* network,
@@ -110,11 +108,7 @@ void FaultTolerantFetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) 
         on_wire_result(p, epoch, /*is_hedge=*/false, l);
       });
   p->primary_outstanding = accepted;
-  // One-shot timer: fires once, returns false to disarm.
-  p->timeout_timer = loop()->schedule_periodic(timeout, [this, p, epoch] {
-    on_timeout(p, epoch);
-    return false;
-  });
+  loop()->schedule_in(timeout, [this, p, epoch] { on_timeout(p, epoch); });
   // Hedge only races a request that actually went out; a refused (down)
   // destination has nothing worth duplicating.
   if (accepted && params_.hedge_after_mult > 0.0) {
@@ -122,10 +116,8 @@ void FaultTolerantFetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) 
         params_.hedge_after_mult *
         network_->model().expected_backend_fetch_ms(p->from, p->to, p->bytes);
     if (hedge_delay > 0.0 && hedge_delay < timeout) {
-      p->hedge_timer = loop()->schedule_periodic(hedge_delay, [this, p, epoch] {
-        on_hedge_fire(p, epoch);
-        return false;
-      });
+      loop()->schedule_in(hedge_delay,
+                          [this, p, epoch] { on_hedge_fire(p, epoch); });
     }
   }
 }
@@ -133,7 +125,6 @@ void FaultTolerantFetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) 
 void FaultTolerantFetchPolicy::on_hedge_fire(const std::shared_ptr<Pending>& p,
                                              std::uint64_t epoch) {
   if (p->done || epoch != p->epoch) return;
-  p->hedge_timer = 0;
   if (!p->primary_outstanding) return;  // primary already failed; retry path owns it
   const bool accepted = network_->begin_fetch(
       p->from, p->to, p->bytes, [this, p, epoch](std::optional<SimTimeMs> l) {
@@ -176,7 +167,6 @@ void FaultTolerantFetchPolicy::on_wire_result(const std::shared_ptr<Pending>& p,
 void FaultTolerantFetchPolicy::on_timeout(const std::shared_ptr<Pending>& p,
                                           std::uint64_t epoch) {
   if (p->done || epoch != p->epoch) return;
-  p->timeout_timer = 0;  // self-disarmed by returning false
   ++stats_.timeouts;
   abandon_attempt(p);
   attempt_failed(p);
@@ -187,15 +177,6 @@ void FaultTolerantFetchPolicy::abandon_attempt(
   ++p->epoch;  // stale wire completions and timer firings become no-ops
   p->primary_outstanding = false;
   p->hedge_outstanding = false;
-  sim::EventLoop* const l = loop();
-  if (p->timeout_timer != 0) {
-    l->cancel(p->timeout_timer);
-    p->timeout_timer = 0;
-  }
-  if (p->hedge_timer != 0) {
-    l->cancel(p->hedge_timer);
-    p->hedge_timer = 0;
-  }
 }
 
 void FaultTolerantFetchPolicy::attempt_failed(
@@ -222,8 +203,10 @@ void FaultTolerantFetchPolicy::attempt_failed(
 
 void FaultTolerantFetchPolicy::complete(const std::shared_ptr<Pending>& p,
                                         std::optional<SimTimeMs> result) {
-  abandon_attempt(p);  // disarm timers; late arrivals drop on the epoch
+  abandon_attempt(p);  // late arrivals and timers drop on the epoch
   p->done = true;
+  // Pending outlives this call in the armed timers' closures; they must
+  // not keep the read's continuation alive.
   FetchCallback cb = std::move(p->cb);
   cb(result);
 }

@@ -6,8 +6,8 @@
 // historical fail-fast semantics byte for byte. The fault-tolerant
 // policies wrap every wire fetch in a state machine:
 //
-//   * per-fetch timeout — a one-shot timer-wheel timer races the network
-//     completion; whichever fires first wins, the loser is ignored;
+//   * per-fetch timeout — a one-shot event races the network completion;
+//     whichever fires first wins, the loser is ignored;
 //   * bounded retries with exponential backoff plus multiplicative jitter
 //     (deterministic: the jitter RNG is seeded per lane);
 //   * optional hedging — after hedge_after_mult x the expected latency, a
@@ -139,8 +139,8 @@ class FaultTolerantFetchPolicy final : public FetchPolicy {
   void on_hedge_fire(const std::shared_ptr<Pending>& p, std::uint64_t epoch);
   /// The current attempt (primary + any hedge) is dead: retry or exhaust.
   void attempt_failed(const std::shared_ptr<Pending>& p);
-  /// Invalidate the in-flight attempt: bump the epoch (stale completions
-  /// are dropped) and disarm the timers.
+  /// Invalidate the in-flight attempt: bump the epoch, so its stale
+  /// completions and timer firings are dropped.
   void abandon_attempt(const std::shared_ptr<Pending>& p);
   void complete(const std::shared_ptr<Pending>& p,
                 std::optional<SimTimeMs> result);

@@ -72,9 +72,9 @@ void LfuConfigStrategy::warm_up() { region_manager_.probe(); }
 void LfuConfigStrategy::start_control_plane() {
   // Same event-driven pipeline as Agar: async probe round, then apply the
   // configuration once the probes have landed.
-  reconfig_timer_ = region_manager_.schedule_probe_pipeline(
-      *ctx_.loop, params_.reconfig_period_ms,
-      [this] { apply_configuration(); });
+  region_manager_.schedule_probe_pipeline(*ctx_.loop,
+                                          params_.reconfig_period_ms,
+                                          [this] { apply_configuration(); });
 }
 
 void LfuConfigStrategy::start_reconfiguration() {

@@ -57,12 +57,6 @@ class LfuConfigStrategy final : public ReadStrategy {
   [[nodiscard]] core::RequestMonitor& monitor() { return monitor_; }
   [[nodiscard]] const LfuConfigParams& params() const { return params_; }
 
-  /// Cancel handle of the periodic reconfiguration (0 until started);
-  /// pass to EventLoop::cancel to stop the control plane mid-run.
-  [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
-    return reconfig_timer_;
-  }
-
  private:
   /// The c most-distant of the k needed chunks of `key` (most distant
   /// first), per the live latency estimates.
@@ -73,7 +67,6 @@ class LfuConfigStrategy final : public ReadStrategy {
   void apply_configuration();
 
   LfuConfigParams params_;
-  sim::EventLoop::TimerId reconfig_timer_ = 0;
   cache::StaticConfigCache cache_;
   core::RegionManager region_manager_;
   core::RequestMonitor monitor_;

@@ -9,7 +9,7 @@
 // (client region) owns a LaneState that is only ever touched from events
 // executing on that lane, and ALL cross-lane traffic — broadcasts, Paxos
 // append requests/replies, decided-epoch notifications — rides the sharded
-// engine's post()/SPSC rings with (when, lane, seq) keying, so shards=1 and
+// engine's post()/outboxes with (when, lane, seq) keying, so shards=1 and
 // shards=N stay byte-identical (the PR 6 determinism contract).
 //
 // Pieces:

@@ -79,51 +79,35 @@ EventLoop::TimerId EventLoop::schedule_periodic(SimTimeMs period,
   }
   const TimerId id = next_timer_++;
   timers_.emplace(id, TimerRecord{std::move(fn), period});
-  wheel_.insert({now_ + period, lane_, allocate_seq(lane_), id});
+  arm_timer(id, now_ + period, lane_);
   return id;
 }
 
 bool EventLoop::cancel(TimerId id) { return timers_.erase(id) > 0; }
 
-void EventLoop::fire_timer(TimerWheel::Entry entry) {
-  now_ = entry.when;
-  ++executed_;
-  const auto it = timers_.find(entry.timer);
+void EventLoop::arm_timer(TimerId id, SimTimeMs when, LaneId lane) {
+  Callback fire = [this, id] { fire_timer(id); };
+  push_event(Event{when, lane, allocate_seq(lane), std::move(fire)});
+}
+
+void EventLoop::fire_timer(TimerId id) {
+  const auto it = timers_.find(id);
   if (it == timers_.end()) return;  // cancelled while armed: no-op firing
-  const LaneId prev_lane = lane_;
-  lane_ = entry.lane;
+  const LaneId lane = lane_;  // the re-arm keys on the firing's lane
   // unordered_map references survive inserts from inside the callback; the
   // record is re-looked-up afterwards because cancel() may have erased it.
   const bool keep = it->second.fn();
-  lane_ = prev_lane;
-  const auto again = timers_.find(entry.timer);
+  const auto again = timers_.find(id);
   if (again == timers_.end()) return;  // cancelled itself: no re-arm
   if (!keep) {
     timers_.erase(again);
     return;
   }
-  // Re-arm in place: same timer record, one fresh per-lane sequence number
-  // — no callback re-wrap, no allocation.
-  wheel_.insert(
-      {now_ + again->second.period, entry.lane, allocate_seq(entry.lane),
-       entry.timer});
+  arm_timer(id, now_ + again->second.period, lane);
 }
 
 bool EventLoop::advance_one(SimTimeMs horizon) {
-  const Event* top = heap_.empty() ? nullptr : heap_.data();
-  const TimerWheel::Entry* timer = wheel_.peek_min();
-  if (top == nullptr && timer == nullptr) return false;
-  const bool from_wheel =
-      top == nullptr ||
-      (timer != nullptr &&
-       TimerWheel::key_less(timer->when, timer->lane, timer->seq, top->when,
-                            top->lane, top->seq));
-  if (from_wheel) {
-    if (timer->when > horizon) return false;
-    fire_timer(wheel_.pop_min());
-    return true;
-  }
-  if (top->when > horizon) return false;
+  if (heap_.empty() || heap_.front().when > horizon) return false;
   Event event = pop_top();
   now_ = event.when;
   ++executed_;

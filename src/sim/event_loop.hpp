@@ -10,15 +10,15 @@
 // (sim/sharded_engine.hpp) produces byte-identical results for any shard
 // count; a plain single-loop run is simply the one-lane special case.
 //
-// Hot-path design: one-shot events live in a 4-ary min-heap over a
-// reserved contiguous vector — half the depth of a binary heap and
-// hole-based sifting, so a push or pop moves each displaced event once
-// instead of swapping it; events are moved in and out, never copied.
-// Periodic timers live in a hierarchical timer wheel
-// (sim/timer_wheel.hpp) so arming, firing and re-arming are O(1) and
-// never re-wrap the callback. The loop drains all events sharing one
-// timestamp in a tight batch, checking the timer wheel's cached minimum
-// once per event instead of re-deriving it.
+// Hot-path design: every event, one-shot or periodic-timer firing, lives
+// in one 4-ary min-heap over a reserved contiguous vector — half the depth
+// of a binary heap and hole-based sifting, so a push or pop moves each
+// displaced event once instead of swapping it; events are moved in and
+// out, never copied. A periodic timer keeps its callback in a record keyed
+// by its TimerId; each firing is an ordinary heap event whose callback is
+// a 16-byte [this, id] thunk, which std::function stores inline, so arming
+// and re-arming allocate nothing. Cancelling erases the record: a firing
+// already in the heap still pops at its time, as a counted no-op.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace agar::sim {
 
@@ -41,6 +40,9 @@ class EventLoop {
   using LaneId = std::uint32_t;
 
   EventLoop() { heap_.reserve(kDefaultReserve); }
+  // Armed timer firings hold `this`.
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   /// Current virtual time (ms). Starts at 0.
   [[nodiscard]] SimTimeMs now() const { return now_; }
@@ -85,7 +87,10 @@ class EventLoop {
   /// Number of events executed so far (observability for tests).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  [[nodiscard]] bool empty() const { return heap_.empty() && wheel_.empty(); }
+  /// True once nothing is queued. A cancelled timer's pending firing
+  /// still counts until it pops; the sharded engine's idle check relies
+  /// on that.
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Pre-size the event heap (the runner sizes it from the op budget).
   void reserve(std::size_t events) {
@@ -106,7 +111,7 @@ class EventLoop {
   [[nodiscard]] std::uint64_t allocate_seq(LaneId lane);
 
   /// Insert an event with an explicit, pre-allocated ordering key. Used
-  /// when draining inter-shard rings; `when` is still clamped to >= now.
+  /// when draining cross-shard outboxes; `when` is still clamped to >= now.
   void schedule_keyed(SimTimeMs when, LaneId lane, std::uint64_t seq,
                       Callback fn);
 
@@ -136,7 +141,9 @@ class EventLoop {
   Event pop_top();
   /// Execute the earliest event if it fires at or before `horizon`.
   bool advance_one(SimTimeMs horizon);
-  void fire_timer(TimerWheel::Entry entry);
+  /// Push timer `id`'s next firing, keyed on `lane`'s counter.
+  void arm_timer(TimerId id, SimTimeMs when, LaneId lane);
+  void fire_timer(TimerId id);
 
   SimTimeMs now_ = 0.0;
   LaneId lane_ = 0;
@@ -144,7 +151,6 @@ class EventLoop {
   TimerId next_timer_ = 1;
   std::vector<std::uint64_t> seqs_ = {0};
   std::vector<Event> heap_;
-  TimerWheel wheel_;
   std::unordered_map<TimerId, TimerRecord> timers_;
 };
 

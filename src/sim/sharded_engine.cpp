@@ -24,27 +24,26 @@ struct ShardScope {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(std::size_t num_shards, std::size_t num_lanes,
-                             std::size_t ring_capacity)
+ShardedEngine::ShardedEngine(std::size_t num_shards, std::size_t num_lanes)
     : num_lanes_(std::max<std::size_t>(num_lanes, 1)) {
   const std::size_t n =
       std::clamp<std::size_t>(num_shards, 1, num_lanes_);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  channels_.resize(n * n);
-  for (std::size_t from = 0; from < n; ++from) {
-    for (std::size_t to = 0; to < n; ++to) {
-      if (from == to) continue;
-      channels_[from * n + to] = std::make_unique<Channel>(ring_capacity);
-    }
+    shards_.back()->outboxes.resize(n);
   }
 }
 
 std::uint64_t ShardedEngine::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->loop.events_executed();
+  return total;
+}
+
+std::uint64_t ShardedEngine::cross_shard_messages() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->cross_posts;
   return total;
 }
 
@@ -65,8 +64,8 @@ void ShardedEngine::post(LaneId to_lane, SimTimeMs when,
   // already have passed. The bound must be a pure function of the sending
   // event's virtual time — NOT of the window the event happened to execute
   // in: an event firing exactly at a boundary runs in window k when local
-  // but in window k+1 when it arrived over a ring, and using the executing
-  // window's end would leak that difference into the fire time.
+  // but in window k+1 when it arrived from another shard, and using the
+  // executing window's end would leak that difference into the fire time.
   const SimTimeMs now = from.loop.now();
   const SimTimeMs bound = (std::floor(now / window_ms_) + 1.0) * window_ms_;
   const SimTimeMs fire = std::max(when, bound);
@@ -76,29 +75,21 @@ void ShardedEngine::post(LaneId to_lane, SimTimeMs when,
     from.loop.schedule_keyed(fire, from_lane, seq, std::move(fn));
     return;
   }
-  cross_messages_.fetch_add(1, std::memory_order_relaxed);
-  Channel& ch = channel(static_cast<std::size_t>(tl_shard), to_shard);
-  Message msg{fire, from_lane, seq, std::move(fn)};
-  if (!ch.ring.try_push(std::move(msg))) {
-    spill_messages_.fetch_add(1, std::memory_order_relaxed);
-    ch.spill.push_back(std::move(msg));
-  }
+  ++from.cross_posts;
+  from.outboxes[to_shard].messages.push_back(
+      Message{fire, from_lane, seq, std::move(fn)});
 }
 
 void ShardedEngine::drain_into(std::size_t shard) {
-  Shard& s = *shards_[shard];
-  for (std::size_t from = 0; from < shards_.size(); ++from) {
-    if (from == shard) continue;
-    Channel& ch = channel(from, shard);
-    s.inbox.clear();
-    ch.ring.drain_into(s.inbox);
-    for (Message& msg : ch.spill) s.inbox.push_back(std::move(msg));
-    ch.spill.clear();
+  EventLoop& loop = shards_[shard]->loop;
+  for (const auto& from : shards_) {
+    std::vector<Message>& messages = from->outboxes[shard].messages;
     // Insertion order is irrelevant: the loop orders by (when, lane, seq)
-    // and every key is unique, so the heap state is deterministic.
-    for (Message& msg : s.inbox) {
-      s.loop.schedule_keyed(msg.when, msg.lane, msg.seq, std::move(msg.fn));
+    // and every key is unique, so the execution order is deterministic.
+    for (Message& msg : messages) {
+      loop.schedule_keyed(msg.when, msg.lane, msg.seq, std::move(msg.fn));
     }
+    messages.clear();
   }
 }
 

@@ -10,26 +10,26 @@
 // conservative synchronization, with the window playing the lookahead
 // role).
 //
-// Cross-shard messages travel over one bounded lock-free SPSC ring per
-// (producer, consumer) shard pair (sim/spsc_ring.hpp), with fixed-size
-// slots keyed (when, origin lane, origin seq). Because the key is drawn
-// from the *lane's* counter — not the shard's — the merged execution order
-// every loop produces is exactly the order a single loop running all lanes
-// would produce: byte-identical results for any shard count. A one-shard
-// engine runs inline on the calling thread with no threads, barriers or
-// rings, and is the reference the N-shard runs must match.
+// A cross-shard message is appended to the producing shard's outbox for
+// the destination shard, keyed (when, origin lane, origin seq). Because
+// the key is drawn from the *lane's* counter — not the shard's — the
+// merged execution order every loop produces is exactly the order a single
+// loop running all lanes would produce: byte-identical results for any
+// shard count. A one-shard engine runs inline on the calling thread with
+// no threads, barriers or outboxes, and is the reference the N-shard runs
+// must match.
 //
 // Window protocol per window k over [k·W, (k+1)·W]:
 //   1. execute: each shard runs its loop up to the boundary (k+1)·W
-//   2. barrier — every producer has finished pushing this window's messages
-//   3. drain: each shard pops its incoming rings (and adopts overflow
-//      spills) and inserts the messages into its own loop
+//   2. barrier — every producer has finished appending this window's
+//      messages
+//   3. drain: each shard moves every outbox addressed to it into its own
+//      loop
 //   4. barrier — one thread evaluates the stop predicate; all shards
 //      either continue to window k+1 or stop together
 //
-// A full ring never blocks the producer (blocking inside a window would
-// deadlock step 2); the producer spills to a plain vector that the
-// consumer adopts in step 3, after the barrier has made it safe to read.
+// The barriers are the outboxes' only synchronization: an outbox is
+// written by its producer in step 1 and emptied by its consumer in step 3.
 #pragma once
 
 #include <atomic>
@@ -42,16 +42,23 @@
 
 #include "common/types.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/spsc_ring.hpp"
 
 namespace agar::sim {
+
+/// Destructive-interference stride between shards. Pinned to 64 (the line
+/// size on every target this builds for) instead of
+/// std::hardware_destructive_interference_size: the constant is part of
+/// the layout, and GCC warns that the std value can differ between TUs
+/// under different tuning flags.
+inline constexpr std::size_t kCacheLineSize = 64;
 
 class ShardedEngine {
  public:
   using LaneId = EventLoop::LaneId;
 
-  /// Fixed-size ring slot: the deterministic ordering key plus the event
-  /// body. `lane`/`seq` always come from the *producing* lane's counter.
+  /// An event in flight between shards: the deterministic ordering key
+  /// plus the event body. `lane`/`seq` always come from the *producing*
+  /// lane's counter.
   struct Message {
     SimTimeMs when = 0.0;
     LaneId lane = 0;
@@ -61,8 +68,7 @@ class ShardedEngine {
 
   /// `num_shards` is clamped to [1, num_lanes] — a shard without lanes
   /// would only burn a thread on empty windows.
-  ShardedEngine(std::size_t num_shards, std::size_t num_lanes,
-                std::size_t ring_capacity = 1024);
+  ShardedEngine(std::size_t num_shards, std::size_t num_lanes);
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] std::size_t num_lanes() const { return num_lanes_; }
@@ -83,13 +89,9 @@ class ShardedEngine {
   /// Total events executed across all shards.
   [[nodiscard]] std::uint64_t events_executed() const;
 
-  /// Messages that crossed a shard boundary (ring + spill), observability.
-  [[nodiscard]] std::uint64_t cross_shard_messages() const {
-    return cross_messages_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t ring_spills() const {
-    return spill_messages_.load(std::memory_order_relaxed);
-  }
+  /// Messages that crossed a shard boundary (observability). Read it
+  /// between runs or from the stop predicate.
+  [[nodiscard]] std::uint64_t cross_shard_messages() const;
 
   /// Post an event to `to_lane`. Must be called from inside an event
   /// executing on this engine (the producing lane is the executing
@@ -106,23 +108,18 @@ class ShardedEngine {
   void run_windows(SimTimeMs window_ms, const std::function<bool()>& stop);
 
  private:
+  /// One producer's messages for one destination shard. Line-aligned so
+  /// no two producers ever write one cache line.
+  struct alignas(kCacheLineSize) Outbox {
+    std::vector<Message> messages;
+  };
   struct alignas(kCacheLineSize) Shard {
     EventLoop loop;
     SimTimeMs window_end = 0.0;
-    std::vector<Message> inbox;  // drain staging, reused across windows
-  };
-  /// Producer-side channel to one consumer shard: the lock-free ring plus
-  /// the overflow spill (written by producer inside the window, adopted by
-  /// the consumer after the barrier).
-  struct Channel {
-    explicit Channel(std::size_t capacity) : ring(capacity) {}
-    SpscRing<Message> ring;
-    std::vector<Message> spill;
+    std::vector<Outbox> outboxes;   // [destination shard]
+    std::uint64_t cross_posts = 0;  // messages appended to `outboxes`
   };
 
-  [[nodiscard]] Channel& channel(std::size_t from, std::size_t to) {
-    return *channels_[from * shards_.size() + to];
-  }
   [[nodiscard]] bool all_idle() const;
   void drain_into(std::size_t shard);
   void run_inline(SimTimeMs window_ms, const std::function<bool()>& stop);
@@ -131,9 +128,6 @@ class ShardedEngine {
   std::size_t num_lanes_;
   SimTimeMs window_ms_ = 1.0;  ///< set by run_windows; post()'s clamp grid
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Channel>> channels_;  // [from * N + to]
-  std::atomic<std::uint64_t> cross_messages_{0};
-  std::atomic<std::uint64_t> spill_messages_{0};
 
   // Per-run coordination (workers + the barrier completion step).
   std::function<bool()> stop_;

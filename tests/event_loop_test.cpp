@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace agar::sim {
@@ -139,6 +141,27 @@ TEST(EventLoop, CancelStopsPeriodicTimer) {
   EXPECT_EQ(loop.active_timer_count(), 0u);
 }
 
+TEST(EventLoop, CancelOfAlreadyQueuedFiringIsACountedNoOp) {
+  EventLoop loop;
+  int fired = 0;
+  const auto id = loop.schedule_periodic(10.0, [&] {
+    ++fired;
+    return true;
+  });
+  loop.run_until(15.0);  // the t=20 firing is now queued
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(loop.cancel(id));
+  EXPECT_FALSE(loop.empty());  // the sharded engine's idle check sees it
+  const auto executed_before = loop.events_executed();
+  loop.run();
+  // The stale firing still pops at its time and counts as an executed
+  // event, but must not invoke the callback or re-arm.
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.events_executed(), executed_before + 1);
+  EXPECT_EQ(loop.now(), 20.0);
+  EXPECT_TRUE(loop.empty());
+}
+
 TEST(EventLoop, CancelIsIdempotent) {
   EventLoop loop;
   const auto id = loop.schedule_periodic(10.0, [] { return true; });
@@ -164,6 +187,16 @@ TEST(EventLoop, CancelFromWithinCallbackCannotLeakTimer) {
   EXPECT_EQ(count, 1);
   EXPECT_EQ(loop.active_timer_count(), 0u);
   EXPECT_EQ(loop.now(), 10.0);  // no ghost firing at t=20
+}
+
+TEST(EventLoop, ZeroPeriodIsRejected) {
+  EventLoop loop;
+  EXPECT_THROW(loop.schedule_periodic(0.0, [] { return true; }),
+               std::invalid_argument);
+  EXPECT_THROW(loop.schedule_periodic(-5.0, [] { return true; }),
+               std::invalid_argument);
+  EXPECT_EQ(loop.active_timer_count(), 0u);
+  EXPECT_TRUE(loop.empty());
 }
 
 TEST(EventLoop, ReturningFalseReleasesTimerHandle) {
@@ -211,6 +244,46 @@ TEST(EventLoop, InterleavedPeriodicAndOneShot) {
   EXPECT_EQ(sequence,
             (std::vector<std::string>{"tick@10", "shot@15", "tick@20",
                                       "tick@30"}));
+}
+
+TEST(EventLoop, ManyTimersFireInDeterministicOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    loop.schedule_periodic(10.0 + i, [&order, i] {
+      order.push_back(i);
+      return false;
+    });
+  }
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventLoop, TimerAndOneShotAtTheSameTimeFireInKeyOrder) {
+  // A timer firing is keyed (when, lane, seq) like any one-shot: its seq
+  // is drawn when it is armed, and a re-arm draws after the callback's own
+  // scheduling. Lane 1's timer is armed first yet fires after lane 0's.
+  EventLoop loop;
+  std::string order;
+  const auto log = [&](const std::string& what) {
+    order += what + "@" + std::to_string(static_cast<int>(loop.now())) + " ";
+  };
+  loop.set_scheduling_lane(1);
+  loop.schedule_periodic(10.0, [&] {
+    log("lane1");
+    return false;
+  });
+  loop.set_scheduling_lane(0);
+  loop.schedule_at(10.0, [&] { log("pre"); });
+  loop.schedule_periodic(10.0, [&] {
+    log("tick");
+    if (loop.now() > 10.0) return false;
+    loop.schedule_at(20.0, [&] { log("child"); });
+    return true;
+  });
+  loop.schedule_at(10.0, [&] { log("post"); });
+  loop.run();
+  EXPECT_EQ(order, "pre@10 tick@10 post@10 lane1@10 child@20 tick@20 ");
 }
 
 }  // namespace

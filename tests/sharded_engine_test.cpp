@@ -1,4 +1,4 @@
-// Sharded engine: window protocol, cross-shard rings, and the core
+// Sharded engine: window protocol, cross-shard outboxes, and the core
 // guarantee — byte-identical execution for any shard count.
 #include "sim/sharded_engine.hpp"
 
@@ -55,13 +55,10 @@ TEST(ShardedEngine, StopsWhenAllShardsIdle) {
 using Hop = std::tuple<SimTimeMs, LaneId, std::uint64_t>;
 
 /// Lanes bounce messages at pseudo-random delays to pseudo-random lanes
-/// through engine.post(). Returns per-lane traces. Ring capacity 2 forces
-/// overflow spills whenever traffic bursts.
-std::vector<std::vector<Hop>> run_ping_pong(std::size_t shards,
-                                            std::size_t lanes,
-                                            std::uint64_t* spills = nullptr,
-                                            std::uint64_t* crossings = nullptr) {
-  ShardedEngine engine(shards, lanes, /*ring_capacity=*/2);
+/// through engine.post(). Returns per-lane traces.
+std::vector<std::vector<Hop>> run_ping_pong(
+    std::size_t shards, std::size_t lanes, std::uint64_t* crossings = nullptr) {
+  ShardedEngine engine(shards, lanes);
   std::vector<std::vector<Hop>> traces(lanes);
   std::vector<std::uint64_t> counts(lanes, 0);
 
@@ -94,7 +91,6 @@ std::vector<std::vector<Hop>> run_ping_pong(std::size_t shards,
     return std::accumulate(counts.begin(), counts.end(),
                            std::uint64_t{0}) >= 400;
   });
-  if (spills != nullptr) *spills = engine.ring_spills();
   if (crossings != nullptr) *crossings = engine.cross_shard_messages();
   return traces;
 }
@@ -102,10 +98,10 @@ std::vector<std::vector<Hop>> run_ping_pong(std::size_t shards,
 TEST(ShardedEngine, PingPongTraceIsIdenticalForAnyShardCount) {
   constexpr std::size_t kLanes = 8;
   const auto serial = run_ping_pong(1, kLanes);
-  std::uint64_t spills2 = 0, cross2 = 0;
-  const auto two = run_ping_pong(2, kLanes, &spills2, &cross2);
-  std::uint64_t spills4 = 0, cross4 = 0;
-  const auto four = run_ping_pong(4, kLanes, &spills4, &cross4);
+  std::uint64_t cross2 = 0;
+  const auto two = run_ping_pong(2, kLanes, &cross2);
+  std::uint64_t cross4 = 0;
+  const auto four = run_ping_pong(4, kLanes, &cross4);
   const auto eight = run_ping_pong(8, kLanes);
 
   std::size_t total = 0;
@@ -116,12 +112,10 @@ TEST(ShardedEngine, PingPongTraceIsIdenticalForAnyShardCount) {
   EXPECT_EQ(serial, four);
   EXPECT_EQ(serial, eight);
 
-  // The parallel runs really did exercise the rings (and, with capacity 2,
-  // the overflow spill path) — this is not a degenerate all-local run.
+  // The parallel runs really did exercise the outboxes — this is not a
+  // degenerate all-local run.
   EXPECT_GT(cross2, 0u);
   EXPECT_GT(cross4, 0u);
-  EXPECT_GT(spills2, 0u);
-  EXPECT_GT(spills4, 0u);
 }
 
 TEST(ShardedEngine, PostClampsToTheWindowBoundary) {
