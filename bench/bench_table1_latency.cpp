@@ -40,7 +40,7 @@ int main() {
   }
 
   std::cout << "paper (from Frankfurt): 80 / 200 / 600 / 1400 / 3400 / 4600 "
-               "ms -- same ordering, different absolute scale (see "
-               "DESIGN.md substitutions).\n";
+               "ms -- same ordering, different absolute scale (PAPER.md, "
+               "\"This reproduction\").\n";
   return 0;
 }

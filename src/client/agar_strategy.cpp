@@ -1,6 +1,8 @@
 #include "client/agar_strategy.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -9,6 +11,18 @@
 namespace agar::client {
 
 namespace {
+
+/// What both registrations share: the cache, the reconfiguration period and
+/// the local-cache latency every caching option is valued against.
+AgarParams registered_params(const api::StrategyContext& ctx,
+                             const api::ParamMap& params) {
+  AgarParams p;
+  p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
+  p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
+  p.cache_manager.cache_latency_ms =
+      ctx.client->network->model().params().cache_base_ms;
+  return p;
+}
 
 const api::StrategyRegistration kAgar{{
     "agar",
@@ -27,15 +41,11 @@ const api::StrategyRegistration kAgar{{
          "(monitor.<param> passes estimator-specific knobs)"},
     }},
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
-      AgarParams p;
-      p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
-      p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
+      AgarParams p = registered_params(ctx, params);
       p.probes_per_region =
           params.get_size("probes_per_region", p.probes_per_region);
       p.cache_manager.candidate_weights =
           ctx.experiment->agar_candidate_weights;
-      p.cache_manager.cache_latency_ms =
-          ctx.deployment->network().model().params().cache_base_ms;
       p.cache_manager.planner = params.get_string("planner", "knapsack-dp");
       p.cache_manager.planner_params = params.scoped("planner.");
       p.monitor.estimator = params.get_string("monitor", "exact-ewma");
@@ -51,6 +61,43 @@ const api::StrategyRegistration kAgar{{
       if (planner != "knapsack-dp") tags += planner;
       if (monitor != "exact-ewma") tags += (tags.empty() ? "" : ",") + monitor;
       return tags.empty() ? std::string("Agar") : "Agar[" + tags + "]";
+    }}};
+
+// The paper's LFU-c client (§V-A): Agar's request-frequency proxy, probes
+// and periodic reconfiguration, caching c chunks of the most frequent
+// objects. That is Agar with the one candidate weight c under the greedy
+// planner, which admits objects by value density while they fit. Density
+// is popularity order when every object's c chunks save the same positive
+// latency, as with RS(9,3) over the six regions; docs/api.md lists the
+// geometries where it is not.
+const api::StrategyRegistration kLfu{{
+    "lfu",
+    "LFU",
+    "the paper's LFU baseline: frequency proxy + periodic static "
+    "configuration of c chunks per object",
+    api::ParamSchema{{
+        {"chunks", api::ParamType::kSize, "9", "chunks cached per object"},
+        {"cache_bytes", api::ParamType::kSize, "10MB", "cache capacity"},
+        {"ewma_alpha", api::ParamType::kDouble, "0.8",
+         "request-frequency EWMA smoothing"},
+        {"proxy_ms", api::ParamType::kDouble, "0.5",
+         "frequency-tracking proxy cost on the read path"},
+    }},
+    [](const api::StrategyContext& ctx, const api::ParamMap& params) {
+      const std::size_t chunks = params.get_size("chunks", 9);
+      if (chunks == 0) {
+        throw std::invalid_argument("lfu: chunks must be >= 1");
+      }
+      AgarParams p = registered_params(ctx, params);
+      p.cache_manager.candidate_weights = {
+          std::min(chunks, ctx.client->backend->codec().k())};
+      p.cache_manager.planner = "greedy";
+      p.monitor.ewma_alpha = params.get_double("ewma_alpha", 0.8);
+      p.monitor.processing_ms = params.get_double("proxy_ms", 0.5);
+      return std::make_unique<AgarStrategy>(*ctx.client, p);
+    },
+    [](const api::ParamMap& params) {
+      return "LFU-" + std::to_string(params.get_size("chunks", 9));
     }}};
 
 core::RegionManagerParams region_manager_params(const ClientContext& ctx,

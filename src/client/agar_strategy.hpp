@@ -11,6 +11,11 @@
 // paper's experiments) waits for its probe round to land, and the a-priori
 // population downloads go through the strategy's coalescing fetch table so
 // they merge with concurrent reads.
+//
+// The paper's LFU-c baseline is this strategy too: the `lfu` registration
+// builds it with the one candidate weight c under the greedy planner (see
+// agar_strategy.cpp), so the Fig. 6 comparison differs only in the
+// configuration policy.
 #pragma once
 
 #include "cache/static_cache.hpp"
@@ -35,7 +40,6 @@ class AgarStrategy final : public ReadStrategy {
   AgarStrategy(ClientContext ctx, AgarParams params);
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
-  [[nodiscard]] std::string name() const override { return "Agar"; }
 
   /// Warm-up phase: probe per-region latencies synchronously (paper §IV:
   /// "the region manager computes this by retrieving several data blocks

@@ -13,7 +13,6 @@ class BackendStrategy final : public ReadStrategy {
   explicit BackendStrategy(ClientContext ctx) : ReadStrategy(ctx) {}
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
-  [[nodiscard]] std::string name() const override { return "Backend"; }
 };
 
 }  // namespace agar::client

@@ -69,8 +69,6 @@ class FetchPolicy {
   virtual bool begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                            FetchCallback cb) = 0;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-
   [[nodiscard]] const FetchPolicyStats& stats() const { return stats_; }
 
   /// Success EWMA of fetches to `r` (1 = every fetch lands). Starts at 1.
@@ -122,10 +120,6 @@ class FaultTolerantFetchPolicy final : public FetchPolicy {
 
   bool begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                    FetchCallback cb) override;
-
-  [[nodiscard]] std::string name() const override {
-    return params_.hedge_after_mult > 0.0 ? "hedge" : "retry";
-  }
 
   [[nodiscard]] const FaultTolerantParams& params() const { return params_; }
 

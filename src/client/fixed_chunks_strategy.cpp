@@ -7,22 +7,6 @@
 
 namespace agar::client {
 
-namespace {
-
-/// THE fixed-chunks label derivation: engine display stem + "-" + c. Used
-/// by both the registry label fns and FixedChunksStrategy::name() so the
-/// two can never drift apart.
-std::string fixed_chunks_label(const std::string& engine_name,
-                               std::size_t chunks) {
-  const auto& engines = api::EngineRegistry::instance();
-  const std::string stem = engines.contains(engine_name)
-                               ? engines.at(engine_name).display
-                               : engine_name;
-  return stem + "-" + std::to_string(chunks);
-}
-
-}  // namespace
-
 FixedChunksStrategy::FixedChunksStrategy(
     ClientContext ctx, FixedChunksParams params,
     std::unique_ptr<cache::CacheEngine> engine)
@@ -34,10 +18,6 @@ FixedChunksStrategy::FixedChunksStrategy(
   if (cache_ == nullptr) {
     throw std::invalid_argument("FixedChunksStrategy: null cache engine");
   }
-}
-
-std::string FixedChunksStrategy::name() const {
-  return fixed_chunks_label(params_.engine, params_.chunks_per_object);
 }
 
 void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
@@ -79,6 +59,17 @@ void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
 // ----------------------------------------------------------- registration
 
 namespace {
+
+/// The fixed-chunks label of both registrations below: engine display
+/// stem + "-" + c.
+std::string fixed_chunks_label(const std::string& engine_name,
+                               std::size_t chunks) {
+  const auto& engines = api::EngineRegistry::instance();
+  const std::string stem = engines.contains(engine_name)
+                               ? engines.at(engine_name).display
+                               : engine_name;
+  return stem + "-" + std::to_string(chunks);
+}
 
 /// Shared factory body: build the named engine through the engine registry
 /// and wrap it in a fixed-chunks strategy. The on-path proxy cost defaults
@@ -128,7 +119,8 @@ const api::StrategyRegistration kFixedChunks{{
 
 // The baseline-strength ablation's eviction-driven LFU: the plain LFU
 // *engine* under fixed-chunks semantics. ("lfu" the *system* is the
-// paper's periodic frequency-proxy baseline in LfuConfigStrategy.)
+// paper's LFU-c, a periodically configured cache registered beside Agar
+// in agar_strategy.cpp.)
 const api::StrategyRegistration kLfuEviction{{
     "lfu-eviction",
     "LFUev",

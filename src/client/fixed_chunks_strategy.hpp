@@ -38,7 +38,6 @@ class FixedChunksStrategy final : public ReadStrategy {
                       std::unique_ptr<cache::CacheEngine> engine);
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
-  [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
     return cache_.get();

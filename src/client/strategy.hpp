@@ -1,6 +1,7 @@
-// Read strategies — the four client variants of the paper's evaluation
-// (§V-A): Backend (no cache), LRU-c, LFU-c (fixed chunks per object with a
-// classic eviction policy), and Agar.
+// Read strategies — the client variants of the paper's evaluation (§V-A):
+// Backend (no cache), LRU-c (fixed chunks per object under an eviction
+// policy), and Agar and LFU-c (a cache configured every period; LFU-c is
+// Agar's strategy with the chunks per object fixed).
 //
 // A strategy turns `start_read(key, done)` into events on the simulation
 // loop: chunk fetches begin on the network (which enforces per-region
@@ -93,11 +94,9 @@ class ReadStrategy {
   /// fetches) interleave as they would in a full run.
   [[nodiscard]] ReadResult read(const ObjectKey& key);
 
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Start the periodic control plane (Agar and LFU reconfigurations) on
-  /// the loop. Called once, after warm-up and the collab tier's attach;
-  /// strategies without a control plane do nothing.
+  /// Start the periodic control plane (the Agar strategy's
+  /// reconfigurations) on the loop. Called once, after warm-up and the
+  /// collab tier's attach; strategies without a control plane do nothing.
   virtual void start_control_plane() {}
 
   /// Warm-up before measurement starts (latency probes etc.).

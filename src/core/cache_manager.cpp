@@ -43,33 +43,35 @@ CacheManager::CacheManager(const store::BackendCluster* backend,
       params_.planner, api::PlannerContext{}, params_.planner_params);
 }
 
-std::size_t CacheManager::weight_quantum_bytes() const {
-  // Quantum: the smallest chunk size among tracked objects, so every
-  // option's byte footprint maps to an integer number of units. With the
-  // paper's uniform 1 MB objects this is exactly one chunk.
+namespace {
+
+/// The smallest chunk size among the tracked objects, so every option's
+/// byte footprint maps to an integer number of units. With the paper's
+/// uniform 1 MB objects this is exactly one chunk; with no tracked object
+/// it is one byte.
+std::size_t weight_quantum_bytes(
+    const store::BackendCluster& backend,
+    const std::vector<std::pair<ObjectKey, double>>& snapshot) {
   std::size_t quantum = std::numeric_limits<std::size_t>::max();
-  for (const auto& [key, pop] : request_monitor_->snapshot()) {
-    if (!backend_->has_object(key)) continue;
-    quantum = std::min(quantum, backend_->object_info(key).chunk_size);
+  for (const auto& [key, pop] : snapshot) {
+    if (!backend.has_object(key)) continue;
+    quantum = std::min(quantum, backend.object_info(key).chunk_size);
   }
   if (quantum == std::numeric_limits<std::size_t>::max()) quantum = 1;
   return std::max<std::size_t>(quantum, 1);
 }
 
-std::vector<std::vector<CachingOption>> CacheManager::generate_options()
-    const {
+}  // namespace
+
+std::vector<std::vector<CachingOption>> CacheManager::generate_options(
+    const std::vector<std::pair<ObjectKey, double>>& snapshot,
+    std::size_t quantum) const {
   OptionGeneratorParams gen_params;
   gen_params.k = backend_->codec().k();
   gen_params.m = backend_->codec().m();
   gen_params.cache_latency_ms = params_.cache_latency_ms;
   gen_params.candidate_weights = params_.candidate_weights;
   const OptionGenerator generator(gen_params);
-
-  const std::size_t quantum = weight_quantum_bytes();
-
-  // The snapshot is sorted by key (the estimator contract), so the option
-  // groups — and thus the planner's input — are deterministic.
-  const auto snapshot = request_monitor_->snapshot();
 
   std::vector<std::vector<CachingOption>> groups;
   groups.reserve(snapshot.size());
@@ -97,10 +99,14 @@ const CacheConfiguration& CacheManager::reconfigure() {
   // statistics gathered over the last interval).
   request_monitor_->roll_period();
 
-  const std::size_t quantum = weight_quantum_bytes();
+  // One snapshot per reconfiguration. It is sorted by key (the estimator
+  // contract), so the option groups — and thus the planner's input — are
+  // deterministic.
+  const auto snapshot = request_monitor_->snapshot();
+  const std::size_t quantum = weight_quantum_bytes(*backend_, snapshot);
   const std::size_t capacity_units = cache_->capacity_bytes() / quantum;
 
-  const auto groups = generate_options();
+  const auto groups = generate_options(snapshot, quantum);
   const auto plan_start = std::chrono::steady_clock::now();
   KnapsackResult result = planner_->plan(groups, capacity_units);
   const double plan_ms =

@@ -78,16 +78,14 @@ class CacheManager {
   }
   [[nodiscard]] const Planner& planner() const { return *planner_; }
 
-  /// Generate options for every tracked key, grouped per key in key-sorted
-  /// order — the monitor snapshot's determinism contract carries through to
-  /// the planner input (exposed for tests/benches).
-  [[nodiscard]] std::vector<std::vector<CachingOption>> generate_options()
-      const;
-
-  /// Capacity in quantized units and the quantum, given current tracking.
-  [[nodiscard]] std::size_t weight_quantum_bytes() const;
-
  private:
+  /// Options for every key of `snapshot` with positive popularity, grouped
+  /// per key in the snapshot's key order, each option's footprint in
+  /// `quantum`-byte units.
+  [[nodiscard]] std::vector<std::vector<CachingOption>> generate_options(
+      const std::vector<std::pair<ObjectKey, double>>& snapshot,
+      std::size_t quantum) const;
+
   const store::BackendCluster* backend_;  // non-owning
   RegionManager* region_manager_;         // non-owning
   RequestMonitor* request_monitor_;       // non-owning

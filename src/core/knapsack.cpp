@@ -30,6 +30,16 @@ KnapsackResult solve_dp(
   const std::size_t cap = capacity_units;
   const std::size_t n = options_per_key.size();
 
+  // The table below is sized by the capacity, not by the options: with
+  // nothing to choose, return the empty plan without building it.
+  const bool any_usable = std::any_of(
+      options_per_key.begin(), options_per_key.end(), [cap](const auto& g) {
+        return std::any_of(g.begin(), g.end(), [cap](const CachingOption& o) {
+          return usable(o, cap);
+        });
+      });
+  if (!any_usable) return finish({});
+
   // table[i][c]: best value achievable with the first i keys and at most c
   // capacity units. This is the paper's MaxV map (Fig. 4) densified over
   // capacities; row i+1 is row i "improved" by key i's option group.

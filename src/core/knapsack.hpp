@@ -5,8 +5,12 @@
 // The paper solves it with a dynamic program over intermediate cache
 // configurations (POPULATE) improved by RELAX steps; we implement the same
 // program as an exact DP over capacities with per-key option groups, which
-// is the textbook-equivalent formulation (see DESIGN.md for the mapping and
-// the note on the paper's marginal-value example).
+// is the textbook-equivalent formulation: a cell of the DP table is the
+// paper's MaxV entry for one capacity, and one row's pass over a key's
+// options performs both ADDTOCONFIG and RELAX (see solve_dp). Option values
+// are absolute, not marginal: where the paper's §IV example adds 64,000 for
+// two more chunks on top of the first chunk's 160,000, the weight-3 option
+// here is worth the 224,000 total.
 //
 // A greedy value-density solver is included as a baseline: §II-D argues
 // greedy can err badly on 0/1-style knapsacks, and `bench_ablation_greedy`

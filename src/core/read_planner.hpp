@@ -1,12 +1,11 @@
-// Shared read planning: resolve every chunk of one read to a source.
+// Read planning: resolve every chunk of one read to a source.
 //
 // Every strategy hands a ReadPlan to the one read executor,
-// client::ReadStrategy::start_plan. `plan_chunk_sources` is the planner of
-// the Agar strategy and of the paper's periodic-LFU baseline (which shares
-// Agar's machinery — request proxy, latency estimates, static configured
-// cache — but fixes the chunks-per-object count instead of running the
-// knapsack). Keeping the planner in one place guarantees the systems being
-// compared differ ONLY in their configuration policy.
+// client::ReadStrategy::start_plan. `plan_chunk_sources` plans the reads of
+// a periodically configured cache: the configuration says which chunks
+// belong in the cache, this decides where each read's chunks come from.
+// The predicate keeps it independent of how the configuration is stored,
+// so tests can plan against any chunk set.
 #pragma once
 
 #include <functional>

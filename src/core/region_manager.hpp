@@ -48,10 +48,10 @@ class RegionManager {
   /// pass {} for fire-and-forget warm-up.
   void start_probe(std::function<void()> done);
 
-  /// The canonical event-driven control plane, shared by the Agar strategy
-  /// and the periodic-LFU baseline: every `period` an asynchronous probe
-  /// round followed by `apply` (reconfigure + population) once the round's
-  /// fetches land. Callers warm up with probe() first.
+  /// The event-driven control plane of a periodically configured cache:
+  /// every `period` an asynchronous probe round followed by `apply`
+  /// (reconfigure + population) once the round's fetches land. Callers
+  /// warm up with probe() first.
   /// Returns the periodic timer's cancel handle.
   sim::EventLoop::TimerId schedule_probe_pipeline(sim::EventLoop& loop,
                                                   SimTimeMs period,

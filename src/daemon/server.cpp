@@ -156,17 +156,36 @@ void Server::accept_loop() {
     if ((fds[1].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // A finished thread keeps its stack until joined: join them before
+    // starting the next, so a long-lived daemon holds one stack per live
+    // connection rather than one per connection ever accepted.
+    reap_connections();
+    std::uint64_t id = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.accepted;
+      id = ++stats_.accepted;
       ++stats_.active_connections;
       conn_fds_.insert(fd);
     }
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
+    conn_threads_.emplace(
+        id, std::thread([this, fd, id] { handle_connection(fd, id); }));
   }
 }
 
-void Server::handle_connection(int fd) {
+void Server::reap_connections() {
+  std::vector<std::uint64_t> finished;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    finished.swap(finished_conns_);
+  }
+  for (const std::uint64_t id : finished) {
+    const auto it = conn_threads_.find(id);
+    it->second.join();
+    conn_threads_.erase(it);
+  }
+}
+
+void Server::handle_connection(int fd, std::uint64_t id) {
   bool want_stop = false;
   try {
     while (running_.load()) {
@@ -209,12 +228,15 @@ void Server::handle_connection(int fd) {
   } catch (const std::exception&) {
     // Torn connection (reset mid-frame, write to a closed peer): drop it.
   }
-  ::close(fd);
   {
+    // Out of conn_fds_ before the close, so stop() never shuts down a
+    // descriptor number the process has already reused.
     const std::lock_guard<std::mutex> lock(mutex_);
     conn_fds_.erase(fd);
     --stats_.active_connections;
+    finished_conns_.push_back(id);
   }
+  ::close(fd);
   if (want_stop) request_stop();
 }
 
@@ -433,10 +455,9 @@ void Server::stop() {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& thread : conn_threads_) {
-    if (thread.joinable()) thread.join();
-  }
+  for (auto& entry : conn_threads_) entry.second.join();
   conn_threads_.clear();
+  finished_conns_.clear();
   for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -100,7 +101,9 @@ class Server {
       std::size_t* kept_out);
 
   void accept_loop();
-  void handle_connection(int fd);
+  /// Join the connection threads that have finished serving.
+  void reap_connections();
+  void handle_connection(int fd, std::uint64_t id);
   /// Dispatch one decoded frame; returns the reply frame.
   [[nodiscard]] std::string dispatch(const FrameHeader& header,
                                      const std::string& body);
@@ -113,16 +116,21 @@ class Server {
   ServerOptions options_;
   std::string uds_path_;
 
-  std::mutex mutex_;  ///< guards table_, stats_, conn_fds_
+  std::mutex mutex_;  ///< guards table_, stats_, conn_fds_, finished_conns_
   std::shared_ptr<const RouteTable> table_;
   ServerStats stats_;
   std::set<int> conn_fds_;
+  /// Ids of connection threads that have returned from serving and wait to
+  /// be joined.
+  std::vector<std::uint64_t> finished_conns_;
 
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: signal handler + stop()
   std::thread accept_thread_;
-  std::vector<std::thread> conn_threads_;
+  /// Connection threads by id. Only the accept thread touches this while
+  /// serving, and stop() once that thread is joined.
+  std::map<std::uint64_t, std::thread> conn_threads_;
   std::condition_variable stopped_cv_;
   std::mutex stopped_mutex_;
   bool stopped_ = false;

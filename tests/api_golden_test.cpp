@@ -10,7 +10,7 @@
 #include "client/agar_strategy.hpp"
 #include "client/backend_strategy.hpp"
 #include "client/fixed_chunks_strategy.hpp"
-#include "client/lfu_config_strategy.hpp"
+#include "client/report.hpp"
 
 namespace agar {
 namespace {
@@ -69,11 +69,16 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
           ctx, p, engine_of("lru", kCacheBytes));
     }
     if (kind == "lfu") {
-      client::LfuConfigParams p;
-      p.chunks_per_object = kChunks;
+      // LFU-c: Agar with the one candidate weight c under the greedy
+      // planner, its frequency proxy at the monitor's 0.5 ms default.
+      client::AgarParams p;
       p.cache_capacity_bytes = kCacheBytes;
       p.reconfig_period_ms = config.reconfig_period_ms;
-      return std::make_unique<client::LfuConfigStrategy>(ctx, p);
+      p.cache_manager.candidate_weights = {kChunks};
+      p.cache_manager.planner = "greedy";
+      p.cache_manager.cache_latency_ms =
+          deployment.network().model().params().cache_base_ms;
+      return std::make_unique<client::AgarStrategy>(ctx, p);
     }
     if (kind == "lfu-eviction") {
       client::FixedChunksParams p;
@@ -230,6 +235,27 @@ TEST(ApiGoldenControlPlane, IncrementalCountMinRunsEndToEnd) {
     EXPECT_GT(run.reconfigurations, 0u);
   }
   EXPECT_EQ(result.label, "Agar[incremental,count-min]");
+}
+
+TEST(ApiGoldenControlPlane, LfuIsAgarWithOneWeightUnderGreedy) {
+  // examples/specs/agar_vs_lfu.json's configuration.
+  const auto base = api::ExperimentSpec::from_pairs(
+      {"workload=zipf:1.1", "region=frankfurt", "objects=40",
+       "object_bytes=32KB", "ops=300", "runs=2", "clients=2", "period_s=10",
+       "seed=7", "cache_bytes=1MB"});
+  auto lfu = api::run(base.with({"system=lfu", "chunks=5"})).result;
+  auto agar = api::run(base.with({"system=agar", "planner=greedy",
+                                  "weights=5"}))
+                  .result;
+  EXPECT_EQ(lfu.label, "LFU-5");
+  EXPECT_EQ(agar.label, "Agar[greedy]");
+  // Apart from the label, and planning_ms (wall clock), every byte.
+  for (client::ExperimentResult* result : {&lfu, &agar}) {
+    result->label.clear();
+    for (auto& run : result->runs) run.planning_ms = 0.0;
+  }
+  EXPECT_GT(lfu.runs.front().reconfigurations, 0u);
+  EXPECT_EQ(client::results_json({lfu}), client::results_json({agar}));
 }
 
 TEST(ApiGoldenControlPlane, NonDefaultPlannerRunsAreRepeatable) {

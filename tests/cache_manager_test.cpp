@@ -109,10 +109,16 @@ TEST_F(CacheManagerTest, UnknownKeysAreIgnored) {
 }
 
 TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
+  // With one quantum per chunk, an option's footprint in units is its
+  // chunk count.
   auto mgr = make_manager(10_MB);
-  monitor_->record_access("object0");
-  EXPECT_EQ(mgr->weight_quantum_bytes(),
-            backend_.object_info("object0").chunk_size);
+  for (int i = 0; i < 50; ++i) monitor_->record_access("object0");
+  monitor_->record_access("object1");
+  const auto& config = mgr->reconfigure();
+  ASSERT_FALSE(config.entries.empty());
+  for (const auto& [key, opt] : config.entries) {
+    EXPECT_EQ(opt.weight_units, opt.weight) << key;
+  }
 }
 
 TEST_F(CacheManagerTest, ContainsChunkReflectsChosenOption) {

@@ -125,6 +125,36 @@ TEST_F(ServerFixture, ServesConcurrentClientsAndShutsDownCleanly) {
   EXPECT_THROW(DaemonClient::connect_uds(socket_path_), std::runtime_error);
 }
 
+/// This process's virtual size in kB (the VmSize line of /proc/self/status).
+std::size_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST_F(ServerFixture, FinishedConnectionsReturnTheirThreadStacks) {
+  // Each connection is served on its own thread, and a finished thread
+  // keeps its stack (8 MB by default) mapped until it is joined: without
+  // reaping, 64 connections grow the process by more than 512 MB.
+  auto server = start_server();
+  const auto connect_ping_close = [&] {
+    DaemonClient connection = DaemonClient::connect_uds(socket_path_);
+    EXPECT_EQ(connection.ping().status, Status::kOk);
+  };
+  // Let the first threads set up their malloc arenas before measuring.
+  for (int i = 0; i < 4; ++i) connect_ping_close();
+  const std::size_t before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0u);
+  for (int i = 0; i < 64; ++i) connect_ping_close();
+  const std::size_t after_kb = vm_size_kb();
+  EXPECT_LT(after_kb, before_kb + 64 * 1024)
+      << "VmSize " << before_kb << " kB -> " << after_kb << " kB";
+  server->stop();
+}
+
 TEST_F(ServerFixture, UnmatchedAndUnknownRequests) {
   auto server = start_server();
   DaemonClient connection = DaemonClient::connect_uds(socket_path_);

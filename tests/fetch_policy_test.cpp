@@ -59,12 +59,6 @@ TEST_F(FetchPolicyTest, InvalidParamsThrow) {
                std::invalid_argument);
 }
 
-TEST_F(FetchPolicyTest, NameReflectsHedging) {
-  EXPECT_EQ(FaultTolerantFetchPolicy(&network_, 1, quick(1)).name(), "retry");
-  EXPECT_EQ(FaultTolerantFetchPolicy(&network_, 1, quick(1, 2.0)).name(),
-            "hedge");
-}
-
 // Where the raw network refuses a down region synchronously, the policy
 // accepts the fetch and the caller learns about the dead region only when
 // the timeout expires — failure discovery is priced.
@@ -205,6 +199,15 @@ TEST(FetchPolicySpec, KeysRoundTripAndValidate) {
   spec.set("fetch", "hedge");
   spec.set("fetch.no_such_param", "1");
   EXPECT_THROW(spec.validate(), std::exception);
+}
+
+TEST(FetchPolicySpec, LabelNamesThePolicy) {
+  EXPECT_EQ(api::ExperimentSpec::from_pairs({"system=backend", "fetch=retry"})
+                .label(),
+            "Backend+retry");
+  EXPECT_EQ(api::ExperimentSpec::from_pairs({"system=backend", "fetch=hedge"})
+                .label(),
+            "Backend+hedge");
 }
 
 // ----------------------------------------------------------- end to end

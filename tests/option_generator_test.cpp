@@ -76,7 +76,8 @@ TEST(OptionGenerator, PaperExampleAbsoluteValueOfWeightThree) {
   // Caching 3 chunks (Tokyo + both Sao Paulo) leaves N. Virginia as the
   // furthest contacted region: improvement 3400 - 600 = 2800. The paper's
   // incremental phrasing (160,000 then 64,000 for the extra two chunks)
-  // sums to the same total: 80 * 2800 = 224,000 (see DESIGN.md).
+  // sums to the same total: 80 * 2800 = 224,000. Options carry absolute
+  // values because the planner picks at most one option per key.
   const OptionGenerator gen(paper_params());
   const auto options = gen.generate("key1", table1_costs(), 80.0);
   const CachingOption& w3 = options[1];

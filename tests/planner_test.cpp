@@ -117,6 +117,28 @@ TEST_P(PlannerInvariants, NeverBeatsTheExactDp) {
   }
 }
 
+TEST_P(PlannerInvariants, NothingUsableYieldsTheEmptyPlan) {
+  // A 1 MB cache planned at a one-byte quantum, which is what the cache
+  // manager passes when its monitor tracks no object.
+  constexpr std::size_t kCap = 1_MB;
+  const std::vector<std::vector<CachingOption>> unusable = {
+      {opt("k0", 3, 0.0), opt("k0", 2, -1.0)},  // no value
+      {opt("k1", 0, 5.0)},                      // no footprint
+  };
+  for (const auto& groups : {std::vector<std::vector<CachingOption>>{},
+                             unusable}) {
+    const auto r = make_planner(GetParam())->plan(groups, kCap);
+    EXPECT_TRUE(r.chosen.empty()) << GetParam();
+    EXPECT_EQ(r.total_value, 0.0) << GetParam();
+    EXPECT_EQ(r.total_weight_units, 0u) << GetParam();
+  }
+  // Every option heavier than the whole cache.
+  EXPECT_TRUE(make_planner(GetParam())
+                  ->plan({{opt("k0", 8, 5.0)}, {opt("k1", 9, 1.0)}}, 7)
+                  .chosen.empty())
+      << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Registered, PlannerInvariants,
     ::testing::ValuesIn(api::PlannerRegistry::instance().names()),

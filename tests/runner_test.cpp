@@ -77,6 +77,10 @@ TEST(SpecLabels, DerivedFromRegistryInOnePlace) {
   EXPECT_EQ(api::ExperimentSpec::from_pairs({"system=arc", "chunks=7"})
                 .label(),
             "ARC-7");
+  EXPECT_EQ(api::ExperimentSpec::from_pairs(
+                {"system=fixed-chunks", "engine=lfu", "chunks=3"})
+                .label(),
+            "LFUev-3");
   EXPECT_EQ(api::ExperimentSpec::from_pairs({"system=agar"}).label(), "Agar");
   // And the label the runner attaches to results is the same string.
   auto config = small_config();

@@ -2,12 +2,14 @@
 // failure fallback, and the event loop every strategy is built on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "client/agar_strategy.hpp"
 #include "client/backend_strategy.hpp"
 #include "client/fixed_chunks_strategy.hpp"
-#include "client/lfu_config_strategy.hpp"
 
 #include "api/registry.hpp"
 #include "api/run.hpp"
@@ -57,16 +59,29 @@ class StrategyTest : public ::testing::Test {
 
   /// One reconfiguration through the periodic timer's pipeline (probe
   /// round, plan, population downloads), run to completion.
-  template <typename Strategy>
-  void reconfigure(Strategy& s) {
+  void reconfigure(AgarStrategy& s) {
     s.start_reconfiguration();
     loop_.run();
+  }
+
+  /// LFU-c exactly as the `lfu` system builds it, from `pairs` of its
+  /// registered params.
+  std::unique_ptr<ReadStrategy> make_lfu(
+      RegionId region, const std::vector<std::string>& pairs) {
+    api::ParamMap params;
+    for (const auto& pair : pairs) params.set_pair(pair);
+    const ClientContext client = ctx(region);
+    api::StrategyContext context;
+    context.client = &client;
+    context.experiment = &experiment_;
+    return api::StrategyRegistry::instance().create("lfu", context, params);
   }
 
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
   sim::EventLoop loop_;
+  ExperimentConfig experiment_;
 };
 
 TEST_F(StrategyTest, BackendLatencyIsSlowestNeededChunk) {
@@ -175,10 +190,9 @@ TEST_F(StrategyTest, EvictionLfuChargesProxyOverhead) {
 }
 
 TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
-  LfuConfigParams p;
-  p.chunks_per_object = 9;
-  p.cache_capacity_bytes = 100_MB;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
+  auto strategy = make_lfu(sim::region::kFrankfurt,
+                           {"chunks=9", "cache_bytes=100MB"});
+  auto& s = dynamic_cast<AgarStrategy&>(*strategy);
   s.warm_up();
   // Before any reconfiguration nothing is configured: full backend read
   // plus the frequency proxy's 0.5 ms.
@@ -195,11 +209,10 @@ TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
 }
 
 TEST_F(StrategyTest, PeriodicLfuRanksByFrequency) {
-  LfuConfigParams p;
-  p.chunks_per_object = 9;
   // Room for exactly one 9-chunk object (1000-byte chunks).
-  p.cache_capacity_bytes = 9 * 1000 + 100;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
+  auto strategy = make_lfu(sim::region::kFrankfurt,
+                           {"chunks=9", "cache_bytes=9100"});
+  auto& s = dynamic_cast<AgarStrategy&>(*strategy);
   s.warm_up();
   for (int i = 0; i < 5; ++i) (void)s.read("object1");
   (void)s.read("object0");
@@ -210,10 +223,9 @@ TEST_F(StrategyTest, PeriodicLfuRanksByFrequency) {
 }
 
 TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
-  LfuConfigParams p;
-  p.chunks_per_object = 5;
-  p.cache_capacity_bytes = 100_MB;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
+  auto strategy = make_lfu(sim::region::kFrankfurt,
+                           {"chunks=5", "cache_bytes=100MB"});
+  auto& s = dynamic_cast<AgarStrategy&>(*strategy);
   s.warm_up();
   (void)s.read("object0");
   reconfigure(s);
@@ -226,10 +238,24 @@ TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
   EXPECT_TRUE(r.verified);
 }
 
+TEST_F(StrategyTest, PeriodicLfuClampsChunksToK) {
+  // c = 12 > k = 9 caches all 9 needed chunks, as c = 9 does.
+  auto strategy = make_lfu(sim::region::kFrankfurt,
+                           {"chunks=12", "cache_bytes=100MB"});
+  auto& s = dynamic_cast<AgarStrategy&>(*strategy);
+  s.warm_up();
+  (void)s.read("object0");
+  reconfigure(s);
+  EXPECT_EQ(s.config_weight_histogram(),
+            (std::map<std::size_t, std::size_t>{{9, 1}}));
+  const ReadResult hit = s.read("object0");
+  EXPECT_TRUE(hit.full_hit);
+  EXPECT_EQ(hit.cache_chunks, 9u);
+  EXPECT_DOUBLE_EQ(hit.latency_ms, 55.5);
+}
+
 TEST_F(StrategyTest, PeriodicLfuZeroChunksThrows) {
-  LfuConfigParams p;
-  p.chunks_per_object = 0;
-  EXPECT_THROW(LfuConfigStrategy(ctx(0), p), std::invalid_argument);
+  EXPECT_THROW((void)make_lfu(0, {"chunks=0"}), std::invalid_argument);
 }
 
 TEST_F(StrategyTest, LruEvictsUnderPressure) {
@@ -245,19 +271,6 @@ TEST_F(StrategyTest, LruEvictsUnderPressure) {
   (void)s.read("object1");  // evicts object0's chunks
   const ReadResult r = s.read("object0");
   EXPECT_FALSE(r.full_hit);
-}
-
-TEST_F(StrategyTest, StrategyNames) {
-  FixedChunksParams p;
-  p.chunks_per_object = 7;
-  EXPECT_EQ(make_fixed(ctx(0), p)->name(), "LRU-7");
-  p.engine = "lfu";
-  p.chunks_per_object = 3;
-  EXPECT_EQ(make_fixed(ctx(0), p)->name(), "LFUev-3");
-  LfuConfigParams lp;
-  lp.chunks_per_object = 3;
-  EXPECT_EQ(LfuConfigStrategy(ctx(0), lp).name(), "LFU-3");
-  EXPECT_EQ(BackendStrategy(ctx(0)).name(), "Backend");
 }
 
 TEST_F(StrategyTest, ZeroChunksPerObjectThrows) {
