@@ -126,8 +126,7 @@ class ReconfigFixture : public benchmark::Fixture {
     network_ = std::make_unique<sim::Network>(
         sim::LatencyModel(topology_.get(), {}, 5));
     backend_ = std::make_unique<store::BackendCluster>(
-        6, ec::CodecParams{9, 3},
-        std::make_shared<ec::RoundRobinPlacement>(false));
+        6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false));
     for (int i = 0; i < 300; ++i) {
       backend_->register_object("object" + std::to_string(i), 1_MB);
     }

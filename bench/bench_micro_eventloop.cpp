@@ -1,9 +1,9 @@
 // Simulation-core throughput harness: event dispatch through the rebuilt
 // loop (one reserved 4-ary heap for one-shots and timer firings, move-only
 // pops) against a verbatim copy of the seed's priority_queue loop, the
-// periodic-timer path, the sharded engine's aggregate dispatch rate at
-// 1/2/4 worker threads, and end-to-end experiment reads/second at the same
-// shard counts.
+// periodic-timer path, and the sharded engine's aggregate dispatch rate at
+// 1/2/4 worker threads. End-to-end reads/second is the benchmark's `paper`
+// workload (benchmark/run.py).
 //
 // The dispatch workload replays the production event mix: self-rescheduling
 // one-shot events whose closures exceed the std::function small-buffer (as
@@ -30,7 +30,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "api/api.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/sharded_engine.hpp"
 
@@ -293,31 +292,6 @@ void bench_periodic_timers(const std::string& config, std::uint64_t target,
   record("periodic_timers", config, fired, sec, note);
 }
 
-// ------------------------------------------------ end-to-end experiment
-
-api::ExperimentSpec e2e_spec(std::size_t shards, std::size_t ops) {
-  api::ExperimentSpec spec;
-  spec.system = "agar";
-  spec.experiment.deployment.num_objects = 50;
-  spec.experiment.deployment.object_size_bytes = 16_KB;
-  spec.experiment.deployment.seed = 7;
-  spec.experiment.ops_per_run = ops;
-  spec.experiment.runs = 1;
-  spec.experiment.reconfig_period_ms = 10'000.0;
-  spec.set("regions", "frankfurt,dublin,virginia,saopaulo,tokyo,sydney");
-  spec.set("cache_bytes", "1MB");
-  spec.set("shards", std::to_string(shards));
-  return spec;
-}
-
-void bench_e2e(std::size_t shards, std::size_t ops) {
-  client::ExperimentResult result;
-  const double sec =
-      wall_seconds([&] { result = api::run(e2e_spec(shards, ops)).result; });
-  record("e2e_reads", "shards=" + std::to_string(shards),
-         result.total_ops(), sec, "agar, 6 regions, setup included");
-}
-
 // -------------------------------------------------------------- output
 
 std::string json_escape(const std::string& s) {
@@ -388,7 +362,6 @@ int main(int argc, char** argv) {
 
   const std::uint64_t dispatch_events = g_quick ? 300'000 : 2'000'000;
   const std::uint64_t timer_events = g_quick ? 200'000 : 1'000'000;
-  const std::size_t e2e_ops = g_quick ? 1'000 : 4'000;
   const std::string host_note =
       std::to_string(std::thread::hardware_concurrency()) +
       " hardware threads";
@@ -405,9 +378,6 @@ int main(int argc, char** argv) {
       "seed", timer_events, "shared_ptr rebind per firing");
   bench_periodic_timers<sim::EventLoop>("heap", timer_events,
                                         "64 timers, periods 1 ms - 1 s");
-  for (const int shards : {1, 2, 4}) {
-    bench_e2e(static_cast<std::size_t>(shards), e2e_ops);
-  }
   if (!json) std::cout << "\nhost: " << host_note << "\n";
 
   if (json) {

@@ -128,7 +128,13 @@ void ExperimentSpec::set(const std::string& key, const std::string& value) {
     std::string name;
     while (std::getline(names, name, ',')) {
       if (name.empty()) continue;
-      regions.push_back(region_id(name));
+      const RegionId region = region_id(name);
+      // One lane per client region: a repeat would bind two lanes to the
+      // first lane's network.
+      if (std::find(regions.begin(), regions.end(), region) != regions.end()) {
+        throw std::invalid_argument("'regions' lists '" + name + "' twice");
+      }
+      regions.push_back(region);
     }
     if (regions.empty()) {
       throw std::invalid_argument("'regions' needs at least one region name");

@@ -5,8 +5,8 @@
 //   * api::Registry<cache::CacheEngine>  — replacement/admission policies
 //     ("lru", "lfu", "tinylfu", "arc", ...), built against a byte capacity;
 //   * api::Registry<client::ReadStrategy> — whole client systems
-//     ("backend", "lfu", "agar", "fixed-chunks", ...), built against a
-//     deployment;
+//     ("backend", "lfu", "agar", "fixed-chunks", ...), built against one
+//     region's client wiring;
 //   * api::Registry<core::Planner> — reconfiguration solvers
 //     ("knapsack-dp", "greedy", "brute-force", "incremental"), selected
 //     with the `planner=` spec key;
@@ -57,7 +57,6 @@ class ReadStrategy;
 class FetchPolicy;
 struct ClientContext;
 struct ExperimentConfig;
-class Deployment;
 }  // namespace agar::client
 namespace agar::collab {
 struct CollabSettings;
@@ -94,11 +93,10 @@ struct EngineContext {
 
 /// What a strategy factory gets to work with: the per-region client wiring
 /// plus the experiment-level knobs (reconfiguration period, candidate
-/// weights, ...) and the deployment for anything topology-derived.
+/// weights, ...).
 struct StrategyContext {
   const client::ClientContext* client = nullptr;
   const client::ExperimentConfig* experiment = nullptr;
-  client::Deployment* deployment = nullptr;
 };
 
 /// What a planner factory gets to work with. Planners are pure solvers —

@@ -34,7 +34,6 @@ client::StrategyFactory make_strategy_factory(const ExperimentSpec& spec) {
     StrategyContext context;
     context.client = &client;
     context.experiment = &config;
-    context.deployment = &deployment;
     return StrategyRegistry::instance().create(name, context, params);
   };
 }

@@ -77,8 +77,15 @@ std::vector<std::string> StaticConfigCache::keys() const {
   return out;
 }
 
-void StaticConfigCache::install_configuration(
+StaticConfigCache::Churn StaticConfigCache::install_configuration(
     std::unordered_set<std::string> configured) {
+  std::uint64_t kept = 0;
+  // agar-lint: ordered-ok(churn count; membership test + counter, no
+  // order-dependent output)
+  for (const auto& key : configured) {
+    if (configured_.contains(key)) ++kept;
+  }
+  const Churn churn{configured.size() - kept, configured_.size() - kept};
   configured_ = std::move(configured);
   ++reconfigurations_;
   // agar-lint: ordered-ok(pure eviction sweep; membership test + counter, no
@@ -92,6 +99,7 @@ void StaticConfigCache::install_configuration(
       ++it;
     }
   }
+  return churn;
 }
 
 bool StaticConfigCache::is_configured(const std::string& key) const {

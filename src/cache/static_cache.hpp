@@ -2,7 +2,10 @@
 // pre-computed *static configuration* (paper §III-c/d).
 //
 // The cache manager periodically installs the set of chunk keys that should
-// reside in the cache. Between reconfigurations:
+// reside in the cache. That set is the one record of the configuration:
+// Agar's read planning asks is_configured(), and the manager's churn
+// telemetry comes from install_configuration()'s counts. Between
+// reconfigurations:
 //   * get() serves whatever configured chunks have been populated;
 //   * put() admits ONLY configured keys (clients write chunks they fetched,
 //     per the paper's client-populates-cache protocol); anything else is
@@ -32,10 +35,16 @@ class StaticConfigCache final : public CacheEngine {
   void clear() override;
   [[nodiscard]] std::vector<std::string> keys() const override;
 
+  /// Keys a new configuration adds to and drops from the previous one.
+  struct Churn {
+    std::uint64_t added = 0;
+    std::uint64_t dropped = 0;
+  };
+
   /// Install a new configuration: the exact set of admissible keys.
   /// Resident entries outside the new set are evicted immediately; keys in
   /// the set are admitted lazily as clients put them.
-  void install_configuration(std::unordered_set<std::string> configured);
+  Churn install_configuration(std::unordered_set<std::string> configured);
 
   [[nodiscard]] bool is_configured(const std::string& key) const;
   [[nodiscard]] std::size_t configured_size() const {

@@ -123,9 +123,11 @@ AgarStrategy::AgarStrategy(ClientContext ctx, AgarParams params)
 void AgarStrategy::warm_up() { region_manager_.probe(); }
 
 void AgarStrategy::start_control_plane() {
-  reconfig_timer_ = region_manager_.schedule_probe_pipeline(
-      *ctx_.loop, params_.reconfig_period_ms,
-      [this] { apply_reconfiguration(); });
+  reconfig_timer_ =
+      ctx_.loop->schedule_periodic(params_.reconfig_period_ms, [this] {
+        start_reconfiguration();
+        return true;
+      });
 }
 
 void AgarStrategy::start_reconfiguration() {
@@ -153,16 +155,56 @@ collab::PeerInfo AgarStrategy::collab_info() {
   return info;
 }
 
-core::ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
-  const double overhead = request_monitor_.record_access(key);
-  const auto& config = cache_manager_.current();
-  core::ReadPlan plan = core::plan_chunk_sources(
-      *ctx_.backend, region_manager_, cache_,
-      [&config](const ObjectKey& k, ChunkIndex idx) {
-        return config.contains_chunk(k, idx);
-      },
-      key);
-  plan.monitor_overhead_ms = overhead;
+ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
+  ReadPlan plan;
+  plan.monitor_overhead_ms = request_monitor_.record_access(key);
+
+  auto costs = region_manager_.chunk_costs(key);
+  // Cheapest-first order; deterministic tie-break.
+  std::sort(costs.begin(), costs.end(),
+            [](const core::ChunkCost& a, const core::ChunkCost& b) {
+              if (a.latency_ms != b.latency_ms) {
+                return a.latency_ms < b.latency_ms;
+              }
+              if (a.region != b.region) return a.region < b.region;
+              return a.index < b.index;
+            });
+  const std::size_t k = ctx_.backend->codec().k();
+
+  // Resident chunks come from the cache; every other chunk is looked up in
+  // the installed configuration once.
+  struct NotResident {
+    core::ChunkCost cost;
+    bool configured;
+  };
+  std::vector<NotResident> not_resident;
+  not_resident.reserve(costs.size());
+  for (const auto& c : costs) {
+    const std::string ck = ChunkId{key, c.index}.cache_key();
+    if (plan.from_cache.size() < k && cache_.contains(ck)) {
+      plan.from_cache.push_back(c.index);
+    } else {
+      not_resident.push_back({c, cache_.is_configured(ck)});
+    }
+  }
+
+  // Fill to k chunks with the cheapest backend fetches. A fetched chunk the
+  // configuration wants cached is written back after the read
+  // (asynchronously, off the latency path).
+  for (const auto& [c, configured] : not_resident) {
+    if (plan.chunks_on_path() >= k) break;
+    plan.from_backend.emplace_back(c.index, c.region);
+    if (configured) plan.populate_after_read.push_back(c.index);
+  }
+
+  // Configured chunks that are neither resident nor fetched on-path (every
+  // entry past the ones just planned) are downloaded a-priori by the
+  // population thread pool.
+  for (std::size_t i = plan.from_backend.size(); i < not_resident.size();
+       ++i) {
+    const auto& [c, configured] = not_resident[i];
+    if (configured) plan.async_populate.emplace_back(c.index, c.region);
+  }
   return plan;
 }
 

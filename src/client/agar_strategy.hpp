@@ -1,10 +1,12 @@
 // Agar strategy (paper §V-A "Agar"): one region-level Agar deployment
-// (paper Fig. 3) — the cache plus the region manager, request monitor and
-// cache manager — behind the event-loop read path. The request monitor
-// supplies hints, resident configured chunks come from the Agar cache, the
-// rest from the backend; after the read the client populates the cache
-// with the chunks the current configuration wants (asynchronously, off the
-// latency path).
+// (paper Fig. 3) behind the event-loop read path. `core/` holds its control
+// plane — the region manager, the request monitor and the cache manager —
+// and this class holds the cache they configure plus the read path that
+// takes its hints from that configuration. Each read is recorded with the
+// request monitor; resident chunks come from the Agar cache and the rest
+// from the cheapest backend regions; after the read the client populates
+// the cache with the chunks the installed configuration wants
+// (asynchronously, off the latency path).
 //
 // The whole control plane is background events on the loop: latency
 // probes are asynchronous fetches, each reconfiguration (30 s in the
@@ -21,7 +23,6 @@
 #include "cache/static_cache.hpp"
 #include "client/strategy.hpp"
 #include "core/cache_manager.hpp"
-#include "core/read_planner.hpp"
 #include "core/region_manager.hpp"
 #include "core/request_monitor.hpp"
 
@@ -57,9 +58,15 @@ class AgarStrategy final : public ReadStrategy {
   void start_reconfiguration();
 
   /// The "hint" protocol: records the access with the request monitor and
-  /// resolves every chunk of the object to a source (local cache / backend
-  /// region / asynchronous population fetch).
-  [[nodiscard]] core::ReadPlan plan_read(const ObjectKey& key);
+  /// resolves every chunk of the object to a source against the cache's
+  /// installed configuration:
+  ///   * resident chunks come from the cache (up to k);
+  ///   * the remainder fills with the cheapest backend regions per the
+  ///     region manager's live latency estimates;
+  ///   * configured chunks fetched on-path are written back after the
+  ///     read; configured chunks neither resident nor fetched are
+  ///     downloaded asynchronously by the population pool.
+  [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
 
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
   [[nodiscard]] core::RegionManager& region_manager() {

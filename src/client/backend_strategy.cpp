@@ -23,7 +23,7 @@ const api::StrategyRegistration kBackend{{
 void BackendStrategy::start_read(const ObjectKey& key, ReadCallback done) {
   const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  core::ReadPlan plan;
+  ReadPlan plan;
   plan.from_backend.assign(candidates.begin(), candidates.begin() + k);
   start_plan(key, std::move(plan), nullptr, std::move(done));
 }

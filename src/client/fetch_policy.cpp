@@ -9,30 +9,12 @@
 
 namespace agar::client {
 
-FetchPolicy::FetchPolicy(sim::Network* network, double ewma_alpha)
-    : network_(network) {
-  if (network_ == nullptr) {
-    throw std::invalid_argument("FetchPolicy: null network");
-  }
-  const std::size_t regions = network_->topology().num_regions();
-  success_.assign(regions, stats::Ewma(ewma_alpha, 1.0));
-  samples_.assign(regions, 0);
-}
-
-void FetchPolicy::observe(RegionId to, bool success) {
-  success_[to].update(success ? 1.0 : 0.0);
-  ++samples_[to];
-}
-
-// ---------------------------------------------------------------------------
-// FaultTolerantFetchPolicy
-
 /// One logical fetch moving through the retry state machine. Held by
 /// shared_ptr so timer and wire closures outlive any individual attempt.
 /// `epoch` names the current attempt: abandoning an attempt bumps it, so a
 /// completion or timer captured under an older epoch finds the mismatch and
 /// becomes a no-op — nothing needs to chase down in-flight wire events.
-struct FaultTolerantFetchPolicy::Pending {
+struct FetchPolicy::Pending {
   RegionId from = 0;
   RegionId to = 0;
   std::size_t bytes = 0;
@@ -44,48 +26,52 @@ struct FaultTolerantFetchPolicy::Pending {
   bool hedge_outstanding = false;
 };
 
-FaultTolerantFetchPolicy::FaultTolerantFetchPolicy(sim::Network* network,
-                                                   std::uint64_t seed,
-                                                   FaultTolerantParams params)
-    : FetchPolicy(network, params.ewma_alpha), params_(params), rng_(seed) {
+FetchPolicy::FetchPolicy(sim::Network* network, std::uint64_t seed,
+                         FetchPolicyParams params)
+    : network_(network), params_(params), rng_(seed) {
+  if (network_ == nullptr) {
+    throw std::invalid_argument("FetchPolicy: null network");
+  }
   if (params_.timeout_mult <= 0.0 || params_.timeout_min_ms <= 0.0) {
     throw std::invalid_argument(
-        "FaultTolerantFetchPolicy: timeout_mult and timeout_min_ms must be "
-        "positive");
+        "FetchPolicy: timeout_mult and timeout_min_ms must be positive");
   }
   if (params_.backoff_ms < 0.0 || params_.backoff_mult < 1.0) {
     throw std::invalid_argument(
-        "FaultTolerantFetchPolicy: backoff_ms must be >= 0 and backoff_mult "
-        ">= 1");
+        "FetchPolicy: backoff_ms must be >= 0 and backoff_mult >= 1");
   }
   if (params_.jitter < 0.0 || params_.jitter >= 1.0) {
-    throw std::invalid_argument(
-        "FaultTolerantFetchPolicy: jitter must be in [0, 1)");
+    throw std::invalid_argument("FetchPolicy: jitter must be in [0, 1)");
   }
   if (params_.hedge_after_mult < 0.0) {
-    throw std::invalid_argument(
-        "FaultTolerantFetchPolicy: hedge_after_mult must be >= 0");
+    throw std::invalid_argument("FetchPolicy: hedge_after_mult must be >= 0");
   }
+  const std::size_t regions = network_->topology().num_regions();
+  success_.assign(regions, stats::Ewma(params_.ewma_alpha, 1.0));
+  samples_.assign(regions, 0);
 }
 
-sim::EventLoop* FaultTolerantFetchPolicy::loop() const {
+void FetchPolicy::observe(RegionId to, bool success) {
+  success_[to].update(success ? 1.0 : 0.0);
+  ++samples_[to];
+}
+
+sim::EventLoop* FetchPolicy::loop() const {
   sim::EventLoop* const loop = network_->loop();
   if (loop == nullptr) {
-    throw std::logic_error(
-        "FaultTolerantFetchPolicy: network has no bound loop");
+    throw std::logic_error("FetchPolicy: network has no bound loop");
   }
   return loop;
 }
 
-SimTimeMs FaultTolerantFetchPolicy::timeout_ms(const Pending& p) const {
+SimTimeMs FetchPolicy::timeout_ms(const Pending& p) const {
   const SimTimeMs expected =
       network_->model().expected_backend_fetch_ms(p.from, p.to, p.bytes);
   return std::max(params_.timeout_min_ms, params_.timeout_mult * expected);
 }
 
-bool FaultTolerantFetchPolicy::begin_fetch(RegionId from, RegionId to,
-                                           std::size_t bytes,
-                                           FetchCallback cb) {
+bool FetchPolicy::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
+                              FetchCallback cb) {
   auto p = std::make_shared<Pending>();
   p->from = from;
   p->to = to;
@@ -98,7 +84,7 @@ bool FaultTolerantFetchPolicy::begin_fetch(RegionId from, RegionId to,
   return true;
 }
 
-void FaultTolerantFetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) {
+void FetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) {
   ++p->attempt;
   ++stats_.attempts;
   const std::uint64_t epoch = p->epoch;
@@ -122,8 +108,8 @@ void FaultTolerantFetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) 
   }
 }
 
-void FaultTolerantFetchPolicy::on_hedge_fire(const std::shared_ptr<Pending>& p,
-                                             std::uint64_t epoch) {
+void FetchPolicy::on_hedge_fire(const std::shared_ptr<Pending>& p,
+                                std::uint64_t epoch) {
   if (p->done || epoch != p->epoch) return;
   if (!p->primary_outstanding) return;  // primary already failed; retry path owns it
   const bool accepted = network_->begin_fetch(
@@ -137,10 +123,9 @@ void FaultTolerantFetchPolicy::on_hedge_fire(const std::shared_ptr<Pending>& p,
   }
 }
 
-void FaultTolerantFetchPolicy::on_wire_result(const std::shared_ptr<Pending>& p,
-                                              std::uint64_t epoch,
-                                              bool is_hedge,
-                                              std::optional<SimTimeMs> latency) {
+void FetchPolicy::on_wire_result(const std::shared_ptr<Pending>& p,
+                                 std::uint64_t epoch, bool is_hedge,
+                                 std::optional<SimTimeMs> latency) {
   if (p->done || epoch != p->epoch) return;  // raced a winner or a timeout
   if (latency.has_value()) {
     if (is_hedge) {
@@ -164,23 +149,21 @@ void FaultTolerantFetchPolicy::on_wire_result(const std::shared_ptr<Pending>& p,
   attempt_failed(p);
 }
 
-void FaultTolerantFetchPolicy::on_timeout(const std::shared_ptr<Pending>& p,
-                                          std::uint64_t epoch) {
+void FetchPolicy::on_timeout(const std::shared_ptr<Pending>& p,
+                             std::uint64_t epoch) {
   if (p->done || epoch != p->epoch) return;
   ++stats_.timeouts;
   abandon_attempt(p);
   attempt_failed(p);
 }
 
-void FaultTolerantFetchPolicy::abandon_attempt(
-    const std::shared_ptr<Pending>& p) {
+void FetchPolicy::abandon_attempt(const std::shared_ptr<Pending>& p) {
   ++p->epoch;  // stale wire completions and timer firings become no-ops
   p->primary_outstanding = false;
   p->hedge_outstanding = false;
 }
 
-void FaultTolerantFetchPolicy::attempt_failed(
-    const std::shared_ptr<Pending>& p) {
+void FetchPolicy::attempt_failed(const std::shared_ptr<Pending>& p) {
   observe(p->to, false);
   if (p->attempt > params_.retries) {  // attempts = retries + 1
     ++stats_.exhausted;
@@ -201,8 +184,8 @@ void FaultTolerantFetchPolicy::attempt_failed(
   });
 }
 
-void FaultTolerantFetchPolicy::complete(const std::shared_ptr<Pending>& p,
-                                        std::optional<SimTimeMs> result) {
+void FetchPolicy::complete(const std::shared_ptr<Pending>& p,
+                           std::optional<SimTimeMs> result) {
   abandon_attempt(p);  // late arrivals and timers drop on the epoch
   p->done = true;
   // Pending outlives this call in the armed timers' closures; they must
@@ -216,8 +199,8 @@ void FaultTolerantFetchPolicy::complete(const std::shared_ptr<Pending>& p,
 
 namespace {
 
-FaultTolerantParams params_from(const api::ParamMap& params, bool hedged) {
-  FaultTolerantParams out;
+FetchPolicyParams params_from(const api::ParamMap& params, bool hedged) {
+  FetchPolicyParams out;
   out.timeout_mult = params.get_double("timeout_mult", out.timeout_mult);
   out.timeout_min_ms = params.get_double("timeout_min_ms", out.timeout_min_ms);
   out.retries = params.get_size("retries", out.retries);
@@ -274,7 +257,7 @@ const api::FetchPolicyRegistration kRetry{{
     "down regions cost a timeout to discover",
     retry_schema(/*hedged=*/false),
     [](const api::FetchPolicyContext& ctx, const api::ParamMap& params) {
-      return std::make_unique<FaultTolerantFetchPolicy>(
+      return std::make_unique<FetchPolicy>(
           ctx.network, ctx.seed, params_from(params, /*hedged=*/false));
     },
     {}}};
@@ -286,7 +269,7 @@ const api::FetchPolicyRegistration kHedge{{
     "and the first response wins",
     retry_schema(/*hedged=*/true),
     [](const api::FetchPolicyContext& ctx, const api::ParamMap& params) {
-      return std::make_unique<FaultTolerantFetchPolicy>(
+      return std::make_unique<FetchPolicy>(
           ctx.network, ctx.seed, params_from(params, /*hedged=*/true));
     },
     {}}};

@@ -1,10 +1,12 @@
-// Fault-tolerant fetch policies — the client-side answer to gray failures.
+// The fault-tolerant fetch policy — the client-side answer to gray
+// failures.
 //
 // A FetchPolicy sits between the strategies' coalescing table
-// (core::FetchCoordinator) and sim::Network. The baseline "none" builds no
-// policy object: the coordinator calls the raw network, which keeps the
-// historical fail-fast semantics byte for byte. The fault-tolerant
-// policies wrap every wire fetch in a state machine:
+// (core::FetchCoordinator) and sim::Network. The `fetch=` registry picks
+// it: "retry" and "hedge" build one, and the baseline "none" builds none,
+// so the coordinator calls the raw network and keeps the historical
+// fail-fast semantics byte for byte. The policy wraps every wire fetch in
+// a state machine:
 //
 //   * per-fetch timeout — a one-shot event races the network completion;
 //     whichever fires first wins, the loser is ignored;
@@ -15,9 +17,9 @@
 //     completion is dropped on the floor and counted as wasted work.
 //
 // Discovering a down region now costs a timeout: where the raw network
-// refuses synchronously (begin_fetch returns false), a fault-tolerant
-// policy accepts the fetch and delivers the failure only after the timeout
-// would have expired — real clients do not learn about dead peers for free.
+// refuses synchronously (begin_fetch returns false), the policy accepts
+// the fetch and delivers the failure only after the timeout would have
+// expired — real clients do not learn about dead peers for free.
 //
 // Placement note: chunks are round-robin placed with exactly one home
 // region per chunk (no replicas), so a hedge cannot go to a "next-best
@@ -27,14 +29,14 @@
 // probability f², which is what cuts the tail. Cross-region diversity
 // comes from the strategies' degraded-read fallback path instead.
 //
-// Every policy tracks a per-destination-region success EWMA (1 = healthy)
+// The policy tracks a per-destination-region success EWMA (1 = healthy)
 // plus counters (timeouts, retries, hedges issued/won/wasted, exhausted
 // fetches) that the runner merges into RunResult.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -54,45 +56,7 @@ struct FetchPolicyStats {
   std::uint64_t exhausted = 0;      ///< fetches that gave up (caller hears nullopt)
 };
 
-class FetchPolicy {
- public:
-  using FetchCallback = sim::Network::FetchCallback;
-
-  /// `ewma_alpha` weights the per-region success EWMA (policies that never
-  /// observe() can leave the default).
-  explicit FetchPolicy(sim::Network* network, double ewma_alpha = 0.2);
-  virtual ~FetchPolicy() = default;
-
-  /// Same contract as Network::begin_fetch: returns false only when the
-  /// caller should substitute a fallback immediately; otherwise `cb` fires
-  /// exactly once on the loop with the outcome.
-  virtual bool begin_fetch(RegionId from, RegionId to, std::size_t bytes,
-                           FetchCallback cb) = 0;
-
-  [[nodiscard]] const FetchPolicyStats& stats() const { return stats_; }
-
-  /// Success EWMA of fetches to `r` (1 = every fetch lands). Starts at 1.
-  [[nodiscard]] double region_success_ewma(RegionId r) const {
-    return success_.at(r).value();
-  }
-  [[nodiscard]] std::uint64_t region_samples(RegionId r) const {
-    return samples_.at(r);
-  }
-  [[nodiscard]] std::size_t num_regions() const { return success_.size(); }
-
- protected:
-  /// Fold one fetch outcome into the per-region health tracking.
-  void observe(RegionId to, bool success);
-
-  sim::Network* network_;  // non-owning
-  FetchPolicyStats stats_;
-
- private:
-  std::vector<stats::Ewma> success_;
-  std::vector<std::uint64_t> samples_;
-};
-
-struct FaultTolerantParams {
+struct FetchPolicyParams {
   /// Timeout = max(timeout_min_ms, timeout_mult x expected latency).
   double timeout_mult = 3.0;
   double timeout_min_ms = 10.0;
@@ -113,15 +77,31 @@ struct FaultTolerantParams {
 /// Timeout + retry + backoff (+ optional hedging) state machine. One
 /// instance serves one lane, so its jitter RNG stream is deterministic
 /// for any shard count.
-class FaultTolerantFetchPolicy final : public FetchPolicy {
+class FetchPolicy {
  public:
-  FaultTolerantFetchPolicy(sim::Network* network, std::uint64_t seed,
-                           FaultTolerantParams params);
+  using FetchCallback = sim::Network::FetchCallback;
 
+  FetchPolicy(sim::Network* network, std::uint64_t seed,
+              FetchPolicyParams params);
+
+  /// Same contract as Network::begin_fetch: returns false only when the
+  /// caller should substitute a fallback immediately; otherwise `cb` fires
+  /// exactly once on the loop with the outcome. This policy always
+  /// accepts.
   bool begin_fetch(RegionId from, RegionId to, std::size_t bytes,
-                   FetchCallback cb) override;
+                   FetchCallback cb);
 
-  [[nodiscard]] const FaultTolerantParams& params() const { return params_; }
+  [[nodiscard]] const FetchPolicyStats& stats() const { return stats_; }
+  [[nodiscard]] const FetchPolicyParams& params() const { return params_; }
+
+  /// Success EWMA of fetches to `r` (1 = every fetch lands). Starts at 1.
+  [[nodiscard]] double region_success_ewma(RegionId r) const {
+    return success_.at(r).value();
+  }
+  [[nodiscard]] std::uint64_t region_samples(RegionId r) const {
+    return samples_.at(r);
+  }
+  [[nodiscard]] std::size_t num_regions() const { return success_.size(); }
 
  private:
   struct Pending;
@@ -138,12 +118,18 @@ class FaultTolerantFetchPolicy final : public FetchPolicy {
   void abandon_attempt(const std::shared_ptr<Pending>& p);
   void complete(const std::shared_ptr<Pending>& p,
                 std::optional<SimTimeMs> result);
+  /// Fold one fetch outcome into the per-region health tracking.
+  void observe(RegionId to, bool success);
 
   [[nodiscard]] sim::EventLoop* loop() const;
   [[nodiscard]] SimTimeMs timeout_ms(const Pending& p) const;
 
-  FaultTolerantParams params_;
+  sim::Network* network_;  // non-owning
+  FetchPolicyParams params_;
   Rng rng_;
+  FetchPolicyStats stats_;
+  std::vector<stats::Ewma> success_;
+  std::vector<std::uint64_t> samples_;
 };
 
 }  // namespace agar::client

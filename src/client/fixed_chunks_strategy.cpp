@@ -27,7 +27,7 @@ void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks.
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  core::ReadPlan plan;
+  ReadPlan plan;
   plan.from_backend.assign(
       candidates.begin(),
       candidates.begin() + static_cast<std::ptrdiff_t>(k - c));

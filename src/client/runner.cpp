@@ -18,8 +18,7 @@ Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
       sim::LatencyModel(topology_.get(), config.latency, config.seed));
   backend_ = std::make_unique<store::BackendCluster>(
       topology_->num_regions(), config.codec,
-      std::make_shared<ec::RoundRobinPlacement>(
-          config.per_key_placement_offset));
+      ec::RoundRobinPlacement(config.per_key_placement_offset));
   if (config.store_payloads) {
     store::populate_working_set(*backend_, config.num_objects,
                                 config.object_size_bytes);

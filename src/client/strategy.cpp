@@ -120,7 +120,7 @@ double ReadStrategy::decode_ms(std::size_t object_bytes) const {
          static_cast<double>(1_MB);
 }
 
-void ReadStrategy::start_plan(const ObjectKey& key, core::ReadPlan plan,
+void ReadStrategy::start_plan(const ObjectKey& key, ReadPlan plan,
                               cache::CacheEngine* cache, ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
   const store::ObjectInfo info = ctx_.backend->object_info(key);

@@ -3,18 +3,22 @@
 // policy), and Agar and LFU-c (a cache configured every period; LFU-c is
 // Agar's strategy with the chunks per object fixed).
 //
-// A strategy turns `start_read(key, done)` into events on the simulation
-// loop: chunk fetches begin on the network (which enforces per-region
-// concurrency limits), duplicate fetches coalesce in the strategy's
-// in-flight table, and `done` fires at the virtual time the read completes
-// — so concurrent clients genuinely overlap on the timeline. A thin
-// synchronous `read(key)` wrapper drives the strategy's loop until the read
-// completes (the daemon's serve path, tests and examples).
+// A strategy only decides where each chunk of a read comes from: it builds
+// a ReadPlan and hands it to `start_plan`, the one read executor, which
+// turns it into events on the simulation loop. Chunk fetches begin on the
+// network (which enforces per-region concurrency limits), duplicate
+// fetches coalesce in the strategy's in-flight table, and `done` fires at
+// the virtual time the read completes — so concurrent clients genuinely
+// overlap on the timeline. A thin synchronous `read(key)` wrapper drives
+// the strategy's loop until the read completes (the daemon's serve path,
+// tests and examples).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -23,12 +27,31 @@
 #include "common/types.hpp"
 #include "core/fetch_coordinator.hpp"
 #include "core/planner.hpp"
-#include "core/read_planner.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "store/backend.hpp"
 
 namespace agar::client {
+
+/// Where each chunk of a read comes from. All `from_cache` and
+/// `from_backend` fetches happen in parallel on the latency path;
+/// `async_populate` fetches and the `populate_after_read` write-backs are
+/// off-path (the prototype's client performs them on a thread pool). A
+/// `from_cache` chunk the cache does not hold when the read starts is
+/// fetched on the latency path from its home region, after `from_backend`:
+/// fixed-chunks plans name their designated chunks this way, hit or miss,
+/// while Agar's plans list only resident chunks.
+struct ReadPlan {
+  std::vector<ChunkIndex> from_cache;
+  std::vector<std::pair<ChunkIndex, RegionId>> from_backend;
+  std::vector<std::pair<ChunkIndex, RegionId>> async_populate;
+  std::vector<ChunkIndex> populate_after_read;
+  double monitor_overhead_ms = 0.0;
+
+  [[nodiscard]] std::size_t chunks_on_path() const {
+    return from_cache.size() + from_backend.size();
+  }
+};
 
 struct ReadResult {
   SimTimeMs latency_ms = 0.0;
@@ -182,7 +205,7 @@ class ReadStrategy {
   /// latency path, and in verify mode the chunks are decoded and checked
   /// before `done` fires. `cache` may be null only for a plan without
   /// cache chunks or populations.
-  void start_plan(const ObjectKey& key, core::ReadPlan plan,
+  void start_plan(const ObjectKey& key, ReadPlan plan,
                   cache::CacheEngine* cache, ReadCallback done);
 
   /// Population download as a background event (paper §IV-A: "caching items

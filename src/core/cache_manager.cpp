@@ -5,18 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "api/registry.hpp"
 
 namespace agar::core {
-
-bool CacheConfiguration::contains_chunk(const ObjectKey& key,
-                                        ChunkIndex index) const {
-  const auto it = entries.find(key);
-  if (it == entries.end()) return false;
-  const auto& chunks = it->second.chunks;
-  return std::find(chunks.begin(), chunks.end(), index) != chunks.end();
-}
 
 std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
     const {
@@ -25,25 +18,20 @@ std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
   return hist;
 }
 
-CacheManager::CacheManager(const store::BackendCluster* backend,
-                           RegionManager* region_manager,
-                           RequestMonitor* request_monitor,
-                           cache::StaticConfigCache* cache,
-                           CacheManagerParams params)
-    : backend_(backend),
-      region_manager_(region_manager),
-      request_monitor_(request_monitor),
-      cache_(cache),
-      params_(std::move(params)) {
-  if (backend_ == nullptr || region_manager_ == nullptr ||
-      request_monitor_ == nullptr || cache_ == nullptr) {
+namespace {
+
+OptionGeneratorParams generator_params(const store::BackendCluster* backend,
+                                       const CacheManagerParams& params) {
+  if (backend == nullptr) {
     throw std::invalid_argument("CacheManager: null dependency");
   }
-  planner_ = api::PlannerRegistry::instance().create(
-      params_.planner, api::PlannerContext{}, params_.planner_params);
+  OptionGeneratorParams out;
+  out.k = backend->codec().k();
+  out.m = backend->codec().m();
+  out.cache_latency_ms = params.cache_latency_ms;
+  out.candidate_weights = params.candidate_weights;
+  return out;
 }
-
-namespace {
 
 /// The smallest chunk size among the tracked objects, so every option's
 /// byte footprint maps to an integer number of units. With the paper's
@@ -63,23 +51,35 @@ std::size_t weight_quantum_bytes(
 
 }  // namespace
 
+CacheManager::CacheManager(const store::BackendCluster* backend,
+                           RegionManager* region_manager,
+                           RequestMonitor* request_monitor,
+                           cache::StaticConfigCache* cache,
+                           CacheManagerParams params)
+    : backend_(backend),
+      region_manager_(region_manager),
+      request_monitor_(request_monitor),
+      cache_(cache),
+      params_(std::move(params)),
+      generator_(generator_params(backend_, params_)) {
+  if (region_manager_ == nullptr || request_monitor_ == nullptr ||
+      cache_ == nullptr) {
+    throw std::invalid_argument("CacheManager: null dependency");
+  }
+  planner_ = api::PlannerRegistry::instance().create(
+      params_.planner, api::PlannerContext{}, params_.planner_params);
+}
+
 std::vector<std::vector<CachingOption>> CacheManager::generate_options(
     const std::vector<std::pair<ObjectKey, double>>& snapshot,
     std::size_t quantum) const {
-  OptionGeneratorParams gen_params;
-  gen_params.k = backend_->codec().k();
-  gen_params.m = backend_->codec().m();
-  gen_params.cache_latency_ms = params_.cache_latency_ms;
-  gen_params.candidate_weights = params_.candidate_weights;
-  const OptionGenerator generator(gen_params);
-
   std::vector<std::vector<CachingOption>> groups;
   groups.reserve(snapshot.size());
   for (const auto& [key, popularity] : snapshot) {
     if (popularity <= 0.0) continue;
     if (!backend_->has_object(key)) continue;
     const auto costs = region_manager_->chunk_costs(key);
-    auto options = generator.generate(key, costs, popularity);
+    auto options = generator_.generate(key, costs, popularity);
     const std::size_t chunk_bytes = backend_->object_info(key).chunk_size;
     for (auto& opt : options) {
       const double bytes =
@@ -115,7 +115,7 @@ const CacheConfiguration& CacheManager::reconfigure() {
           .count();
 
   CacheConfiguration next;
-  std::set<std::string> configured_keys;
+  std::unordered_set<std::string> configured_keys;
   for (auto& opt : result.chosen) {
     const std::size_t chunk_bytes =
         backend_->object_info(opt.key).chunk_size;
@@ -127,28 +127,15 @@ const CacheConfiguration& CacheManager::reconfigure() {
     next.entries.emplace(opt.key, std::move(opt));
   }
   next.total_value = result.total_value;
+  config_ = std::move(next);
 
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.
-  std::uint64_t installed = 0;
-  for (const auto& key : configured_keys) {
-    if (installed_chunk_keys_.count(key) == 0) ++installed;
-  }
-  std::uint64_t evicted = 0;
-  for (const auto& key : installed_chunk_keys_) {
-    if (configured_keys.count(key) == 0) ++evicted;
-  }
+  const auto churn = cache_->install_configuration(std::move(configured_keys));
   stats_.reconfigurations = reconfigs_;
   stats_.planning_ms += plan_ms;
-  stats_.chunks_installed += installed;
-  stats_.chunks_evicted += evicted;
-
-  config_ = std::move(next);
-  // The cache's admission set stays a hash set (contains() on the read
-  // path); the ordered master copy lives here for the churn sweep.
-  cache_->install_configuration(
-      {configured_keys.begin(), configured_keys.end()});
-  installed_chunk_keys_ = std::move(configured_keys);
+  stats_.chunks_installed += churn.added;
+  stats_.chunks_evicted += churn.dropped;
   return config_;
 }
 

@@ -5,14 +5,14 @@
 // One reconfiguration = one run of the configured core::Planner (§IV-B;
 // `knapsack-dp` by default, any api::PlannerRegistry entry via the
 // `planner=` spec key) over the caching options of every tracked object
-// (§IV-A). The manager times every planner run and tracks configuration
-// churn (chunks installed/evicted) as ControlPlaneStats.
+// (§IV-A). The manager installs the chosen chunk set into the cache, which
+// keeps the one record of it, times every planner run and adds the
+// install's churn (chunks installed/evicted) to its ControlPlaneStats.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,9 +49,6 @@ struct CacheConfiguration {
   double total_value = 0.0;
   std::size_t total_chunks = 0;
   std::size_t total_bytes = 0;
-
-  [[nodiscard]] bool contains_chunk(const ObjectKey& key,
-                                    ChunkIndex index) const;
 
   /// Histogram of "objects cached with w chunks" -> count (Fig. 10 data),
   /// sorted by weight.
@@ -91,11 +88,11 @@ class CacheManager {
   RequestMonitor* request_monitor_;       // non-owning
   cache::StaticConfigCache* cache_;       // non-owning
   CacheManagerParams params_;
+  /// Built once, so a candidate weight outside [1, k] fails when the
+  /// strategy is built rather than at the first reconfiguration.
+  OptionGenerator generator_;
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
-  /// Chunk cache-keys of the installed configuration (churn accounting),
-  /// sorted so the accounting sweep iterates deterministically.
-  std::set<std::string> installed_chunk_keys_;
   ControlPlaneStats stats_;
   std::uint64_t reconfigs_ = 0;
 };

@@ -1,53 +1,80 @@
 #include "core/popularity_estimator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <unordered_map>
 
 #include "api/registry.hpp"
 #include "stats/count_min.hpp"
-#include "stats/freq_tracker.hpp"
 
 namespace agar::core {
 
 namespace {
 
-/// The paper's monitor: exact per-key counts + EWMA (stats::FreqTracker),
-/// with the current period's in-flight counts blended into every reading.
+/// The paper's monitor: an exact count and an EWMA popularity per key,
+/// with the current period's in-flight count blended into every reading.
+/// Keys whose popularity decays below `drop_below` are dropped, so the map
+/// follows the working set, not the full key space.
 class ExactEwmaEstimator final : public PopularityEstimator {
  public:
   ExactEwmaEstimator(double alpha, double drop_below)
-      : alpha_(alpha), tracker_(alpha, drop_below) {}
+      : alpha_(alpha), drop_below_(drop_below) {}
 
-  void record(const ObjectKey& key) override { tracker_.record(key); }
+  void record(const ObjectKey& key) override { ++state_[key].count; }
 
-  void roll_period() override { tracker_.roll_period(); }
+  void roll_period() override {
+    // agar-lint: ordered-ok(per-key EWMA fold + threshold drop; every key
+    // is updated independently, so visit order cannot change the result)
+    for (auto it = state_.begin(); it != state_.end();) {
+      KeyState& s = it->second;
+      s.popularity = alpha_ * static_cast<double>(s.count) +
+                     (1.0 - alpha_) * s.popularity;
+      s.count = 0;
+      if (s.popularity < drop_below_) {
+        it = state_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 
   [[nodiscard]] double popularity(const ObjectKey& key) const override {
-    return tracker_.popularity(key) +
-           alpha_ * static_cast<double>(tracker_.current_count(key));
+    const auto it = state_.find(key);
+    return it == state_.end() ? 0.0 : blended(it->second);
   }
 
   [[nodiscard]] std::vector<std::pair<ObjectKey, double>> snapshot()
       const override {
-    auto snap = tracker_.snapshot();
-    for (auto& [key, pop] : snap) {
-      pop += alpha_ * static_cast<double>(tracker_.current_count(key));
-    }
-    std::sort(snap.begin(), snap.end());
-    return snap;
+    std::vector<std::pair<ObjectKey, double>> out;
+    out.reserve(state_.size());
+    // agar-lint: ordered-ok(sorted below; snapshot() promises key-sorted
+    // output)
+    for (const auto& [key, s] : state_) out.emplace_back(key, blended(s));
+    std::sort(out.begin(), out.end());
+    return out;
   }
 
   [[nodiscard]] std::size_t tracked_keys() const override {
-    return tracker_.tracked_keys();
+    return state_.size();
   }
 
   [[nodiscard]] std::string name() const override { return "exact-ewma"; }
 
  private:
+  struct KeyState {
+    double popularity = 0.0;  ///< EWMA over the closed periods
+    std::uint64_t count = 0;  ///< accesses in the current period
+  };
+
+  [[nodiscard]] double blended(const KeyState& s) const {
+    return s.popularity + alpha_ * static_cast<double>(s.count);
+  }
+
   double alpha_;
-  stats::FreqTracker tracker_;
+  double drop_below_;
+  std::unordered_map<ObjectKey, KeyState> state_;
 };
 
 /// Sketch-backed estimator: per-period counts live in a count-min sketch

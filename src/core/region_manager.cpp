@@ -76,15 +76,6 @@ void RegionManager::start_probe(std::function<void()> done) {
   }
 }
 
-sim::EventLoop::TimerId RegionManager::schedule_probe_pipeline(
-    sim::EventLoop& loop, SimTimeMs period, std::function<void()> apply) {
-  return loop.schedule_periodic(
-      period, [this, apply = std::move(apply)]() {
-        start_probe(apply);
-        return true;
-      });
-}
-
 double RegionManager::estimate_ms(RegionId region) const {
   return estimator_.estimate_ms(region);
 }

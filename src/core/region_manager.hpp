@@ -1,6 +1,8 @@
 // Region manager (paper §III-a): knows the storage system's topology and
-// placement policy, periodically probes per-region chunk-read latency, and
-// answers "what will fetching each chunk of this object cost?".
+// placement policy, probes per-region chunk-read latency, and answers "what
+// will fetching each chunk of this object cost?". It keeps no timer: the
+// Agar strategy that owns it starts one probe round per reconfiguration
+// period, and warms it up with one synchronous round before measurement.
 #pragma once
 
 #include <cstdint>
@@ -47,15 +49,6 @@ class RegionManager {
   /// at completion. `done` fires once after the last probe of the round;
   /// pass {} for fire-and-forget warm-up.
   void start_probe(std::function<void()> done);
-
-  /// The event-driven control plane of a periodically configured cache:
-  /// every `period` an asynchronous probe round followed by `apply`
-  /// (reconfigure + population) once the round's fetches land. Callers
-  /// warm up with probe() first.
-  /// Returns the periodic timer's cancel handle.
-  sim::EventLoop::TimerId schedule_probe_pipeline(sim::EventLoop& loop,
-                                                  SimTimeMs period,
-                                                  std::function<void()> apply);
 
   /// Estimated chunk-fetch latency from the local region to `region`.
   [[nodiscard]] double estimate_ms(RegionId region) const;

@@ -1,13 +1,14 @@
-// Request monitor (paper §III-b): listens to client requests, maintains
-// per-object popularity, and serves cache hints. Every client read goes
-// through `record_access`, mirroring the prototype where the monitor is on
-// the path of each operation (the paper measured ~0.5 ms of processing per
-// request; the simulation charges that as `processing_ms`).
+// Request monitor (paper §III-b): listens to client requests and maintains
+// per-object popularity for the cache manager. Every read of an Agar or
+// LFU-c client goes through `record_access` (AgarStrategy::plan_read),
+// mirroring the prototype where the monitor is on the path of each
+// operation (the paper measured ~0.5 ms of processing per request; the
+// simulation charges that as `processing_ms`).
 //
 // Popularity tracking itself is a pluggable core::PopularityEstimator
-// resolved from api::EstimatorRegistry — `exact-ewma` (the paper's EWMA
-// map, default) or `count-min` (sketch-backed, sublinear memory). Selected
-// per experiment with the `monitor=` spec key.
+// resolved from api::EstimatorRegistry — `exact-ewma` (the paper's exact
+// per-key count and EWMA, default) or `count-min` (sketch-backed,
+// sublinear memory). Selected per experiment with the `monitor=` spec key.
 #pragma once
 
 #include <cstdint>

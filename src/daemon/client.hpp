@@ -1,6 +1,7 @@
 // Client side of the agard protocol: one blocking connection, one
 // request/reply in flight at a time. Shared by agarctl, the daemon tests
-// and bench_ext_daemon so the wire encoding lives in exactly one place.
+// and the benchmark's daemon load so the wire encoding lives in exactly one
+// place.
 #pragma once
 
 #include <string>

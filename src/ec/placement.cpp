@@ -6,7 +6,7 @@
 
 namespace agar::ec {
 
-std::vector<ChunkIndex> Placement::chunks_in_region(
+std::vector<ChunkIndex> RoundRobinPlacement::chunks_in_region(
     const ObjectKey& key, std::size_t total_chunks, RegionId region,
     std::size_t num_regions) const {
   std::vector<ChunkIndex> out;

@@ -6,15 +6,10 @@ namespace agar::store {
 
 BackendCluster::BackendCluster(std::size_t num_regions,
                                ec::CodecParams codec_params,
-                               std::shared_ptr<const ec::Placement> placement)
-    : codec_(codec_params),
-      placement_(std::move(placement)),
-      buckets_(num_regions) {
+                               ec::RoundRobinPlacement placement)
+    : codec_(codec_params), placement_(placement), buckets_(num_regions) {
   if (num_regions == 0) {
     throw std::invalid_argument("BackendCluster: need at least one region");
-  }
-  if (placement_ == nullptr) {
-    throw std::invalid_argument("BackendCluster: null placement");
   }
 }
 
@@ -22,7 +17,7 @@ void BackendCluster::put_object(const ObjectKey& key, BytesView data) {
   ec::EncodedObject encoded = codec_.encode(data);
   for (auto& chunk : encoded.chunks) {
     const RegionId region =
-        placement_->region_of(key, chunk.index, num_regions());
+        placement_.region_of(key, chunk.index, num_regions());
     buckets_.at(region).put(ChunkId{key, chunk.index}, std::move(chunk.data));
   }
   objects_[key] = StoredObject{encoded.object_size,
@@ -51,7 +46,7 @@ ObjectInfo BackendCluster::object_info(const ObjectKey& key) const {
   for (std::size_t i = 0; i < total; ++i) {
     const auto idx = static_cast<ChunkIndex>(i);
     info.locations.push_back(
-        ChunkLocation{idx, placement_->region_of(key, idx, num_regions())});
+        ChunkLocation{idx, placement_.region_of(key, idx, num_regions())});
   }
   return info;
 }
@@ -59,8 +54,8 @@ ObjectInfo BackendCluster::object_info(const ObjectKey& key) const {
 std::optional<SharedBytes> BackendCluster::get_chunk(const ChunkId& id) const {
   const auto it = objects_.find(id.key);
   if (it == objects_.end()) return std::nullopt;
-  const RegionId region = placement_->region_of(id.key, id.index,
-                                                num_regions());
+  const RegionId region =
+      placement_.region_of(id.key, id.index, num_regions());
   return buckets_.at(region).get(id);
 }
 

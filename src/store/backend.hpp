@@ -6,7 +6,6 @@
 // paper (6 regions, RS(9,3), two chunks per region).
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,11 +34,13 @@ struct ObjectInfo {
 class BackendCluster {
  public:
   BackendCluster(std::size_t num_regions, ec::CodecParams codec_params,
-                 std::shared_ptr<const ec::Placement> placement);
+                 ec::RoundRobinPlacement placement);
 
   [[nodiscard]] std::size_t num_regions() const { return buckets_.size(); }
   [[nodiscard]] const ec::ObjectCodec& codec() const { return codec_; }
-  [[nodiscard]] const ec::Placement& placement() const { return *placement_; }
+  [[nodiscard]] const ec::RoundRobinPlacement& placement() const {
+    return placement_;
+  }
 
   /// Encode `data` and store its chunks across the regional buckets.
   void put_object(const ObjectKey& key, BytesView data);
@@ -75,7 +76,7 @@ class BackendCluster {
   };
 
   ec::ObjectCodec codec_;
-  std::shared_ptr<const ec::Placement> placement_;
+  ec::RoundRobinPlacement placement_;
   std::vector<Bucket> buckets_;
   std::unordered_map<ObjectKey, StoredObject> objects_;
 };

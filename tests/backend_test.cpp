@@ -10,17 +10,13 @@ namespace {
 
 BackendCluster make_cluster(std::size_t regions = 6,
                             ec::CodecParams params = {9, 3}) {
-  return BackendCluster(regions, params,
-                        std::make_shared<ec::RoundRobinPlacement>(false));
+  return BackendCluster(regions, params, ec::RoundRobinPlacement(false));
 }
 
 TEST(Backend, ConstructionValidation) {
   EXPECT_THROW(
-      BackendCluster(0, ec::CodecParams{9, 3},
-                     std::make_shared<ec::RoundRobinPlacement>(false)),
+      BackendCluster(0, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)),
       std::invalid_argument);
-  EXPECT_THROW(BackendCluster(6, ec::CodecParams{9, 3}, nullptr),
-               std::invalid_argument);
 }
 
 TEST(Backend, PutDistributesChunksRoundRobin) {

@@ -14,8 +14,7 @@ class CacheManagerTest : public ::testing::Test {
   CacheManagerTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, {}, 99)),
-        backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)) {
+        backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     for (int i = 0; i < 20; ++i) {
       backend_.register_object("object" + std::to_string(i), 1_MB);
     }
@@ -121,18 +120,6 @@ TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
   }
 }
 
-TEST_F(CacheManagerTest, ContainsChunkReflectsChosenOption) {
-  auto mgr = make_manager(50_MB);
-  for (int i = 0; i < 50; ++i) monitor_->record_access("object0");
-  const auto& config = mgr->reconfigure();
-  ASSERT_TRUE(config.entries.contains("object0"));
-  const auto& opt = config.entries.at("object0");
-  for (const ChunkIndex c : opt.chunks) {
-    EXPECT_TRUE(config.contains_chunk("object0", c));
-  }
-  EXPECT_FALSE(config.contains_chunk("object19", 0));
-}
-
 TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   auto mgr = make_manager(10_MB);
   for (int i = 0; i < 30; ++i) monitor_->record_access("object0");
@@ -146,6 +133,7 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
     }
   }
   EXPECT_EQ(cache_->configured_size(), chunk_keys);
+  EXPECT_FALSE(cache_->is_configured(ChunkId{"object19", 0}.cache_key()));
 }
 
 TEST_F(CacheManagerTest, ReconfigureRollsThePeriod) {

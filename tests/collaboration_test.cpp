@@ -17,8 +17,7 @@ class PeerInfoTest : public ::testing::Test {
   PeerInfoTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, {}, 31)),
-        backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)) {
+        backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     for (int i = 0; i < 6; ++i) {
       backend_.register_object("object" + std::to_string(i), 1_MB);
     }

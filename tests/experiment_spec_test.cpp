@@ -9,6 +9,7 @@
 
 #include "api/json.hpp"
 #include "api/registry.hpp"
+#include "api/run.hpp"
 
 namespace agar::api {
 namespace {
@@ -70,6 +71,27 @@ TEST(ExperimentSpec, RegionAfterRegionsWinsAndViceVersa) {
   EXPECT_EQ(widened.experiment.effective_client_regions(),
             (std::vector<RegionId>{sim::region::kDublin,
                                    sim::region::kTokyo}));
+}
+
+TEST(ExperimentSpec, RepeatedClientRegionIsRejected) {
+  // Each listed region is one lane with its own network; a repeat would
+  // hand the second lane the first lane's network.
+  try {
+    (void)ExperimentSpec::from_pairs({"regions=frankfurt,dublin,frankfurt"});
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'frankfurt'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExperimentSpec, CandidateWeightAboveKFailsBeforeAnyRead) {
+  // The default weights 1,3,5,7,9 exceed k = 6. A 30 s period never
+  // reconfigures within 40 reads, so only a check at build time sees it.
+  const auto spec = ExperimentSpec::from_pairs(
+      {"system=agar", "rs_k=6", "rs_m=2", "objects=20", "object_bytes=9KB",
+       "ops=40", "runs=1", "period_s=30"});
+  EXPECT_THROW((void)run(spec), std::invalid_argument);
 }
 
 TEST(ExperimentSpec, UnknownEngineFailsAtValidateTime) {

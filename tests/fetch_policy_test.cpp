@@ -1,4 +1,4 @@
-// Fault-tolerant fetch policies: timeout, retry/backoff, hedging, and the
+// The fault-tolerant fetch policy: timeout, retry/backoff, hedging, and the
 // down-region-discovery-costs-a-timeout semantics, plus the spec surface
 // (fetch= / fetch.* keys) and the end-to-end degraded-read flow.
 #include "client/fetch_policy.hpp"
@@ -26,9 +26,9 @@ class FetchPolicyTest : public ::testing::Test {
   }
 
   /// Deterministic params: no backoff jitter, hedging off unless asked.
-  static FaultTolerantParams quick(std::size_t retries,
-                                   double hedge_after_mult = 0.0) {
-    FaultTolerantParams p;
+  static FetchPolicyParams quick(std::size_t retries,
+                                 double hedge_after_mult = 0.0) {
+    FetchPolicyParams p;
     p.retries = retries;
     p.backoff_ms = 5.0;
     p.backoff_mult = 2.0;
@@ -45,18 +45,14 @@ class FetchPolicyTest : public ::testing::Test {
 TEST_F(FetchPolicyTest, InvalidParamsThrow) {
   auto bad = quick(1);
   bad.timeout_mult = 0.0;
-  EXPECT_THROW(FaultTolerantFetchPolicy(&network_, 1, bad),
-               std::invalid_argument);
+  EXPECT_THROW(FetchPolicy(&network_, 1, bad), std::invalid_argument);
   bad = quick(1);
   bad.backoff_mult = 0.5;
-  EXPECT_THROW(FaultTolerantFetchPolicy(&network_, 1, bad),
-               std::invalid_argument);
+  EXPECT_THROW(FetchPolicy(&network_, 1, bad), std::invalid_argument);
   bad = quick(1);
   bad.jitter = 1.0;
-  EXPECT_THROW(FaultTolerantFetchPolicy(&network_, 1, bad),
-               std::invalid_argument);
-  EXPECT_THROW(FaultTolerantFetchPolicy(nullptr, 1, quick(1)),
-               std::invalid_argument);
+  EXPECT_THROW(FetchPolicy(&network_, 1, bad), std::invalid_argument);
+  EXPECT_THROW(FetchPolicy(nullptr, 1, quick(1)), std::invalid_argument);
 }
 
 // Where the raw network refuses a down region synchronously, the policy
@@ -65,7 +61,7 @@ TEST_F(FetchPolicyTest, InvalidParamsThrow) {
 TEST_F(FetchPolicyTest, DownRegionDiscoveryCostsTheTimeout) {
   const RegionId to = sim::region::kTokyo;
   network_.fail_region(to);
-  FaultTolerantFetchPolicy policy(&network_, 7, quick(/*retries=*/0));
+  FetchPolicy policy(&network_, 7, quick(/*retries=*/0));
 
   std::optional<SimTimeMs> out = SimTimeMs{-1.0};
   SimTimeMs delivered_at = -1.0;
@@ -94,7 +90,7 @@ TEST_F(FetchPolicyTest, DownRegionDiscoveryCostsTheTimeout) {
 TEST_F(FetchPolicyTest, RetryAfterTimeoutSucceedsOnceRegionReturns) {
   const RegionId to = sim::region::kSydney;
   network_.fail_region(to);
-  FaultTolerantFetchPolicy policy(&network_, 7, quick(/*retries=*/2));
+  FetchPolicy policy(&network_, 7, quick(/*retries=*/2));
 
   const SimTimeMs timeout =
       std::max(quick(2).timeout_min_ms,
@@ -127,7 +123,7 @@ TEST_F(FetchPolicyTest, RetryAfterTimeoutSucceedsOnceRegionReturns) {
 TEST_F(FetchPolicyTest, ExhaustionDeliversNulloptExactlyOnce) {
   const RegionId to = sim::region::kVirginia;
   network_.fail_region(to);
-  FaultTolerantFetchPolicy policy(&network_, 7, quick(/*retries=*/2));
+  FetchPolicy policy(&network_, 7, quick(/*retries=*/2));
 
   std::size_t calls = 0;
   std::optional<SimTimeMs> out = SimTimeMs{-1.0};
@@ -156,7 +152,7 @@ TEST_F(FetchPolicyTest, HedgingCutsTheStragglerTail) {
 
   auto params = quick(/*retries=*/0, /*hedge_after_mult=*/0.5);
   params.timeout_mult = 100.0;  // the timeout never interferes here
-  FaultTolerantFetchPolicy policy(&network_, 7, params);
+  FetchPolicy policy(&network_, 7, params);
 
   std::size_t successes = 0;
   std::size_t calls = 0;

@@ -215,9 +215,8 @@ class RepairProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RepairProperty, RandomDamageUpToMIsAlwaysRepairable) {
   Rng rng(900 + static_cast<std::uint64_t>(GetParam()));
-  store::BackendCluster backend(
-      6, ec::CodecParams{9, 3},
-      std::make_shared<ec::RoundRobinPlacement>(false));
+  store::BackendCluster backend(6, ec::CodecParams{9, 3},
+                                ec::RoundRobinPlacement(false));
   store::populate_working_set(backend, 4, 4500);
 
   for (int trial = 0; trial < 10; ++trial) {

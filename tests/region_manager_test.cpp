@@ -14,8 +14,7 @@ class RegionManagerTest : public ::testing::Test {
   RegionManagerTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, {}, 1234)),
-        backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)) {
+        backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     backend_.register_object("obj", 1_MB);
   }
 

@@ -12,8 +12,7 @@ namespace {
 class RepairTest : public ::testing::Test {
  protected:
   RepairTest()
-      : backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)) {
+      : backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     populate_working_set(backend_, 5, 9000);
   }
 

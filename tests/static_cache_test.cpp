@@ -102,6 +102,19 @@ TEST(StaticCache, ReconfigurationCountIncrements) {
   EXPECT_EQ(c.reconfigurations(), 2u);
 }
 
+TEST(StaticCache, InstallCountsAddedAndDroppedKeys) {
+  StaticConfigCache c(100);
+  auto churn = c.install_configuration({"a", "b"});
+  EXPECT_EQ(churn.added, 2u);
+  EXPECT_EQ(churn.dropped, 0u);
+  churn = c.install_configuration({"b", "c", "d"});
+  EXPECT_EQ(churn.added, 2u);    // c, d
+  EXPECT_EQ(churn.dropped, 1u);  // a
+  churn = c.install_configuration({"d"});
+  EXPECT_EQ(churn.added, 0u);
+  EXPECT_EQ(churn.dropped, 2u);  // b, c
+}
+
 TEST(StaticCache, EmptyConfigurationEvictsEverything) {
   StaticConfigCache c(100);
   c.install_configuration({"a", "b"});

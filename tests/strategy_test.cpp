@@ -30,8 +30,7 @@ class StrategyTest : public ::testing::Test {
   StrategyTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, zero_jitter(), 3)),
-        backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)) {
+        backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     store::populate_working_set(backend_, 5, 9000);
     network_.bind_loop(&loop_);
   }
