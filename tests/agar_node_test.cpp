@@ -1,13 +1,12 @@
 // The Agar node (Fig. 3) as AgarStrategy runs it on the event loop: read
-// planning against the region manager's costs and the configuration
-// installed in the strategy's cache, the request monitor, the periodic
-// probe -> plan -> populate pipeline, and eviction of stale residents.
+// planning against the region manager's costs, the request monitor, the
+// periodic probe -> plan -> populate pipeline, and eviction of stale
+// residents. Planning against an installed configuration is
+// read_planner_test.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
-#include <set>
-#include <unordered_set>
 
 #include "client/agar_strategy.hpp"
 
@@ -60,12 +59,6 @@ class AgarStrategyNodeTest : public ::testing::Test {
     loop_.run();
   }
 
-  /// Cache key of chunk `idx` of object0, the object the planning cases
-  /// read.
-  static std::string chunk(ChunkIndex idx) {
-    return ChunkId{"object0", idx}.cache_key();
-  }
-
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
@@ -97,74 +90,6 @@ TEST_F(AgarStrategyNodeTest, PlanPrefersCheapRegions) {
   }
   EXPECT_EQ(sydney, 0u);
   EXPECT_EQ(tokyo, 1u);
-}
-
-TEST_F(AgarStrategyNodeTest, PlanNeverDuplicatesChunks) {
-  AgarStrategy s(ctx(), params(10_MB));
-  s.warm_up();
-  // Configure + populate some chunks, leave others configured-but-absent.
-  s.cache().install_configuration({chunk(4), chunk(3), chunk(9)});
-  s.cache().put(chunk(4), Bytes(8, 1));
-  const ReadPlan p = s.plan_read("object0");
-  std::set<ChunkIndex> seen;
-  for (const ChunkIndex c : p.from_cache) {
-    EXPECT_TRUE(seen.insert(c).second);
-  }
-  for (const auto& [c, r] : p.from_backend) {
-    EXPECT_TRUE(seen.insert(c).second);
-  }
-  EXPECT_EQ(p.chunks_on_path(), 9u);
-}
-
-TEST_F(AgarStrategyNodeTest, ResidentChunksComeFromCache) {
-  AgarStrategy s(ctx(), params(10_MB));
-  s.warm_up();
-  s.cache().install_configuration({chunk(4)});
-  s.cache().put(chunk(4), Bytes(8, 1));
-  const ReadPlan p = s.plan_read("object0");
-  ASSERT_EQ(p.from_cache.size(), 1u);
-  EXPECT_EQ(p.from_cache[0], 4u);
-  EXPECT_EQ(p.from_backend.size(), 8u);
-}
-
-TEST_F(AgarStrategyNodeTest, ConfiguredOnPathChunksMarkedForWriteBack) {
-  AgarStrategy s(ctx(), params(10_MB));
-  s.warm_up();
-  // Chunk 4 (Tokyo) is configured but not resident; it is the 9th-cheapest
-  // so it is fetched on-path and should be written back.
-  s.cache().install_configuration({chunk(4)});
-  const ReadPlan p = s.plan_read("object0");
-  ASSERT_EQ(p.populate_after_read.size(), 1u);
-  EXPECT_EQ(p.populate_after_read[0], 4u);
-  EXPECT_TRUE(p.async_populate.empty());
-}
-
-TEST_F(AgarStrategyNodeTest, ConfiguredOffPathChunksPopulateAsync) {
-  AgarStrategy s(ctx(), params(10_MB));
-  s.warm_up();
-  // Chunk 5 (Sydney) is never fetched on-path from Frankfurt; configuring
-  // it forces an asynchronous population fetch.
-  s.cache().install_configuration({chunk(5)});
-  const ReadPlan p = s.plan_read("object0");
-  ASSERT_EQ(p.async_populate.size(), 1u);
-  EXPECT_EQ(p.async_populate[0].first, 5u);
-  EXPECT_EQ(p.async_populate[0].second, sim::region::kSydney);
-  EXPECT_TRUE(p.populate_after_read.empty());
-}
-
-TEST_F(AgarStrategyNodeTest, FullResidencyNeedsNoBackend) {
-  AgarStrategy s(ctx(), params(10_MB));
-  s.warm_up();
-  // The nine needed chunks from Frankfurt: all but Sydney's {5, 11} and
-  // Tokyo's second chunk {10}.
-  const std::vector<ChunkIndex> needed{0, 1, 2, 3, 4, 6, 7, 8, 9};
-  std::unordered_set<std::string> keys;
-  for (const ChunkIndex idx : needed) keys.insert(chunk(idx));
-  s.cache().install_configuration(keys);
-  for (const ChunkIndex idx : needed) s.cache().put(chunk(idx), Bytes(8, 1));
-  const ReadPlan p = s.plan_read("object0");
-  EXPECT_EQ(p.from_cache.size(), 9u);
-  EXPECT_TRUE(p.from_backend.empty());
 }
 
 TEST_F(AgarStrategyNodeTest, PlanRecordsAccessInMonitor) {

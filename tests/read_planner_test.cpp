@@ -1,13 +1,15 @@
-// Shared read planner: source resolution invariants for any configuration
-// policy (Agar's knapsack or the periodic LFU baseline).
-#include "core/read_planner.hpp"
-
+// Agar's read planner (AgarStrategy::plan_read): source resolution
+// invariants for whatever configuration is installed in the strategy's
+// cache, whichever policy chose it (Agar's knapsack or LFU-c's greedy).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <unordered_set>
 
-namespace agar::core {
+#include "client/agar_strategy.hpp"
+
+namespace agar::client {
 namespace {
 
 class ReadPlannerTest : public ::testing::Test {
@@ -15,15 +17,13 @@ class ReadPlannerTest : public ::testing::Test {
   ReadPlannerTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, zero_jitter(), 4)),
-        backend_(6, ec::CodecParams{9, 3},
-                 std::make_shared<ec::RoundRobinPlacement>(false)),
-        cache_(1_MB) {
+        backend_(6, ec::CodecParams{9, 3}, ec::RoundRobinPlacement(false)) {
     backend_.register_object("obj", 90_KB);
-    RegionManagerParams p;
-    p.local_region = sim::region::kFrankfurt;
-    region_manager_ =
-        std::make_unique<RegionManager>(&backend_, &network_, p);
-    region_manager_->probe();
+    network_.bind_loop(&loop_);
+    AgarParams p;
+    p.cache_capacity_bytes = 1_MB;
+    strategy_ = std::make_unique<AgarStrategy>(ctx(), p);
+    strategy_->warm_up();
   }
 
   static sim::LatencyModelParams zero_jitter() {
@@ -32,24 +32,32 @@ class ReadPlannerTest : public ::testing::Test {
     return p;
   }
 
-  ReadPlan plan(const ConfiguredChunkFn& configured) {
-    return plan_chunk_sources(backend_, *region_manager_, cache_, configured,
-                              "obj");
+  ClientContext ctx() {
+    ClientContext c;
+    c.backend = &backend_;
+    c.network = &network_;
+    c.loop = &loop_;
+    c.region = sim::region::kFrankfurt;
+    return c;
   }
 
-  static ConfiguredChunkFn nothing() {
-    return [](const ObjectKey&, ChunkIndex) { return false; };
+  ReadPlan plan() { return strategy_->plan_read("obj"); }
+
+  cache::StaticConfigCache& cache() { return strategy_->cache(); }
+
+  static std::string chunk(ChunkIndex idx) {
+    return ChunkId{"obj", idx}.cache_key();
   }
 
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
-  cache::StaticConfigCache cache_;
-  std::unique_ptr<RegionManager> region_manager_;
+  sim::EventLoop loop_;
+  std::unique_ptr<AgarStrategy> strategy_;
 };
 
 TEST_F(ReadPlannerTest, ColdPlanFetchesKCheapest) {
-  const ReadPlan p = plan(nothing());
+  const ReadPlan p = plan();
   EXPECT_TRUE(p.from_cache.empty());
   EXPECT_EQ(p.from_backend.size(), 9u);
   EXPECT_TRUE(p.async_populate.empty());
@@ -65,14 +73,9 @@ TEST_F(ReadPlannerTest, ColdPlanFetchesKCheapest) {
 
 TEST_F(ReadPlannerTest, PlanNeverDuplicatesChunks) {
   // Configure + populate some chunks, leave others configured-but-absent.
-  cache_.install_configuration({ChunkId{"obj", 4}.cache_key(),
-                                ChunkId{"obj", 3}.cache_key(),
-                                ChunkId{"obj", 9}.cache_key()});
-  cache_.put(ChunkId{"obj", 4}.cache_key(), Bytes(8, 1));
-  const auto configured = [](const ObjectKey&, ChunkIndex idx) {
-    return idx == 4 || idx == 3 || idx == 9;
-  };
-  const ReadPlan p = plan(configured);
+  cache().install_configuration({chunk(4), chunk(3), chunk(9)});
+  cache().put(chunk(4), Bytes(8, 1));
+  const ReadPlan p = plan();
   std::set<ChunkIndex> seen;
   for (const ChunkIndex c : p.from_cache) {
     EXPECT_TRUE(seen.insert(c).second);
@@ -84,10 +87,9 @@ TEST_F(ReadPlannerTest, PlanNeverDuplicatesChunks) {
 }
 
 TEST_F(ReadPlannerTest, ResidentChunksComeFromCache) {
-  cache_.install_configuration({ChunkId{"obj", 4}.cache_key()});
-  cache_.put(ChunkId{"obj", 4}.cache_key(), Bytes(8, 1));
-  const ReadPlan p = plan(
-      [](const ObjectKey&, ChunkIndex idx) { return idx == 4; });
+  cache().install_configuration({chunk(4)});
+  cache().put(chunk(4), Bytes(8, 1));
+  const ReadPlan p = plan();
   ASSERT_EQ(p.from_cache.size(), 1u);
   EXPECT_EQ(p.from_cache[0], 4u);
   EXPECT_EQ(p.from_backend.size(), 8u);
@@ -96,8 +98,8 @@ TEST_F(ReadPlannerTest, ResidentChunksComeFromCache) {
 TEST_F(ReadPlannerTest, ConfiguredOnPathChunksMarkedForWriteBack) {
   // Chunk 4 (Tokyo) is configured but not resident; it is the 9th-cheapest
   // so it is fetched on-path and should be written back.
-  const ReadPlan p = plan(
-      [](const ObjectKey&, ChunkIndex idx) { return idx == 4; });
+  cache().install_configuration({chunk(4)});
+  const ReadPlan p = plan();
   ASSERT_EQ(p.populate_after_read.size(), 1u);
   EXPECT_EQ(p.populate_after_read[0], 4u);
   EXPECT_TRUE(p.async_populate.empty());
@@ -106,8 +108,8 @@ TEST_F(ReadPlannerTest, ConfiguredOnPathChunksMarkedForWriteBack) {
 TEST_F(ReadPlannerTest, ConfiguredOffPathChunksPopulateAsync) {
   // Chunk 5 (Sydney) is never fetched on-path from Frankfurt; configuring
   // it forces an asynchronous population fetch.
-  const ReadPlan p = plan(
-      [](const ObjectKey&, ChunkIndex idx) { return idx == 5; });
+  cache().install_configuration({chunk(5)});
+  const ReadPlan p = plan();
   ASSERT_EQ(p.async_populate.size(), 1u);
   EXPECT_EQ(p.async_populate[0].first, 5u);
   EXPECT_EQ(p.async_populate[0].second, sim::region::kSydney);
@@ -115,22 +117,17 @@ TEST_F(ReadPlannerTest, ConfiguredOffPathChunksPopulateAsync) {
 }
 
 TEST_F(ReadPlannerTest, FullResidencyNeedsNoBackend) {
-  std::unordered_set<std::string> keys;
   // The nine needed chunks from Frankfurt: all but Sydney's {5, 11} and
   // Tokyo's second chunk {10}.
-  for (const ChunkIndex idx : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u}) {
-    keys.insert(ChunkId{"obj", idx}.cache_key());
-  }
-  cache_.install_configuration(keys);
-  for (const ChunkIndex idx : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u}) {
-    cache_.put(ChunkId{"obj", idx}.cache_key(), Bytes(8, 1));
-  }
-  const ReadPlan p = plan([&](const ObjectKey&, ChunkIndex idx) {
-    return keys.contains(ChunkId{"obj", idx}.cache_key());
-  });
+  const std::vector<ChunkIndex> needed{0, 1, 2, 3, 4, 6, 7, 8, 9};
+  std::unordered_set<std::string> keys;
+  for (const ChunkIndex idx : needed) keys.insert(chunk(idx));
+  cache().install_configuration(keys);
+  for (const ChunkIndex idx : needed) cache().put(chunk(idx), Bytes(8, 1));
+  const ReadPlan p = plan();
   EXPECT_EQ(p.from_cache.size(), 9u);
   EXPECT_TRUE(p.from_backend.empty());
 }
 
 }  // namespace
-}  // namespace agar::core
+}  // namespace agar::client
