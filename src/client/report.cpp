@@ -149,6 +149,17 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
           << ", \"planning_ms\": " << num(run.planning_ms)
           << ", \"chunks_installed\": " << run.config_chunks_installed
           << ", \"chunks_evicted\": " << run.config_chunks_evicted << "}";
+      // Configured objects per option weight (Fig. 10): present only for
+      // systems that hold a configuration (Agar, LFU-c).
+      if (!run.weight_histogram.empty()) {
+        out << ", \"weight_histogram\": {";
+        bool first = true;
+        for (const auto& [weight, objects] : run.weight_histogram) {
+          out << (first ? "" : ", ") << "\"" << weight << "\": " << objects;
+          first = false;
+        }
+        out << "}";
+      }
       // Fetch-policy telemetry: present only when a policy ran (the
       // region_success_ewma vector is empty under fetch=none).
       if (!run.region_success_ewma.empty()) {

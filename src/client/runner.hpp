@@ -200,7 +200,7 @@ struct RunResult {
   std::uint64_t degraded_reads = 0;
   cache::CacheStats cache_stats;
   std::size_t cache_used_bytes = 0;
-  /// Agar only: configured objects per option weight (Fig. 10 data),
+  /// Agar and LFU-c: configured objects per option weight (Fig. 10 data),
   /// sorted by weight so consumers iterate deterministically.
   std::map<std::size_t, std::size_t> weight_histogram;
   /// Decode-plan cache of the deployment's codec: reconstructions that
