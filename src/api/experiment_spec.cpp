@@ -1,6 +1,7 @@
 #include "api/experiment_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -8,6 +9,7 @@
 
 #include "api/json.hpp"
 #include "api/registry.hpp"
+#include "collab/collab.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/topology.hpp"
 
@@ -48,7 +50,9 @@ client::WorkloadSpec parse_workload(const std::string& text) {
   try {
     std::size_t pos = 0;
     const double s = std::stod(skew, &pos);
-    if (pos != skew.size() || s < 0.0) throw std::invalid_argument("");
+    if (pos != skew.size() || !std::isfinite(s) || s < 0.0) {
+      throw std::invalid_argument("");
+    }
     return client::WorkloadSpec::zipfian(s);
   } catch (const std::exception&) {
     throw std::invalid_argument("workload '" + text +
@@ -341,10 +345,24 @@ void ExperimentSpec::validate() const {
     experiment.collab_params.validate(
         collabs.at(experiment.collab).schema,
         "collab tier '" + experiment.collab + "'");
+    // Building the tier's settings runs its own range checks now, not
+    // after the deployment is built.
+    (void)collabs.create(experiment.collab, CollabContext{},
+                         experiment.collab_params);
   }
   if (experiment.deployment.codec.k == 0 ||
       experiment.deployment.codec.m == 0) {
     throw std::invalid_argument("rs_k and rs_m must be >= 1");
+  }
+  // Negated comparisons so a NaN set through the typed fields fails too.
+  if (!(experiment.reconfig_period_ms > 0.0)) {
+    throw std::invalid_argument("period_s must be > 0");
+  }
+  if (!(experiment.decode_ms_per_mb >= 0.0)) {
+    throw std::invalid_argument("decode_ms_per_mb must be >= 0");
+  }
+  if (!(experiment.arrival_rate_per_s >= 0.0)) {
+    throw std::invalid_argument("arrival_rate must be >= 0");
   }
   if (experiment.metric_window_ms < 0.0) {
     throw std::invalid_argument("window_ms must be >= 0");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -171,10 +172,14 @@ double ParamMap::get_double(const std::string& key, double fallback) const {
     try {
       std::size_t pos = 0;
       const double d = std::stod(v, &pos);
-      if (pos != v.size()) throw std::invalid_argument("");
+      // std::stod takes "nan" and "inf"; a NaN time would reach the event
+      // heap, whose ordering assumes comparable keys.
+      if (pos != v.size() || !std::isfinite(d)) {
+        throw std::invalid_argument("");
+      }
       return d;
     } catch (const std::exception&) {
-      throw std::invalid_argument("'" + v + "' is not a number");
+      throw std::invalid_argument("'" + v + "' is not a finite number");
     }
   });
 }

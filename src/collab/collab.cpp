@@ -315,6 +315,9 @@ const api::CollabRegistration kBroadcast{{
       auto settings = std::make_unique<CollabSettings>();
       settings->broadcast_period_ms =
           params.get_double("period_s", 5.0) * 1000.0;
+      if (!(settings->broadcast_period_ms > 0.0)) {
+        throw std::invalid_argument("collab.period_s must be > 0");
+      }
       settings->peer_threshold_ms =
           params.get_double("peer_threshold_ms", 400.0);
       settings->apply_delay_ms = params.get_double("apply_ms", 10.0);

@@ -178,6 +178,14 @@ TEST(ExperimentSpec, MalformedValuesThrowWithDiagnostics) {
                std::invalid_argument);
   EXPECT_THROW((void)ExperimentSpec::from_pairs({"workload=zipf:fast"}),
                std::invalid_argument);
+  // std::stod reads these as numbers; no time, rate or skew may be one.
+  for (const char* pair :
+       {"workload=zipf:nan", "workload=zipf:inf", "decode_ms_per_mb=nan",
+        "decode_ms_per_mb=inf", "arrival_rate=nan", "period_s=inf"}) {
+    EXPECT_THROW((void)ExperimentSpec::from_pairs({pair}),
+                 std::invalid_argument)
+        << pair;
+  }
   EXPECT_THROW((void)ExperimentSpec::from_pairs({"not-a-pair"}),
                std::invalid_argument);
   try {
@@ -204,6 +212,37 @@ TEST(ExperimentSpec, ValidateRejectsUnknownAndMistypedParams) {
   EXPECT_THROW(ExperimentSpec::from_pairs({"system=lru", "sketch_width=128"})
                    .validate(),
                std::invalid_argument);
+  EXPECT_THROW(
+      ExperimentSpec::from_pairs({"system=lfu", "proxy_ms=nan"}).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(ExperimentSpec::from_pairs(
+                   {"scenario=0 slow_region region=tokyo factor=nan"})
+                   .validate(),
+               std::invalid_argument);
+}
+
+TEST(ExperimentSpec, ValidateRejectsOutOfRangeTimesAndRates) {
+  // Each used to pass validation: a zero period failed mid-run with an
+  // event-loop error naming no key, a negative decode charge was clamped
+  // to zero and a negative rate ran closed-loop.
+  auto expect_rejected = [](const std::vector<std::string>& pairs,
+                            const std::string& key) {
+    try {
+      ExperimentSpec::from_pairs(pairs).validate();
+      ADD_FAILURE() << key << ": expected a throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({"period_s=0"}, "period_s");
+  expect_rejected({"decode_ms_per_mb=-100000"}, "decode_ms_per_mb");
+  expect_rejected({"arrival_rate=-5"}, "arrival_rate");
+  expect_rejected(
+      {"collab=broadcast", "regions=frankfurt,dublin", "collab.period_s=0"},
+      "collab.period_s");
+  ExperimentSpec::from_pairs({"decode_ms_per_mb=0", "arrival_rate=0"})
+      .validate();
 }
 
 TEST(ExperimentSpec, JsonRoundTripPreservesEverything) {
