@@ -10,9 +10,12 @@
 #   example_agar_cli --spec examples/specs/<name>.json --json
 # for every spec except daemon_routes.json (an agard routing table, not an
 # experiment), plus <name>.verify.json for agar_vs_lfu.json and
-# systems_outage.json run with `--set verify=true`. The specs that drive the
-# sharded engine (outage_flash_crowd, chaos_gray_failure, geo_partition)
-# rerun at `--shards 4` against the same goldens. These checks compare a
+# systems_outage.json run with `--set verify=true`. The paper's evaluation,
+# examples/specs/paper/<name>.json, is pinned the same way by
+# tests/golden/paper/<name>.json (scripts/check_paper_claims.py checks the
+# paper's claims against those goldens). The specs that drive the sharded
+# engine (outage_flash_crowd, chaos_gray_failure, geo_partition) rerun at
+# `--shards 4` against the same goldens. These checks compare a
 # commit with the results its parent committed, so a change that moves
 # every build the same way still fails here; and since every build ctest
 # runs (SIMD, portable, sanitizers) must match the same goldens, the builds
@@ -28,6 +31,7 @@ cli=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/paper"
 
 normalize() { sed 's/"planning_ms": [^,}]*/"planning_ms": 0/g'; }
 
@@ -53,6 +57,9 @@ for spec in "$root"/examples/specs/*.json; do
   name=$(basename "$spec" .json)
   [[ $name == daemon_routes ]] && continue
   check "$name" --spec "$spec"
+done
+for spec in "$root"/examples/specs/paper/*.json; do
+  check "paper/$(basename "$spec" .json)" --spec "$spec"
 done
 check agar_vs_lfu.verify --spec "$root/examples/specs/agar_vs_lfu.json" \
   --set verify=true

@@ -5,11 +5,12 @@
 // synthetic symmetric matrix calibrated so that (a) the ordering seen from
 // Frankfurt matches the paper's Table I (FRA < DUB < NVA < SAO < TYO < SYD)
 // and (b) the latency-vs-cached-chunks curves are non-linear, as in the
-// paper's Fig. 2, and differ by vantage point. bench_fig2_chunk_count
-// measures, for 0/1/3/5/7/9 cached chunks: from Frankfurt 1124.5 / 618.5 /
-// 412.5 / 313.1 / 296.4 / 271.7 ms, the first chunk (the Tokyo one)
-// gaining most; from Sydney 1555.8 / 1485.5 / 748.4 / 696.7 / 375.4 /
-// 350.0 ms, one chunk gaining little and the drops coming at 3 and 7.
+// paper's Fig. 2, and differ by vantage point. The Fig. 2 spec
+// (examples/specs/paper/fig2_chunk_count.json) measures, for 0/1/3/5/7/9
+// cached chunks: from Frankfurt 1124.5 / 618.5 / 412.5 / 313.1 / 296.4 /
+// 271.7 ms, the first chunk (the Tokyo one) gaining most; from Sydney
+// 1555.8 / 1485.5 / 748.4 / 696.7 / 375.4 / 350.0 ms, one chunk gaining
+// little and the drops coming at 3 and 7.
 // Absolute values are not the paper's measurements: the AWS deployment is
 // simulated (PAPER.md, "This reproduction").
 #pragma once

@@ -79,6 +79,14 @@ TEST(Zipfian, Paper5PercentRule) {
   // accesses.
   ZipfianGenerator gen(300, 1.1);
   EXPECT_GT(gen.cdf(14), 0.35);
+  // Fig. 9's example: the top 5 objects take about 40% of the requests
+  // (43.7% analytic), and the generator samples that share.
+  EXPECT_NEAR(gen.cdf(4), 0.437, 0.0005);
+  Rng rng(5);
+  const int n = 100000;
+  int top5 = 0;
+  for (int i = 0; i < n; ++i) top5 += gen.next_index(rng) < 5 ? 1 : 0;
+  EXPECT_NEAR(static_cast<double>(top5) / n, gen.cdf(4), 0.01);
 }
 
 TEST(WorkloadSpec, Labels) {
