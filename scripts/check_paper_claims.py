@@ -12,7 +12,8 @@ order parse_spec_json runs them, first sweep key outermost, and each report
 row must carry the label of its entry, so every number is read from the run
 it belongs to.
 
-Exits 1 unless these claims hold in both client regions:
+Exits 1 if a row and its entry disagree, or if one of these claims fails
+(Figs. 2, 6 and 7 in each client region):
   - Fig. 2: mean latency never rises as the cached chunks c go 0 -> 9;
   - Fig. 6: Agar's mean latency is below every LRU-c's, LFU-c's and
     Backend's;
@@ -89,17 +90,16 @@ class Figure:
                                    % (name, i, row["system"], label(entry)))
         self.runs = list(zip(entries, rows))
 
+    def rows(self, **where):
+        return [row for entry, row in self.runs
+                if all(entry.get(k) == v for k, v in where.items())]
+
     def row(self, **where):
-        found = [row for entry, row in self.runs
-                 if all(entry.get(k) == v for k, v in where.items())]
+        found = self.rows(**where)
         if len(found) != 1:
             raise SpecMismatch("%s: %d rows match %s"
                                % (self.name, len(found), where))
         return found[0]
-
-    def rows(self, **where):
-        return [row for entry, row in self.runs
-                if all(entry.get(k) == v for k, v in where.items())]
 
 
 def ms(row):
@@ -149,6 +149,7 @@ def results_table(rows):
 
 
 def near(repro, paper):
+    """The paper's sign, and within a factor of two of its figure."""
     return repro * paper > 0 and 0.5 <= repro / paper <= 2.0
 
 
@@ -157,40 +158,35 @@ class Claims:
         self.failed = []
         self.statements = []
 
-    def require(self, text, holds):
-        """A claim the reproduction must keep."""
-        if not holds:
-            self.failed.append(text)
-        return holds
-
-    def compare(self, figure, statement, paper, repro, agrees):
+    def compare(self, figure, statement, paper, repro, agrees,
+                required=False):
+        """One paper statement against the reproduction; a required one
+        that disagrees fails the check."""
         self.statements.append([figure, statement, paper, repro,
                                 "agrees" if agrees else "**gap**"])
+        if required and not agrees:
+            self.failed.append("%s: %s" % (figure, statement))
 
 
 def fig2(claims):
     fig = Figure("fig2_chunk_count")
     print("### Fig. 2: latency vs chunks cached (500 MB cache)\n")
-    curves = {}
-    for region in REGIONS:
-        curves[region] = ([fig.row(system="backend", region=region)] +
-                          [fig.row(system="lru", chunks=c, region=region)
-                           for c in CHUNKS])
+    curves = {region: [fig.row(system="backend", region=region)] +
+              [fig.row(system="lru", chunks=c, region=region)
+               for c in CHUNKS] for region in REGIONS}
+    rows = [[c] for c in (0,) + CHUNKS]
+    for curve in curves.values():
+        for cells, row in zip(rows, curve):
+            cells += [fmt_ms(ms(row)), fmt_pct(row["hit_ratio"])]
     table(["chunks cached"] + ["%s %s" % (region, what) for region in REGIONS
-                               for what in ("avg ms", "hit ratio")],
-          [[c] + [cell for region in REGIONS
-                  for cell in (fmt_ms(ms(curves[region][i])),
-                               fmt_pct(curves[region][i]["hit_ratio"]))]
-           for i, c in enumerate((0,) + CHUNKS)])
-    for region in REGIONS:
-        latencies = [ms(r) for r in curves[region]]
-        falls = claims.require(
-            "Fig. 2 (%s): latency never rises as c goes 0->9" % region,
-            all(b <= a for a, b in zip(latencies, latencies[1:])))
-        claims.compare("Fig. 2", "latency falls as chunks are cached, %s"
-                       % region, "non-linear fall",
+                               for what in ("avg ms", "hit ratio")], rows)
+    for region, curve in curves.items():
+        latencies = [ms(row) for row in curve]
+        claims.compare("Fig. 2", "latency never rises as chunks are cached, "
+                       "%s" % region, "non-linear fall",
                        " / ".join(fmt_ms(v) for v in latencies) + " ms",
-                       falls)
+                       all(b <= a for a, b in zip(latencies, latencies[1:])),
+                       required=True)
         # A linear curve would gain 2/9 of the 0 -> 9 drop on the last step.
         last = (latencies[-2] - latencies[-1]) / (latencies[0] - latencies[-1])
         claims.compare("Fig. 2", "plateau once nearby chunks dominate, %s"
@@ -232,14 +228,12 @@ def fig6(claims):
                        "41% lower (region not named)",
                        "%s lower" % fmt_pct(lead(agar, lru1)),
                        near(lead(agar, lru1), 0.41))
-        fastest = claims.require(
-            "Fig. 6 (%s): Agar below every LRU-c, LFU-c and Backend" % region,
-            all(ms(agar) < ms(r) for r in static + [backend]))
         claims.compare("Fig. 6", "Agar below every LRU-c, LFU-c and Backend, "
                        "%s" % region, "yes",
                        "%s ms vs best other %s ms" % (fmt_ms(ms(agar)),
                                                       fmt_ms(ms(top))),
-                       fastest)
+                       all(ms(agar) < ms(r) for r in static + [backend]),
+                       required=True)
     return fig
 
 
@@ -248,13 +242,11 @@ def fig7(claims, fig):
         agar, fixed, _ = policies(fig, region)
         for system, rows in fixed.items():
             hits = [r["hit_ratio"] for r in rows]
-            falls = claims.require(
-                "Fig. 7 (%s): %s-c hit ratio falls as c grows"
-                % (region, FIXED_CHUNKS[system]),
-                all(b < a for a, b in zip(hits, hits[1:])))
             claims.compare("Fig. 7", "%s-c hit ratio falls as c grows, %s"
                            % (FIXED_CHUNKS[system], region), "yes",
-                           " / ".join(fmt_pct(h) for h in hits), falls)
+                           " / ".join(fmt_pct(h) for h in hits),
+                           all(b < a for a, b in zip(hits, hits[1:])),
+                           required=True)
         slowest = [max(rows, key=ms) for rows in fixed.values()]
         claims.compare("Fig. 7", "1-chunk policies are the slowest of their "
                        "family, %s" % region, "yes",
@@ -269,16 +261,13 @@ def fig7(claims, fig):
                        near(top["hit_ratio"], 0.76))
         big = [rows[CHUNKS.index(c)] for rows in fixed.values()
                for c in (7, 9)]
-        above = claims.require(
-            "Fig. 7 (%s): Agar's hit ratio above every 7- and 9-chunk "
-            "policy's" % region,
-            all(agar["hit_ratio"] > r["hit_ratio"] for r in big))
-        claims.compare("Fig. 7", "Agar's hit ratio above the 7- and 9-chunk "
-                       "policies', %s" % region, "yes",
+        claims.compare("Fig. 7", "Agar's hit ratio above every 7- and "
+                       "9-chunk policy's, %s" % region, "yes",
                        "%s vs at most %s" % (
                            fmt_pct(agar["hit_ratio"]),
                            fmt_pct(max(r["hit_ratio"] for r in big))),
-                       above)
+                       all(agar["hit_ratio"] > r["hit_ratio"] for r in big),
+                       required=True)
 
 
 def static_grid(fig, dimension, values, title, backend):
@@ -350,20 +339,17 @@ def fig10(claims):
         installed.update(weights)
         scenario = "%s %s" % (entry["region"], entry["cache_bytes"])
         rows.append([scenario] + [fmt_pct(shares[w]) for w in WEIGHTS])
-        mixed = claims.require(
-            "Fig. 10 (%s): at least two distinct weights" % scenario,
-            len(weights) >= 2)
-        claims.compare("Fig. 10", "a mix of weights, %s" % scenario,
-                       "several weights", "weights %s" % weights, mixed)
+        claims.compare("Fig. 10", "at least two weights, %s" % scenario,
+                       "a mix of weights", "weights %s" % weights,
+                       len(weights) >= 2, required=True)
         claims.compare("Fig. 10", "a significant share goes to full "
                        "replicas, %s" % scenario, "yes",
                        "%s in 9-chunk options" % fmt_pct(shares[9]),
                        shares[9] >= 0.05)
     table(["scenario"] + ["weight %d" % w for w in WEIGHTS], rows)
-    figure_wide = claims.require("Fig. 10: at least three distinct weights",
-                                 len(installed) >= 3)
-    claims.compare("Fig. 10", "weights across the figure", "several weights",
-                   "weights %s" % sorted(installed), figure_wide)
+    claims.compare("Fig. 10", "at least three weights across the figure",
+                   "a mix of weights", "weights %s" % sorted(installed),
+                   len(installed) >= 3, required=True)
 
 
 def ablations():
