@@ -138,12 +138,13 @@ void bench_rs() {
   }
   gf::reset_backend();
 
-  // Decode paths on the active (best) backend.
+  // Decode paths on the active (best) backend, into one reused buffer.
   const std::string active = gf::backend_name(gf::active_backend());
+  Bytes out(chunk * 9);
   std::vector<std::pair<std::uint32_t, BytesView>> all_data;
   for (std::uint32_t i = 0; i < 9; ++i) all_data.emplace_back(i, data[i]);
   record("rs_decode_all_data", active, chunk * 9,
-         [&] { auto out = rs.reconstruct_data(all_data); });
+         [&] { rs.reconstruct_data(all_data, BytesSpan(out)); });
 
   for (const std::size_t missing : {std::size_t{1}, std::size_t{3}}) {
     std::vector<std::pair<std::uint32_t, BytesView>> degraded;
@@ -156,10 +157,10 @@ void bench_rs() {
     const std::string tag = "rs_decode_missing" + std::to_string(missing);
     record(tag + "_cold_plan", active, chunk * 9, [&] {
       rs.clear_decode_plan_cache();
-      auto out = rs.reconstruct_data(degraded);
+      rs.reconstruct_data(degraded, BytesSpan(out));
     });
     record(tag + "_cached_plan", active, chunk * 9,
-           [&] { auto out = rs.reconstruct_data(degraded); });
+           [&] { rs.reconstruct_data(degraded, BytesSpan(out)); });
   }
 
   // Decode-plan setup cost in isolation: 64-byte chunks make the GF work
@@ -174,12 +175,13 @@ void bench_rs() {
   for (std::uint32_t p = 0; p < 3; ++p) {
     tiny_degraded.emplace_back(9 + p, tiny_parity[p]);
   }
+  Bytes tiny_out(64 * 9);
   record("plan_setup_cold", active, 0, [&] {
     rs.clear_decode_plan_cache();
-    auto out = rs.reconstruct_data(tiny_degraded);
+    rs.reconstruct_data(tiny_degraded, BytesSpan(tiny_out));
   }, "64 B chunks: ~pure inversion cost");
   record("plan_setup_cached", active, 0,
-         [&] { auto out = rs.reconstruct_data(tiny_degraded); },
+         [&] { rs.reconstruct_data(tiny_degraded, BytesSpan(tiny_out)); },
          "64 B chunks: inversion memoized");
 }
 

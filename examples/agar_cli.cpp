@@ -65,6 +65,23 @@ int fail(const std::string& message) {
   return 2;
 }
 
+// In verify mode every read that did not fail must have decoded and
+// matched its payload; names each run where one did not.
+bool all_reads_verified(const std::vector<api::RunReport>& reports) {
+  bool ok = true;
+  for (const auto& report : reports) {
+    if (!report.spec.experiment.verify_data) continue;
+    for (const auto& run : report.result.runs) {
+      if (run.verified == run.ops - run.failed_reads) continue;
+      std::cerr << "agar_cli: " << report.label() << ": " << run.verified
+                << " reads verified, " << run.ops - run.failed_reads
+                << " expected\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 void print_schema(const api::ParamSchema& schema, const std::string& indent,
                   const std::string& name_prefix = "") {
   for (const auto& p : schema.params) {
@@ -281,18 +298,18 @@ int main(int argc, char** argv) {
     const auto results = api::results_of(reports);
     if (json) {
       std::cout << client::results_json(results);
-      return 0;
+    } else {
+      client::print_results_table(results);
+      for (const auto& report : reports) {
+        if (!report.spec.experiment.verify_data) continue;
+        std::uint64_t verified = 0;
+        for (const auto& run : report.result.runs) verified += run.verified;
+        std::cout << report.label() << " verified reads: " << verified << "/"
+                  << report.result.total_ops() << "\n";
+      }
     }
-    client::print_results_table(results);
-    for (const auto& report : reports) {
-      if (!report.spec.experiment.verify_data) continue;
-      std::uint64_t verified = 0;
-      for (const auto& run : report.result.runs) verified += run.verified;
-      std::cout << report.label() << " verified reads: " << verified << "/"
-                << report.result.total_ops() << "\n";
-    }
+    return all_reads_verified(reports) ? 0 : 1;
   } catch (const std::exception& e) {
     return fail(e.what());
   }
-  return 0;
 }

@@ -189,7 +189,7 @@ void ReadStrategy::start_plan(const ObjectKey& key, ReadPlan plan,
         const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
         if (bytes.has_value()) chunks.push_back(ec::Chunk{idx, *bytes});
       }
-      result.verified = verify_payload(key, chunks);
+      result.verified = verify_payload(key, info.object_size, chunks);
     }
     done(result);
   };
@@ -303,13 +303,15 @@ void ReadStrategy::populate_chunk_async(const ObjectKey& key, ChunkIndex index,
 }
 
 bool ReadStrategy::verify_payload(const ObjectKey& key,
-                                  const std::vector<ec::Chunk>& chunks) const {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
+                                  std::size_t object_size,
+                                  const std::vector<ec::Chunk>& chunks) {
   const ec::ObjectCodec& codec =
       ctx_.codec != nullptr ? *ctx_.codec : ctx_.backend->codec();
-  const Bytes decoded = codec.decode(info.object_size, chunks);
-  const Bytes expected = deterministic_payload(key, info.object_size);
-  return decoded == expected;
+  // Zero every byte first: nothing left from an earlier read of the same
+  // key can pass the check.
+  decode_buffer_.assign(object_size, 0);
+  codec.decode(chunks, BytesSpan(decode_buffer_));
+  return matches_deterministic_payload(key, decode_buffer_);
 }
 
 }  // namespace agar::client

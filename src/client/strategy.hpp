@@ -234,9 +234,16 @@ class ReadStrategy {
   [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
 
   /// Verify mode: decode the read's chunks (cache hits and fetched backend
-  /// chunks) and check them against the object's payload.
+  /// chunks) into decode_buffer_ and check them against the object's
+  /// payload in place.
   [[nodiscard]] bool verify_payload(const ObjectKey& key,
-                                    const std::vector<ec::Chunk>& chunks) const;
+                                    std::size_t object_size,
+                                    const std::vector<ec::Chunk>& chunks);
+
+  /// Verify mode: the lane's one decode buffer, reused across reads (it
+  /// keeps its capacity, so a steady-state read allocates no object-sized
+  /// buffer). Each lane owns its strategy, so shard threads never share it.
+  Bytes decode_buffer_;
 
   /// One read's fetch batch: its backend arms plus the optional cache arm.
   struct BatchState;

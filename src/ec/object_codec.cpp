@@ -1,7 +1,6 @@
 #include "ec/object_codec.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace agar::ec {
 
@@ -48,27 +47,20 @@ EncodedObject ObjectCodec::encode(BytesView object) const {
   return out;
 }
 
-Bytes ObjectCodec::decode(std::size_t object_size,
-                          const std::vector<Chunk>& chunks) const {
+void ObjectCodec::decode(const std::vector<Chunk>& chunks,
+                         BytesSpan object) const {
   std::vector<std::pair<std::uint32_t, BytesView>> available;
   available.reserve(chunks.size());
   for (const auto& c : chunks) {
     available.emplace_back(c.index, c.data.view());
   }
-  const std::vector<Bytes> data = rs_.reconstruct_data(available);
+  rs_.reconstruct_data(available, object);
+}
 
-  Bytes object;
-  object.reserve(object_size);
-  for (const auto& d : data) {
-    const std::size_t want = object_size - object.size();
-    if (want == 0) break;
-    const std::size_t len = std::min(want, d.size());
-    object.insert(object.end(), d.begin(),
-                  d.begin() + static_cast<std::ptrdiff_t>(len));
-  }
-  if (object.size() != object_size) {
-    throw std::invalid_argument("ObjectCodec::decode: chunks too small");
-  }
+Bytes ObjectCodec::decode(std::size_t object_size,
+                          const std::vector<Chunk>& chunks) const {
+  Bytes object(object_size);
+  decode(chunks, BytesSpan(object));
   return object;
 }
 

@@ -44,8 +44,12 @@ class ObjectCodec {
   /// Split + encode. Always produces k+m chunks (even for empty objects).
   [[nodiscard]] EncodedObject encode(BytesView object) const;
 
-  /// Reassemble the object from any k of its chunks.
-  /// `object_size` must be the original (pre-padding) size.
+  /// Reassemble the object from any k of its chunks into `object`, whose
+  /// size must be the original (pre-padding) size. Writes every byte of
+  /// `object` and allocates no object-sized buffer.
+  void decode(const std::vector<Chunk>& chunks, BytesSpan object) const;
+
+  /// As above, into a fresh buffer of `object_size` bytes.
   [[nodiscard]] Bytes decode(std::size_t object_size,
                              const std::vector<Chunk>& chunks) const;
 

@@ -1,8 +1,8 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
+#include <bitset>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "gf/gf256.hpp"
 
@@ -87,8 +87,9 @@ const Matrix& ReedSolomon::decode_plan(
       .first->second;
 }
 
-std::vector<Bytes> ReedSolomon::reconstruct_data(
-    const std::vector<std::pair<std::uint32_t, BytesView>>& available) const {
+void ReedSolomon::reconstruct_data(
+    const std::vector<std::pair<std::uint32_t, BytesView>>& available,
+    BytesSpan out) const {
   if (available.size() < params_.k) {
     throw std::invalid_argument(
         "ReedSolomon::reconstruct_data: fewer than k chunks available");
@@ -98,7 +99,7 @@ std::vector<Bytes> ReedSolomon::reconstruct_data(
   // so the common no-failure path is a cheap copy.
   std::vector<std::pair<std::uint32_t, BytesView>> picked;
   picked.reserve(params_.k);
-  std::unordered_set<std::uint32_t> seen;
+  std::bitset<gf::kFieldSize> seen;  // total() <= kFieldSize (constructor)
   auto take = [&](bool data_only) {
     for (const auto& [idx, bytes] : available) {
       if (picked.size() == params_.k) break;
@@ -107,8 +108,8 @@ std::vector<Bytes> ReedSolomon::reconstruct_data(
             "ReedSolomon::reconstruct_data: chunk index out of range");
       }
       const bool is_data = idx < params_.k;
-      if (data_only != is_data) continue;
-      if (!seen.insert(idx).second) continue;
+      if (data_only != is_data || seen.test(idx)) continue;
+      seen.set(idx);
       picked.emplace_back(idx, bytes);
     }
   };
@@ -131,29 +132,45 @@ std::vector<Bytes> ReedSolomon::reconstruct_data(
   for (const auto& [idx, bytes] : picked) views.push_back(bytes);
   check_uniform_size(views);
   const std::size_t chunk_size = views.front().size();
-
-  // Fast path: all k data chunks present.
-  const bool all_data = picked.back().first < params_.k;
-  std::vector<Bytes> out(params_.k, Bytes(chunk_size));
-  if (all_data) {
-    for (const auto& [idx, bytes] : picked) {
-      out[idx].assign(bytes.begin(), bytes.end());
-    }
-    return out;
+  if (out.size() > params_.k * chunk_size) {
+    throw std::invalid_argument(
+        "ReedSolomon::reconstruct_data: output larger than k chunks");
   }
+  // Data row d of `out`; the row holding out's end is cut short and the
+  // rows after it are empty.
+  auto row = [&](std::size_t d) {
+    const std::size_t begin = std::min(d * chunk_size, out.size());
+    return out.subspan(begin, std::min(chunk_size, out.size() - begin));
+  };
 
-  // General path: rows of the encoding matrix for the picked chunks form an
+  // Data chunks that arrived (sorted first) are copied. A data chunk's row
+  // of the decode matrix below is a unit vector, so this is the same bytes.
+  for (const auto& [idx, bytes] : picked) {
+    if (idx >= params_.k) break;
+    const BytesSpan dst = row(idx);
+    std::copy_n(bytes.begin(), dst.size(), dst.begin());
+  }
+  if (picked.back().first < params_.k) return;  // all k data chunks arrived
+
+  // The rows of the encoding matrix for the picked chunks form an
   // invertible k x k matrix (MDS); its inverse maps picked chunks back to
-  // the original data chunks. The inverse is memoized per surviving set.
+  // the original data chunks. The inverse is memoized per surviving set;
+  // only the missing data rows are applied.
   std::vector<std::size_t> rows;
   rows.reserve(params_.k);
   for (const auto& [idx, bytes] : picked) rows.push_back(idx);
   const Matrix& decode = decode_plan(rows);
 
   for (std::size_t d = 0; d < params_.k; ++d) {
-    apply_row(decode, d, views, BytesSpan(out[d]));
+    if (seen.test(d)) continue;
+    const BytesSpan dst = row(d);
+    if (dst.empty()) break;
+    if (dst.size() < chunk_size) {
+      // The cut-short row: the kernels read inputs of the same length.
+      for (BytesView& v : views) v = v.first(dst.size());
+    }
+    apply_row(decode, d, views, dst);
   }
-  return out;
 }
 
 Bytes ReedSolomon::reconstruct_chunk(
@@ -167,13 +184,21 @@ Bytes ReedSolomon::reconstruct_chunk(
   for (const auto& [idx, bytes] : available) {
     if (idx == target) return Bytes(bytes.begin(), bytes.end());
   }
-  const std::vector<Bytes> data = reconstruct_data(available);
-  if (target < params_.k) return data[target];
+  const std::size_t chunk_size =
+      available.empty() ? 0 : available.front().second.size();
+  Bytes data(params_.k * chunk_size);
+  reconstruct_data(available, BytesSpan(data));
 
   std::vector<BytesView> views;
   views.reserve(params_.k);
-  for (const auto& d : data) views.emplace_back(d);
-  Bytes out(views.front().size());
+  for (std::size_t d = 0; d < params_.k; ++d) {
+    views.push_back(BytesView(data).subspan(d * chunk_size, chunk_size));
+  }
+  if (target < params_.k) {
+    return Bytes(views[target].begin(), views[target].end());
+  }
+
+  Bytes out(chunk_size);
   apply_row(encode_, target, views, BytesSpan(out));
   return out;
 }

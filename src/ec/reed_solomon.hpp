@@ -48,11 +48,15 @@ class ReedSolomon {
       const std::vector<BytesView>& data_chunks) const;
 
   /// Reconstruct the k original data chunks from any k (or more) available
-  /// chunks. `available[i]` pairs a chunk index in [0, k+m) with its bytes.
-  /// Throws std::invalid_argument if fewer than k chunks are supplied,
-  /// indices repeat, or sizes are ragged.
-  [[nodiscard]] std::vector<Bytes> reconstruct_data(
-      const std::vector<std::pair<std::uint32_t, BytesView>>& available) const;
+  /// chunks into `out`: data chunk d lands at offset d * chunk_size, cut
+  /// off at out.size(). `available[i]` pairs a chunk index in [0, k+m) with
+  /// its bytes. Data chunks that arrived are copied; only the missing data
+  /// rows are computed. Throws std::invalid_argument if fewer than k
+  /// distinct chunks are supplied, an index is out of range, sizes are
+  /// ragged, or `out` is larger than k chunks.
+  void reconstruct_data(
+      const std::vector<std::pair<std::uint32_t, BytesView>>& available,
+      BytesSpan out) const;
 
   /// Reconstruct one specific chunk (data or parity) from any k available
   /// chunks. Used by repair paths and tests.

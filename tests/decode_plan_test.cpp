@@ -38,6 +38,12 @@ Stripe make_stripe(const ReedSolomon& rs, std::size_t chunk_size,
   return s;
 }
 
+// Data chunk d of a reconstruct_data output buffer.
+Bytes row_of(const Bytes& out, std::size_t d, std::size_t chunk_size) {
+  const auto begin = out.begin() + static_cast<std::ptrdiff_t>(d * chunk_size);
+  return Bytes(begin, begin + static_cast<std::ptrdiff_t>(chunk_size));
+}
+
 std::vector<std::uint32_t> mask_to_indices(unsigned mask) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < kTotal; ++i) {
@@ -49,6 +55,7 @@ std::vector<std::uint32_t> mask_to_indices(unsigned mask) {
 TEST(DecodePlanCache, AllErasurePatternsReconstructAndCache) {
   const ReedSolomon rs(CodecParams{kK, kM});
   const Stripe stripe = make_stripe(rs, 333, 7);
+  Bytes out(kK * 333);
 
   std::size_t patterns = 0;
   std::size_t inverting_patterns = 0;  // any pattern missing a data chunk
@@ -63,10 +70,10 @@ TEST(DecodePlanCache, AllErasurePatternsReconstructAndCache) {
     for (const auto i : indices) {
       available.emplace_back(i, BytesView(stripe.chunks[i]));
     }
-    const auto out = rs.reconstruct_data(available);
-    ASSERT_EQ(out.size(), kK);
+    rs.reconstruct_data(available, BytesSpan(out));
     for (std::size_t d = 0; d < kK; ++d) {
-      ASSERT_EQ(out[d], stripe.chunks[d]) << "mask=" << mask << " d=" << d;
+      ASSERT_EQ(row_of(out, d, 333), stripe.chunks[d])
+          << "mask=" << mask << " d=" << d;
     }
   }
   EXPECT_EQ(patterns, 220u);       // C(12,9)
@@ -85,9 +92,9 @@ TEST(DecodePlanCache, AllErasurePatternsReconstructAndCache) {
     for (const auto i : mask_to_indices(mask)) {
       available.emplace_back(i, BytesView(stripe.chunks[i]));
     }
-    const auto out = rs.reconstruct_data(available);
+    rs.reconstruct_data(available, BytesSpan(out));
     for (std::size_t d = 0; d < kK; ++d) {
-      ASSERT_EQ(out[d], stripe.chunks[d]);
+      ASSERT_EQ(row_of(out, d, 333), stripe.chunks[d]);
     }
   }
   EXPECT_EQ(rs.decode_plan_misses(), 219u);
@@ -110,13 +117,17 @@ TEST(DecodePlanCache, AvailableOrderDoesNotAffectPlanOrBytes) {
     }
     return out;
   };
-  const auto a = rs.reconstruct_data(avail(fwd));
+  Bytes a(kK * 128);
+  Bytes b(kK * 128);
+  rs.reconstruct_data(avail(fwd), BytesSpan(a));
   EXPECT_EQ(rs.decode_plan_misses(), 1u);
-  const auto b = rs.reconstruct_data(avail(rev));
+  rs.reconstruct_data(avail(rev), BytesSpan(b));
   EXPECT_EQ(rs.decode_plan_misses(), 1u);
   EXPECT_EQ(rs.decode_plan_hits(), 1u);
   EXPECT_EQ(a, b);
-  for (std::size_t d = 0; d < kK; ++d) EXPECT_EQ(a[d], stripe.chunks[d]);
+  for (std::size_t d = 0; d < kK; ++d) {
+    EXPECT_EQ(row_of(a, d, 128), stripe.chunks[d]);
+  }
 }
 
 TEST(DecodePlanCache, ClearDropsPlans) {
@@ -126,11 +137,12 @@ TEST(DecodePlanCache, ClearDropsPlans) {
   for (std::uint32_t i = 1; i <= kK; ++i) {
     available.emplace_back(i, BytesView(stripe.chunks[i]));
   }
-  (void)rs.reconstruct_data(available);
+  Bytes out(kK * 64);
+  rs.reconstruct_data(available, BytesSpan(out));
   EXPECT_EQ(rs.decode_plan_cache_size(), 1u);
   rs.clear_decode_plan_cache();
   EXPECT_EQ(rs.decode_plan_cache_size(), 0u);
-  (void)rs.reconstruct_data(available);
+  rs.reconstruct_data(available, BytesSpan(out));
   EXPECT_EQ(rs.decode_plan_misses(), 2u);
 }
 
@@ -149,12 +161,12 @@ TEST(DecodePlanCache, BackendsProduceIdenticalEncodeAndDecode) {
   for (const auto& d : data) views.emplace_back(d);
 
   std::vector<std::vector<Bytes>> parities;
-  std::vector<std::vector<std::vector<Bytes>>> decodes;
+  std::vector<std::vector<Bytes>> decodes;
   for (const gf::Backend b : gf::supported_backends()) {
     ASSERT_TRUE(gf::set_backend(b));
     parities.push_back(rs.encode(views));
 
-    std::vector<std::vector<Bytes>> per_pattern;
+    std::vector<Bytes> per_pattern;
     std::vector<Bytes> all = data;
     for (auto& p : parities.back()) all.push_back(p);
     for (unsigned mask = 0; mask < (1u << kTotal); ++mask) {
@@ -164,7 +176,9 @@ TEST(DecodePlanCache, BackendsProduceIdenticalEncodeAndDecode) {
         available.emplace_back(i, BytesView(all[i]));
       }
       rs.clear_decode_plan_cache();  // force the full decode path each time
-      per_pattern.push_back(rs.reconstruct_data(available));
+      Bytes out(kK * 257);
+      rs.reconstruct_data(available, BytesSpan(out));
+      per_pattern.push_back(std::move(out));
     }
     decodes.push_back(std::move(per_pattern));
   }

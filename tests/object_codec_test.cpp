@@ -50,6 +50,16 @@ TEST(ObjectCodec, RoundTripFromParityOnlySubset) {
   EXPECT_EQ(codec.decode(payload.size(), subset), payload);
 }
 
+// Decode through the span overload into a buffer pre-filled with another
+// object's bytes: every byte must be written, the cut-short last row too.
+Bytes decode_over_other_object(const ObjectCodec& codec,
+                               const std::vector<Chunk>& chunks,
+                               std::size_t size) {
+  Bytes object = deterministic_payload("other", size);
+  codec.decode(chunks, BytesSpan(object));
+  return object;
+}
+
 TEST(ObjectCodec, RoundTripSizesSweep) {
   const ObjectCodec codec(CodecParams{9, 3});
   // Sizes straddling padding boundaries: k-1, k, k+1, primes, 1 MB.
@@ -60,6 +70,8 @@ TEST(ObjectCodec, RoundTripSizesSweep) {
                                                 size);
     const auto encoded = codec.encode(BytesView(payload));
     EXPECT_EQ(codec.decode(size, encoded.chunks), payload) << size;
+    EXPECT_EQ(decode_over_other_object(codec, encoded.chunks, size), payload)
+        << size;
   }
 }
 
@@ -97,6 +109,8 @@ TEST(ObjectCodec, DecodeMatchesOnEveryKSubsetOfPaperCode) {
     chunks.reserve(subset.size());
     for (const std::size_t i : subset) chunks.push_back(encoded.chunks[i]);
     EXPECT_EQ(codec.decode(payload.size(), chunks), payload);
+    EXPECT_EQ(decode_over_other_object(codec, chunks, payload.size()),
+              payload);
   }
 }
 

@@ -26,6 +26,22 @@ std::vector<BytesView> views_of(const std::vector<Bytes>& chunks) {
   return v;
 }
 
+using Available = std::vector<std::pair<std::uint32_t, BytesView>>;
+
+// reconstruct_data into one k-chunk buffer, split back into data chunks.
+std::vector<Bytes> reconstruct(const ReedSolomon& rs,
+                               const Available& available,
+                               std::size_t chunk_size) {
+  Bytes out(rs.k() * chunk_size);
+  rs.reconstruct_data(available, BytesSpan(out));
+  std::vector<Bytes> chunks;
+  const auto size = static_cast<std::ptrdiff_t>(chunk_size);
+  for (std::ptrdiff_t d = 0; d < static_cast<std::ptrdiff_t>(rs.k()); ++d) {
+    chunks.emplace_back(out.begin() + d * size, out.begin() + (d + 1) * size);
+  }
+  return chunks;
+}
+
 TEST(ReedSolomon, ParamsValidation) {
   EXPECT_THROW(ReedSolomon(CodecParams{0, 3}), std::invalid_argument);
   EXPECT_THROW(ReedSolomon(CodecParams{200, 100}), std::invalid_argument);
@@ -58,7 +74,7 @@ TEST(ReedSolomon, AllDataChunksFastPath) {
   const auto data = random_chunks(4, 64, 3);
   std::vector<std::pair<std::uint32_t, BytesView>> available;
   for (std::uint32_t i = 0; i < 4; ++i) available.emplace_back(i, data[i]);
-  const auto out = rs.reconstruct_data(available);
+  const auto out = reconstruct(rs, available, 64);
   ASSERT_EQ(out.size(), 4u);
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], data[i]);
 }
@@ -68,7 +84,7 @@ TEST(ReedSolomon, FewerThanKThrows) {
   const auto data = random_chunks(4, 64, 4);
   std::vector<std::pair<std::uint32_t, BytesView>> available{
       {0, BytesView(data[0])}, {1, BytesView(data[1])}};
-  EXPECT_THROW((void)rs.reconstruct_data(available), std::invalid_argument);
+  EXPECT_THROW((void)reconstruct(rs, available, 64), std::invalid_argument);
 }
 
 TEST(ReedSolomon, DuplicateIndicesDoNotCount) {
@@ -78,7 +94,7 @@ TEST(ReedSolomon, DuplicateIndicesDoNotCount) {
       {0, BytesView(data[0])},
       {0, BytesView(data[0])},
       {1, BytesView(data[1])}};
-  EXPECT_THROW((void)rs.reconstruct_data(available), std::invalid_argument);
+  EXPECT_THROW((void)reconstruct(rs, available, 32), std::invalid_argument);
 }
 
 TEST(ReedSolomon, OutOfRangeIndexThrows) {
@@ -86,7 +102,24 @@ TEST(ReedSolomon, OutOfRangeIndexThrows) {
   const auto data = random_chunks(2, 8, 6);
   std::vector<std::pair<std::uint32_t, BytesView>> available{
       {0, BytesView(data[0])}, {7, BytesView(data[1])}};
-  EXPECT_THROW((void)rs.reconstruct_data(available), std::invalid_argument);
+  EXPECT_THROW((void)reconstruct(rs, available, 8), std::invalid_argument);
+}
+
+TEST(ReedSolomon, OutputLargerThanKChunksThrows) {
+  const ReedSolomon rs(CodecParams{3, 2});
+  const auto data = random_chunks(3, 16, 12);
+  const auto parity = rs.encode(views_of(data));
+  for (const bool all_data : {true, false}) {
+    const Available available{{0, BytesView(data[0])},
+                              {1, BytesView(data[1])},
+                              all_data ? Available::value_type{2, data[2]}
+                                       : Available::value_type{3, parity[0]}};
+    Bytes out(3 * 16 + 1);
+    EXPECT_THROW(rs.reconstruct_data(available, BytesSpan(out)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(
+        rs.reconstruct_data(available, BytesSpan(out).first(3 * 16)));
+  }
 }
 
 TEST(ReedSolomon, ReconstructChunkReturnsAvailableDirectly) {
@@ -151,7 +184,7 @@ TEST_P(AnyKofKM, EverySubsetDecodes) {
       available.emplace_back(static_cast<std::uint32_t>(idx),
                              BytesView(all[idx]));
     }
-    const auto out = rs.reconstruct_data(available);
+    const auto out = reconstruct(rs, available, chunk_size);
     ASSERT_EQ(out.size(), k);
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(out[i], data[i]) << "chunk " << i << " subset #" << subsets;
@@ -191,7 +224,7 @@ TEST(ReedSolomon, LargeCodeRoundTrip) {
   for (std::uint32_t p = 0; p < 16; ++p) {
     available.emplace_back(32 + p, parity[p]);
   }
-  const auto out = rs.reconstruct_data(available);
+  const auto out = reconstruct(rs, available, 64);
   for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(out[i], data[i]);
 }
 
@@ -204,7 +237,7 @@ TEST(ReedSolomon, MoreThanKAvailableUsesKDistinct) {
   for (std::uint32_t p = 0; p < 3; ++p) {
     available.emplace_back(3 + p, parity[p]);
   }
-  const auto out = rs.reconstruct_data(available);
+  const auto out = reconstruct(rs, available, 24);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(out[i], data[i]);
 }
 
