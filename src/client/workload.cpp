@@ -22,8 +22,8 @@ ZipfianGenerator::ZipfianGenerator(std::size_t universe, double skew)
   if (universe == 0) {
     throw std::invalid_argument("ZipfianGenerator: empty universe");
   }
-  if (skew < 0.0) {
-    throw std::invalid_argument("ZipfianGenerator: negative skew");
+  if (!(skew >= 0.0)) {
+    throw std::invalid_argument("ZipfianGenerator: skew must be >= 0");
   }
   cumulative_.resize(universe);
   double acc = 0.0;

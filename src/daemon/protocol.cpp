@@ -293,7 +293,8 @@ bool read_exact(int fd, unsigned char* out, std::size_t len) {
 void write_all(int fd, const std::string& bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error(std::string("write: ") + std::strerror(errno));

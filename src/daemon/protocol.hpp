@@ -1,6 +1,6 @@
 // agard wire protocol: a small length-prefixed binary framing shared by the
 // daemon, the agarctl client and the tests, plus the blocking socket I/O
-// both ends of a Unix-domain connection use.
+// of the client end of a Unix-domain connection.
 //
 // Every message is one frame:
 //
@@ -136,8 +136,9 @@ struct ControlReply {
 /// std::runtime_error on a read error.
 [[nodiscard]] bool read_exact(int fd, unsigned char* out, std::size_t len);
 
-/// Write every byte of `bytes` to `fd`. Throws std::runtime_error on a
-/// write error.
+/// Write every byte of `bytes` to the socket `fd`. Throws
+/// std::runtime_error on a write error. A peer that has gone is such an
+/// error (EPIPE): the send uses MSG_NOSIGNAL, so it raises no SIGPIPE.
 void write_all(int fd, const std::string& bytes);
 
 /// The AF_UNIX address of `path`. Throws std::runtime_error when the path

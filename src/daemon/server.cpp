@@ -6,12 +6,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "api/json.hpp"
 #include "client/report.hpp"
@@ -34,15 +36,31 @@ extern "C" void on_sighup(int) {
   }
 }
 
-int bind_uds(const std::string& path) {
-  sockaddr_un addr = uds_address(path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+int uds_socket() {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
   }
-  ::unlink(path.c_str());  // a stale socket from a crashed daemon
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
+  return fd;
+}
+
+/// A non-blocking listener on `path`. A socket file that refuses a connect
+/// is left over from a daemon that died and is replaced; a path that a
+/// running daemon serves is not taken over.
+int bind_uds(const std::string& path) {
+  const sockaddr_un addr = uds_address(path);
+  const auto* address = reinterpret_cast<const sockaddr*>(&addr);
+  const int probe = uds_socket();
+  // EAGAIN: the listener's backlog is full, so it is live too.
+  const bool live =
+      ::connect(probe, address, sizeof(addr)) == 0 || errno == EAGAIN;
+  ::close(probe);
+  if (live) {
+    throw std::runtime_error("'" + path + "' is served by a running daemon");
+  }
+  const int fd = uds_socket();
+  ::unlink(path.c_str());
+  if (::bind(fd, address, sizeof(addr)) < 0 || ::listen(fd, 64) < 0) {
     const std::string err = std::strerror(errno);
     ::close(fd);
     throw std::runtime_error("bind/listen '" + path + "': " + err);
@@ -67,45 +85,43 @@ Server::Server(DaemonConfig config, ServerOptions options)
 
 Server::~Server() { stop(); }
 
-std::shared_ptr<const Server::RouteTable> Server::table() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return table_;
-}
-
-std::shared_ptr<Server::RouteTable> Server::build_table(
-    const DaemonConfig& config, const RouteTable* previous,
-    std::size_t* kept_out) {
-  auto next = std::make_shared<RouteTable>();
-  next->rules = config.routes;
-  next->instances.reserve(config.routes.size());
-  std::size_t kept = 0;
-  for (const RouteRule& rule : config.routes) {
-    std::shared_ptr<ServiceInstance> instance;
-    if (previous != nullptr) {
-      // Identity match keeps the warm instance: cache contents, control
-      // plane and virtual clock survive the reload.
-      for (std::size_t i = 0; i < previous->rules.size(); ++i) {
-        const RouteRule& old = previous->rules[i];
-        if (old.name == rule.name && old.tag == rule.tag &&
-            old.prefix == rule.prefix && old.spec_json == rule.spec_json) {
-          instance = previous->instances[i];
-          ++kept;
-          break;
-        }
+Server::RouteTable Server::build_table(const DaemonConfig& config,
+                                       RouteTable& previous,
+                                       std::size_t* kept_out) {
+  const std::size_t none = previous.rules.size();
+  std::vector<std::size_t> kept_from(config.routes.size(), none);
+  RouteTable next;
+  next.rules = config.routes;
+  next.instances.resize(config.routes.size());
+  for (std::size_t i = 0; i < config.routes.size(); ++i) {
+    const RouteRule& rule = config.routes[i];
+    // Identity match keeps the warm instance: cache contents, control
+    // plane and virtual clock survive the reload.
+    for (std::size_t j = 0; j < previous.rules.size(); ++j) {
+      const RouteRule& old = previous.rules[j];
+      if (old.name == rule.name && old.tag == rule.tag &&
+          old.prefix == rule.prefix && old.spec_json == rule.spec_json) {
+        kept_from[i] = j;
+        break;
       }
     }
-    if (instance == nullptr) {
-      instance = std::make_shared<ServiceInstance>(rule);
+    if (kept_from[i] == none) {
+      next.instances[i] = std::make_unique<ServiceInstance>(rule);
     }
-    next->instances.push_back(std::move(instance));
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < kept_from.size(); ++i) {
+    if (kept_from[i] == none) continue;
+    next.instances[i] = std::move(previous.instances[kept_from[i]]);
+    ++kept;
   }
   if (kept_out != nullptr) *kept_out = kept;
   return next;
 }
 
 void Server::start() {
-  if (running_.load()) return;
-  table_ = build_table(config_, nullptr, nullptr);
+  if (serve_thread_.joinable()) return;
+  table_ = build_table(config_, table_, nullptr);
 
   if (::pipe(wake_pipe_) != 0) {
     throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
@@ -117,32 +133,37 @@ void Server::start() {
     action.sa_handler = on_sighup;
     ::sigaction(SIGHUP, &action, nullptr);
   }
-
-  running_.store(true);
-  stopped_ = false;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  serve_thread_ = std::thread([this] { serve(); });
 }
 
-void Server::accept_loop() {
-  while (running_.load()) {
-    pollfd fds[2] = {{wake_pipe_[0], POLLIN, 0}, {listen_fd_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
+void Server::serve() {
+  // False while accept() fails for want of descriptors. The listener then
+  // stays readable, so it leaves the poll set (poll skips a negative
+  // descriptor) and accept() is retried on a 100 ms timeout instead.
+  bool accepting = true;
+  std::vector<pollfd> fds;
+  for (;;) {
+    fds.clear();
+    fds.push_back({wake_pipe_[0], POLLIN, 0});
+    fds.push_back({accepting ? listen_fd_ : -1, POLLIN, 0});
+    for (const Connection& conn : conns_) {
+      const short events = conn.out.empty() ? POLLIN : POLLOUT;
+      fds.push_back({conn.fd, events, 0});
     }
-    if ((fds[0].revents & POLLIN) != 0) {
+    if (::poll(fds.data(), fds.size(), accepting ? -1 : 100) < 0) {
+      if (errno == EINTR) continue;
+      std::cerr << "agard: poll: " << std::strerror(errno) << "\n";
+      return;
+    }
+    // The wake pipe before the listener: a reload signalled before a
+    // client connects has run by the time that client is served.
+    if (fds[0].revents != 0) {
       char bytes[64];
       const ssize_t n = ::read(wake_pipe_[0], bytes, sizeof(bytes));
-      bool hup = false;
-      bool quit = false;
-      for (ssize_t i = 0; i < n; ++i) {
-        hup = hup || bytes[i] == 'H';
-        quit = quit || bytes[i] == 'Q';
-      }
-      if (quit) request_stop();
-      if (!running_.load()) break;
-      if (hup) {
+      const std::string_view wake(bytes,
+                                  n > 0 ? static_cast<std::size_t>(n) : 0);
+      if (wake.find('Q') != std::string_view::npos) return;
+      if (wake.find('H') != std::string_view::npos) {
         // No reply channel for a signal: a rejected config is reported on
         // stderr, and the old table keeps serving.
         try {
@@ -153,91 +174,93 @@ void Server::accept_loop() {
         }
       }
     }
-    if ((fds[1].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    // A finished thread keeps its stack until joined: join them before
-    // starting the next, so a long-lived daemon holds one stack per live
-    // connection rather than one per connection ever accepted.
-    reap_connections();
-    std::uint64_t id = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      id = ++stats_.accepted;
-      ++stats_.active_connections;
-      conn_fds_.insert(fd);
+    if (!accepting || fds[1].revents != 0) accepting = accept_connection();
+
+    bool quit = false;
+    // Connections accepted this round are past the end of `fds`.
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
+      if (fds[i + 2].revents == 0) continue;
+      Connection& conn = conns_[i];
+      bool open = true;
+      try {
+        open = (conn.out.empty() ? receive(conn) : flush(conn)) &&
+               serve_buffered(conn);
+      } catch (const std::exception&) {
+        // A request body may be 64 MB: a connection whose buffers cannot
+        // be allocated is dropped, and the others keep being served.
+        open = false;
+      }
+      // SHUTDOWN ends the loop once its reply is written or its client
+      // has gone.
+      quit = quit || (conn.shutdown && (!open || conn.out.empty()));
+      if (!open) {
+        ::close(conn.fd);
+        conn.fd = -1;
+        --stats_.active_connections;
+      }
     }
-    conn_threads_.emplace(
-        id, std::thread([this, fd, id] { handle_connection(fd, id); }));
+    std::erase_if(conns_, [](const Connection& conn) { return conn.fd < 0; });
+    if (quit) return;
   }
 }
 
-void Server::reap_connections() {
-  std::vector<std::uint64_t> finished;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    finished.swap(finished_conns_);
-  }
-  for (const std::uint64_t id : finished) {
-    const auto it = conn_threads_.find(id);
-    it->second.join();
-    conn_threads_.erase(it);
-  }
+bool Server::accept_connection() {
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+  if (fd < 0) return errno != EMFILE && errno != ENFILE;
+  conns_.emplace_back().fd = fd;
+  ++stats_.accepted;
+  ++stats_.active_connections;
+  return true;
 }
 
-void Server::handle_connection(int fd, std::uint64_t id) {
-  bool want_stop = false;
-  try {
-    while (running_.load()) {
-      unsigned char header_bytes[kHeaderBytes];
-      if (!read_exact(fd, header_bytes, kHeaderBytes)) break;  // clean EOF
-      FrameHeader header;
-      try {
-        header = decode_header(header_bytes, kHeaderBytes);
-      } catch (const ProtocolError&) {
-        // Framing is lost — no reply can be trusted to parse. Close.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.protocol_errors;
-        break;
-      }
-      std::string body(header.body_len, '\0');
-      if (header.body_len > 0 &&
-          !read_exact(fd, reinterpret_cast<unsigned char*>(body.data()),
-                      body.size())) {
-        break;
-      }
+bool Server::receive(Connection& conn) {
+  char bytes[64 * 1024];
+  const ssize_t n = ::recv(conn.fd, bytes, sizeof(bytes), 0);
+  if (n > 0) conn.in.append(bytes, static_cast<std::size_t>(n));
+  return n > 0 || (n < 0 && (errno == EAGAIN || errno == EINTR));
+}
 
-      std::string reply;
-      try {
-        reply = dispatch(header, body);
-      } catch (const ProtocolError& e) {
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.protocol_errors;
-        }
-        reply = control_reply(header.type, Status::kBadRequest, e.what());
-      } catch (const std::exception& e) {
-        reply = control_reply(header.type, Status::kError, e.what());
-      }
-      write_all(fd, reply);
-      if (header.type == MsgType::kShutdown) {
-        want_stop = true;
-        break;
-      }
+bool Server::flush(Connection& conn) {
+  while (conn.sent < conn.out.size()) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.sent,
+                             conn.out.size() - conn.sent, MSG_NOSIGNAL);
+    if (n < 0) return errno == EAGAIN || errno == EINTR;
+    conn.sent += static_cast<std::size_t>(n);
+  }
+  conn.out.clear();
+  conn.sent = 0;
+  return true;
+}
+
+bool Server::serve_buffered(Connection& conn) {
+  while (conn.out.empty() && !conn.shutdown &&
+         conn.in.size() >= kHeaderBytes) {
+    FrameHeader header;
+    try {
+      header = decode_header(
+          reinterpret_cast<const unsigned char*>(conn.in.data()),
+          kHeaderBytes);
+    } catch (const ProtocolError&) {
+      // Framing is lost — no reply can be trusted to parse. Close.
+      ++stats_.protocol_errors;
+      return false;
     }
-  } catch (const std::exception&) {
-    // Torn connection (reset mid-frame, write to a closed peer): drop it.
+    const std::size_t frame_bytes = kHeaderBytes + header.body_len;
+    if (conn.in.size() < frame_bytes) break;
+    const std::string body = conn.in.substr(kHeaderBytes, header.body_len);
+    conn.in.erase(0, frame_bytes);
+    try {
+      conn.out = dispatch(header, body);
+    } catch (const ProtocolError& e) {
+      ++stats_.protocol_errors;
+      conn.out = control_reply(header.type, Status::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      conn.out = control_reply(header.type, Status::kError, e.what());
+    }
+    conn.shutdown = header.type == MsgType::kShutdown;
+    if (!flush(conn)) return false;
   }
-  {
-    // Out of conn_fds_ before the close, so stop() never shuts down a
-    // descriptor number the process has already reused.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    conn_fds_.erase(fd);
-    --stats_.active_connections;
-    finished_conns_.push_back(id);
-  }
-  ::close(fd);
-  if (want_stop) request_stop();
+  return true;
 }
 
 std::string Server::control_reply(MsgType type, Status status,
@@ -248,10 +271,7 @@ std::string Server::control_reply(MsgType type, Status status,
 
 std::string Server::dispatch(const FrameHeader& header,
                              const std::string& body) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
-  }
+  ++stats_.requests;
   switch (header.type) {
     case MsgType::kGet:
       return handle_get(body);
@@ -265,37 +285,34 @@ std::string Server::dispatch(const FrameHeader& header,
       return control_reply(header.type, Status::kOk, summary);
     }
     case MsgType::kRoutes: {
-      const auto t = table();
       std::ostringstream out;
       out << "[";
-      for (std::size_t i = 0; i < t->rules.size(); ++i) {
-        const RouteRule& rule = t->rules[i];
+      for (std::size_t i = 0; i < table_.rules.size(); ++i) {
+        const RouteRule& rule = table_.rules[i];
         out << (i > 0 ? ",\n " : "") << "{\"name\": \""
             << api::json_escape(rule.name) << "\", \"tag\": \""
             << api::json_escape(rule.tag) << "\", \"prefix\": \""
             << api::json_escape(rule.prefix) << "\", \"system\": \""
             << api::json_escape(rule.spec.system) << "\", \"label\": \""
             << api::json_escape(rule.spec.label()) << "\", \"ops\": "
-            << t->instances[i]->ops_served() << "}";
+            << table_.instances[i]->ops_served() << "}";
       }
       out << "]\n";
       return control_reply(header.type, Status::kOk, out.str());
     }
     case MsgType::kDrain: {
-      const auto t = table();
-      for (const auto& instance : t->instances) instance->drain();
+      for (const auto& instance : table_.instances) instance->drain();
       return control_reply(header.type, Status::kOk, "drained");
     }
     case MsgType::kRepair: {
-      const auto t = table();
       std::ostringstream out;
       out << "[";
       bool any = false;
-      for (std::size_t i = 0; i < t->rules.size(); ++i) {
-        if (!body.empty() && t->rules[i].name != body) continue;
-        const store::RepairReport report = t->instances[i]->repair();
+      for (std::size_t i = 0; i < table_.rules.size(); ++i) {
+        if (!body.empty() && table_.rules[i].name != body) continue;
+        const store::RepairReport report = table_.instances[i]->repair();
         out << (any ? ",\n " : "") << "{\"name\": \""
-            << api::json_escape(t->rules[i].name)
+            << api::json_escape(table_.rules[i].name)
             << "\", \"objects_scanned\": " << report.objects_scanned
             << ", \"objects_damaged\": " << report.objects_damaged
             << ", \"objects_repaired\": " << report.objects_repaired
@@ -311,8 +328,7 @@ std::string Server::dispatch(const FrameHeader& header,
       return control_reply(header.type, Status::kOk, out.str());
     }
     case MsgType::kSpecOf: {
-      const auto t = table();
-      for (const RouteRule& rule : t->rules) {
+      for (const RouteRule& rule : table_.rules) {
         if (rule.name == body) {
           return control_reply(header.type, Status::kOk, rule.spec_json);
         }
@@ -329,29 +345,20 @@ std::string Server::dispatch(const FrameHeader& header,
 std::string Server::handle_get(const std::string& body) {
   const GetRequest request = decode_get_request(body);  // throws ProtocolError
   const std::uint64_t t0 = now_us();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.gets;
-  }
+  ++stats_.gets;
   GetResponse response;
-  const auto t = table();
   const std::optional<std::size_t> route =
-      match_route(t->rules, request.tag, request.key);
+      match_route(table_.rules, request.tag, request.key);
   if (!route.has_value()) {
     response.status = Status::kNoRoute;
-    const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.no_route;
   } else {
-    // The shared_ptr keeps the instance alive across a concurrent reload:
-    // an admitted request always completes against the table it matched.
-    response = t->instances[*route]->serve_get(request.key,
-                                               request.want_payload);
+    response = table_.instances[*route]->serve_get(request.key,
+                                                   request.want_payload);
     response.route = static_cast<std::uint32_t>(*route);
     if (response.status == Status::kUnknownKey) {
-      const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.unknown_key;
     } else if (response.status == Status::kFailedRead) {
-      const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.failed_reads;
     }
   }
@@ -367,102 +374,68 @@ std::string Server::reload(const std::string& path) {
         "reload: no config path (daemon was started without one)");
   }
   const DaemonConfig next_config = load_daemon_config(effective);
-  const auto previous = table();
   std::size_t kept = 0;
-  // Built outside the lock: instance construction (deployment + warm-up)
-  // is slow, and in-flight requests keep serving the old table meanwhile.
-  auto next = build_table(next_config, previous.get(), &kept);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    table_ = next;
-    config_.routes = next_config.routes;
-    ++stats_.reloads;
-  }
+  table_ = build_table(next_config, table_, &kept);
+  config_.routes = next_config.routes;
+  ++stats_.reloads;
   std::ostringstream summary;
-  summary << next->rules.size() << " routes: " << kept << " kept, "
-          << (next->rules.size() - kept) << " new";
+  summary << table_.rules.size() << " routes: " << kept << " kept, "
+          << (table_.rules.size() - kept) << " new";
   return summary.str();
 }
 
 std::string Server::metrics_json(bool results_only) {
-  const auto t = table();
   std::vector<client::ExperimentResult> results;
-  results.reserve(t->rules.size());
-  for (std::size_t i = 0; i < t->rules.size(); ++i) {
+  results.reserve(table_.rules.size());
+  for (std::size_t i = 0; i < table_.rules.size(); ++i) {
     client::ExperimentResult result;
-    result.label = t->rules[i].spec.label();
-    result.runs.push_back(t->instances[i]->snapshot());
+    result.label = table_.rules[i].spec.label();
+    result.runs.push_back(table_.instances[i]->snapshot());
     results.push_back(std::move(result));
   }
   const std::string results_array = client::results_json(results);
   if (results_only) return results_array;
 
-  ServerStats stats;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stats = stats_;
-  }
   std::ostringstream out;
   out << "{\n  \"daemon\": {\n"
-      << "    \"accepted\": " << stats.accepted << ",\n"
-      << "    \"active_connections\": " << stats.active_connections << ",\n"
-      << "    \"requests\": " << stats.requests << ",\n"
-      << "    \"gets\": " << stats.gets << ",\n"
-      << "    \"no_route\": " << stats.no_route << ",\n"
-      << "    \"unknown_key\": " << stats.unknown_key << ",\n"
-      << "    \"failed_reads\": " << stats.failed_reads << ",\n"
-      << "    \"protocol_errors\": " << stats.protocol_errors << ",\n"
-      << "    \"reloads\": " << stats.reloads << ",\n"
-      << "    \"routes\": " << t->rules.size() << "\n  },\n"
+      << "    \"accepted\": " << stats_.accepted << ",\n"
+      << "    \"active_connections\": " << stats_.active_connections << ",\n"
+      << "    \"requests\": " << stats_.requests << ",\n"
+      << "    \"gets\": " << stats_.gets << ",\n"
+      << "    \"no_route\": " << stats_.no_route << ",\n"
+      << "    \"unknown_key\": " << stats_.unknown_key << ",\n"
+      << "    \"failed_reads\": " << stats_.failed_reads << ",\n"
+      << "    \"protocol_errors\": " << stats_.protocol_errors << ",\n"
+      << "    \"reloads\": " << stats_.reloads << ",\n"
+      << "    \"routes\": " << table_.rules.size() << "\n  },\n"
       << "  \"results\": " << results_array << "\n}\n";
   return out.str();
 }
 
-void Server::request_stop() {
-  running_.store(false);
-  if (wake_pipe_[1] >= 0) {
-    const char byte = 'Q';
-    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stopped_mutex_);
-    stopped_cv_.notify_all();
-  }
-}
-
 void Server::wait() {
-  {
-    std::unique_lock<std::mutex> lock(stopped_mutex_);
-    stopped_cv_.wait(lock, [this] { return !running_.load(); });
-  }
+  if (serve_thread_.joinable()) serve_thread_.join();
   stop();
 }
 
 void Server::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(stopped_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
+  if (serve_thread_.joinable()) {
+    const char byte = 'Q';
+    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+    serve_thread_.join();
   }
-  request_stop();
-  if (options_.install_sighup) {
+  if (wake_pipe_[1] >= 0 && g_sighup_pipe_fd.load() == wake_pipe_[1]) {
     g_sighup_pipe_fd.store(-1, std::memory_order_relaxed);
     ::signal(SIGHUP, SIG_DFL);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Unblock connection threads parked in read().
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& entry : conn_threads_) entry.second.join();
-  conn_threads_.clear();
-  finished_conns_.clear();
+  for (const Connection& conn : conns_) ::close(conn.fd);
+  conns_.clear();
+  // Unlink before the listener closes: from then on a starting daemon may
+  // take the path over, and a later unlink would remove its socket.
+  if (listen_fd_ >= 0) ::unlink(uds_path_.c_str());
   for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }
-  if (!uds_path_.empty()) ::unlink(uds_path_.c_str());
 }
 
 }  // namespace agar::daemon

@@ -1,24 +1,27 @@
-// The agard server: a poll-driven accept loop on a Unix-domain socket,
-// one connection thread per client, and a shared routing table of warm
-// ServiceInstances swapped atomically on reload.
+// The agard server: one serving thread polls the wake pipe, the
+// Unix-domain listener and every connection, and serves each request on
+// the routing table's warm ServiceInstances. No state is shared between
+// threads, so nothing is locked.
+//
+// Each connection keeps the bytes its client has sent and the reply it is
+// owed. Sockets are non-blocking and replies go out with MSG_NOSIGNAL, so
+// a client that hangs up costs only its connection. No request is read
+// from a connection until its previous reply has been written in full: a
+// client that stops reading stops only itself, and replies come back in
+// request order.
 //
 // Reload semantics (SIGHUP or the RELOAD control command): the new config
-// is parsed and validated off to the side; rules whose identity
+// is parsed and validated first; rules whose identity
 // (name/tag/prefix/spec) is unchanged keep their warm instance — cache
 // contents, control-plane state and virtual clock intact — while changed
-// or new rules get fresh instances. The table pointer is then swapped
-// under the lock. In-flight requests hold a shared_ptr to the table they
-// matched against, so a reload never drops or reroutes a request that has
-// already been admitted; a failed parse leaves the old table serving.
+// or new rules get fresh instances. A reload runs between two requests, so
+// serving pauses while the new instances are built, and no admitted
+// request is dropped or rerouted; a failed parse leaves the old table
+// serving.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +56,7 @@ struct ServerStats {
   std::uint64_t reloads = 0;
 };
 
+/// Call start(), wait() and stop() from the thread that owns the Server.
 class Server {
  public:
   Server(DaemonConfig config, ServerOptions options);
@@ -61,26 +65,17 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the listener and start the accept thread. Throws
-  /// std::runtime_error on bind failure.
+  /// Build the routes, bind the listener and start the serving thread.
+  /// Throws std::runtime_error when the socket cannot be bound, including
+  /// when a running daemon already serves its path.
   void start();
 
   /// Block until a SHUTDOWN command (or stop()) ends the serve loop.
   void wait();
 
-  /// Stop serving: closes the listener, shuts down live connections, joins
-  /// every thread. Idempotent.
+  /// Stop serving: ends the serve loop, closes every connection and the
+  /// listener, and removes the socket this server bound. Idempotent.
   void stop();
-
-  /// Apply a new routing config (empty path = re-read the start path).
-  /// Returns a human-readable summary ("5 routes: 3 kept, 2 new").
-  /// Throws std::invalid_argument on a bad config — the old table stays.
-  std::string reload(const std::string& path);
-
-  /// The metrics dump. `results_only` emits just the client::results_json
-  /// array (what an equivalent in-process run prints), the full form wraps
-  /// it with the daemon counters.
-  [[nodiscard]] std::string metrics_json(bool results_only);
 
   [[nodiscard]] const std::string& socket_path() const { return uds_path_; }
 
@@ -92,48 +87,66 @@ class Server {
  private:
   struct RouteTable {
     std::vector<RouteRule> rules;
-    std::vector<std::shared_ptr<ServiceInstance>> instances;
+    std::vector<std::unique_ptr<ServiceInstance>> instances;
   };
 
-  [[nodiscard]] std::shared_ptr<const RouteTable> table();
-  [[nodiscard]] static std::shared_ptr<RouteTable> build_table(
-      const DaemonConfig& config, const RouteTable* previous,
-      std::size_t* kept_out);
+  /// One client connection of the serve loop.
+  struct Connection {
+    int fd = -1;
+    std::string in;         ///< received bytes not yet served
+    std::string out;        ///< the reply being written
+    std::size_t sent = 0;   ///< bytes of `out` already written
+    bool shutdown = false;  ///< `out` answers SHUTDOWN
+  };
 
-  void accept_loop();
-  /// Join the connection threads that have finished serving.
-  void reap_connections();
-  void handle_connection(int fd, std::uint64_t id);
+  /// The table for `config`. Rules whose identity is unchanged take their
+  /// instance out of `previous`, but only once every new instance is
+  /// built, so a constructor that throws leaves `previous` whole.
+  [[nodiscard]] static RouteTable build_table(const DaemonConfig& config,
+                                              RouteTable& previous,
+                                              std::size_t* kept_out);
+
+  void serve();
+  /// Accept one pending connection; false while the process is out of
+  /// descriptors.
+  [[nodiscard]] bool accept_connection();
+  /// Read what the client sent; false when the connection is finished.
+  [[nodiscard]] bool receive(Connection& conn);
+  /// Write what is left of the reply; false when the client is gone.
+  [[nodiscard]] bool flush(Connection& conn);
+  /// Serve the complete requests buffered on `conn` for as long as each
+  /// reply is written in full; false when the connection must close.
+  [[nodiscard]] bool serve_buffered(Connection& conn);
   /// Dispatch one decoded frame; returns the reply frame.
   [[nodiscard]] std::string dispatch(const FrameHeader& header,
                                      const std::string& body);
   [[nodiscard]] std::string handle_get(const std::string& body);
   [[nodiscard]] std::string control_reply(MsgType type, Status status,
                                           const std::string& text);
-  void request_stop();
+
+  /// Apply a new routing config (empty path = re-read the start path).
+  /// Returns a human-readable summary ("5 routes: 3 kept, 2 new").
+  /// Throws std::invalid_argument on a bad config — the old table stays.
+  std::string reload(const std::string& path);
+
+  /// The metrics dump. `results_only` emits just the client::results_json
+  /// array (what an equivalent in-process run prints), the full form wraps
+  /// it with the daemon counters.
+  [[nodiscard]] std::string metrics_json(bool results_only);
 
   DaemonConfig config_;
   ServerOptions options_;
   std::string uds_path_;
 
-  std::mutex mutex_;  ///< guards table_, stats_, conn_fds_, finished_conns_
-  std::shared_ptr<const RouteTable> table_;
+  // Touched by start() before the serving thread exists, then by that
+  // thread alone, then by stop() once it is joined.
+  RouteTable table_;
   ServerStats stats_;
-  std::set<int> conn_fds_;
-  /// Ids of connection threads that have returned from serving and wait to
-  /// be joined.
-  std::vector<std::uint64_t> finished_conns_;
-
-  std::atomic<bool> running_{false};
+  std::vector<Connection> conns_;
+  /// The listener; >= 0 only while this server has uds_path_ bound.
   int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< self-pipe: signal handler + stop()
-  std::thread accept_thread_;
-  /// Connection threads by id. Only the accept thread touches this while
-  /// serving, and stop() once that thread is joined.
-  std::map<std::uint64_t, std::thread> conn_threads_;
-  std::condition_variable stopped_cv_;
-  std::mutex stopped_mutex_;
-  bool stopped_ = false;
+  int wake_pipe_[2] = {-1, -1};  ///< self-pipe: signal handlers + stop()
+  std::thread serve_thread_;
 };
 
 }  // namespace agar::daemon

@@ -22,7 +22,6 @@ ServiceInstance::ServiceInstance(const RouteRule& rule) : rule_(rule) {
 
 GetResponse ServiceInstance::serve_get(const std::string& key,
                                        bool want_payload) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   GetResponse response;
   if (!deployment_->backend().has_object(key)) {
     response.status = Status::kUnknownKey;
@@ -54,7 +53,6 @@ GetResponse ServiceInstance::serve_get(const std::string& key,
 }
 
 void ServiceInstance::drain() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   // The windowed engine runs whole run windows and stops at the first
   // boundary at or after the last completion — run the same boundary so
   // trailing populations and control-plane timers fire identically.
@@ -64,7 +62,6 @@ void ServiceInstance::drain() {
 }
 
 store::RepairReport ServiceInstance::repair() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   // The repair scan reads chunk bytes out of the buckets; a metadata-only
   // deployment (store_payloads off) would misreport every object as
   // unrecoverable.
@@ -78,12 +75,10 @@ store::RepairReport ServiceInstance::repair() {
 }
 
 client::RunResult ServiceInstance::snapshot() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return client::merge_lanes({&lane_, 1}, *deployment_);
 }
 
 std::uint64_t ServiceInstance::ops_served() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   return lane_->completed();
 }
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "api/run.hpp"
@@ -28,9 +27,9 @@
 
 namespace agar::daemon {
 
-/// A live, warmed strategy instance serving one routing rule. Thread-safe:
-/// the server's connection threads funnel every call through one internal
-/// mutex, so the simulator only ever advances under one thread at a time.
+/// A live, warmed strategy instance serving one routing rule. Not
+/// thread-safe: the server's one serving thread makes every call, so the
+/// simulator advances on one thread.
 class ServiceInstance {
  public:
   explicit ServiceInstance(const RouteRule& rule);
@@ -63,7 +62,6 @@ class ServiceInstance {
 
  private:
   RouteRule rule_;
-  std::mutex mutex_;
   std::unique_ptr<client::Deployment> deployment_;
   sim::EventLoop loop_;
   std::unique_ptr<client::Lane> lane_;

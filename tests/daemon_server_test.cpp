@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <regex>
 #include <string>
 #include <thread>
@@ -136,15 +143,15 @@ std::size_t vm_size_kb() {
 }
 
 TEST_F(ServerFixture, FinishedConnectionsReturnTheirThreadStacks) {
-  // Each connection is served on its own thread, and a finished thread
-  // keeps its stack (8 MB by default) mapped until it is joined: without
-  // reaping, 64 connections grow the process by more than 512 MB.
+  // A finished connection must give back everything it held: 64
+  // connect/ping/close cycles may not grow the process by 1 MB each (a
+  // thread per connection, never joined, would keep an 8 MB stack each).
   auto server = start_server();
   const auto connect_ping_close = [&] {
     DaemonClient connection = DaemonClient::connect_uds(socket_path_);
     EXPECT_EQ(connection.ping().status, Status::kOk);
   };
-  // Let the first threads set up their malloc arenas before measuring.
+  // Let the first connections warm up the allocator before measuring.
   for (int i = 0; i < 4; ++i) connect_ping_close();
   const std::size_t before_kb = vm_size_kb();
   ASSERT_GT(before_kb, 0u);
@@ -152,6 +159,208 @@ TEST_F(ServerFixture, FinishedConnectionsReturnTheirThreadStacks) {
   const std::size_t after_kb = vm_size_kb();
   EXPECT_LT(after_kb, before_kb + 64 * 1024)
       << "VmSize " << before_kb << " kB -> " << after_kb << " kB";
+  server->stop();
+}
+
+/// A client socket that sends raw bytes and reads reply frames. Reads time
+/// out after 5 s, so a server that stops answering fails the test instead
+/// of hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) {
+    const sockaddr_un addr = uds_address(path);
+    const timeval timeout{5, 0};
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ < 0 ||
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout)) != 0 ||
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      const std::string err = std::strerror(errno);
+      if (fd_ >= 0) ::close(fd_);
+      throw std::runtime_error("connect '" + path + "': " + err);
+    }
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  void send(const std::string& bytes) const { write_all(fd_, bytes); }
+
+  /// The body of the next frame, which must be a reply of type `type`.
+  [[nodiscard]] std::string reply(MsgType type) const {
+    unsigned char header_bytes[kHeaderBytes];
+    if (!read_exact(fd_, header_bytes, kHeaderBytes)) {
+      throw std::runtime_error("the server closed the connection");
+    }
+    const FrameHeader header = decode_header(header_bytes, kHeaderBytes);
+    EXPECT_TRUE(header.is_reply);
+    EXPECT_EQ(static_cast<int>(header.type), static_cast<int>(type));
+    std::string body(header.body_len, '\0');
+    if (!body.empty() &&
+        !read_exact(fd_, reinterpret_cast<unsigned char*>(body.data()),
+                    body.size())) {
+      throw std::runtime_error("the server closed the connection");
+    }
+    return body;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+const std::string kPingFrame = encode_frame(MsgType::kPing, false, "");
+
+std::string get_frame(const std::string& tag, const std::string& key,
+                      bool want_payload) {
+  return encode_frame(MsgType::kGet, false,
+                      encode_get_request(GetRequest{tag, key, want_payload}));
+}
+
+TEST_F(ServerFixture, ClientsThatHangUpBeforeTheReplyDoNotStopTheServer) {
+  // Every reply goes to a socket its client has closed. Writing to it
+  // raises SIGPIPE unless the write asks not to, and SIGPIPE ends the
+  // process.
+  auto server = start_server();
+  for (int i = 0; i < 50; ++i) {
+    const RawConnection connection(socket_path_);
+    connection.send(i % 2 == 0 ? kPingFrame
+                               : get_frame("hot", "object3", true));
+  }
+  DaemonClient control = DaemonClient::connect_uds(socket_path_);
+  EXPECT_EQ(control.ping().status, Status::kOk);
+  EXPECT_EQ(control.get("hot", "object3", true).status, Status::kOk);
+  server->stop();
+}
+
+TEST_F(ServerFixture, ASecondServerCannotTakeOverALiveSocket) {
+  auto server = start_server();
+  {
+    ServerOptions options;
+    options.config_path = config_path_;
+    Server second(load_daemon_config(config_path_), options);
+    try {
+      second.start();
+      ADD_FAILURE() << "a second server bound the live socket";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("is served by a running daemon"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The second server's destructor left the first one's socket in place.
+  EXPECT_EQ(DaemonClient::connect_uds(socket_path_).ping().status,
+            Status::kOk);
+  server->stop();
+}
+
+/// Descriptors this process has open.
+std::size_t open_descriptors() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n - 1;  // the directory iterator's own descriptor
+}
+
+/// User plus system CPU seconds this process has used.
+double cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) /
+             1e6;
+}
+
+/// Lowers this process's soft descriptor limit while it lives.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(rlim_t limit) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = limit;
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+  }
+  ~DescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  DescriptorLimit(const DescriptorLimit&) = delete;
+  DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+TEST_F(ServerFixture, RunningOutOfDescriptorsDoesNotSpin) {
+  auto server = start_server();
+  std::optional<DescriptorLimit> limit(std::in_place, open_descriptors() + 1);
+  // The client takes the last free descriptor, so the server's accept
+  // fails with EMFILE and the connection stays queued on the listener.
+  const RawConnection waiting(socket_path_);
+  const double cpu_before = cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_used = cpu_seconds() - cpu_before;
+  limit.reset();
+  EXPECT_LT(cpu_used, 0.1) << "the server spun while it could not accept";
+  waiting.send(kPingFrame);
+  EXPECT_EQ(decode_control_reply(waiting.reply(MsgType::kPing)).status,
+            Status::kOk);
+  server->stop();
+}
+
+TEST_F(ServerFixture, SplitAndPipelinedFramesAreServedInOrder) {
+  auto server = start_server();
+  const RawConnection raw(socket_path_);
+  DaemonClient other = DaemonClient::connect_uds(socket_path_);
+  // A frame that arrives a byte at a time holds up no other client.
+  for (const char byte : kPingFrame) {
+    raw.send(std::string(1, byte));
+    EXPECT_EQ(other.get("hot", "object1", false).status, Status::kOk);
+  }
+  EXPECT_EQ(decode_control_reply(raw.reply(MsgType::kPing)).text, "pong");
+  // Three requests in one write: three replies, in request order.
+  raw.send(get_frame("hot", "object2", true) +
+           encode_frame(MsgType::kRoutes, false, "") + kPingFrame);
+  EXPECT_EQ(decode_get_response(raw.reply(MsgType::kGet)).status,
+            Status::kOk);
+  EXPECT_NE(decode_control_reply(raw.reply(MsgType::kRoutes))
+                .text.find("\"name\": \"hot\""),
+            std::string::npos);
+  EXPECT_EQ(decode_control_reply(raw.reply(MsgType::kPing)).text, "pong");
+  server->stop();
+}
+
+TEST_F(ServerFixture, ASlowReaderDoesNotStallOtherClients) {
+  // Eight 4 MB replies are far more than a socket buffer holds, so the
+  // server has reply bytes it cannot send while the slow client reads
+  // nothing.
+  write_config(config_path_, socket_path_, "backend", "",
+               R"({"system": "backend", "region": "frankfurt",
+                   "objects": 8, "object_bytes": "4MB", "ops": 200,
+                   "runs": 1, "clients": 1, "seed": 7})");
+  auto server = start_server();
+  const RawConnection slow(socket_path_);
+  std::string requests;
+  for (int i = 0; i < 8; ++i) {
+    requests += get_frame("hot", "object" + std::to_string(i), true);
+  }
+  slow.send(requests);
+  const RawConnection other(socket_path_);
+  other.send(kPingFrame);
+  EXPECT_EQ(decode_control_reply(other.reply(MsgType::kPing)).status,
+            Status::kOk);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (int i = 0; i < 8; ++i) {
+    const GetResponse response =
+        decode_get_response(slow.reply(MsgType::kGet));
+    ASSERT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.payload.size(), std::size_t{4} << 20);
+    const BytesView payload(
+        reinterpret_cast<const std::uint8_t*>(response.payload.data()),
+        response.payload.size());
+    EXPECT_TRUE(
+        matches_deterministic_payload("object" + std::to_string(i), payload))
+        << "payload " << i;
+  }
   server->stop();
 }
 
@@ -277,7 +486,7 @@ TEST_F(ServerFixture, SighupTriggersReload) {
 
   write_config(config_path_, socket_path_, "lfu", R"(, "chunks": 5)");
   ASSERT_EQ(::raise(SIGHUP), 0);
-  // The handler only writes a pipe byte; the accept thread applies the
+  // The handler only writes a pipe byte; the serving thread applies the
   // reload asynchronously. Poll for the visible effect.
   bool swapped = false;
   for (int i = 0; i < 100 && !swapped; ++i) {
@@ -298,7 +507,7 @@ TEST_F(ServerFixture, FailedSighupReloadKeepsOldTableAndReportsOnStderr) {
   std::ofstream(config_path_) << R"({"routes": []})";
   ::testing::internal::CaptureStderr();
   ASSERT_EQ(::raise(SIGHUP), 0);
-  // The accept thread drains the signal's pipe byte (and runs the reload)
+  // The serving thread drains the signal's pipe byte (and runs the reload)
   // before it accepts any connection made after the signal, so a fresh
   // connection answering a ping proves the reload attempt has finished.
   // The captured text can be read only once, hence this barrier instead of

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 namespace agar::client {
@@ -25,6 +26,12 @@ TEST(Uniform, CoversUniverseEvenly) {
 TEST(Zipfian, ValidatesInput) {
   EXPECT_THROW(ZipfianGenerator(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfianGenerator(10, -0.5), std::invalid_argument);
+}
+
+TEST(Zipfian, RejectsANanSkew) {
+  EXPECT_THROW(
+      ZipfianGenerator(10, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(Zipfian, SkewZeroIsUniform) {

@@ -3,24 +3,18 @@
 //   $ ./agarctl --socket /tmp/agard.sock ping
 //   $ ./agarctl --socket /tmp/agard.sock get --tag hot object17
 //   $ ./agarctl --socket /tmp/agard.sock load --ops 2000 --clients 4 --json
-//   $ ./agarctl --socket /tmp/agard.sock load --rate 500 --ops 1000
 //   $ ./agarctl --socket /tmp/agard.sock load --replay-spec eq_spec.json
 //   $ ./agarctl --socket /tmp/agard.sock metrics --results-only
 //
-// Load modes: closed-loop (each client issues its next read when the
-// previous completes — the paper's YCSB shape) and open-loop (wall-clock
-// Poisson arrivals at --rate req/s, dispatched to a connection pool).
-// --replay-spec replays the exact key stream of a runs=1 clients=1
-// experiment spec, which is what lets CI diff the daemon's metrics dump
-// against an in-process run of the same spec.
+// The load is closed-loop: each client sends its next read when the
+// previous completes — the paper's YCSB shape. --replay-spec replays the
+// exact key stream of a runs=1 clients=1 experiment spec, which is what
+// lets CI diff the daemon's metrics dump against an in-process run of the
+// same spec.
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <iostream>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +38,7 @@ void usage() {
       "commands:\n"
       "  ping                  liveness probe\n"
       "  get [--tag T] [--payload] <key>   one routed read\n"
-      "  load [options]        closed/open-loop load generator (below)\n"
+      "  load [options]        closed-loop load generator (below)\n"
       "  metrics [--results-only]          JSON metrics dump\n"
       "  reload [path]         reload routing config (empty = start path)\n"
       "  routes                routing-table summary\n"
@@ -56,13 +50,13 @@ void usage() {
       "load options:\n"
       "  --ops <n>             total requests (default 1000)\n"
       "  --clients <n>         concurrent connections (default 1)\n"
-      "  --rate <r>            open-loop Poisson arrivals/s (0 = closed loop)\n"
       "  --tag <t>             routing tag on every request\n"
       "  --objects <n>         key universe object0..N-1 (default 300)\n"
-      "  --workload <w>        'uniform' or a zipf skew like '1.1'\n"
+      "  --workload <w>        'uniform', 'zipf:<skew>' or a plain skew\n"
+      "                        (default zipf:1.1)\n"
       "  --seed <n>            RNG seed (default 42)\n"
       "  --replay-spec <file>  replay the exact key stream of a runs=1\n"
-      "                        clients=1 spec (forces closed loop, 1 client)\n"
+      "                        clients=1 spec (forces 1 client)\n"
       "  --payload             fetch payload bytes, not just telemetry\n"
       "  --json                machine-readable summary\n";
 }
@@ -88,7 +82,6 @@ int finish(const daemon::ControlReply& reply) {
 struct LoadOptions {
   std::size_t ops = 1000;
   std::size_t clients = 1;
-  double rate = 0.0;  ///< arrivals/s; 0 = closed loop
   std::string tag;
   std::size_t objects = 300;
   client::WorkloadSpec workload = client::WorkloadSpec::zipfian(1.1);
@@ -218,87 +211,6 @@ int run_closed_loop(const std::string& socket_path,
   return 0;
 }
 
-int run_open_loop(const std::string& socket_path,
-                  const LoadOptions& options) {
-  LoadTotals totals;
-  std::atomic<bool> aborted{false};
-  std::string first_error;
-  std::mutex error_mutex;
-
-  // Arrivals are timestamped by the Poisson process; workers pull them
-  // from a queue, so latency includes any wait for a free connection —
-  // the open-loop property (load keeps arriving while reads are slow).
-  struct Arrival {
-    std::string key;
-    double due_s = 0.0;
-  };
-  std::deque<Arrival> queue;
-  std::mutex queue_mutex;
-  std::condition_variable queue_cv;
-  bool done_producing = false;
-
-  std::vector<std::thread> workers;
-  workers.reserve(options.clients);
-  for (std::size_t c = 0; c < options.clients; ++c) {
-    workers.emplace_back([&] {
-      try {
-        daemon::DaemonClient connection =
-            daemon::DaemonClient::connect_uds(socket_path);
-        while (true) {
-          Arrival arrival;
-          {
-            std::unique_lock<std::mutex> lock(queue_mutex);
-            queue_cv.wait(lock, [&] {
-              return !queue.empty() || done_producing || aborted.load();
-            });
-            if (queue.empty()) return;
-            arrival = std::move(queue.front());
-            queue.pop_front();
-          }
-          const daemon::GetResponse response =
-              connection.get(options.tag, arrival.key, options.payload);
-          account(totals, response, (now_s() - arrival.due_s) * 1000.0);
-        }
-      } catch (const std::exception& e) {
-        aborted.store(true);
-        queue_cv.notify_all();
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.empty()) first_error = e.what();
-      }
-    });
-  }
-
-  client::Workload workload(options.workload, options.objects,
-                            client::workload_stream_seed(options.seed, 0, 0));
-  std::mt19937_64 gaps(options.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
-  const double mean_gap_s = 1.0 / options.rate;
-  const double t0 = now_s();
-  double next_due = t0;
-  for (std::size_t i = 0; i < options.ops && !aborted.load(); ++i) {
-    const double wait_s = next_due - now_s();
-    if (wait_s > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
-    }
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex);
-      queue.push_back(Arrival{workload.next_key(), next_due});
-    }
-    queue_cv.notify_one();
-    next_due += -mean_gap_s * std::log(1.0 - uniform(gaps));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex);
-    done_producing = true;
-  }
-  queue_cv.notify_all();
-  for (std::thread& worker : workers) worker.join();
-  const double wall_s = now_s() - t0;
-  if (aborted.load()) return fail("load aborted: " + first_error);
-  print_summary(options, totals, wall_s);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -408,19 +320,14 @@ int main(int argc, char** argv) {
         } else if (arg == "--clients") {
           options.clients = std::max<std::size_t>(
               1, std::stoul(next_value(arg)));
-        } else if (arg == "--rate") {
-          options.rate = std::stod(next_value(arg));
         } else if (arg == "--tag") {
           options.tag = next_value(arg);
         } else if (arg == "--objects") {
           options.objects = std::stoul(next_value(arg));
         } else if (arg == "--workload") {
-          const std::string w = next_value(arg);
-          options.workload = w == "uniform"
-                                 ? client::WorkloadSpec::uniform()
-                                 : client::WorkloadSpec::zipfian(std::stod(
-                                       w.rfind("zipf:", 0) == 0 ? w.substr(5)
-                                                                : w));
+          api::ExperimentSpec spec;
+          spec.set("workload", next_value(arg));
+          options.workload = spec.experiment.workload;
         } else if (arg == "--seed") {
           options.seed = std::stoull(next_value(arg));
         } else if (arg == "--replay-spec") {
@@ -450,13 +357,11 @@ int main(int argc, char** argv) {
         }
         options.ops = experiment.ops_per_run;
         options.clients = 1;
-        options.rate = 0.0;
         options.objects = experiment.deployment.num_objects;
         options.workload = experiment.workload;
         options.seed = experiment.deployment.seed;
       }
-      return options.rate > 0.0 ? run_open_loop(socket_path, options)
-                                : run_closed_loop(socket_path, options);
+      return run_closed_loop(socket_path, options);
     }
     usage();
     return fail("unknown command " + command);
