@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""The paper's evaluation (Halalai et al., ICDCS 2017, section V) as checked
-claims.
+"""The paper's evaluation (Halalai et al., ICDCS 2017, section V) and the
+reproduction's extensions as checked claims.
 
     python3 scripts/check_paper_claims.py
 
-Reads each experiment spec in examples/specs/paper/ and the report pinned
-for it in tests/golden/paper/ (spec_goldens keeps every golden equal to what
+Reads each experiment spec in examples/specs/paper/ and examples/specs/ext/
+and the report pinned for it in tests/golden/paper/ or tests/golden/ext/
+(spec_goldens keeps every golden equal to what
 `example_agar_cli --spec <file> --json` prints). A spec's `systems` entries
 (or its one top-level `system`) are crossed with its `sweep` grid in the
 order parse_spec_json runs them, first sweep key outermost, and each report
@@ -20,13 +21,16 @@ Exits 1 if a row and its entry disagree, or if one of these claims fails
   - Fig. 7: LRU-c's and LFU-c's hit ratios fall as c grows, and Agar's is
     above every 7- and 9-chunk policy's;
   - Fig. 10: every scenario installs at least two distinct option weights,
-    which no fixed-c policy can, and the figure at least three.
+    which no fixed-c policy can, and the figure at least three;
+  - every row of the Extensions table (tail latency under gray failure,
+    adaptivity to a popularity shift, the cooperative tier).
 
-It prints the numbers of Figs. 2, 6-8 and 10 and of the two ablations, then
-one row per statement the paper makes about them, reproduction against
-paper. A paper figure agrees when the reproduction has its sign and lies
-within a factor of two of it; "all systems equal" agrees when Agar's lead
-is under 2% either way. A row that disagrees is marked as a gap and still
+It prints the numbers of Figs. 2, 6-8 and 10, of the two ablations and of
+the three extensions, then one row per statement the paper makes about its
+figures, reproduction against paper, and one row per extension takeaway. A
+paper figure agrees when the reproduction has its sign and lies within a
+factor of two of it; "all systems equal" agrees when Agar's lead is under
+2% either way. A paper row that disagrees is marked as a gap and still
 printed: gaps are results, not failures.
 """
 
@@ -35,8 +39,8 @@ import os
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-SPECS = os.path.join(ROOT, "examples", "specs", "paper")
-GOLDENS = os.path.join(ROOT, "tests", "golden", "paper")
+SPECS = os.path.join(ROOT, "examples", "specs")
+GOLDENS = os.path.join(ROOT, "tests", "golden")
 
 REGIONS = ("frankfurt", "sydney")
 CHUNKS = (1, 3, 5, 7, 9)
@@ -45,6 +49,10 @@ WEIGHTS = (9, 7, 5, 3, 1)
 FIXED_CHUNKS = {"lru": "LRU", "lfu": "LFU", "lfu-eviction": "LFUev",
                 "tinylfu": "TinyLFU", "arc": "ARC"}
 OTHER_LABELS = {"agar": "Agar", "backend": "Backend"}
+# What a fetch policy or a cooperative tier other than "none" appends to
+# the label, after a "+".
+SUFFIXES = {"fetch": {"retry": "retry", "hedge": "hedge"},
+            "collab": {"broadcast": "collab"}}
 
 
 class SpecMismatch(Exception):
@@ -68,12 +76,18 @@ def expand(spec):
 def label(entry):
     system = entry["system"]
     if system in FIXED_CHUNKS:
-        return "%s-%s" % (FIXED_CHUNKS[system], entry["chunks"])
-    return OTHER_LABELS[system]
+        name = "%s-%s" % (FIXED_CHUNKS[system], entry["chunks"])
+    else:
+        name = OTHER_LABELS[system]
+    for key, suffixes in SUFFIXES.items():
+        if entry.get(key, "none") != "none":
+            name += "+" + suffixes[entry[key]]
+    return name
 
 
 class Figure:
-    """One spec's runs: (entry, report row) pairs, found by entry fields."""
+    """One spec's runs: (entry, report row) pairs, found by entry fields.
+    `name` is the spec's path under examples/specs/ without ".json"."""
 
     def __init__(self, name):
         self.name = name
@@ -157,6 +171,7 @@ class Claims:
     def __init__(self):
         self.failed = []
         self.statements = []
+        self.extensions = []
 
     def compare(self, figure, statement, paper, repro, agrees,
                 required=False):
@@ -167,9 +182,17 @@ class Claims:
         if required and not agrees:
             self.failed.append("%s: %s" % (figure, statement))
 
+    def check(self, extension, statement, measured, holds):
+        """One extension takeaway, stated as what its row measures; every
+        one is required."""
+        self.extensions.append([extension, statement, measured,
+                                "holds" if holds else "**fails**"])
+        if not holds:
+            self.failed.append("%s: %s" % (extension, statement))
+
 
 def fig2(claims):
-    fig = Figure("fig2_chunk_count")
+    fig = Figure("paper/fig2_chunk_count")
     print("### Fig. 2: latency vs chunks cached (500 MB cache)\n")
     curves = {region: [fig.row(system="backend", region=region)] +
               [fig.row(system="lru", chunks=c, region=region)
@@ -204,7 +227,7 @@ def policies(fig, region):
 
 
 def fig6(claims):
-    fig = Figure("fig6_policies")
+    fig = Figure("paper/fig6_policies")
     print("### Figs. 6 and 7: Agar vs LRU-c, LFU-c and Backend "
           "(10 MB cache)\n")
     paper_best = {"frankfurt": ("LFU-7", 0.15), "sydney": ("LFU-9", 0.085)}
@@ -293,7 +316,7 @@ def static_grid(fig, dimension, values, title, backend):
 
 def fig8(claims, backend):
     sizes = ["5MB", "10MB", "20MB", "50MB", "100MB"]
-    leads = static_grid(Figure("fig8a_cache_size"), "cache_bytes", sizes,
+    leads = static_grid(Figure("paper/fig8a_cache_size"), "cache_bytes", sizes,
                         "Fig. 8a: cache size (Frankfurt)", backend)
     paper = {"5MB": 0.065, "10MB": 0.15, "20MB": 0.16, "50MB": 0.12,
              "100MB": 0.01}
@@ -307,7 +330,7 @@ def fig8(claims, backend):
 
     workloads = ["uniform", "zipf:0.2", "zipf:0.5", "zipf:0.8", "zipf:0.9",
                  "zipf:1.0", "zipf:1.1", "zipf:1.4"]
-    leads = static_grid(Figure("fig8b_workloads"), "workload", workloads,
+    leads = static_grid(Figure("paper/fig8b_workloads"), "workload", workloads,
                         "Fig. 8b: workload (Frankfurt, 10 MB cache)", backend)
     for workload in workloads[:3]:
         claims.compare("Fig. 8b", "all systems equal under %s" % workload,
@@ -324,7 +347,7 @@ def fig8(claims, backend):
 
 
 def fig10(claims):
-    fig = Figure("fig10_cache_contents")
+    fig = Figure("paper/fig10_cache_contents")
     print("### Fig. 10: Agar's cache contents by option weight "
           "(share of cached chunks)\n")
     rows, installed = [], set()
@@ -353,7 +376,7 @@ def fig10(claims):
 
 
 def ablations():
-    fig = Figure("ablation_baselines")
+    fig = Figure("paper/ablation_baselines")
     print("### Ablation: baseline strength (Frankfurt, 10 MB cache)\n")
     rows = [row for _, row in fig.runs]
     results_table(rows)
@@ -362,7 +385,7 @@ def ablations():
     print("Agar vs strongest baseline (%s): %s lower latency\n"
           % (top["system"], fmt_pct(lead(agar, top))))
 
-    fig = Figure("ablation_period")
+    fig = Figure("paper/ablation_period")
     print("### Ablation: Agar's reconfiguration period "
           "(Frankfurt, 10 MB cache)\n")
     table(["period", "avg latency (ms)", "hit ratio", "evictions/run"],
@@ -371,6 +394,133 @@ def ablations():
             sum(run["cache"]["evictions"] for run in row["runs"]) //
             len(row["runs"])]
            for entry, row in fig.runs])
+
+
+def p99(row):
+    return row["p99_ms"]
+
+
+def tail(claims):
+    fig = Figure("ext/tail")
+    print("### Extension: tail latency under gray failure (Frankfurt and "
+          "Dublin clients, open loop 4/s; Virginia straggles 20% of fetches "
+          "at 30x)\n")
+    healthy = fig.row(scenario="")
+    none, retry, hedge = (fig.row(fetch=policy)
+                          for policy in ("none", "retry", "hedge"))
+    rows = []
+    for name, row in (("healthy", healthy), ("none", none), ("retry", retry),
+                      ("hedge", hedge)):
+        run = row["runs"][0]
+        fetch = run.get("fetch", {})
+        rows.append([name, fmt_ms(ms(row)), fmt_ms(row["p50_ms"]),
+                     fmt_ms(row["p95_ms"]), fmt_ms(p99(row)),
+                     run["degraded_reads"], fetch.get("timeouts", 0),
+                     fetch.get("retries", 0), fetch.get("hedges_won", 0)])
+    table(["fetch policy", "mean (ms)", "p50", "p95", "p99", "degraded",
+           "timeouts", "retries", "hedges won"], rows)
+
+    claims.check("Tail", "the straggler field at least doubles p99",
+                 "p99 %s -> %s ms (x%.1f); the mean x%.1f"
+                 % (fmt_ms(p99(healthy)), fmt_ms(p99(none)),
+                    p99(none) / p99(healthy), ms(none) / ms(healthy)),
+                 p99(none) >= 2.0 * p99(healthy))
+    claims.check("Tail", "retry's p99 is above none's",
+                 "%s vs %s ms" % (fmt_ms(p99(retry)), fmt_ms(p99(none))),
+                 p99(retry) > p99(none))
+    recovered = (p99(none) - p99(hedge)) / (p99(none) - p99(healthy))
+    claims.check("Tail", "hedge's p99 is below none's",
+                 "%s vs %s ms: recovers %s of the p99 stragglers add"
+                 % (fmt_ms(p99(hedge)), fmt_ms(p99(none)),
+                    fmt_pct(recovered)),
+                 p99(hedge) < p99(none))
+
+
+def adaptivity(claims):
+    fig = Figure("ext/adaptivity")
+    print("### Extension: adaptivity to a popularity shift (Sydney clients, "
+          "open loop 20/s; at 30 s the hot set rotates by 20 and Tokyo "
+          "fails, restored at 45 s; 10 s windows)\n")
+    entry = fig.runs[0][0]
+    events = {event["event"]: event["at_ms"] for event in entry["scenario"]}
+    shift, restored = events["popularity_rotate"], events["restore_region"]
+    width, period = entry["window_ms"], entry["period_s"] * 1000
+    # A window that ends past the arrivals' span holds only the reads still
+    # in flight.
+    span = entry["ops"] / entry["arrival_rate"] * 1000
+
+    def windows(row):
+        """Mean latency by window start, whole windows only."""
+        return {w["start_ms"]: w["mean_ms"] for w in row["runs"][0]["windows"]
+                if w["end_ms"] <= span}
+
+    def periods_to_recover(means):
+        """Periods from the shift to the first window within 15% of the
+        pre-shift one; None if no window is."""
+        for start in sorted(t for t in means if t >= shift):
+            if means[start] <= 1.15 * means[shift - width]:
+                return (start - shift) // period
+        return None
+
+    means = [(row["system"], windows(row)) for _, row in fig.runs]
+    table(["window"] + [system for system, _ in means],
+          [["%d-%d s" % (start // 1000, (start + width) // 1000)] +
+           [fmt_ms(by_start[start]) for _, by_start in means]
+           for start in sorted(means[0][1])])
+    print("Recovery to within 15% of each system's own pre-shift mean:\n")
+    recovery = {0: "never left", None: "not in the run"}
+    table(["system", "pre-shift (ms)", "at the shift", "back within 15%"],
+          [[system, fmt_ms(by_start[shift - width]), fmt_ms(by_start[shift]),
+            recovery.get(periods_to_recover(by_start),
+                         "after %s periods" % periods_to_recover(by_start))]
+           for system, by_start in means])
+
+    agar = windows(fig.row(system="agar"))
+    periods = periods_to_recover(agar)
+    claims.check("Adaptivity", "Agar is back within 15% of its pre-shift "
+                 "mean within two periods",
+                 "%s ms before, %s at the shift, back after %s periods"
+                 % (fmt_ms(agar[shift - width]), fmt_ms(agar[shift]),
+                    periods),
+                 periods is not None and periods <= 2)
+    agar_after = [mean for start, mean in agar.items() if start >= restored]
+    lru_after = [mean for row in fig.rows(system="lru")
+                 for start, mean in windows(row).items() if start >= restored]
+    claims.check("Adaptivity", "once Tokyo is back, every whole window of "
+                 "Agar's is below every LRU-c's",
+                 "Agar %s-%s ms vs LRU-c %s-%s ms"
+                 % (fmt_ms(min(agar_after)), fmt_ms(max(agar_after)),
+                    fmt_ms(min(lru_after)), fmt_ms(max(lru_after))),
+                 max(agar_after) < min(lru_after))
+
+
+def collab(claims):
+    fig = Figure("ext/collab")
+    print("### Extension: the cooperative cache tier (Frankfurt, Dublin and "
+          "Virginia clients, Zipf 1.2; peers broadcast every 2 s)\n")
+    none, broadcast = (fig.row(collab=tier) for tier in ("none", "broadcast"))
+    peer_hits = [run["collab"]["peer_hits"] for run in broadcast["runs"]]
+    table(["tier", "mean (ms)", "p50", "p99", "peer hits per run",
+           "appends per run", "stale reads per run"],
+          [[row["system"], fmt_ms(ms(row)), fmt_ms(row["p50_ms"]),
+            fmt_ms(p99(row))] +
+           [", ".join(str(run.get("collab", {}).get(key, 0))
+                      for run in row["runs"])
+            for key in ("peer_hits", "paxos_appends", "stale_config_reads")]
+           for row in (none, broadcast)])
+
+    claims.check("Collab", "broadcast lowers the mean",
+                 "%s -> %s ms" % (fmt_ms(ms(none)), fmt_ms(ms(broadcast))),
+                 ms(broadcast) < ms(none))
+    change = p99(broadcast) / p99(none) - 1.0
+    claims.check("Collab", "broadcast keeps p99 within 2%",
+                 "%s -> %s ms (%+.1f%%)" % (fmt_ms(p99(none)),
+                                            fmt_ms(p99(broadcast)),
+                                            change * 100.0),
+                 abs(change) < 0.02)
+    claims.check("Collab", "every broadcast run has peer hits",
+                 ", ".join(str(hits) for hits in peer_hits),
+                 all(hits > 0 for hits in peer_hits))
 
 
 def main():
@@ -382,6 +532,9 @@ def main():
         fig8(claims, policies_fig.row(system="backend", region="frankfurt"))
         fig10(claims)
         ablations()
+        tail(claims)
+        adaptivity(claims)
+        collab(claims)
     except SpecMismatch as e:
         print("paper_claims: %s" % e, file=sys.stderr)
         return 1
@@ -389,9 +542,15 @@ def main():
     print("### Reproduction against the paper\n")
     table(["figure", "statement", "paper", "reproduction", "status"],
           claims.statements)
+    print("### Extensions\n")
+    table(["extension", "statement", "measured", "status"],
+          claims.extensions)
     gaps = sum(1 for row in claims.statements if row[-1] != "agrees")
     print("paper_claims: %d of %d paper statements are gaps"
           % (gaps, len(claims.statements)))
+    holds = sum(1 for row in claims.extensions if row[-1] == "holds")
+    print("paper_claims: %d of %d extension rows hold"
+          % (holds, len(claims.extensions)))
     for text in claims.failed:
         print("paper_claims: FAILED: %s" % text, file=sys.stderr)
     return 1 if claims.failed else 0

@@ -11,16 +11,18 @@
 # for every spec except daemon_routes.json (an agard routing table, not an
 # experiment), plus <name>.verify.json for agar_vs_lfu.json and
 # systems_outage.json run with `--set verify=true`. The paper's evaluation,
-# examples/specs/paper/<name>.json, is pinned the same way by
-# tests/golden/paper/<name>.json (scripts/check_paper_claims.py checks the
-# paper's claims against those goldens). The specs that drive the sharded
-# engine (outage_flash_crowd, chaos_gray_failure, geo_partition) rerun at
-# `--shards 4` against the same goldens. These checks compare a
-# commit with the results its parent committed, so a change that moves
-# every build the same way still fails here; and since every build ctest
-# runs (SIMD, portable, sanitizers) must match the same goldens, the builds
-# and shard counts also match each other. A change meant to move results
-# regenerates the goldens with the commands above and says why.
+# examples/specs/paper/<name>.json, and the reproduction's extensions,
+# examples/specs/ext/<name>.json, are pinned the same way by
+# tests/golden/paper/<name>.json and tests/golden/ext/<name>.json
+# (scripts/check_paper_claims.py checks their claims against those
+# goldens). The specs that drive the sharded engine (outage_flash_crowd,
+# chaos_gray_failure, geo_partition, and the multi-region ext/tail and
+# ext/collab) rerun at `--shards 4` against the same goldens. These checks
+# compare a commit with the results its parent committed, so a change that
+# moves every build the same way still fails here; and since every build
+# ctest runs (SIMD, portable, sanitizers) must match the same goldens, the
+# builds and shard counts also match each other. A change meant to move
+# results regenerates the goldens with the commands above and says why.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -31,7 +33,7 @@ cli=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/paper"
+mkdir "$tmp/paper" "$tmp/ext"
 
 normalize() { sed 's/"planning_ms": [^,}]*/"planning_ms": 0/g'; }
 
@@ -58,14 +60,17 @@ for spec in "$root"/examples/specs/*.json; do
   [[ $name == daemon_routes ]] && continue
   check "$name" --spec "$spec"
 done
-for spec in "$root"/examples/specs/paper/*.json; do
-  check "paper/$(basename "$spec" .json)" --spec "$spec"
+for dir in paper ext; do
+  for spec in "$root"/examples/specs/$dir/*.json; do
+    check "$dir/$(basename "$spec" .json)" --spec "$spec"
+  done
 done
 check agar_vs_lfu.verify --spec "$root/examples/specs/agar_vs_lfu.json" \
   --set verify=true
 check systems_outage.verify --spec "$root/examples/specs/systems_outage.json" \
   --set verify=true
-for name in outage_flash_crowd chaos_gray_failure geo_partition; do
+for name in outage_flash_crowd chaos_gray_failure geo_partition ext/tail \
+  ext/collab; do
   check "$name" --spec "$root/examples/specs/$name.json" --shards 4
 done
 

@@ -11,7 +11,7 @@
 # Environment overrides:
 #   BENCH_BIN    bench binary name (default: bench_micro_eventloop) — any
 #                bench emitting a JSON array under --json works, e.g.
-#                BENCH_BIN=bench_ext_collab
+#                BENCH_BIN=bench_micro_ec
 #   BENCH_LABEL  entry label (default: short git hash)
 set -e
 

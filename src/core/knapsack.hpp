@@ -13,8 +13,8 @@
 // here is worth the 224,000 total.
 //
 // A greedy value-density solver is included as a baseline: §II-D argues
-// greedy can err badly on 0/1-style knapsacks, and `bench_ablation_greedy`
-// quantifies that on both adversarial and realistic instances.
+// greedy can err badly on 0/1-style knapsacks, and `planner_test` checks
+// that on realistic instances (`knapsack_test` on adversarial ones).
 #pragma once
 
 #include <vector>

@@ -101,17 +101,21 @@ TEST(Knapsack, ExactCapacityFill) {
   EXPECT_DOUBLE_EQ(r.total_value, 99.0);
 }
 
-TEST(Knapsack, GreedyFailsOnClassicAdversarialInstance) {
-  // Greedy by density: takes a@1 (density 10), leaving no room for b@10
-  // (density 9.9, value 99). DP takes b.
-  const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 10.0)},
-      {opt("b", 10, 99.0)},
-  };
-  const auto greedy = solve_greedy(groups, 10);
-  const auto dp = solve_dp(groups, 10);
-  EXPECT_DOUBLE_EQ(greedy.total_value, 10.0);
-  EXPECT_DOUBLE_EQ(dp.total_value, 99.0);
+TEST(Knapsack, GreedyFailsOnClassicAdversarialFamily) {
+  // Greedy by density takes a@1 (density 10), leaving no room for b@C
+  // (density 9.9, value 9.9 C) in a cache of C units. The DP takes b, so
+  // greedy keeps 10 / (9.9 C) of the optimum: its loss grows with C.
+  for (const std::size_t capacity : {2u, 10u, 100u, 1000u}) {
+    const double big = 9.9 * static_cast<double>(capacity);
+    const std::vector<std::vector<CachingOption>> groups = {
+        {opt("a", 1, 10.0)},
+        {opt("b", capacity, big)},
+    };
+    const auto greedy = solve_greedy(groups, capacity);
+    const auto dp = solve_dp(groups, capacity);
+    EXPECT_DOUBLE_EQ(greedy.total_value, 10.0) << capacity;
+    EXPECT_DOUBLE_EQ(dp.total_value, big) << capacity;
+  }
 }
 
 TEST(Knapsack, GreedyNeverBeatsDp) {

@@ -1,15 +1,18 @@
 // Planner registry: structural invariants every registered planner must
 // satisfy (capacity, one option per key, no zero-value picks), optimality
-// of knapsack-dp against the brute-force oracle, and the incremental
-// planner's warm-start behavior.
+// of knapsack-dp against the brute-force oracle, greedy's loss on the
+// instances Agar plans over (paper §II-D), and the incremental planner's
+// warm-start behavior.
 #include "core/planner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "api/registry.hpp"
 #include "common/rng.hpp"
+#include "core/option_generator.hpp"
 
 namespace agar::core {
 namespace {
@@ -44,6 +47,26 @@ std::vector<std::vector<CachingOption>> random_instance(Rng& rng) {
       // actually exercised.
       group.push_back(opt("k" + std::to_string(key), 1 + rng.next_below(8),
                           static_cast<double>(rng.next_below(100))));
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+/// The realistic instance: `objects` keys at Zipf 1.1 popularity
+/// (100 / (i+1)^1.1), each with Table I's improvement profile
+/// (2000/2800/3200/3320/3345 ms) at weights 1, 3, 5, 7 and 9.
+std::vector<std::vector<CachingOption>> table1_profile(std::size_t objects) {
+  const std::vector<double> improvement = {2000, 2800, 3200, 3320, 3345};
+  const std::vector<std::size_t> weights = {1, 3, 5, 7, 9};
+  std::vector<std::vector<CachingOption>> groups;
+  for (std::size_t key = 0; key < objects; ++key) {
+    const double popularity =
+        100.0 / std::pow(static_cast<double>(key + 1), 1.1);
+    std::vector<CachingOption> group;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      group.push_back(opt("object" + std::to_string(key), weights[i],
+                          popularity * improvement[i]));
     }
     groups.push_back(std::move(group));
   }
@@ -161,6 +184,38 @@ TEST(PlannerRegistry, DpMatchesBruteForceOracle) {
                      oracle->plan(groups, cap).total_value)
         << "trial " << trial;
   }
+}
+
+TEST(PlannerRegistry, DpMatchesBruteForceOnGeneratedOptions) {
+  // The option sets Agar itself plans over: RS(9,3) over Table I's region
+  // latencies, each key's placement rotated by one region, weights 1, 3,
+  // 5, 7 and 9; every capacity from empty to every key fully cached.
+  const std::vector<double> latency = {80, 200, 600, 1400, 3400, 4600};
+  OptionGeneratorParams params;
+  params.candidate_weights = {1, 3, 5, 7, 9};
+  const OptionGenerator generator(params);
+  auto dp = make_planner("knapsack-dp");
+  auto oracle = make_planner("brute-force");
+  std::size_t cases = 0;
+  for (std::size_t keys = 1; keys <= 6; ++keys) {
+    std::vector<std::vector<CachingOption>> groups;
+    for (std::size_t key = 0; key < keys; ++key) {
+      std::vector<ChunkCost> costs;
+      for (ChunkIndex i = 0; i < 12; ++i) {
+        const auto region = static_cast<RegionId>((i + key) % 6);
+        costs.push_back(ChunkCost{i, region, latency[region]});
+      }
+      groups.push_back(generator.generate(
+          "object" + std::to_string(key), costs,
+          100.0 / std::pow(static_cast<double>(key + 1), 1.1)));
+    }
+    for (std::size_t cap = 0; cap <= 9 * keys; ++cap, ++cases) {
+      EXPECT_DOUBLE_EQ(dp->plan(groups, cap).total_value,
+                       oracle->plan(groups, cap).total_value)
+          << keys << " keys, capacity " << cap;
+    }
+  }
+  EXPECT_EQ(cases, 195u);
 }
 
 TEST(PlannerRegistry, UnknownNameThrowsWithKnownNames) {
@@ -292,6 +347,23 @@ TEST(IncrementalPlanner, SqueezedSurgeIsNotLockedInAtAFractionOfItsWorth) {
   EXPECT_DOUBLE_EQ(third.total_value, second.total_value);
 }
 
+TEST(IncrementalPlanner, SmallDriftKeepsTheDpsValue) {
+  // Three rounds of 1% drift stay under the dirty threshold, so the warm
+  // re-plans keep their choices; on the realistic instance those are
+  // still worth exactly what the DP finds.
+  auto groups = table1_profile(300);
+  auto inc = make_planner("incremental");
+  (void)inc->plan(groups, 900);
+  for (int round = 1; round <= 3; ++round) {
+    for (auto& group : groups) {
+      for (auto& o : group) o.value *= 1.01;
+    }
+    EXPECT_DOUBLE_EQ(inc->plan(groups, 900).total_value,
+                     solve_dp(groups, 900).total_value)
+        << "round " << round;
+  }
+}
+
 TEST(IncrementalPlanner, CapacityShrinkForcesAFullReplan) {
   auto inc = make_planner("incremental");
   const std::vector<std::vector<CachingOption>> groups = {
@@ -329,6 +401,28 @@ TEST(GreedyPlanner, EqualDensityTieBreaksByKeyThenWeight) {
     EXPECT_EQ(r1.chosen[i].weight_units, r2.chosen[i].weight_units);
   }
   EXPECT_DOUBLE_EQ(r1.total_value, r2.total_value);
+}
+
+TEST(GreedyPlanner, LosesMoreOfTheDpsValueAsTheCacheGrows) {
+  // Paper §II-D: greedy is a poor fit for the caching-options knapsack.
+  // On the realistic instance its share of the DP's value falls strictly
+  // as the cache grows from one full replica to 900 chunks: greedy's loss
+  // grows from 7% to 37%.
+  const auto groups = table1_profile(300);
+  auto greedy = make_planner("greedy");
+  auto dp = make_planner("knapsack-dp");
+  const std::vector<std::pair<std::size_t, double>> shares = {
+      {9, 0.9255},   {45, 0.8028},  {90, 0.7655},
+      {180, 0.7372}, {450, 0.6780}, {900, 0.6276},
+  };
+  double previous = 1.0;
+  for (const auto& [capacity, share] : shares) {
+    const double got = greedy->plan(groups, capacity).total_value /
+                       dp->plan(groups, capacity).total_value;
+    EXPECT_NEAR(got, share, 5e-5) << capacity << " chunks";
+    EXPECT_LT(got, previous) << capacity << " chunks";
+    previous = got;
+  }
 }
 
 }  // namespace

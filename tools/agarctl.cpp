@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "api/experiment_spec.hpp"
+#include "api/param_map.hpp"
 #include "client/workload.hpp"
 #include "daemon/client.hpp"
 #include "stats/histogram.hpp"
@@ -59,6 +60,16 @@ void usage() {
       "                        clients=1 spec (forces 1 client)\n"
       "  --payload             fetch payload bytes, not just telemetry\n"
       "  --json                machine-readable summary\n";
+}
+
+/// A count flag's value, parsed as the spec layer parses sizes. A bad
+/// value ("-1", "12x", "abc") is an error that names the flag.
+std::size_t count_value(const std::string& flag, const std::string& text) {
+  try {
+    return api::parse_size(text);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(flag + ": " + e.what());
+  }
 }
 
 int fail(const std::string& message) {
@@ -316,20 +327,20 @@ int main(int argc, char** argv) {
       while (at < args.size()) {
         const std::string arg = args[at++];
         if (arg == "--ops") {
-          options.ops = std::stoul(next_value(arg));
+          options.ops = count_value(arg, next_value(arg));
         } else if (arg == "--clients") {
-          options.clients = std::max<std::size_t>(
-              1, std::stoul(next_value(arg)));
+          options.clients =
+              std::max<std::size_t>(1, count_value(arg, next_value(arg)));
         } else if (arg == "--tag") {
           options.tag = next_value(arg);
         } else if (arg == "--objects") {
-          options.objects = std::stoul(next_value(arg));
+          options.objects = count_value(arg, next_value(arg));
         } else if (arg == "--workload") {
           api::ExperimentSpec spec;
           spec.set("workload", next_value(arg));
           options.workload = spec.experiment.workload;
         } else if (arg == "--seed") {
-          options.seed = std::stoull(next_value(arg));
+          options.seed = count_value(arg, next_value(arg));
         } else if (arg == "--replay-spec") {
           replay_spec = next_value(arg);
         } else if (arg == "--payload") {
