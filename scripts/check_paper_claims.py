@@ -6,8 +6,8 @@ reproduction's extensions as checked claims.
 
 Reads each experiment spec in examples/specs/paper/ and examples/specs/ext/
 and the report pinned for it in tests/golden/paper/ or tests/golden/ext/
-(spec_goldens keeps every golden equal to what
-`example_agar_cli --spec <file> --json` prints). A spec's `systems` entries
+(spec_goldens keeps every golden equal to what `example_agar_cli --spec
+<file> --json` prints). A spec's `systems` entries
 (or its one top-level `system`) are crossed with its `sweep` grid in the
 order parse_spec_json runs them, first sweep key outermost, and each report
 row must carry the label of its entry, so every number is read from the run
@@ -316,8 +316,8 @@ def static_grid(fig, dimension, values, title, backend):
 
 def fig8(claims, backend):
     sizes = ["5MB", "10MB", "20MB", "50MB", "100MB"]
-    leads = static_grid(Figure("paper/fig8a_cache_size"), "cache_bytes", sizes,
-                        "Fig. 8a: cache size (Frankfurt)", backend)
+    leads = static_grid(Figure("paper/fig8a_cache_size"), "cache_bytes",
+                        sizes, "Fig. 8a: cache size (Frankfurt)", backend)
     paper = {"5MB": 0.065, "10MB": 0.15, "20MB": 0.16, "50MB": 0.12,
              "100MB": 0.01}
     for size in sizes:
@@ -330,8 +330,9 @@ def fig8(claims, backend):
 
     workloads = ["uniform", "zipf:0.2", "zipf:0.5", "zipf:0.8", "zipf:0.9",
                  "zipf:1.0", "zipf:1.1", "zipf:1.4"]
-    leads = static_grid(Figure("paper/fig8b_workloads"), "workload", workloads,
-                        "Fig. 8b: workload (Frankfurt, 10 MB cache)", backend)
+    leads = static_grid(Figure("paper/fig8b_workloads"), "workload",
+                        workloads, "Fig. 8b: workload (Frankfurt, 10 MB "
+                        "cache)", backend)
     for workload in workloads[:3]:
         claims.compare("Fig. 8b", "all systems equal under %s" % workload,
                        "equal", "Agar leads by %s" % fmt_pct(leads[workload]),
@@ -467,13 +468,16 @@ def adaptivity(claims):
           [["%d-%d s" % (start // 1000, (start + width) // 1000)] +
            [fmt_ms(by_start[start]) for _, by_start in means]
            for start in sorted(means[0][1])])
-    print("Recovery to within 15% of each system's own pre-shift mean:\n")
-    recovery = {0: "never left", None: "not in the run"}
-    table(["system", "pre-shift (ms)", "at the shift", "back within 15%"],
-          [[system, fmt_ms(by_start[shift - width]), fmt_ms(by_start[shift]),
-            recovery.get(periods_to_recover(by_start),
-                         "after %s periods" % periods_to_recover(by_start))]
-           for system, by_start in means])
+    print("Recovery to within 15% of each system's own pre-shift mean "
+          "(0: never left it; -: not within the run):\n")
+    rows = []
+    for system, by_start in means:
+        periods = periods_to_recover(by_start)
+        rows.append([system, fmt_ms(by_start[shift - width]),
+                     fmt_ms(by_start[shift]),
+                     "-" if periods is None else periods])
+    table(["system", "pre-shift (ms)", "at the shift", "periods to recover"],
+          rows)
 
     agar = windows(fig.row(system="agar"))
     periods = periods_to_recover(agar)
