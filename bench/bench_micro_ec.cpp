@@ -1,15 +1,18 @@
 // EC data-plane throughput harness: GF(256) bulk kernels (every runtime
 // backend vs the scalar reference), Reed-Solomon encode/decode for the
-// paper's RS(9,3), and the decode-plan cache (cold vs memoized inversion).
+// paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), and
+// a verify-mode read's zero fill, decode and check.
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array ("BENCH
 // JSON") for artifact upload and trend tracking. --quick shrinks the
 // per-measurement budget for smoke runs.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -195,6 +198,52 @@ void bench_codec() {
   });
 }
 
+// ------------------------------------------------------------ verify read
+
+/// A verify-mode read of one 1 MB object, step by step as
+/// ReadStrategy::verify_payload runs it: zero the lane's decode buffer,
+/// decode from 7 data and 2 parity chunks (two rows computed), and compare
+/// each row with the store's data chunk. One whole-read row per backend;
+/// the three steps alone on the active backend.
+void bench_verify_read() {
+  const ec::ObjectCodec codec(ec::CodecParams{9, 3});
+  const std::size_t size = 1_MB;
+  const Bytes payload = deterministic_payload("bench", size);
+  const ec::EncodedObject encoded = codec.encode(BytesView(payload));
+  const std::vector<ec::Chunk> chunks(encoded.chunks.begin() + 2,
+                                      encoded.chunks.begin() + 11);
+  const std::size_t chunk_size = codec.chunk_size(size);
+  Bytes out;
+  auto zero_fill = [&] { out.assign(size, 0); };
+  auto decode = [&] { codec.decode(chunks, BytesSpan(out)); };
+  auto compare = [&] {
+    for (std::size_t d = 0; d * chunk_size < size; ++d) {
+      const std::size_t begin = d * chunk_size;
+      const std::size_t len = std::min(chunk_size, size - begin);
+      if (std::memcmp(out.data() + begin, encoded.chunks[d].data.data(),
+                      len) != 0) {
+        throw std::runtime_error("verify_read: decoded row differs");
+      }
+    }
+  };
+
+  for (const gf::Backend b : gf::supported_backends()) {
+    if (!gf::set_backend(b)) continue;
+    record("verify_read", gf::backend_name(b), size, [&] {
+      zero_fill();
+      decode();
+      compare();
+    }, "zero fill + 2-missing-row decode + store compare");
+  }
+  gf::reset_backend();
+
+  const std::string active = gf::backend_name(gf::active_backend());
+  record("verify_read_zero_fill", active, size, zero_fill);
+  record("verify_read_decode", active, size, decode, "2 rows computed");
+  record("verify_read_compare", active, size, compare,
+         "memcmp against the data chunks");
+}
+
 // -------------------------------------------------------------- output
 
 std::string json_escape(const std::string& s) {
@@ -255,6 +304,7 @@ int main(int argc, char** argv) {
   bench_kernels();
   bench_rs();
   bench_codec();
+  bench_verify_read();
   if (json) {
     print_json();
   } else {

@@ -378,13 +378,15 @@ std::string ExperimentSpec::label() const {
   std::string out = StrategyRegistry::instance().label(name, effective);
   // The fetch policy changes what is measured; surface it in every legend.
   if (experiment.fetch_policy != "none") {
-    out += "+" + FetchPolicyRegistry::instance().label(
-                     experiment.fetch_policy, experiment.fetch_params);
+    out += '+';
+    out += FetchPolicyRegistry::instance().label(experiment.fetch_policy,
+                                                 experiment.fetch_params);
   }
   // Same rule for the cooperative tier.
   if (experiment.collab != "none") {
-    out += "+" + CollabRegistry::instance().label(experiment.collab,
-                                                  experiment.collab_params);
+    out += '+';
+    out += CollabRegistry::instance().label(experiment.collab,
+                                            experiment.collab_params);
   }
   return out;
 }
@@ -477,7 +479,8 @@ std::string value_text(const JsonValue& value) {
   if (value.is_array()) {
     std::string out;
     for (const auto& item : value.array) {
-      out += (out.empty() ? "" : ",") + item.as_param_text();
+      if (!out.empty()) out += ',';
+      out += item.as_param_text();
     }
     return out;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,6 +66,9 @@ std::size_t parse_size(const std::string& text) {
   } else {
     throw std::invalid_argument("'" + text +
                                 "' has an unknown size suffix (use KB/MB/GB)");
+  }
+  if (value > std::numeric_limits<std::size_t>::max() / scale) {
+    throw std::invalid_argument("'" + text + "' is too large");
   }
   return static_cast<std::size_t>(value) * scale;
 }

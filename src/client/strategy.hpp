@@ -234,8 +234,8 @@ class ReadStrategy {
   [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
 
   /// Verify mode: decode the read's chunks (cache hits and fetched backend
-  /// chunks) into decode_buffer_ and check them against the object's
-  /// payload in place.
+  /// chunks) into decode_buffer_ and compare it with the store's data
+  /// chunks. False when a row differs or a data chunk is missing.
   [[nodiscard]] bool verify_payload(const ObjectKey& key,
                                     std::size_t object_size,
                                     const std::vector<ec::Chunk>& chunks);

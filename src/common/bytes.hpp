@@ -21,11 +21,6 @@ using BytesSpan = std::span<std::uint8_t>;
 /// end-to-end reads byte-for-byte without storing golden files.
 Bytes deterministic_payload(const std::string& key, std::size_t size);
 
-/// True when `data` equals deterministic_payload(key, data.size()). Streams
-/// the expected bytes word by word and compares them in place: no copy of
-/// the payload is made (verify-mode reads check every decoded object).
-bool matches_deterministic_payload(const std::string& key, BytesView data);
-
 /// FNV-1a 64-bit hash over a byte range; used for payload fingerprints in
 /// tests and for stable key->int mapping.
 std::uint64_t fnv1a(BytesView data);

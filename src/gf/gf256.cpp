@@ -42,6 +42,20 @@ Tables::Tables() {
       hi_[c][x4] = mul_[c][x4 << 4];
     }
   }
+
+  // Affine matrices derive from the full table too: column j of c's
+  // matrix is c * 2^j.
+  for (std::size_t c = 0; c < 256; ++c) {
+    std::uint64_t matrix = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      std::uint64_t row = 0;
+      for (std::size_t j = 0; j < 8; ++j) {
+        row |= static_cast<std::uint64_t>((mul_[c][1u << j] >> i) & 1u) << j;
+      }
+      matrix |= row << (8 * (7 - i));
+    }
+    affine_[c] = matrix;
+  }
 }
 
 const Tables& tables() {
@@ -242,11 +256,14 @@ const detail::KernelTable* backend_table(Backend b) {
       return detail::ssse3_kernels();
     case Backend::kAvx2:
       return detail::avx2_kernels();
+    case Backend::kGfni:
+      return detail::gfni_kernels();
   }
   return nullptr;
 }
 
 Backend best_backend() {
+  if (detail::gfni_kernels() != nullptr) return Backend::kGfni;
   if (detail::avx2_kernels() != nullptr) return Backend::kAvx2;
   if (detail::ssse3_kernels() != nullptr) return Backend::kSsse3;
   return Backend::kPortable64;
@@ -276,6 +293,8 @@ const char* backend_name(Backend b) {
       return "ssse3";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kGfni:
+      return "gfni";
   }
   return "unknown";
 }
@@ -285,7 +304,7 @@ bool backend_supported(Backend b) { return backend_table(b) != nullptr; }
 std::vector<Backend> supported_backends() {
   std::vector<Backend> out;
   for (const Backend b : {Backend::kScalar, Backend::kPortable64,
-                          Backend::kSsse3, Backend::kAvx2}) {
+                          Backend::kSsse3, Backend::kAvx2, Backend::kGfni}) {
     if (backend_supported(b)) out.push_back(b);
   }
   return out;

@@ -9,9 +9,10 @@
 //
 // Bulk operations (mul_slice, mul_add_slice, xor_slice, mul_add_multi) are
 // the hot path of the erasure codec: dst[i] (^)= c * src[i] over whole chunk
-// buffers. They are served by runtime-dispatched kernels — split-nibble
-// pshufb SIMD on x86 (AVX2 or SSSE3, picked once at startup) with a
-// portable 64-bit-word fallback — all behind this scalar-identical API.
+// buffers. They are served by runtime-dispatched kernels — GFNI affine
+// SIMD or split-nibble pshufb SIMD on x86 (GFNI, AVX2 or SSSE3, picked once
+// at startup) with a portable 64-bit-word fallback — all behind this
+// scalar-identical API.
 // `set_backend` pins a specific kernel set (benchmarks, differential tests).
 #pragma once
 
@@ -88,6 +89,7 @@ enum class Backend : std::uint8_t {
   kPortable64,  ///< table lookups batched into 64-bit word loads/stores
   kSsse3,       ///< 16-byte split-nibble pshufb
   kAvx2,        ///< 32-byte split-nibble vpshufb
+  kGfni,        ///< 32-byte vgf2p8affineqb, one bit matrix per coefficient
 };
 
 [[nodiscard]] const char* backend_name(Backend b);

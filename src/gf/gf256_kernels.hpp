@@ -1,6 +1,6 @@
 // Internal kernel plumbing shared by gf256.cpp (scalar + portable kernels,
-// dispatch) and gf256_simd.cpp (SSSE3/AVX2 kernels). Not part of the public
-// gf:: API — include gf/gf256.hpp instead.
+// dispatch) and gf256_simd.cpp (SSSE3/AVX2/GFNI kernels). Not part of the
+// public gf:: API — include gf/gf256.hpp instead.
 #pragma once
 
 #include <array>
@@ -39,6 +39,10 @@ struct Tables {
   /// [0, 16). A byte product is lo_[c][b & 15] ^ hi_[c][b >> 4].
   alignas(64) std::array<std::array<std::uint8_t, 16>, 256> lo_{};
   alignas(64) std::array<std::array<std::uint8_t, 16>, 256> hi_{};
+  /// Multiplication by c as an 8x8 GF(2) bit matrix in vgf2p8affineqb
+  /// layout: byte 7 - i of affine_[c] has bit j set when bit i of
+  /// c * 2^j is set, so the affine product of a byte b is c * b.
+  std::array<std::uint64_t, 256> affine_{};
 
   Tables();
 };
@@ -54,5 +58,6 @@ extern const KernelTable kPortable64Kernels;
 // non-null the CPU has been verified to support them at startup.
 const KernelTable* ssse3_kernels();
 const KernelTable* avx2_kernels();
+const KernelTable* gfni_kernels();
 
 }  // namespace agar::gf::detail

@@ -1,10 +1,12 @@
-// SSSE3 / AVX2 split-nibble GF(256) kernels (Longhair / ISA-L technique).
+// SSSE3 / AVX2 split-nibble GF(256) kernels (Longhair / ISA-L technique)
+// and GFNI affine kernels.
 //
 // A byte b is (b & 0x0F) ^ (high nibble), and GF multiplication by a fixed
 // c is GF(2)-linear, so c*b == lo_table[b & 15] ^ hi_table[b >> 4]. The two
 // 16-entry tables fit exactly one pshufb register each: 16 (SSSE3) or 2x16
 // (AVX2) products per shuffle pair, versus one per lookup in the scalar
-// path.
+// path. The same linearity makes c*b an 8x8 bit-matrix product, which GFNI
+// computes for 32 bytes in one vgf2p8affineqb.
 //
 // Functions carry `target` attributes so this file builds with the default
 // compiler flags; the dispatcher in gf256.cpp only installs a kernel set
@@ -234,6 +236,88 @@ __attribute__((target("avx2"))) void mul_add_multi_avx2(
   }
 }
 
+// ------------------------------------------------------------------- GFNI
+//
+// vgf2p8mulb is fixed to AES's polynomial 0x11B, so the kernels multiply
+// through vgf2p8affineqb with c's bit matrix for this field's 0x11D
+// (Tables::affine_) instead. xor_slice has no multiply and reuses AVX2's.
+
+__attribute__((target("avx2,gfni"))) inline __m256i affine_matrix(
+    const Tables& t, std::uint8_t c) {
+  return _mm256_set1_epi64x(static_cast<long long>(t.affine_[c]));
+}
+
+__attribute__((target("avx2,gfni"))) inline __m256i mul_block_gfni(
+    __m256i matrix, const std::uint8_t* src) {
+  return _mm256_gf2p8affine_epi64_epi8(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)), matrix, 0);
+}
+
+__attribute__((target("avx2,gfni"))) void mul_slice_gfni(
+    std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
+    std::size_t n) {
+  const Tables& t = tables();
+  const __m256i matrix = affine_matrix(t, c);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        mul_block_gfni(matrix, src + i));
+  }
+  const auto& row = t.mul_[c];
+  for (; i < n; ++i) dst[i] = row[src[i]];
+}
+
+__attribute__((target("avx2,gfni"))) void mul_add_slice_gfni(
+    std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
+    std::size_t n) {
+  const Tables& t = tables();
+  const __m256i matrix = affine_matrix(t, c);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i d =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        _mm256_xor_si256(d, mul_block_gfni(matrix, src + i)));
+  }
+  const auto& row = t.mul_[c];
+  for (; i < n; ++i) dst[i] ^= row[src[i]];
+}
+
+__attribute__((target("avx2,gfni"))) void mul_add_multi_gfni(
+    const std::uint8_t* coeffs, const std::uint8_t* const* srcs,
+    std::size_t nsrc, std::uint8_t* dst, std::size_t n) {
+  const Tables& t = tables();
+  std::size_t i = 0;
+  // Two blocks per pass: each source's matrix is loaded once per 64 bytes.
+  for (; i + 64 <= n; i += 64) {
+    __m256i d0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    __m256i d1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      const __m256i matrix = affine_matrix(t, coeffs[j]);
+      d0 = _mm256_xor_si256(d0, mul_block_gfni(matrix, srcs[j] + i));
+      d1 = _mm256_xor_si256(d1, mul_block_gfni(matrix, srcs[j] + i + 32));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), d0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), d1);
+  }
+  for (; i + 32 <= n; i += 32) {
+    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      const __m256i matrix = affine_matrix(t, coeffs[j]);
+      d = _mm256_xor_si256(d, mul_block_gfni(matrix, srcs[j] + i));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), d);
+  }
+  for (; i < n; ++i) {
+    std::uint8_t b = dst[i];
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      b ^= t.mul_[coeffs[j]][srcs[j][i]];
+    }
+    dst[i] = b;
+  }
+}
+
 }  // namespace
 
 const KernelTable* ssse3_kernels() {
@@ -250,6 +334,14 @@ const KernelTable* avx2_kernels() {
   return supported ? &table : nullptr;
 }
 
+const KernelTable* gfni_kernels() {
+  static const KernelTable table{mul_slice_gfni, mul_add_slice_gfni,
+                                 xor_slice_avx2, mul_add_multi_gfni};
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("gfni");
+  return supported ? &table : nullptr;
+}
+
 }  // namespace agar::gf::detail
 
 #else  // SIMD compiled out: portable dispatch only.
@@ -258,6 +350,7 @@ namespace agar::gf::detail {
 
 const KernelTable* ssse3_kernels() { return nullptr; }
 const KernelTable* avx2_kernels() { return nullptr; }
+const KernelTable* gfni_kernels() { return nullptr; }
 
 }  // namespace agar::gf::detail
 

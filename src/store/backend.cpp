@@ -1,5 +1,7 @@
 #include "store/backend.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace agar::store {
@@ -66,12 +68,30 @@ std::vector<ObjectKey> BackendCluster::keys() const {
   return out;
 }
 
+void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
+                       BytesView payload) {
+  const std::size_t chunk_size = backend.codec().chunk_size(payload.size());
+  for (std::size_t d = 0; d < backend.codec().k(); ++d) {
+    const std::size_t begin = std::min(d * chunk_size, payload.size());
+    const std::size_t len = std::min(chunk_size, payload.size() - begin);
+    const auto chunk =
+        backend.get_chunk(ChunkId{key, static_cast<ChunkIndex>(d)});
+    if (!chunk.has_value() || chunk->size() != chunk_size ||
+        (len != 0 &&
+         std::memcmp(chunk->data(), payload.data() + begin, len) != 0)) {
+      throw std::logic_error("store: data chunk " + std::to_string(d) +
+                             " of " + key + " differs from its payload");
+    }
+  }
+}
+
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size, const std::string& prefix) {
   for (std::size_t i = 0; i < count; ++i) {
     const ObjectKey key = prefix + std::to_string(i);
     const Bytes payload = deterministic_payload(key, object_size);
     backend.put_object(key, BytesView(payload));
+    check_data_chunks(backend, key, BytesView(payload));
   }
 }
 

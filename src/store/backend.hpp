@@ -81,9 +81,17 @@ class BackendCluster {
   std::unordered_map<ObjectKey, StoredObject> objects_;
 };
 
+/// Throws std::logic_error naming `key` unless each of the object's k data
+/// chunks is stored and starts with its slice of `payload`. The code is
+/// systematic, so this binds the stored data chunks to the payload:
+/// verify-mode reads check decoded objects against those chunks.
+void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
+                       BytesView payload);
+
 /// Populate the backend with the paper's working set: `count` objects named
 /// "<prefix>0".."<prefix>N-1", each `object_size` bytes of deterministic
-/// pseudo-random payload (300 x 1 MB in the paper).
+/// pseudo-random payload (300 x 1 MB in the paper). Each object's data
+/// chunks are checked against its payload (check_data_chunks).
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size,
                           const std::string& prefix = "object");

@@ -68,8 +68,8 @@ TEST(ArcCache, GhostHitGrowsRecencyTarget) {
 TEST(ArcCache, CapacityNeverExceededAndDirectoryBounded) {
   ArcCache cache(500);
   for (int i = 0; i < 300; ++i) {
-    cache.put("k" + std::to_string(i % 60), value(30 + (i % 5) * 10));
-    (void)cache.get("k" + std::to_string((i * 7) % 60));
+    cache.put('k' + std::to_string(i % 60), value(30 + (i % 5) * 10));
+    (void)cache.get('k' + std::to_string((i * 7) % 60));
     ASSERT_LE(cache.used_bytes(), cache.capacity_bytes());
     // Ghost directory bounded by ~2x capacity.
     ASSERT_LE(cache.used_bytes() + cache.ghost_bytes(),
@@ -98,7 +98,7 @@ TEST(ArcCache, OverwriteUpdatesBytesAndValue) {
 TEST(ArcCache, ClearResetsEverything) {
   ArcCache cache(500);
   for (int i = 0; i < 20; ++i) {
-    cache.put("k" + std::to_string(i), value(50));
+    cache.put('k' + std::to_string(i), value(50));
   }
   cache.clear();
   EXPECT_TRUE(cache.keys().empty());

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace agar::store {
 namespace {
@@ -97,6 +99,37 @@ TEST(Backend, PopulateWorkingSet) {
   for (RegionId r = 0; r < 6; ++r) {
     EXPECT_EQ(cluster.bucket(r).num_chunks(), 20u);
   }
+}
+
+TEST(Backend, DataChunkCheckNamesTheObject) {
+  auto cluster = make_cluster();
+  populate_working_set(cluster, 3, 905);  // 101-byte chunks, padded tail
+  const Bytes payload = deterministic_payload("object1", 905);
+  check_data_chunks(cluster, "object1", BytesView(payload));
+  auto expect_named_failure = [&](const Bytes& against) {
+    try {
+      check_data_chunks(cluster, "object1", BytesView(against));
+      FAIL() << "expected a throw";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("object1"), std::string::npos)
+          << e.what();
+    }
+  };
+  // Checked against a payload the object was not written from.
+  expect_named_failure(deterministic_payload("object2", 905));
+  // A stored data chunk that is another object's.
+  for (const ChunkIndex d : {ChunkIndex{0}, ChunkIndex{8}}) {
+    const ChunkId id{"object1", d};
+    Bucket& bucket = cluster.bucket(cluster.placement().region_of(
+        id.key, id.index, cluster.num_regions()));
+    const SharedBytes own = *bucket.get(id);
+    bucket.put(id, *cluster.get_chunk(ChunkId{"object2", d}));
+    expect_named_failure(payload);
+    bucket.erase(id);
+    expect_named_failure(payload);
+    bucket.put(id, own);
+  }
+  check_data_chunks(cluster, "object1", BytesView(payload));
 }
 
 TEST(Backend, KeysListsAllObjects) {

@@ -21,19 +21,6 @@ TEST(Bytes, DeterministicPayloadSize) {
   EXPECT_EQ(deterministic_payload("x", 12345).size(), 12345u);
 }
 
-TEST(Bytes, MatchesDeterministicPayload) {
-  const Bytes payload = deterministic_payload("k", 12345);  // not 8-aligned
-  EXPECT_TRUE(matches_deterministic_payload("k", payload));
-  EXPECT_TRUE(matches_deterministic_payload("k", {}));
-  EXPECT_FALSE(matches_deterministic_payload("j", payload));
-  for (const std::size_t at : {std::size_t{0}, payload.size() / 2,
-                               payload.size() - 1}) {
-    Bytes flipped = payload;
-    flipped[at] ^= 0x10;
-    EXPECT_FALSE(matches_deterministic_payload("k", flipped)) << at;
-  }
-}
-
 TEST(Bytes, Fnv1aKnownVector) {
   // FNV-1a 64-bit of empty input is the offset basis.
   EXPECT_EQ(fnv1a(std::string("")), 0xcbf29ce484222325ULL);

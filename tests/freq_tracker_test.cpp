@@ -73,7 +73,7 @@ TEST(ExactEwmaEstimator, SnapshotListsTrackedKeys) {
 TEST(ExactEwmaEstimator, DistinguishesManyKeys) {
   auto est = make_estimator("exact-ewma");
   for (int i = 0; i < 100; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = 'k' + std::to_string(i);
     for (int j = 0; j <= i; ++j) est->record(key);
   }
   est->roll_period();

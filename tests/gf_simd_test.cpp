@@ -1,6 +1,6 @@
 // Differential property tests for the GF(256) bulk-kernel backends: every
-// runtime-supported kernel set (portable64, SSSE3, AVX2) must agree with
-// the scalar reference byte-for-byte over random coefficients, awkward
+// runtime-supported kernel set (portable64, SSSE3, AVX2, GFNI) must agree
+// with the scalar reference byte-for-byte over random coefficients, awkward
 // lengths (0, 1, non-multiples of 16/32) and misaligned buffers.
 #include "gf/gf256.hpp"
 
@@ -52,6 +52,28 @@ TEST(GfBackends, BackendNamesAreDistinct) {
   EXPECT_STREQ(backend_name(Backend::kPortable64), "portable64");
   EXPECT_STREQ(backend_name(Backend::kSsse3), "ssse3");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
+  EXPECT_STREQ(backend_name(Backend::kGfni), "gfni");
+}
+
+TEST(GfBackends, MulSliceMatchesMulForEveryCoefficient) {
+  // Every coefficient over every byte value: each coefficient has its own
+  // nibble tables or affine matrix, so random coefficients could miss a
+  // bad one.
+  std::vector<std::uint8_t> ramp(256);
+  for (std::size_t x = 0; x < ramp.size(); ++x) {
+    ramp[x] = static_cast<std::uint8_t>(x);
+  }
+  for (const Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    for (int c = 0; c < 256; ++c) {
+      std::vector<std::uint8_t> dst(ramp.size());
+      mul_slice(static_cast<std::uint8_t>(c), ramp, dst);
+      for (std::size_t x = 0; x < ramp.size(); ++x) {
+        ASSERT_EQ(dst[x], mul(static_cast<std::uint8_t>(c), ramp[x]))
+            << backend_name(b) << " c=" << c << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST(GfBackends, MulSliceMatchesScalarReference) {

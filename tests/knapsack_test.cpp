@@ -127,7 +127,7 @@ TEST(Knapsack, GreedyNeverBeatsDp) {
       std::vector<CachingOption> group;
       const std::size_t options = 1 + rng.next_below(4);
       for (std::size_t i = 0; i < options; ++i) {
-        group.push_back(opt("k" + std::to_string(key),
+        group.push_back(opt('k' + std::to_string(key),
                             1 + rng.next_below(8),
                             static_cast<double>(rng.next_below(100))));
       }
@@ -152,7 +152,7 @@ TEST_P(DpVsBruteForce, OptimalOnRandomInstances) {
       std::vector<CachingOption> group;
       const std::size_t options = 1 + rng.next_below(5);
       for (std::size_t i = 0; i < options; ++i) {
-        group.push_back(opt("k" + std::to_string(key),
+        group.push_back(opt('k' + std::to_string(key),
                             1 + rng.next_below(9),
                             1.0 + static_cast<double>(rng.next_below(1000))));
       }
@@ -174,7 +174,7 @@ TEST(Knapsack, ChosenWeightsNeverExceedCapacity) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::vector<CachingOption>> groups;
     for (std::size_t key = 0; key < 8; ++key) {
-      groups.push_back({opt("k" + std::to_string(key), 1 + rng.next_below(9),
+      groups.push_back({opt('k' + std::to_string(key), 1 + rng.next_below(9),
                             static_cast<double>(1 + rng.next_below(50)))});
     }
     const std::size_t cap = rng.next_below(30);

@@ -68,7 +68,7 @@ TEST(LfuCache, HeavyHitterSurvivesScan) {
 TEST(LfuCache, NeverExceedsCapacity) {
   LfuCache c(75);
   for (int i = 0; i < 500; ++i) {
-    c.put("k" + std::to_string(i % 31), val(1 + i % 19));
+    c.put('k' + std::to_string(i % 31), val(1 + i % 19));
     ASSERT_LE(c.used_bytes(), 75u);
   }
 }
@@ -152,7 +152,7 @@ TEST(LfuCache, MixedSizesEvictUntilFit) {
 TEST(LfuCache, StressManyOperations) {
   LfuCache c(500);
   for (int i = 0; i < 20000; ++i) {
-    const std::string k = "k" + std::to_string(i % 53);
+    const std::string k = 'k' + std::to_string(i % 53);
     if (i % 3 == 0) {
       c.put(k, val(1 + i % 29));
     } else {

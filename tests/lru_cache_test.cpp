@@ -50,7 +50,7 @@ TEST(LruCache, PutRefreshesRecency) {
 TEST(LruCache, NeverExceedsCapacity) {
   LruCache c(55);
   for (int i = 0; i < 100; ++i) {
-    c.put("k" + std::to_string(i), val(10));
+    c.put('k' + std::to_string(i), val(10));
     EXPECT_LE(c.used_bytes(), c.capacity_bytes());
   }
 }
@@ -154,7 +154,7 @@ TEST(LruCache, ContainsHasNoRecencyEffect) {
 TEST(LruCache, ManyInsertionsStressCapacity) {
   LruCache c(1000);
   for (int i = 0; i < 10000; ++i) {
-    c.put("k" + std::to_string(i % 177), val(1 + i % 97));
+    c.put('k' + std::to_string(i % 177), val(1 + i % 97));
     ASSERT_LE(c.used_bytes(), 1000u);
   }
 }

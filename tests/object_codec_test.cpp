@@ -66,7 +66,7 @@ TEST(ObjectCodec, RoundTripSizesSweep) {
   for (const std::size_t size :
        {std::size_t{1}, std::size_t{8}, std::size_t{9}, std::size_t{10},
         std::size_t{1009}, std::size_t{65537}, 1_MB}) {
-    const Bytes payload = deterministic_payload("s" + std::to_string(size),
+    const Bytes payload = deterministic_payload('s' + std::to_string(size),
                                                 size);
     const auto encoded = codec.encode(BytesView(payload));
     EXPECT_EQ(codec.decode(size, encoded.chunks), payload) << size;

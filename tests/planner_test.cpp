@@ -45,7 +45,7 @@ std::vector<std::vector<CachingOption>> random_instance(Rng& rng) {
     for (std::size_t i = 0; i < options; ++i) {
       // Values include 0 so the "never select zero value" invariant is
       // actually exercised.
-      group.push_back(opt("k" + std::to_string(key), 1 + rng.next_below(8),
+      group.push_back(opt('k' + std::to_string(key), 1 + rng.next_below(8),
                           static_cast<double>(rng.next_below(100))));
     }
     groups.push_back(std::move(group));

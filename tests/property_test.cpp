@@ -50,7 +50,7 @@ TEST_P(EngineInvariants, CapacityNeverExceededUnderChurn) {
   auto engine = make_engine(GetParam());
   Rng rng(101);
   for (int i = 0; i < 5000; ++i) {
-    const std::string key = "k" + std::to_string(rng.next_below(97));
+    const std::string key = 'k' + std::to_string(rng.next_below(97));
     if (rng.next_below(2) == 0) {
       engine->put(key, Bytes(1 + rng.next_below(61), 0xAA));
     } else {
@@ -64,7 +64,7 @@ TEST_P(EngineInvariants, UsedBytesMatchesResidentEntries) {
   auto engine = make_engine(GetParam());
   Rng rng(102);
   for (int i = 0; i < 1000; ++i) {
-    engine->put("k" + std::to_string(rng.next_below(37)),
+    engine->put('k' + std::to_string(rng.next_below(37)),
                 Bytes(1 + rng.next_below(31), 1));
   }
   std::size_t total = 0;
@@ -97,7 +97,7 @@ TEST_P(EngineInvariants, EraseThenGetMisses) {
 TEST_P(EngineInvariants, ClearLeavesEmptyEngine) {
   auto engine = make_engine(GetParam());
   for (int i = 0; i < 20; ++i) {
-    engine->put("k" + std::to_string(i), Bytes(8, 3));
+    engine->put('k' + std::to_string(i), Bytes(8, 3));
   }
   engine->clear();
   EXPECT_TRUE(engine->keys().empty());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "api/experiment_spec.hpp"
 #include "cache/cache.hpp"
@@ -47,6 +49,23 @@ TEST(ParamMap, SizeSuffixesAndCase) {
   EXPECT_THROW((void)parse_size("-1"), std::invalid_argument);
   EXPECT_THROW((void)parse_size("-10MB"), std::invalid_argument);
   EXPECT_THROW((void)parse_size("+5"), std::invalid_argument);
+}
+
+TEST(ParamMap, SizeAboveSizeMaxIsTooLarge) {
+  // 2^34 GB is 2^64 bytes: the product must not wrap to a 0-byte size.
+  for (const char* text : {"17179869184GB", "17179869185GB"}) {
+    try {
+      (void)parse_size(text);
+      FAIL() << text << ": expected throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "'" + std::string(text) + "' is too large");
+    }
+  }
+  EXPECT_EQ(parse_size("18446744073709551615"),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(parse_size("17179869183GB"),
+            std::numeric_limits<std::size_t>::max() - (1024 * 1_MB - 1));
 }
 
 TEST(ParamMap, MalformedValueNamesTheKey) {

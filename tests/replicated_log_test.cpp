@@ -103,7 +103,7 @@ TEST_F(ReplicatedLogTest, CleanAppendsTryExactlyOneSlot) {
   // inflated by any silent extra round.
   for (int i = 0; i < 5; ++i) {
     const auto out =
-        log_.append(static_cast<RegionId>(i % 6), "r" + std::to_string(i));
+        log_.append(static_cast<RegionId>(i % 6), 'r' + std::to_string(i));
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.slots_tried, 1u) << i;
   }
@@ -137,14 +137,14 @@ TEST_F(ReplicatedLogTest, AppliesInSlotOrderRegardlessOfAppendOrigin) {
 TEST_F(ReplicatedLogTest, ManyAppendsStayConsistent) {
   for (int i = 0; i < 50; ++i) {
     const auto out =
-        log_.append(static_cast<RegionId>(i % 6), "r" + std::to_string(i));
+        log_.append(static_cast<RegionId>(i % 6), 'r' + std::to_string(i));
     ASSERT_TRUE(out.ok) << i;
     ASSERT_EQ(out.slot, static_cast<std::size_t>(i));
   }
   EXPECT_EQ(log_.decided_prefix(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(log_.learned(static_cast<std::size_t>(i)),
-              "r" + std::to_string(i));
+              'r' + std::to_string(i));
   }
 }
 

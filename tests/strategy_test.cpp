@@ -161,6 +161,47 @@ TEST_F(StrategyTest, PartialCacheLatencyIsResidualBackend) {
   EXPECT_TRUE(r.verified);
 }
 
+TEST_F(StrategyTest, VerifyRejectsAnotherObjectsChunkFromTheCache) {
+  // The check compares the decoded object with the store's data chunks, so
+  // a wrong chunk under this object's key fails the read wherever it sits:
+  // a data row the decode copies or a parity chunk it computes rows from.
+  FixedChunksParams p;
+  p.engine = "lru";
+  p.chunks_per_object = 9;
+  p.cache_capacity_bytes = 100_MB;
+  auto engine = api::EngineRegistry::instance().create(
+      p.engine, api::EngineContext{p.cache_capacity_bytes}, api::ParamMap{});
+  cache::CacheEngine& cache = *engine;
+  FixedChunksStrategy s(ctx(sim::region::kFrankfurt), p, std::move(engine));
+  (void)s.read("object0");  // the miss caches the 9 chunks it read
+  const std::vector<std::string> keys = cache.keys();
+  ASSERT_EQ(keys.size(), 9u);
+  bool any_parity = false;
+  for (const std::string& key : keys) {
+    const auto index = static_cast<ChunkIndex>(
+        std::stoul(key.substr(key.find('#') + 1)));
+    any_parity |= index >= 9;
+    const SharedBytes own = *cache.get(key);
+    cache.put(key, *backend_.get_chunk(ChunkId{"object1", index}));
+    const ReadResult r = s.read("object0");
+    EXPECT_TRUE(r.full_hit) << key;
+    EXPECT_FALSE(r.verified) << key;
+    cache.put(key, own);
+  }
+  EXPECT_TRUE(any_parity);
+  EXPECT_TRUE(s.read("object0").verified);
+  // The read is a full hit, but with a data chunk gone from the store
+  // there is nothing to check that row against.
+  const ChunkId row0{"object0", 0};
+  store::Bucket& bucket = backend_.bucket(
+      backend_.placement().region_of(row0.key, row0.index, 6));
+  const SharedBytes stored = *bucket.get(row0);
+  bucket.erase(row0);
+  EXPECT_FALSE(s.read("object0").verified);
+  bucket.put(row0, stored);
+  EXPECT_TRUE(s.read("object0").verified);
+}
+
 TEST_F(StrategyTest, ChunksPerObjectOneBarelyHelps) {
   FixedChunksParams p;
   p.engine = "lru";

@@ -57,7 +57,7 @@ TEST(TinyLfuCache, OversizedRejected) {
 TEST(TinyLfuCache, CapacityInvariant) {
   TinyLfuCache c(100);
   for (int i = 0; i < 1000; ++i) {
-    const std::string k = "k" + std::to_string(i % 37);
+    const std::string k = 'k' + std::to_string(i % 37);
     (void)c.get(k);
     c.put(k, val(1 + i % 23));
     ASSERT_LE(c.used_bytes(), 100u);
