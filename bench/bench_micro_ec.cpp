@@ -1,5 +1,5 @@
-// EC data-plane throughput harness: GF(256) bulk kernels (every runtime
-// backend vs the scalar reference), Reed-Solomon encode/decode for the
+// EC data-plane throughput harness: the GF(256) dot kernel (every runtime
+// backend), Reed-Solomon encode/decode for the
 // paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), and
 // a verify-mode read's zero fill, decode and check.
 //
@@ -97,26 +97,20 @@ void bench_kernels() {
     if (!gf::set_backend(b)) continue;
     const std::string name = gf::backend_name(b);
     for (const std::size_t n : sizes) {
-      const Bytes src = random_bytes(n, 1);
       Bytes dst = random_bytes(n, 2);
-      record("mul_slice", name, n,
-             [&] { gf::mul_slice(0x57, src, dst); });
-      record("mul_add_slice", name, n,
-             [&] { gf::mul_add_slice(0x57, src, dst); });
-      record("xor_slice", name, n, [&] { gf::xor_slice(src, dst); });
-
-      // Fused multi-source apply with the paper's k = 9 sources.
-      constexpr std::size_t kSrcs = 9;
-      std::vector<Bytes> srcs;
-      std::vector<BytesView> views;
-      std::vector<std::uint8_t> coeffs;
-      for (std::size_t j = 0; j < kSrcs; ++j) {
-        srcs.push_back(random_bytes(n, 10 + j));
-        coeffs.push_back(static_cast<std::uint8_t>(3 + 2 * j));
+      // One source, then the paper's k = 9 (an RS(9,3) row).
+      for (const std::size_t k : {std::size_t{1}, std::size_t{9}}) {
+        std::vector<Bytes> srcs;
+        std::vector<BytesView> views;
+        std::vector<std::uint8_t> coeffs;
+        for (std::size_t j = 0; j < k; ++j) {
+          srcs.push_back(random_bytes(n, 10 + j));
+          coeffs.push_back(static_cast<std::uint8_t>(0x57 + 2 * j));
+        }
+        for (const auto& s : srcs) views.emplace_back(s);
+        record("dot_k" + std::to_string(k), name, n * k,
+               [&] { gf::dot(coeffs, views, dst); });
       }
-      for (const auto& s : srcs) views.emplace_back(s);
-      record("mul_add_multi_k9", name, n * kSrcs,
-             [&] { gf::mul_add_multi(coeffs, views, dst); });
     }
   }
   gf::reset_backend();

@@ -35,13 +35,8 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
 void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,
                             const std::vector<BytesView>& inputs,
                             BytesSpan out) const {
-  // The first column initializes `out` outright (mul_slice writes every
-  // byte, so no separate zero-fill pass over the buffer); the remaining
-  // columns accumulate through the fused kernel — one pass over `out`.
-  gf::mul_slice(matrix.at(row, 0), inputs[0], out);
-  gf::mul_add_multi(
-      std::span<const std::uint8_t>(matrix.row(row) + 1, inputs.size() - 1),
-      std::span<const BytesView>(inputs.data() + 1, inputs.size() - 1), out);
+  gf::dot(std::span<const std::uint8_t>(matrix.row(row), inputs.size()),
+          inputs, out);
 }
 
 std::vector<Bytes> ReedSolomon::encode(
@@ -166,7 +161,7 @@ void ReedSolomon::reconstruct_data(
     const BytesSpan dst = row(d);
     if (dst.empty()) break;
     if (dst.size() < chunk_size) {
-      // The cut-short row: the kernels read inputs of the same length.
+      // The cut-short row: dot reads inputs of the same length.
       for (BytesView& v : views) v = v.first(dst.size());
     }
     apply_row(decode, d, views, dst);

@@ -5,8 +5,8 @@
 // property). This is the same contract as Longhair, the Cauchy Reed-Solomon
 // library the paper's prototype used.
 //
-// Hot-path structure: every row application runs through the fused
-// gf::mul_add_multi kernel (one pass over the output for all k inputs), and
+// Hot-path structure: every row application is one gf::dot call, which
+// writes the output row once from all k inputs without reading it, and
 // reconstruction memoizes the inverted decode matrix per surviving-chunk
 // set — RS(9,3) has at most C(12,9) = 220 such sets, so after warm-up a
 // degraded read pays zero matrix-inversion cost. Apart from that cache
@@ -78,7 +78,7 @@ class ReedSolomon {
   void clear_decode_plan_cache() const { plan_cache_.clear(); }
 
  private:
-  /// out = sum_j matrix[row][j] * inputs[j], via the fused kernel.
+  /// out = sum_j matrix[row][j] * inputs[j], one gf::dot call.
   void apply_row(const Matrix& matrix, std::size_t row,
                  const std::vector<BytesView>& inputs, BytesSpan out) const;
 

@@ -65,38 +65,11 @@ const Tables& tables() {
 
 namespace {
 
-// ----------------------------------------------------------- scalar set
-
-void mul_slice_scalar(std::uint8_t c, const std::uint8_t* src,
-                      std::uint8_t* dst, std::size_t n) {
-  const auto& row = tables().mul_[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
-}
-
-void mul_add_slice_scalar(std::uint8_t c, const std::uint8_t* src,
-                          std::uint8_t* dst, std::size_t n) {
-  const auto& row = tables().mul_[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
-}
-
-void xor_slice_scalar(const std::uint8_t* src, std::uint8_t* dst,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-}
-
-void mul_add_multi_scalar(const std::uint8_t* coeffs,
-                          const std::uint8_t* const* srcs, std::size_t nsrc,
-                          std::uint8_t* dst, std::size_t n) {
-  for (std::size_t j = 0; j < nsrc; ++j) {
-    mul_add_slice_scalar(coeffs[j], srcs[j], dst, n);
-  }
-}
-
-// ------------------------------------------------- portable 64-bit set
+// ---------------------------------------------------- portable 64-bit kernel
 //
 // Still table lookups per byte, but eight products are composed into one
-// 64-bit word so loads/stores (and the dst read-modify-write) happen
-// word-at-a-time. This is the fallback when no SIMD unit is available.
+// 64-bit word so loads and stores happen word-at-a-time. This is the
+// fallback when no SIMD unit is available.
 
 inline std::uint64_t mul_word(const std::array<std::uint8_t, 256>& row,
                               std::uint64_t s) {
@@ -110,86 +83,25 @@ inline std::uint64_t mul_word(const std::array<std::uint8_t, 256>& row,
          static_cast<std::uint64_t>(row[(s >> 56) & 0xFF]) << 56;
 }
 
-void mul_slice_portable(std::uint8_t c, const std::uint8_t* src,
-                        std::uint8_t* dst, std::size_t n) {
-  const auto& row = tables().mul_[c];
+void dot_portable(const std::uint8_t* coeffs, const std::uint8_t* const* srcs,
+                  std::size_t nsrc, std::uint8_t* dst, std::size_t n) {
+  const Tables& t = tables();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    std::uint64_t s;
-    std::memcpy(&s, src + i, 8);
-    const std::uint64_t v = mul_word(row, s);
-    std::memcpy(dst + i, &v, 8);
-  }
-  for (; i < n; ++i) dst[i] = row[src[i]];
-}
-
-void mul_add_slice_portable(std::uint8_t c, const std::uint8_t* src,
-                            std::uint8_t* dst, std::size_t n) {
-  const auto& row = tables().mul_[c];
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t s, d;
-    std::memcpy(&s, src + i, 8);
-    std::memcpy(&d, dst + i, 8);
-    d ^= mul_word(row, s);
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) dst[i] ^= row[src[i]];
-}
-
-void xor_slice_portable(const std::uint8_t* src, std::uint8_t* dst,
-                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    std::uint64_t s[4], d[4];
-    std::memcpy(s, src + i, 32);
-    std::memcpy(d, dst + i, 32);
-    d[0] ^= s[0];
-    d[1] ^= s[1];
-    d[2] ^= s[2];
-    d[3] ^= s[3];
-    std::memcpy(dst + i, d, 32);
-  }
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t s, d;
-    std::memcpy(&s, src + i, 8);
-    std::memcpy(&d, dst + i, 8);
-    d ^= s;
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void mul_add_multi_portable(const std::uint8_t* coeffs,
-                            const std::uint8_t* const* srcs, std::size_t nsrc,
-                            std::uint8_t* dst, std::size_t n) {
-  const auto& mul = tables().mul_;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t d;
-    std::memcpy(&d, dst + i, 8);
+    std::uint64_t d = 0;
     for (std::size_t j = 0; j < nsrc; ++j) {
       std::uint64_t s;
       std::memcpy(&s, srcs[j] + i, 8);
-      d ^= mul_word(mul[coeffs[j]], s);
+      d ^= mul_word(t.mul_[coeffs[j]], s);
     }
     std::memcpy(dst + i, &d, 8);
   }
-  for (; i < n; ++i) {
-    std::uint8_t b = dst[i];
-    for (std::size_t j = 0; j < nsrc; ++j) b ^= mul[coeffs[j]][srcs[j][i]];
-    dst[i] = b;
-  }
+  dot_tail(t, coeffs, srcs, nsrc, dst, i, n);
 }
 
 }  // namespace
 
-const KernelTable kScalarKernels{mul_slice_scalar, mul_add_slice_scalar,
-                                 xor_slice_scalar, mul_add_multi_scalar};
-const KernelTable kPortable64Kernels{mul_slice_portable,
-                                     mul_add_slice_portable,
-                                     xor_slice_portable,
-                                     mul_add_multi_portable};
+const KernelTable kPortable64Kernels{dot_portable};
 
 }  // namespace detail
 
@@ -248,8 +160,6 @@ namespace {
 
 const detail::KernelTable* backend_table(Backend b) {
   switch (b) {
-    case Backend::kScalar:
-      return &detail::kScalarKernels;
     case Backend::kPortable64:
       return &detail::kPortable64Kernels;
     case Backend::kSsse3:
@@ -285,8 +195,6 @@ Dispatch& dispatch() {
 
 const char* backend_name(Backend b) {
   switch (b) {
-    case Backend::kScalar:
-      return "scalar";
     case Backend::kPortable64:
       return "portable64";
     case Backend::kSsse3:
@@ -303,8 +211,8 @@ bool backend_supported(Backend b) { return backend_table(b) != nullptr; }
 
 std::vector<Backend> supported_backends() {
   std::vector<Backend> out;
-  for (const Backend b : {Backend::kScalar, Backend::kPortable64,
-                          Backend::kSsse3, Backend::kAvx2, Backend::kGfni}) {
+  for (const Backend b : {Backend::kPortable64, Backend::kSsse3,
+                          Backend::kAvx2, Backend::kGfni}) {
     if (backend_supported(b)) out.push_back(b);
   }
   return out;
@@ -321,58 +229,17 @@ bool set_backend(Backend b) {
 
 void reset_backend() { (void)set_backend(best_backend()); }
 
-// ---------------------------------------------------------- bulk wrappers
+// ----------------------------------------------------------- bulk wrapper
 
-void mul_slice(std::uint8_t c, std::span<const std::uint8_t> src,
-               std::span<std::uint8_t> dst) {
-  if (src.size() != dst.size()) {
-    throw std::invalid_argument("gf256: mul_slice size mismatch");
-  }
-  if (dst.empty()) return;
-  if (c == 0) {
-    std::memset(dst.data(), 0, dst.size());
-    return;
-  }
-  if (c == 1) {
-    if (src.data() != dst.data()) {
-      std::memcpy(dst.data(), src.data(), dst.size());
-    }
-    return;
-  }
-  dispatch().table->mul_slice(c, src.data(), dst.data(), dst.size());
-}
-
-void mul_add_slice(std::uint8_t c, std::span<const std::uint8_t> src,
-                   std::span<std::uint8_t> dst) {
-  if (src.size() != dst.size()) {
-    throw std::invalid_argument("gf256: mul_add_slice size mismatch");
-  }
-  if (dst.empty() || c == 0) return;
-  if (c == 1) {
-    dispatch().table->xor_slice(src.data(), dst.data(), dst.size());
-    return;
-  }
-  dispatch().table->mul_add_slice(c, src.data(), dst.data(), dst.size());
-}
-
-void xor_slice(std::span<const std::uint8_t> src,
-               std::span<std::uint8_t> dst) {
-  if (src.size() != dst.size()) {
-    throw std::invalid_argument("gf256: xor_slice size mismatch");
-  }
-  if (dst.empty()) return;
-  dispatch().table->xor_slice(src.data(), dst.data(), dst.size());
-}
-
-void mul_add_multi(std::span<const std::uint8_t> coeffs,
-                   std::span<const std::span<const std::uint8_t>> srcs,
-                   std::span<std::uint8_t> dst) {
+void dot(std::span<const std::uint8_t> coeffs,
+         std::span<const std::span<const std::uint8_t>> srcs,
+         std::span<std::uint8_t> dst) {
   if (coeffs.size() != srcs.size()) {
-    throw std::invalid_argument("gf256: mul_add_multi count mismatch");
+    throw std::invalid_argument("gf256: dot count mismatch");
   }
   for (const auto& s : srcs) {
     if (s.size() != dst.size()) {
-      throw std::invalid_argument("gf256: mul_add_multi size mismatch");
+      throw std::invalid_argument("gf256: dot size mismatch");
     }
   }
   if (dst.empty()) return;
@@ -398,12 +265,15 @@ void mul_add_multi(std::span<const std::uint8_t> coeffs,
     ss[nsrc] = srcs[j].data();
     ++nsrc;
   }
-  if (nsrc == 0) return;
-  if (nsrc == 1 && cs[0] == 1) {
-    dispatch().table->xor_slice(ss[0], dst.data(), dst.size());
+  if (nsrc == 0) {
+    std::memset(dst.data(), 0, dst.size());
     return;
   }
-  dispatch().table->mul_add_multi(cs, ss, nsrc, dst.data(), dst.size());
+  if (nsrc == 1 && cs[0] == 1) {
+    std::memcpy(dst.data(), ss[0], dst.size());
+    return;
+  }
+  dispatch().table->dot(cs, ss, nsrc, dst.data(), dst.size());
 }
 
 }  // namespace agar::gf

@@ -7,13 +7,13 @@
 // Addition is XOR. Multiplication/division/inversion use log/antilog tables
 // generated once at static-initialization time from the generator element 2.
 //
-// Bulk operations (mul_slice, mul_add_slice, xor_slice, mul_add_multi) are
-// the hot path of the erasure codec: dst[i] (^)= c * src[i] over whole chunk
-// buffers. They are served by runtime-dispatched kernels — GFNI affine
-// SIMD or split-nibble pshufb SIMD on x86 (GFNI, AVX2 or SSSE3, picked once
-// at startup) with a portable 64-bit-word fallback — all behind this
-// scalar-identical API.
-// `set_backend` pins a specific kernel set (benchmarks, differential tests).
+// The one bulk operation, dot, is the hot path of the erasure codec: every
+// Reed-Solomon encode and decode row is dst[i] = sum_j c_j * src_j[i] over
+// whole chunk buffers. It is served by a runtime-dispatched kernel — GFNI
+// affine SIMD or split-nibble pshufb SIMD on x86 (GFNI, AVX2 or SSSE3,
+// picked once at startup) with a portable 64-bit-word fallback — all
+// computing the same bytes as the scalar `mul`.
+// `set_backend` pins a specific kernel (benchmarks, differential tests).
 #pragma once
 
 #include <cstddef>
@@ -55,37 +55,22 @@ inline constexpr int kFieldSize = 256;
 /// Discrete log base 2 of a nonzero element.
 [[nodiscard]] std::uint8_t log(std::uint8_t a);
 
-// --------------------------------------------------------- bulk kernels
+// ----------------------------------------------------------- bulk kernel
 
-/// dst[i] = c * src[i] for every i. dst and src must have equal sizes and
-/// must not partially overlap (identical or disjoint is fine).
-void mul_slice(std::uint8_t c, std::span<const std::uint8_t> src,
-               std::span<std::uint8_t> dst);
-
-/// dst[i] ^= c * src[i] for every i — the fused multiply-accumulate the
-/// encoder/decoder inner loops are built from.
-void mul_add_slice(std::uint8_t c, std::span<const std::uint8_t> src,
-                   std::span<std::uint8_t> dst);
-
-/// dst[i] ^= src[i] — the c == 1 kernel.
-void xor_slice(std::span<const std::uint8_t> src,
-               std::span<std::uint8_t> dst);
-
-/// Fused multi-source apply (ISA-L gf_vect_mad style):
-///   dst[i] ^= coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
-/// One pass over dst for all sources, so dst traffic is paid once per block
-/// instead of once per source. All srcs must have dst's size; coeffs and
-/// srcs must have equal counts. Zero coefficients are skipped.
-void mul_add_multi(std::span<const std::uint8_t> coeffs,
-                   std::span<const std::span<const std::uint8_t>> srcs,
-                   std::span<std::uint8_t> dst);
+/// The Reed-Solomon row product (ISA-L gf_vect_dot_prod):
+///   dst[i] = coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
+/// Overwrites dst in one pass over it. coeffs and srcs must have equal
+/// counts and every src dst's size (std::invalid_argument otherwise); dst
+/// must not overlap a source. With no nonzero coefficient dst is zeroed.
+void dot(std::span<const std::uint8_t> coeffs,
+         std::span<const std::span<const std::uint8_t>> srcs,
+         std::span<std::uint8_t> dst);
 
 // ------------------------------------------------------ kernel dispatch
 
-/// Kernel families, slowest to fastest. kAuto resolves to the best
-/// supported one at first use.
+/// Kernel families, slowest to fastest. The best supported one serves
+/// dot from first use.
 enum class Backend : std::uint8_t {
-  kScalar,      ///< byte-at-a-time 64 KiB-table lookups (reference)
   kPortable64,  ///< table lookups batched into 64-bit word loads/stores
   kSsse3,       ///< 16-byte split-nibble pshufb
   kAvx2,        ///< 32-byte split-nibble vpshufb
@@ -97,15 +82,15 @@ enum class Backend : std::uint8_t {
 /// Is this kernel family compiled in AND supported by the running CPU?
 [[nodiscard]] bool backend_supported(Backend b);
 
-/// Every supported backend, slowest first (always contains kScalar).
+/// Every supported backend, slowest first (always contains kPortable64).
 [[nodiscard]] std::vector<Backend> supported_backends();
 
-/// The backend currently serving the bulk kernels.
+/// The backend currently serving dot.
 [[nodiscard]] Backend active_backend();
 
-/// Pin the bulk kernels to one backend. Returns false (and changes
-/// nothing) if it is not supported. Used by benchmarks and differential
-/// tests; production code leaves the startup choice alone.
+/// Pin dot to one backend. Returns false (and changes nothing) if it is
+/// not supported. Used by benchmarks and differential tests; production
+/// code leaves the startup choice alone.
 bool set_backend(Backend b);
 
 /// Restore the automatic (best supported) choice.

@@ -1,6 +1,6 @@
-// Internal kernel plumbing shared by gf256.cpp (scalar + portable kernels,
-// dispatch) and gf256_simd.cpp (SSSE3/AVX2/GFNI kernels). Not part of the
-// public gf:: API — include gf/gf256.hpp instead.
+// Internal kernel plumbing shared by gf256.cpp (portable kernel, dispatch)
+// and gf256_simd.cpp (SSSE3/AVX2/GFNI kernels). Not part of the public
+// gf:: API — include gf/gf256.hpp instead.
 #pragma once
 
 #include <array>
@@ -9,21 +9,14 @@
 
 namespace agar::gf::detail {
 
-/// Raw kernel signatures. Sizes are pre-validated and the c == 0 / c == 1
-/// fast paths are taken by the public wrappers, so kernels only see
-/// c >= 2 (mul kernels) and may assume src.size() == dst.size() == n.
+/// One kernel family. Shapes are pre-validated by gf::dot, which also
+/// takes the no-source and lone c == 1 paths, so a kernel sees nsrc >= 1,
+/// every coeffs[j] >= 1, and n bytes in each src and in dst.
 struct KernelTable {
-  void (*mul_slice)(std::uint8_t c, const std::uint8_t* src,
-                    std::uint8_t* dst, std::size_t n);
-  void (*mul_add_slice)(std::uint8_t c, const std::uint8_t* src,
-                        std::uint8_t* dst, std::size_t n);
-  void (*xor_slice)(const std::uint8_t* src, std::uint8_t* dst,
-                    std::size_t n);
-  /// Fused multi-source apply: dst[i] ^= XOR_j coeffs[j] * srcs[j][i].
-  /// nsrc >= 1 and every coeffs[j] >= 1 (the wrapper strips zeros).
-  void (*mul_add_multi)(const std::uint8_t* coeffs,
-                        const std::uint8_t* const* srcs, std::size_t nsrc,
-                        std::uint8_t* dst, std::size_t n);
+  /// dst[i] = XOR_j coeffs[j] * srcs[j][i]; each block of dst is
+  /// computed from zero and written once, never read.
+  void (*dot)(const std::uint8_t* coeffs, const std::uint8_t* const* srcs,
+              std::size_t nsrc, std::uint8_t* dst, std::size_t n);
 };
 
 /// Precomputed multiplication tables.
@@ -31,8 +24,8 @@ struct Tables {
   /// exp_ has 512 entries so mul can index log[a]+log[b] without a mod.
   std::array<std::uint8_t, 512> exp_{};
   std::array<std::uint8_t, 256> log_{};
-  /// 256x256 full multiplication table: 64 KiB, fits in L2 and makes the
-  /// scalar/portable slice loops branch-free.
+  /// 256x256 full multiplication table: 64 KiB, fits in L2 and serves the
+  /// portable kernel and every kernel's tail.
   std::array<std::array<std::uint8_t, 256>, 256> mul_{};
   /// Split-nibble tables for pshufb kernels (ISA-L gf_vect_mul_init
   /// layout): lo_[c][x] = c * x, hi_[c][x] = c * (x << 4) for x in
@@ -49,8 +42,19 @@ struct Tables {
 
 const Tables& tables();
 
-// Kernel sets defined in gf256.cpp.
-extern const KernelTable kScalarKernels;
+/// The bytes [i, n) of a dot product, one table lookup per byte and
+/// source: the tail every kernel leaves after its last whole block.
+inline void dot_tail(const Tables& t, const std::uint8_t* coeffs,
+                     const std::uint8_t* const* srcs, std::size_t nsrc,
+                     std::uint8_t* dst, std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    std::uint8_t b = 0;
+    for (std::size_t j = 0; j < nsrc; ++j) b ^= t.mul_[coeffs[j]][srcs[j][i]];
+    dst[i] = b;
+  }
+}
+
+// Defined in gf256.cpp.
 extern const KernelTable kPortable64Kernels;
 
 // Kernel sets defined in gf256_simd.cpp. Null when the SIMD translation

@@ -143,58 +143,47 @@ TEST(Gf256, PowZeroConventions) {
   EXPECT_EQ(pow(7, 0), 1);
 }
 
-TEST(Gf256, MulSliceMatchesScalar) {
+TEST(Gf256, DotMatchesScalar) {
   Rng rng(42);
-  std::vector<std::uint8_t> src(257);
-  rng.fill_bytes(src.data(), src.size());
+  std::vector<std::uint8_t> a(257), b(257);
+  rng.fill_bytes(a.data(), a.size());
+  rng.fill_bytes(b.data(), b.size());
+  const std::vector<std::span<const std::uint8_t>> srcs{a, b};
   for (int c : {0, 1, 2, 0x1D, 0xFF}) {
-    std::vector<std::uint8_t> dst(src.size());
-    mul_slice(static_cast<std::uint8_t>(c), src, dst);
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      EXPECT_EQ(dst[i], mul(static_cast<std::uint8_t>(c), src[i]));
+    const std::vector<std::uint8_t> coeffs{static_cast<std::uint8_t>(c),
+                                           0x53};
+    std::vector<std::uint8_t> dst(a.size(), 0xCD);
+    dot(coeffs, srcs, dst);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(dst[i], add(mul(static_cast<std::uint8_t>(c), a[i]),
+                            mul(0x53, b[i])));
     }
   }
 }
 
-TEST(Gf256, MulAddSliceMatchesScalar) {
-  Rng rng(43);
-  std::vector<std::uint8_t> src(129), dst(129), expected(129);
-  rng.fill_bytes(src.data(), src.size());
-  rng.fill_bytes(dst.data(), dst.size());
-  expected = dst;
-  const std::uint8_t c = 0x53;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    expected[i] = add(expected[i], mul(c, src[i]));
-  }
-  mul_add_slice(c, src, dst);
-  EXPECT_EQ(dst, expected);
+TEST(Gf256, DotOfLoneUnitSourceCopiesIt) {
+  std::vector<std::uint8_t> src{1, 2, 3}, other{9, 9, 9}, dst{4, 5, 6};
+  const std::vector<std::uint8_t> coeffs{0, 1};
+  const std::vector<std::span<const std::uint8_t>> srcs{other, src};
+  dot(coeffs, srcs, dst);
+  EXPECT_EQ(dst, src);
 }
 
-TEST(Gf256, MulAddSliceZeroCoefficientIsNoop) {
-  std::vector<std::uint8_t> src(64, 0xAB), dst(64, 0xCD);
-  const auto before = dst;
-  mul_add_slice(0, src, dst);
-  EXPECT_EQ(dst, before);
-}
-
-TEST(Gf256, XorSliceIsBytewiseAdd) {
-  std::vector<std::uint8_t> src{1, 2, 3}, dst{4, 5, 6};
-  xor_slice(src, dst);
-  EXPECT_EQ(dst, (std::vector<std::uint8_t>{5, 7, 5}));
-}
-
-TEST(Gf256, SliceSizeMismatchThrows) {
+TEST(Gf256, DotShapeMismatchThrows) {
   std::vector<std::uint8_t> a(3), b(4);
-  EXPECT_THROW(mul_slice(2, a, b), std::invalid_argument);
-  EXPECT_THROW(mul_add_slice(2, a, b), std::invalid_argument);
-  EXPECT_THROW(xor_slice(a, b), std::invalid_argument);
+  const std::vector<std::span<const std::uint8_t>> one{a};
+  const std::vector<std::uint8_t> two_coeffs{1, 2};
+  EXPECT_THROW(dot(two_coeffs, one, b), std::invalid_argument);
+  const std::vector<std::uint8_t> one_coeff{2};
+  EXPECT_THROW(dot(one_coeff, one, b), std::invalid_argument);
 }
 
-TEST(Gf256, EmptySlicesAreFine) {
+TEST(Gf256, DotOverEmptySlicesIsFine) {
   std::vector<std::uint8_t> empty;
-  mul_slice(7, empty, empty);
-  mul_add_slice(7, empty, empty);
-  xor_slice(empty, empty);
+  const std::vector<std::span<const std::uint8_t>> srcs{empty};
+  const std::vector<std::uint8_t> coeffs{7};
+  dot(coeffs, srcs, empty);
+  dot({}, {}, empty);
 }
 
 // The reducing polynomial identity: x^8 = x^4 + x^3 + x^2 + 1, i.e.
