@@ -42,12 +42,6 @@ std::string format_table(const std::vector<std::string>& headers,
   return out.str();
 }
 
-void print_experiment_banner(const std::string& id, const std::string& what,
-                             const std::string& setup) {
-  std::cout << "\n=== " << id << ": " << what << " ===\n"
-            << "setup: " << setup << "\n\n";
-}
-
 std::string fmt_ms(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", ms);

@@ -14,10 +14,6 @@ namespace agar::client {
     const std::vector<std::string>& headers,
     const std::vector<std::vector<std::string>>& rows);
 
-/// Header block for one reproduced figure/table.
-void print_experiment_banner(const std::string& id, const std::string& what,
-                             const std::string& setup);
-
 /// One row per strategy: label, mean latency, stddev, p50/p95, hit ratios,
 /// throughput and coalescing counters.
 void print_results_table(const std::vector<ExperimentResult>& results);

@@ -64,9 +64,6 @@ class Deployment {
   /// and FIFO state) and its own codec clone (own decode-plan cache) so
   /// shard threads never share mutable simulation state.
   void bind_lanes(const std::vector<RegionId>& lane_regions);
-  [[nodiscard]] std::size_t num_lanes() const {
-    return std::max<std::size_t>(lane_regions_.size(), 1);
-  }
   [[nodiscard]] sim::Network& lane_network(std::size_t lane) {
     return lane == 0 ? *network_ : *lane_networks_[lane - 1];
   }

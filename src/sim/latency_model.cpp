@@ -112,9 +112,4 @@ SimTimeMs LatencyModel::cache_fetch_ms(std::size_t bytes) {
          transfer_ms(bytes, params_.cache_bandwidth_mbps);
 }
 
-SimTimeMs LatencyModel::expected_cache_fetch_ms(std::size_t bytes) const {
-  return params_.cache_base_ms +
-         transfer_ms(bytes, params_.cache_bandwidth_mbps);
-}
-
 }  // namespace agar::sim

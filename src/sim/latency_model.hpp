@@ -94,8 +94,6 @@ class LatencyModel {
   /// Latency of fetching `bytes` from the region-local cache.
   [[nodiscard]] SimTimeMs cache_fetch_ms(std::size_t bytes);
 
-  [[nodiscard]] SimTimeMs expected_cache_fetch_ms(std::size_t bytes) const;
-
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] const LatencyModelParams& params() const { return params_; }
 

@@ -123,10 +123,6 @@ class Network {
     return failed_in_queue_;
   }
   [[nodiscard]] std::uint64_t timed_out() const { return timed_out_; }
-  /// All failure modes combined (legacy aggregate).
-  [[nodiscard]] std::uint64_t failed_fetches() const {
-    return aborted_on_wire_ + failed_in_queue_ + timed_out_;
-  }
 
  private:
   struct PendingFetch {

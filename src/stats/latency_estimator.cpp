@@ -1,8 +1,6 @@
 #include "stats/latency_estimator.hpp"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace agar::stats {
@@ -41,15 +39,6 @@ bool LatencyEstimator::has_sample(RegionId region) const {
 
 std::uint64_t LatencyEstimator::samples(RegionId region) const {
   return entries_.at(region).samples;
-}
-
-std::vector<RegionId> LatencyEstimator::regions_by_estimate() const {
-  std::vector<RegionId> ids(entries_.size());
-  std::iota(ids.begin(), ids.end(), RegionId{0});
-  std::stable_sort(ids.begin(), ids.end(), [&](RegionId a, RegionId b) {
-    return estimate_ms(a) < estimate_ms(b);
-  });
-  return ids;
 }
 
 }  // namespace agar::stats

@@ -29,10 +29,6 @@ class LatencyEstimator {
   [[nodiscard]] std::size_t num_regions() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t samples(RegionId region) const;
 
-  /// Regions sorted by estimated latency, nearest first. Unsampled regions
-  /// sort last.
-  [[nodiscard]] std::vector<RegionId> regions_by_estimate() const;
-
  private:
   struct Entry {
     Ewma ewma;

@@ -41,16 +41,6 @@ TEST(LatencyEstimator, TracksDrift) {
   EXPECT_NEAR(e.estimate_ms(0), 500.0, 1.0);
 }
 
-TEST(LatencyEstimator, RegionsByEstimateSortsNearestFirst) {
-  LatencyEstimator e(4, 0.5);
-  e.record(0, 300.0);
-  e.record(1, 100.0);
-  e.record(2, 200.0);
-  // Region 3 unsampled -> last.
-  const auto order = e.regions_by_estimate();
-  EXPECT_EQ(order, (std::vector<RegionId>{1, 2, 0, 3}));
-}
-
 TEST(LatencyEstimator, OutOfRangeThrows) {
   // Named `est`, not `e`: EXPECT_THROW's internal catch clause binds
   // `std::exception& e` and -Wshadow objects to the collision.

@@ -79,8 +79,9 @@ TEST_F(LatencyModelTest, DifferentSeedsDiffer) {
 
 TEST_F(LatencyModelTest, CacheFetchMuchCheaperThanWan) {
   LatencyModelParams p;
+  p.jitter_fraction = 0.0;
   LatencyModel model(&topology_, p, 5);
-  const double cache = model.expected_cache_fetch_ms(114_KB);
+  const double cache = model.cache_fetch_ms(114_KB);
   const double wan = model.expected_backend_fetch_ms(
       region::kFrankfurt, region::kSydney, 114_KB);
   EXPECT_LT(cache, wan / 5.0);

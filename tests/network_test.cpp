@@ -102,7 +102,7 @@ TEST_F(NetworkOutageTest, FailRegionAbortsInFlightFetches) {
   EXPECT_FALSE(outcomes[0].has_value());
   EXPECT_DOUBLE_EQ(at[0], 1.0);
   EXPECT_EQ(network_.in_flight(), 0u);
-  EXPECT_EQ(network_.failed_fetches(), 1u);
+  EXPECT_EQ(network_.aborted_on_wire(), 1u);
 }
 
 TEST_F(NetworkOutageTest, FailRegionFailsQueuedFetchesImmediately) {
@@ -168,12 +168,12 @@ TEST_F(NetworkOutageTest, FailRegionIsIdempotent) {
   network_.fail_region(to);  // duplicate must not double-deliver
   loop_.run();
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(network_.failed_fetches(), 1u);
+  EXPECT_EQ(network_.aborted_on_wire(), 1u);
 }
 
-// The failure aggregate splits by mode: outage aborts of transfers on the
+// Fetch failures are counted by mode: outage aborts of transfers on the
 // wire, kills of FIFO-queued entries, and gray-drop timeouts each land in
-// their own counter; `failed_fetches()` stays their sum.
+// their own counter.
 TEST_F(NetworkOutageTest, FailureCountersSplitByMode) {
   network_.set_max_outstanding_per_region(1);
   const RegionId to = region::kDublin;
@@ -192,7 +192,6 @@ TEST_F(NetworkOutageTest, FailureCountersSplitByMode) {
   EXPECT_EQ(network_.aborted_on_wire(), 1u);  // the one on the wire
   EXPECT_EQ(network_.failed_in_queue(), 2u);  // the two behind it
   EXPECT_EQ(network_.timed_out(), 0u);
-  EXPECT_EQ(network_.failed_fetches(), 3u);
 
   // A gray drop charges the third mode: the response is lost and the
   // requester hears nullopt only after the inflated discovery delay.
@@ -208,7 +207,6 @@ TEST_F(NetworkOutageTest, FailureCountersSplitByMode) {
   EXPECT_FALSE(out.has_value());
   EXPECT_GT(at, 1.0);
   EXPECT_EQ(network_.timed_out(), 1u);
-  EXPECT_EQ(network_.failed_fetches(), 4u);
 }
 
 // Flap regression: fail -> restore cycles must leave no stranded wire or
