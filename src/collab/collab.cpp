@@ -1,27 +1,14 @@
 #include "collab/collab.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "api/registry.hpp"
 #include "client/strategy.hpp"
+#include "stats/histogram.hpp"
 
 namespace agar::collab {
-
-namespace {
-
-/// Nearest-rank percentile over a copy (the append-latency vectors are
-/// tiny — a handful of reconfigurations per run).
-double percentile_ms(std::vector<SimTimeMs> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = (q / 100.0) * static_cast<double>(values.size() - 1);
-  return values[static_cast<std::size_t>(pos)];
-}
-
-}  // namespace
 
 CollabRuntime::CollabRuntime(CollabSettings settings,
                              sim::ShardedEngine* engine,
@@ -242,7 +229,7 @@ void CollabRuntime::heal_partition(std::size_t lane) {
 CollabRuntime::Summary CollabRuntime::summarize(
     const std::vector<client::ReadStrategy*>& strategies) {
   Summary out;
-  std::vector<SimTimeMs> latencies;
+  stats::Histogram latencies;
   for (const LaneState& lane : lanes_) {
     out.peer_hits += lane.stats.peer_hits;
     out.peer_misses += lane.stats.peer_misses;
@@ -251,11 +238,12 @@ CollabRuntime::Summary CollabRuntime::summarize(
     out.stale_config_reads += lane.stats.stale_reads;
     out.paxos_appends += lane.stats.appends;
     out.paxos_append_failures += lane.stats.append_failures;
-    latencies.insert(latencies.end(), lane.stats.append_latencies.begin(),
-                     lane.stats.append_latencies.end());
+    for (const SimTimeMs ms : lane.stats.append_latencies) latencies.add(ms);
   }
-  out.paxos_append_p50_ms = percentile_ms(latencies, 50.0);
-  out.paxos_append_p99_ms = percentile_ms(latencies, 99.0);
+  if (latencies.count() > 0) {
+    out.paxos_append_p50_ms = latencies.percentile(50);
+    out.paxos_append_p99_ms = latencies.percentile(99);
+  }
   out.config_epochs = static_cast<std::uint64_t>(log_.decided_prefix());
 
   // Overlap over the lanes' FINAL snapshots (not the possibly-stale
