@@ -155,8 +155,9 @@ struct ExperimentConfig {
 };
 
 /// One fixed time window of a run's time series — the unit adaptation is
-/// measured in. Latency stats cover successful reads only; failed reads
-/// are counted, not averaged in.
+/// measured in. The last window ends at the run's last completion
+/// (duration_ms), not a whole window later. Latency stats cover successful
+/// reads only; failed reads are counted, not averaged in.
 struct WindowStats {
   SimTimeMs start_ms = 0.0;
   SimTimeMs end_ms = 0.0;

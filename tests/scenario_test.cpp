@@ -266,6 +266,23 @@ TEST(ScenarioRunner, OutageProducesCountedFailedReadsNotCrashes) {
   EXPECT_EQ(run.windows.back().failed_reads, 0u);
 }
 
+TEST(ScenarioRunner, LastWindowEndsWithTheRun) {
+  // Two lanes: the last window ends at the later lane's last completion.
+  auto config = small_config();
+  config.client_regions = {sim::region::kFrankfurt, sim::region::kTokyo};
+  const auto result = run_system(config, {"system=backend"});
+  const auto& run = result.runs[0];
+  ASSERT_GE(run.windows.size(), 2u);
+  for (std::size_t w = 0; w + 1 < run.windows.size(); ++w) {
+    EXPECT_DOUBLE_EQ(run.windows[w].start_ms, static_cast<double>(w) * 1000.0);
+    EXPECT_DOUBLE_EQ(run.windows[w].end_ms, run.windows[w].start_ms + 1000.0);
+  }
+  const auto& last = run.windows.back();
+  EXPECT_DOUBLE_EQ(last.end_ms, run.duration_ms);
+  EXPECT_GE(last.end_ms, last.start_ms);
+  EXPECT_LT(last.end_ms, last.start_ms + 1000.0);
+}
+
 TEST(ScenarioRunner, ScenarioRunsAreDeterministic) {
   auto config = small_config();
   config.scenario = scenario::parse_scenario_text(
