@@ -223,7 +223,9 @@ RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
     result.decode_plan_misses += rs.decode_plan_misses();
   }
   // The last window holds the run's last completion and ends with it.
-  if (!result.windows.empty()) result.windows.back().end_ms = result.duration_ms;
+  if (!result.windows.empty()) {
+    result.windows.back().end_ms = result.duration_ms;
+  }
   if (any_policy) {
     result.region_success_ewma.reserve(ewma_sum.size());
     for (std::size_t r = 0; r < ewma_sum.size(); ++r) {

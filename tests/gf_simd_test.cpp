@@ -109,13 +109,16 @@ TEST(GfBackends, DotMatchesPerSourceReference) {
         std::vector<std::uint8_t> expected = garbage;
         for (std::size_t i = 0; i < n; ++i) {
           std::uint8_t b = 0;
-          for (std::size_t j = 0; j < nsrc; ++j) b ^= mul(coeffs[j], srcs[j][i]);
+          for (std::size_t j = 0; j < nsrc; ++j) {
+            b ^= mul(coeffs[j], srcs[j][i]);
+          }
           expected[offset + i] = b;
         }
         for (const Backend b : supported_backends()) {
           BackendGuard guard(b);
           auto dst_store = garbage;
-          dot(coeffs, srcs, std::span<std::uint8_t>(dst_store.data() + offset, n));
+          dot(coeffs, srcs,
+              std::span<std::uint8_t>(dst_store.data() + offset, n));
           ASSERT_EQ(dst_store, expected)
               << backend_name(b) << " nsrc=" << nsrc << " n=" << n
               << " offset=" << offset;
