@@ -1,10 +1,13 @@
 // Cooperative cache tier, end to end: spec surface, peer-fetch traffic,
-// Paxos config appends, partition semantics, stale-config accounting, and
-// the collab=none inertness guarantee.
+// Paxos config appends, partition semantics, stale-config accounting, the
+// per-window split of both, and the collab=none inertness guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/api.hpp"
 #include "client/report.hpp"
@@ -135,6 +138,35 @@ TEST(CollabRun, SlowApplyCountsStaleConfigReads) {
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
   EXPECT_GT(result.runs[0].stale_config_reads, 0u);
+}
+
+TEST(CollabRun, WindowsSplitPeerHitsAndStaleReads) {
+  // Each window holds the peer hits and stale reads its lanes counted
+  // since their previous completion. Stale reads are counted at
+  // completions, so the windows hold them all; a peer hit that lands after
+  // its lane's last completion is in the run's total but in no window.
+  auto spec = collab_spec();
+  spec.set("window_ms", "2000");
+  spec.set("collab.apply_ms", "5000");
+  const auto result = api::run(spec).result;
+  ASSERT_EQ(result.runs.size(), 1u);
+  const auto& run = result.runs[0];
+  // (peer hits, stale reads) per window.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {0, 0},   {0, 0},   {0, 0},  {0, 0},   {0, 0},  {16, 36}, {26, 45},
+      {34, 48}, {33, 0},  {27, 28}, {12, 36}, {4, 23}, {7, 0},   {12, 33}};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> windows;
+  std::uint64_t peer_hits = 0, stale_reads = 0;
+  for (const auto& w : run.windows) {
+    windows.emplace_back(w.collab_peer_hits, w.collab_stale_reads);
+    peer_hits += w.collab_peer_hits;
+    stale_reads += w.collab_stale_reads;
+  }
+  EXPECT_EQ(windows, expected);
+  EXPECT_EQ(run.collab_peer_hits, 177u);
+  EXPECT_EQ(peer_hits, 171u);
+  EXPECT_EQ(stale_reads, run.stale_config_reads);
+  EXPECT_EQ(run.stale_config_reads, 249u);
 }
 
 TEST(CollabRun, NoneTierStaysInert) {
