@@ -7,7 +7,9 @@
 #   scripts/check_spec_goldens.sh build/example_agar_cli
 #
 # Each golden is the normalized output of
-#   example_agar_cli --spec examples/specs/<name>.json --json
+#   example_agar_cli --spec examples/specs/<name>.json --json |
+#     sed 's/"planning_ms": [^,}]*/"planning_ms": 0/g' \
+#     > tests/golden/<name>.json
 # for every spec except daemon_routes.json (an agard routing table, not an
 # experiment), plus <name>.verify.json for agar_vs_lfu.json and
 # systems_outage.json run with `--set verify=true`. The paper's evaluation,
