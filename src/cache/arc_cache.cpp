@@ -174,45 +174,6 @@ bool ArcCache::contains(const std::string& key) const {
                                 it->second.where == Where::kT2);
 }
 
-bool ArcCache::erase(const std::string& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  Locator loc = it->second;
-  switch (loc.where) {
-    case Where::kT1:
-      t1_bytes_ -= loc.entry->value.size();
-      used_bytes_ -= loc.entry->value.size();
-      t1_.erase(loc.entry);
-      index_.erase(it);
-      return true;
-    case Where::kT2:
-      t2_bytes_ -= loc.entry->value.size();
-      used_bytes_ -= loc.entry->value.size();
-      t2_.erase(loc.entry);
-      index_.erase(it);
-      return true;
-    case Where::kB1:
-      remove_ghost(b1_, b1_bytes_, loc.ghost);
-      return false;  // was not resident
-    case Where::kB2:
-      remove_ghost(b2_, b2_bytes_, loc.ghost);
-      return false;
-  }
-  return false;
-}
-
-void ArcCache::clear() {
-  stats_.evictions += t1_.size() + t2_.size();
-  t1_.clear();
-  t2_.clear();
-  b1_.clear();
-  b2_.clear();
-  index_.clear();
-  t1_bytes_ = t2_bytes_ = b1_bytes_ = b2_bytes_ = 0;
-  used_bytes_ = 0;
-  target_p_ = 0;
-}
-
 std::vector<std::string> ArcCache::keys() const {
   std::vector<std::string> out;
   out.reserve(t1_.size() + t2_.size());

@@ -55,12 +55,6 @@ class CacheEngine {
   /// Presence check with NO policy side effects (no recency update).
   [[nodiscard]] virtual bool contains(const std::string& key) const = 0;
 
-  /// Remove a key; returns true if it was present.
-  virtual bool erase(const std::string& key) = 0;
-
-  /// Drop everything (counts as evictions).
-  virtual void clear() = 0;
-
   /// All resident keys, unordered. For inspection/tests.
   [[nodiscard]] virtual std::vector<std::string> keys() const = 0;
 

@@ -106,20 +106,6 @@ bool LfuCache::contains(const std::string& key) const {
   return index_.contains(key);
 }
 
-bool LfuCache::erase(const std::string& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  remove_entry(key, it->second);
-  return true;
-}
-
-void LfuCache::clear() {
-  stats_.evictions += index_.size();
-  buckets_.clear();
-  index_.clear();
-  used_bytes_ = 0;
-}
-
 std::vector<std::string> LfuCache::keys() const {
   std::vector<std::string> out;
   out.reserve(index_.size());

@@ -22,8 +22,6 @@ class LfuCache final : public CacheEngine {
   [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
   bool put(const std::string& key, SharedBytes value) override;
   [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::string> keys() const override;
 
   /// Current access frequency of a resident key (0 if absent); for tests.

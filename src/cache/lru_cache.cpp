@@ -73,22 +73,6 @@ bool LruCache::contains(const std::string& key) const {
   return index_.contains(key);
 }
 
-bool LruCache::erase(const std::string& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  used_bytes_ -= it->second->value.size();
-  entries_.erase(it->second);
-  index_.erase(it);
-  return true;
-}
-
-void LruCache::clear() {
-  stats_.evictions += entries_.size();
-  entries_.clear();
-  index_.clear();
-  used_bytes_ = 0;
-}
-
 std::vector<std::string> LruCache::keys() const {
   std::vector<std::string> out;
   out.reserve(index_.size());

@@ -18,8 +18,6 @@ class LruCache final : public CacheEngine {
   [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
   bool put(const std::string& key, SharedBytes value) override;
   [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::string> keys() const override;
 
   /// Key that would be evicted next (least recently used); for tests.

@@ -52,20 +52,6 @@ bool StaticConfigCache::contains(const std::string& key) const {
   return entries_.contains(key);
 }
 
-bool StaticConfigCache::erase(const std::string& key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  used_bytes_ -= it->second.size();
-  entries_.erase(it);
-  return true;
-}
-
-void StaticConfigCache::clear() {
-  stats_.evictions += entries_.size();
-  entries_.clear();
-  used_bytes_ = 0;
-}
-
 std::vector<std::string> StaticConfigCache::keys() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());

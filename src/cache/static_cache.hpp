@@ -31,8 +31,6 @@ class StaticConfigCache final : public CacheEngine {
   [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
   bool put(const std::string& key, SharedBytes value) override;
   [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
-  void clear() override;
   [[nodiscard]] std::vector<std::string> keys() const override;
 
   /// Keys a new configuration adds to and drops from the previous one.

@@ -82,17 +82,6 @@ bool TinyLfuCache::contains(const std::string& key) const {
   return inner_.contains(key);
 }
 
-bool TinyLfuCache::erase(const std::string& key) {
-  const bool ok = inner_.erase(key);
-  used_bytes_ = inner_.used_bytes();
-  return ok;
-}
-
-void TinyLfuCache::clear() {
-  inner_.clear();
-  used_bytes_ = 0;
-}
-
 std::vector<std::string> TinyLfuCache::keys() const { return inner_.keys(); }
 
 }  // namespace agar::cache

@@ -79,28 +79,6 @@ TEST(LfuCache, OversizedRejected) {
   EXPECT_EQ(c.stats().rejections, 1u);
 }
 
-TEST(LfuCache, EraseRemovesEntry) {
-  LfuCache c(100);
-  c.put("a", val(10));
-  (void)c.get("a");
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_FALSE(c.erase("a"));
-  EXPECT_EQ(c.frequency("a"), 0u);
-  EXPECT_EQ(c.used_bytes(), 0u);
-}
-
-TEST(LfuCache, ClearResetsState) {
-  LfuCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(20));
-  c.clear();
-  EXPECT_EQ(c.used_bytes(), 0u);
-  EXPECT_TRUE(c.keys().empty());
-  // Frequencies do not survive clear.
-  c.put("a", val(10));
-  EXPECT_EQ(c.frequency("a"), 1u);
-}
-
 TEST(LfuCache, EvictionCandidateIsLowestFreqLeastRecent) {
   LfuCache c(100);
   EXPECT_FALSE(c.eviction_candidate().has_value());

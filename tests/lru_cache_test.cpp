@@ -87,25 +87,6 @@ TEST(LruCache, OverwriteLargerMayEvictOthers) {
   EXPECT_TRUE(c.contains("a"));
 }
 
-TEST(LruCache, EraseFreesSpace) {
-  LruCache c(20);
-  c.put("a", val(10));
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_FALSE(c.erase("a"));
-  EXPECT_EQ(c.used_bytes(), 0u);
-  EXPECT_FALSE(c.contains("a"));
-}
-
-TEST(LruCache, ClearEmptiesEverything) {
-  LruCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.clear();
-  EXPECT_EQ(c.used_bytes(), 0u);
-  EXPECT_TRUE(c.keys().empty());
-  EXPECT_EQ(c.stats().evictions, 2u);
-}
-
 TEST(LruCache, EvictionCandidateIsOldest) {
   LruCache c(100);
   EXPECT_FALSE(c.eviction_candidate().has_value());

@@ -86,27 +86,6 @@ TEST_P(EngineInvariants, GetAfterPutReturnsLatestValue) {
   EXPECT_EQ((*v)[0], 2);
 }
 
-TEST_P(EngineInvariants, EraseThenGetMisses) {
-  auto engine = make_engine(GetParam());
-  engine->put("key", Bytes(10, 1));
-  EXPECT_TRUE(engine->erase("key"));
-  EXPECT_FALSE(engine->get("key").has_value());
-  EXPECT_EQ(engine->used_bytes(), 0u);
-}
-
-TEST_P(EngineInvariants, ClearLeavesEmptyEngine) {
-  auto engine = make_engine(GetParam());
-  for (int i = 0; i < 20; ++i) {
-    engine->put('k' + std::to_string(i), Bytes(8, 3));
-  }
-  engine->clear();
-  EXPECT_TRUE(engine->keys().empty());
-  EXPECT_EQ(engine->used_bytes(), 0u);
-  // Still usable afterwards.
-  engine->put("fresh", Bytes(8, 4));
-  EXPECT_TRUE(engine->get("fresh").has_value());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineInvariants, ::testing::ValuesIn(all_engine_params()),
     [](const ::testing::TestParamInfo<EngineParam>& param_info) {

@@ -80,20 +80,6 @@ TEST(StaticCache, OverwriteConfiguredKeyUpdatesBytes) {
   EXPECT_EQ(c.used_bytes(), 30u);
 }
 
-TEST(StaticCache, EraseAndClear) {
-  StaticConfigCache c(100);
-  c.install_configuration({"a", "b"});
-  c.put("a", val(10));
-  c.put("b", val(10));
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_EQ(c.used_bytes(), 10u);
-  c.clear();
-  EXPECT_EQ(c.used_bytes(), 0u);
-  // Configuration survives clear; entries do not.
-  EXPECT_TRUE(c.is_configured("b"));
-  EXPECT_FALSE(c.contains("b"));
-}
-
 TEST(StaticCache, ReconfigurationCountIncrements) {
   StaticConfigCache c(100);
   EXPECT_EQ(c.reconfigurations(), 0u);

@@ -64,17 +64,6 @@ TEST(TinyLfuCache, CapacityInvariant) {
   }
 }
 
-TEST(TinyLfuCache, EraseAndClear) {
-  TinyLfuCache c(100);
-  c.put("a", val(10));
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_FALSE(c.erase("a"));
-  c.put("b", val(10));
-  c.clear();
-  EXPECT_EQ(c.used_bytes(), 0u);
-  EXPECT_TRUE(c.keys().empty());
-}
-
 TEST(TinyLfuCache, SketchRecordsAccesses) {
   TinyLfuCache c(100);
   for (int i = 0; i < 10; ++i) (void)c.get("watched");
