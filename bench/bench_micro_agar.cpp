@@ -24,14 +24,14 @@ using namespace agar;
 // --- request monitor path (every registered estimator) ----------------------
 
 void bm_monitor_record(benchmark::State& state, const std::string& estimator) {
-  core::RequestMonitorParams params;
-  params.estimator = estimator;
-  core::RequestMonitor monitor(params);
+  const auto monitor = api::EstimatorRegistry::instance().create(
+      estimator, api::EstimatorContext{}, {});
   std::vector<ObjectKey> keys;
   for (int i = 0; i < 300; ++i) keys.push_back("object" + std::to_string(i));
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(monitor.record_access(keys[i % keys.size()]));
+    monitor->record(keys[i % keys.size()]);
+    benchmark::ClobberMemory();
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -161,10 +161,9 @@ class ReconfigFixture : public benchmark::Fixture {
 
 BENCHMARK_F(ReconfigFixture, FullReconfiguration)(benchmark::State& state) {
   for (auto _ : state) {
-    // Keep the monitor warm so the solver sees a realistic key set.
+    // Keep the estimator warm so the solver sees a realistic key set.
     for (int i = 0; i < 300; ++i) {
-      (void)agar_->request_monitor().record_access(
-          "object" + std::to_string(i % 50));
+      agar_->popularity_estimator().record("object" + std::to_string(i % 50));
     }
     agar_->start_reconfiguration();
     loop_->run();

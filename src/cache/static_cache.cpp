@@ -73,7 +73,6 @@ StaticConfigCache::Churn StaticConfigCache::install_configuration(
   }
   const Churn churn{configured.size() - kept, configured_.size() - kept};
   configured_ = std::move(configured);
-  ++reconfigurations_;
   // agar-lint: ordered-ok(pure eviction sweep; membership test + counter, no
   // order-dependent output)
   for (auto it = entries_.begin(); it != entries_.end();) {

@@ -48,14 +48,10 @@ class StaticConfigCache final : public CacheEngine {
   [[nodiscard]] std::size_t configured_size() const {
     return configured_.size();
   }
-  [[nodiscard]] std::uint64_t reconfigurations() const {
-    return reconfigurations_;
-  }
 
  private:
   std::unordered_set<std::string> configured_;
   std::unordered_map<std::string, SharedBytes> entries_;
-  std::uint64_t reconfigurations_ = 0;
 };
 
 }  // namespace agar::cache

@@ -48,8 +48,8 @@ const api::StrategyRegistration kAgar{{
           ctx.experiment->agar_candidate_weights;
       p.cache_manager.planner = params.get_string("planner", "knapsack-dp");
       p.cache_manager.planner_params = params.scoped("planner.");
-      p.monitor.estimator = params.get_string("monitor", "exact-ewma");
-      p.monitor.estimator_params = params.scoped("monitor.");
+      p.estimator = params.get_string("monitor", "exact-ewma");
+      p.estimator_params = params.scoped("monitor.");
       return std::make_unique<AgarStrategy>(*ctx.client, p);
     },
     [](const api::ParamMap& params) {
@@ -92,8 +92,8 @@ const api::StrategyRegistration kLfu{{
       p.cache_manager.candidate_weights = {
           std::min(chunks, ctx.client->backend->codec().k())};
       p.cache_manager.planner = "greedy";
-      p.monitor.ewma_alpha = params.get_double("ewma_alpha", 0.8);
-      p.monitor.processing_ms = params.get_double("proxy_ms", 0.5);
+      p.ewma_alpha = params.get_double("ewma_alpha", 0.8);
+      p.processing_ms = params.get_double("proxy_ms", 0.5);
       return std::make_unique<AgarStrategy>(*ctx.client, p);
     },
     [](const api::ParamMap& params) {
@@ -108,6 +108,13 @@ core::RegionManagerParams region_manager_params(const ClientContext& ctx,
   return out;
 }
 
+std::unique_ptr<core::PopularityEstimator> make_estimator(const AgarParams& p) {
+  api::EstimatorContext ctx;
+  ctx.ewma_alpha = p.ewma_alpha;
+  return api::EstimatorRegistry::instance().create(p.estimator, ctx,
+                                                   p.estimator_params);
+}
+
 }  // namespace
 
 AgarStrategy::AgarStrategy(ClientContext ctx, AgarParams params)
@@ -116,8 +123,8 @@ AgarStrategy::AgarStrategy(ClientContext ctx, AgarParams params)
       cache_(params_.cache_capacity_bytes),
       region_manager_(ctx.backend, ctx.network,
                       region_manager_params(ctx, params_)),
-      request_monitor_(params_.monitor),
-      cache_manager_(ctx.backend, &region_manager_, &request_monitor_, &cache_,
+      estimator_(make_estimator(params_)),
+      cache_manager_(ctx.backend, &region_manager_, estimator_.get(), &cache_,
                      params_.cache_manager) {}
 
 void AgarStrategy::warm_up() { region_manager_.probe(); }
@@ -157,7 +164,8 @@ collab::PeerInfo AgarStrategy::collab_info() {
 
 ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
   ReadPlan plan;
-  plan.monitor_overhead_ms = request_monitor_.record_access(key);
+  estimator_->record(key);
+  plan.monitor_overhead_ms = params_.processing_ms;
 
   auto costs = region_manager_.chunk_costs(key);
   // Cheapest-first order; deterministic tie-break.

@@ -1,11 +1,12 @@
 // Agar strategy (paper §V-A "Agar"): one region-level Agar deployment
 // (paper Fig. 3) behind the event-loop read path. `core/` holds its control
-// plane — the region manager, the request monitor and the cache manager —
-// and this class holds the cache they configure plus the read path that
-// takes its hints from that configuration. Each read is recorded with the
-// request monitor; resident chunks come from the Agar cache and the rest
-// from the cheapest backend regions; after the read the client populates
-// the cache with the chunks the installed configuration wants
+// plane — the region manager, the popularity estimator (the paper's request
+// monitor) and the cache manager — and this class holds the cache they
+// configure plus the read path that takes its hints from that
+// configuration. Each read is recorded with the estimator and charged the
+// monitor's processing time; resident chunks come from the Agar cache and
+// the rest from the cheapest backend regions; after the read the client
+// populates the cache with the chunks the installed configuration wants
 // (asynchronously, off the latency path).
 //
 // The whole control plane is background events on the loop: latency
@@ -20,18 +21,28 @@
 // configuration policy.
 #pragma once
 
+#include <memory>
+#include <string>
+
+#include "api/param_map.hpp"
 #include "cache/static_cache.hpp"
 #include "client/strategy.hpp"
 #include "core/cache_manager.hpp"
+#include "core/popularity_estimator.hpp"
 #include "core/region_manager.hpp"
-#include "core/request_monitor.hpp"
 
 namespace agar::client {
 
 struct AgarParams {
   std::size_t cache_capacity_bytes = 10_MB;
   SimTimeMs reconfig_period_ms = 30'000.0;  ///< paper: 30 seconds
-  core::RequestMonitorParams monitor;
+  double ewma_alpha = 0.8;    ///< paper's weighting coefficient
+  double processing_ms = 0.5; ///< per-request monitor overhead (paper §VI)
+  /// Popularity-estimator registry entry (the `monitor=` spec key).
+  std::string estimator = "exact-ewma";
+  /// Estimator-specific parameters (width, depth, ... — validated against
+  /// the registered schema by the spec layer).
+  api::ParamMap estimator_params;
   core::CacheManagerParams cache_manager;
   std::size_t probes_per_region = 6;
 };
@@ -57,9 +68,10 @@ class AgarStrategy final : public ReadStrategy {
   /// as events; run the loop to complete it.
   void start_reconfiguration();
 
-  /// The "hint" protocol: records the access with the request monitor and
-  /// resolves every chunk of the object to a source against the cache's
-  /// installed configuration:
+  /// The "hint" protocol: records the access with the popularity
+  /// estimator, charges the monitor's processing time, and resolves every
+  /// chunk of the object to a source against the cache's installed
+  /// configuration:
   ///   * resident chunks come from the cache (up to k);
   ///   * the remainder fills with the cheapest backend regions per the
   ///     region manager's live latency estimates;
@@ -72,8 +84,8 @@ class AgarStrategy final : public ReadStrategy {
   [[nodiscard]] core::RegionManager& region_manager() {
     return region_manager_;
   }
-  [[nodiscard]] core::RequestMonitor& request_monitor() {
-    return request_monitor_;
+  [[nodiscard]] core::PopularityEstimator& popularity_estimator() {
+    return *estimator_;
   }
   [[nodiscard]] core::CacheManager& cache_manager() { return cache_manager_; }
 
@@ -107,7 +119,7 @@ class AgarStrategy final : public ReadStrategy {
   sim::EventLoop::TimerId reconfig_timer_ = 0;
   cache::StaticConfigCache cache_;
   core::RegionManager region_manager_;
-  core::RequestMonitor request_monitor_;
+  std::unique_ptr<core::PopularityEstimator> estimator_;
   core::CacheManager cache_manager_;
 };
 

@@ -48,7 +48,7 @@ void Deployment::bind_lanes(const std::vector<RegionId>& lane_regions) {
 
 Lane::Lane(const ExperimentConfig& config, const StrategyFactory& factory,
            Deployment& deployment, std::size_t index, sim::EventLoop& loop)
-    : index_(index), loop_(&loop) {
+    : index_(index), loop_(&loop), window_ms_(config.metric_window_ms) {
   // Events scheduled during this lane's setup — and everything causally
   // derived from them at run time — carry this lane's ordering key.
   loop.set_scheduling_lane(static_cast<sim::EventLoop::LaneId>(index));
@@ -57,11 +57,6 @@ Lane::Lane(const ExperimentConfig& config, const StrategyFactory& factory,
   sim::Network& network = deployment.lane_network(index);
   network.set_max_outstanding_per_region(config.max_outstanding_per_region);
   network.bind_loop(&loop);
-
-  if (config.metric_window_ms > 0.0) {
-    window_latencies_ =
-        std::make_unique<stats::WindowedHistogram>(config.metric_window_ms);
-  }
 
   // One strategy instance (for Agar: one cache + control plane) per
   // client region.
@@ -90,25 +85,29 @@ void Lane::record(const ReadResult& r) {
     if (r.verified) ++counts_.verified;
     if (r.degraded) ++counts_.degraded_reads;
   }
-  if (window_latencies_ != nullptr) {
-    const std::size_t w = window_latencies_->index_of(now);
-    window_latencies_->ensure(w);
-    if (window_counters_.size() <= w) window_counters_.resize(w + 1);
-    WindowCounters& wc = window_counters_[w];
-    ++wc.ops;
+  if (window_ms_ > 0.0) {
+    const std::size_t w =
+        now > 0.0 ? static_cast<std::size_t>(std::floor(now / window_ms_))
+                  : 0;
+    if (windows_.size() <= w) windows_.resize(w + 1);
+    Window& win = windows_[w];
+    ++win.ops;
     if (r.failed) {
-      ++wc.failed;
+      ++win.failed;
     } else {
-      window_latencies_->add(now, r.latency_ms);
-      if (r.full_hit) ++wc.full;
-      if (r.partial_hit && !r.full_hit) ++wc.partial;
-      if (r.degraded) ++wc.degraded;
+      win.latencies.add(r.latency_ms);
+      if (r.full_hit) ++win.full;
+      if (r.partial_hit && !r.full_hit) ++win.partial;
+      if (r.degraded) ++win.degraded;
     }
     if (collab_ != nullptr) {
-      // Drain the collab slice accumulated since the last completion
-      // into the window this completion lands in.
-      wc.peer_hits += collab_->take_window_peer_hits(index_);
-      wc.stale += collab_->take_window_stale_reads(index_);
+      // The window this completion lands in takes what the collab tier
+      // counted for this lane since the lane's previous completion.
+      const collab::CollabRuntime::LaneStats& cs = collab_->lane_stats(index_);
+      win.peer_hits += cs.peer_hits - peer_hits_seen_;
+      win.stale += cs.stale_reads - stale_reads_seen_;
+      peer_hits_seen_ = cs.peer_hits;
+      stale_reads_seen_ = cs.stale_reads;
     }
   }
   ++completed_;
@@ -120,16 +119,12 @@ RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
                       Deployment& deployment) {
   RunResult result;
 
-  // Materialize the windowed time series: per-window histograms merged
-  // across lanes in lane order, counters alongside, empty windows kept so
-  // indices map to virtual time.
-  if (lanes.front()->window_latencies_ != nullptr) {
-    const SimTimeMs window_ms = lanes.front()->window_latencies_->window_ms();
+  // Materialize the windowed time series: each window's histograms merged
+  // across lanes in lane order, counters alongside.
+  const SimTimeMs window_ms = lanes.front()->window_ms_;
+  if (window_ms > 0.0) {
     std::size_t n = 0;
-    for (const auto& lane : lanes) {
-      n = std::max({n, lane->window_latencies_->size(),
-                    lane->window_counters_.size()});
-    }
+    for (const auto& lane : lanes) n = std::max(n, lane->windows_.size());
     result.windows.reserve(n);
     for (std::size_t w = 0; w < n; ++w) {
       WindowStats ws;
@@ -137,19 +132,16 @@ RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
       ws.end_ms = ws.start_ms + window_ms;
       stats::Histogram merged;
       for (const auto& lane : lanes) {
-        if (w < lane->window_counters_.size()) {
-          const Lane::WindowCounters& wc = lane->window_counters_[w];
-          ws.ops += wc.ops;
-          ws.full_hits += wc.full;
-          ws.partial_hits += wc.partial;
-          ws.failed_reads += wc.failed;
-          ws.degraded_reads += wc.degraded;
-          ws.collab_peer_hits += wc.peer_hits;
-          ws.collab_stale_reads += wc.stale;
-        }
-        if (w < lane->window_latencies_->size()) {
-          merged.merge(lane->window_latencies_->window(w));
-        }
+        if (w >= lane->windows_.size()) continue;
+        const Lane::Window& win = lane->windows_[w];
+        ws.ops += win.ops;
+        ws.full_hits += win.full;
+        ws.partial_hits += win.partial;
+        ws.failed_reads += win.failed;
+        ws.degraded_reads += win.degraded;
+        ws.collab_peer_hits += win.peer_hits;
+        ws.collab_stale_reads += win.stale;
+        merged.merge(win.latencies);
       }
       if (merged.count() > 0) {
         ws.mean_ms = merged.mean();

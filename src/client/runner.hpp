@@ -23,7 +23,6 @@
 #include "sim/network.hpp"
 #include "sim/topology.hpp"
 #include "stats/histogram.hpp"
-#include "stats/windowed.hpp"
 #include "store/backend.hpp"
 
 namespace agar::collab {
@@ -350,9 +349,12 @@ class Lane {
   friend RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
                                Deployment& deployment);
 
-  struct WindowCounters {
+  /// One metric window of this lane: the reads that completed in it and
+  /// the latencies of the successful ones.
+  struct Window {
     std::uint64_t ops = 0, full = 0, partial = 0, failed = 0, degraded = 0;
     std::uint64_t peer_hits = 0, stale = 0;  // collab tier only
+    stats::Histogram latencies;
   };
 
   std::size_t index_;
@@ -363,8 +365,14 @@ class Lane {
   std::size_t issued_ = 0;
   std::size_t completed_ = 0;
   std::size_t reads_in_flight_ = 0;
-  std::unique_ptr<stats::WindowedHistogram> window_latencies_;
-  std::vector<WindowCounters> window_counters_;
+  SimTimeMs window_ms_;  ///< 0 = no windows
+  /// Window i covers [i, i + 1) * window_ms_; windows with no completion
+  /// are kept, so indices map to virtual time.
+  std::vector<Window> windows_;
+  /// The collab tier's cumulative peer hits and stale reads of this lane
+  /// at its previous completion.
+  std::uint64_t peer_hits_seen_ = 0;
+  std::uint64_t stale_reads_seen_ = 0;
 };
 
 /// The run's result so far: lanes merged in lane order (float accumulation

@@ -103,7 +103,6 @@ void CollabRuntime::fetch_done(std::size_t lane, RegionId target,
   if (!ok) return;  // failures are visible in the network/policy counters
   if (target != home) {
     ++stats.peer_hits;
-    ++stats.window_peer_hits;
     stats.bytes_from_peers += bytes;
   } else {
     stats.bytes_from_backend += bytes;
@@ -202,18 +201,7 @@ void CollabRuntime::learn(std::size_t lane, std::uint64_t epoch) {
 
 void CollabRuntime::note_read(std::size_t lane) {
   LaneState& st = lanes_[lane];
-  if (st.learned_epoch > st.applied_epoch) {
-    ++st.stats.stale_reads;
-    ++st.stats.window_stale_reads;
-  }
-}
-
-std::uint64_t CollabRuntime::take_window_peer_hits(std::size_t lane) {
-  return std::exchange(lanes_[lane].stats.window_peer_hits, 0);
-}
-
-std::uint64_t CollabRuntime::take_window_stale_reads(std::size_t lane) {
-  return std::exchange(lanes_[lane].stats.window_stale_reads, 0);
+  if (st.learned_epoch > st.applied_epoch) ++st.stats.stale_reads;
 }
 
 void CollabRuntime::set_partition(std::size_t lane,

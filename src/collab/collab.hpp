@@ -76,7 +76,8 @@ class CollabRuntime {
   static constexpr double kMessageFactor = 0.3;
 
   /// Per-lane counters. Mutated only from events executing on the owning
-  /// lane; merged in lane order by summarize().
+  /// lane; read there by the lane's metric windows, and merged in lane
+  /// order by summarize().
   struct LaneStats {
     std::uint64_t peer_hits = 0;    ///< wire fetches served by a peer cache
     std::uint64_t peer_misses = 0;  ///< directory consulted, no eligible peer
@@ -86,9 +87,6 @@ class CollabRuntime {
     std::uint64_t appends = 0;      ///< config-log appends attempted
     std::uint64_t append_failures = 0;  ///< quorum loss or leader unreachable
     std::vector<SimTimeMs> append_latencies;
-    // Windowed slices, drained by the runner at each window close.
-    std::uint64_t window_peer_hits = 0;
-    std::uint64_t window_stale_reads = 0;
   };
 
   /// Lane-order merge of every lane's counters plus the log/overlap state
@@ -141,9 +139,11 @@ class CollabRuntime {
   /// the lane has learned a config epoch it has not applied yet.
   void note_read(std::size_t lane);
 
-  /// Drain one lane's per-window counters (runner, at window close).
-  [[nodiscard]] std::uint64_t take_window_peer_hits(std::size_t lane);
-  [[nodiscard]] std::uint64_t take_window_stale_reads(std::size_t lane);
+  /// One lane's cumulative counters; read only from events executing on
+  /// that lane, or after the run.
+  [[nodiscard]] const LaneStats& lane_stats(std::size_t lane) const {
+    return lanes_[lane].stats;
+  }
 
   /// End-of-run (single-threaded, engine stopped): merge lane counters in
   /// lane order and compute the configuration-overlap ratio from each

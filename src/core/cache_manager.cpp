@@ -53,16 +53,16 @@ std::size_t weight_quantum_bytes(
 
 CacheManager::CacheManager(const store::BackendCluster* backend,
                            RegionManager* region_manager,
-                           RequestMonitor* request_monitor,
+                           PopularityEstimator* estimator,
                            cache::StaticConfigCache* cache,
                            CacheManagerParams params)
     : backend_(backend),
       region_manager_(region_manager),
-      request_monitor_(request_monitor),
+      estimator_(estimator),
       cache_(cache),
       params_(std::move(params)),
       generator_(generator_params(backend_, params_)) {
-  if (region_manager_ == nullptr || request_monitor_ == nullptr ||
+  if (region_manager_ == nullptr || estimator_ == nullptr ||
       cache_ == nullptr) {
     throw std::invalid_argument("CacheManager: null dependency");
   }
@@ -93,16 +93,15 @@ std::vector<std::vector<CachingOption>> CacheManager::generate_options(
 }
 
 const CacheConfiguration& CacheManager::reconfigure() {
-  ++reconfigs_;
   // Close the popularity period first so the snapshot reflects the EWMA
   // including the period that just ended (paper: the algorithm runs on the
   // statistics gathered over the last interval).
-  request_monitor_->roll_period();
+  estimator_->roll_period();
 
   // One snapshot per reconfiguration. It is sorted by key (the estimator
   // contract), so the option groups — and thus the planner's input — are
   // deterministic.
-  const auto snapshot = request_monitor_->snapshot();
+  const auto snapshot = estimator_->snapshot();
   const std::size_t quantum = weight_quantum_bytes(*backend_, snapshot);
   const std::size_t capacity_units = cache_->capacity_bytes() / quantum;
 
@@ -132,7 +131,7 @@ const CacheConfiguration& CacheManager::reconfigure() {
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.
   const auto churn = cache_->install_configuration(std::move(configured_keys));
-  stats_.reconfigurations = reconfigs_;
+  ++stats_.reconfigurations;
   stats_.planning_ms += plan_ms;
   stats_.chunks_installed += churn.added;
   stats_.chunks_evicted += churn.dropped;

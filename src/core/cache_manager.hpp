@@ -1,6 +1,7 @@
 // Cache manager (paper §III-c): periodically computes the ideal cache
-// configuration from the request monitor's popularity statistics and the
-// region manager's latency estimates, then installs it into the Agar cache.
+// configuration from the popularity estimator's statistics (the paper's
+// request monitor) and the region manager's latency estimates, then
+// installs it into the Agar cache.
 //
 // One reconfiguration = one run of the configured core::Planner (§IV-B;
 // `knapsack-dp` by default, any api::PlannerRegistry entry via the
@@ -10,7 +11,6 @@
 // install's churn (chunks installed/evicted) to its ControlPlaneStats.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,8 +21,8 @@
 #include "core/knapsack.hpp"
 #include "core/option_generator.hpp"
 #include "core/planner.hpp"
+#include "core/popularity_estimator.hpp"
 #include "core/region_manager.hpp"
-#include "core/request_monitor.hpp"
 
 namespace agar::core {
 
@@ -58,18 +58,18 @@ struct CacheConfiguration {
 class CacheManager {
  public:
   CacheManager(const store::BackendCluster* backend,
-               RegionManager* region_manager, RequestMonitor* request_monitor,
+               RegionManager* region_manager, PopularityEstimator* estimator,
                cache::StaticConfigCache* cache, CacheManagerParams params);
 
-  /// Run the full reconfiguration: roll the monitor period, regenerate
+  /// Run the full reconfiguration: roll the popularity period, regenerate
   /// caching options, run the planner, install the new configuration.
   /// Returns the installed configuration (also kept internally).
   const CacheConfiguration& reconfigure();
 
   [[nodiscard]] const CacheConfiguration& current() const { return config_; }
-  [[nodiscard]] std::uint64_t reconfigurations() const { return reconfigs_; }
 
-  /// Planner timing + configuration churn, cumulative over this manager.
+  /// Reconfigurations, planner timing and configuration churn, cumulative
+  /// over this manager.
   [[nodiscard]] const ControlPlaneStats& control_plane_stats() const {
     return stats_;
   }
@@ -85,7 +85,7 @@ class CacheManager {
 
   const store::BackendCluster* backend_;  // non-owning
   RegionManager* region_manager_;         // non-owning
-  RequestMonitor* request_monitor_;       // non-owning
+  PopularityEstimator* estimator_;        // non-owning
   cache::StaticConfigCache* cache_;       // non-owning
   CacheManagerParams params_;
   /// Built once, so a candidate weight outside [1, k] fails when the
@@ -94,7 +94,6 @@ class CacheManager {
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
   ControlPlaneStats stats_;
-  std::uint64_t reconfigs_ = 0;
 };
 
 }  // namespace agar::core

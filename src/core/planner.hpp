@@ -1,8 +1,8 @@
 // Planner — the open interface of the reconfiguration pipeline's solver
 // step (paper §IV-B). A planner receives the per-key caching-option groups
 // the option generator assembled (sorted by key — the determinism contract
-// of RequestMonitor::snapshot) plus the cache capacity in quantized units,
-// and returns the configuration to install.
+// of PopularityEstimator::snapshot) plus the cache capacity in quantized
+// units, and returns the configuration to install.
 //
 // Planners are registry entries (api::PlannerRegistry), selected per
 // experiment with the `planner=` spec key:

@@ -3,7 +3,6 @@
 namespace agar::store {
 
 void Bucket::put(const ChunkId& id, SharedBytes data) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
   auto it = chunks_.find(id);
   if (it != chunks_.end()) {
     total_bytes_ -= it->second.size();
@@ -16,7 +15,6 @@ void Bucket::put(const ChunkId& id, SharedBytes data) {
 }
 
 std::optional<SharedBytes> Bucket::get(const ChunkId& id) const {
-  gets_.fetch_add(1, std::memory_order_relaxed);
   const auto it = chunks_.find(id);
   if (it == chunks_.end()) return std::nullopt;
   return it->second;  // refcount bump, not a byte copy

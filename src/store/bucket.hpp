@@ -1,11 +1,10 @@
 // An S3-like bucket: durable chunk storage for one region.
 //
-// Buckets store chunk payloads keyed by ChunkId and keep simple counters so
-// tests and reports can observe backend traffic.
+// Buckets store chunk payloads keyed by ChunkId and account the bytes they
+// hold. During sharded runs the chunk map is read-only, so shard threads
+// read it concurrently without synchronization.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <optional>
 #include <unordered_map>
 
@@ -30,22 +29,9 @@ class Bucket {
   [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
   [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
 
-  /// Observability counters. Atomic (relaxed): the chunk map itself is
-  /// read-only during sharded runs, but several shard threads fetch
-  /// concurrently and all bump these. Totals are order-independent, so
-  /// they stay deterministic for any shard count.
-  [[nodiscard]] std::uint64_t gets() const {
-    return gets_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t puts() const {
-    return puts_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::unordered_map<ChunkId, SharedBytes> chunks_;
   std::size_t total_bytes_ = 0;
-  mutable std::atomic<std::uint64_t> gets_{0};
-  std::atomic<std::uint64_t> puts_{0};
 };
 
 }  // namespace agar::store

@@ -1,13 +1,14 @@
 // The Agar node (Fig. 3) as AgarStrategy runs it on the event loop: read
-// planning against the region manager's costs, the request monitor, the
-// periodic probe -> plan -> populate pipeline, and eviction of stale
-// residents. Planning against an installed configuration is
+// planning against the region manager's costs, the popularity estimator
+// and per-read charge of the paper's request monitor, the periodic probe ->
+// plan -> populate pipeline, and eviction of stale residents. Planning against an installed configuration is
 // read_planner_test.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
 
+#include "api/registry.hpp"
 #include "client/agar_strategy.hpp"
 
 namespace agar::client {
@@ -92,13 +93,36 @@ TEST_F(AgarStrategyNodeTest, PlanPrefersCheapRegions) {
   EXPECT_EQ(tokyo, 1u);
 }
 
-TEST_F(AgarStrategyNodeTest, PlanRecordsAccessInMonitor) {
-  AgarStrategy s(ctx(), params(10_MB));
+TEST_F(AgarStrategyNodeTest, PlanRecordsAccessWithTheEstimator) {
+  AgarParams p = params(10_MB);
+  p.ewma_alpha = 0.5;
+  AgarStrategy s(ctx(), p);
   s.warm_up();
   (void)s.plan_read("object3");
   (void)s.plan_read("object3");
-  EXPECT_EQ(s.request_monitor().accesses(), 2u);
-  EXPECT_GT(s.request_monitor().popularity("object3"), 0.0);
+  // Two accesses in the open period, weighted by ewma_alpha.
+  EXPECT_DOUBLE_EQ(s.popularity_estimator().popularity("object3"), 1.0);
+  EXPECT_EQ(s.popularity_estimator().name(), "exact-ewma");
+}
+
+TEST_F(AgarStrategyNodeTest, PlanChargesTheMonitorsProcessingTime) {
+  AgarParams p = params(10_MB);
+  p.processing_ms = 0.75;  // lfu's proxy_ms sets this
+  AgarStrategy s(ctx(), p);
+  s.warm_up();
+  EXPECT_DOUBLE_EQ(s.plan_read("object0").monitor_overhead_ms, 0.75);
+  EXPECT_DOUBLE_EQ(s.plan_read("object0").monitor_overhead_ms, 0.75);
+}
+
+TEST_F(AgarStrategyNodeTest, EstimatorComesFromTheRegistry) {
+  AgarParams p = params(10_MB);
+  p.estimator = "count-min";
+  p.estimator_params.set("width", "256");
+  AgarStrategy s(ctx(), p);
+  EXPECT_EQ(s.popularity_estimator().name(), "count-min");
+
+  p.estimator = "oracle";
+  EXPECT_THROW(AgarStrategy(ctx(), p), api::UnknownNameError);
 }
 
 TEST_F(AgarStrategyNodeTest, ControlPlaneReconfiguresOncePerPeriod) {
@@ -115,7 +139,7 @@ TEST_F(AgarStrategyNodeTest, ControlPlaneReconfiguresOncePerPeriod) {
   EXPECT_EQ(s.region_manager().probe_rounds(), 4u);
   loop_.cancel(s.reconfig_timer());
   loop_.run();
-  EXPECT_EQ(s.cache_manager().reconfigurations(), 3u);
+  EXPECT_EQ(s.control_plane_stats().reconfigurations, 3u);
 }
 
 TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {

@@ -6,8 +6,15 @@
 
 #include <memory>
 
+#include "api/registry.hpp"
+
 namespace agar::core {
 namespace {
+
+std::unique_ptr<PopularityEstimator> make_estimator() {
+  return api::EstimatorRegistry::instance().create(
+      "exact-ewma", api::EstimatorContext{}, {});
+}
 
 class CacheManagerTest : public ::testing::Test {
  protected:
@@ -26,35 +33,35 @@ class CacheManagerTest : public ::testing::Test {
     region_manager_ =
         std::make_unique<RegionManager>(&backend_, &network_, rp);
     region_manager_->probe();
-    monitor_ = std::make_unique<RequestMonitor>();
+    estimator_ = make_estimator();
     cache_ = std::make_unique<cache::StaticConfigCache>(cache_bytes);
     CacheManagerParams cp;
     cp.candidate_weights = {1, 3, 5, 7, 9};
     return std::make_unique<CacheManager>(&backend_, region_manager_.get(),
-                                          monitor_.get(), cache_.get(), cp);
+                                          estimator_.get(), cache_.get(), cp);
   }
 
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
   std::unique_ptr<RegionManager> region_manager_;
-  std::unique_ptr<RequestMonitor> monitor_;
+  std::unique_ptr<PopularityEstimator> estimator_;
   std::unique_ptr<cache::StaticConfigCache> cache_;
 };
 
 TEST_F(CacheManagerTest, NullDependenciesThrow) {
   RegionManagerParams rp;
   RegionManager rm(&backend_, &network_, rp);
-  RequestMonitor mon;
+  const auto est = make_estimator();
   cache::StaticConfigCache cache(1_MB);
   CacheManagerParams cp;
-  EXPECT_THROW(CacheManager(nullptr, &rm, &mon, &cache, cp),
+  EXPECT_THROW(CacheManager(nullptr, &rm, est.get(), &cache, cp),
                std::invalid_argument);
-  EXPECT_THROW(CacheManager(&backend_, nullptr, &mon, &cache, cp),
+  EXPECT_THROW(CacheManager(&backend_, nullptr, est.get(), &cache, cp),
                std::invalid_argument);
   EXPECT_THROW(CacheManager(&backend_, &rm, nullptr, &cache, cp),
                std::invalid_argument);
-  EXPECT_THROW(CacheManager(&backend_, &rm, &mon, nullptr, cp),
+  EXPECT_THROW(CacheManager(&backend_, &rm, est.get(), nullptr, cp),
                std::invalid_argument);
 }
 
@@ -67,8 +74,8 @@ TEST_F(CacheManagerTest, EmptyStatsYieldEmptyConfiguration) {
 
 TEST_F(CacheManagerTest, HotKeysGetConfigured) {
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 50; ++i) monitor_->record_access("object0");
-  for (int i = 0; i < 10; ++i) monitor_->record_access("object1");
+  for (int i = 0; i < 50; ++i) estimator_->record("object0");
+  for (int i = 0; i < 10; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
   EXPECT_TRUE(config.entries.contains("object0"));
   EXPECT_GT(cache_->configured_size(), 0u);
@@ -78,7 +85,7 @@ TEST_F(CacheManagerTest, ConfigurationFitsCapacity) {
   auto mgr = make_manager(10_MB);
   for (int k = 0; k < 20; ++k) {
     for (int i = 0; i < 20 - k; ++i) {
-      monitor_->record_access("object" + std::to_string(k));
+      estimator_->record("object" + std::to_string(k));
     }
   }
   const auto& config = mgr->reconfigure();
@@ -88,8 +95,8 @@ TEST_F(CacheManagerTest, ConfigurationFitsCapacity) {
 
 TEST_F(CacheManagerTest, HotterKeysGetAtLeastAsManyChunks) {
   auto mgr = make_manager(5_MB);
-  for (int i = 0; i < 100; ++i) monitor_->record_access("object0");
-  for (int i = 0; i < 5; ++i) monitor_->record_access("object1");
+  for (int i = 0; i < 100; ++i) estimator_->record("object0");
+  for (int i = 0; i < 5; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
   if (config.entries.contains("object0") &&
       config.entries.contains("object1")) {
@@ -102,7 +109,7 @@ TEST_F(CacheManagerTest, HotterKeysGetAtLeastAsManyChunks) {
 
 TEST_F(CacheManagerTest, UnknownKeysAreIgnored) {
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 50; ++i) monitor_->record_access("not-in-backend");
+  for (int i = 0; i < 50; ++i) estimator_->record("not-in-backend");
   const auto& config = mgr->reconfigure();
   EXPECT_FALSE(config.entries.contains("not-in-backend"));
 }
@@ -111,8 +118,8 @@ TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
   // With one quantum per chunk, an option's footprint in units is its
   // chunk count.
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 50; ++i) monitor_->record_access("object0");
-  monitor_->record_access("object1");
+  for (int i = 0; i < 50; ++i) estimator_->record("object0");
+  estimator_->record("object1");
   const auto& config = mgr->reconfigure();
   ASSERT_FALSE(config.entries.empty());
   for (const auto& [key, opt] : config.entries) {
@@ -122,8 +129,8 @@ TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
 
 TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 30; ++i) monitor_->record_access("object0");
-  for (int i = 0; i < 20; ++i) monitor_->record_access("object1");
+  for (int i = 0; i < 30; ++i) estimator_->record("object0");
+  for (int i = 0; i < 20; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
   std::size_t chunk_keys = 0;
   for (const auto& [key, opt] : config.entries) {
@@ -138,22 +145,23 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
 
 TEST_F(CacheManagerTest, ReconfigureRollsThePeriod) {
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 100; ++i) monitor_->record_access("object0");
+  for (int i = 0; i < 100; ++i) estimator_->record("object0");
   mgr->reconfigure();
-  EXPECT_DOUBLE_EQ(monitor_->popularity("object0"), 80.0);
+  EXPECT_DOUBLE_EQ(estimator_->popularity("object0"), 80.0);
   mgr->reconfigure();  // idle period decays popularity
-  EXPECT_DOUBLE_EQ(monitor_->popularity("object0"), 16.0);
+  EXPECT_DOUBLE_EQ(estimator_->popularity("object0"), 16.0);
+  EXPECT_EQ(mgr->control_plane_stats().reconfigurations, 2u);
 }
 
 TEST_F(CacheManagerTest, AdaptsWhenPopularityShifts) {
   auto mgr = make_manager(5_MB);
-  for (int i = 0; i < 100; ++i) monitor_->record_access("object0");
+  for (int i = 0; i < 100; ++i) estimator_->record("object0");
   mgr->reconfigure();
   ASSERT_TRUE(mgr->current().entries.contains("object0"));
 
   // The workload moves to object5 for several periods; object0 decays.
   for (int period = 0; period < 8; ++period) {
-    for (int i = 0; i < 100; ++i) monitor_->record_access("object5");
+    for (int i = 0; i < 100; ++i) estimator_->record("object5");
     mgr->reconfigure();
   }
   EXPECT_TRUE(mgr->current().entries.contains("object5"));
@@ -167,7 +175,7 @@ TEST_F(CacheManagerTest, WeightHistogramCountsObjects) {
   auto mgr = make_manager(50_MB);
   for (int k = 0; k < 10; ++k) {
     for (int i = 0; i < 100 / (k + 1); ++i) {
-      monitor_->record_access("object" + std::to_string(k));
+      estimator_->record("object" + std::to_string(k));
     }
   }
   const auto& config = mgr->reconfigure();
@@ -179,12 +187,12 @@ TEST_F(CacheManagerTest, WeightHistogramCountsObjects) {
 
 TEST_F(CacheManagerTest, LargerCacheNeverLowersValue) {
   for (int i = 0; i < 50; ++i) {
-    // fresh monitor state per manager; record into each manager's monitor.
+    // fresh estimator state per manager; record into each manager's estimator.
   }
   auto small = make_manager(5_MB);
   for (int k = 0; k < 10; ++k) {
     for (int i = 0; i < 100 - k * 10; ++i) {
-      monitor_->record_access("object" + std::to_string(k));
+      estimator_->record("object" + std::to_string(k));
     }
   }
   const double small_value = small->reconfigure().total_value;
@@ -192,7 +200,7 @@ TEST_F(CacheManagerTest, LargerCacheNeverLowersValue) {
   auto large = make_manager(20_MB);
   for (int k = 0; k < 10; ++k) {
     for (int i = 0; i < 100 - k * 10; ++i) {
-      monitor_->record_access("object" + std::to_string(k));
+      estimator_->record("object" + std::to_string(k));
     }
   }
   const double large_value = large->reconfigure().total_value;

@@ -1,11 +1,15 @@
-// Popularity estimators: the exact-ewma entry reproduces the paper's
-// monitor math, count-min never under-estimates and stays within its
-// memory bound, and both honor the sorted-snapshot determinism contract.
+// Popularity estimators — the paper's request monitor (§III-b): the
+// exact-ewma entry reproduces the paper's monitor math (per-period counts
+// blended into every reading and folded into the EWMA at each roll),
+// count-min never under-estimates and stays within its memory bound, and
+// both honor the sorted-snapshot determinism contract.
 #include "core/popularity_estimator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "api/registry.hpp"
 #include "common/rng.hpp"
@@ -85,6 +89,57 @@ TEST(ExactEwmaEstimator, ReproducesThePapersMonitorMath) {
   est->roll_period();
   EXPECT_DOUBLE_EQ(est->popularity("key1"), 56.0);  // 0.8*50 + 0.2*80
   EXPECT_EQ(est->name(), "exact-ewma");
+}
+
+TEST(ExactEwmaEstimator, BlendsTheCurrentPeriodsCounts) {
+  auto est = make_estimator("exact-ewma");
+  est->record("a");
+  est->record("a");
+  est->record("b");
+  EXPECT_DOUBLE_EQ(est->popularity("a"), 1.6);  // 0.8 * 2
+  EXPECT_DOUBLE_EQ(est->popularity("b"), 0.8);
+  EXPECT_DOUBLE_EQ(est->popularity("c"), 0.0);
+}
+
+TEST(ExactEwmaEstimator, AlphaWeighsTheClosedPeriod) {
+  auto est = make_estimator("exact-ewma", 0.5);
+  for (int i = 0; i < 10; ++i) est->record("k");
+  est->roll_period();
+  EXPECT_DOUBLE_EQ(est->popularity("k"), 5.0);
+}
+
+TEST(ExactEwmaEstimator, HotKeysStayTracked) {
+  auto est = make_estimator("exact-ewma");
+  for (int p = 0; p < 10; ++p) {
+    for (int i = 0; i < 20; ++i) est->record("hot");
+    est->roll_period();
+  }
+  EXPECT_NEAR(est->popularity("hot"), 20.0, 0.1);
+  EXPECT_EQ(est->tracked_keys(), 1u);
+}
+
+TEST(ExactEwmaEstimator, SnapshotListsTrackedKeys) {
+  auto est = make_estimator("exact-ewma");
+  est->record("a");
+  est->record("b");
+  est->roll_period();
+  EXPECT_EQ(est->tracked_keys(), 2u);
+  const auto snap = est->snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].first, "a");
+  EXPECT_DOUBLE_EQ(snap[0].second, 0.8);
+}
+
+TEST(ExactEwmaEstimator, DistinguishesManyKeys) {
+  auto est = make_estimator("exact-ewma");
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = 'k' + std::to_string(i);
+    for (int j = 0; j <= i; ++j) est->record(key);
+  }
+  est->roll_period();
+  // Popularity must be monotone in access count.
+  EXPECT_LT(est->popularity("k10"), est->popularity("k50"));
+  EXPECT_LT(est->popularity("k50"), est->popularity("k99"));
 }
 
 TEST(CountMinEstimator, NeverUnderEstimatesTheExactCounts) {

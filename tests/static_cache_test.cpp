@@ -80,14 +80,6 @@ TEST(StaticCache, OverwriteConfiguredKeyUpdatesBytes) {
   EXPECT_EQ(c.used_bytes(), 30u);
 }
 
-TEST(StaticCache, ReconfigurationCountIncrements) {
-  StaticConfigCache c(100);
-  EXPECT_EQ(c.reconfigurations(), 0u);
-  c.install_configuration({});
-  c.install_configuration({"a"});
-  EXPECT_EQ(c.reconfigurations(), 2u);
-}
-
 TEST(StaticCache, InstallCountsAddedAndDroppedKeys) {
   StaticConfigCache c(100);
   auto churn = c.install_configuration({"a", "b"});
