@@ -14,10 +14,8 @@
 // per periodic firing.
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
-// Default output is an aligned table; --json emits a JSON array for
-// artifact upload and trend tracking (scripts/record_bench.sh appends a
-// labelled entry to BENCH_core.json). --quick shrinks the workloads for
-// smoke runs.
+// Default output is an aligned table; --json emits a JSON array for CI's
+// artifact upload. --quick shrinks the workloads for smoke runs.
 #include <chrono>
 #include <cstdio>
 #include <functional>
