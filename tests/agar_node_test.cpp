@@ -1,8 +1,8 @@
 // The Agar node (Fig. 3) as AgarStrategy runs it on the event loop: read
 // planning against the region manager's costs, the popularity estimator
 // and per-read charge of the paper's request monitor, the periodic probe ->
-// plan -> populate pipeline, and eviction of stale residents. Planning against an installed configuration is
-// read_planner_test.
+// plan -> populate pipeline, and eviction of stale residents. Planning
+// against an installed configuration is read_planner_test.
 #include <gtest/gtest.h>
 
 #include <limits>

@@ -186,9 +186,8 @@ TEST_F(CacheManagerTest, WeightHistogramCountsObjects) {
 }
 
 TEST_F(CacheManagerTest, LargerCacheNeverLowersValue) {
-  for (int i = 0; i < 50; ++i) {
-    // fresh estimator state per manager; record into each manager's estimator.
-  }
+  // make_manager builds a fresh estimator, so each manager records its
+  // own accesses.
   auto small = make_manager(5_MB);
   for (int k = 0; k < 10; ++k) {
     for (int i = 0; i < 100 - k * 10; ++i) {
