@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare benchmark runs of a parent commit and a change.
 
-    scripts/bench_compare.py PARENT CHANGE [--benchmark BENCHMARK.json]
+    scripts/bench_compare.py PARENT CHANGE
 
 PARENT and CHANGE each hold the standard output of
 `python3 benchmark/run.py --trace 0` invocations, appended in the order
@@ -35,7 +35,9 @@ import os
 import statistics
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK_JSON = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "BENCHMARK.json")
 
 
 def read_runs(lines):
@@ -57,15 +59,10 @@ def read_runs(lines):
     return runs
 
 
-def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def verdict(parent, change, better, bound):
     """One metric's row: the values of each side in pair order."""
     sign = 1.0 if better == "higher" else -1.0
-    p_q1, p_med, p_q3 = quartiles(parent)
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
     c_med = statistics.median(change)
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     gain = sign * (c_med - p_med)
@@ -112,7 +109,8 @@ def compare(parent_runs, change_runs, end_to_end):
                           metric["better"], metric["bound"])
             row.update(name=name, unit=metric["unit"], bound=metric["bound"])
             rows.append(row)
-        report[workload] = {"rows": rows, "parent_failed": failed_share(parent),
+        report[workload] = {"rows": rows,
+                            "parent_failed": failed_share(parent),
                             "change_failed": failed_share(change)}
     return report
 
@@ -133,8 +131,9 @@ def print_report(report, out):
         print(header, file=out)
         for r in entry["rows"]:
             quart = f"{r['parent_q1']:.6g}-{r['parent_q3']:.6g}"
-            print(f"{r['name']:<14} {r['unit']:<8} {r['parent_median']:>14.6g} "
-                  f"{quart:>23} {r['change_median']:>14.6g} "
+            print(f"{r['name']:<14} {r['unit']:<8} "
+                  f"{r['parent_median']:>14.6g} {quart:>23} "
+                  f"{r['change_median']:>14.6g} "
                   f"{r['wins']:>3}/{r['pairs']:<2} {r['bound']:>6.0%}  "
                   f"{r['verdict']}", file=out)
         if share(cf) > share(pf):
@@ -147,11 +146,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="run.py output of the parent commit")
     parser.add_argument("change", help="run.py output of the change")
-    parser.add_argument("--benchmark",
-                        default=os.path.join(ROOT, "BENCHMARK.json"))
     args = parser.parse_args(argv)
     try:
-        with open(args.benchmark) as f:
+        with open(BENCHMARK_JSON) as f:
             end_to_end = json.load(f)["end_to_end"]
         with open(args.parent) as f:
             parent_runs = read_runs(f)
