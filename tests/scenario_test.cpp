@@ -240,6 +240,29 @@ client::ExperimentResult run_system(const client::ExperimentConfig& config,
   return api::run(spec).result;
 }
 
+// Every completion lands in exactly one window, so a run's windows sum to
+// the run in every read count and in latency samples.
+void expect_windows_sum_to_run(const client::RunResult& run) {
+  ASSERT_FALSE(run.windows.empty());
+  std::uint64_t ops = 0, full = 0, partial = 0, failed = 0, degraded = 0;
+  std::uint64_t samples = 0;
+  for (const auto& w : run.windows) {
+    ops += w.ops;
+    full += w.full_hits;
+    partial += w.partial_hits;
+    failed += w.failed_reads;
+    degraded += w.degraded_reads;
+    samples += w.ops - w.failed_reads;  // the window's latency samples
+  }
+  EXPECT_EQ(ops, run.ops);
+  EXPECT_EQ(full, run.full_hits);
+  EXPECT_EQ(partial, run.partial_hits);
+  EXPECT_EQ(failed, run.failed_reads);
+  EXPECT_EQ(degraded, run.degraded_reads);
+  EXPECT_EQ(samples, run.latencies.count());
+  EXPECT_EQ(run.latencies.count(), run.ops - run.failed_reads);
+}
+
 TEST(ScenarioRunner, OutageProducesCountedFailedReadsNotCrashes) {
   auto config = small_config();
   // Two regions down simultaneously leaves only 8 of 12 chunks — every
@@ -255,15 +278,22 @@ TEST(ScenarioRunner, OutageProducesCountedFailedReadsNotCrashes) {
   EXPECT_EQ(run.scenario_events_fired, 4u);
   // Windowed series: every completion landed in a window; failures
   // cluster in the outage windows, none after recovery.
-  ASSERT_FALSE(run.windows.empty());
-  std::uint64_t window_ops = 0, window_failed = 0;
-  for (const auto& w : run.windows) {
-    window_ops += w.ops;
-    window_failed += w.failed_reads;
-  }
-  EXPECT_EQ(window_ops, run.ops);
-  EXPECT_EQ(window_failed, run.failed_reads);
+  expect_windows_sum_to_run(run);
   EXPECT_EQ(run.windows.back().failed_reads, 0u);
+
+  // Two caching lanes under the same outage, long enough for Agar to
+  // reconfigure: the windows of both lanes merge into the run's.
+  config.client_regions = {sim::region::kFrankfurt, sim::region::kTokyo};
+  config.ops_per_run = 600;
+  const auto cached = run_system(
+      config, {"system=agar", "cache_bytes=64KB", "period_s=1"});
+  const auto& crun = cached.runs[0];
+  EXPECT_EQ(crun.ops, 600u);
+  EXPECT_GT(crun.full_hits, 0u);
+  EXPECT_GT(crun.partial_hits, 0u);
+  EXPECT_GT(crun.failed_reads, 0u);
+  EXPECT_GT(crun.degraded_reads, 0u);
+  expect_windows_sum_to_run(crun);
 }
 
 TEST(ScenarioRunner, LastWindowEndsWithTheRun) {
