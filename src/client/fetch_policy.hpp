@@ -54,6 +54,17 @@ struct FetchPolicyStats {
   std::uint64_t hedges_won = 0;     ///< hedge finished first
   std::uint64_t hedges_wasted = 0;  ///< primary won with the hedge in flight
   std::uint64_t exhausted = 0;      ///< fetches that gave up (caller hears nullopt)
+
+  /// Add another lane's policy counts.
+  void merge(const FetchPolicyStats& other) {
+    attempts += other.attempts;
+    timeouts += other.timeouts;
+    retries += other.retries;
+    hedges_issued += other.hedges_issued;
+    hedges_won += other.hedges_won;
+    hedges_wasted += other.hedges_wasted;
+    exhausted += other.exhausted;
+  }
 };
 
 struct FetchPolicyParams {

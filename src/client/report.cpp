@@ -112,18 +112,18 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
           << ", \"failed_reads\": " << run.failed_reads
           << ", \"degraded_reads\": " << run.degraded_reads
           << ", \"scenario_events\": " << run.scenario_events_fired
-          << ", \"wire_fetches\": " << run.wire_fetches
+          << ", \"wire_fetches\": " << run.network.wire_fetches
           << ", \"coalesced_fetches\": " << run.coalesced_fetches
-          << ", \"queued_fetches\": " << run.queued_fetches
-          << ", \"max_queue_depth\": " << run.max_queue_depth
-          << ", \"max_net_in_flight\": " << run.max_net_in_flight
+          << ", \"queued_fetches\": " << run.network.queued_fetches
+          << ", \"max_queue_depth\": " << run.network.max_queue_depth
+          << ", \"max_net_in_flight\": " << run.network.max_in_flight
           << ", \"max_reads_in_flight\": " << run.max_reads_in_flight
           // Failed wire fetches split by mode: outage aborts, FIFO kills,
           // gray-drop timeouts.
           << ", \"fetch_failures\": {\"aborted_on_wire\": "
-          << run.aborted_on_wire
-          << ", \"failed_in_queue\": " << run.failed_in_queue
-          << ", \"timed_out\": " << run.timed_out_fetches << "}"
+          << run.network.aborted_on_wire
+          << ", \"failed_in_queue\": " << run.network.failed_in_queue
+          << ", \"timed_out\": " << run.network.timed_out << "}"
           // Full cache counter set (admission/rejection/eviction telemetry)
           // plus the codec's decode-plan cache, so bench JSON captures the
           // whole instrumented data plane.
@@ -139,10 +139,11 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
           // Control-plane telemetry: planner timing (wall clock — the
           // golden diffs normalize it) and config churn.
           << ", \"control_plane\": {\"reconfigurations\": "
-          << run.reconfigurations
-          << ", \"planning_ms\": " << num(run.planning_ms)
-          << ", \"chunks_installed\": " << run.config_chunks_installed
-          << ", \"chunks_evicted\": " << run.config_chunks_evicted << "}";
+          << run.control_plane.reconfigurations
+          << ", \"planning_ms\": " << num(run.control_plane.planning_ms)
+          << ", \"chunks_installed\": " << run.control_plane.chunks_installed
+          << ", \"chunks_evicted\": " << run.control_plane.chunks_evicted
+          << "}";
       // Configured objects per option weight (Fig. 10): present only for
       // systems that hold a configuration (Agar, LFU-c).
       if (!run.weight_histogram.empty()) {
@@ -157,13 +158,14 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
       // Fetch-policy telemetry: present only when a policy ran (the
       // region_success_ewma vector is empty under fetch=none).
       if (!run.region_success_ewma.empty()) {
-        out << ", \"fetch\": {\"attempts\": " << run.fetch_attempts
-            << ", \"timeouts\": " << run.fetch_timeouts
-            << ", \"retries\": " << run.fetch_retries
-            << ", \"hedges_issued\": " << run.hedges_issued
-            << ", \"hedges_won\": " << run.hedges_won
-            << ", \"hedges_wasted\": " << run.hedges_wasted
-            << ", \"exhausted\": " << run.fetch_exhausted
+        const FetchPolicyStats& f = run.fetch;
+        out << ", \"fetch\": {\"attempts\": " << f.attempts
+            << ", \"timeouts\": " << f.timeouts
+            << ", \"retries\": " << f.retries
+            << ", \"hedges_issued\": " << f.hedges_issued
+            << ", \"hedges_won\": " << f.hedges_won
+            << ", \"hedges_wasted\": " << f.hedges_wasted
+            << ", \"exhausted\": " << f.exhausted
             << ", \"region_success_ewma\": [";
         for (std::size_t e = 0; e < run.region_success_ewma.size(); ++e) {
           out << (e > 0 ? ", " : "") << num(run.region_success_ewma[e]);
@@ -172,18 +174,18 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
       }
       // Cooperative-tier telemetry: present only when a CollabRuntime ran
       // (collab=none stays byte-identical to the pre-collab format).
-      if (run.collab_active) {
-        out << ", \"collab\": {\"peer_hits\": " << run.collab_peer_hits
-            << ", \"peer_misses\": " << run.collab_peer_misses
-            << ", \"bytes_from_peers\": " << run.collab_bytes_from_peers
-            << ", \"bytes_from_backend\": " << run.collab_bytes_from_backend
-            << ", \"stale_config_reads\": " << run.stale_config_reads
-            << ", \"paxos_appends\": " << run.paxos_appends
-            << ", \"paxos_append_failures\": " << run.paxos_append_failures
-            << ", \"paxos_append_p50_ms\": " << num(run.paxos_append_p50_ms)
-            << ", \"paxos_append_p99_ms\": " << num(run.paxos_append_p99_ms)
-            << ", \"config_epochs\": " << run.config_epochs
-            << ", \"config_overlap\": " << num(run.config_overlap) << "}";
+      if (const auto& c = run.collab) {
+        out << ", \"collab\": {\"peer_hits\": " << c->peer_hits
+            << ", \"peer_misses\": " << c->peer_misses
+            << ", \"bytes_from_peers\": " << c->bytes_from_peers
+            << ", \"bytes_from_backend\": " << c->bytes_from_backend
+            << ", \"stale_config_reads\": " << c->stale_config_reads
+            << ", \"paxos_appends\": " << c->paxos_appends
+            << ", \"paxos_append_failures\": " << c->paxos_append_failures
+            << ", \"paxos_append_p50_ms\": " << num(c->paxos_append_p50_ms)
+            << ", \"paxos_append_p99_ms\": " << num(c->paxos_append_p99_ms)
+            << ", \"config_epochs\": " << c->config_epochs
+            << ", \"config_overlap\": " << num(c->config_overlap) << "}";
       }
       // Windowed time series (scenario runs with window_ms set): the
       // per-window latency/hit/failure shape adaptation is judged by.
@@ -195,15 +197,15 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
           out << "\n      {\"start_ms\": " << num(win.start_ms)
               << ", \"end_ms\": " << num(win.end_ms)
               << ", \"ops\": " << win.ops
-              << ", \"mean_ms\": " << num(win.mean_ms)
-              << ", \"p50_ms\": " << num(win.p50_ms)
-              << ", \"p99_ms\": " << num(win.p99_ms)
+              << ", \"mean_ms\": " << num(win.mean_latency_ms())
+              << ", \"p50_ms\": " << num(win.percentile_ms(50))
+              << ", \"p99_ms\": " << num(win.percentile_ms(99))
               << ", \"hit_ratio\": " << num(win.hit_ratio())
               << ", \"full_hits\": " << win.full_hits
               << ", \"partial_hits\": " << win.partial_hits
               << ", \"failed_reads\": " << win.failed_reads
               << ", \"degraded_reads\": " << win.degraded_reads;
-          if (run.collab_active) {
+          if (run.collab) {
             out << ", \"collab_peer_hits\": " << win.collab_peer_hits
                 << ", \"collab_stale_reads\": " << win.collab_stale_reads;
           }

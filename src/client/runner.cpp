@@ -68,134 +68,84 @@ Lane::Lane(const ExperimentConfig& config, const StrategyFactory& factory,
 void Lane::begin_read() {
   ++issued_;
   ++reads_in_flight_;
-  counts_.max_reads_in_flight =
-      std::max(counts_.max_reads_in_flight, reads_in_flight_);
+  max_reads_in_flight_ = std::max(max_reads_in_flight_, reads_in_flight_);
+}
+
+void ReadStats::add(const ReadResult& r) {
+  ++ops;
+  if (r.failed) {
+    ++failed_reads;
+    return;
+  }
+  latencies.add(r.latency_ms);
+  if (r.full_hit) ++full_hits;
+  if (r.partial_hit && !r.full_hit) ++partial_hits;
+  if (r.verified) ++verified;
+  if (r.degraded) ++degraded_reads;
+}
+
+void ReadStats::merge(const ReadStats& other) {
+  ops += other.ops;
+  full_hits += other.full_hits;
+  partial_hits += other.partial_hits;
+  verified += other.verified;
+  failed_reads += other.failed_reads;
+  degraded_reads += other.degraded_reads;
+  latencies.merge(other.latencies);
 }
 
 void Lane::record(const ReadResult& r) {
   const SimTimeMs now = loop_->now();
-  ++counts_.ops;
+  reads_.add(r);
   if (collab_ != nullptr) collab_->note_read(index_);
-  if (r.failed) {
-    ++counts_.failed_reads;
-  } else {
-    counts_.latencies.add(r.latency_ms);
-    if (r.full_hit) ++counts_.full_hits;
-    if (r.partial_hit && !r.full_hit) ++counts_.partial_hits;
-    if (r.verified) ++counts_.verified;
-    if (r.degraded) ++counts_.degraded_reads;
-  }
   if (window_ms_ > 0.0) {
     const std::size_t w =
         now > 0.0 ? static_cast<std::size_t>(std::floor(now / window_ms_))
                   : 0;
     if (windows_.size() <= w) windows_.resize(w + 1);
-    Window& win = windows_[w];
-    ++win.ops;
-    if (r.failed) {
-      ++win.failed;
-    } else {
-      win.latencies.add(r.latency_ms);
-      if (r.full_hit) ++win.full;
-      if (r.partial_hit && !r.full_hit) ++win.partial;
-      if (r.degraded) ++win.degraded;
-    }
+    WindowStats& win = windows_[w];
+    win.add(r);
     if (collab_ != nullptr) {
       // The window this completion lands in takes what the collab tier
       // counted for this lane since the lane's previous completion.
-      const collab::CollabRuntime::LaneStats& cs = collab_->lane_stats(index_);
-      win.peer_hits += cs.peer_hits - peer_hits_seen_;
-      win.stale += cs.stale_reads - stale_reads_seen_;
+      const collab::CollabStats& cs = collab_->lane_stats(index_);
+      win.collab_peer_hits += cs.peer_hits - peer_hits_seen_;
+      win.collab_stale_reads += cs.stale_config_reads - stale_reads_seen_;
       peer_hits_seen_ = cs.peer_hits;
-      stale_reads_seen_ = cs.stale_reads;
+      stale_reads_seen_ = cs.stale_config_reads;
     }
   }
-  ++completed_;
   --reads_in_flight_;
-  counts_.duration_ms = std::max(counts_.duration_ms, now);
+  last_completion_ms_ = std::max(last_completion_ms_, now);
 }
 
 RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
                       Deployment& deployment) {
+  // Lanes merge in lane order: latency samples, float sums and window
+  // histograms accumulate in that order. In-flight peaks add across lanes,
+  // which run side by side.
   RunResult result;
-
-  // Materialize the windowed time series: each window's histograms merged
-  // across lanes in lane order, counters alongside.
-  const SimTimeMs window_ms = lanes.front()->window_ms_;
-  if (window_ms > 0.0) {
-    std::size_t n = 0;
-    for (const auto& lane : lanes) n = std::max(n, lane->windows_.size());
-    result.windows.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      WindowStats ws;
-      ws.start_ms = static_cast<double>(w) * window_ms;
-      ws.end_ms = ws.start_ms + window_ms;
-      stats::Histogram merged;
-      for (const auto& lane : lanes) {
-        if (w >= lane->windows_.size()) continue;
-        const Lane::Window& win = lane->windows_[w];
-        ws.ops += win.ops;
-        ws.full_hits += win.full;
-        ws.partial_hits += win.partial;
-        ws.failed_reads += win.failed;
-        ws.degraded_reads += win.degraded;
-        ws.collab_peer_hits += win.peer_hits;
-        ws.collab_stale_reads += win.stale;
-        merged.merge(win.latencies);
-      }
-      if (merged.count() > 0) {
-        ws.mean_ms = merged.mean();
-        ws.p50_ms = merged.percentile(50);
-        ws.p99_ms = merged.percentile(99);
-      }
-      result.windows.push_back(ws);
-    }
-  }
-
-  // Merge lane results in lane order, then the per-lane pipeline gauges:
-  // peaks that were per-region stay maxima, per-lane concurrency peaks sum.
   std::vector<double> ewma_sum, ewma_weight;  // per region, across lanes
   bool any_policy = false;
   for (const auto& lane : lanes) {
-    const RunResult& p = lane->counts_;
-    result.latencies.merge(p.latencies);
-    result.ops += p.ops;
-    result.full_hits += p.full_hits;
-    result.partial_hits += p.partial_hits;
-    result.verified += p.verified;
-    result.failed_reads += p.failed_reads;
-    result.degraded_reads += p.degraded_reads;
-    result.duration_ms = std::max(result.duration_ms, p.duration_ms);
-    result.max_reads_in_flight += p.max_reads_in_flight;
-
-    sim::Network& network = deployment.lane_network(lane->index_);
-    result.wire_fetches += network.wire_fetches();
-    result.queued_fetches += network.queued_fetches();
-    result.max_queue_depth =
-        std::max(result.max_queue_depth, network.max_queue_depth());
-    result.max_net_in_flight += network.max_in_flight();
-    result.aborted_on_wire += network.aborted_on_wire();
-    result.failed_in_queue += network.failed_in_queue();
-    result.timed_out_fetches += network.timed_out();
+    result.merge(lane->reads_);
+    if (result.windows.size() < lane->windows_.size()) {
+      result.windows.resize(lane->windows_.size());
+    }
+    for (std::size_t w = 0; w < lane->windows_.size(); ++w) {
+      result.windows[w].merge(lane->windows_[w]);
+    }
+    result.duration_ms =
+        std::max(result.duration_ms, lane->last_completion_ms_);
+    result.max_reads_in_flight += lane->max_reads_in_flight_;
+    result.network.merge(deployment.lane_network(lane->index_).stats());
 
     ReadStrategy& strategy = *lane->strategy_;
     result.coalesced_fetches += strategy.fetch_coordinator().coalesced();
-    const core::ControlPlaneStats cp = strategy.control_plane_stats();
-    result.reconfigurations += cp.reconfigurations;
-    result.planning_ms += cp.planning_ms;
-    result.config_chunks_installed += cp.chunks_installed;
-    result.config_chunks_evicted += cp.chunks_evicted;
-
+    result.control_plane.merge(strategy.control_plane_stats());
     if (const FetchPolicy* policy = strategy.fetch_policy()) {
       any_policy = true;
-      const FetchPolicyStats& fs = policy->stats();
-      result.fetch_attempts += fs.attempts;
-      result.fetch_timeouts += fs.timeouts;
-      result.fetch_retries += fs.retries;
-      result.hedges_issued += fs.hedges_issued;
-      result.hedges_won += fs.hedges_won;
-      result.hedges_wasted += fs.hedges_wasted;
-      result.fetch_exhausted += fs.exhausted;
+      result.fetch.merge(policy->stats());
       if (ewma_sum.size() < policy->num_regions()) {
         ewma_sum.resize(policy->num_regions(), 0.0);
         ewma_weight.resize(policy->num_regions(), 0.0);
@@ -214,7 +164,13 @@ RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
     result.decode_plan_hits += rs.decode_plan_hits();
     result.decode_plan_misses += rs.decode_plan_misses();
   }
-  // The last window holds the run's last completion and ends with it.
+  // Window w spans [w, w + 1) * window_ms; the last one holds the run's
+  // last completion and ends with it.
+  const SimTimeMs window_ms = lanes.front()->window_ms_;
+  for (std::size_t w = 0; w < result.windows.size(); ++w) {
+    result.windows[w].start_ms = static_cast<double>(w) * window_ms;
+    result.windows[w].end_ms = result.windows[w].start_ms + window_ms;
+  }
   if (!result.windows.empty()) {
     result.windows.back().end_ms = result.duration_ms;
   }
@@ -426,19 +382,7 @@ RunResult run_once(const ExperimentConfig& config,
     std::vector<ReadStrategy*> strategies;
     strategies.reserve(num_lanes);
     for (const auto& lane : lanes) strategies.push_back(&lane->strategy());
-    const collab::CollabRuntime::Summary s = crt->summarize(strategies);
-    result.collab_active = true;
-    result.collab_peer_hits = s.peer_hits;
-    result.collab_peer_misses = s.peer_misses;
-    result.collab_bytes_from_peers = s.bytes_from_peers;
-    result.collab_bytes_from_backend = s.bytes_from_backend;
-    result.stale_config_reads = s.stale_config_reads;
-    result.paxos_appends = s.paxos_appends;
-    result.paxos_append_failures = s.paxos_append_failures;
-    result.paxos_append_p50_ms = s.paxos_append_p50_ms;
-    result.paxos_append_p99_ms = s.paxos_append_p99_ms;
-    result.config_epochs = s.config_epochs;
-    result.config_overlap = s.config_overlap;
+    result.collab = crt->summarize(strategies);
   }
   return result;
 }
@@ -513,7 +457,7 @@ std::uint64_t ExperimentResult::total_coalesced_fetches() const {
 
 std::uint64_t ExperimentResult::total_wire_fetches() const {
   std::uint64_t acc = 0;
-  for (const auto& r : runs) acc += r.wire_fetches;
+  for (const auto& r : runs) acc += r.network.wire_fetches;
   return acc;
 }
 

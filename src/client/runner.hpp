@@ -8,16 +8,18 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
-#include <map>
 #include <vector>
 
 #include "api/param_map.hpp"
 #include "cache/cache.hpp"
 #include "client/strategy.hpp"
 #include "client/workload.hpp"
+#include "collab/peer_info.hpp"
 #include "ec/reed_solomon.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/network.hpp"
@@ -153,38 +155,12 @@ struct ExperimentConfig {
   }
 };
 
-/// One fixed time window of a run's time series — the unit adaptation is
-/// measured in. The last window ends at the run's last completion
-/// (duration_ms), not a whole window later. Latency stats cover successful
-/// reads only; failed reads are counted, not averaged in.
-struct WindowStats {
-  SimTimeMs start_ms = 0.0;
-  SimTimeMs end_ms = 0.0;
-  std::uint64_t ops = 0;          ///< completions in the window (incl. failed)
-  std::uint64_t full_hits = 0;
-  std::uint64_t partial_hits = 0;
-  std::uint64_t failed_reads = 0;
-  std::uint64_t degraded_reads = 0;  ///< succeeded off the fallback path
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  /// Cooperative tier (collab=broadcast only; zero otherwise): chunk
-  /// fetches served by a peer cache, and reads issued while this region's
-  /// learned config epoch was ahead of the applied one.
-  std::uint64_t collab_peer_hits = 0;
-  std::uint64_t collab_stale_reads = 0;
-
-  [[nodiscard]] double hit_ratio() const {
-    return ops == 0 ? 0.0
-                    : static_cast<double>(full_hits + partial_hits) /
-                          static_cast<double>(ops);
-  }
-};
-
-/// Outcome of one run.
-struct RunResult {
-  stats::Histogram latencies;  ///< successful reads only
-  std::uint64_t ops = 0;       ///< completed reads, including failed ones
+/// The read counters. One function classifies a completed read (`add`)
+/// and one merges (`merge`); each lane's total, each of its metric windows
+/// and the run all keep them. Latency stats cover successful reads only:
+/// failed reads are counted, not averaged in.
+struct ReadStats {
+  std::uint64_t ops = 0;  ///< completed reads, including failed ones
   std::uint64_t full_hits = 0;
   std::uint64_t partial_hits = 0;  ///< at least one chunk from cache
   std::uint64_t verified = 0;
@@ -195,82 +171,74 @@ struct RunResult {
   /// substituted for a failed arm). Successes, counted in the latency
   /// stats, surfaced separately — graceful degradation at work.
   std::uint64_t degraded_reads = 0;
-  cache::CacheStats cache_stats;
-  std::size_t cache_used_bytes = 0;
-  /// Agar and LFU-c: configured objects per option weight (Fig. 10 data),
-  /// sorted by weight so consumers iterate deterministically.
-  std::map<std::size_t, std::size_t> weight_histogram;
-  /// Decode-plan cache of the deployment's codec: reconstructions that
-  /// found their inverted decode matrix memoized vs had to invert.
-  std::uint64_t decode_plan_hits = 0;
-  std::uint64_t decode_plan_misses = 0;
+  stats::Histogram latencies;  ///< successful reads only
 
-  // ------------------------- async pipeline observability (all regions)
-  SimTimeMs duration_ms = 0.0;        ///< virtual time of the last completion
-  std::uint64_t wire_fetches = 0;     ///< transfers actually put on the wire
-  std::uint64_t coalesced_fetches = 0;///< requests joined to in-flight ones
-  std::uint64_t queued_fetches = 0;   ///< fetches that waited in a region FIFO
-  std::size_t max_queue_depth = 0;    ///< deepest per-region FIFO observed
-  std::size_t max_net_in_flight = 0;  ///< peak concurrent wire transfers
-  std::size_t max_reads_in_flight = 0;///< peak concurrent reads (open loop)
-  std::uint64_t scenario_events_fired = 0;  ///< scripted events applied
-  /// Failed wire fetches by mode (all lanes): aborted on the wire by an
-  /// outage, failed while queued in a region FIFO, or timed out (gray
-  /// drop — the response was lost and discovery took drop_latency_mult×).
-  std::uint64_t aborted_on_wire = 0;
-  std::uint64_t failed_in_queue = 0;
-  std::uint64_t timed_out_fetches = 0;
-
-  // ------------------------- fetch-policy telemetry (zero when fetch=none)
-  std::uint64_t fetch_attempts = 0;  ///< wire attempts incl. retries/hedges
-  std::uint64_t fetch_timeouts = 0;
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t hedges_issued = 0;
-  std::uint64_t hedges_won = 0;
-  std::uint64_t hedges_wasted = 0;
-  std::uint64_t fetch_exhausted = 0;  ///< fetches that gave up after retries
-  /// Per-destination-region fetch success EWMA (1 = healthy), merged
-  /// across lanes weighted by sample count. Empty when no policy ran.
-  std::vector<double> region_success_ewma;
-
-  // ------------------------- control-plane observability (all regions)
-  std::uint64_t reconfigurations = 0;  ///< completed reconfigurations
-  double planning_ms = 0.0;            ///< wall-clock spent in the planner
-  /// Config churn: configured chunks added / dropped across all
-  /// reconfigurations (a stable control plane installs and evicts little).
-  std::uint64_t config_chunks_installed = 0;
-  std::uint64_t config_chunks_evicted = 0;
-
-  // ------------------------- cooperative cache tier (collab=broadcast)
-  /// True when a CollabRuntime ran; all fields below stay zero otherwise
-  /// (and the report elides the block, keeping collab=none byte-identical).
-  bool collab_active = false;
-  std::uint64_t collab_peer_hits = 0;    ///< chunk fetches served by a peer
-  std::uint64_t collab_peer_misses = 0;  ///< peer lookups that fell through
-  std::uint64_t collab_bytes_from_peers = 0;
-  std::uint64_t collab_bytes_from_backend = 0;
-  /// Reads issued while a region had learned a newer config epoch than it
-  /// had applied (the stale-configuration window the Paxos log bounds).
-  std::uint64_t stale_config_reads = 0;
-  std::uint64_t paxos_appends = 0;          ///< config-log append attempts
-  std::uint64_t paxos_append_failures = 0;  ///< partition/quorum losses
-  double paxos_append_p50_ms = 0.0;
-  double paxos_append_p99_ms = 0.0;
-  std::uint64_t config_epochs = 0;  ///< decided prefix of the config log
-  /// Mean pairwise cache-content overlap across regions at run end
-  /// (collab::OverlapReport::shared_fraction).
-  double config_overlap = 0.0;
-
-  /// Windowed time series (metric_window_ms > 0), windows with no
-  /// completions included so indices line up with virtual time.
-  std::vector<WindowStats> windows;
+  /// Count one completed read.
+  void add(const ReadResult& r);
+  /// Add another's counts; its latency samples follow this one's.
+  void merge(const ReadStats& other);
 
   [[nodiscard]] double mean_latency_ms() const { return latencies.mean(); }
+  /// Nearest-rank latency percentile, 0 with no successful read.
+  [[nodiscard]] double percentile_ms(double q) const {
+    return latencies.count() == 0 ? 0.0 : latencies.percentile(q);
+  }
   [[nodiscard]] double hit_ratio() const {
     return ops == 0 ? 0.0
                     : static_cast<double>(full_hits + partial_hits) /
                           static_cast<double>(ops);
   }
+};
+
+/// One fixed time window of a run's time series — the unit adaptation is
+/// measured in: the reads that completed in it. The last window ends at
+/// the run's last completion (duration_ms), not a whole window later.
+struct WindowStats : ReadStats {
+  SimTimeMs start_ms = 0.0;
+  SimTimeMs end_ms = 0.0;
+  /// Cooperative tier (collab=broadcast only; zero otherwise): chunk
+  /// fetches served by a peer cache, and reads issued while this region's
+  /// learned config epoch was ahead of the applied one.
+  std::uint64_t collab_peer_hits = 0;
+  std::uint64_t collab_stale_reads = 0;
+
+  /// Add another lane's window of the same span.
+  void merge(const WindowStats& other) {
+    ReadStats::merge(other);
+    collab_peer_hits += other.collab_peer_hits;
+    collab_stale_reads += other.collab_stale_reads;
+  }
+};
+
+/// Outcome of one run: its read counters plus each subsystem's own stats,
+/// merged across lanes.
+struct RunResult : ReadStats {
+  SimTimeMs duration_ms = 0.0;  ///< virtual time of the last completion
+  std::size_t max_reads_in_flight = 0;  ///< per-lane peaks, summed
+  std::uint64_t coalesced_fetches = 0;  ///< requests joined to in-flight ones
+  std::uint64_t scenario_events_fired = 0;  ///< scripted events applied
+  cache::CacheStats cache_stats;  ///< lane 0's cache
+  std::size_t cache_used_bytes = 0;
+  /// Agar and LFU-c: configured objects per option weight (Fig. 10 data),
+  /// sorted by weight so consumers iterate deterministically.
+  std::map<std::size_t, std::size_t> weight_histogram;
+  /// Decode-plan caches of every lane's codec: reconstructions that found
+  /// their inverted decode matrix memoized vs had to invert.
+  std::uint64_t decode_plan_hits = 0;
+  std::uint64_t decode_plan_misses = 0;
+  sim::NetworkStats network;
+  FetchPolicyStats fetch;  ///< zero when fetch=none
+  /// Per-destination-region fetch success EWMA (1 = healthy), merged
+  /// across lanes weighted by sample count. Empty when no policy ran.
+  std::vector<double> region_success_ewma;
+  core::ControlPlaneStats control_plane;
+  /// Set only when a cooperative tier ran (collab=broadcast), so the
+  /// report can leave the block out and keep collab=none byte-identical.
+  std::optional<collab::CollabStats> collab;
+  /// Windowed time series (metric_window_ms > 0), windows with no
+  /// completions included so indices line up with virtual time.
+  std::vector<WindowStats> windows;
+
   /// Completed reads per second of virtual time.
   [[nodiscard]] double throughput_ops_per_s() const {
     return duration_ms <= 0.0
@@ -335,7 +303,7 @@ class Lane {
 
   [[nodiscard]] ReadStrategy& strategy() { return *strategy_; }
   [[nodiscard]] std::size_t issued() const { return issued_; }
-  [[nodiscard]] std::size_t completed() const { return completed_; }
+  [[nodiscard]] std::size_t completed() const { return reads_.ops; }
 
   /// Also account each completed read with the cooperative tier.
   void set_collab(collab::CollabRuntime* collab) { collab_ = collab; }
@@ -349,26 +317,19 @@ class Lane {
   friend RunResult merge_lanes(std::span<const std::unique_ptr<Lane>> lanes,
                                Deployment& deployment);
 
-  /// One metric window of this lane: the reads that completed in it and
-  /// the latencies of the successful ones.
-  struct Window {
-    std::uint64_t ops = 0, full = 0, partial = 0, failed = 0, degraded = 0;
-    std::uint64_t peer_hits = 0, stale = 0;  // collab tier only
-    stats::Histogram latencies;
-  };
-
   std::size_t index_;
   sim::EventLoop* loop_;
   std::unique_ptr<ReadStrategy> strategy_;
   collab::CollabRuntime* collab_ = nullptr;
-  RunResult counts_;  ///< read counters; merge_lanes adds the rest
+  ReadStats reads_;
   std::size_t issued_ = 0;
-  std::size_t completed_ = 0;
   std::size_t reads_in_flight_ = 0;
+  std::size_t max_reads_in_flight_ = 0;
+  SimTimeMs last_completion_ms_ = 0.0;
   SimTimeMs window_ms_;  ///< 0 = no windows
   /// Window i covers [i, i + 1) * window_ms_; windows with no completion
-  /// are kept, so indices map to virtual time.
-  std::vector<Window> windows_;
+  /// are kept, so indices map to virtual time. merge_lanes sets the spans.
+  std::vector<WindowStats> windows_;
   /// The collab tier's cumulative peer hits and stale reads of this lane
   /// at its previous completion.
   std::uint64_t peer_hits_seen_ = 0;
@@ -377,9 +338,9 @@ class Lane {
 
 /// The run's result so far: lanes merged in lane order (float accumulation
 /// order is part of the determinism contract) with their windows, network,
-/// fetch-policy and control-plane telemetry, lane 0's cache snapshot and
-/// every lane's decode-plan counters. Run-wide parts (scenario, collab
-/// summary) are the caller's.
+/// fetch-policy and control-plane stats, lane 0's cache snapshot and every
+/// lane's decode-plan counters. Run-wide parts (scenario, collab summary)
+/// are the caller's.
 [[nodiscard]] RunResult merge_lanes(
     std::span<const std::unique_ptr<Lane>> lanes, Deployment& deployment);
 

@@ -99,7 +99,7 @@ RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
 
 void CollabRuntime::fetch_done(std::size_t lane, RegionId target,
                                RegionId home, std::size_t bytes, bool ok) {
-  LaneStats& stats = lanes_[lane].stats;
+  CollabStats& stats = lanes_[lane].stats;
   if (!ok) return;  // failures are visible in the network/policy counters
   if (target != home) {
     ++stats.peer_hits;
@@ -143,8 +143,8 @@ void CollabRuntime::on_reconfigure(std::size_t lane) {
   if (!connected(lane, self, leader)) {
     // The log's region is across the cut: the append request cannot even
     // be sent. Counted as a failed append with no latency sample.
-    ++st.stats.appends;
-    ++st.stats.append_failures;
+    ++st.stats.paxos_appends;
+    ++st.stats.paxos_append_failures;
     return;
   }
   const SimTimeMs now = engine_->loop_of_lane(lane).now();
@@ -176,12 +176,12 @@ void CollabRuntime::serve_append(std::size_t lane, const std::string& record) {
 
 void CollabRuntime::record_append(std::size_t lane,
                                   const paxos::AppendOutcome& outcome) {
-  LaneStats& stats = lanes_[lane].stats;
-  ++stats.appends;
+  LaneState& st = lanes_[lane];
+  ++st.stats.paxos_appends;
   if (outcome.ok) {
-    stats.append_latencies.push_back(outcome.latency_ms);
+    st.append_latencies.push_back(outcome.latency_ms);
   } else {
-    ++stats.append_failures;
+    ++st.stats.paxos_append_failures;
   }
 }
 
@@ -201,7 +201,7 @@ void CollabRuntime::learn(std::size_t lane, std::uint64_t epoch) {
 
 void CollabRuntime::note_read(std::size_t lane) {
   LaneState& st = lanes_[lane];
-  if (st.learned_epoch > st.applied_epoch) ++st.stats.stale_reads;
+  if (st.learned_epoch > st.applied_epoch) ++st.stats.stale_config_reads;
 }
 
 void CollabRuntime::set_partition(std::size_t lane,
@@ -214,19 +214,13 @@ void CollabRuntime::heal_partition(std::size_t lane) {
   lanes_[lane].partition.clear();
 }
 
-CollabRuntime::Summary CollabRuntime::summarize(
+CollabStats CollabRuntime::summarize(
     const std::vector<client::ReadStrategy*>& strategies) {
-  Summary out;
+  CollabStats out;
   stats::Histogram latencies;
   for (const LaneState& lane : lanes_) {
-    out.peer_hits += lane.stats.peer_hits;
-    out.peer_misses += lane.stats.peer_misses;
-    out.bytes_from_peers += lane.stats.bytes_from_peers;
-    out.bytes_from_backend += lane.stats.bytes_from_backend;
-    out.stale_config_reads += lane.stats.stale_reads;
-    out.paxos_appends += lane.stats.appends;
-    out.paxos_append_failures += lane.stats.append_failures;
-    for (const SimTimeMs ms : lane.stats.append_latencies) latencies.add(ms);
+    out.merge(lane.stats);
+    for (const SimTimeMs ms : lane.append_latencies) latencies.add(ms);
   }
   if (latencies.count() > 0) {
     out.paxos_append_p50_ms = latencies.percentile(50);

@@ -75,38 +75,6 @@ class CollabRuntime {
   /// (matching the ReplicatedLog's message_rtt_factor default).
   static constexpr double kMessageFactor = 0.3;
 
-  /// Per-lane counters. Mutated only from events executing on the owning
-  /// lane; read there by the lane's metric windows, and merged in lane
-  /// order by summarize().
-  struct LaneStats {
-    std::uint64_t peer_hits = 0;    ///< wire fetches served by a peer cache
-    std::uint64_t peer_misses = 0;  ///< directory consulted, no eligible peer
-    std::uint64_t bytes_from_peers = 0;
-    std::uint64_t bytes_from_backend = 0;
-    std::uint64_t stale_reads = 0;  ///< completions with learned > applied
-    std::uint64_t appends = 0;      ///< config-log appends attempted
-    std::uint64_t append_failures = 0;  ///< quorum loss or leader unreachable
-    std::vector<SimTimeMs> append_latencies;
-  };
-
-  /// Lane-order merge of every lane's counters plus the log/overlap state
-  /// that only exists once per run.
-  struct Summary {
-    std::uint64_t peer_hits = 0;
-    std::uint64_t peer_misses = 0;
-    std::uint64_t bytes_from_peers = 0;
-    std::uint64_t bytes_from_backend = 0;
-    std::uint64_t stale_config_reads = 0;
-    std::uint64_t paxos_appends = 0;
-    std::uint64_t paxos_append_failures = 0;
-    double paxos_append_p50_ms = 0.0;
-    double paxos_append_p99_ms = 0.0;
-    std::uint64_t config_epochs = 0;  ///< decided prefix of the config log
-    /// Mean pairwise shared_fraction of the lanes' final broadcast
-    /// snapshots — the dormant OverlapReport, finally wired to output.
-    double config_overlap = 0.0;
-  };
-
   /// `lane_networks[i]` serves lane i (the runner's partitions); lane 0's
   /// network also backs the replicated log's acceptor RTTs. All pointers
   /// are non-owning and must outlive the runtime.
@@ -141,14 +109,15 @@ class CollabRuntime {
 
   /// One lane's cumulative counters; read only from events executing on
   /// that lane, or after the run.
-  [[nodiscard]] const LaneStats& lane_stats(std::size_t lane) const {
+  [[nodiscard]] const CollabStats& lane_stats(std::size_t lane) const {
     return lanes_[lane].stats;
   }
 
   /// End-of-run (single-threaded, engine stopped): merge lane counters in
-  /// lane order and compute the configuration-overlap ratio from each
-  /// strategy's final broadcast snapshot.
-  [[nodiscard]] Summary summarize(
+  /// lane order, then add the append percentiles, the decided epochs and
+  /// the configuration-overlap ratio of each strategy's final broadcast
+  /// snapshot.
+  [[nodiscard]] CollabStats summarize(
       const std::vector<client::ReadStrategy*>& strategies);
 
  private:
@@ -161,7 +130,8 @@ class CollabRuntime {
     std::uint64_t reconfig_seq = 0;
     std::uint64_t learned_epoch = 0;
     std::uint64_t applied_epoch = 0;
-    LaneStats stats;
+    CollabStats stats;
+    std::vector<SimTimeMs> append_latencies;
   };
 
   [[nodiscard]] bool connected(std::size_t lane, RegionId a, RegionId b) const;

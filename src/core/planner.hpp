@@ -43,7 +43,7 @@ class Planner {
 
 /// Cumulative control-plane telemetry of one node: how often it re-planned,
 /// how long the planner ran, and how much the installed configuration
-/// churned. The runner folds every node's stats into RunResult.
+/// churned. The runner merges every node's stats into RunResult.
 struct ControlPlaneStats {
   std::uint64_t reconfigurations = 0;
   double planning_ms = 0.0;  ///< wall-clock spent inside Planner::plan
@@ -51,6 +51,14 @@ struct ControlPlaneStats {
   /// previous configuration (a stable plan installs and evicts nothing).
   std::uint64_t chunks_installed = 0;
   std::uint64_t chunks_evicted = 0;
+
+  /// Add another node's stats.
+  void merge(const ControlPlaneStats& other) {
+    reconfigurations += other.reconfigurations;
+    planning_ms += other.planning_ms;
+    chunks_installed += other.chunks_installed;
+    chunks_evicted += other.chunks_evicted;
+  }
 };
 
 }  // namespace agar::core

@@ -24,8 +24,8 @@ bool Network::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
   if (max_outstanding_per_region_ != 0 &&
       rs.wire.size() >= max_outstanding_per_region_) {
     rs.fifo.push_back(std::move(pending));
-    ++queued_fetches_;
-    max_queue_depth_ = std::max(max_queue_depth_, rs.fifo.size());
+    ++stats_.queued_fetches;
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, rs.fifo.size());
     return true;
   }
   start_wire(to, std::move(pending));
@@ -44,8 +44,8 @@ void Network::start_wire(RegionId to, PendingFetch pending) {
   const std::uint64_t id = next_wire_id_++;
   rs.wire.emplace(id, std::move(pending.cb));
   ++total_outstanding_;
-  ++wire_fetches_;
-  max_in_flight_ = std::max(max_in_flight_, total_outstanding_);
+  ++stats_.wire_fetches;
+  stats_.max_in_flight = std::max(stats_.max_in_flight, total_outstanding_);
   loop_->schedule_in(
       sample.latency_ms,
       [this, to, id, latency = sample.latency_ms, dropped = sample.dropped] {
@@ -62,7 +62,7 @@ void Network::start_wire(RegionId to, PendingFetch pending) {
         // FIFO.
         drain_queue(to);
         if (dropped) {
-          ++timed_out_;
+          ++stats_.timed_out;
           cb(std::nullopt);
         } else {
           cb(latency);
@@ -101,10 +101,12 @@ void Network::fail_region(RegionId r) {
   // them. Queued entries fail immediately too, instead of stranding until
   // an unrelated completion would have drained them.
   total_outstanding_ -= rs.wire.size();
-  for (auto& [id, cb] : rs.wire) deliver_failure(std::move(cb), aborted_on_wire_);
+  for (auto& [id, cb] : rs.wire) {
+    deliver_failure(std::move(cb), stats_.aborted_on_wire);
+  }
   rs.wire.clear();
   for (auto& pending : rs.fifo) {
-    deliver_failure(std::move(pending.cb), failed_in_queue_);
+    deliver_failure(std::move(pending.cb), stats_.failed_in_queue);
   }
   rs.fifo.clear();
 }

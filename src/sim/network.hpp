@@ -14,6 +14,7 @@
 // probes all go through `begin_fetch`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -27,6 +28,34 @@
 #include "sim/latency_model.hpp"
 
 namespace agar::sim {
+
+/// What one network partition counted. Failed fetches are split by mode:
+/// aborted on the wire by `fail_region`, failed while waiting in a region
+/// FIFO, or timed out on the wire (gray drop: the response was lost and
+/// the requester heard nothing until drop_latency_mult× the transfer
+/// time).
+struct NetworkStats {
+  std::uint64_t wire_fetches = 0;    ///< transfers put on the wire
+  std::uint64_t queued_fetches = 0;  ///< fetches that waited in a FIFO
+  std::size_t max_queue_depth = 0;   ///< deepest per-region FIFO
+  std::size_t max_in_flight = 0;     ///< peak concurrent wire transfers
+  std::uint64_t aborted_on_wire = 0;
+  std::uint64_t failed_in_queue = 0;
+  std::uint64_t timed_out = 0;
+
+  /// Fold in another lane's partition. Lanes run side by side, so their
+  /// in-flight peaks add; a FIFO belongs to one partition, so its depth
+  /// is a max.
+  void merge(const NetworkStats& other) {
+    wire_fetches += other.wire_fetches;
+    queued_fetches += other.queued_fetches;
+    max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
+    max_in_flight += other.max_in_flight;
+    aborted_on_wire += other.aborted_on_wire;
+    failed_in_queue += other.failed_in_queue;
+    timed_out += other.timed_out;
+  }
+};
 
 class Network {
  public:
@@ -52,9 +81,6 @@ class Network {
   /// fetches queue FIFO. 0 means unlimited.
   void set_max_outstanding_per_region(std::size_t limit) {
     max_outstanding_per_region_ = limit;
-  }
-  [[nodiscard]] std::size_t max_outstanding_per_region() const {
-    return max_outstanding_per_region_;
   }
 
   /// Start one asynchronous backend fetch. Returns false (and never calls
@@ -97,14 +123,7 @@ class Network {
       const std::vector<SimTimeMs>& latencies);
 
   // ------------------------------------------------------- observability
-  [[nodiscard]] std::uint64_t wire_fetches() const { return wire_fetches_; }
-  [[nodiscard]] std::uint64_t queued_fetches() const {
-    return queued_fetches_;
-  }
-  [[nodiscard]] std::size_t max_queue_depth() const {
-    return max_queue_depth_;
-  }
-  [[nodiscard]] std::size_t max_in_flight() const { return max_in_flight_; }
+  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t in_flight() const { return total_outstanding_; }
   [[nodiscard]] std::size_t outstanding(RegionId r) const {
     return region_states_[r].wire.size();
@@ -112,17 +131,6 @@ class Network {
   [[nodiscard]] std::size_t queue_depth(RegionId r) const {
     return region_states_[r].fifo.size();
   }
-  /// Fetches that completed with nullopt, by failure mode: aborted on the
-  /// wire by `fail_region`, failed while waiting in a region FIFO, or
-  /// timed out on the wire (gray drop: the response was lost and the
-  /// requester heard nothing until drop_latency_mult× the transfer time).
-  [[nodiscard]] std::uint64_t aborted_on_wire() const {
-    return aborted_on_wire_;
-  }
-  [[nodiscard]] std::uint64_t failed_in_queue() const {
-    return failed_in_queue_;
-  }
-  [[nodiscard]] std::uint64_t timed_out() const { return timed_out_; }
 
  private:
   struct PendingFetch {
@@ -151,14 +159,8 @@ class Network {
   std::vector<RegionState> region_states_;
   std::size_t max_outstanding_per_region_ = 64;
   std::size_t total_outstanding_ = 0;
-  std::size_t max_in_flight_ = 0;
-  std::size_t max_queue_depth_ = 0;
   std::uint64_t next_wire_id_ = 1;
-  std::uint64_t wire_fetches_ = 0;
-  std::uint64_t queued_fetches_ = 0;
-  std::uint64_t aborted_on_wire_ = 0;
-  std::uint64_t failed_in_queue_ = 0;
-  std::uint64_t timed_out_ = 0;
+  NetworkStats stats_;
 };
 
 }  // namespace agar::sim

@@ -128,7 +128,7 @@ void expect_byte_identical(const client::RunResult& a,
   EXPECT_EQ(a.ops, b.ops) << kind;
   EXPECT_EQ(a.full_hits, b.full_hits) << kind;
   EXPECT_EQ(a.partial_hits, b.partial_hits) << kind;
-  EXPECT_EQ(a.wire_fetches, b.wire_fetches) << kind;
+  EXPECT_EQ(a.network.wire_fetches, b.network.wire_fetches) << kind;
   EXPECT_EQ(a.coalesced_fetches, b.coalesced_fetches) << kind;
   EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits) << kind;
   EXPECT_EQ(a.cache_stats.evictions, b.cache_stats.evictions) << kind;
@@ -137,9 +137,14 @@ void expect_byte_identical(const client::RunResult& a,
   // Control-plane counters are deterministic (only planning_ms is wall
   // clock): the installed configurations themselves must match, not just
   // the latencies they produce.
-  EXPECT_EQ(a.reconfigurations, b.reconfigurations) << kind;
-  EXPECT_EQ(a.config_chunks_installed, b.config_chunks_installed) << kind;
-  EXPECT_EQ(a.config_chunks_evicted, b.config_chunks_evicted) << kind;
+  EXPECT_EQ(a.control_plane.reconfigurations,
+            b.control_plane.reconfigurations)
+      << kind;
+  EXPECT_EQ(a.control_plane.chunks_installed,
+            b.control_plane.chunks_installed)
+      << kind;
+  EXPECT_EQ(a.control_plane.chunks_evicted, b.control_plane.chunks_evicted)
+      << kind;
   EXPECT_EQ(a.weight_histogram, b.weight_histogram) << kind;
   const auto& sa = a.latencies.sorted_samples();
   const auto& sb = b.latencies.sorted_samples();
@@ -215,9 +220,9 @@ TEST(ApiGoldenControlPlane, ExplicitDefaultsMatchImplicitDefaultsByteForByte) {
 TEST(ApiGoldenControlPlane, DefaultRunReportsControlPlaneTelemetry) {
   const auto result = api::run(spec_of("agar", golden_config())).result;
   for (const auto& run : result.runs) {
-    EXPECT_GT(run.reconfigurations, 0u);
-    EXPECT_GT(run.config_chunks_installed, 0u);
-    EXPECT_GE(run.planning_ms, 0.0);
+    EXPECT_GT(run.control_plane.reconfigurations, 0u);
+    EXPECT_GT(run.control_plane.chunks_installed, 0u);
+    EXPECT_GE(run.control_plane.planning_ms, 0.0);
   }
 }
 
@@ -232,7 +237,7 @@ TEST(ApiGoldenControlPlane, IncrementalCountMinRunsEndToEnd) {
   for (const auto& run : result.runs) {
     EXPECT_EQ(run.ops, 150u);
     EXPECT_EQ(run.failed_reads, 0u);
-    EXPECT_GT(run.reconfigurations, 0u);
+    EXPECT_GT(run.control_plane.reconfigurations, 0u);
   }
   EXPECT_EQ(result.label, "Agar[incremental,count-min]");
 }
@@ -252,9 +257,9 @@ TEST(ApiGoldenControlPlane, LfuIsAgarWithOneWeightUnderGreedy) {
   // Apart from the label, and planning_ms (wall clock), every byte.
   for (client::ExperimentResult* result : {&lfu, &agar}) {
     result->label.clear();
-    for (auto& run : result->runs) run.planning_ms = 0.0;
+    for (auto& run : result->runs) run.control_plane.planning_ms = 0.0;
   }
-  EXPECT_GT(lfu.runs.front().reconfigurations, 0u);
+  EXPECT_GT(lfu.runs.front().control_plane.reconfigurations, 0u);
   EXPECT_EQ(client::results_json({lfu}), client::results_json({agar}));
 }
 
@@ -286,7 +291,7 @@ TEST(ApiGoldenFetchPolicy, ExplicitNoneMatchesDefaultByteForByte) {
                           "fetch-none");
     // No policy ran: the telemetry block stays absent, not zero-filled.
     EXPECT_TRUE(explicit_run.runs[r].region_success_ewma.empty());
-    EXPECT_EQ(explicit_run.runs[r].fetch_attempts, 0u);
+    EXPECT_EQ(explicit_run.runs[r].fetch.attempts, 0u);
   }
   EXPECT_EQ(spec.label(), "Agar");
 }

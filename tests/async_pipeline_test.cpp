@@ -68,7 +68,7 @@ TEST_F(AsyncPipelineTest, CoordinatorCoalescesDuplicateFetches) {
   EXPECT_DOUBLE_EQ(completions[0], completions[1]);
   EXPECT_EQ(coordinator.started(), 1u);
   EXPECT_EQ(coordinator.coalesced(), 1u);
-  EXPECT_EQ(network_.wire_fetches(), 1u);
+  EXPECT_EQ(network_.stats().wire_fetches, 1u);
   EXPECT_FALSE(coordinator.in_flight(chunk));
 }
 
@@ -81,7 +81,7 @@ TEST_F(AsyncPipelineTest, OverlappingReadsShareOneWireFetchPerChunk) {
   loop_.run();
   ASSERT_EQ(results.size(), 2u);
   // 9 chunks went on the wire once; the second read joined all of them.
-  EXPECT_EQ(network_.wire_fetches(), 9u);
+  EXPECT_EQ(network_.stats().wire_fetches, 9u);
   EXPECT_EQ(s.fetch_coordinator().started(), 9u);
   EXPECT_EQ(s.fetch_coordinator().coalesced(), 9u);
   EXPECT_EQ(results[1].coalesced_chunks, 9u);
@@ -111,7 +111,7 @@ TEST_F(AsyncPipelineTest, ReadPathCoalescesWithPopulationFetches) {
   });
   loop_.run();
   EXPECT_EQ(done, 2u);
-  EXPECT_EQ(network_.wire_fetches(), 9u);
+  EXPECT_EQ(network_.stats().wire_fetches, 9u);
   // And once everything landed, the cache serves the object outright.
   const ReadResult warm = s.read("object0");
   EXPECT_TRUE(warm.full_hit);
@@ -134,9 +134,9 @@ TEST_F(AsyncPipelineTest, ConcurrencyLimitQueuesFetchesFifo) {
   EXPECT_DOUBLE_EQ(completion_times[0], wire);
   EXPECT_DOUBLE_EQ(completion_times[1], 2 * wire);
   EXPECT_DOUBLE_EQ(completion_times[2], 3 * wire);
-  EXPECT_EQ(network_.queued_fetches(), 2u);
-  EXPECT_EQ(network_.max_queue_depth(), 2u);
-  EXPECT_EQ(network_.max_in_flight(), 1u);
+  EXPECT_EQ(network_.stats().queued_fetches, 2u);
+  EXPECT_EQ(network_.stats().max_queue_depth, 2u);
+  EXPECT_EQ(network_.stats().max_in_flight, 1u);
 }
 
 TEST_F(AsyncPipelineTest, UnlimitedRegionServesBatchInParallel) {
@@ -152,8 +152,8 @@ TEST_F(AsyncPipelineTest, UnlimitedRegionServesBatchInParallel) {
   }
   loop_.run();
   for (const SimTimeMs t : completion_times) EXPECT_DOUBLE_EQ(t, wire);
-  EXPECT_EQ(network_.queued_fetches(), 0u);
-  EXPECT_EQ(network_.max_in_flight(), 4u);
+  EXPECT_EQ(network_.stats().queued_fetches, 0u);
+  EXPECT_EQ(network_.stats().max_in_flight, 4u);
 }
 
 TEST_F(AsyncPipelineTest, ContendingReadsPayQueueingDelay) {
@@ -173,7 +173,7 @@ TEST_F(AsyncPipelineTest, ContendingReadsPayQueueingDelay) {
   ASSERT_EQ(latencies.size(), 2u);
   EXPECT_DOUBLE_EQ(latencies[0], 1130.0);      // first read: uncontended path
   EXPECT_DOUBLE_EQ(latencies[1], 2 * 1130.0);  // second: queued behind it
-  EXPECT_GT(network_.queued_fetches(), 0u);
+  EXPECT_GT(network_.stats().queued_fetches, 0u);
 }
 
 TEST_F(AsyncPipelineTest, CoalescedObserversSeeFailureExactlyOnce) {
@@ -287,11 +287,11 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.full_hits, b.full_hits);
   EXPECT_EQ(a.partial_hits, b.partial_hits);
-  EXPECT_EQ(a.wire_fetches, b.wire_fetches);
+  EXPECT_EQ(a.network.wire_fetches, b.network.wire_fetches);
   EXPECT_EQ(a.coalesced_fetches, b.coalesced_fetches);
-  EXPECT_EQ(a.queued_fetches, b.queued_fetches);
-  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
-  EXPECT_EQ(a.max_net_in_flight, b.max_net_in_flight);
+  EXPECT_EQ(a.network.queued_fetches, b.network.queued_fetches);
+  EXPECT_EQ(a.network.max_queue_depth, b.network.max_queue_depth);
+  EXPECT_EQ(a.network.max_in_flight, b.network.max_in_flight);
   EXPECT_EQ(a.max_reads_in_flight, b.max_reads_in_flight);
   // Byte-identical latency samples, not merely equal summary stats.
   const auto& sa = a.latencies.sorted_samples();

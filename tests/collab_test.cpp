@@ -79,16 +79,17 @@ TEST(CollabRun, BroadcastTierProducesPeerTraffic) {
   const auto result = api::run(collab_spec()).result;
   ASSERT_FALSE(result.runs.empty());
   const auto& run = result.runs[0];
-  ASSERT_TRUE(run.collab_active);
-  EXPECT_GT(run.collab_peer_hits, 0u);
-  EXPECT_GT(run.collab_bytes_from_peers, 0u);
-  EXPECT_GT(run.collab_bytes_from_backend, 0u);
-  EXPECT_GT(run.paxos_appends, 0u);
-  EXPECT_GT(run.config_epochs, 0u);
-  EXPECT_GE(run.config_overlap, 0.0);
-  EXPECT_LE(run.config_overlap, 1.0);
-  EXPECT_GT(run.paxos_append_p50_ms, 0.0);
-  EXPECT_GE(run.paxos_append_p99_ms, run.paxos_append_p50_ms);
+  ASSERT_TRUE(run.collab.has_value());
+  const collab::CollabStats& c = *run.collab;
+  EXPECT_GT(c.peer_hits, 0u);
+  EXPECT_GT(c.bytes_from_peers, 0u);
+  EXPECT_GT(c.bytes_from_backend, 0u);
+  EXPECT_GT(c.paxos_appends, 0u);
+  EXPECT_GT(c.config_epochs, 0u);
+  EXPECT_GE(c.config_overlap, 0.0);
+  EXPECT_LE(c.config_overlap, 1.0);
+  EXPECT_GT(c.paxos_append_p50_ms, 0.0);
+  EXPECT_GE(c.paxos_append_p99_ms, c.paxos_append_p50_ms);
 }
 
 TEST(CollabRun, AppendP99IsTheSlowestOfAFewAppends) {
@@ -100,9 +101,10 @@ TEST(CollabRun, AppendP99IsTheSlowestOfAFewAppends) {
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
   const auto& run = result.runs[0];
-  ASSERT_EQ(run.paxos_appends, 3u);
-  ASSERT_EQ(run.paxos_append_failures, 0u);
-  EXPECT_GT(run.paxos_append_p99_ms, run.paxos_append_p50_ms);
+  ASSERT_TRUE(run.collab.has_value());
+  ASSERT_EQ(run.collab->paxos_appends, 3u);
+  ASSERT_EQ(run.collab->paxos_append_failures, 0u);
+  EXPECT_GT(run.collab->paxos_append_p99_ms, run.collab->paxos_append_p50_ms);
 }
 
 TEST(CollabRun, PartitionCutsPeersButNotBackend) {
@@ -115,10 +117,10 @@ TEST(CollabRun, PartitionCutsPeersButNotBackend) {
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
   const auto& run = result.runs[0];
-  ASSERT_TRUE(run.collab_active);
-  EXPECT_EQ(run.collab_peer_hits, 0u);
-  EXPECT_EQ(run.collab_bytes_from_peers, 0u);
-  EXPECT_GT(run.paxos_append_failures, 0u);
+  ASSERT_TRUE(run.collab.has_value());
+  EXPECT_EQ(run.collab->peer_hits, 0u);
+  EXPECT_EQ(run.collab->bytes_from_peers, 0u);
+  EXPECT_GT(run.collab->paxos_append_failures, 0u);
   EXPECT_GT(run.ops, 0u);
   EXPECT_EQ(run.failed_reads, 0u);
 }
@@ -129,7 +131,8 @@ TEST(CollabRun, HealRestoresPeerTraffic) {
            "0 partition_regions regions=frankfurt; 3000 heal_partition");
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
-  EXPECT_GT(result.runs[0].collab_peer_hits, 0u);
+  ASSERT_TRUE(result.runs[0].collab.has_value());
+  EXPECT_GT(result.runs[0].collab->peer_hits, 0u);
 }
 
 TEST(CollabRun, SlowApplyCountsStaleConfigReads) {
@@ -137,7 +140,8 @@ TEST(CollabRun, SlowApplyCountsStaleConfigReads) {
   spec.set("collab.apply_ms", "5000");
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
-  EXPECT_GT(result.runs[0].stale_config_reads, 0u);
+  ASSERT_TRUE(result.runs[0].collab.has_value());
+  EXPECT_GT(result.runs[0].collab->stale_config_reads, 0u);
 }
 
 TEST(CollabRun, WindowsSplitPeerHitsAndStaleReads) {
@@ -163,10 +167,11 @@ TEST(CollabRun, WindowsSplitPeerHitsAndStaleReads) {
     stale_reads += w.collab_stale_reads;
   }
   EXPECT_EQ(windows, expected);
-  EXPECT_EQ(run.collab_peer_hits, 177u);
+  ASSERT_TRUE(run.collab.has_value());
+  EXPECT_EQ(run.collab->peer_hits, 177u);
   EXPECT_EQ(peer_hits, 171u);
-  EXPECT_EQ(stale_reads, run.stale_config_reads);
-  EXPECT_EQ(run.stale_config_reads, 249u);
+  EXPECT_EQ(stale_reads, run.collab->stale_config_reads);
+  EXPECT_EQ(run.collab->stale_config_reads, 249u);
 }
 
 TEST(CollabRun, NoneTierStaysInert) {
@@ -175,7 +180,7 @@ TEST(CollabRun, NoneTierStaysInert) {
   spec.set("collab.period_s", "");  // "key=" clears a namespaced param
   const auto result = api::run(spec).result;
   ASSERT_FALSE(result.runs.empty());
-  EXPECT_FALSE(result.runs[0].collab_active);
+  EXPECT_FALSE(result.runs[0].collab.has_value());
   // Not a single "collab" byte in the report: pre-collab goldens cannot
   // drift.
   EXPECT_EQ(client::results_json({result}).find("collab"), std::string::npos);

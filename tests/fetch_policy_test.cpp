@@ -233,7 +233,7 @@ TEST(FetchPolicyEndToEnd, OutageProducesDegradedReadsAndTelemetry) {
   ASSERT_EQ(result.runs.size(), 1u);
   const auto& run = result.runs[0];
   EXPECT_GT(run.ops, 0u);
-  EXPECT_GT(run.fetch_attempts, 0u);
+  EXPECT_GT(run.fetch.attempts, 0u);
   EXPECT_GT(run.degraded_reads, 0u);
   ASSERT_EQ(run.region_success_ewma.size(),
             sim::aws_six_regions().num_regions());

@@ -102,7 +102,7 @@ TEST_F(NetworkOutageTest, FailRegionAbortsInFlightFetches) {
   EXPECT_FALSE(outcomes[0].has_value());
   EXPECT_DOUBLE_EQ(at[0], 1.0);
   EXPECT_EQ(network_.in_flight(), 0u);
-  EXPECT_EQ(network_.aborted_on_wire(), 1u);
+  EXPECT_EQ(network_.stats().aborted_on_wire, 1u);
 }
 
 TEST_F(NetworkOutageTest, FailRegionFailsQueuedFetchesImmediately) {
@@ -168,7 +168,7 @@ TEST_F(NetworkOutageTest, FailRegionIsIdempotent) {
   network_.fail_region(to);  // duplicate must not double-deliver
   loop_.run();
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(network_.aborted_on_wire(), 1u);
+  EXPECT_EQ(network_.stats().aborted_on_wire, 1u);
 }
 
 // Fetch failures are counted by mode: outage aborts of transfers on the
@@ -189,9 +189,9 @@ TEST_F(NetworkOutageTest, FailureCountersSplitByMode) {
   loop_.run();
 
   EXPECT_EQ(failures, 3u);
-  EXPECT_EQ(network_.aborted_on_wire(), 1u);  // the one on the wire
-  EXPECT_EQ(network_.failed_in_queue(), 2u);  // the two behind it
-  EXPECT_EQ(network_.timed_out(), 0u);
+  EXPECT_EQ(network_.stats().aborted_on_wire, 1u);  // the one on the wire
+  EXPECT_EQ(network_.stats().failed_in_queue, 2u);  // the two behind it
+  EXPECT_EQ(network_.stats().timed_out, 0u);
 
   // A gray drop charges the third mode: the response is lost and the
   // requester hears nullopt only after the inflated discovery delay.
@@ -206,7 +206,7 @@ TEST_F(NetworkOutageTest, FailureCountersSplitByMode) {
   loop_.run();
   EXPECT_FALSE(out.has_value());
   EXPECT_GT(at, 1.0);
-  EXPECT_EQ(network_.timed_out(), 1u);
+  EXPECT_EQ(network_.stats().timed_out, 1u);
 }
 
 // Flap regression: fail -> restore cycles must leave no stranded wire or
@@ -234,8 +234,8 @@ TEST_F(NetworkOutageTest, FlapCyclesLeaveNoStrandedState) {
   loop_.run();
 
   EXPECT_EQ(failures, 6u);
-  EXPECT_EQ(network_.aborted_on_wire(), 3u);
-  EXPECT_EQ(network_.failed_in_queue(), 3u);
+  EXPECT_EQ(network_.stats().aborted_on_wire, 3u);
+  EXPECT_EQ(network_.stats().failed_in_queue, 3u);
   EXPECT_EQ(network_.in_flight(), 0u);
 
   // After all that flapping the region still serves cleanly.

@@ -252,7 +252,7 @@ void expect_windows_sum_to_run(const client::RunResult& run) {
     partial += w.partial_hits;
     failed += w.failed_reads;
     degraded += w.degraded_reads;
-    samples += w.ops - w.failed_reads;  // the window's latency samples
+    samples += w.latencies.count();
   }
   EXPECT_EQ(ops, run.ops);
   EXPECT_EQ(full, run.full_hits);
@@ -325,11 +325,12 @@ TEST(ScenarioRunner, ScenarioRunsAreDeterministic) {
   const auto& rb = b.runs[0];
   EXPECT_EQ(ra.ops, rb.ops);
   EXPECT_EQ(ra.failed_reads, rb.failed_reads);
-  EXPECT_EQ(ra.wire_fetches, rb.wire_fetches);
+  EXPECT_EQ(ra.network.wire_fetches, rb.network.wire_fetches);
   ASSERT_EQ(ra.windows.size(), rb.windows.size());
   for (std::size_t w = 0; w < ra.windows.size(); ++w) {
     EXPECT_EQ(ra.windows[w].ops, rb.windows[w].ops);
-    EXPECT_DOUBLE_EQ(ra.windows[w].mean_ms, rb.windows[w].mean_ms);
+    EXPECT_DOUBLE_EQ(ra.windows[w].mean_latency_ms(),
+                     rb.windows[w].mean_latency_ms());
   }
 }
 
@@ -374,9 +375,9 @@ TEST(ScenarioRunner, AgarRecoversFromPopularityShiftWithinTwoPeriods) {
 
   const auto& aw = agar.runs[0].windows;
   ASSERT_GE(aw.size(), 6u);
-  const double pre_shift = aw[2].mean_ms;    // 20-30 s: steady state
-  const double at_shift = aw[3].mean_ms;     // 30-40 s: spike
-  const double recovered = aw[5].mean_ms;    // 50-60 s: two periods later
+  const double pre_shift = aw[2].mean_latency_ms();  // 20-30 s: steady state
+  const double at_shift = aw[3].mean_latency_ms();   // 30-40 s: spike
+  const double recovered = aw[5].mean_latency_ms();  // 50-60 s: two periods
   // The shift hurts, and two reconfigurations later Agar is back within
   // 25% of its pre-shift mean.
   EXPECT_GT(at_shift, pre_shift * 1.1);
@@ -385,7 +386,7 @@ TEST(ScenarioRunner, AgarRecoversFromPopularityShiftWithinTwoPeriods) {
   // pinned, so every read keeps paying the backend-bound plateau.
   const auto& fw = fixed.runs[0].windows;
   ASSERT_GE(fw.size(), 6u);
-  EXPECT_GT(fw[5].mean_ms, recovered * 1.1);
+  EXPECT_GT(fw[5].mean_latency_ms(), recovered * 1.1);
 }
 
 }  // namespace

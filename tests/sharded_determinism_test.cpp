@@ -119,7 +119,7 @@ TEST(ShardedDeterminismEdge, GrayFailureChaosWithHedgingIsShardInvariant) {
 
   ASSERT_FALSE(serial.runs.empty());
   EXPECT_GT(serial.runs[0].scenario_events_fired, 0u);
-  EXPECT_GT(serial.runs[0].fetch_attempts, 0u);
+  EXPECT_GT(serial.runs[0].fetch.attempts, 0u);
   EXPECT_FALSE(serial.runs[0].region_success_ewma.empty());
 }
 
@@ -150,8 +150,8 @@ TEST(ShardedDeterminismEdge, CollabBroadcastWithPartitionIsShardInvariant) {
   }
 
   ASSERT_FALSE(serial.runs.empty());
-  EXPECT_TRUE(serial.runs[0].collab_active);
-  EXPECT_GT(serial.runs[0].paxos_appends, 0u);
+  ASSERT_TRUE(serial.runs[0].collab.has_value());
+  EXPECT_GT(serial.runs[0].collab->paxos_appends, 0u);
   EXPECT_GT(serial.runs[0].scenario_events_fired, 0u);
 }
 
