@@ -1,17 +1,16 @@
 // agar_cli — run experiments against the simulated deployment, driven by
 // the declarative api layer.
 //
-//   $ ./agar_cli --system agar --region sydney --cache-mb 20 --ops 2000
-//   $ ./agar_cli --system arc --chunks 5            # any registered engine
+//   $ ./agar_cli --set region=sydney --set cache_bytes=20MB --set ops=2000
+//   $ ./agar_cli --set system=arc --set chunks=5    # any registered engine
 //   $ ./agar_cli --spec examples/specs/agar_vs_lfu.json --json
-//   $ ./agar_cli --set workload=zipf:1.4 --set cache_bytes=20MB
+//   $ ./agar_cli --spec examples/specs/geo_partition.json --shards 4
 //   $ ./agar_cli --list
 //
 // Systems, their parameters and their labels all come from the api
 // registries — registering a new cache engine or strategy makes it
 // runnable and listable here with no CLI changes.
 #include <iostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,33 +30,13 @@ void usage() {
       "  --spec <file.json>  load experiment spec(s); 'systems' arrays and\n"
       "                      'sweep' grids expand into comparisons\n"
       "  --set key=value     set any spec key (repeatable; applies to all\n"
-      "                      loaded specs). Keys: see --list\n"
-      "  --scenario <file>   scripted mid-run events (outages, popularity\n"
-      "                      shifts, rate surges) applied to all specs;\n"
-      "                      JSON array of {at_ms, event, ...} objects\n"
-      "  --window-ms <n>     windowed time-series metrics of this width\n"
+      "                      loaded specs, or to one default spec without\n"
+      "                      --spec). Keys: see --list\n"
       "  --shards <n>        simulation worker threads (results identical\n"
       "                      for any value; 1 = serial)\n"
       "  --json              emit results as JSON (bench harnesses)\n"
       "  --list              registered systems, engines, parameters,\n"
-      "                      scenario events, regions and spec keys\n"
-      "\n"
-      "shorthand flags (sugar over --set):\n"
-      "  --system <name>     system under test (default: agar)\n"
-      "  --chunks <1..9>     chunks per object for fixed-chunks systems\n"
-      "  --cache-mb <n>      cache capacity in MB\n"
-      "  --region <name>     client region\n"
-      "  --client-regions <a,b,..>  client populations in several regions\n"
-      "  --arrival-rate <r>  open-loop Poisson arrivals (reads/s/region)\n"
-      "  --workload <w>      'uniform' or a zipf skew like '1.1'\n"
-      "  --objects <n>       working-set size\n"
-      "  --object-kb <n>     object size in KB\n"
-      "  --ops <n>           reads per run\n"
-      "  --runs <n>          independent runs\n"
-      "  --period-s <n>      reconfiguration period in seconds\n"
-      "  --seed <n>          RNG seed\n"
-      "  --max-outstanding <n>  per-region concurrent-fetch cap (0 = off)\n"
-      "  --verify            move real bytes and RS-decode every read\n";
+      "                      scenario events, regions and spec keys\n";
 }
 
 int fail(const std::string& message) {
@@ -161,11 +140,6 @@ void list_everything() {
 int main(int argc, char** argv) {
   std::vector<api::ExperimentSpec> specs;
   std::vector<std::string> sets;  // applied after --spec, in order
-  std::string scenario_file;      // --scenario, applied to all specs
-  // Keys set via shorthand flags (--chunks, --cache-mb). Like the old CLI,
-  // these are dropped silently for systems that do not declare them
-  // (backend takes neither, agar no chunks); --set key=value stays strict.
-  std::set<std::string> soft_keys;
   bool json = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -189,46 +163,10 @@ int main(int argc, char** argv) {
         specs.insert(specs.end(), loaded.begin(), loaded.end());
       } else if (arg == "--set") {
         sets.push_back(next("--set"));
-      } else if (arg == "--scenario") {
-        scenario_file = next("--scenario");
-      } else if (arg == "--window-ms") {
-        sets.push_back("window_ms=" + next("--window-ms"));
       } else if (arg == "--shards") {
         sets.push_back("shards=" + next("--shards"));
       } else if (arg == "--json") {
         json = true;
-      } else if (arg == "--verify") {
-        sets.push_back("verify=true");
-      } else if (arg == "--system") {
-        sets.push_back("system=" + next("--system"));
-      } else if (arg == "--chunks") {
-        sets.push_back("chunks=" + next("--chunks"));
-        soft_keys.insert("chunks");
-      } else if (arg == "--cache-mb") {
-        sets.push_back("cache_bytes=" + next("--cache-mb") + "MB");
-        soft_keys.insert("cache_bytes");
-      } else if (arg == "--region") {
-        sets.push_back("region=" + next("--region"));
-      } else if (arg == "--client-regions") {
-        sets.push_back("regions=" + next("--client-regions"));
-      } else if (arg == "--arrival-rate") {
-        sets.push_back("arrival_rate=" + next("--arrival-rate"));
-      } else if (arg == "--workload") {
-        sets.push_back("workload=" + next("--workload"));
-      } else if (arg == "--objects") {
-        sets.push_back("objects=" + next("--objects"));
-      } else if (arg == "--object-kb") {
-        sets.push_back("object_bytes=" + next("--object-kb") + "KB");
-      } else if (arg == "--ops") {
-        sets.push_back("ops=" + next("--ops"));
-      } else if (arg == "--runs") {
-        sets.push_back("runs=" + next("--runs"));
-      } else if (arg == "--period-s") {
-        sets.push_back("period_s=" + next("--period-s"));
-      } else if (arg == "--seed") {
-        sets.push_back("seed=" + next("--seed"));
-      } else if (arg == "--max-outstanding") {
-        sets.push_back("max_outstanding=" + next("--max-outstanding"));
       } else {
         usage();
         return fail("unknown flag " + arg);
@@ -239,32 +177,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const bool from_file = !specs.empty();
     if (specs.empty()) specs.emplace_back();
-    scenario::Scenario scripted;
-    if (!scenario_file.empty()) {
-      scripted = scenario::load_scenario_file(scenario_file);
-    }
     for (auto& spec : specs) {
       for (const auto& pair : sets) spec.set_pair(pair);
-      if (!scripted.empty()) spec.experiment.scenario = scripted;
-      const auto [name, effective] =
-          api::resolve_system(spec.system, spec.params);
-      const auto& schema = api::StrategyRegistry::instance().at(name).schema;
-      for (const auto& key : soft_keys) {
-        if (!schema.has(key)) spec.params.erase(key);
-      }
-      if (!from_file) {
-        // Historical CLI defaults, applied only where the chosen system
-        // declares the parameter (backend takes neither; agar only the
-        // cache size). Spec files use the registered schema defaults.
-        if (schema.has("chunks") && !spec.params.has("chunks")) {
-          spec.set("chunks", "5");
-        }
-        if (schema.has("cache_bytes") && !spec.params.has("cache_bytes")) {
-          spec.set("cache_bytes", "10MB");
-        }
-      }
       spec.validate();
     }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -389,30 +388,6 @@ Scenario scenario_from_json(const api::JsonValue& value) {
     scenario.events.push_back(std::move(e));
   }
   return scenario;
-}
-
-Scenario load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("cannot read scenario file '" + path + "'");
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    const api::JsonValue doc = api::parse_json(text.str());
-    const api::JsonValue* events =
-        doc.is_object() ? doc.find("scenario") : &doc;
-    if (events == nullptr) {
-      throw std::invalid_argument(
-          "scenario file: expected an array or an object with a "
-          "'scenario' member");
-    }
-    Scenario scenario = scenario_from_json(*events);
-    scenario.validate();
-    return scenario;
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(path + ": " + e.what());
-  }
 }
 
 }  // namespace agar::scenario

@@ -90,10 +90,6 @@ struct Scenario {
 /// Parse a JSON array of event objects (the "scenario" spec member).
 [[nodiscard]] Scenario scenario_from_json(const api::JsonValue& value);
 
-/// Load a scenario file: either a top-level JSON array of events or an
-/// object with a "scenario" member. Throws naming the path on failure.
-[[nodiscard]] Scenario load_scenario_file(const std::string& path);
-
 /// Resolve a scenario "region" parameter: a region name ("tokyo") or a
 /// numeric id, checked against the paper's six-region topology.
 [[nodiscard]] RegionId resolve_region(const std::string& text);
