@@ -1,7 +1,6 @@
 #include "api/experiment_spec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -48,11 +47,8 @@ client::WorkloadSpec parse_workload(const std::string& text) {
   std::string skew = text;
   if (skew.rfind("zipf:", 0) == 0) skew = skew.substr(5);
   try {
-    std::size_t pos = 0;
-    const double s = std::stod(skew, &pos);
-    if (pos != skew.size() || !std::isfinite(s) || s < 0.0) {
-      throw std::invalid_argument("");
-    }
+    const double s = parse_double(skew);
+    if (s < 0.0) throw std::invalid_argument("");
     return client::WorkloadSpec::zipfian(s);
   } catch (const std::exception&) {
     throw std::invalid_argument("workload '" + text +

@@ -73,6 +73,19 @@ std::size_t parse_size(const std::string& text) {
   return static_cast<std::size_t>(value) * scale;
 }
 
+double parse_double(const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double value = std::stod(text, &pos);
+    if (pos != text.size() || !std::isfinite(value)) {
+      throw std::invalid_argument("");
+    }
+    return value;
+  } catch (const std::exception&) {
+    throw std::invalid_argument("'" + text + "' is not a finite number");
+  }
+}
+
 bool parse_bool(const std::string& text) {
   std::string t = text;
   std::transform(t.begin(), t.end(), t.begin(),
@@ -172,20 +185,8 @@ std::size_t ParamMap::get_size(const std::string& key,
 double ParamMap::get_double(const std::string& key, double fallback) const {
   const auto value = raw(key);
   if (!value.has_value()) return fallback;
-  return parse_with_context(key, *value, [](const std::string& v) {
-    try {
-      std::size_t pos = 0;
-      const double d = std::stod(v, &pos);
-      // std::stod takes "nan" and "inf"; a NaN time would reach the event
-      // heap, whose ordering assumes comparable keys.
-      if (pos != v.size() || !std::isfinite(d)) {
-        throw std::invalid_argument("");
-      }
-      return d;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("'" + v + "' is not a finite number");
-    }
-  });
+  return parse_with_context(
+      key, *value, [](const std::string& v) { return parse_double(v); });
 }
 
 bool ParamMap::get_bool(const std::string& key, bool fallback) const {

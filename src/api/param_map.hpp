@@ -46,6 +46,12 @@ struct ParamSchema {
 /// suffixes both work. Throws std::invalid_argument with the offending text.
 [[nodiscard]] std::size_t parse_size(const std::string& text);
 
+/// Parse a finite number that fills the whole text ("2.5", "1e3"). "nan",
+/// "inf" and trailing characters ("10abc") are rejected: a NaN time would
+/// reach the event heap, whose ordering assumes comparable keys. Throws
+/// std::invalid_argument with the offending text.
+[[nodiscard]] double parse_double(const std::string& text);
+
 /// Parse "true"/"false"/"1"/"0"/"yes"/"no". Throws on anything else.
 [[nodiscard]] bool parse_bool(const std::string& text);
 

@@ -25,24 +25,16 @@ api::ParamInfo region_param() {
           "target region (name like 'tokyo', or numeric id)"};
 }
 
-/// Parse an event time: a finite, fully-consumed number. "nan"/"inf" and
-/// trailing garbage ("10abc") are rejected here, not at schedule time
-/// where a NaN would silently corrupt the event-queue ordering.
+/// Parse an event time. "nan"/"inf" and trailing garbage ("10abc") are
+/// rejected here, not at schedule time where a NaN would silently corrupt
+/// the event-queue ordering.
 SimTimeMs parse_at_ms(const std::string& text) {
-  double value = 0.0;
   try {
-    std::size_t pos = 0;
-    value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("");
+    return api::parse_double(text);
   } catch (const std::exception&) {
     throw std::invalid_argument("scenario: '" + text +
-                                "' is not a time in ms");
+                                "' is not a finite time in ms");
   }
-  if (!std::isfinite(value)) {
-    throw std::invalid_argument("scenario: at_ms '" + text +
-                                "' must be finite");
-  }
-  return value;
 }
 
 }  // namespace
