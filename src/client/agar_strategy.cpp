@@ -211,7 +211,7 @@ ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
   for (std::size_t i = plan.from_backend.size(); i < not_resident.size();
        ++i) {
     const auto& [c, configured] = not_resident[i];
-    if (configured) plan.async_populate.emplace_back(c.index, c.region);
+    if (configured) plan.async_populate.push_back(c.index);
   }
   return plan;
 }

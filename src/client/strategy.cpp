@@ -177,8 +177,7 @@ void ReadStrategy::start_plan(const ObjectKey& key, ReadPlan plan,
       if (ctx_.verify_data && payload.empty()) continue;
       cache->put(ChunkId{key, idx}.cache_key(), std::move(payload));
     }
-    for (const auto& [idx, region] : plan.async_populate) {
-      (void)region;
+    for (const ChunkIndex idx : plan.async_populate) {
       // Population fetch crosses the network as a background event
       // (traffic counted; coalesces with any in-flight read of the
       // same chunk); its latency is off the read path.

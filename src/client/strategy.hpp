@@ -44,7 +44,7 @@ namespace agar::client {
 struct ReadPlan {
   std::vector<ChunkIndex> from_cache;
   std::vector<std::pair<ChunkIndex, RegionId>> from_backend;
-  std::vector<std::pair<ChunkIndex, RegionId>> async_populate;
+  std::vector<ChunkIndex> async_populate;
   std::vector<ChunkIndex> populate_after_read;
   double monitor_overhead_ms = 0.0;
 

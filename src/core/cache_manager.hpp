@@ -73,7 +73,6 @@ class CacheManager {
   [[nodiscard]] const ControlPlaneStats& control_plane_stats() const {
     return stats_;
   }
-  [[nodiscard]] const Planner& planner() const { return *planner_; }
 
  private:
   /// Options for every key of `snapshot` with positive popularity, grouped

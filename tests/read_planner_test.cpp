@@ -111,8 +111,7 @@ TEST_F(ReadPlannerTest, ConfiguredOffPathChunksPopulateAsync) {
   cache().install_configuration({chunk(5)});
   const ReadPlan p = plan();
   ASSERT_EQ(p.async_populate.size(), 1u);
-  EXPECT_EQ(p.async_populate[0].first, 5u);
-  EXPECT_EQ(p.async_populate[0].second, sim::region::kSydney);
+  EXPECT_EQ(p.async_populate[0], 5u);
   EXPECT_TRUE(p.populate_after_read.empty());
 }
 
