@@ -213,11 +213,11 @@ struct WindowStats : ReadStats {
 /// Outcome of one run: its read counters plus each subsystem's own stats,
 /// merged across lanes.
 struct RunResult : ReadStats {
-  SimTimeMs duration_ms = 0.0;  ///< virtual time of the last completion
+  SimTimeMs duration_ms = 0.0;          ///< virtual time of the last completion
   std::size_t max_reads_in_flight = 0;  ///< per-lane peaks, summed
   std::uint64_t coalesced_fetches = 0;  ///< requests joined to in-flight ones
   std::uint64_t scenario_events_fired = 0;  ///< scripted events applied
-  cache::CacheStats cache_stats;  ///< lane 0's cache
+  cache::CacheStats cache_stats;            ///< lane 0's cache
   std::size_t cache_used_bytes = 0;
   /// Agar and LFU-c: configured objects per option weight (Fig. 10 data),
   /// sorted by weight so consumers iterate deterministically.
