@@ -5,7 +5,7 @@
 //
 // Walks the declarative api end to end with real payload verification:
 // every client system is created from the string-keyed registry, exactly
-// like `agar_cli --system <name>` would.
+// like `agar_cli --set system=<name>` would.
 #include <iostream>
 
 #include "api/api.hpp"

@@ -1,7 +1,7 @@
 // Adaptive Replacement Cache (Megiddo & Modha, FAST'03), byte-capacity
 // variant — the engine that proves the experiment API is open: it is added
 // to the system purely through its api::EngineRegistration below; no
-// runner, CLI or bench file knows it exists, yet `agar_cli --system arc`
+// runner, CLI or bench file knows it exists, yet `agar_cli --set system=arc`
 // and every spec-driven bench can run it.
 //
 // ARC balances recency and frequency online: two resident lists (T1 =
