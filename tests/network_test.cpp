@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -103,6 +104,37 @@ TEST_F(NetworkOutageTest, FailRegionAbortsInFlightFetches) {
   EXPECT_DOUBLE_EQ(at[0], 1.0);
   EXPECT_EQ(network_.in_flight(), 0u);
   EXPECT_EQ(network_.stats().aborted_on_wire, 1u);
+}
+
+TEST_F(NetworkOutageTest, FailRegionAbortsInIssueOrder) {
+  // Observers of aborted fetches hear nullopt in the order the fetches
+  // were issued, wherever their records sit. Tokyo's own fetch lands
+  // first; the fetches issued after it may reuse its record, which would
+  // then sit ahead of the older ones still on the wire.
+  const RegionId to = region::kTokyo;
+  std::string heard;  // upper case: a landed fetch; lower case: a failed one
+  const auto observer = [&heard](char name) {
+    return [&heard, name](std::optional<SimTimeMs> latency) {
+      heard += latency.has_value() ? static_cast<char>(name - 'a' + 'A')
+                                   : name;
+    };
+  };
+  ASSERT_TRUE(network_.begin_fetch(to, to, 1000, observer('a')));
+  ASSERT_TRUE(
+      network_.begin_fetch(region::kFrankfurt, to, 1000, observer('b')));
+  ASSERT_TRUE(network_.begin_fetch(region::kDublin, to, 1000, observer('c')));
+  ASSERT_TRUE(loop_.step());
+  ASSERT_EQ(heard, "A");
+  ASSERT_TRUE(
+      network_.begin_fetch(region::kVirginia, to, 1000, observer('d')));
+  ASSERT_TRUE(network_.begin_fetch(region::kSydney, to, 1000, observer('e')));
+  ASSERT_EQ(network_.outstanding(to), 4u);
+
+  network_.fail_region(to);
+  loop_.run();
+  EXPECT_EQ(heard, "Abcde");
+  EXPECT_EQ(network_.stats().aborted_on_wire, 4u);
+  EXPECT_EQ(network_.in_flight(), 0u);
 }
 
 TEST_F(NetworkOutageTest, FailRegionFailsQueuedFetchesImmediately) {
