@@ -19,18 +19,22 @@ EncodedObject ObjectCodec::encode(BytesView object) const {
   out.object_size = object.size();
   out.chunks.reserve(rs_.total());
 
-  // Data chunks: copy + zero-pad the tail, then freeze each buffer into
-  // shared ownership (a move, not a byte copy).
+  // Data chunks: copy the slice, then zero-pad the tail (only the padding
+  // is written twice), then freeze each buffer into shared ownership (a
+  // move, not a byte copy).
   std::vector<BytesView> views;
   views.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    Bytes payload(cs, 0);
+    Bytes payload;
+    payload.reserve(cs);
     const std::size_t begin = i * cs;
     if (begin < object.size()) {
       const std::size_t len = std::min(cs, object.size() - begin);
-      std::copy_n(object.begin() + static_cast<std::ptrdiff_t>(begin), len,
-                  payload.begin());
+      const auto first = object.begin() + static_cast<std::ptrdiff_t>(begin);
+      payload.insert(payload.end(), first,
+                     first + static_cast<std::ptrdiff_t>(len));
     }
+    payload.resize(cs);
     out.chunks.push_back(
         Chunk{static_cast<ChunkIndex>(i), SharedBytes(std::move(payload))});
   }
