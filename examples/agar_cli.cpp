@@ -73,7 +73,8 @@ void print_schema(const api::ParamSchema& schema, const std::string& indent,
 
 /// Registry-derived listing: whatever is registered is what prints.
 void list_everything() {
-  std::cout << "systems (run with --system <name> or system=<name>):\n";
+  std::cout << "systems (run with --set system=<name> or a spec's "
+               "\"system\"):\n";
   const auto& strategies = api::StrategyRegistry::instance();
   for (const auto& name : strategies.names()) {
     const auto& entry = strategies.at(name);
@@ -122,7 +123,8 @@ void list_everything() {
   }
   std::cout << "\nexperiment keys (--set key=value or JSON spec members):\n";
   print_schema(api::ExperimentSpec::experiment_keys(), "  ");
-  std::cout << "\nscenario events (--scenario file or scenario= script):\n";
+  std::cout << "\nscenario events (--set scenario=<script> or a spec's "
+               "\"scenario\"):\n";
   for (const auto& kind : scenario::event_kinds()) {
     std::cout << "  " << kind.name << " -- " << kind.description << "\n";
     print_schema(kind.schema, "      ");
