@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "cache/static_cache.hpp"
@@ -19,11 +19,12 @@ using namespace agar;
 constexpr std::size_t kChunk = 1024;
 constexpr std::size_t kUniverse = 1000;
 
-std::vector<std::string> make_keys() {
-  std::vector<std::string> keys;
+/// Chunk 0 of objects 0..kUniverse-1.
+std::vector<ChunkKey> make_keys() {
+  std::vector<ChunkKey> keys;
   keys.reserve(kUniverse);
   for (std::size_t i = 0; i < kUniverse; ++i) {
-    keys.push_back("object" + std::to_string(i) + "#0");
+    keys.push_back(ChunkId{static_cast<ObjectId>(i), 0}.key());
   }
   return keys;
 }
@@ -33,7 +34,7 @@ void run_mixed(benchmark::State& state, cache::CacheEngine& engine) {
   client::ZipfianGenerator gen(kUniverse, 1.1);
   Rng rng(42);
   for (auto _ : state) {
-    const auto& key = keys[gen.next_index(rng)];
+    const ChunkKey key = keys[gen.next_index(rng)];
     auto hit = engine.get(key);
     if (!hit.has_value()) {
       engine.put(key, Bytes(kChunk, 0));
@@ -55,12 +56,10 @@ void bm_static_cache_mixed(benchmark::State& state) {
   cache::StaticConfigCache engine(
       static_cast<std::size_t>(state.range(0)) * kChunk);
   // Configure the hot prefix (what the knapsack would pick).
-  std::unordered_set<std::string> configured;
   const auto keys = make_keys();
-  for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
-    configured.insert(keys[i]);
-  }
-  engine.install_configuration(std::move(configured));
+  const auto hot = static_cast<std::ptrdiff_t>(state.range(0));
+  engine.install_configuration(
+      std::vector<ChunkKey>(keys.begin(), keys.begin() + hot));
   run_mixed(state, engine);
 }
 
@@ -69,9 +68,9 @@ void bm_static_cache_reconfigure(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   cache::StaticConfigCache engine((n + 1) * kChunk);
   const auto keys = make_keys();
-  std::unordered_set<std::string> even, odd;
+  std::vector<ChunkKey> even, odd;
   for (std::size_t i = 0; i < n && i < keys.size(); ++i) {
-    (i % 2 == 0 ? even : odd).insert(keys[i]);
+    (i % 2 == 0 ? even : odd).push_back(keys[i]);
   }
   bool flip = false;
   for (auto _ : state) {

@@ -9,7 +9,7 @@ namespace agar::cache {
 
 ArcCache::ArcCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-std::optional<SharedBytes> ArcCache::get(const std::string& key) {
+std::optional<SharedBytes> ArcCache::get(ChunkKey key) {
   const auto it = index_.find(key);
   if (it == index_.end() || (it->second.where != Where::kT1 &&
                              it->second.where != Where::kT2)) {
@@ -90,7 +90,7 @@ void ArcCache::trim_ghosts() {
   }
 }
 
-void ArcCache::insert_resident(Where where, const std::string& key,
+void ArcCache::insert_resident(Where where, ChunkKey key,
                                SharedBytes value) {
   const std::size_t size = value.size();
   Locator loc;
@@ -108,7 +108,7 @@ void ArcCache::insert_resident(Where where, const std::string& key,
   index_[key] = loc;
 }
 
-bool ArcCache::put(const std::string& key, SharedBytes value) {
+bool ArcCache::put(ChunkKey key, SharedBytes value) {
   ++stats_.puts;
   const std::size_t size = value.size();
   if (size > capacity_bytes_) {
@@ -168,14 +168,14 @@ bool ArcCache::put(const std::string& key, SharedBytes value) {
   return true;
 }
 
-bool ArcCache::contains(const std::string& key) const {
+bool ArcCache::contains(ChunkKey key) const {
   const auto it = index_.find(key);
   return it != index_.end() && (it->second.where == Where::kT1 ||
                                 it->second.where == Where::kT2);
 }
 
-std::vector<std::string> ArcCache::keys() const {
-  std::vector<std::string> out;
+std::vector<ChunkKey> ArcCache::keys() const {
+  std::vector<ChunkKey> out;
   out.reserve(t1_.size() + t2_.size());
   for (const auto& e : t1_) out.push_back(e.key);
   for (const auto& e : t2_) out.push_back(e.key);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <list>
-#include <string>
 #include <unordered_map>
 
 #include "cache/cache.hpp"
@@ -24,10 +23,10 @@ class ArcCache final : public CacheEngine {
  public:
   explicit ArcCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
+  bool put(ChunkKey key, SharedBytes value) override;
+  [[nodiscard]] bool contains(ChunkKey key) const override;
+  [[nodiscard]] std::vector<ChunkKey> keys() const override;
 
   /// Adaptive target: bytes of capacity currently granted to the
   /// recency-side list T1. For tests and inspection.
@@ -41,11 +40,11 @@ class ArcCache final : public CacheEngine {
 
  private:
   struct Entry {
-    std::string key;
+    ChunkKey key = 0;
     SharedBytes value;
   };
   struct Ghost {
-    std::string key;
+    ChunkKey key = 0;
     std::size_t size = 0;  ///< bytes the entry had when evicted
   };
   enum class Where { kT1, kT2, kB1, kB2 };
@@ -65,11 +64,11 @@ class ArcCache final : public CacheEngine {
   void trim_ghosts();
   void remove_ghost(std::list<Ghost>& list, std::size_t& bytes,
                     std::list<Ghost>::iterator it);
-  void insert_resident(Where where, const std::string& key, SharedBytes value);
+  void insert_resident(Where where, ChunkKey key, SharedBytes value);
 
   std::list<Entry> t1_, t2_;  // front = MRU
   std::list<Ghost> b1_, b2_;  // front = most recently evicted
-  std::unordered_map<std::string, Locator> index_;
+  std::unordered_map<ChunkKey, Locator> index_;
   std::size_t t1_bytes_ = 0, t2_bytes_ = 0;
   std::size_t b1_bytes_ = 0, b2_bytes_ = 0;
   std::size_t target_p_ = 0;  ///< T1's byte target, in [0, capacity]

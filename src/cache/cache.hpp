@@ -1,19 +1,20 @@
 // Cache engine interface — the memcached stand-in.
 //
-// A cache stores byte payloads under string keys (chunk cache keys like
-// "object42#3") within a byte capacity. Engines differ only in their
-// replacement/admission policy: LRU and LFU evict on insert as memcached
-// and the paper's LFU proxy do; the Agar static cache admits only keys in
-// the currently installed configuration.
+// A cache stores byte payloads under integer chunk keys (ChunkId::key(),
+// the id-based form of memcached keys like "object42#3") within a byte
+// capacity. Engines differ only in their replacement/admission policy: LRU
+// and LFU evict on insert as memcached and the paper's LFU proxy do; the
+// Agar static cache admits only keys in the currently installed
+// configuration.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/shared_bytes.hpp"
+#include "common/types.hpp"
 
 namespace agar::cache {
 
@@ -44,19 +45,23 @@ class CacheEngine {
   /// Look up a key. Engines update recency/frequency state on hit. The
   /// returned handle shares the cached buffer (refcount bump, no copy) and
   /// stays valid even if the entry is evicted afterwards.
-  [[nodiscard]] virtual std::optional<SharedBytes> get(
-      const std::string& key) = 0;
+  [[nodiscard]] virtual std::optional<SharedBytes> get(ChunkKey key) = 0;
 
   /// Insert a value (Bytes convert implicitly, adopted by move). Returns
   /// true if the value resides in the cache after the call (it may evict
   /// others), false if admission declined it.
-  virtual bool put(const std::string& key, SharedBytes value) = 0;
+  virtual bool put(ChunkKey key, SharedBytes value) = 0;
 
   /// Presence check with NO policy side effects (no recency update).
-  [[nodiscard]] virtual bool contains(const std::string& key) const = 0;
+  [[nodiscard]] virtual bool contains(ChunkKey key) const = 0;
 
   /// All resident keys, unordered. For inspection/tests.
-  [[nodiscard]] virtual std::vector<std::string> keys() const = 0;
+  [[nodiscard]] virtual std::vector<ChunkKey> keys() const = 0;
+
+  /// The deployment's object keys by id (BackendCluster::keys()), for
+  /// engines that hash chunks by name. A strategy binds its backend's
+  /// before the first put; most engines ignore them.
+  virtual void bind_object_keys(const std::vector<ObjectKey>* /*keys*/) {}
 
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t used_bytes() const { return used_bytes_; }

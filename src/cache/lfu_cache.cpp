@@ -29,7 +29,7 @@ const api::EngineRegistration kLfuEngine{{
 
 LfuCache::LfuCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-void LfuCache::promote(const std::string& key, Locator& loc) {
+void LfuCache::promote(ChunkKey key, Locator& loc) {
   const std::uint64_t next_freq = loc.bucket->freq + 1;
   auto next_bucket = std::next(loc.bucket);
   if (next_bucket == buckets_.end() || next_bucket->freq != next_freq) {
@@ -44,7 +44,7 @@ void LfuCache::promote(const std::string& key, Locator& loc) {
   index_[key] = loc;
 }
 
-std::optional<SharedBytes> LfuCache::get(const std::string& key) {
+std::optional<SharedBytes> LfuCache::get(ChunkKey key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
@@ -55,7 +55,7 @@ std::optional<SharedBytes> LfuCache::get(const std::string& key) {
   return it->second.entry->value;  // shared handle, no copy
 }
 
-void LfuCache::remove_entry(const std::string& key, const Locator& loc) {
+void LfuCache::remove_entry(ChunkKey key, const Locator& loc) {
   used_bytes_ -= loc.entry->value.size();
   auto bucket = loc.bucket;
   bucket->entries.erase(loc.entry);
@@ -67,13 +67,13 @@ void LfuCache::evict_until_fits(std::size_t incoming) {
   while (used_bytes_ + incoming > capacity_bytes_ && !buckets_.empty()) {
     // Lowest-frequency bucket, least recently touched entry.
     Bucket& lowest = buckets_.front();
-    const std::string victim = lowest.entries.back().key;
+    const ChunkKey victim = lowest.entries.back().key;
     remove_entry(victim, index_.at(victim));
     ++stats_.evictions;
   }
 }
 
-bool LfuCache::put(const std::string& key, SharedBytes value) {
+bool LfuCache::put(ChunkKey key, SharedBytes value) {
   ++stats_.puts;
   if (value.size() > capacity_bytes_) {
     ++stats_.rejections;
@@ -102,12 +102,12 @@ bool LfuCache::put(const std::string& key, SharedBytes value) {
   return true;
 }
 
-bool LfuCache::contains(const std::string& key) const {
+bool LfuCache::contains(ChunkKey key) const {
   return index_.contains(key);
 }
 
-std::vector<std::string> LfuCache::keys() const {
-  std::vector<std::string> out;
+std::vector<ChunkKey> LfuCache::keys() const {
+  std::vector<ChunkKey> out;
   out.reserve(index_.size());
   for (const auto& bucket : buckets_) {
     for (const auto& e : bucket.entries) out.push_back(e.key);
@@ -115,12 +115,12 @@ std::vector<std::string> LfuCache::keys() const {
   return out;
 }
 
-std::uint64_t LfuCache::frequency(const std::string& key) const {
+std::uint64_t LfuCache::frequency(ChunkKey key) const {
   const auto it = index_.find(key);
   return it == index_.end() ? 0 : it->second.bucket->freq;
 }
 
-std::optional<std::string> LfuCache::eviction_candidate() const {
+std::optional<ChunkKey> LfuCache::eviction_candidate() const {
   if (buckets_.empty()) return std::nullopt;
   return buckets_.front().entries.back().key;
 }

@@ -19,20 +19,20 @@ class LfuCache final : public CacheEngine {
  public:
   explicit LfuCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
+  bool put(ChunkKey key, SharedBytes value) override;
+  [[nodiscard]] bool contains(ChunkKey key) const override;
+  [[nodiscard]] std::vector<ChunkKey> keys() const override;
 
   /// Current access frequency of a resident key (0 if absent); for tests.
-  [[nodiscard]] std::uint64_t frequency(const std::string& key) const;
+  [[nodiscard]] std::uint64_t frequency(ChunkKey key) const;
 
   /// Key that would be evicted next; for tests.
-  [[nodiscard]] std::optional<std::string> eviction_candidate() const;
+  [[nodiscard]] std::optional<ChunkKey> eviction_candidate() const;
 
  private:
   struct Entry {
-    std::string key;
+    ChunkKey key = 0;
     SharedBytes value;
   };
   struct Bucket {
@@ -48,12 +48,12 @@ class LfuCache final : public CacheEngine {
 
   /// Move an entry from its bucket to the bucket with frequency+1,
   /// creating/destroying buckets as needed.
-  void promote(const std::string& key, Locator& loc);
+  void promote(ChunkKey key, Locator& loc);
   void evict_until_fits(std::size_t incoming);
-  void remove_entry(const std::string& key, const Locator& loc);
+  void remove_entry(ChunkKey key, const Locator& loc);
 
   BucketList buckets_;  // ascending frequency order
-  std::unordered_map<std::string, Locator> index_;
+  std::unordered_map<ChunkKey, Locator> index_;
 };
 
 }  // namespace agar::cache

@@ -22,67 +22,94 @@ const api::EngineRegistration kLruEngine{{
 
 LruCache::LruCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-std::optional<SharedBytes> LruCache::get(const std::string& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+void LruCache::unlink(std::uint32_t e) {
+  Entry& entry = entries_[e];
+  (entry.prev == kNone ? head_ : entries_[entry.prev].next) = entry.next;
+  (entry.next == kNone ? tail_ : entries_[entry.next].prev) = entry.prev;
+}
+
+void LruCache::push_front(std::uint32_t e) {
+  entries_[e].prev = kNone;
+  entries_[e].next = head_;
+  (head_ == kNone ? tail_ : entries_[head_].prev) = e;
+  head_ = e;
+}
+
+std::optional<SharedBytes> LruCache::get(ChunkKey key) {
+  const std::uint32_t* e = index_.find(key);
+  if (e == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
   // Move to front (most recently used).
-  entries_.splice(entries_.begin(), entries_, it->second);
+  unlink(*e);
+  push_front(*e);
   ++stats_.hits;
-  return it->second->value;  // shared handle, no copy
+  return entries_[*e].value;  // shared handle, no copy
 }
 
 void LruCache::evict_until_fits(std::size_t incoming) {
-  while (used_bytes_ + incoming > capacity_bytes_ && !entries_.empty()) {
-    const Entry& victim = entries_.back();
-    used_bytes_ -= victim.value.size();
-    index_.erase(victim.key);
-    entries_.pop_back();
+  while (used_bytes_ + incoming > capacity_bytes_ && tail_ != kNone) {
+    const std::uint32_t victim = tail_;
+    used_bytes_ -= entries_[victim].value.size();
+    index_.erase(entries_[victim].key);
+    unlink(victim);
+    entries_[victim].value = SharedBytes{};
+    free_.push_back(victim);
     ++stats_.evictions;
   }
 }
 
-bool LruCache::put(const std::string& key, SharedBytes value) {
+bool LruCache::put(ChunkKey key, SharedBytes value) {
   ++stats_.puts;
   if (value.size() > capacity_bytes_) {
     ++stats_.rejections;
     return false;  // can never fit
   }
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
+  if (const std::uint32_t* found = index_.find(key)) {
     // Overwrite in place and refresh recency.
-    used_bytes_ -= it->second->value.size();
+    const std::uint32_t e = *found;
+    used_bytes_ -= entries_[e].value.size();
     used_bytes_ += value.size();
-    it->second->value = std::move(value);
-    entries_.splice(entries_.begin(), entries_, it->second);
+    entries_[e].value = std::move(value);
+    unlink(e);
+    push_front(e);
     evict_until_fits(0);
     ++stats_.admissions;
     return true;
   }
   evict_until_fits(value.size());
+  std::uint32_t e;
+  if (free_.empty()) {
+    e = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    e = free_.back();
+    free_.pop_back();
+  }
   used_bytes_ += value.size();
-  entries_.push_front(Entry{key, std::move(value)});
-  index_[key] = entries_.begin();
+  entries_[e].key = key;
+  entries_[e].value = std::move(value);
+  push_front(e);
+  *index_.try_emplace(key).first = e;
   ++stats_.admissions;
   return true;
 }
 
-bool LruCache::contains(const std::string& key) const {
-  return index_.contains(key);
-}
+bool LruCache::contains(ChunkKey key) const { return index_.contains(key); }
 
-std::vector<std::string> LruCache::keys() const {
-  std::vector<std::string> out;
+std::vector<ChunkKey> LruCache::keys() const {
+  std::vector<ChunkKey> out;
   out.reserve(index_.size());
-  for (const auto& e : entries_) out.push_back(e.key);
+  for (std::uint32_t e = head_; e != kNone; e = entries_[e].next) {
+    out.push_back(entries_[e].key);
+  }
   return out;
 }
 
-std::optional<std::string> LruCache::eviction_candidate() const {
-  if (entries_.empty()) return std::nullopt;
-  return entries_.back().key;
+std::optional<ChunkKey> LruCache::eviction_candidate() const {
+  if (tail_ == kNone) return std::nullopt;
+  return entries_[tail_].key;
 }
 
 }  // namespace agar::cache

@@ -1,13 +1,17 @@
 // Least-Recently-Used cache — memcached's default policy (paper §V-A "LRU").
 //
 // Classic intrusive design: a doubly linked list in recency order plus a
-// hash map from key to list node. All operations are O(1) expected.
+// hash map from key to list node. All operations are O(1) expected. The
+// nodes live in one slot table reused through a free list, linked by slot
+// index, and the map is an integer-keyed IntMap, so once the cache has
+// been full a put allocates nothing.
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "cache/cache.hpp"
+#include "common/int_map.hpp"
 
 namespace agar::cache {
 
@@ -15,25 +19,34 @@ class LruCache final : public CacheEngine {
  public:
   explicit LruCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
+  bool put(ChunkKey key, SharedBytes value) override;
+  [[nodiscard]] bool contains(ChunkKey key) const override;
+  /// Resident keys, most recently used first.
+  [[nodiscard]] std::vector<ChunkKey> keys() const override;
 
   /// Key that would be evicted next (least recently used); for tests.
-  [[nodiscard]] std::optional<std::string> eviction_candidate() const;
+  [[nodiscard]] std::optional<ChunkKey> eviction_candidate() const;
 
  private:
-  struct Entry {
-    std::string key;
-    SharedBytes value;
-  };
-  using List = std::list<Entry>;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
+  struct Entry {
+    ChunkKey key = 0;
+    SharedBytes value;
+    std::uint32_t prev = kNone;  ///< more recently used
+    std::uint32_t next = kNone;  ///< less recently used
+  };
+
+  void unlink(std::uint32_t e);
+  void push_front(std::uint32_t e);
   void evict_until_fits(std::size_t incoming);
 
-  List entries_;  // front = most recent, back = least recent
-  std::unordered_map<std::string, List::iterator> index_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t head_ = kNone;  ///< most recently used
+  std::uint32_t tail_ = kNone;  ///< least recently used
+  IntMap<std::uint32_t> index_;  ///< key -> slot in entries_
 };
 
 }  // namespace agar::cache

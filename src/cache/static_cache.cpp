@@ -1,25 +1,27 @@
 #include "cache/static_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace agar::cache {
 
 StaticConfigCache::StaticConfigCache(std::size_t capacity_bytes)
     : CacheEngine(capacity_bytes) {}
 
-std::optional<SharedBytes> StaticConfigCache::get(const std::string& key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+std::optional<SharedBytes> StaticConfigCache::get(ChunkKey key) {
+  const Entry* e = entries_.find(key);
+  if (e == nullptr || !e->resident) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  return it->second;  // shared handle, no copy
+  return e->value;  // shared handle, no copy
 }
 
-bool StaticConfigCache::put(const std::string& key, SharedBytes value) {
+bool StaticConfigCache::put(ChunkKey key, SharedBytes value) {
   ++stats_.puts;
-  if (!configured_.contains(key)) {
+  Entry* e = entries_.find(key);
+  if (e == nullptr) {
     ++stats_.rejections;
     return false;
   }
@@ -27,11 +29,10 @@ bool StaticConfigCache::put(const std::string& key, SharedBytes value) {
     ++stats_.rejections;
     return false;
   }
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    used_bytes_ -= it->second.size();
+  if (e->resident) {
+    used_bytes_ -= e->value.size();
     used_bytes_ += value.size();
-    it->second = std::move(value);
+    e->value = std::move(value);
     ++stats_.admissions;
     return true;
   }
@@ -43,52 +44,52 @@ bool StaticConfigCache::put(const std::string& key, SharedBytes value) {
     return false;
   }
   used_bytes_ += value.size();
-  entries_.emplace(key, std::move(value));
+  e->value = std::move(value);
+  e->resident = true;
   ++stats_.admissions;
   return true;
 }
 
-bool StaticConfigCache::contains(const std::string& key) const {
-  return entries_.contains(key);
+bool StaticConfigCache::contains(ChunkKey key) const {
+  const Entry* e = entries_.find(key);
+  return e != nullptr && e->resident;
 }
 
-std::vector<std::string> StaticConfigCache::keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  // agar-lint: ordered-ok(sorted below before returning)
-  for (const auto& [key, value] : entries_) out.push_back(key);
+std::vector<ChunkKey> StaticConfigCache::keys() const {
+  std::vector<ChunkKey> out;
+  entries_.for_each([&out](ChunkKey key, const Entry& e) {
+    if (e.resident) out.push_back(key);
+  });
   // Callers compare and print key lists; hand them a stable order rather
-  // than the hash-map's.
+  // than the table's.
   std::sort(out.begin(), out.end());
   return out;
 }
 
 StaticConfigCache::Churn StaticConfigCache::install_configuration(
-    std::unordered_set<std::string> configured) {
+    const std::vector<ChunkKey>& configured) {
   std::uint64_t kept = 0;
-  // agar-lint: ordered-ok(churn count; membership test + counter, no
-  // order-dependent output)
-  for (const auto& key : configured) {
-    if (configured_.contains(key)) ++kept;
-  }
-  const Churn churn{configured.size() - kept, configured_.size() - kept};
-  configured_ = std::move(configured);
-  // agar-lint: ordered-ok(pure eviction sweep; membership test + counter, no
-  // order-dependent output)
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!configured_.contains(it->first)) {
-      used_bytes_ -= it->second.size();
-      it = entries_.erase(it);
-      ++stats_.evictions;
-    } else {
-      ++it;
+  for (const ChunkKey key : configured) {
+    const auto [entry, inserted] = next_.try_emplace(key);
+    if (!inserted) continue;  // a duplicate of an earlier key
+    if (Entry* old = entries_.find(key)) {
+      *entry = std::move(*old);
+      old->kept = true;
+      ++kept;
     }
   }
+  const Churn churn{next_.size() - kept, entries_.size() - kept};
+  // Evict what the new configuration drops. Counts only, so the table's
+  // visit order cannot reach an output.
+  entries_.for_each([this](ChunkKey, const Entry& e) {
+    if (e.resident && !e.kept) {
+      used_bytes_ -= e.value.size();
+      ++stats_.evictions;
+    }
+  });
+  std::swap(entries_, next_);
+  next_.clear();
   return churn;
-}
-
-bool StaticConfigCache::is_configured(const std::string& key) const {
-  return configured_.contains(key);
 }
 
 }  // namespace agar::cache

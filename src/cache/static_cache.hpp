@@ -14,13 +14,17 @@
 //     reconfiguration time.
 // There is no eviction policy in the classical sense — the knapsack solver
 // already decided what deserves the space.
+//
+// One integer-keyed table holds every configured key, resident or not, so
+// a read's lookups are one probe each. Installing a configuration fills a
+// second table of the same kind and swaps the two, so steady-state
+// reconfigurations reuse both tables' capacity.
 #pragma once
 
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "cache/cache.hpp"
+#include "common/int_map.hpp"
 
 namespace agar::cache {
 
@@ -28,10 +32,11 @@ class StaticConfigCache final : public CacheEngine {
  public:
   explicit StaticConfigCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
+  bool put(ChunkKey key, SharedBytes value) override;
+  [[nodiscard]] bool contains(ChunkKey key) const override;
+  /// Resident keys, ascending.
+  [[nodiscard]] std::vector<ChunkKey> keys() const override;
 
   /// Keys a new configuration adds to and drops from the previous one.
   struct Churn {
@@ -39,19 +44,28 @@ class StaticConfigCache final : public CacheEngine {
     std::uint64_t dropped = 0;
   };
 
-  /// Install a new configuration: the exact set of admissible keys.
-  /// Resident entries outside the new set are evicted immediately; keys in
-  /// the set are admitted lazily as clients put them.
-  Churn install_configuration(std::unordered_set<std::string> configured);
+  /// Install a new configuration: the exact set of admissible keys (in any
+  /// order; duplicates count once). Resident entries outside the new set
+  /// are evicted immediately; keys in the set are admitted lazily as
+  /// clients put them.
+  Churn install_configuration(const std::vector<ChunkKey>& configured);
 
-  [[nodiscard]] bool is_configured(const std::string& key) const;
+  [[nodiscard]] bool is_configured(ChunkKey key) const {
+    return entries_.contains(key);
+  }
   [[nodiscard]] std::size_t configured_size() const {
-    return configured_.size();
+    return entries_.size();
   }
 
  private:
-  std::unordered_set<std::string> configured_;
-  std::unordered_map<std::string, SharedBytes> entries_;
+  struct Entry {
+    SharedBytes value;
+    bool resident = false;
+    bool kept = false;  ///< carried into the configuration being installed
+  };
+
+  IntMap<Entry> entries_;  ///< every configured key
+  IntMap<Entry> next_;     ///< install_configuration's scratch, kept empty
 };
 
 }  // namespace agar::cache

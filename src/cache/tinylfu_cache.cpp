@@ -39,8 +39,17 @@ TinyLfuCache::TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params)
       inner_(capacity_bytes),
       sketch_(params.sketch_width, params.sketch_depth, params.aging_window) {}
 
-std::optional<SharedBytes> TinyLfuCache::get(const std::string& key) {
-  sketch_.add(key);
+std::uint64_t TinyLfuCache::sketch_hash(ChunkKey key) const {
+  const ChunkId chunk = ChunkId::of(key);
+  if (object_keys_ != nullptr && chunk.object < object_keys_->size()) {
+    return fnv1a_chunk((*object_keys_)[chunk.object], chunk.index);
+  }
+  return fnv1a(BytesView(reinterpret_cast<const std::uint8_t*>(&key),
+                         sizeof(key)));
+}
+
+std::optional<SharedBytes> TinyLfuCache::get(ChunkKey key) {
+  sketch_.add_hash(sketch_hash(key));
   auto result = inner_.get(key);
   if (result.has_value()) {
     ++stats_.hits;
@@ -51,7 +60,7 @@ std::optional<SharedBytes> TinyLfuCache::get(const std::string& key) {
   return result;
 }
 
-bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
+bool TinyLfuCache::put(ChunkKey key, SharedBytes value) {
   ++stats_.puts;
   if (value.size() > capacity_bytes_) {
     ++stats_.rejections;
@@ -63,7 +72,8 @@ bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
       inner_.used_bytes() + value.size() > capacity_bytes_) {
     const auto victim = inner_.eviction_candidate();
     if (victim.has_value() &&
-        sketch_.estimate(key) < sketch_.estimate(*victim)) {
+        sketch_.estimate_hash(sketch_hash(key)) <
+            sketch_.estimate_hash(sketch_hash(*victim))) {
       ++stats_.rejections;
       return false;
     }
@@ -78,10 +88,10 @@ bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
   return ok;
 }
 
-bool TinyLfuCache::contains(const std::string& key) const {
+bool TinyLfuCache::contains(ChunkKey key) const {
   return inner_.contains(key);
 }
 
-std::vector<std::string> TinyLfuCache::keys() const { return inner_.keys(); }
+std::vector<ChunkKey> TinyLfuCache::keys() const { return inner_.keys(); }
 
 }  // namespace agar::cache

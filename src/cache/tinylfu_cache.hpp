@@ -25,16 +25,26 @@ class TinyLfuCache final : public CacheEngine {
  public:
   TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params = {});
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
+  bool put(ChunkKey key, SharedBytes value) override;
+  [[nodiscard]] bool contains(ChunkKey key) const override;
+  [[nodiscard]] std::vector<ChunkKey> keys() const override;
+
+  /// With the object keys bound the sketch hashes a chunk by its string
+  /// name "<key>#<index>", as the prototype's memcached keys were named;
+  /// unbound (the engine on its own) it hashes the integer chunk key.
+  void bind_object_keys(const std::vector<ObjectKey>* keys) override {
+    object_keys_ = keys;
+  }
 
   [[nodiscard]] const stats::CountMinSketch& sketch() const { return sketch_; }
 
  private:
+  [[nodiscard]] std::uint64_t sketch_hash(ChunkKey key) const;
+
   LruCache inner_;
   stats::CountMinSketch sketch_;
+  const std::vector<ObjectKey>* object_keys_ = nullptr;  // non-owning
 };
 
 }  // namespace agar::cache

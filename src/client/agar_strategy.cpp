@@ -125,7 +125,9 @@ AgarStrategy::AgarStrategy(ClientContext ctx, AgarParams params)
                       region_manager_params(ctx, params_)),
       estimator_(make_estimator(params_)),
       cache_manager_(ctx.backend, &region_manager_, estimator_.get(), &cache_,
-                     params_.cache_manager) {}
+                     params_.cache_manager) {
+  engine_ = &cache_;
+}
 
 void AgarStrategy::warm_up() { region_manager_.probe(); }
 
@@ -145,7 +147,7 @@ void AgarStrategy::apply_reconfiguration() {
   cache_manager_.reconfigure();
   for (const auto& [key, option] : cache_manager_.current().entries) {
     for (const ChunkIndex idx : option.chunks) {
-      populate_chunk_async(key, idx, cache_);
+      populate_chunk_async(ChunkId{option.object, idx});
     }
   }
   if (on_reconfigure_) on_reconfigure_();
@@ -156,20 +158,26 @@ collab::PeerInfo AgarStrategy::collab_info() {
   info.region = ctx_.region;
   for (const auto& [key, opt] : cache_manager_.current().entries) {
     for (const ChunkIndex idx : opt.chunks) {
-      info.configured_chunks.insert(ChunkId{opt.key, idx}.cache_key());
+      info.configured_chunks.push_back(ChunkId{opt.object, idx}.key());
     }
   }
+  std::sort(info.configured_chunks.begin(), info.configured_chunks.end());
   return info;
 }
 
 ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
   ReadPlan plan;
-  estimator_->record(key);
+  plan_into(ctx_.backend->id_of(key), plan);
+  return plan;
+}
+
+void AgarStrategy::plan_into(ObjectId object, ReadPlan& plan) {
+  estimator_->record(ctx_.backend->key_of(object));
   plan.monitor_overhead_ms = params_.processing_ms;
 
-  auto costs = region_manager_.chunk_costs(key);
+  region_manager_.chunk_costs(object, costs_);
   // Cheapest-first order; deterministic tie-break.
-  std::sort(costs.begin(), costs.end(),
+  std::sort(costs_.begin(), costs_.end(),
             [](const core::ChunkCost& a, const core::ChunkCost& b) {
               if (a.latency_ms != b.latency_ms) {
                 return a.latency_ms < b.latency_ms;
@@ -181,25 +189,20 @@ ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
 
   // Resident chunks come from the cache; every other chunk is looked up in
   // the installed configuration once.
-  struct NotResident {
-    core::ChunkCost cost;
-    bool configured;
-  };
-  std::vector<NotResident> not_resident;
-  not_resident.reserve(costs.size());
-  for (const auto& c : costs) {
-    const std::string ck = ChunkId{key, c.index}.cache_key();
+  not_resident_.clear();
+  for (const auto& c : costs_) {
+    const ChunkKey ck = ChunkId{object, c.index}.key();
     if (plan.from_cache.size() < k && cache_.contains(ck)) {
       plan.from_cache.push_back(c.index);
     } else {
-      not_resident.push_back({c, cache_.is_configured(ck)});
+      not_resident_.push_back({c, cache_.is_configured(ck)});
     }
   }
 
   // Fill to k chunks with the cheapest backend fetches. A fetched chunk the
   // configuration wants cached is written back after the read
   // (asynchronously, off the latency path).
-  for (const auto& [c, configured] : not_resident) {
+  for (const auto& [c, configured] : not_resident_) {
     if (plan.chunks_on_path() >= k) break;
     plan.from_backend.emplace_back(c.index, c.region);
     if (configured) plan.populate_after_read.push_back(c.index);
@@ -208,16 +211,17 @@ ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
   // Configured chunks that are neither resident nor fetched on-path (every
   // entry past the ones just planned) are downloaded a-priori by the
   // population thread pool.
-  for (std::size_t i = plan.from_backend.size(); i < not_resident.size();
+  for (std::size_t i = plan.from_backend.size(); i < not_resident_.size();
        ++i) {
-    const auto& [c, configured] = not_resident[i];
+    const auto& [c, configured] = not_resident_[i];
     if (configured) plan.async_populate.push_back(c.index);
   }
-  return plan;
 }
 
-void AgarStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  start_plan(key, plan_read(key), &cache_, std::move(done));
+void AgarStrategy::start_read(ObjectId object, ReadCallback done) {
+  ReadPlan plan = take_plan();
+  plan_into(object, plan);
+  start_plan(object, std::move(plan), std::move(done));
 }
 
 }  // namespace agar::client

@@ -51,7 +51,8 @@ class AgarStrategy final : public ReadStrategy {
  public:
   AgarStrategy(ClientContext ctx, AgarParams params);
 
-  void start_read(const ObjectKey& key, ReadCallback done) override;
+  using ReadStrategy::start_read;
+  void start_read(ObjectId object, ReadCallback done) override;
 
   /// Warm-up phase: probe per-region latencies synchronously (paper §IV:
   /// "the region manager computes this by retrieving several data blocks
@@ -78,6 +79,7 @@ class AgarStrategy final : public ReadStrategy {
   ///   * configured chunks fetched on-path are written back after the
   ///     read; configured chunks neither resident nor fetched are
   ///     downloaded asynchronously by the population pool.
+  /// start_read plans into a pooled plan; this returns a fresh one (tests).
   [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
 
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
@@ -89,9 +91,6 @@ class AgarStrategy final : public ReadStrategy {
   }
   [[nodiscard]] core::CacheManager& cache_manager() { return cache_manager_; }
 
-  [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
-    return &cache_;
-  }
   [[nodiscard]] std::map<std::size_t, std::size_t> config_weight_histogram()
       const override {
     return cache_manager_.current().weight_histogram();
@@ -111,6 +110,9 @@ class AgarStrategy final : public ReadStrategy {
   }
 
  private:
+  /// plan_read's body, into `plan`.
+  void plan_into(ObjectId object, ReadPlan& plan);
+
   /// Install a new plan, start its population downloads, then notify the
   /// reconfigure observer (collab config log) with the plan current.
   void apply_reconfiguration();
@@ -121,6 +123,15 @@ class AgarStrategy final : public ReadStrategy {
   core::RegionManager region_manager_;
   std::unique_ptr<core::PopularityEstimator> estimator_;
   core::CacheManager cache_manager_;
+
+  /// plan_into's scratch: the object's chunk costs, cheapest first, and
+  /// those not resident with whether the configuration wants them.
+  struct NotResident {
+    core::ChunkCost cost;
+    bool configured;
+  };
+  std::vector<core::ChunkCost> costs_;
+  std::vector<NotResident> not_resident_;
 };
 
 }  // namespace agar::client

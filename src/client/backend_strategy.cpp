@@ -20,12 +20,12 @@ const api::StrategyRegistration kBackend{{
 
 }  // namespace
 
-void BackendStrategy::start_read(const ObjectKey& key, ReadCallback done) {
+void BackendStrategy::start_read(ObjectId object, ReadCallback done) {
   const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
-  const auto candidates = chunks_by_expected_latency(ctx_, key);
-  ReadPlan plan;
+  const auto& candidates = chunks_by_expected_latency(object);
+  ReadPlan plan = take_plan();
   plan.from_backend.assign(candidates.begin(), candidates.begin() + k);
-  start_plan(key, std::move(plan), nullptr, std::move(done));
+  start_plan(object, std::move(plan), std::move(done));
 }
 
 }  // namespace agar::client

@@ -12,7 +12,8 @@ class BackendStrategy final : public ReadStrategy {
  public:
   explicit BackendStrategy(ClientContext ctx) : ReadStrategy(ctx) {}
 
-  void start_read(const ObjectKey& key, ReadCallback done) override;
+  using ReadStrategy::start_read;
+  void start_read(ObjectId object, ReadCallback done) override;
 };
 
 }  // namespace agar::client

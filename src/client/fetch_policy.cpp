@@ -9,23 +9,6 @@
 
 namespace agar::client {
 
-/// One logical fetch moving through the retry state machine. Held by
-/// shared_ptr so timer and wire closures outlive any individual attempt.
-/// `epoch` names the current attempt: abandoning an attempt bumps it, so a
-/// completion or timer captured under an older epoch finds the mismatch and
-/// becomes a no-op — nothing needs to chase down in-flight wire events.
-struct FetchPolicy::Pending {
-  RegionId from = 0;
-  RegionId to = 0;
-  std::size_t bytes = 0;
-  FetchCallback cb;
-  std::size_t attempt = 0;  // 1-based once start_attempt runs
-  std::uint64_t epoch = 0;
-  bool done = false;
-  bool primary_outstanding = false;
-  bool hedge_outstanding = false;
-};
-
 FetchPolicy::FetchPolicy(sim::Network* network, std::uint64_t seed,
                          FetchPolicyParams params)
     : network_(network), params_(params), rng_(seed) {
@@ -72,102 +55,120 @@ SimTimeMs FetchPolicy::timeout_ms(const Pending& p) const {
 
 bool FetchPolicy::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                               FetchCallback cb) {
-  auto p = std::make_shared<Pending>();
-  p->from = from;
-  p->to = to;
-  p->bytes = bytes;
-  p->cb = std::move(cb);
-  start_attempt(p);
+  std::uint32_t slot;
+  if (free_pending_.empty()) {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  } else {
+    slot = free_pending_.back();
+    free_pending_.pop_back();
+  }
+  Pending& p = pending_[slot];
+  p.from = from;
+  p.to = to;
+  p.bytes = bytes;
+  p.cb = std::move(cb);
+  p.attempt = 0;
+  p.done = false;
+  p.primary_outstanding = false;
+  p.hedge_outstanding = false;
+  start_attempt(slot);
   // Always accepted: even a down destination is only *discovered* down
   // after a timeout, so the caller never gets the synchronous refusal the
   // raw network hands out.
   return true;
 }
 
-void FetchPolicy::start_attempt(const std::shared_ptr<Pending>& p) {
-  ++p->attempt;
+void FetchPolicy::start_attempt(std::uint32_t slot) {
+  Pending& p = pending_[slot];
+  ++p.attempt;
   ++stats_.attempts;
-  const std::uint64_t epoch = p->epoch;
-  const SimTimeMs timeout = timeout_ms(*p);
+  const std::uint32_t epoch = p.epoch;
+  const SimTimeMs timeout = timeout_ms(p);
   const bool accepted = network_->begin_fetch(
-      p->from, p->to, p->bytes, [this, p, epoch](std::optional<SimTimeMs> l) {
-        on_wire_result(p, epoch, /*is_hedge=*/false, l);
+      p.from, p.to, p.bytes,
+      [this, slot, epoch](std::optional<SimTimeMs> l) {
+        on_wire_result(slot, epoch, /*is_hedge=*/false, l);
       });
-  p->primary_outstanding = accepted;
-  loop()->schedule_in(timeout, [this, p, epoch] { on_timeout(p, epoch); });
+  p.primary_outstanding = accepted;
+  loop()->schedule_in(timeout,
+                      [this, slot, epoch] { on_timeout(slot, epoch); });
   // Hedge only races a request that actually went out; a refused (down)
   // destination has nothing worth duplicating.
   if (accepted && params_.hedge_after_mult > 0.0) {
     const SimTimeMs hedge_delay =
         params_.hedge_after_mult *
-        network_->model().expected_backend_fetch_ms(p->from, p->to, p->bytes);
+        network_->model().expected_backend_fetch_ms(p.from, p.to, p.bytes);
     if (hedge_delay > 0.0 && hedge_delay < timeout) {
       loop()->schedule_in(hedge_delay,
-                          [this, p, epoch] { on_hedge_fire(p, epoch); });
+                          [this, slot, epoch] { on_hedge_fire(slot, epoch); });
     }
   }
 }
 
-void FetchPolicy::on_hedge_fire(const std::shared_ptr<Pending>& p,
-                                std::uint64_t epoch) {
-  if (p->done || epoch != p->epoch) return;
-  if (!p->primary_outstanding) return;  // primary already failed; retry path owns it
+void FetchPolicy::on_hedge_fire(std::uint32_t slot, std::uint32_t epoch) {
+  Pending& p = pending_[slot];
+  if (p.done || epoch != p.epoch) return;
+  if (!p.primary_outstanding) return;  // primary already failed; retry path owns it
   const bool accepted = network_->begin_fetch(
-      p->from, p->to, p->bytes, [this, p, epoch](std::optional<SimTimeMs> l) {
-        on_wire_result(p, epoch, /*is_hedge=*/true, l);
+      p.from, p.to, p.bytes,
+      [this, slot, epoch](std::optional<SimTimeMs> l) {
+        on_wire_result(slot, epoch, /*is_hedge=*/true, l);
       });
   if (accepted) {
     ++stats_.attempts;
     ++stats_.hedges_issued;
-    p->hedge_outstanding = true;
+    p.hedge_outstanding = true;
   }
 }
 
-void FetchPolicy::on_wire_result(const std::shared_ptr<Pending>& p,
-                                 std::uint64_t epoch, bool is_hedge,
+void FetchPolicy::on_wire_result(std::uint32_t slot, std::uint32_t epoch,
+                                 bool is_hedge,
                                  std::optional<SimTimeMs> latency) {
-  if (p->done || epoch != p->epoch) return;  // raced a winner or a timeout
+  Pending& p = pending_[slot];
+  if (p.done || epoch != p.epoch) return;  // raced a winner or a timeout
   if (latency.has_value()) {
     if (is_hedge) {
       ++stats_.hedges_won;
-    } else if (p->hedge_outstanding) {
+    } else if (p.hedge_outstanding) {
       ++stats_.hedges_wasted;  // duplicate still on the wire, now pointless
     }
-    observe(p->to, true);
-    complete(p, latency);
+    observe(p.to, true);
+    complete(slot, latency);
     return;
   }
   // One arm failed (abort, queue failure, or gray drop). If the other arm
   // is still racing the timeout, let it run; otherwise the attempt is dead.
   if (is_hedge) {
-    p->hedge_outstanding = false;
+    p.hedge_outstanding = false;
   } else {
-    p->primary_outstanding = false;
+    p.primary_outstanding = false;
   }
-  if (p->primary_outstanding || p->hedge_outstanding) return;
+  if (p.primary_outstanding || p.hedge_outstanding) return;
   abandon_attempt(p);
-  attempt_failed(p);
+  attempt_failed(slot);
 }
 
-void FetchPolicy::on_timeout(const std::shared_ptr<Pending>& p,
-                             std::uint64_t epoch) {
-  if (p->done || epoch != p->epoch) return;
+void FetchPolicy::on_timeout(std::uint32_t slot, std::uint32_t epoch) {
+  Pending& p = pending_[slot];
+  if (p.done || epoch != p.epoch) return;
   ++stats_.timeouts;
   abandon_attempt(p);
-  attempt_failed(p);
+  attempt_failed(slot);
 }
 
-void FetchPolicy::abandon_attempt(const std::shared_ptr<Pending>& p) {
-  ++p->epoch;  // stale wire completions and timer firings become no-ops
-  p->primary_outstanding = false;
-  p->hedge_outstanding = false;
+void FetchPolicy::abandon_attempt(Pending& p) {
+  ++p.epoch;  // stale wire completions and timer firings become no-ops
+  p.primary_outstanding = false;
+  p.hedge_outstanding = false;
 }
 
-void FetchPolicy::attempt_failed(const std::shared_ptr<Pending>& p) {
-  observe(p->to, false);
-  if (p->attempt > params_.retries) {  // attempts = retries + 1
+void FetchPolicy::attempt_failed(std::uint32_t slot) {
+  Pending& p = pending_[slot];
+  observe(p.to, false);
+  if (p.attempt > params_.retries) {  // attempts = retries + 1
     ++stats_.exhausted;
-    complete(p, std::nullopt);
+    complete(slot, std::nullopt);
     return;
   }
   ++stats_.retries;
@@ -177,20 +178,23 @@ void FetchPolicy::attempt_failed(const std::shared_ptr<Pending>& p) {
           : 1.0;
   const SimTimeMs backoff =
       params_.backoff_ms *
-      std::pow(params_.backoff_mult, static_cast<double>(p->attempt - 1)) *
+      std::pow(params_.backoff_mult, static_cast<double>(p.attempt - 1)) *
       jitter;
-  loop()->schedule_in(backoff, [this, p] {
-    if (!p->done) start_attempt(p);
+  loop()->schedule_in(backoff, [this, slot, epoch = p.epoch] {
+    const Pending& retry = pending_[slot];
+    if (!retry.done && epoch == retry.epoch) start_attempt(slot);
   });
 }
 
-void FetchPolicy::complete(const std::shared_ptr<Pending>& p,
+void FetchPolicy::complete(std::uint32_t slot,
                            std::optional<SimTimeMs> result) {
+  Pending& p = pending_[slot];
   abandon_attempt(p);  // late arrivals and timers drop on the epoch
-  p->done = true;
-  // Pending outlives this call in the armed timers' closures; they must
-  // not keep the read's continuation alive.
-  FetchCallback cb = std::move(p->cb);
+  p.done = true;
+  // The caller's continuation may start fetches that reuse this slot.
+  FetchCallback cb = std::move(p.cb);
+  p.cb = nullptr;
+  free_pending_.push_back(slot);
   cb(result);
 }
 

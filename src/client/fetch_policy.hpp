@@ -32,10 +32,13 @@
 // The policy tracks a per-destination-region success EWMA (1 = healthy)
 // plus counters (timeouts, retries, hedges issued/won/wasted, exhausted
 // fetches) that the runner merges into RunResult.
+//
+// Each logical fetch is a record in a slot table reused through a free
+// list; its timers and wire callbacks capture (this, slot, epoch), 16
+// bytes that std::function keeps inline, so a fetch allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -94,6 +97,9 @@ class FetchPolicy {
 
   FetchPolicy(sim::Network* network, std::uint64_t seed,
               FetchPolicyParams params);
+  // Timers and wire callbacks hold `this`.
+  FetchPolicy(const FetchPolicy&) = delete;
+  FetchPolicy& operator=(const FetchPolicy&) = delete;
 
   /// Same contract as Network::begin_fetch: returns false only when the
   /// caller should substitute a fallback immediately; otherwise `cb` fires
@@ -115,20 +121,36 @@ class FetchPolicy {
   [[nodiscard]] std::size_t num_regions() const { return success_.size(); }
 
  private:
-  struct Pending;
+  /// One logical fetch moving through the retry state machine. `epoch`
+  /// names the current attempt: abandoning an attempt bumps it, so a
+  /// completion or timer captured under an older epoch finds the mismatch
+  /// and becomes a no-op — nothing needs to chase down in-flight wire
+  /// events. It is never reset, so events of a slot's earlier fetch stay
+  /// stale after the slot is reused.
+  struct Pending {
+    RegionId from = 0;
+    RegionId to = 0;
+    std::size_t bytes = 0;
+    FetchCallback cb;
+    std::size_t attempt = 0;  // 1-based once start_attempt runs
+    std::uint32_t epoch = 0;
+    bool done = false;
+    bool primary_outstanding = false;
+    bool hedge_outstanding = false;
+  };
 
-  void start_attempt(const std::shared_ptr<Pending>& p);
-  void on_wire_result(const std::shared_ptr<Pending>& p, std::uint64_t epoch,
-                      bool is_hedge, std::optional<SimTimeMs> latency);
-  void on_timeout(const std::shared_ptr<Pending>& p, std::uint64_t epoch);
-  void on_hedge_fire(const std::shared_ptr<Pending>& p, std::uint64_t epoch);
+  void start_attempt(std::uint32_t p);
+  void on_wire_result(std::uint32_t p, std::uint32_t epoch, bool is_hedge,
+                      std::optional<SimTimeMs> latency);
+  void on_timeout(std::uint32_t p, std::uint32_t epoch);
+  void on_hedge_fire(std::uint32_t p, std::uint32_t epoch);
   /// The current attempt (primary + any hedge) is dead: retry or exhaust.
-  void attempt_failed(const std::shared_ptr<Pending>& p);
+  void attempt_failed(std::uint32_t p);
   /// Invalidate the in-flight attempt: bump the epoch, so its stale
   /// completions and timer firings are dropped.
-  void abandon_attempt(const std::shared_ptr<Pending>& p);
-  void complete(const std::shared_ptr<Pending>& p,
-                std::optional<SimTimeMs> result);
+  void abandon_attempt(Pending& p);
+  /// Free the slot, then tell the caller.
+  void complete(std::uint32_t p, std::optional<SimTimeMs> result);
   /// Fold one fetch outcome into the per-region health tracking.
   void observe(RegionId to, bool success);
 
@@ -141,6 +163,8 @@ class FetchPolicy {
   FetchPolicyStats stats_;
   std::vector<stats::Ewma> success_;
   std::vector<std::uint64_t> samples_;
+  std::vector<Pending> pending_;
+  std::vector<std::uint32_t> free_pending_;
 };
 
 }  // namespace agar::client

@@ -18,42 +18,32 @@ FixedChunksStrategy::FixedChunksStrategy(
   if (cache_ == nullptr) {
     throw std::invalid_argument("FixedChunksStrategy: null cache engine");
   }
+  cache_->bind_object_keys(&ctx_.backend->keys());
+  engine_ = cache_.get();
 }
 
-void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
+void FixedChunksStrategy::start_read(ObjectId object, ReadCallback done) {
   const std::size_t k = ctx_.backend->codec().k();
   const std::size_t c = std::min(params_.chunks_per_object, k);
 
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks.
-  const auto candidates = chunks_by_expected_latency(ctx_, key);
-  ReadPlan plan;
+  const auto& candidates = chunks_by_expected_latency(object);
+  ReadPlan plan = take_plan();
   plan.from_backend.assign(
       candidates.begin(),
       candidates.begin() + static_cast<std::ptrdiff_t>(k - c));
   for (std::size_t i = k - c; i < k; ++i) {
     plan.from_cache.push_back(candidates[i].first);
   }
+  // After the read, (re-)insert the designated chunks the engine does not
+  // hold. Writes happen on a separate thread pool in the paper's client —
+  // no latency charged.
+  plan.populate_after_read.assign(plan.from_cache.begin(),
+                                  plan.from_cache.end());
+  plan.populate_resident = false;
   plan.monitor_overhead_ms = params_.proxy_overhead_ms;
-
-  std::vector<ChunkIndex> designated = plan.from_cache;
-  start_plan(
-      key, std::move(plan), cache_.get(),
-      [this, key, designated = std::move(designated),
-       done = std::move(done)](const ReadResult& result) {
-        // Populate: (re-)insert the designated chunks. Writes happen on a
-        // separate thread pool in the paper's client — no latency charged.
-        const std::size_t chunk_size =
-            ctx_.backend->object_info(key).chunk_size;
-        for (const ChunkIndex idx : designated) {
-          const std::string ck = ChunkId{key, idx}.cache_key();
-          if (cache_->contains(ck)) continue;  // hit earlier; recency kept
-          SharedBytes payload = population_payload(key, idx, chunk_size);
-          if (ctx_.verify_data && payload.empty()) continue;
-          cache_->put(ck, std::move(payload));
-        }
-        done(result);
-      });
+  start_plan(object, std::move(plan), std::move(done));
 }
 
 // ----------------------------------------------------------- registration

@@ -37,11 +37,9 @@ class FixedChunksStrategy final : public ReadStrategy {
   FixedChunksStrategy(ClientContext ctx, FixedChunksParams params,
                       std::unique_ptr<cache::CacheEngine> engine);
 
-  void start_read(const ObjectKey& key, ReadCallback done) override;
+  using ReadStrategy::start_read;
+  void start_read(ObjectId object, ReadCallback done) override;
 
-  [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
-    return cache_.get();
-  }
   [[nodiscard]] const FixedChunksParams& params() const { return params_; }
 
  private:

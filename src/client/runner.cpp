@@ -19,10 +19,12 @@ Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
   backend_ = std::make_unique<store::BackendCluster>(
       topology_->num_regions(), config.codec,
       ec::RoundRobinPlacement(config.per_key_placement_offset));
+  // "object<i>" registers as id i: the workload's object index is the id.
   if (config.store_payloads) {
     store::populate_working_set(*backend_, config.num_objects,
                                 config.object_size_bytes);
   } else {
+    backend_->reserve(config.num_objects);
     for (std::size_t i = 0; i < config.num_objects; ++i) {
       backend_->register_object("object" + std::to_string(i),
                                 config.object_size_bytes);
@@ -303,7 +305,8 @@ RunResult run_once(const ExperimentConfig& config,
     auto begin_read = [&lane](Workload& workload,
                               ReadStrategy::ReadCallback done) {
       lane.begin_read();
-      lane.strategy().start_read(workload.next_key(), std::move(done));
+      lane.strategy().start_read(
+          static_cast<ObjectId>(workload.next_object()), std::move(done));
     };
 
     if (config.arrival_rate_per_s > 0.0) {

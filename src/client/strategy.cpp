@@ -24,36 +24,85 @@ ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network)
   }
 }
 
+ReadStrategy::~ReadStrategy() = default;
+
+void ReadPlan::clear() {
+  from_cache.clear();
+  from_backend.clear();
+  async_populate.clear();
+  populate_after_read.clear();
+  populate_resident = true;
+  monitor_overhead_ms = 0.0;
+}
+
 void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
   // Layering per wire fetch: coalescing table -> collab routing (pick the
   // peer or the home region) -> fetch policy (retry/hedge/timeout against
-  // the chosen target) -> network. The accounting wrapper observes the
-  // final outcome, after any retries, so a peer hit means the transfer
-  // actually landed.
+  // the chosen target) -> network. The accounting observes the final
+  // outcome, after any retries, so a peer hit means the transfer actually
+  // landed.
+  collab_route_ = std::move(route);
+  collab_done_ = std::move(done);
   fetcher_.set_transport(
-      [this, route = std::move(route), done = std::move(done)](
-          const ChunkId& chunk, RegionId from, RegionId to, std::size_t bytes,
-          core::FetchCoordinator::Callback cb) {
-        const RegionId target = route ? route(chunk, to, bytes) : to;
-        core::FetchCoordinator::Callback wrapped =
-            [done, target, to, bytes,
-             cb = std::move(cb)](std::optional<SimTimeMs> latency) {
-              if (done) done(target, to, bytes, latency.has_value());
-              cb(latency);
-            };
-        if (ctx_.fetch_policy != nullptr) {
-          return ctx_.fetch_policy->begin_fetch(from, target, bytes,
-                                                std::move(wrapped));
-        }
-        return ctx_.network->begin_fetch(from, target, bytes,
-                                         std::move(wrapped));
+      [this](const ChunkId& chunk, RegionId from, RegionId to,
+             std::size_t bytes, core::FetchCoordinator::Callback cb) {
+        return collab_fetch(chunk, from, to, bytes, std::move(cb));
       });
 }
 
+bool ReadStrategy::collab_fetch(const ChunkId& chunk, RegionId from,
+                                RegionId to, std::size_t bytes,
+                                core::FetchCoordinator::Callback cb) {
+  const RegionId target =
+      collab_route_ ? collab_route_(chunk, to, bytes) : to;
+  std::uint32_t slot;
+  if (free_collab_fetches_.empty()) {
+    slot = static_cast<std::uint32_t>(collab_fetches_.size());
+    collab_fetches_.emplace_back();
+  } else {
+    slot = free_collab_fetches_.back();
+    free_collab_fetches_.pop_back();
+  }
+  collab_fetches_[slot] = CollabFetch{std::move(cb), target, to, bytes};
+  core::FetchCoordinator::Callback landed =
+      [this, slot](std::optional<SimTimeMs> latency) {
+        collab_landed(slot, latency);
+      };
+  const bool accepted =
+      ctx_.fetch_policy != nullptr
+          ? ctx_.fetch_policy->begin_fetch(from, target, bytes,
+                                           std::move(landed))
+          : ctx_.network->begin_fetch(from, target, bytes, std::move(landed));
+  if (!accepted) {
+    collab_fetches_[slot].cb = nullptr;
+    free_collab_fetches_.push_back(slot);
+  }
+  return accepted;
+}
+
+void ReadStrategy::collab_landed(std::uint32_t slot,
+                                 std::optional<SimTimeMs> latency) {
+  CollabFetch fetch = std::move(collab_fetches_[slot]);
+  collab_fetches_[slot].cb = nullptr;
+  free_collab_fetches_.push_back(slot);
+  if (collab_done_) {
+    collab_done_(fetch.target, fetch.home, fetch.bytes, latency.has_value());
+  }
+  fetch.cb(latency);
+}
+
+void ReadStrategy::start_read(const ObjectKey& key, ReadCallback done) {
+  start_read(ctx_.backend->id_of(key), std::move(done));
+}
+
 ReadResult ReadStrategy::read(const ObjectKey& key) {
+  return read(ctx_.backend->id_of(key));
+}
+
+ReadResult ReadStrategy::read(ObjectId object) {
   ReadResult out;
   bool done = false;
-  start_read(key, [&](const ReadResult& r) {
+  start_read(object, [&out, &done](const ReadResult& r) {
     out = r;
     done = true;
   });
@@ -68,8 +117,10 @@ ReadResult ReadStrategy::read(const ObjectKey& key) {
 // ------------------------------------------------------------ read executor
 
 struct ReadStrategy::BatchState {
-  ObjectKey key;
-  std::size_t chunk_bytes = 0;
+  ReadStrategy* owner = nullptr;
+  ObjectId object = 0;
+  ReadPlan plan;
+  ReadCallback done;
   std::size_t want = 0;      // backend arms we aim to keep in flight
   std::size_t accepted = 0;  // backend arms issued so far
   std::size_t pending = 0;   // arms (backend + cache) not yet landed
@@ -80,40 +131,54 @@ struct ReadStrategy::BatchState {
   std::size_t next_fallback = 0;
   std::size_t failed_arms = 0;  // arms whose fetch came back nullopt
   std::size_t down_skips = 0;   // arms refused synchronously (region down)
-  std::vector<ChunkIndex> fetched;
+  std::vector<ChunkIndex> fetched;  // in arrival order
+  std::vector<ec::Chunk> chunks;    // verify mode: cache hits, then fetched
   ReadResult result;
   SimTimeMs start = 0.0;
   SimTimeMs extra = 0.0;  // decode + monitor, after the batch
-  /// Fires once every arm has landed and `extra` has passed: the result
-  /// with its latency set, and the fetched chunk indices in arrival order.
-  std::function<void(ReadResult, std::vector<ChunkIndex>)> done;
 };
 
-std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
-    const ClientContext& ctx, const ObjectKey& key) {
-  const store::ObjectInfo info = ctx.backend->object_info(key);
-  struct Entry {
-    ChunkIndex index;
-    RegionId region;
-    double expected_ms;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(info.locations.size());
-  for (const auto& loc : info.locations) {
-    entries.push_back(Entry{
-        loc.index, loc.region,
-        ctx.network->model().expected_backend_fetch_ms(
-            ctx.region, loc.region, info.chunk_size)});
+ReadPlan ReadStrategy::take_plan() {
+  if (free_plans_.empty()) return {};
+  ReadPlan plan = std::move(free_plans_.back());
+  free_plans_.pop_back();
+  plan.clear();
+  return plan;
+}
+
+ReadStrategy::BatchState& ReadStrategy::take_batch() {
+  if (free_batches_.empty()) {
+    BatchState& batch = *batches_.emplace_back(std::make_unique<BatchState>());
+    batch.owner = this;
+    return batch;
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.expected_ms != b.expected_ms) return a.expected_ms < b.expected_ms;
-    if (a.region != b.region) return a.region < b.region;
-    return a.index < b.index;
-  });
-  std::vector<std::pair<ChunkIndex, RegionId>> out;
-  out.reserve(entries.size());
-  for (const auto& e : entries) out.emplace_back(e.index, e.region);
-  return out;
+  BatchState* batch = free_batches_.back();
+  free_batches_.pop_back();
+  return *batch;
+}
+
+const std::vector<std::pair<ChunkIndex, RegionId>>&
+ReadStrategy::chunks_by_expected_latency(ObjectId object) {
+  const store::ObjectInfo& info = ctx_.backend->object_info(object);
+  // The estimate depends on the chunk's region only: one per region.
+  region_ms_.resize(ctx_.backend->num_regions());
+  for (RegionId r = 0; r < region_ms_.size(); ++r) {
+    region_ms_[r] = ctx_.network->model().expected_backend_fetch_ms(
+        ctx_.region, r, info.chunk_size);
+  }
+  candidates_.clear();
+  for (const auto& loc : info.locations) {
+    candidates_.emplace_back(loc.index, loc.region);
+  }
+  std::sort(candidates_.begin(), candidates_.end(),
+            [this](const auto& a, const auto& b) {
+              const SimTimeMs ma = region_ms_[a.second];
+              const SimTimeMs mb = region_ms_[b.second];
+              if (ma != mb) return ma < mb;
+              if (a.second != b.second) return a.second < b.second;
+              return a.first < b.first;
+            });
+  return candidates_;
 }
 
 double ReadStrategy::decode_ms(std::size_t object_bytes) const {
@@ -121,159 +186,183 @@ double ReadStrategy::decode_ms(std::size_t object_bytes) const {
          static_cast<double>(1_MB);
 }
 
-void ReadStrategy::start_plan(const ObjectKey& key, ReadPlan plan,
-                              cache::CacheEngine* cache, ReadCallback done) {
+void ReadStrategy::start_plan(ObjectId object, ReadPlan plan,
+                              ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
+  const store::ObjectInfo& info = ctx_.backend->object_info(object);
   const std::size_t k = ctx_.backend->codec().k();
 
-  auto st = std::make_shared<BatchState>();
-  st->key = key;
-  st->chunk_bytes = info.chunk_size;
-  st->start = loop->now();
-  st->extra = decode_ms(info.object_size) + plan.monitor_overhead_ms;
-  std::vector<SimTimeMs> cache_latencies;
-  std::vector<ec::Chunk> chunks;  // verify mode: cache hits, then fetched
+  BatchState& st = take_batch();
+  st.object = object;
+  st.plan = std::move(plan);
+  st.done = std::move(done);
+  st.start = loop->now();
+  st.extra = decode_ms(info.object_size) + st.plan.monitor_overhead_ms;
 
-  // Cache chunks, fetched in parallel with the backend arms. One that is
-  // not resident goes on the read path from its home region instead.
-  st->on_path = plan.from_backend;
-  for (const ChunkIndex idx : plan.from_cache) {
-    const auto hit = cache->get(ChunkId{key, idx}.cache_key());
+  // Cache chunks, fetched in parallel with the backend arms; the cache arm
+  // lands with the slowest of them. One that is not resident goes on the
+  // read path from its home region instead.
+  SimTimeMs cache_ms = 0.0;
+  st.on_path.assign(st.plan.from_backend.begin(), st.plan.from_backend.end());
+  for (const ChunkIndex idx : st.plan.from_cache) {
+    const auto hit = engine_->get(ChunkId{object, idx}.key());
     if (!hit.has_value()) {
-      st->on_path.emplace_back(idx, info.locations[idx].region);
+      st.on_path.emplace_back(idx, info.locations[idx].region);
       continue;
     }
-    cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
-    ++st->result.cache_chunks;
+    cache_ms = std::max(cache_ms, ctx_.network->cache_fetch(info.chunk_size));
+    ++st.result.cache_chunks;
     if (ctx_.verify_data) {
-      chunks.push_back(ec::Chunk{idx, *hit});  // shared, no copy
+      st.chunks.push_back(ec::Chunk{idx, *hit});  // shared, no copy
     }
   }
 
   // Every other chunk (cheapest-first) is a fallback in case a region is
   // down or a fetch fails.
-  for (const auto& cand : chunks_by_expected_latency(ctx_, key)) {
+  for (const auto& cand : chunks_by_expected_latency(object)) {
     const bool planned =
-        std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
+        std::any_of(st.plan.from_backend.begin(), st.plan.from_backend.end(),
                     [&](const auto& p) { return p.first == cand.first; }) ||
-        std::any_of(plan.from_cache.begin(), plan.from_cache.end(),
+        std::any_of(st.plan.from_cache.begin(), st.plan.from_cache.end(),
                     [&](ChunkIndex i) { return i == cand.first; });
-    if (!planned) st->fallbacks.push_back(cand);
+    if (!planned) st.fallbacks.push_back(cand);
   }
-  st->want = k - st->result.cache_chunks;
+  st.want = k - st.result.cache_chunks;
 
-  st->done = [this, key, plan = std::move(plan), cache,
-              chunks = std::move(chunks), k, info, done = std::move(done)](
-                 ReadResult result, std::vector<ChunkIndex> fetched) mutable {
-    result.backend_chunks = fetched.size();
-    result.full_hit = result.cache_chunks == k;
-    result.partial_hit = result.cache_chunks > 0;
-
-    // Populate the cache per plan (asynchronous in the prototype: a
-    // separate thread pool performs the writes, so no latency charged).
-    for (const ChunkIndex idx : plan.populate_after_read) {
-      SharedBytes payload = population_payload(key, idx, info.chunk_size);
-      if (ctx_.verify_data && payload.empty()) continue;
-      cache->put(ChunkId{key, idx}.cache_key(), std::move(payload));
-    }
-    for (const ChunkIndex idx : plan.async_populate) {
-      // Population fetch crosses the network as a background event
-      // (traffic counted; coalesces with any in-flight read of the
-      // same chunk); its latency is off the read path.
-      populate_chunk_async(key, idx, *cache);
-    }
-
-    if (ctx_.verify_data && !result.failed) {
-      for (const ChunkIndex idx : fetched) {
-        const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-        if (bytes.has_value()) chunks.push_back(ec::Chunk{idx, *bytes});
-      }
-      result.verified = verify_payload(key, info.object_size, chunks);
-    }
-    done(result);
-  };
-
-  if (!cache_latencies.empty()) {
-    ++st->pending;
-    loop->schedule_in(sim::Network::parallel_batch_ms(cache_latencies),
-                      [this, st] { batch_arm_done(st); });
+  if (st.result.cache_chunks != 0) {
+    ++st.pending;
+    loop->schedule_in(cache_ms, [this, s = &st] { batch_arm_done(*s); });
   }
   batch_issue(st);
-  st->issued_all = true;
-  if (st->pending == 0) {
+  st.issued_all = true;
+  if (st.pending == 0) {
     // Nothing to wait for (all regions down, or a zero-latency full hit):
     // complete asynchronously so `done` still fires on the loop.
-    loop->schedule_in(0.0, [this, st] { batch_arm_done(st); });
-    ++st->pending;
+    loop->schedule_in(0.0, [this, s = &st] { batch_arm_done(*s); });
+    ++st.pending;
   }
 }
 
-void ReadStrategy::batch_issue(const std::shared_ptr<BatchState>& st) {
+void ReadStrategy::batch_issue(BatchState& st) {
   auto try_issue = [&](const std::pair<ChunkIndex, RegionId>& target) {
     const auto [index, region] = target;
     const core::FetchStart started = fetcher_.fetch(
-        ChunkId{st->key, index}, ctx_.region, region, st->chunk_bytes,
-        [this, st, index](std::optional<SimTimeMs> latency) {
-          if (latency.has_value()) {
-            st->fetched.push_back(index);
-          } else {
-            // Failed in flight (outage, queue abort, or the fetch policy
-            // exhausted its retries): replace with the next fallback.
-            ++st->failed_arms;
-            --st->accepted;
-            batch_issue(st);
-          }
-          batch_arm_done(st);
+        ChunkId{st.object, index}, ctx_.region, region,
+        ctx_.backend->object_info(st.object).chunk_size,
+        [s = &st, index](std::optional<SimTimeMs> latency) {
+          s->owner->batch_arm_landed(*s, index, latency);
         });
     if (started == core::FetchStart::kDown) {
-      ++st->down_skips;
+      ++st.down_skips;
       return false;  // region down right now; caller falls back
     }
-    if (started == core::FetchStart::kJoined) ++st->result.coalesced_chunks;
-    ++st->accepted;
-    ++st->pending;
+    if (started == core::FetchStart::kJoined) ++st.result.coalesced_chunks;
+    ++st.accepted;
+    ++st.pending;
     return true;
   };
 
-  while (st->accepted < st->want && st->next_on_path < st->on_path.size()) {
-    (void)try_issue(st->on_path[st->next_on_path++]);
+  while (st.accepted < st.want && st.next_on_path < st.on_path.size()) {
+    (void)try_issue(st.on_path[st.next_on_path++]);
   }
   // Failure fallback: pull replacement chunks (typically parity from the
   // regions the planner discarded) until the batch is complete.
-  while (st->accepted < st->want && st->next_fallback < st->fallbacks.size()) {
-    (void)try_issue(st->fallbacks[st->next_fallback++]);
+  while (st.accepted < st.want && st.next_fallback < st.fallbacks.size()) {
+    (void)try_issue(st.fallbacks[st.next_fallback++]);
   }
 }
 
-void ReadStrategy::batch_arm_done(const std::shared_ptr<BatchState>& st) {
-  --st->pending;
-  if (st->pending != 0 || !st->issued_all) return;
-  sim::EventLoop* const loop = ctx_.loop;
+void ReadStrategy::batch_arm_landed(BatchState& st, ChunkIndex index,
+                                    std::optional<SimTimeMs> latency) {
+  if (latency.has_value()) {
+    st.fetched.push_back(index);
+  } else {
+    // Failed in flight (outage, queue abort, or the fetch policy exhausted
+    // its retries): replace with the next fallback.
+    ++st.failed_arms;
+    --st.accepted;
+    batch_issue(st);
+  }
+  batch_arm_done(st);
+}
+
+void ReadStrategy::batch_arm_done(BatchState& st) {
+  --st.pending;
+  if (st.pending != 0 || !st.issued_all) return;
   // Every fallback exhausted before `want` backend arms landed (a mid-run
   // outage took out the remaining sources): the read cannot assemble k
   // chunks. Complete it as a counted failure — no decode happens, so no
   // decode time is charged and no decoder throws from a completion event.
-  st->result.failed = st->fetched.size() < st->want;
+  st.result.failed = st.fetched.size() < st.want;
   // A read that assembled k chunks but not the planned k is a degraded
   // read: it succeeded off its fallback path (and paid for it in latency).
-  st->result.degraded =
-      !st->result.failed && (st->failed_arms > 0 || st->down_skips > 0);
-  loop->schedule_in(st->result.failed ? 0.0 : st->extra, [loop, st] {
-    st->result.latency_ms = loop->now() - st->start;
-    st->done(std::move(st->result), std::move(st->fetched));
-  });
+  st.result.degraded =
+      !st.result.failed && (st.failed_arms > 0 || st.down_skips > 0);
+  ctx_.loop->schedule_in(st.result.failed ? 0.0 : st.extra,
+                         [this, s = &st] { batch_finish(*s); });
+}
+
+void ReadStrategy::batch_finish(BatchState& st) {
+  const store::ObjectInfo& info = ctx_.backend->object_info(st.object);
+  const std::size_t k = ctx_.backend->codec().k();
+  ReadResult result = st.result;
+  result.latency_ms = ctx_.loop->now() - st.start;
+  result.backend_chunks = st.fetched.size();
+  result.full_hit = result.cache_chunks == k;
+  result.partial_hit = result.cache_chunks > 0;
+
+  // Populate the cache per plan (asynchronous in the prototype: a separate
+  // thread pool performs the writes, so no latency charged).
+  for (const ChunkIndex idx : st.plan.populate_after_read) {
+    const ChunkId chunk{st.object, idx};
+    if (!st.plan.populate_resident && engine_->contains(chunk.key())) {
+      continue;  // a hit earlier; the engine keeps its recency
+    }
+    SharedBytes payload = population_payload(chunk, info.chunk_size);
+    if (ctx_.verify_data && payload.empty()) continue;
+    engine_->put(chunk.key(), std::move(payload));
+  }
+  for (const ChunkIndex idx : st.plan.async_populate) {
+    // Population fetch crosses the network as a background event (traffic
+    // counted; coalesces with any in-flight read of the same chunk); its
+    // latency is off the read path.
+    populate_chunk_async(ChunkId{st.object, idx});
+  }
+
+  if (ctx_.verify_data && !result.failed) {
+    for (const ChunkIndex idx : st.fetched) {
+      const auto bytes = ctx_.backend->get_chunk(ChunkId{st.object, idx});
+      if (bytes.has_value()) st.chunks.push_back(ec::Chunk{idx, *bytes});
+    }
+    result.verified = verify_payload(st.object, info.object_size, st.chunks);
+  }
+
+  // Back to the pools before `done`, which may start the next read.
+  ReadCallback done = std::move(st.done);
+  st.done = nullptr;
+  free_plans_.push_back(std::move(st.plan));
+  st.want = st.accepted = st.pending = 0;
+  st.issued_all = false;
+  st.on_path.clear();
+  st.next_on_path = 0;
+  st.fallbacks.clear();
+  st.next_fallback = 0;
+  st.failed_arms = st.down_skips = 0;
+  st.fetched.clear();
+  st.chunks.clear();
+  st.result = ReadResult{};
+  free_batches_.push_back(&st);
+  done(result);
 }
 
 // ------------------------------------------------------------- population
 
-SharedBytes ReadStrategy::population_payload(const ObjectKey& key,
-                                             ChunkIndex index,
+SharedBytes ReadStrategy::population_payload(const ChunkId& chunk,
                                              std::size_t chunk_size) const {
   if (ctx_.verify_data) {
     // Share the backend's buffer; empty handle if the bytes were never
     // materialized (latency-only objects).
-    const auto bytes = ctx_.backend->get_chunk(ChunkId{key, index});
+    const auto bytes = ctx_.backend->get_chunk(chunk);
     return bytes.has_value() ? *bytes : SharedBytes{};
   }
   // Latency-only mode: only the size matters to the cache, so every
@@ -284,26 +373,25 @@ SharedBytes ReadStrategy::population_payload(const ObjectKey& key,
   return zero_payload_;
 }
 
-void ReadStrategy::populate_chunk_async(const ObjectKey& key, ChunkIndex index,
-                                        cache::CacheEngine& cache) {
-  const std::string ck = ChunkId{key, index}.cache_key();
-  if (cache.contains(ck)) return;
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const RegionId region = ctx_.backend->placement().region_of(
-      key, index, ctx_.backend->num_regions());
+void ReadStrategy::populate_chunk_async(const ChunkId& chunk) {
+  if (engine_->contains(chunk.key())) return;
+  const store::ObjectInfo& info = ctx_.backend->object_info(chunk.object);
   (void)fetcher_.fetch(
-      ChunkId{key, index}, ctx_.region, region, info.chunk_size,
-      [this, key, index, &cache,
-       chunk_size = info.chunk_size](std::optional<SimTimeMs> latency) {
+      chunk, ctx_.region, info.locations[chunk.index].region, info.chunk_size,
+      [this, chunk](std::optional<SimTimeMs> latency) {
         if (!latency.has_value()) return;  // region down; retry next period
-        SharedBytes payload = population_payload(key, index, chunk_size);
-        if (ctx_.verify_data && payload.empty()) return;  // no backend bytes
-        cache.put(ChunkId{key, index}.cache_key(), std::move(payload));
+        population_landed(chunk);
       });
 }
 
-bool ReadStrategy::verify_payload(const ObjectKey& key,
-                                  std::size_t object_size,
+void ReadStrategy::population_landed(const ChunkId& chunk) {
+  SharedBytes payload = population_payload(
+      chunk, ctx_.backend->object_info(chunk.object).chunk_size);
+  if (ctx_.verify_data && payload.empty()) return;  // no backend bytes
+  engine_->put(chunk.key(), std::move(payload));
+}
+
+bool ReadStrategy::verify_payload(ObjectId object, std::size_t object_size,
                                   const std::vector<ec::Chunk>& chunks) {
   const ec::ObjectCodec& codec =
       ctx_.codec != nullptr ? *ctx_.codec : ctx_.backend->codec();
@@ -315,7 +403,7 @@ bool ReadStrategy::verify_payload(const ObjectKey& key,
   // (store::populate_working_set checked them against it at set-up):
   // row d of the object must equal data chunk d, cut at the object's end.
   const std::size_t chunk_size = codec.chunk_size(object_size);
-  ChunkId reference{key, 0};
+  ChunkId reference{object, 0};
   for (std::size_t begin = 0; begin < object_size; begin += chunk_size) {
     const auto bytes = ctx_.backend->get_chunk(reference);
     const std::size_t len = std::min(chunk_size, object_size - begin);

@@ -12,6 +12,12 @@
 // overlap on the timeline. A thin synchronous `read(key)` wrapper drives
 // the strategy's loop until the read completes (the daemon's serve path,
 // tests and examples).
+//
+// Reads run on object ids. A read's batch state and its plan's lists come
+// from per-strategy pools and go back when the read completes, and every
+// callback on the fetch path captures at most 16 trivially copyable bytes
+// (std::function keeps those inline), so a steady-state read allocates
+// nothing.
 #pragma once
 
 #include <functional>
@@ -46,11 +52,17 @@ struct ReadPlan {
   std::vector<std::pair<ChunkIndex, RegionId>> from_backend;
   std::vector<ChunkIndex> async_populate;
   std::vector<ChunkIndex> populate_after_read;
+  /// False: the write-back skips populate_after_read chunks the cache
+  /// holds when the read completes (fixed-chunks plans, so a hit keeps its
+  /// recency). True: every listed chunk is put.
+  bool populate_resident = true;
   double monitor_overhead_ms = 0.0;
 
   [[nodiscard]] std::size_t chunks_on_path() const {
     return from_cache.size() + from_backend.size();
   }
+  /// Reset to an empty plan, keeping the lists' capacity.
+  void clear();
 };
 
 struct ReadResult {
@@ -106,15 +118,22 @@ class ReadStrategy {
   using ReadCallback = std::function<void(const ReadResult&)>;
 
   explicit ReadStrategy(ClientContext ctx);
-  virtual ~ReadStrategy() = default;
+  virtual ~ReadStrategy();
+  // Fetch callbacks and the coordinator's transport hold `this`.
+  ReadStrategy(const ReadStrategy&) = delete;
+  ReadStrategy& operator=(const ReadStrategy&) = delete;
 
-  /// Start one asynchronous read. The strategy issues its chunk fetches as
-  /// events and invokes `done` exactly once when the read completes.
-  virtual void start_read(const ObjectKey& key, ReadCallback done) = 0;
+  /// Start one asynchronous read of a registered object. The strategy
+  /// issues its chunk fetches as events and invokes `done` exactly once
+  /// when the read completes.
+  virtual void start_read(ObjectId object, ReadCallback done) = 0;
+  /// The same by key; throws std::out_of_range for an unknown key.
+  void start_read(const ObjectKey& key, ReadCallback done);
 
   /// Thin synchronous wrapper: starts the read and drives the loop until
   /// it completes. Other events (timers, populations, other clients'
   /// fetches) interleave as they would in a full run.
+  [[nodiscard]] ReadResult read(ObjectId object);
   [[nodiscard]] ReadResult read(const ObjectKey& key);
 
   /// Start the periodic control plane (the Agar strategy's
@@ -176,8 +195,8 @@ class ReadStrategy {
   // api registry are observable without runner edits.
 
   /// The cache engine serving this strategy, if any (null: uncached).
-  [[nodiscard]] virtual const cache::CacheEngine* cache_engine() const {
-    return nullptr;
+  [[nodiscard]] const cache::CacheEngine* cache_engine() const {
+    return engine_;
   }
 
   /// Configured objects per option weight (Agar's Fig. 10 data), sorted by
@@ -194,6 +213,11 @@ class ReadStrategy {
   }
 
  protected:
+  /// A cleared plan whose lists keep the capacity of an earlier read's:
+  /// start_plan returns every plan to this strategy's pool when its read
+  /// completes.
+  [[nodiscard]] ReadPlan take_plan();
+
   /// Execute a planned read on the loop: the one read executor, so the
   /// systems under comparison differ only in what they plan and cache.
   /// Resident `from_cache` chunks ride one cache arm in parallel with the
@@ -203,26 +227,32 @@ class ReadStrategy {
   /// is down or whose fetch fails. Decode and monitor/proxy overhead are
   /// charged after the last arrival, the plan's populations run off the
   /// latency path, and in verify mode the chunks are decoded and checked
-  /// before `done` fires. `cache` may be null only for a plan without
-  /// cache chunks or populations.
-  void start_plan(const ObjectKey& key, ReadPlan plan,
-                  cache::CacheEngine* cache, ReadCallback done);
+  /// before `done` fires. A plan with cache chunks or populations needs
+  /// the strategy's cache (`engine_`).
+  void start_plan(ObjectId object, ReadPlan plan, ReadCallback done);
 
   /// Population download as a background event (paper §IV-A: "caching items
   /// implies downloading them a priori"): fetch one chunk from its backend
   /// region through the coalescing table and install it in the cache when
   /// the transfer lands. Off the latency path. No-op if already resident.
-  void populate_chunk_async(const ObjectKey& key, ChunkIndex index,
-                            cache::CacheEngine& cache);
+  void populate_chunk_async(const ChunkId& chunk);
 
   /// Payload to install for a populated chunk (in verify mode, a shared
   /// handle to the backend's buffer — no copy).
-  [[nodiscard]] SharedBytes population_payload(const ObjectKey& key,
-                                               ChunkIndex index,
+  [[nodiscard]] SharedBytes population_payload(const ChunkId& chunk,
                                                std::size_t chunk_size) const;
+
+  /// Every chunk of `object` by expected fetch latency, cheapest first
+  /// (deterministic tie-break on region then index). Valid until the next
+  /// call.
+  const std::vector<std::pair<ChunkIndex, RegionId>>&
+  chunks_by_expected_latency(ObjectId object);
 
   ClientContext ctx_;
   core::FetchCoordinator fetcher_;
+  /// The cache the strategy reads and populates (null: uncached). Set by
+  /// the concrete strategy, which owns it.
+  cache::CacheEngine* engine_ = nullptr;
   /// Fired after each completed reconfiguration (collab config log).
   std::function<void()> on_reconfigure_;
   /// Memoized zero buffer for latency-only cache populations: every
@@ -236,8 +266,7 @@ class ReadStrategy {
   /// Verify mode: decode the read's chunks (cache hits and fetched backend
   /// chunks) into decode_buffer_ and compare it with the store's data
   /// chunks. False when a row differs or a data chunk is missing.
-  [[nodiscard]] bool verify_payload(const ObjectKey& key,
-                                    std::size_t object_size,
+  [[nodiscard]] bool verify_payload(ObjectId object, std::size_t object_size,
                                     const std::vector<ec::Chunk>& chunks);
 
   /// Verify mode: the lane's one decode buffer, reused across reads (it
@@ -247,16 +276,46 @@ class ReadStrategy {
 
   /// One read's fetch batch: its backend arms plus the optional cache arm.
   struct BatchState;
+  /// A reset batch from the pool (a new one when every batch is in use).
+  BatchState& take_batch();
   /// Issue on-path/fallback fetches until `want` arms are in flight.
-  void batch_issue(const std::shared_ptr<BatchState>& st);
-  /// One arm landed (ok) or died (down while queued → try a fallback).
-  void batch_arm_done(const std::shared_ptr<BatchState>& st);
-};
+  void batch_issue(BatchState& st);
+  /// One backend arm landed (a latency) or died (nullopt: try a fallback).
+  void batch_arm_landed(BatchState& st, ChunkIndex index,
+                        std::optional<SimTimeMs> latency);
+  /// One arm finished; once all have, schedule the read's completion.
+  void batch_arm_done(BatchState& st);
+  /// The read completes: populations, verify, then `done`, with the batch
+  /// and its plan back in their pools.
+  void batch_finish(BatchState& st);
+  /// A population download of `chunk` landed.
+  void population_landed(const ChunkId& chunk);
 
-/// Chunk candidates of `key` sorted by expected fetch latency, cheapest
-/// first (deterministic tie-break on region then index). Shared by all
-/// strategies.
-[[nodiscard]] std::vector<std::pair<ChunkIndex, RegionId>>
-chunks_by_expected_latency(const ClientContext& ctx, const ObjectKey& key);
+  /// One wire fetch the collab tier routed, until it lands.
+  struct CollabFetch {
+    core::FetchCoordinator::Callback cb;
+    RegionId target = 0;
+    RegionId home = 0;
+    std::size_t bytes = 0;
+  };
+  /// The coordinator's transport once enable_collab ran.
+  bool collab_fetch(const ChunkId& chunk, RegionId from, RegionId to,
+                    std::size_t bytes, core::FetchCoordinator::Callback cb);
+  void collab_landed(std::uint32_t slot, std::optional<SimTimeMs> latency);
+
+  CollabRoute collab_route_;
+  CollabDone collab_done_;
+  std::vector<CollabFetch> collab_fetches_;
+  std::vector<std::uint32_t> free_collab_fetches_;
+
+  /// Every batch this strategy made; a read holds one (by address) until
+  /// it completes. They keep their lists' capacity between reads.
+  std::vector<std::unique_ptr<BatchState>> batches_;
+  std::vector<BatchState*> free_batches_;
+  std::vector<ReadPlan> free_plans_;
+  /// chunks_by_expected_latency's result and its per-region estimates.
+  std::vector<std::pair<ChunkIndex, RegionId>> candidates_;
+  std::vector<SimTimeMs> region_ms_;
+};
 
 }  // namespace agar::client

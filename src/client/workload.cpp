@@ -78,8 +78,12 @@ Workload::Workload(WorkloadSpec spec, std::size_t universe,
   for (std::size_t i = 0; i < universe; ++i) permutation_[i] = i;
 }
 
+std::size_t Workload::next_object() {
+  return permutation_[generator_->next_index(rng_)];
+}
+
 ObjectKey Workload::next_key() {
-  return prefix_ + std::to_string(permutation_[generator_->next_index(rng_)]);
+  return prefix_ + std::to_string(next_object());
 }
 
 void Workload::apply(const scenario::PopularityShift& shift) {

@@ -90,7 +90,8 @@ struct WorkloadSpec {
 /// A stream of object keys: maps generator ranks onto key names through a
 /// mutable rank->object permutation. Rank 0 is the most popular object;
 /// initially rank r maps to object r. Keys follow the backend's naming
-/// scheme ("<prefix><i>").
+/// scheme ("<prefix><i>"); a deployment registers "<prefix><i>" as object
+/// id i, so next_object() is the next read's id.
 ///
 /// The permutation is what makes the workload non-stationary: scenario
 /// popularity shifts rewrite which objects occupy the hot ranks mid-run
@@ -100,6 +101,9 @@ class Workload {
   Workload(WorkloadSpec spec, std::size_t universe, std::uint64_t seed,
            std::string prefix = "object");
 
+  /// The next object's index in the working set.
+  [[nodiscard]] std::size_t next_object();
+  /// The same object's key: "<prefix><index>".
   [[nodiscard]] ObjectKey next_key();
   [[nodiscard]] const WorkloadSpec& spec() const { return spec_; }
 

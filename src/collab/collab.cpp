@@ -68,7 +68,6 @@ RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
   LaneState& st = lanes_[lane];
   const RegionId self = lane_regions_[lane];
   sim::Network& net = *lane_networks_[lane];
-  const std::string chunk_key = chunk.cache_key();
   const SimTimeMs home_ms =
       net.model().expected_backend_fetch_ms(self, home, bytes);
 
@@ -87,7 +86,7 @@ RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
     if (info.region == kInvalidRegion) continue;        // nothing heard yet
     if (!connected(lane, self, peer)) continue;         // across the cut
     if (net.is_down(peer)) continue;                    // outage: fail fast
-    if (!info.configured_chunks.contains(chunk_key)) continue;
+    if (!info.configured(chunk.key())) continue;
     if (net.model().expected_backend_fetch_ms(self, peer, bytes) >= home_ms) {
       continue;  // peer no cheaper than the home region
     }

@@ -6,8 +6,8 @@ OverlapReport overlap_of(const PeerInfo& a, const PeerInfo& b) {
   OverlapReport report;
   report.chunks_a = a.configured_chunks.size();
   report.chunks_b = b.configured_chunks.size();
-  for (const auto& ck : a.configured_chunks) {
-    if (b.configured_chunks.contains(ck)) ++report.shared;
+  for (const ChunkKey ck : a.configured_chunks) {
+    if (b.configured(ck)) ++report.shared;
   }
   return report;
 }

@@ -6,22 +6,29 @@
 // Each region broadcasts the chunk keys it has configured; peer-fetch reads
 // them to redirect a fetch to a nearby peer cache. overlap_of() reports the
 // redundancy two nearby caches waste by caching the same chunks
-// (Frankfurt/Dublin in the paper's example).
+// (Frankfurt/Dublin in the paper's example). Every lane's strategy reads
+// the one backend, so a chunk key names the same chunk in every region.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
-#include <string>
+#include <vector>
 
 #include "common/types.hpp"
 
 namespace agar::collab {
 
-/// What one region broadcasts. The configured-chunk set is ordered so
-/// broadcast state never carries hash-map iteration order.
+/// What one region broadcasts. The configured chunks are sorted, so
+/// broadcast state never carries hash-map iteration order and a lookup is
+/// a binary search.
 struct PeerInfo {
   RegionId region = kInvalidRegion;
-  std::set<std::string> configured_chunks;  // chunk cache keys, sorted
+  std::vector<ChunkKey> configured_chunks;  // ascending, no duplicates
+
+  [[nodiscard]] bool configured(ChunkKey chunk) const {
+    return std::binary_search(configured_chunks.begin(),
+                              configured_chunks.end(), chunk);
+  }
 };
 
 /// Overlap report between two regions' configurations.

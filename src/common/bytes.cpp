@@ -40,6 +40,23 @@ std::uint64_t fnv1a(const std::string& s) {
                          s.size()));
 }
 
+std::uint64_t fnv1a_chunk(const std::string& key, std::uint32_t index) {
+  std::uint64_t h = fnv1a(key);
+  const auto fold = [&h](char c) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  };
+  fold('#');
+  char digits[10];
+  std::size_t n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + index % 10);
+    index /= 10;
+  } while (index != 0);
+  while (n > 0) fold(digits[--n]);
+  return h;
+}
+
 std::string format_bytes(std::size_t n) {
   static constexpr std::array<const char*, 5> kUnits = {"B", "KB", "MB", "GB",
                                                         "TB"};

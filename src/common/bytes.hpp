@@ -26,6 +26,11 @@ Bytes deterministic_payload(const std::string& key, std::size_t size);
 std::uint64_t fnv1a(BytesView data);
 std::uint64_t fnv1a(const std::string& s);
 
+/// FNV-1a of a chunk's string name "<key>#<index>" (e.g. "object42#3"),
+/// computed without building the string: TinyLFU's count-min sketch
+/// hashes chunks by it.
+std::uint64_t fnv1a_chunk(const std::string& key, std::uint32_t index);
+
 /// Render a byte count human-readably ("10.0 MB"); used by reports.
 std::string format_bytes(std::size_t n);
 

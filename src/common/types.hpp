@@ -1,16 +1,21 @@
 // Core vocabulary types shared across the Agar reproduction.
 //
-// These are deliberately small value types: region identifiers, object keys,
-// chunk identifiers and simulated-time aliases. Everything that moves between
-// subsystems (simulator, store, cache, core algorithm, client) speaks in
-// these types.
+// These are deliberately small value types: region identifiers, object keys
+// and ids, chunk identifiers and simulated-time aliases. Everything that
+// moves between subsystems (simulator, store, cache, core algorithm,
+// client) speaks in these types.
+//
+// An object has two names. Its key (a string such as "object42") is what
+// specs, the daemon's GET requests and reports speak; its id is the dense
+// integer the backend gives it at registration, in registration order
+// (store::BackendCluster). Every per-read and per-fetch step runs on ids
+// and on the integer chunk keys built from them, so a steady-state read
+// builds and hashes no string.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 
 namespace agar {
 
@@ -23,6 +28,9 @@ inline constexpr RegionId kInvalidRegion = static_cast<RegionId>(-1);
 /// Key identifying a stored object (YCSB-style, e.g. "user4953").
 using ObjectKey = std::string;
 
+/// Dense id of a registered object: 0..N-1 in registration order.
+using ObjectId = std::uint32_t;
+
 /// Simulated time in milliseconds. The discrete-event simulator and every
 /// latency figure in the reproduction use this unit (the paper reports
 /// latencies in ms).
@@ -32,17 +40,25 @@ using SimTimeMs = double;
 /// [0, k), parity chunks occupy [k, k+m).
 using ChunkIndex = std::uint32_t;
 
+/// Integer cache key of one chunk (ChunkId::key()): the object id in the
+/// high 32 bits, the chunk index in the low 32. The caches, the
+/// coalescing table and the collab directory key chunks by it, where the
+/// paper's prototype addressed chunks in memcached as "user42#3".
+using ChunkKey = std::uint64_t;
+
 /// Identifies one chunk of one object.
 struct ChunkId {
-  ObjectKey key;
+  ObjectId object = 0;
   ChunkIndex index = 0;
 
   bool operator==(const ChunkId&) const = default;
 
-  /// Canonical string form used as a cache key, e.g. "user42#3".
-  /// Mirrors how the paper's prototype addressed chunks in memcached.
-  [[nodiscard]] std::string cache_key() const {
-    return key + "#" + std::to_string(index);
+  [[nodiscard]] constexpr ChunkKey key() const {
+    return (static_cast<ChunkKey>(object) << 32) | index;
+  }
+  [[nodiscard]] static constexpr ChunkId of(ChunkKey key) {
+    return ChunkId{static_cast<ObjectId>(key >> 32),
+                   static_cast<ChunkIndex>(key)};
   }
 };
 
@@ -55,12 +71,3 @@ inline constexpr std::size_t operator""_MB(unsigned long long v) {
 }
 
 }  // namespace agar
-
-template <>
-struct std::hash<agar::ChunkId> {
-  std::size_t operator()(const agar::ChunkId& c) const noexcept {
-    const std::size_t h1 = std::hash<std::string>{}(c.key);
-    const std::size_t h2 = std::hash<std::uint32_t>{}(c.index);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
-  }
-};

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "api/registry.hpp"
 
@@ -42,8 +41,9 @@ std::size_t weight_quantum_bytes(
     const std::vector<std::pair<ObjectKey, double>>& snapshot) {
   std::size_t quantum = std::numeric_limits<std::size_t>::max();
   for (const auto& [key, pop] : snapshot) {
-    if (!backend.has_object(key)) continue;
-    quantum = std::min(quantum, backend.object_info(key).chunk_size);
+    const auto id = backend.find_id(key);
+    if (!id.has_value()) continue;
+    quantum = std::min(quantum, backend.object_info(*id).chunk_size);
   }
   if (quantum == std::numeric_limits<std::size_t>::max()) quantum = 1;
   return std::max<std::size_t>(quantum, 1);
@@ -75,13 +75,16 @@ std::vector<std::vector<CachingOption>> CacheManager::generate_options(
     std::size_t quantum) const {
   std::vector<std::vector<CachingOption>> groups;
   groups.reserve(snapshot.size());
+  std::vector<ChunkCost> costs;
   for (const auto& [key, popularity] : snapshot) {
     if (popularity <= 0.0) continue;
-    if (!backend_->has_object(key)) continue;
-    const auto costs = region_manager_->chunk_costs(key);
+    const auto id = backend_->find_id(key);
+    if (!id.has_value()) continue;
+    region_manager_->chunk_costs(*id, costs);
     auto options = generator_.generate(key, costs, popularity);
-    const std::size_t chunk_bytes = backend_->object_info(key).chunk_size;
+    const std::size_t chunk_bytes = backend_->object_info(*id).chunk_size;
     for (auto& opt : options) {
+      opt.object = *id;
       const double bytes =
           static_cast<double>(opt.weight) * static_cast<double>(chunk_bytes);
       opt.weight_units = static_cast<std::size_t>(
@@ -114,14 +117,14 @@ const CacheConfiguration& CacheManager::reconfigure() {
           .count();
 
   CacheConfiguration next;
-  std::unordered_set<std::string> configured_keys;
+  configured_keys_.clear();
   for (auto& opt : result.chosen) {
     const std::size_t chunk_bytes =
-        backend_->object_info(opt.key).chunk_size;
+        backend_->object_info(opt.object).chunk_size;
     next.total_chunks += opt.weight;
     next.total_bytes += opt.weight * chunk_bytes;
     for (const ChunkIndex idx : opt.chunks) {
-      configured_keys.insert(ChunkId{opt.key, idx}.cache_key());
+      configured_keys_.push_back(ChunkId{opt.object, idx}.key());
     }
     next.entries.emplace(opt.key, std::move(opt));
   }
@@ -130,7 +133,7 @@ const CacheConfiguration& CacheManager::reconfigure() {
 
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.
-  const auto churn = cache_->install_configuration(std::move(configured_keys));
+  const auto churn = cache_->install_configuration(configured_keys_);
   ++stats_.reconfigurations;
   stats_.planning_ms += plan_ms;
   stats_.chunks_installed += churn.added;

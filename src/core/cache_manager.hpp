@@ -93,6 +93,8 @@ class CacheManager {
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
   ControlPlaneStats stats_;
+  /// reconfigure()'s chunk keys for the cache, kept for their capacity.
+  std::vector<ChunkKey> configured_keys_;
 };
 
 }  // namespace agar::core

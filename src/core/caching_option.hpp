@@ -15,6 +15,9 @@ namespace agar::core {
 
 struct CachingOption {
   ObjectKey key;
+  /// The object's id, for installing the option (CacheManager fills it;
+  /// the planners compare and order options by key).
+  ObjectId object = 0;
 
   /// The exact chunk indices to cache (most distant first, paper §IV-A).
   std::vector<ChunkIndex> chunks;

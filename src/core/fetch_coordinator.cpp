@@ -12,29 +12,61 @@ FetchCoordinator::FetchCoordinator(sim::Network* network)
   }
 }
 
+std::uint32_t FetchCoordinator::new_waiter(Callback cb) {
+  std::uint32_t w;
+  if (free_waiters_.empty()) {
+    w = static_cast<std::uint32_t>(waiters_.size());
+    waiters_.emplace_back();
+  } else {
+    w = free_waiters_.back();
+    free_waiters_.pop_back();
+  }
+  waiters_[w].cb = std::move(cb);
+  waiters_[w].next = kNone;
+  return w;
+}
+
 FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
                                    RegionId to, std::size_t bytes,
                                    Callback cb) {
-  const std::string key = chunk.cache_key();
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    it->second.push_back(std::move(cb));
+  const ChunkKey key = chunk.key();
+  if (Flight* flight = inflight_.find(key)) {
+    const std::uint32_t w = new_waiter(std::move(cb));
+    waiters_[flight->tail].next = w;
+    flight->tail = w;
     ++coalesced_;
     return FetchStart::kJoined;
   }
   Callback on_done = [this, key](std::optional<SimTimeMs> latency) {
-    // Move the waiter list out before invoking: a callback may start a
-    // new fetch of the same chunk, which must open a fresh entry.
-    auto node = inflight_.extract(key);
-    for (auto& waiter : node.mapped()) waiter(latency);
+    complete(key, latency);
   };
   const bool accepted =
       transport_
           ? transport_(chunk, from, to, bytes, std::move(on_done))
           : network_->begin_fetch(from, to, bytes, std::move(on_done));
   if (!accepted) return FetchStart::kDown;
-  inflight_.emplace(key, std::vector<Callback>{std::move(cb)});
+  const std::uint32_t w = new_waiter(std::move(cb));
+  *inflight_.try_emplace(key).first = Flight{w, w};
   ++started_;
   return FetchStart::kStarted;
+}
+
+void FetchCoordinator::complete(ChunkKey key,
+                                std::optional<SimTimeMs> latency) {
+  // Unlink the entry before invoking: a callback may start a new fetch of
+  // the same chunk, which must open a fresh entry.
+  std::uint32_t w = inflight_.find(key)->head;
+  inflight_.erase(key);
+  while (w != kNone) {
+    // A waiter may start fetches that reuse freed records or grow the
+    // table, so take what this one needs before it runs.
+    Callback cb = std::move(waiters_[w].cb);
+    const std::uint32_t next = waiters_[w].next;
+    waiters_[w].cb = nullptr;
+    free_waiters_.push_back(w);
+    cb(latency);
+    w = next;
+  }
 }
 
 }  // namespace agar::core

@@ -12,14 +12,17 @@
 //
 // One coordinator serves one client region (wire latency depends on the
 // requesting region, so coalescing across regions would be wrong).
+//
+// The in-flight table is keyed by the chunk's integer key; each entry
+// heads a chain of waiter records drawn from a free list, so a steady-state
+// fetch allocates nothing. Waiters fire in the order they joined.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/int_map.hpp"
 #include "common/types.hpp"
 #include "sim/network.hpp"
 
@@ -46,6 +49,9 @@ class FetchCoordinator {
                                        std::size_t, Callback)>;
 
   explicit FetchCoordinator(sim::Network* network);
+  // In-flight fetches' callbacks hold `this`.
+  FetchCoordinator(const FetchCoordinator&) = delete;
+  FetchCoordinator& operator=(const FetchCoordinator&) = delete;
 
   /// Route wire fetches through `transport` instead of the raw network.
   /// An empty transport restores the direct path.
@@ -61,7 +67,7 @@ class FetchCoordinator {
 
   /// Is a fetch of this chunk currently on the wire (or queued)?
   [[nodiscard]] bool in_flight(const ChunkId& chunk) const {
-    return inflight_.contains(chunk.cache_key());
+    return inflight_.contains(chunk.key());
   }
 
   // ------------------------------------------------------- observability
@@ -71,9 +77,28 @@ class FetchCoordinator {
   [[nodiscard]] std::uint64_t coalesced() const { return coalesced_; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Waiter {
+    Callback cb;
+    std::uint32_t next = kNone;
+  };
+  /// One in-flight chunk: its waiter chain, oldest first.
+  struct Flight {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+
+  /// A waiter record holding `cb`, from the free list when it has one.
+  std::uint32_t new_waiter(Callback cb);
+  /// The wire fetch of `key` landed: fire its waiters in join order.
+  void complete(ChunkKey key, std::optional<SimTimeMs> latency);
+
   sim::Network* network_;  // non-owning
   Transport transport_;    // empty = raw network
-  std::unordered_map<std::string, std::vector<Callback>> inflight_;
+  IntMap<Flight> inflight_;
+  std::vector<Waiter> waiters_;
+  std::vector<std::uint32_t> free_waiters_;
   std::uint64_t started_ = 0;
   std::uint64_t coalesced_ = 0;
 };

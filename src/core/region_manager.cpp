@@ -1,8 +1,8 @@
 #include "core/region_manager.hpp"
 
 #include <functional>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace agar::core {
 
@@ -40,60 +40,74 @@ void RegionManager::start_probe(std::function<void()> done) {
     throw std::logic_error("RegionManager: start_probe requires a bound loop");
   }
   ++probe_rounds_;
+  std::uint32_t round;
+  if (free_rounds_.empty()) {
+    round = static_cast<std::uint32_t>(rounds_.size());
+    rounds_.emplace_back();
+  } else {
+    round = free_rounds_.back();
+    free_rounds_.pop_back();
+  }
   // Issuing is synchronous, completions are events — `remaining` is fully
   // counted before the first completion can fire.
-  auto remaining = std::make_shared<std::size_t>(0);
-  auto on_done = std::make_shared<std::function<void()>>(std::move(done));
+  rounds_[round] = ProbeRound{std::move(done), loop->now(), 0};
   const std::size_t regions = network_->topology().num_regions();
   for (RegionId r = 0; r < regions; ++r) {
     for (std::size_t i = 0; i < params_.probes_per_region; ++i) {
-      const SimTimeMs issued_at = loop->now();
       const bool accepted = network_->begin_fetch(
           params_.local_region, r, params_.probe_chunk_bytes,
-          [this, r, loop, issued_at, remaining,
-           on_done](std::optional<SimTimeMs> latency) {
-            if (latency.has_value()) {
-              // Observed latency includes time queued behind other
-              // fetches — congestion feeds back into the estimates.
-              estimator_.record(r, loop->now() - issued_at);
-            } else if (!network_->is_down(r)) {
-              // A failed probe against an *up* region is a gray loss
-              // (dropped response): the wait until discovery is the cost
-              // a retrying client pays, so fold it in — drop-sick regions
-              // estimate slow and the planner routes around them. Aborts
-              // from an outage are skipped (the region is down when the
-              // abort fires), matching the sync path's stale-estimate
-              // behavior.
-              estimator_.record(r, loop->now() - issued_at);
-            }
-            if (--*remaining == 0 && *on_done) (*on_done)();
+          [this, round, r](std::optional<SimTimeMs> latency) {
+            probe_landed(round, r, latency.has_value());
           });
-      if (accepted) ++*remaining;
+      if (accepted) ++rounds_[round].remaining;
     }
   }
-  if (*remaining == 0 && *on_done) {
-    loop->schedule_in(0.0, [on_done] { (*on_done)(); });
+  if (rounds_[round].remaining == 0) {
+    if (rounds_[round].done) {
+      loop->schedule_in(0.0, [this, round] { finish_round(round); });
+    } else {
+      finish_round(round);
+    }
   }
+}
+
+void RegionManager::probe_landed(std::uint32_t round, RegionId r, bool ok) {
+  const SimTimeMs waited = network_->loop()->now() - rounds_[round].issued_at;
+  if (ok) {
+    // Observed latency includes time queued behind other fetches —
+    // congestion feeds back into the estimates.
+    estimator_.record(r, waited);
+  } else if (!network_->is_down(r)) {
+    // A failed probe against an *up* region is a gray loss (dropped
+    // response): the wait until discovery is the cost a retrying client
+    // pays, so fold it in — drop-sick regions estimate slow and the
+    // planner routes around them. Aborts from an outage are skipped (the
+    // region is down when the abort fires), matching the sync path's
+    // stale-estimate behavior.
+    estimator_.record(r, waited);
+  }
+  if (--rounds_[round].remaining == 0) finish_round(round);
+}
+
+void RegionManager::finish_round(std::uint32_t round) {
+  // The observer may start the next round, which may reuse this slot.
+  std::function<void()> done = std::move(rounds_[round].done);
+  rounds_[round].done = nullptr;
+  free_rounds_.push_back(round);
+  if (done) done();
 }
 
 double RegionManager::estimate_ms(RegionId region) const {
   return estimator_.estimate_ms(region);
 }
 
-RegionId RegionManager::region_of(const ObjectKey& key,
-                                  ChunkIndex index) const {
-  return backend_->placement().region_of(key, index, backend_->num_regions());
-}
-
-std::vector<ChunkCost> RegionManager::chunk_costs(const ObjectKey& key) const {
-  const store::ObjectInfo info = backend_->object_info(key);
-  std::vector<ChunkCost> out;
-  out.reserve(info.locations.size());
-  for (const auto& loc : info.locations) {
+void RegionManager::chunk_costs(ObjectId object,
+                                std::vector<ChunkCost>& out) const {
+  out.clear();
+  for (const auto& loc : backend_->object_info(object).locations) {
     out.push_back(
         ChunkCost{loc.index, loc.region, estimate_ms(loc.region)});
   }
-  return out;
 }
 
 }  // namespace agar::core

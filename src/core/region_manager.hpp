@@ -53,12 +53,14 @@ class RegionManager {
   /// Estimated chunk-fetch latency from the local region to `region`.
   [[nodiscard]] double estimate_ms(RegionId region) const;
 
-  /// Chunk costs for every chunk of `key` — input to the option generator.
-  [[nodiscard]] std::vector<ChunkCost> chunk_costs(const ObjectKey& key) const;
+  /// Chunk costs for every chunk of `object`, by index, into `out` — input
+  /// to the option generator and Agar's read planning.
+  void chunk_costs(ObjectId object, std::vector<ChunkCost>& out) const;
 
   /// Region of one specific chunk under the placement policy.
-  [[nodiscard]] RegionId region_of(const ObjectKey& key,
-                                   ChunkIndex index) const;
+  [[nodiscard]] RegionId region_of(ObjectId object, ChunkIndex index) const {
+    return backend_->object_info(object).locations[index].region;
+  }
 
   [[nodiscard]] RegionId local_region() const { return params_.local_region; }
   [[nodiscard]] const stats::LatencyEstimator& estimator() const {
@@ -67,11 +69,24 @@ class RegionManager {
   [[nodiscard]] std::uint64_t probe_rounds() const { return probe_rounds_; }
 
  private:
+  /// One asynchronous probe round: its observer, issue time and the
+  /// probes still in flight. Rounds may overlap; their records are reused
+  /// through a free list, so a probe's callback captures 16 bytes.
+  struct ProbeRound {
+    std::function<void()> done;
+    SimTimeMs issued_at = 0.0;
+    std::size_t remaining = 0;
+  };
+  void probe_landed(std::uint32_t round, RegionId r, bool ok);
+  void finish_round(std::uint32_t round);
+
   const store::BackendCluster* backend_;  // non-owning
   sim::Network* network_;                 // non-owning
   RegionManagerParams params_;
   stats::LatencyEstimator estimator_;
   std::uint64_t probe_rounds_ = 0;
+  std::vector<ProbeRound> rounds_;
+  std::vector<std::uint32_t> free_rounds_;
 };
 
 }  // namespace agar::core

@@ -17,14 +17,18 @@ std::vector<ChunkIndex> RoundRobinPlacement::chunks_in_region(
   return out;
 }
 
-RegionId RoundRobinPlacement::region_of(const ObjectKey& key, ChunkIndex index,
-                                        std::size_t num_regions) const {
+std::size_t RoundRobinPlacement::offset_of(const ObjectKey& key,
+                                           std::size_t num_regions) const {
   if (num_regions == 0) {
     throw std::invalid_argument("RoundRobinPlacement: no regions");
   }
-  std::size_t offset = 0;
-  if (per_key_offset_) offset = fnv1a(key) % num_regions;
-  return static_cast<RegionId>((index + offset) % num_regions);
+  return per_key_offset_ ? fnv1a(key) % num_regions : 0;
+}
+
+RegionId RoundRobinPlacement::region_of(const ObjectKey& key, ChunkIndex index,
+                                        std::size_t num_regions) const {
+  return static_cast<RegionId>((index + offset_of(key, num_regions)) %
+                               num_regions);
 }
 
 }  // namespace agar::ec

@@ -24,6 +24,11 @@ class RoundRobinPlacement {
   explicit RoundRobinPlacement(bool per_key_offset = false)
       : per_key_offset_(per_key_offset) {}
 
+  /// Stripe start of `key`: chunk i lives in region (i + offset) % R.
+  /// 0 unless per-key offsets are enabled.
+  [[nodiscard]] std::size_t offset_of(const ObjectKey& key,
+                                      std::size_t num_regions) const;
+
   /// Region storing chunk `index` of `key`, given `num_regions` regions.
   [[nodiscard]] RegionId region_of(const ObjectKey& key, ChunkIndex index,
                                    std::size_t num_regions) const;

@@ -13,108 +13,164 @@ void Network::bind_loop(EventLoop* loop) {
   loop_ = loop;
 }
 
+std::uint32_t Network::new_fetch(RegionId from, RegionId to,
+                                 std::size_t bytes, FetchCallback cb) {
+  std::uint32_t f;
+  if (free_fetches_.empty()) {
+    f = static_cast<std::uint32_t>(fetches_.size());
+    fetches_.emplace_back();
+  } else {
+    f = free_fetches_.back();
+    free_fetches_.pop_back();
+  }
+  Fetch& fetch = fetches_[f];
+  fetch.cb = std::move(cb);
+  fetch.from = from;
+  fetch.to = to;
+  fetch.bytes = bytes;
+  return f;
+}
+
+Network::FetchCallback Network::free_fetch(std::uint32_t f) {
+  Fetch& fetch = fetches_[f];
+  ++fetch.generation;
+  FetchCallback cb = std::move(fetch.cb);
+  fetch.cb = nullptr;
+  free_fetches_.push_back(f);
+  return cb;
+}
+
+void Network::push_back(FetchList& list, std::uint32_t f) {
+  fetches_[f].prev = list.tail;
+  fetches_[f].next = kNone;
+  if (list.tail == kNone) {
+    list.head = f;
+  } else {
+    fetches_[list.tail].next = f;
+  }
+  list.tail = f;
+  ++list.size;
+}
+
+void Network::unlink(FetchList& list, std::uint32_t f) {
+  const Fetch& fetch = fetches_[f];
+  if (fetch.prev == kNone) {
+    list.head = fetch.next;
+  } else {
+    fetches_[fetch.prev].next = fetch.next;
+  }
+  if (fetch.next == kNone) {
+    list.tail = fetch.prev;
+  } else {
+    fetches_[fetch.next].prev = fetch.prev;
+  }
+  --list.size;
+}
+
 bool Network::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                           FetchCallback cb) {
   if (is_down(to)) return false;
   if (loop_ == nullptr) {
     throw std::logic_error("Network: begin_fetch requires a bound loop");
   }
+  const std::uint32_t f = new_fetch(from, to, bytes, std::move(cb));
   RegionState& rs = region_states_[to];
-  PendingFetch pending{from, bytes, std::move(cb)};
   if (max_outstanding_per_region_ != 0 &&
-      rs.wire.size() >= max_outstanding_per_region_) {
-    rs.fifo.push_back(std::move(pending));
+      rs.wire.size >= max_outstanding_per_region_) {
+    push_back(rs.fifo, f);
     ++stats_.queued_fetches;
-    stats_.max_queue_depth = std::max(stats_.max_queue_depth, rs.fifo.size());
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, rs.fifo.size);
     return true;
   }
-  start_wire(to, std::move(pending));
+  start_wire(f);
   return true;
 }
 
-void Network::start_wire(RegionId to, PendingFetch pending) {
+void Network::start_wire(std::uint32_t f) {
   // Latency is sampled at wire time, not enqueue time: a fetch that waited
   // in the FIFO pays its queueing delay on top of a fresh transfer sample.
   // Under gray drop injection the sample may be a loss: the slot is held
   // (a lost response still occupies the server) and the observer hears
   // nullopt only after the inflated discovery delay.
+  Fetch& fetch = fetches_[f];
   const FetchSample sample =
-      model_.sample_backend_fetch(pending.from, to, pending.bytes);
-  RegionState& rs = region_states_[to];
-  const std::uint64_t id = next_wire_id_++;
-  rs.wire.emplace(id, std::move(pending.cb));
+      model_.sample_backend_fetch(fetch.from, fetch.to, fetch.bytes);
+  fetch.latency_ms = sample.latency_ms;
+  fetch.dropped = sample.dropped;
+  push_back(region_states_[fetch.to].wire, f);
   ++total_outstanding_;
   ++stats_.wire_fetches;
   stats_.max_in_flight = std::max(stats_.max_in_flight, total_outstanding_);
-  loop_->schedule_in(
-      sample.latency_ms,
-      [this, to, id, latency = sample.latency_ms, dropped = sample.dropped] {
-        RegionState& state = region_states_[to];
-        const auto it = state.wire.find(id);
-        if (it == state.wire.end()) {
-          return;  // aborted by fail_region mid-flight
-        }
-        FetchCallback cb = std::move(it->second);
-        state.wire.erase(it);
-        --total_outstanding_;
-        // Hand the freed slot to the queue head before the completion
-        // callback runs, so a callback issuing a new fetch cannot jump the
-        // FIFO.
-        drain_queue(to);
-        if (dropped) {
-          ++stats_.timed_out;
-          cb(std::nullopt);
-        } else {
-          cb(latency);
-        }
-      });
+  loop_->schedule_in(sample.latency_ms,
+                     [this, f, generation = fetch.generation] {
+                       wire_done(f, generation);
+                     });
+}
+
+void Network::wire_done(std::uint32_t f, std::uint32_t generation) {
+  if (fetches_[f].generation != generation) {
+    return;  // aborted by fail_region mid-flight
+  }
+  const RegionId to = fetches_[f].to;
+  const std::optional<SimTimeMs> latency =
+      fetches_[f].dropped ? std::nullopt
+                          : std::optional<SimTimeMs>(fetches_[f].latency_ms);
+  unlink(region_states_[to].wire, f);
+  FetchCallback cb = free_fetch(f);
+  --total_outstanding_;
+  // Hand the freed slot to the queue head before the completion callback
+  // runs, so a callback issuing a new fetch cannot jump the FIFO.
+  drain_queue(to);
+  if (!latency.has_value()) ++stats_.timed_out;
+  cb(latency);
 }
 
 void Network::drain_queue(RegionId to) {
   // Queued entries only exist for up regions: fail_region clears the FIFO
   // and begin_fetch refuses down destinations, so no down-check is needed.
   RegionState& rs = region_states_[to];
-  while (!rs.fifo.empty() &&
+  while (rs.fifo.size != 0 &&
          (max_outstanding_per_region_ == 0 ||
-          rs.wire.size() < max_outstanding_per_region_)) {
-    PendingFetch next = std::move(rs.fifo.front());
-    rs.fifo.pop_front();
-    start_wire(to, std::move(next));
+          rs.wire.size < max_outstanding_per_region_)) {
+    const std::uint32_t next = rs.fifo.head;
+    unlink(rs.fifo, next);
+    start_wire(next);
   }
 }
 
-void Network::deliver_failure(FetchCallback cb, std::uint64_t& counter) {
-  // On the loop, so callers observe the failure asynchronously (like a
-  // timeout), never re-entrantly from inside fail_region.
-  ++counter;
-  loop_->schedule_in(0.0,
-                     [cb = std::move(cb)]() mutable { cb(std::nullopt); });
+void Network::fail_list(FetchList& list, std::uint64_t& counter) {
+  for (std::uint32_t f = list.head; f != kNone;) {
+    const std::uint32_t next = fetches_[f].next;
+    // A wire completion still scheduled finds the generation moved on. The
+    // record stays taken until its observer hears the failure, on the
+    // loop: asynchronously (like a timeout), never re-entrantly from
+    // inside fail_region.
+    ++fetches_[f].generation;
+    ++counter;
+    loop_->schedule_in(0.0, [this, f] { free_fetch(f)(std::nullopt); });
+    f = next;
+  }
+  list = FetchList{};
 }
 
 void Network::fail_region(RegionId r) {
   if (!down_.insert(r).second) return;  // already down
   RegionState& rs = region_states_[r];
-  if (rs.wire.empty() && rs.fifo.empty()) return;
   // Transfers die with the region: every in-flight observer hears the
-  // failure now. The already-scheduled completion events find their wire
-  // ids gone and become no-ops — restoring the region cannot resurrect
-  // them. Queued entries fail immediately too, instead of stranding until
-  // an unrelated completion would have drained them.
-  total_outstanding_ -= rs.wire.size();
-  for (auto& [id, cb] : rs.wire) {
-    deliver_failure(std::move(cb), stats_.aborted_on_wire);
-  }
-  rs.wire.clear();
-  for (auto& pending : rs.fifo) {
-    deliver_failure(std::move(pending.cb), stats_.failed_in_queue);
-  }
-  rs.fifo.clear();
+  // failure now, in issue order. The already-scheduled completion events
+  // find their records' generations moved on and become no-ops —
+  // restoring the region cannot resurrect them. Queued entries fail
+  // immediately too, instead of stranding until an unrelated completion
+  // would have drained them.
+  total_outstanding_ -= rs.wire.size;
+  fail_list(rs.wire, stats_.aborted_on_wire);
+  fail_list(rs.fifo, stats_.failed_in_queue);
 }
 
 void Network::restore_region(RegionId r) {
   if (down_.erase(r) == 0) return;  // already up: idempotent
   const RegionState& rs = region_states_[r];
-  if (!rs.wire.empty() || !rs.fifo.empty()) {
+  if (rs.wire.size != 0 || rs.fifo.size != 0) {
     // fail_region's contract is that a downed region holds no wire or
     // queue state. Anything found here would strand forever — a restored
     // region only hands out slots on completions, and aborted transfers
@@ -136,11 +192,6 @@ std::optional<SimTimeMs> Network::backend_fetch(RegionId from, RegionId to,
 
 SimTimeMs Network::cache_fetch(std::size_t bytes) {
   return model_.cache_fetch_ms(bytes);
-}
-
-SimTimeMs Network::parallel_batch_ms(const std::vector<SimTimeMs>& latencies) {
-  if (latencies.empty()) return 0.0;
-  return *std::max_element(latencies.begin(), latencies.end());
 }
 
 }  // namespace agar::sim

@@ -12,13 +12,19 @@
 // warm-up probe round before measurement and the Paxos proposer's RTT
 // samples; reads, population downloads and the control plane's periodic
 // probes all go through `begin_fetch`.
+//
+// Every asynchronous fetch is a record in one slot table, reused through a
+// free list, and sits on one of its destination region's two lists: the
+// FIFO, or the wire. Both lists keep issue order, whichever slots the
+// records occupy, so fail_region fails fetches in the order they were
+// issued. A completion event names its record's slot and generation; an
+// aborted record's generation has moved on, so its event is a no-op. Every
+// event captures 16 bytes or less, which std::function keeps inline.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -67,6 +73,9 @@ class Network {
   explicit Network(LatencyModel model) : model_(std::move(model)) {
     region_states_.resize(model_.topology().num_regions());
   }
+  // Completion events hold `this`.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   [[nodiscard]] const Topology& topology() const { return model_.topology(); }
   [[nodiscard]] LatencyModel& model() { return model_; }
@@ -117,49 +126,67 @@ class Network {
   /// client's region, so it never fails in this model).
   [[nodiscard]] SimTimeMs cache_fetch(std::size_t bytes);
 
-  /// Completion time of a parallel batch: max of the elements, 0 if empty
-  /// (the cache arm of a read: its cache-resident chunks in parallel).
-  [[nodiscard]] static SimTimeMs parallel_batch_ms(
-      const std::vector<SimTimeMs>& latencies);
-
   // ------------------------------------------------------- observability
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t in_flight() const { return total_outstanding_; }
   [[nodiscard]] std::size_t outstanding(RegionId r) const {
-    return region_states_[r].wire.size();
+    return region_states_[r].wire.size;
   }
   [[nodiscard]] std::size_t queue_depth(RegionId r) const {
-    return region_states_[r].fifo.size();
+    return region_states_[r].fifo.size;
   }
 
  private:
-  struct PendingFetch {
-    RegionId from;
-    std::size_t bytes;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// One asynchronous fetch, queued or on the wire.
+  struct Fetch {
     FetchCallback cb;
+    RegionId from = 0;
+    RegionId to = 0;
+    std::size_t bytes = 0;
+    SimTimeMs latency_ms = 0.0;  ///< on the wire: the sampled transfer
+    bool dropped = false;        ///< on the wire: the response is lost
+    /// Bumped when the fetch is aborted and when its slot is freed.
+    std::uint32_t generation = 0;
+    std::uint32_t prev = kNone;    ///< neighbours on the region's list
+    std::uint32_t next = kNone;
+  };
+  /// A region's fetches in one state, oldest first.
+  struct FetchList {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::size_t size = 0;
   };
   struct RegionState {
-    /// In-flight wire transfers by issue id (ordered, so fail_region
-    /// aborts them deterministically in issue order). A completion event
-    /// whose id is gone was aborted and is a no-op.
-    std::map<std::uint64_t, FetchCallback> wire;
-    std::deque<PendingFetch> fifo;
+    FetchList wire;  ///< in the order they went on the wire
+    FetchList fifo;  ///< waiting for a slot, in issue order
   };
 
-  void start_wire(RegionId to, PendingFetch pending);
+  std::uint32_t new_fetch(RegionId from, RegionId to, std::size_t bytes,
+                          FetchCallback cb);
+  /// Free a record's slot, handing back its callback.
+  FetchCallback free_fetch(std::uint32_t f);
+  void push_back(FetchList& list, std::uint32_t f);
+  void unlink(FetchList& list, std::uint32_t f);
+
+  void start_wire(std::uint32_t f);
+  /// Completion event of the wire transfer in slot `f`.
+  void wire_done(std::uint32_t f, std::uint32_t generation);
   /// Hand freed slots to the FIFO head(s) after a completion.
   void drain_queue(RegionId to);
-  /// Deliver one failure asynchronously (like a timeout), charging it to
-  /// the given failure-mode counter.
-  void deliver_failure(FetchCallback cb, std::uint64_t& counter);
+  /// Fail every fetch on `list`, oldest first, charging each to the
+  /// failure-mode `counter`.
+  void fail_list(FetchList& list, std::uint64_t& counter);
 
   LatencyModel model_;
   EventLoop* loop_ = nullptr;  // non-owning
   std::unordered_set<RegionId> down_;
   std::vector<RegionState> region_states_;
+  std::vector<Fetch> fetches_;
+  std::vector<std::uint32_t> free_fetches_;
   std::size_t max_outstanding_per_region_ = 64;
   std::size_t total_outstanding_ = 0;
-  std::uint64_t next_wire_id_ = 1;
   NetworkStats stats_;
 };
 

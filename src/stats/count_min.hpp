@@ -24,6 +24,11 @@ class CountMinSketch {
   /// Estimated count (upper bound with high probability).
   [[nodiscard]] std::uint64_t estimate(const std::string& key) const;
 
+  /// The same, for a key already hashed to 64 bits (the string forms
+  /// hash with fnv1a).
+  void add_hash(std::uint64_t key_hash);
+  [[nodiscard]] std::uint64_t estimate_hash(std::uint64_t key_hash) const;
+
   /// Total increments folded in since construction (monotonic, not halved).
   [[nodiscard]] std::uint64_t total_adds() const { return adds_; }
 
@@ -39,7 +44,7 @@ class CountMinSketch {
 
  private:
   [[nodiscard]] std::size_t cell(std::size_t row,
-                                 const std::string& key) const;
+                                 std::uint64_t key_hash) const;
 
   std::size_t width_;
   std::uint64_t aging_window_;

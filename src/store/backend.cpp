@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
 namespace agar::store {
@@ -13,69 +14,105 @@ BackendCluster::BackendCluster(std::size_t num_regions,
   if (num_regions == 0) {
     throw std::invalid_argument("BackendCluster: need at least one region");
   }
+  const std::size_t total = codec_.rs().total();
+  layouts_.reserve(num_regions * total);
+  for (std::size_t offset = 0; offset < num_regions; ++offset) {
+    for (std::size_t i = 0; i < total; ++i) {
+      layouts_.push_back(ChunkLocation{
+          static_cast<ChunkIndex>(i),
+          static_cast<RegionId>((i + offset) % num_regions)});
+    }
+  }
 }
 
-void BackendCluster::put_object(const ObjectKey& key, BytesView data) {
+void BackendCluster::reserve(std::size_t objects) {
+  objects_.reserve(objects);
+  keys_.reserve(objects);
+  if (2 * objects > index_.size()) grow_index(objects);
+}
+
+std::size_t BackendCluster::index_slot(const ObjectKey& key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = std::hash<ObjectKey>{}(key) & mask;
+  while (index_[slot] != kNoObject && keys_[index_[slot]] != key) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void BackendCluster::grow_index(std::size_t objects) {
+  std::size_t size = 16;
+  while (size < 2 * objects) size *= 2;
+  index_.assign(size, kNoObject);
+  for (ObjectId id = 0; id < keys_.size(); ++id) {
+    index_[index_slot(keys_[id])] = id;
+  }
+}
+
+ObjectId BackendCluster::register_object(const ObjectKey& key,
+                                         std::size_t object_size) {
+  if (2 * (keys_.size() + 1) > index_.size()) grow_index(keys_.size() + 1);
+  const std::size_t slot = index_slot(key);
+  if (index_[slot] == kNoObject) {
+    index_[slot] = static_cast<ObjectId>(keys_.size());
+    keys_.push_back(key);
+    objects_.emplace_back();
+  }
+  const ObjectId id = index_[slot];
+  ObjectInfo& info = objects_[id];
+  info.object_size = object_size;
+  info.chunk_size = codec_.chunk_size(object_size);
+  const std::size_t total = codec_.rs().total();
+  info.locations = std::span<const ChunkLocation>(layouts_).subspan(
+      placement_.offset_of(key, num_regions()) * total, total);
+  return id;
+}
+
+ObjectId BackendCluster::put_object(const ObjectKey& key, BytesView data) {
+  const ObjectId id = register_object(key, data.size());
   ec::EncodedObject encoded = codec_.encode(data);
   for (auto& chunk : encoded.chunks) {
-    const RegionId region =
-        placement_.region_of(key, chunk.index, num_regions());
-    buckets_.at(region).put(ChunkId{key, chunk.index}, std::move(chunk.data));
+    const RegionId region = objects_[id].locations[chunk.index].region;
+    buckets_[region].put(ChunkId{id, chunk.index}, std::move(chunk.data));
   }
-  objects_[key] = StoredObject{encoded.object_size,
-                               codec_.chunk_size(encoded.object_size)};
-}
-
-void BackendCluster::register_object(const ObjectKey& key,
-                                     std::size_t object_size) {
-  objects_[key] = StoredObject{object_size, codec_.chunk_size(object_size)};
+  return id;
 }
 
 bool BackendCluster::has_object(const ObjectKey& key) const {
-  return objects_.contains(key);
+  return find_id(key).has_value();
 }
 
-ObjectInfo BackendCluster::object_info(const ObjectKey& key) const {
-  const auto it = objects_.find(key);
-  if (it == objects_.end()) {
+std::optional<ObjectId> BackendCluster::find_id(const ObjectKey& key) const {
+  if (index_.empty()) return std::nullopt;
+  const ObjectId id = index_[index_slot(key)];
+  if (id == kNoObject) return std::nullopt;
+  return id;
+}
+
+ObjectId BackendCluster::id_of(const ObjectKey& key) const {
+  const auto id = find_id(key);
+  if (!id.has_value()) {
     throw std::out_of_range("BackendCluster: unknown object " + key);
   }
-  ObjectInfo info;
-  info.object_size = it->second.object_size;
-  info.chunk_size = it->second.chunk_size;
-  const std::size_t total = codec_.rs().total();
-  info.locations.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto idx = static_cast<ChunkIndex>(i);
-    info.locations.push_back(
-        ChunkLocation{idx, placement_.region_of(key, idx, num_regions())});
-  }
-  return info;
+  return *id;
 }
 
 std::optional<SharedBytes> BackendCluster::get_chunk(const ChunkId& id) const {
-  const auto it = objects_.find(id.key);
-  if (it == objects_.end()) return std::nullopt;
-  const RegionId region =
-      placement_.region_of(id.key, id.index, num_regions());
-  return buckets_.at(region).get(id);
-}
-
-std::vector<ObjectKey> BackendCluster::keys() const {
-  std::vector<ObjectKey> out;
-  out.reserve(objects_.size());
-  for (const auto& [key, value] : objects_) out.push_back(key);
-  return out;
+  if (id.object >= objects_.size()) return std::nullopt;
+  const auto& locations = objects_[id.object].locations;
+  if (id.index >= locations.size()) return std::nullopt;
+  return buckets_[locations[id.index].region].get(id);
 }
 
 void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
                        BytesView payload) {
+  const ObjectId id = backend.id_of(key);
   const std::size_t chunk_size = backend.codec().chunk_size(payload.size());
   for (std::size_t d = 0; d < backend.codec().k(); ++d) {
     const std::size_t begin = std::min(d * chunk_size, payload.size());
     const std::size_t len = std::min(chunk_size, payload.size() - begin);
     const auto chunk =
-        backend.get_chunk(ChunkId{key, static_cast<ChunkIndex>(d)});
+        backend.get_chunk(ChunkId{id, static_cast<ChunkIndex>(d)});
     if (!chunk.has_value() || chunk->size() != chunk_size ||
         (len != 0 &&
          std::memcmp(chunk->data(), payload.data() + begin, len) != 0)) {
@@ -87,6 +124,7 @@ void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
 
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size, const std::string& prefix) {
+  backend.reserve(backend.num_objects() + count);
   for (std::size_t i = 0; i < count; ++i) {
     const ObjectKey key = prefix + std::to_string(i);
     const Bytes payload = deterministic_payload(key, object_size);

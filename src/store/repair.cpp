@@ -5,9 +5,9 @@ namespace agar::store {
 std::vector<ChunkIndex> missing_chunks(const BackendCluster& backend,
                                        const ObjectKey& key) {
   std::vector<ChunkIndex> missing;
-  const ObjectInfo info = backend.object_info(key);
-  for (const auto& loc : info.locations) {
-    if (!backend.bucket(loc.region).contains(ChunkId{key, loc.index})) {
+  const ObjectId id = backend.id_of(key);
+  for (const auto& loc : backend.object_info(id).locations) {
+    if (!backend.bucket(loc.region).contains(ChunkId{id, loc.index})) {
       missing.push_back(loc.index);
     }
   }
@@ -25,10 +25,11 @@ bool repair_object(BackendCluster& backend, const ObjectKey& key,
   ++r.objects_damaged;
 
   // Gather the survivors.
-  const ObjectInfo info = backend.object_info(key);
+  const ObjectId id = backend.id_of(key);
+  const ObjectInfo& info = backend.object_info(id);
   std::vector<std::pair<std::uint32_t, BytesView>> survivors;
   for (const auto& loc : info.locations) {
-    const auto bytes = backend.bucket(loc.region).get(ChunkId{key, loc.index});
+    const auto bytes = backend.bucket(loc.region).get(ChunkId{id, loc.index});
     if (bytes.has_value()) survivors.emplace_back(loc.index, *bytes);
   }
   const std::size_t k = backend.codec().k();
@@ -48,9 +49,8 @@ bool repair_object(BackendCluster& backend, const ObjectKey& key,
                                                                 survivors));
   }
   for (auto& [idx, bytes] : rebuilt) {
-    const RegionId region = backend.placement().region_of(
-        key, idx, backend.num_regions());
-    backend.bucket(region).put(ChunkId{key, idx}, std::move(bytes));
+    backend.bucket(info.locations[idx].region)
+        .put(ChunkId{id, idx}, std::move(bytes));
     ++r.chunks_rebuilt;
   }
   ++r.objects_repaired;

@@ -149,7 +149,7 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
   reconfigure(s);
   const auto opt0 = s.cache_manager().current().entries.at("object0");
   for (const ChunkIndex idx : opt0.chunks) {
-    ASSERT_TRUE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
+    ASSERT_TRUE(s.cache().contains(ChunkId{opt0.object, idx}.key()));
   }
   // Shift the workload for enough periods that object0 decays away.
   for (int period = 0; period < 8; ++period) {
@@ -159,7 +159,7 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
   EXPECT_FALSE(s.cache_manager().current().entries.contains("object0"));
   // Its chunks must be gone from the cache.
   for (const ChunkIndex idx : opt0.chunks) {
-    EXPECT_FALSE(s.cache().contains(ChunkId{"object0", idx}.cache_key()));
+    EXPECT_FALSE(s.cache().contains(ChunkId{opt0.object, idx}.key()));
   }
 }
 

@@ -11,15 +11,18 @@
 namespace agar::cache {
 namespace {
 
+/// A distinct chunk key per name, so the cases read by name.
+ChunkKey key(const std::string& name) { return fnv1a(name); }
+
 Bytes value(std::size_t n, std::uint8_t fill = 0xAB) {
   return Bytes(n, fill);
 }
 
 TEST(ArcCache, BasicPutGet) {
   ArcCache cache(1024);
-  EXPECT_TRUE(cache.put("a", value(100)));
-  EXPECT_TRUE(cache.contains("a"));
-  const auto hit = cache.get("a");
+  EXPECT_TRUE(cache.put(key("a"), value(100)));
+  EXPECT_TRUE(cache.contains(key("a")));
+  const auto hit = cache.get(key("a"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 100u);
   EXPECT_EQ(cache.used_bytes(), 100u);
@@ -27,9 +30,9 @@ TEST(ArcCache, BasicPutGet) {
 
 TEST(ArcCache, RepeatAccessPromotesToFrequencySide) {
   ArcCache cache(1000);
-  cache.put("once", value(100));
-  cache.put("twice", value(100));
-  (void)cache.get("twice");  // promoted to T2
+  cache.put(key("once"), value(100));
+  cache.put(key("twice"), value(100));
+  (void)cache.get(key("twice"));  // promoted to T2
   EXPECT_EQ(cache.t1_bytes(), 100u);  // "once"
   EXPECT_EQ(cache.t2_bytes(), 100u);  // "twice"
 }
@@ -38,35 +41,35 @@ TEST(ArcCache, OneHitWondersCannotFlushFrequentEntries) {
   // A hot entry re-accessed repeatedly must survive a stream of scan-like
   // one-time keys that exceeds the cache size many times over.
   ArcCache cache(1000);
-  cache.put("hot", value(100));
-  (void)cache.get("hot");
+  cache.put(key("hot"), value(100));
+  (void)cache.get(key("hot"));
   for (int i = 0; i < 100; ++i) {
-    cache.put("scan" + std::to_string(i), value(100));
-    (void)cache.get("hot");  // keeps its frequency fresh
+    cache.put(key("scan" + std::to_string(i)), value(100));
+    (void)cache.get(key("hot"));  // keeps its frequency fresh
   }
-  EXPECT_TRUE(cache.contains("hot"));
+  EXPECT_TRUE(cache.contains(key("hot")));
 }
 
 TEST(ArcCache, GhostHitGrowsRecencyTarget) {
   ArcCache cache(300);
-  cache.put("a", value(100));
-  (void)cache.get("a");  // a -> T2, so T1 stays below capacity
-  cache.put("b", value(100));
-  cache.put("c", value(100));
-  cache.put("d", value(100));  // evicts "b" (T1 LRU) to the B1 ghost list
-  EXPECT_FALSE(cache.contains("b"));
+  cache.put(key("a"), value(100));
+  (void)cache.get(key("a"));  // a -> T2, so T1 stays below capacity
+  cache.put(key("b"), value(100));
+  cache.put(key("c"), value(100));
+  cache.put(key("d"), value(100));  // evicts "b" (T1 LRU) to the B1 ghost list
+  EXPECT_FALSE(cache.contains(key("b")));
   const std::size_t before = cache.target_t1_bytes();
   // Re-inserting the ghost is the signal "T1 was too small".
-  cache.put("b", value(100));
+  cache.put(key("b"), value(100));
   EXPECT_GT(cache.target_t1_bytes(), before);
-  EXPECT_TRUE(cache.contains("b"));
+  EXPECT_TRUE(cache.contains(key("b")));
 }
 
 TEST(ArcCache, CapacityNeverExceededAndDirectoryBounded) {
   ArcCache cache(500);
   for (int i = 0; i < 300; ++i) {
-    cache.put('k' + std::to_string(i % 60), value(30 + (i % 5) * 10));
-    (void)cache.get('k' + std::to_string((i * 7) % 60));
+    cache.put(key('k' + std::to_string(i % 60)), value(30 + (i % 5) * 10));
+    (void)cache.get(key('k' + std::to_string((i * 7) % 60)));
     ASSERT_LE(cache.used_bytes(), cache.capacity_bytes());
     // Ghost directory bounded by ~2x capacity.
     ASSERT_LE(cache.used_bytes() + cache.ghost_bytes(),
@@ -76,16 +79,16 @@ TEST(ArcCache, CapacityNeverExceededAndDirectoryBounded) {
 
 TEST(ArcCache, OversizedValueRejected) {
   ArcCache cache(100);
-  EXPECT_FALSE(cache.put("big", value(200)));
+  EXPECT_FALSE(cache.put(key("big"), value(200)));
   EXPECT_EQ(cache.stats().rejections, 1u);
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(ArcCache, OverwriteUpdatesBytesAndValue) {
   ArcCache cache(1000);
-  cache.put("k", value(100, 1));
-  cache.put("k", value(300, 2));
-  const auto hit = cache.get("k");
+  cache.put(key("k"), value(100, 1));
+  cache.put(key("k"), value(300, 2));
+  const auto hit = cache.get(key("k"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 300u);
   EXPECT_EQ((*hit)[0], 2);

@@ -54,7 +54,7 @@ class AsyncPipelineTest : public ::testing::Test {
 TEST_F(AsyncPipelineTest, CoordinatorCoalescesDuplicateFetches) {
   core::FetchCoordinator coordinator(&network_);
   std::vector<SimTimeMs> completions;
-  const ChunkId chunk{"object0", 2};
+  const ChunkId chunk{backend_.id_of("object0"), 2};
   ASSERT_EQ(coordinator.fetch(chunk, 0, 1, 1000,
                               [&](auto l) { completions.push_back(*l); }),
             core::FetchStart::kStarted);
@@ -180,7 +180,7 @@ TEST_F(AsyncPipelineTest, CoalescedObserversSeeFailureExactlyOnce) {
   // Several requesters joined one wire fetch; the destination dies
   // mid-flight. Every observer must hear nullopt exactly once.
   core::FetchCoordinator coordinator(&network_);
-  const ChunkId chunk{"object0", 1};
+  const ChunkId chunk{backend_.id_of("object0"), 1};
   const RegionId to = sim::region::kTokyo;
   std::size_t failures = 0, successes = 0;
   auto observer = [&](std::optional<SimTimeMs> l) {

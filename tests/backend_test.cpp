@@ -56,9 +56,10 @@ TEST(Backend, GetChunkFetchesFromRightBucket) {
   const Bytes payload = deterministic_payload("obj", 1800);
   cluster.put_object("obj", BytesView(payload));
   for (ChunkIndex i = 0; i < 12; ++i) {
-    EXPECT_TRUE(cluster.get_chunk({"obj", i}).has_value()) << i;
+    EXPECT_TRUE(cluster.get_chunk({cluster.id_of("obj"), i}).has_value()) << i;
   }
-  EXPECT_FALSE(cluster.get_chunk({"other", 0}).has_value());
+  EXPECT_FALSE(cluster.get_chunk({1, 0}).has_value());  // no object 1
+  EXPECT_FALSE(cluster.get_chunk({0, 12}).has_value());  // no chunk 12
 }
 
 TEST(Backend, ChunksDecodeBackToObject) {
@@ -67,7 +68,7 @@ TEST(Backend, ChunksDecodeBackToObject) {
   cluster.put_object("rt", BytesView(payload));
   std::vector<ec::Chunk> chunks;
   for (ChunkIndex i = 0; i < 4; ++i) {  // data chunks suffice
-    const auto v = cluster.get_chunk({"rt", i});
+    const auto v = cluster.get_chunk({cluster.id_of("rt"), i});
     ASSERT_TRUE(v.has_value());
     chunks.push_back(ec::Chunk{i, Bytes(v->begin(), v->end())});
   }
@@ -82,7 +83,7 @@ TEST(Backend, RegisterObjectMetadataOnly) {
   EXPECT_EQ(info.object_size, 1_MB);
   EXPECT_EQ(info.locations.size(), 12u);
   // No payloads were materialized.
-  EXPECT_FALSE(cluster.get_chunk({"meta", 0}).has_value());
+  EXPECT_FALSE(cluster.get_chunk({cluster.id_of("meta"), 0}).has_value());
   for (RegionId r = 0; r < 6; ++r) {
     EXPECT_EQ(cluster.bucket(r).num_chunks(), 0u);
   }
@@ -119,11 +120,11 @@ TEST(Backend, DataChunkCheckNamesTheObject) {
   expect_named_failure(deterministic_payload("object2", 905));
   // A stored data chunk that is another object's.
   for (const ChunkIndex d : {ChunkIndex{0}, ChunkIndex{8}}) {
-    const ChunkId id{"object1", d};
-    Bucket& bucket = cluster.bucket(cluster.placement().region_of(
-        id.key, id.index, cluster.num_regions()));
+    const ChunkId id{cluster.id_of("object1"), d};
+    Bucket& bucket = cluster.bucket(
+        cluster.object_info(id.object).locations[id.index].region);
     const SharedBytes own = *bucket.get(id);
-    bucket.put(id, *cluster.get_chunk(ChunkId{"object2", d}));
+    bucket.put(id, *cluster.get_chunk(ChunkId{cluster.id_of("object2"), d}));
     expect_named_failure(payload);
     bucket.erase(id);
     expect_named_failure(payload);
@@ -132,13 +133,43 @@ TEST(Backend, DataChunkCheckNamesTheObject) {
   check_data_chunks(cluster, "object1", BytesView(payload));
 }
 
-TEST(Backend, KeysListsAllObjects) {
+TEST(Backend, KeysListsAllObjectsById) {
   auto cluster = make_cluster();
   populate_working_set(cluster, 3, 90);
-  auto keys = cluster.keys();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys,
+  EXPECT_EQ(cluster.keys(),
             (std::vector<ObjectKey>{"object0", "object1", "object2"}));
+}
+
+TEST(Backend, IdsFollowRegistrationOrder) {
+  auto cluster = make_cluster();
+  EXPECT_EQ(cluster.register_object("zeta", 900), 0u);
+  EXPECT_EQ(cluster.register_object("alpha", 1800), 1u);
+  EXPECT_EQ(cluster.put_object("zeta", BytesView(Bytes(450, 1))), 0u);
+  EXPECT_EQ(cluster.num_objects(), 2u);
+  EXPECT_EQ(cluster.id_of("alpha"), 1u);
+  EXPECT_EQ(cluster.key_of(0), "zeta");
+  EXPECT_EQ(cluster.find_id("beta"), std::nullopt);
+  EXPECT_THROW((void)cluster.id_of("beta"), std::out_of_range);
+  // The record by id is the record by key; re-registering updated it.
+  EXPECT_EQ(&cluster.object_info(0), &cluster.object_info("zeta"));
+  EXPECT_EQ(cluster.object_info(0).object_size, 450u);
+  EXPECT_EQ(cluster.object_info(1).chunk_size, 200u);
+}
+
+TEST(Backend, PerKeyOffsetsShareLayoutTables) {
+  BackendCluster cluster(6, ec::CodecParams{9, 3},
+                         ec::RoundRobinPlacement(true));
+  const ec::RoundRobinPlacement placement(true);
+  for (int i = 0; i < 20; ++i) {
+    const ObjectKey key = "user" + std::to_string(i);
+    const ObjectInfo& info =
+        cluster.object_info(cluster.register_object(key, 1_KB));
+    ASSERT_EQ(info.locations.size(), 12u);
+    for (ChunkIndex c = 0; c < 12; ++c) {
+      EXPECT_EQ(info.locations[c].index, c);
+      EXPECT_EQ(info.locations[c].region, placement.region_of(key, c, 6));
+    }
+  }
 }
 
 TEST(Backend, OverwriteObjectReplacesChunks) {
@@ -149,7 +180,7 @@ TEST(Backend, OverwriteObjectReplacesChunks) {
   EXPECT_EQ(info.object_size, 800u);
   std::vector<ec::Chunk> chunks;
   for (ChunkIndex i = 0; i < 4; ++i) {
-    const auto v = cluster.get_chunk({"k", i});
+    const auto v = cluster.get_chunk({cluster.id_of("k"), i});
     ASSERT_TRUE(v.has_value());
     chunks.push_back(ec::Chunk{i, Bytes(v->begin(), v->end())});
   }

@@ -48,17 +48,29 @@ TEST(Bytes, LiteralOperators) {
   EXPECT_EQ(10_MB, 10u * 1024u * 1024u);
 }
 
-TEST(Bytes, ChunkIdCacheKey) {
-  const ChunkId id{"object42", 3};
-  EXPECT_EQ(id.cache_key(), "object42#3");
+TEST(Bytes, ChunkIdKeyPacksObjectAndIndex) {
+  const ChunkId id{42, 3};
+  EXPECT_EQ(id.key(), (ChunkKey{42} << 32) | 3);
+  EXPECT_EQ(ChunkId::of(id.key()), id);
+  const ChunkId last{~ObjectId{0} - 1, ~ChunkIndex{0}};
+  EXPECT_EQ(ChunkId::of(last.key()), last);
 }
 
-TEST(Bytes, ChunkIdEqualityAndHash) {
-  const ChunkId a{"k", 1}, b{"k", 1}, c{"k", 2}, d{"j", 1};
+TEST(Bytes, ChunkIdEquality) {
+  const ChunkId a{5, 1}, b{5, 1}, c{5, 2}, d{4, 1};
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(a, d);
-  EXPECT_EQ(std::hash<ChunkId>{}(a), std::hash<ChunkId>{}(b));
+  EXPECT_NE(a.key(), c.key());
+  EXPECT_NE(a.key(), d.key());
+}
+
+TEST(Bytes, ChunkNameHashMatchesTheBuiltString) {
+  for (const ChunkIndex index : {0u, 3u, 9u, 10u, 11u, 4294967295u}) {
+    EXPECT_EQ(fnv1a_chunk("object42", index),
+              fnv1a("object42#" + std::to_string(index)));
+  }
+  EXPECT_EQ(fnv1a_chunk("", 0), fnv1a("#0"));
 }
 
 }  // namespace

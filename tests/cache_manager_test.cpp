@@ -134,13 +134,15 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   const auto& config = mgr->reconfigure();
   std::size_t chunk_keys = 0;
   for (const auto& [key, opt] : config.entries) {
+    EXPECT_EQ(opt.object, backend_.id_of(key));
     chunk_keys += opt.chunks.size();
     for (const ChunkIndex c : opt.chunks) {
-      EXPECT_TRUE(cache_->is_configured(ChunkId{key, c}.cache_key()));
+      EXPECT_TRUE(cache_->is_configured(ChunkId{opt.object, c}.key()));
     }
   }
   EXPECT_EQ(cache_->configured_size(), chunk_keys);
-  EXPECT_FALSE(cache_->is_configured(ChunkId{"object19", 0}.cache_key()));
+  EXPECT_FALSE(
+      cache_->is_configured(ChunkId{backend_.id_of("object19"), 0}.key()));
 }
 
 TEST_F(CacheManagerTest, ReconfigureRollsThePeriod) {

@@ -50,7 +50,8 @@ TEST_P(EngineInvariants, CapacityNeverExceededUnderChurn) {
   auto engine = make_engine(GetParam());
   Rng rng(101);
   for (int i = 0; i < 5000; ++i) {
-    const std::string key = 'k' + std::to_string(rng.next_below(97));
+    const ChunkKey key =
+        ChunkId{static_cast<ObjectId>(rng.next_below(97)), 0}.key();
     if (rng.next_below(2) == 0) {
       engine->put(key, Bytes(1 + rng.next_below(61), 0xAA));
     } else {
@@ -64,7 +65,7 @@ TEST_P(EngineInvariants, UsedBytesMatchesResidentEntries) {
   auto engine = make_engine(GetParam());
   Rng rng(102);
   for (int i = 0; i < 1000; ++i) {
-    engine->put('k' + std::to_string(rng.next_below(37)),
+    engine->put(ChunkId{static_cast<ObjectId>(rng.next_below(37)), 0}.key(),
                 Bytes(1 + rng.next_below(31), 1));
   }
   std::size_t total = 0;
@@ -78,9 +79,10 @@ TEST_P(EngineInvariants, UsedBytesMatchesResidentEntries) {
 
 TEST_P(EngineInvariants, GetAfterPutReturnsLatestValue) {
   auto engine = make_engine(GetParam());
-  engine->put("key", Bytes(10, 1));
-  engine->put("key", Bytes(20, 2));
-  const auto v = engine->get("key");
+  const ChunkKey key = ChunkId{1, 2}.key();
+  engine->put(key, Bytes(10, 1));
+  engine->put(key, Bytes(20, 2));
+  const auto v = engine->get(key);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->size(), 20u);
   EXPECT_EQ((*v)[0], 2);
@@ -209,7 +211,7 @@ TEST_P(RepairProperty, RandomDamageUpToMIsAlwaysRepairable) {
       }
       for (const ChunkIndex idx : dropped) {
         const RegionId region = backend.placement().region_of(key, idx, 6);
-        backend.bucket(region).erase(ChunkId{key, idx});
+        backend.bucket(region).erase(ChunkId{backend.id_of(key), idx});
       }
     }
     const store::RepairReport report = store::repair_all(backend);

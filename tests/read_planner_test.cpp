@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <set>
-#include <unordered_set>
 
 #include "client/agar_strategy.hpp"
 
@@ -45,8 +44,8 @@ class ReadPlannerTest : public ::testing::Test {
 
   cache::StaticConfigCache& cache() { return strategy_->cache(); }
 
-  static std::string chunk(ChunkIndex idx) {
-    return ChunkId{"obj", idx}.cache_key();
+  ChunkKey chunk(ChunkIndex idx) const {
+    return ChunkId{backend_.id_of("obj"), idx}.key();
   }
 
   sim::Topology topology_;
@@ -119,8 +118,8 @@ TEST_F(ReadPlannerTest, FullResidencyNeedsNoBackend) {
   // The nine needed chunks from Frankfurt: all but Sydney's {5, 11} and
   // Tokyo's second chunk {10}.
   const std::vector<ChunkIndex> needed{0, 1, 2, 3, 4, 6, 7, 8, 9};
-  std::unordered_set<std::string> keys;
-  for (const ChunkIndex idx : needed) keys.insert(chunk(idx));
+  std::vector<ChunkKey> keys;
+  for (const ChunkIndex idx : needed) keys.push_back(chunk(idx));
   cache().install_configuration(keys);
   for (const ChunkIndex idx : needed) cache().put(chunk(idx), Bytes(8, 1));
   const ReadPlan p = plan();

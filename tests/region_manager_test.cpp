@@ -84,7 +84,8 @@ TEST_F(RegionManagerTest, DownRegionsAreSkipped) {
 TEST_F(RegionManagerTest, ChunkCostsCoverWholeStripe) {
   auto rm = make(sim::region::kFrankfurt);
   rm.probe();
-  const auto costs = rm.chunk_costs("obj");
+  std::vector<core::ChunkCost> costs;
+  rm.chunk_costs(backend_.id_of("obj"), costs);
   ASSERT_EQ(costs.size(), 12u);
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(costs[i].index, i);
@@ -96,8 +97,9 @@ TEST_F(RegionManagerTest, ChunkCostsCoverWholeStripe) {
 
 TEST_F(RegionManagerTest, RegionOfDelegatesToPlacement) {
   auto rm = make(sim::region::kFrankfurt);
-  EXPECT_EQ(rm.region_of("obj", 0), 0u);
-  EXPECT_EQ(rm.region_of("obj", 7), 1u);
+  const ObjectId obj = backend_.id_of("obj");
+  EXPECT_EQ(rm.region_of(obj, 0), 0u);
+  EXPECT_EQ(rm.region_of(obj, 7), 1u);
 }
 
 TEST_F(RegionManagerTest, LocalRegionPerspectiveMatters) {

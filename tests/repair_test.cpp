@@ -18,14 +18,15 @@ class RepairTest : public ::testing::Test {
 
   void drop_chunk(const ObjectKey& key, ChunkIndex idx) {
     const RegionId region = backend_.placement().region_of(key, idx, 6);
-    ASSERT_TRUE(backend_.bucket(region).erase(ChunkId{key, idx}));
+    ASSERT_TRUE(
+        backend_.bucket(region).erase(ChunkId{backend_.id_of(key), idx}));
   }
 
   Bytes decode(const ObjectKey& key) {
     const ObjectInfo info = backend_.object_info(key);
     std::vector<ec::Chunk> chunks;
     for (ChunkIndex i = 0; i < 9; ++i) {
-      const auto v = backend_.get_chunk({key, i});
+      const auto v = backend_.get_chunk({backend_.id_of(key), i});
       if (v.has_value()) chunks.push_back(ec::Chunk{i, Bytes(v->begin(), v->end())});
     }
     return backend_.codec().decode(info.object_size, chunks);
@@ -61,7 +62,7 @@ TEST_F(RepairTest, RepairsLostParityChunk) {
   // The rebuilt parity must be byte-identical to a fresh encode.
   const Bytes payload = deterministic_payload("object2", 9000);
   const auto encoded = backend_.codec().encode(BytesView(payload));
-  const auto v = backend_.get_chunk({"object2", 11});
+  const auto v = backend_.get_chunk({backend_.id_of("object2"), 11});
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(Bytes(v->begin(), v->end()), encoded.chunks[11].data);
 }

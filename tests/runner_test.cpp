@@ -46,6 +46,10 @@ TEST(Deployment, BuildsSixRegionCluster) {
   EXPECT_EQ(d.topology().num_regions(), 6u);
   EXPECT_EQ(d.backend().num_objects(), 3u);
   EXPECT_TRUE(d.backend().has_object("object0"));
+  // The workload reads object i as id i.
+  for (ObjectId id = 0; id < 3; ++id) {
+    EXPECT_EQ(d.backend().key_of(id), "object" + std::to_string(id));
+  }
 }
 
 TEST(Deployment, MetadataOnlyModeSkipsPayloads) {
@@ -54,7 +58,8 @@ TEST(Deployment, MetadataOnlyModeSkipsPayloads) {
   c.store_payloads = false;
   Deployment d(c);
   EXPECT_TRUE(d.backend().has_object("object0"));
-  EXPECT_FALSE(d.backend().get_chunk({"object0", 0}).has_value());
+  EXPECT_FALSE(d.backend().get_chunk({d.backend().id_of("object0"), 0})
+                   .has_value());
 }
 
 TEST(SpecLabels, DerivedFromRegistryInOnePlace) {

@@ -47,22 +47,23 @@ TEST(SharedBytes, ViewInteropAndEquality) {
 
 TEST(SharedBytes, BucketGetSharesTheStoredBuffer) {
   store::Bucket bucket;
-  bucket.put({"k", 0}, Bytes{1, 2, 3});
-  const auto a = bucket.get({"k", 0});
+  bucket.put({7, 0}, Bytes{1, 2, 3});
+  const auto a = bucket.get({7, 0});
   ASSERT_TRUE(a.has_value());
-  const auto b = bucket.get({"k", 0});
+  const auto b = bucket.get({7, 0});
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->data(), b->data());  // one allocation, many handles
   EXPECT_GE(a->use_count(), 3);     // bucket + a + b
 }
 
 TEST(SharedBytes, CacheHitSurvivesEviction) {
+  const ChunkKey a = ChunkId{1, 0}.key(), b = ChunkId{2, 0}.key();
   cache::LruCache cache(10);
-  cache.put("a", Bytes{1, 2, 3});
-  const auto hit = cache.get("a");
+  cache.put(a, Bytes{1, 2, 3});
+  const auto hit = cache.get(a);
   ASSERT_TRUE(hit.has_value());
-  cache.put("b", Bytes(9, 0xFF));  // evicts "a"
-  EXPECT_FALSE(cache.contains("a"));
+  cache.put(b, Bytes(9, 0xFF));  // evicts a
+  EXPECT_FALSE(cache.contains(a));
   // The handle keeps the buffer alive past eviction.
   EXPECT_EQ(hit->size(), 3u);
   EXPECT_EQ((*hit)[2], 3);
@@ -72,8 +73,9 @@ TEST(SharedBytes, CachePutDoesNotCopyPayload) {
   cache::LruCache cache(100);
   SharedBytes payload(Bytes{5, 6, 7});
   const std::uint8_t* raw = payload.data();
-  cache.put("k", payload);  // refcount bump in, not a byte copy
-  const auto hit = cache.get("k");
+  const ChunkKey k = ChunkId{7, 0}.key();
+  cache.put(k, payload);  // refcount bump in, not a byte copy
+  const auto hit = cache.get(k);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->data(), raw);
 }

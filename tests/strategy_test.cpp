@@ -174,15 +174,16 @@ TEST_F(StrategyTest, VerifyRejectsAnotherObjectsChunkFromTheCache) {
   cache::CacheEngine& cache = *engine;
   FixedChunksStrategy s(ctx(sim::region::kFrankfurt), p, std::move(engine));
   (void)s.read("object0");  // the miss caches the 9 chunks it read
-  const std::vector<std::string> keys = cache.keys();
+  const std::vector<ChunkKey> keys = cache.keys();
   ASSERT_EQ(keys.size(), 9u);
   bool any_parity = false;
-  for (const std::string& key : keys) {
-    const auto index = static_cast<ChunkIndex>(
-        std::stoul(key.substr(key.find('#') + 1)));
-    any_parity |= index >= 9;
+  for (const ChunkKey key : keys) {
+    const ChunkId chunk = ChunkId::of(key);
+    ASSERT_EQ(chunk.object, backend_.id_of("object0"));
+    any_parity |= chunk.index >= 9;
     const SharedBytes own = *cache.get(key);
-    cache.put(key, *backend_.get_chunk(ChunkId{"object1", index}));
+    cache.put(key, *backend_.get_chunk(
+                       ChunkId{backend_.id_of("object1"), chunk.index}));
     const ReadResult r = s.read("object0");
     EXPECT_TRUE(r.full_hit) << key;
     EXPECT_FALSE(r.verified) << key;
@@ -192,9 +193,9 @@ TEST_F(StrategyTest, VerifyRejectsAnotherObjectsChunkFromTheCache) {
   EXPECT_TRUE(s.read("object0").verified);
   // The read is a full hit, but with a data chunk gone from the store
   // there is nothing to check that row against.
-  const ChunkId row0{"object0", 0};
-  store::Bucket& bucket = backend_.bucket(
-      backend_.placement().region_of(row0.key, row0.index, 6));
+  const ChunkId row0{backend_.id_of("object0"), 0};
+  store::Bucket& bucket =
+      backend_.bucket(backend_.object_info(row0.object).locations[0].region);
   const SharedBytes stored = *bucket.get(row0);
   bucket.erase(row0);
   EXPECT_FALSE(s.read("object0").verified);
