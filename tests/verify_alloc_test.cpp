@@ -1,8 +1,10 @@
-// Heap allocations of a steady-state verify-mode read at the paper
-// configuration. This binary replaces the global operator new/delete and
-// counts calls, bytes and allocations of 128 KiB or more while a window is
-// open. The simulation is deterministic, so the counts repeat exactly from
-// run to run and the test can pin them where a wall-clock timing could not.
+// Heap allocations of steady-state reads at the paper configuration: the
+// verify-mode read, the latency-only read (the benchmark's `paper`
+// workload) and the uncached backend read. This binary replaces the global
+// operator new/delete and counts calls, bytes and allocations of 128 KiB or
+// more while a window is open. The simulation is deterministic, so the
+// counts repeat exactly from run to run and the test can pin them where a
+// wall-clock timing could not.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "client/runner.hpp"
@@ -69,14 +73,30 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace agar::client {
 namespace {
 
-TEST(VerifyAlloc, SteadyStateVerifyReadAllocatesNoObjectBuffers) {
-  const auto spec = api::ExperimentSpec::from_pairs(
-      {"system=agar", "planner=knapsack-dp", "monitor=exact-ewma",
-       "objects=300", "object_bytes=1MB", "rs_k=9", "rs_m=3",
-       "workload=zipf:1.1", "cache_bytes=10MB", "period_s=30",
-       "region=frankfurt", "verify=true", "seed=42"});
+struct Window {
+  std::uint64_t reads = 0;
+  std::uint64_t verified = 0;
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t large = 0;
+};
+
+/// One strategy of `pairs` (plus the paper configuration's shared keys),
+/// warmed up and its control plane started, then 500 reads to let decode
+/// plans, cache contents, pools and buffer capacities settle, then the
+/// counted window of 1,000 reads. Periodic reconfigurations fall inside
+/// both.
+Window count_window(const char* name, std::vector<std::string> pairs) {
+  for (const char* shared :
+       {"objects=300", "object_bytes=1MB", "rs_k=9", "rs_m=3",
+        "workload=zipf:1.1", "period_s=30", "region=frankfurt", "seed=42"}) {
+    pairs.emplace_back(shared);
+  }
+  const auto spec = api::ExperimentSpec::from_pairs(pairs);
   const ExperimentConfig& config = spec.experiment;
-  Deployment deployment(config.deployment);
+  DeploymentConfig dep_config = config.deployment;
+  dep_config.store_payloads = config.verify_data;
+  Deployment deployment(dep_config);
   sim::EventLoop loop;
   deployment.network().bind_loop(&loop);
   const auto strategy = api::make_strategy_factory(spec)(
@@ -85,33 +105,61 @@ TEST(VerifyAlloc, SteadyStateVerifyReadAllocatesNoObjectBuffers) {
   strategy->start_control_plane();
   Workload workload(config.workload, config.deployment.num_objects,
                     config.deployment.seed);
+  const auto next = [&workload] {
+    return static_cast<ObjectId>(workload.next_object());
+  };
 
-  // Warm-up: decode plans, cache contents and buffer capacities settle.
-  for (int i = 0; i < 500; ++i) (void)strategy->read(workload.next_key());
+  for (int i = 0; i < 500; ++i) (void)strategy->read(next());
 
-  constexpr std::uint64_t kReads = 1000;
-  std::uint64_t verified = 0;
+  Window w;
+  w.reads = 1000;
+  g_calls.store(0);
+  g_bytes.store(0);
+  g_large.store(0);
   g_counting.store(true);
-  for (std::uint64_t i = 0; i < kReads; ++i) {
-    verified += strategy->read(workload.next_key()).verified ? 1 : 0;
+  for (std::uint64_t i = 0; i < w.reads; ++i) {
+    w.verified += strategy->read(next()).verified ? 1 : 0;
   }
   g_counting.store(false);
-
-  const std::uint64_t calls = g_calls.load();
-  const std::uint64_t bytes = g_bytes.load();
-  const std::uint64_t large = g_large.load();
+  w.calls = g_calls.load();
+  w.bytes = g_bytes.load();
+  w.large = g_large.load();
   std::printf(
-      "verify reads: %llu/%llu verified; per read: %.1f allocations, "
-      "%.0f B; allocations >= 128 KiB: %llu\n",
-      static_cast<unsigned long long>(verified),
-      static_cast<unsigned long long>(kReads),
-      static_cast<double>(calls) / kReads,
-      static_cast<double>(bytes) / kReads,
-      static_cast<unsigned long long>(large));
+      "%s reads: %llu/%llu verified; per read: %.1f allocations, %.0f B; "
+      "allocations >= 128 KiB: %llu\n",
+      name, static_cast<unsigned long long>(w.verified),
+      static_cast<unsigned long long>(w.reads),
+      static_cast<double>(w.calls) / static_cast<double>(w.reads),
+      static_cast<double>(w.bytes) / static_cast<double>(w.reads),
+      static_cast<unsigned long long>(w.large));
+  return w;
+}
 
-  EXPECT_EQ(verified, kReads);
-  EXPECT_EQ(large, 0u);
-  EXPECT_LT(bytes / kReads, 64u * 1024u);
+TEST(VerifyAlloc, SteadyStateVerifyReadAllocatesNoObjectBuffers) {
+  const Window w = count_window(
+      "verify", {"system=agar", "planner=knapsack-dp", "monitor=exact-ewma",
+                 "cache_bytes=10MB", "verify=true"});
+  EXPECT_EQ(w.verified, w.reads);
+  EXPECT_EQ(w.large, 0u);
+  EXPECT_LT(w.bytes / w.reads, 64u * 1024u);
+}
+
+TEST(VerifyAlloc, PaperReadAllocatesAtMostTheControlPlanesShare) {
+  // Reads allocate nothing; what remains is the once-per-period control
+  // plane (option generation, the planner's rows, the configuration),
+  // amortized over the reads of a 30 s period.
+  const Window w = count_window(
+      "paper", {"system=agar", "planner=knapsack-dp", "monitor=exact-ewma",
+                "cache_bytes=10MB", "verify=false"});
+  EXPECT_EQ(w.large, 0u);
+  EXPECT_LE(w.calls, 24 * w.reads);
+}
+
+TEST(VerifyAlloc, BackendReadAllocatesNothing) {
+  // The shared executor, the coalescing table and the network alone.
+  const Window w = count_window("backend", {"system=backend", "verify=false"});
+  EXPECT_EQ(w.large, 0u);
+  EXPECT_LE(w.calls, w.reads);
 }
 
 }  // namespace
