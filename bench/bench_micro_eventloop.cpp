@@ -6,12 +6,15 @@
 // workload (benchmark/run.py).
 //
 // The dispatch workload replays the production event mix: self-rescheduling
-// one-shot events whose closures exceed the std::function small-buffer (as
-// the client strategies' do — they capture state, a key and a completion
-// continuation) plus a standing set of periodic timers (network probes,
-// reconfiguration), so the seed loop pays its real costs: a full Event
-// COPY out of priority_queue::top() per dispatch and a make_shared rebind
-// per periodic firing.
+// one-shot events plus a standing set of periodic timers (network probes,
+// reconfiguration). Its closures come in two sizes, each labelled in the
+// config column. `inline` closures capture one pointer, as the read path's
+// do (a pooled batch or fetch record plus at most 8 more bytes), and fit
+// std::function's 16-byte buffer; the sharded rows use them. `oversized`
+// closures capture three words, over the buffer, so every schedule
+// allocates: the seed loop's baseline workload, where it also pays its
+// other real costs — a full Event COPY out of priority_queue::top() per
+// dispatch and a make_shared rebind per periodic firing.
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array for CI's
@@ -174,15 +177,35 @@ std::uint64_t spin(std::uint64_t x) {
   return x;
 }
 
+/// How big a chain's self-rescheduling closure is.
+enum class Closure {
+  kInline,     ///< captures the chain pointer only: stored inline
+  kOversized,  ///< chain pointer plus two words: heap-allocated per schedule
+};
+
 template <typename Loop>
 struct Chain {
   Loop* loop = nullptr;
   sim::ShardedEngine* engine = nullptr;
   std::size_t lane = 0;
   std::uint64_t lcg = 0;
+  std::uint64_t salt_a = 0;
+  std::uint64_t salt_b = 0;
   std::uint64_t fired = 0;
   std::function<void()> next;
   std::function<void()> hop;  ///< one-shot cross-lane event body
+
+  /// One dispatch: spin, then re-arm `next` (and sometimes post a hop).
+  void step(std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t x = spin(lcg ^ a);
+    lcg = x + b;
+    ++fired;
+    const SimTimeMs delay = 0.5 + static_cast<double>(x % 1024) / 256.0;
+    if (engine != nullptr && (x & 15U) == 0) {
+      engine->post((lane + 1) % kLanes, loop->now() + delay, hop);
+    }
+    loop->schedule_in(delay, next);
+  }
 };
 
 /// Arm the standard workload on `lane_loop`: kChainsPerLane chains and
@@ -191,6 +214,7 @@ struct Chain {
 /// (through an outbox when the lanes live on different shards).
 template <typename Loop>
 void arm_lane(Loop& lane_loop, sim::ShardedEngine* engine, std::size_t lane,
+              Closure closure,
               std::vector<std::unique_ptr<Chain<Loop>>>& chains) {
   for (std::size_t c = 0; c < kChainsPerLane; ++c) {
     chains.push_back(std::make_unique<Chain<Loop>>());
@@ -205,24 +229,19 @@ void arm_lane(Loop& lane_loop, sim::ShardedEngine* engine, std::size_t lane,
       volatile std::uint64_t sink = spin(0x243F6A8885A308D3ULL);
       (void)sink;
     };
-    // The closure captures a state pointer plus two words of context —
-    // over the std::function small-buffer, like the strategies' real
-    // callbacks (state, key, continuation). Scheduling it allocates; the
-    // seed loop then copies it AGAIN out of top() on dispatch.
-    const std::uint64_t salt_a = chain->lcg * 3;
-    const std::uint64_t salt_b = chain->lcg * 7;
-    chain->next = [chain, salt_a, salt_b] {
-      const std::uint64_t x = spin(chain->lcg ^ salt_a);
-      chain->lcg = x + salt_b;
-      ++chain->fired;
-      const SimTimeMs delay =
-          0.5 + static_cast<double>(x % 1024) / 256.0;  // 0.5 - 4.5 ms
-      if (chain->engine != nullptr && (x & 15U) == 0) {
-        chain->engine->post((chain->lane + 1) % kLanes,
-                            chain->loop->now() + delay, chain->hop);
-      }
-      chain->loop->schedule_in(delay, chain->next);
-    };
+    chain->salt_a = chain->lcg * 3;
+    chain->salt_b = chain->lcg * 7;
+    if (closure == Closure::kInline) {
+      // One pointer, the salts read from the chain: stored inline.
+      chain->next = [chain] { chain->step(chain->salt_a, chain->salt_b); };
+    } else {
+      // The salts ride in the closure, over the small buffer: scheduling
+      // it allocates, and the seed loop copies it AGAIN out of top() on
+      // dispatch.
+      chain->next = [chain, a = chain->salt_a, b = chain->salt_b] {
+        chain->step(a, b);
+      };
+    }
     lane_loop.schedule_in(0.0, chain->next);
   }
   for (std::size_t t = 0; t < kTimersPerLane; ++t) {
@@ -232,12 +251,12 @@ void arm_lane(Loop& lane_loop, sim::ShardedEngine* engine, std::size_t lane,
 }
 
 template <typename Loop>
-void bench_serial_dispatch(const std::string& config, std::uint64_t target,
-                           const std::string& note) {
+void bench_serial_dispatch(const std::string& config, Closure closure,
+                           std::uint64_t target, const std::string& note) {
   Loop loop;
   std::vector<std::unique_ptr<Chain<Loop>>> chains;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    arm_lane(loop, nullptr, lane, chains);
+    arm_lane(loop, nullptr, lane, closure, chains);
   }
   const double sec = wall_seconds([&] {
     while (loop.events_executed() < target) {
@@ -253,7 +272,7 @@ void bench_sharded_dispatch(std::size_t shards, std::uint64_t target) {
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     sim::EventLoop& loop = engine.loop_of_lane(lane);
     loop.reserve(1024);
-    arm_lane(loop, &engine, lane, chains);
+    arm_lane(loop, &engine, lane, Closure::kInline, chains);
   }
   const double sec = wall_seconds([&] {
     engine.run_windows(1000.0,
@@ -261,7 +280,7 @@ void bench_sharded_dispatch(std::size_t shards, std::uint64_t target) {
   });
   std::ostringstream note;
   note << engine.cross_shard_messages() << " cross-shard messages";
-  record("event_dispatch", "shards=" + std::to_string(shards),
+  record("event_dispatch", "shards=" + std::to_string(shards) + "-inline",
          engine.events_executed(), sec, note.str());
 }
 
@@ -327,18 +346,21 @@ void print_json() {
 }
 
 void print_table() {
-  std::printf("%-18s %-12s %12s %16s %12s\n", "bench", "config", "events",
+  std::printf("%-18s %-18s %12s %16s %12s\n", "bench", "config", "events",
               "events/s", "ns/event");
   for (const Result& r : results()) {
-    std::printf("%-18s %-12s %12llu %16.0f %12.1f  %s\n", r.bench.c_str(),
+    std::printf("%-18s %-18s %12llu %16.0f %12.1f  %s\n", r.bench.c_str(),
                 r.config.c_str(), static_cast<unsigned long long>(r.events),
                 r.events_per_s, r.ns_per_event, r.note.c_str());
   }
-  const double seed_rate = dispatch_rate("seed-serial");
-  const double four = dispatch_rate("shards=4");
-  if (seed_rate > 0.0 && four > 0.0) {
-    std::printf("\ndispatch speedup, 4 shards vs seed serial loop: %.2fx\n",
-                four / seed_rate);
+  const double seed_rate = dispatch_rate("seed-oversized");
+  const double oversized = dispatch_rate("serial-oversized");
+  const double inline_rate = dispatch_rate("serial-inline");
+  if (seed_rate > 0.0 && oversized > 0.0 && inline_rate > 0.0) {
+    std::printf(
+        "\ndispatch speedup, serial loop vs seed loop (oversized "
+        "closures): %.2fx; inline vs oversized closures: %.2fx\n",
+        oversized / seed_rate, inline_rate / oversized);
   }
 }
 
@@ -365,10 +387,14 @@ int main(int argc, char** argv) {
       " hardware threads";
 
   bench_serial_dispatch<seed::EventLoop>(
-      "seed-serial", dispatch_events,
+      "seed-oversized", Closure::kOversized, dispatch_events,
       "pre-refactor priority_queue loop, copy per dispatch");
-  bench_serial_dispatch<sim::EventLoop>("serial", dispatch_events,
-                                        "rebuilt loop, one 4-ary heap");
+  bench_serial_dispatch<sim::EventLoop>(
+      "serial-oversized", Closure::kOversized, dispatch_events,
+      "4-ary heap; closures over the 16-byte buffer allocate");
+  bench_serial_dispatch<sim::EventLoop>(
+      "serial-inline", Closure::kInline, dispatch_events,
+      "4-ary heap; 8-byte closures stored inline, as reads'");
   for (const int shards : {1, 2, 4}) {
     bench_sharded_dispatch(static_cast<std::size_t>(shards), dispatch_events);
   }
