@@ -94,12 +94,6 @@ class IntMap {
   /// Calls f(key, value) for every entry, in table order (see the file
   /// comment). `f` must not insert or erase.
   template <typename F>
-  void for_each(F&& f) {
-    for (Slot& s : slots_) {
-      if (s.key != kEmpty) f(s.key, s.value);
-    }
-  }
-  template <typename F>
   void for_each(F&& f) const {
     for (const Slot& s : slots_) {
       if (s.key != kEmpty) f(s.key, s.value);

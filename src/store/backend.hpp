@@ -47,8 +47,6 @@ class BackendCluster {
   // Object records point into this cluster's layout table.
   BackendCluster(const BackendCluster&) = delete;
   BackendCluster& operator=(const BackendCluster&) = delete;
-  BackendCluster(BackendCluster&&) = default;
-  BackendCluster& operator=(BackendCluster&&) = default;
 
   [[nodiscard]] std::size_t num_regions() const { return buckets_.size(); }
   [[nodiscard]] const ec::ObjectCodec& codec() const { return codec_; }
