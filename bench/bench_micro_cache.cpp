@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -44,10 +45,23 @@ void run_mixed(benchmark::State& state, cache::CacheEngine& engine) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// Names of objects 0..kUniverse-1, for the engines that hash chunks by
+/// name.
+std::vector<ObjectKey> make_object_keys() {
+  std::vector<ObjectKey> keys;
+  keys.reserve(kUniverse);
+  for (std::size_t i = 0; i < kUniverse; ++i) {
+    keys.push_back("object" + std::to_string(i));
+  }
+  return keys;
+}
+
 void bm_engine_mixed(benchmark::State& state, const std::string& name) {
+  const std::vector<ObjectKey> object_keys = make_object_keys();
   const auto engine = api::EngineRegistry::instance().create(
       name,
-      api::EngineContext{static_cast<std::size_t>(state.range(0)) * kChunk},
+      api::EngineContext{static_cast<std::size_t>(state.range(0)) * kChunk,
+                         &object_keys},
       api::ParamMap{});
   run_mixed(state, *engine);
 }

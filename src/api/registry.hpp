@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "api/param_map.hpp"
+#include "common/types.hpp"
 
 namespace agar::cache {
 class CacheEngine;
@@ -89,6 +90,10 @@ class UnknownNameError : public std::invalid_argument {
 /// What an engine factory gets to work with.
 struct EngineContext {
   std::size_t capacity_bytes = 0;
+  /// The deployment's object keys by id (BackendCluster::keys()), for an
+  /// engine that hashes chunks by name; it must outlive the engine. Only
+  /// tinylfu needs them.
+  const std::vector<ObjectKey>* object_keys = nullptr;
 };
 
 /// What a strategy factory gets to work with: the per-region client wiring

@@ -58,11 +58,6 @@ class CacheEngine {
   /// All resident keys, unordered. For inspection/tests.
   [[nodiscard]] virtual std::vector<ChunkKey> keys() const = 0;
 
-  /// The deployment's object keys by id (BackendCluster::keys()), for
-  /// engines that hash chunks by name. A strategy binds its backend's
-  /// before the first put; most engines ignore them.
-  virtual void bind_object_keys(const std::vector<ObjectKey>* /*keys*/) {}
-
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t used_bytes() const { return used_bytes_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }

@@ -1,6 +1,7 @@
 #include "cache/tinylfu_cache.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 #include "api/registry.hpp"
 
@@ -28,24 +29,28 @@ const api::EngineRegistration kTinyLfuEngine{{
       p.sketch_width = params.get_size("sketch_width", p.sketch_width);
       p.sketch_depth = params.get_size("sketch_depth", p.sketch_depth);
       p.aging_window = params.get_size("aging_window", p.aging_window);
-      return std::make_unique<TinyLfuCache>(ctx.capacity_bytes, p);
+      if (ctx.object_keys == nullptr) {
+        throw std::invalid_argument(
+            "tinylfu: needs the deployment's object keys");
+      }
+      return std::make_unique<TinyLfuCache>(ctx.capacity_bytes,
+                                            *ctx.object_keys, p);
     },
     {}}};
 
 }  // namespace
 
-TinyLfuCache::TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params)
+TinyLfuCache::TinyLfuCache(std::size_t capacity_bytes,
+                           const std::vector<ObjectKey>& object_keys,
+                           TinyLfuParams params)
     : CacheEngine(capacity_bytes),
       inner_(capacity_bytes),
-      sketch_(params.sketch_width, params.sketch_depth, params.aging_window) {}
+      sketch_(params.sketch_width, params.sketch_depth, params.aging_window),
+      object_keys_(&object_keys) {}
 
 std::uint64_t TinyLfuCache::sketch_hash(ChunkKey key) const {
   const ChunkId chunk = ChunkId::of(key);
-  if (object_keys_ != nullptr && chunk.object < object_keys_->size()) {
-    return fnv1a_chunk((*object_keys_)[chunk.object], chunk.index);
-  }
-  return fnv1a(BytesView(reinterpret_cast<const std::uint8_t*>(&key),
-                         sizeof(key)));
+  return fnv1a_chunk(object_keys_->at(chunk.object), chunk.index);
 }
 
 std::optional<SharedBytes> TinyLfuCache::get(ChunkKey key) {

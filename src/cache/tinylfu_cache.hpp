@@ -23,19 +23,18 @@ struct TinyLfuParams {
 
 class TinyLfuCache final : public CacheEngine {
  public:
-  TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params = {});
+  /// The sketch hashes a chunk by its name "<key>#<index>", as the
+  /// prototype's memcached keys were named, looking the key up by id in
+  /// `object_keys` (the deployment's BackendCluster::keys(), which must
+  /// outlive the cache and hold every object the cache sees).
+  TinyLfuCache(std::size_t capacity_bytes,
+               const std::vector<ObjectKey>& object_keys,
+               TinyLfuParams params = {});
 
   [[nodiscard]] std::optional<SharedBytes> get(ChunkKey key) override;
   bool put(ChunkKey key, SharedBytes value) override;
   [[nodiscard]] bool contains(ChunkKey key) const override;
   [[nodiscard]] std::vector<ChunkKey> keys() const override;
-
-  /// With the object keys bound the sketch hashes a chunk by its string
-  /// name "<key>#<index>", as the prototype's memcached keys were named;
-  /// unbound (the engine on its own) it hashes the integer chunk key.
-  void bind_object_keys(const std::vector<ObjectKey>* keys) override {
-    object_keys_ = keys;
-  }
 
   [[nodiscard]] const stats::CountMinSketch& sketch() const { return sketch_; }
 
@@ -44,7 +43,7 @@ class TinyLfuCache final : public CacheEngine {
 
   LruCache inner_;
   stats::CountMinSketch sketch_;
-  const std::vector<ObjectKey>* object_keys_ = nullptr;  // non-owning
+  const std::vector<ObjectKey>* object_keys_;  // non-owning
 };
 
 }  // namespace agar::cache

@@ -18,7 +18,6 @@ FixedChunksStrategy::FixedChunksStrategy(
   if (cache_ == nullptr) {
     throw std::invalid_argument("FixedChunksStrategy: null cache engine");
   }
-  cache_->bind_object_keys(&ctx_.backend->keys());
   engine_ = cache_.get();
 }
 
@@ -79,7 +78,9 @@ std::unique_ptr<ReadStrategy> make_fixed_chunks(
       "proxy_ms", entry.schema.default_double("proxy_ms", 0.0));
 
   auto engine = engines.create(
-      engine_name, api::EngineContext{p.cache_capacity_bytes}, params);
+      engine_name,
+      api::EngineContext{p.cache_capacity_bytes, &ctx.client->backend->keys()},
+      params);
   return std::make_unique<FixedChunksStrategy>(*ctx.client, std::move(p),
                                                std::move(engine));
 }

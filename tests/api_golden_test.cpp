@@ -46,10 +46,12 @@ client::ClientContext legacy_ctx(const client::ExperimentConfig& config,
   return ctx;
 }
 
-std::unique_ptr<cache::CacheEngine> engine_of(const std::string& name,
-                                              std::size_t capacity) {
+std::unique_ptr<cache::CacheEngine> engine_of(
+    const std::string& name, std::size_t capacity,
+    const client::ClientContext& ctx) {
   return api::EngineRegistry::instance().create(
-      name, api::EngineContext{capacity}, api::ParamMap{});
+      name, api::EngineContext{capacity, &ctx.backend->keys()},
+      api::ParamMap{});
 }
 
 client::StrategyFactory legacy_factory(const std::string& kind) {
@@ -66,7 +68,7 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
       p.chunks_per_object = kChunks;
       p.cache_capacity_bytes = kCacheBytes;
       return std::make_unique<client::FixedChunksStrategy>(
-          ctx, p, engine_of("lru", kCacheBytes));
+          ctx, p, engine_of("lru", kCacheBytes, ctx));
     }
     if (kind == "lfu") {
       // LFU-c: Agar with the one candidate weight c under the greedy
@@ -87,7 +89,7 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
       p.cache_capacity_bytes = kCacheBytes;
       p.proxy_overhead_ms = 0.5;  // frequency-tracking proxy (paper §V-A)
       return std::make_unique<client::FixedChunksStrategy>(
-          ctx, p, engine_of("lfu", kCacheBytes));
+          ctx, p, engine_of("lfu", kCacheBytes, ctx));
     }
     if (kind == "tinylfu") {
       client::FixedChunksParams p;
@@ -96,7 +98,7 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
       p.cache_capacity_bytes = kCacheBytes;
       p.proxy_overhead_ms = 0.5;
       return std::make_unique<client::FixedChunksStrategy>(
-          ctx, p, engine_of("tinylfu", kCacheBytes));
+          ctx, p, engine_of("tinylfu", kCacheBytes, ctx));
     }
     // agar
     client::AgarParams p;

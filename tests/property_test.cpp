@@ -5,6 +5,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "cache/static_cache.hpp"
@@ -30,9 +32,21 @@ std::ostream& operator<<(std::ostream& os, const EngineParam& p) {
   return os << p.name << "/" << p.capacity;
 }
 
+/// Object keys by id, "object0".."object99" (more objects than any test
+/// here touches), for the engines that hash chunks by name.
+const std::vector<ObjectKey>& object_keys() {
+  static const std::vector<ObjectKey> keys = [] {
+    std::vector<ObjectKey> out;
+    for (int i = 0; i < 100; ++i) out.push_back("object" + std::to_string(i));
+    return out;
+  }();
+  return keys;
+}
+
 std::unique_ptr<cache::CacheEngine> make_engine(const EngineParam& p) {
   return api::EngineRegistry::instance().create(
-      p.name, api::EngineContext{p.capacity}, api::ParamMap{});
+      p.name, api::EngineContext{p.capacity, &object_keys()},
+      api::ParamMap{});
 }
 
 std::vector<EngineParam> all_engine_params() {
