@@ -19,15 +19,18 @@ Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
   backend_ = std::make_unique<store::BackendCluster>(
       topology_->num_regions(), config.codec,
       ec::RoundRobinPlacement(config.per_key_placement_offset));
-  // "object<i>" registers as id i: the workload's object index is the id.
-  if (config.store_payloads) {
-    store::populate_working_set(*backend_, config.num_objects,
-                                config.object_size_bytes);
-  } else {
-    backend_->reserve(config.num_objects);
-    for (std::size_t i = 0; i < config.num_objects; ++i) {
-      backend_->register_object("object" + std::to_string(i),
-                                config.object_size_bytes);
+  // "object<i>" must register as id i (see object_id).
+  backend_->reserve(config.num_objects);
+  for (std::size_t i = 0; i < config.num_objects; ++i) {
+    const ObjectKey key = "object" + std::to_string(i);
+    const ObjectId id =
+        config.store_payloads
+            ? store::put_payload_object(*backend_, key,
+                                        config.object_size_bytes)
+            : backend_->register_object(key, config.object_size_bytes);
+    if (id != i) {
+      throw std::logic_error("Deployment: " + key + " registered as id " +
+                             std::to_string(id));
     }
   }
 }
@@ -302,11 +305,11 @@ RunResult run_once(const ExperimentConfig& config,
     scenario::ScenarioEngine* const scenario_engine = scenarios[ri].get();
 
     auto record = [&lane](const ReadResult& r) { lane.record(r); };
-    auto begin_read = [&lane](Workload& workload,
-                              ReadStrategy::ReadCallback done) {
+    auto begin_read = [&lane, &deployment](Workload& workload,
+                                           ReadStrategy::ReadCallback done) {
       lane.begin_read();
       lane.strategy().start_read(
-          static_cast<ObjectId>(workload.next_object()), std::move(done));
+          deployment.object_id(workload.next_object()), std::move(done));
     };
 
     if (config.arrival_rate_per_s > 0.0) {

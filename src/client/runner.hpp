@@ -58,6 +58,13 @@ class Deployment {
   [[nodiscard]] store::BackendCluster& backend() { return *backend_; }
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
 
+  /// The id of working-set object `index`, "object<index>", which a
+  /// workload's next_object() names: the constructor registered each
+  /// object as its index and checked it.
+  [[nodiscard]] ObjectId object_id(std::size_t index) const {
+    return static_cast<ObjectId>(index);
+  }
+
   /// Partition the deployment for lane-parallel runs: one client region per
   /// lane. Lane 0 keeps the primary network (and the backend's codec), so
   /// a one-lane run is bit-for-bit the unpartitioned deployment; every

@@ -90,8 +90,8 @@ struct WorkloadSpec {
 /// A stream of object keys: maps generator ranks onto key names through a
 /// mutable rank->object permutation. Rank 0 is the most popular object;
 /// initially rank r maps to object r. Keys follow the backend's naming
-/// scheme ("<prefix><i>"); a deployment registers "<prefix><i>" as object
-/// id i, so next_object() is the next read's id.
+/// scheme ("<prefix><i>"); Deployment::object_id maps an index to the id
+/// a read runs on.
 ///
 /// The permutation is what makes the workload non-stationary: scenario
 /// popularity shifts rewrite which objects occupy the hot ranks mid-run

@@ -122,14 +122,19 @@ void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
   }
 }
 
+ObjectId put_payload_object(BackendCluster& backend, const ObjectKey& key,
+                            std::size_t object_size) {
+  const Bytes payload = deterministic_payload(key, object_size);
+  const ObjectId id = backend.put_object(key, BytesView(payload));
+  check_data_chunks(backend, key, BytesView(payload));
+  return id;
+}
+
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size, const std::string& prefix) {
   backend.reserve(backend.num_objects() + count);
   for (std::size_t i = 0; i < count; ++i) {
-    const ObjectKey key = prefix + std::to_string(i);
-    const Bytes payload = deterministic_payload(key, object_size);
-    backend.put_object(key, BytesView(payload));
-    check_data_chunks(backend, key, BytesView(payload));
+    (void)put_payload_object(backend, prefix + std::to_string(i), object_size);
   }
 }
 

@@ -130,10 +130,14 @@ class BackendCluster {
 void check_data_chunks(const BackendCluster& backend, const ObjectKey& key,
                        BytesView payload);
 
+/// Store `key` with `object_size` bytes of its deterministic_payload and
+/// check its data chunks against it (check_data_chunks). Returns its id.
+ObjectId put_payload_object(BackendCluster& backend, const ObjectKey& key,
+                            std::size_t object_size);
+
 /// Populate the backend with the paper's working set: `count` objects named
-/// "<prefix>0".."<prefix>N-1", each `object_size` bytes of deterministic
-/// pseudo-random payload (300 x 1 MB in the paper). Each object's data
-/// chunks are checked against its payload (check_data_chunks).
+/// "<prefix>0".."<prefix>N-1", each put with put_payload_object (300 x
+/// 1 MB in the paper).
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size,
                           const std::string& prefix = "object");

@@ -46,9 +46,10 @@ TEST(Deployment, BuildsSixRegionCluster) {
   EXPECT_EQ(d.topology().num_regions(), 6u);
   EXPECT_EQ(d.backend().num_objects(), 3u);
   EXPECT_TRUE(d.backend().has_object("object0"));
-  // The workload reads object i as id i.
-  for (ObjectId id = 0; id < 3; ++id) {
-    EXPECT_EQ(d.backend().key_of(id), "object" + std::to_string(id));
+  // The workload's object i is the object registered as "object<i>".
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(d.backend().key_of(d.object_id(i)),
+              "object" + std::to_string(i));
   }
 }
 
@@ -60,6 +61,10 @@ TEST(Deployment, MetadataOnlyModeSkipsPayloads) {
   EXPECT_TRUE(d.backend().has_object("object0"));
   EXPECT_FALSE(d.backend().get_chunk({d.backend().id_of("object0"), 0})
                    .has_value());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(d.backend().key_of(d.object_id(i)),
+              "object" + std::to_string(i));
+  }
 }
 
 TEST(SpecLabels, DerivedFromRegistryInOnePlace) {

@@ -105,8 +105,8 @@ Window count_window(const char* name, std::vector<std::string> pairs) {
   strategy->start_control_plane();
   Workload workload(config.workload, config.deployment.num_objects,
                     config.deployment.seed);
-  const auto next = [&workload] {
-    return static_cast<ObjectId>(workload.next_object());
+  const auto next = [&workload, &deployment] {
+    return deployment.object_id(workload.next_object());
   };
 
   for (int i = 0; i < 500; ++i) (void)strategy->read(next());
