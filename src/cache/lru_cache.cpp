@@ -54,8 +54,7 @@ void LruCache::evict_until_fits(std::size_t incoming) {
     used_bytes_ -= entries_[victim].value.size();
     index_.erase(entries_[victim].key);
     unlink(victim);
-    entries_[victim].value = SharedBytes{};
-    free_.push_back(victim);
+    entries_.release(victim);
     ++stats_.evictions;
   }
 }
@@ -79,14 +78,7 @@ bool LruCache::put(ChunkKey key, SharedBytes value) {
     return true;
   }
   evict_until_fits(value.size());
-  std::uint32_t e;
-  if (free_.empty()) {
-    e = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
-  } else {
-    e = free_.back();
-    free_.pop_back();
-  }
+  const std::uint32_t e = entries_.acquire();
   used_bytes_ += value.size();
   entries_[e].key = key;
   entries_[e].value = std::move(value);

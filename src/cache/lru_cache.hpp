@@ -2,9 +2,9 @@
 //
 // Classic intrusive design: a doubly linked list in recency order plus a
 // hash map from key to list node. All operations are O(1) expected. The
-// nodes live in one slot table reused through a free list, linked by slot
-// index, and the map is an integer-keyed IntMap, so once the cache has
-// been full a put allocates nothing.
+// nodes live in a SlotPool, linked by slot, and the map is an
+// integer-keyed IntMap, so once the cache has been full a put allocates
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include "cache/cache.hpp"
 #include "common/int_map.hpp"
+#include "common/slot_pool.hpp"
 
 namespace agar::cache {
 
@@ -42,8 +43,7 @@ class LruCache final : public CacheEngine {
   void push_front(std::uint32_t e);
   void evict_until_fits(std::size_t incoming);
 
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
+  SlotPool<Entry> entries_;
   std::uint32_t head_ = kNone;  ///< most recently used
   std::uint32_t tail_ = kNone;  ///< least recently used
   IntMap<std::uint32_t> index_;  ///< key -> slot in entries_

@@ -219,9 +219,9 @@ void AgarStrategy::plan_into(ObjectId object, ReadPlan& plan) {
 }
 
 void AgarStrategy::start_read(ObjectId object, ReadCallback done) {
-  ReadPlan plan = take_plan();
+  ReadPlan& plan = new_plan();
   plan_into(object, plan);
-  start_plan(object, std::move(plan), std::move(done));
+  start_plan(object, plan, std::move(done));
 }
 
 }  // namespace agar::client

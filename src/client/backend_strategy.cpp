@@ -23,9 +23,9 @@ const api::StrategyRegistration kBackend{{
 void BackendStrategy::start_read(ObjectId object, ReadCallback done) {
   const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
   const auto& candidates = chunks_by_expected_latency(object);
-  ReadPlan plan = take_plan();
+  ReadPlan& plan = new_plan();
   plan.from_backend.assign(candidates.begin(), candidates.begin() + k);
-  start_plan(object, std::move(plan), std::move(done));
+  start_plan(object, plan, std::move(done));
 }
 
 }  // namespace agar::client

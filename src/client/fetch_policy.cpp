@@ -55,23 +55,13 @@ SimTimeMs FetchPolicy::timeout_ms(const Pending& p) const {
 
 bool FetchPolicy::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                               FetchCallback cb) {
-  std::uint32_t slot;
-  if (free_pending_.empty()) {
-    slot = static_cast<std::uint32_t>(pending_.size());
-    pending_.emplace_back();
-  } else {
-    slot = free_pending_.back();
-    free_pending_.pop_back();
-  }
+  const std::uint32_t slot = pending_.acquire();
   Pending& p = pending_[slot];
   p.from = from;
   p.to = to;
   p.bytes = bytes;
   p.cb = std::move(cb);
-  p.attempt = 0;
-  p.done = false;
-  p.primary_outstanding = false;
-  p.hedge_outstanding = false;
+  p.epoch = next_epoch();
   start_attempt(slot);
   // Always accepted: even a down destination is only *discovered* down
   // after a timeout, so the caller never gets the synchronous refusal the
@@ -108,7 +98,7 @@ void FetchPolicy::start_attempt(std::uint32_t slot) {
 
 void FetchPolicy::on_hedge_fire(std::uint32_t slot, std::uint32_t epoch) {
   Pending& p = pending_[slot];
-  if (p.done || epoch != p.epoch) return;
+  if (epoch != p.epoch) return;
   if (!p.primary_outstanding) return;  // primary already failed; retry path owns it
   const bool accepted = network_->begin_fetch(
       p.from, p.to, p.bytes,
@@ -126,7 +116,7 @@ void FetchPolicy::on_wire_result(std::uint32_t slot, std::uint32_t epoch,
                                  bool is_hedge,
                                  std::optional<SimTimeMs> latency) {
   Pending& p = pending_[slot];
-  if (p.done || epoch != p.epoch) return;  // raced a winner or a timeout
+  if (epoch != p.epoch) return;  // raced a winner or a timeout
   if (latency.has_value()) {
     if (is_hedge) {
       ++stats_.hedges_won;
@@ -151,16 +141,21 @@ void FetchPolicy::on_wire_result(std::uint32_t slot, std::uint32_t epoch,
 
 void FetchPolicy::on_timeout(std::uint32_t slot, std::uint32_t epoch) {
   Pending& p = pending_[slot];
-  if (p.done || epoch != p.epoch) return;
+  if (epoch != p.epoch) return;
   ++stats_.timeouts;
   abandon_attempt(p);
   attempt_failed(slot);
 }
 
 void FetchPolicy::abandon_attempt(Pending& p) {
-  ++p.epoch;  // stale wire completions and timer firings become no-ops
+  p.epoch = next_epoch();  // stale completions and timers become no-ops
   p.primary_outstanding = false;
   p.hedge_outstanding = false;
+}
+
+std::uint32_t FetchPolicy::next_epoch() {
+  if (++epochs_ == 0) epochs_ = 1;  // 0 marks a free record
+  return epochs_;
 }
 
 void FetchPolicy::attempt_failed(std::uint32_t slot) {
@@ -181,20 +176,16 @@ void FetchPolicy::attempt_failed(std::uint32_t slot) {
       std::pow(params_.backoff_mult, static_cast<double>(p.attempt - 1)) *
       jitter;
   loop()->schedule_in(backoff, [this, slot, epoch = p.epoch] {
-    const Pending& retry = pending_[slot];
-    if (!retry.done && epoch == retry.epoch) start_attempt(slot);
+    if (pending_[slot].epoch == epoch) start_attempt(slot);
   });
 }
 
 void FetchPolicy::complete(std::uint32_t slot,
                            std::optional<SimTimeMs> result) {
-  Pending& p = pending_[slot];
-  abandon_attempt(p);  // late arrivals and timers drop on the epoch
-  p.done = true;
+  // Freed, the record holds epoch 0: late arrivals and timers drop on it.
   // The caller's continuation may start fetches that reuse this slot.
-  FetchCallback cb = std::move(p.cb);
-  p.cb = nullptr;
-  free_pending_.push_back(slot);
+  FetchCallback cb = std::move(pending_[slot].cb);
+  pending_.release(slot);
   cb(result);
 }
 

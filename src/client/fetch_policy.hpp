@@ -33,9 +33,9 @@
 // plus counters (timeouts, retries, hedges issued/won/wasted, exhausted
 // fetches) that the runner merges into RunResult.
 //
-// Each logical fetch is a record in a slot table reused through a free
-// list; its timers and wire callbacks capture (this, slot, epoch), 16
-// bytes that std::function keeps inline, so a fetch allocates nothing.
+// Each logical fetch is a record in a SlotPool; its timers and wire
+// callbacks capture (this, slot, epoch), 16 bytes that std::function keeps
+// inline, so a fetch allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/slot_pool.hpp"
 #include "common/types.hpp"
 #include "sim/network.hpp"
 #include "stats/ewma.hpp"
@@ -122,11 +123,12 @@ class FetchPolicy {
 
  private:
   /// One logical fetch moving through the retry state machine. `epoch`
-  /// names the current attempt: abandoning an attempt bumps it, so a
-  /// completion or timer captured under an older epoch finds the mismatch
-  /// and becomes a no-op — nothing needs to chase down in-flight wire
-  /// events. It is never reset, so events of a slot's earlier fetch stay
-  /// stale after the slot is reused.
+  /// names the current attempt with a number no other attempt gets:
+  /// abandoning an attempt draws a new one, so a completion or timer
+  /// captured under an older epoch finds the mismatch and becomes a no-op
+  /// — nothing needs to chase down in-flight wire events. A free record
+  /// holds 0, which no attempt gets, so events of a slot's earlier fetch
+  /// stay stale after the slot is freed or reused.
   struct Pending {
     RegionId from = 0;
     RegionId to = 0;
@@ -134,7 +136,6 @@ class FetchPolicy {
     FetchCallback cb;
     std::size_t attempt = 0;  // 1-based once start_attempt runs
     std::uint32_t epoch = 0;
-    bool done = false;
     bool primary_outstanding = false;
     bool hedge_outstanding = false;
   };
@@ -146,9 +147,11 @@ class FetchPolicy {
   void on_hedge_fire(std::uint32_t p, std::uint32_t epoch);
   /// The current attempt (primary + any hedge) is dead: retry or exhaust.
   void attempt_failed(std::uint32_t p);
-  /// Invalidate the in-flight attempt: bump the epoch, so its stale
+  /// Invalidate the in-flight attempt: a new epoch, so its stale
   /// completions and timer firings are dropped.
   void abandon_attempt(Pending& p);
+  /// The next attempt number (never 0).
+  [[nodiscard]] std::uint32_t next_epoch();
   /// Free the slot, then tell the caller.
   void complete(std::uint32_t p, std::optional<SimTimeMs> result);
   /// Fold one fetch outcome into the per-region health tracking.
@@ -163,8 +166,8 @@ class FetchPolicy {
   FetchPolicyStats stats_;
   std::vector<stats::Ewma> success_;
   std::vector<std::uint64_t> samples_;
-  std::vector<Pending> pending_;
-  std::vector<std::uint32_t> free_pending_;
+  SlotPool<Pending> pending_;
+  std::uint32_t epochs_ = 0;  ///< the last attempt number handed out
 };
 
 }  // namespace agar::client

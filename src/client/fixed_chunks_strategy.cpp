@@ -28,7 +28,7 @@ void FixedChunksStrategy::start_read(ObjectId object, ReadCallback done) {
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks.
   const auto& candidates = chunks_by_expected_latency(object);
-  ReadPlan plan = take_plan();
+  ReadPlan& plan = new_plan();
   plan.from_backend.assign(
       candidates.begin(),
       candidates.begin() + static_cast<std::ptrdiff_t>(k - c));
@@ -42,7 +42,7 @@ void FixedChunksStrategy::start_read(ObjectId object, ReadCallback done) {
                                   plan.from_cache.end());
   plan.populate_resident = false;
   plan.monitor_overhead_ms = params_.proxy_overhead_ms;
-  start_plan(object, std::move(plan), std::move(done));
+  start_plan(object, plan, std::move(done));
 }
 
 // ----------------------------------------------------------- registration

@@ -7,6 +7,46 @@
 
 namespace agar::client {
 
+// One read's fetch batch, defined ahead of the constructor and destructor,
+// which instantiate the batch pool's.
+struct ReadStrategy::BatchState {
+  ObjectId object = 0;
+  ReadPlan plan;
+  ReadCallback done;
+  std::size_t want = 0;      // backend arms we aim to keep in flight
+  std::size_t accepted = 0;  // backend arms issued so far
+  std::size_t pending = 0;   // arms (backend + cache) not yet landed
+  bool issued_all = false;   // initial issue pass finished
+  std::vector<std::pair<ChunkIndex, RegionId>> on_path;
+  std::size_t next_on_path = 0;
+  std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
+  std::size_t next_fallback = 0;
+  std::size_t failed_arms = 0;  // arms whose fetch came back nullopt
+  std::size_t down_skips = 0;   // arms refused synchronously (region down)
+  std::vector<ChunkIndex> fetched;  // in arrival order
+  std::vector<ec::Chunk> chunks;    // verify mode: cache hits, then fetched
+  ReadResult result;
+  SimTimeMs start = 0.0;
+  SimTimeMs extra = 0.0;  // decode + monitor, after the batch
+
+  /// Reset for the next read, keeping the lists' capacity (the pool's
+  /// release calls this).
+  void clear() {
+    plan.clear();
+    done = nullptr;
+    want = accepted = pending = 0;
+    issued_all = false;
+    on_path.clear();
+    next_on_path = 0;
+    fallbacks.clear();
+    next_fallback = 0;
+    failed_arms = down_skips = 0;
+    fetched.clear();
+    chunks.clear();
+    result = ReadResult{};
+  }
+};
+
 ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network) {
   if (ctx_.backend == nullptr || ctx_.network == nullptr ||
       ctx_.loop == nullptr) {
@@ -55,14 +95,7 @@ bool ReadStrategy::collab_fetch(const ChunkId& chunk, RegionId from,
                                 core::FetchCoordinator::Callback cb) {
   const RegionId target =
       collab_route_ ? collab_route_(chunk, to, bytes) : to;
-  std::uint32_t slot;
-  if (free_collab_fetches_.empty()) {
-    slot = static_cast<std::uint32_t>(collab_fetches_.size());
-    collab_fetches_.emplace_back();
-  } else {
-    slot = free_collab_fetches_.back();
-    free_collab_fetches_.pop_back();
-  }
+  const std::uint32_t slot = collab_fetches_.acquire();
   collab_fetches_[slot] = CollabFetch{std::move(cb), target, to, bytes};
   core::FetchCoordinator::Callback landed =
       [this, slot](std::optional<SimTimeMs> latency) {
@@ -73,18 +106,14 @@ bool ReadStrategy::collab_fetch(const ChunkId& chunk, RegionId from,
           ? ctx_.fetch_policy->begin_fetch(from, target, bytes,
                                            std::move(landed))
           : ctx_.network->begin_fetch(from, target, bytes, std::move(landed));
-  if (!accepted) {
-    collab_fetches_[slot].cb = nullptr;
-    free_collab_fetches_.push_back(slot);
-  }
+  if (!accepted) collab_fetches_.release(slot);
   return accepted;
 }
 
 void ReadStrategy::collab_landed(std::uint32_t slot,
                                  std::optional<SimTimeMs> latency) {
   CollabFetch fetch = std::move(collab_fetches_[slot]);
-  collab_fetches_[slot].cb = nullptr;
-  free_collab_fetches_.push_back(slot);
+  collab_fetches_.release(slot);
   if (collab_done_) {
     collab_done_(fetch.target, fetch.home, fetch.bytes, latency.has_value());
   }
@@ -116,45 +145,9 @@ ReadResult ReadStrategy::read(ObjectId object) {
 
 // ------------------------------------------------------------ read executor
 
-struct ReadStrategy::BatchState {
-  ReadStrategy* owner = nullptr;
-  ObjectId object = 0;
-  ReadPlan plan;
-  ReadCallback done;
-  std::size_t want = 0;      // backend arms we aim to keep in flight
-  std::size_t accepted = 0;  // backend arms issued so far
-  std::size_t pending = 0;   // arms (backend + cache) not yet landed
-  bool issued_all = false;   // initial issue pass finished
-  std::vector<std::pair<ChunkIndex, RegionId>> on_path;
-  std::size_t next_on_path = 0;
-  std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
-  std::size_t next_fallback = 0;
-  std::size_t failed_arms = 0;  // arms whose fetch came back nullopt
-  std::size_t down_skips = 0;   // arms refused synchronously (region down)
-  std::vector<ChunkIndex> fetched;  // in arrival order
-  std::vector<ec::Chunk> chunks;    // verify mode: cache hits, then fetched
-  ReadResult result;
-  SimTimeMs start = 0.0;
-  SimTimeMs extra = 0.0;  // decode + monitor, after the batch
-};
-
-ReadPlan ReadStrategy::take_plan() {
-  if (free_plans_.empty()) return {};
-  ReadPlan plan = std::move(free_plans_.back());
-  free_plans_.pop_back();
-  plan.clear();
-  return plan;
-}
-
-ReadStrategy::BatchState& ReadStrategy::take_batch() {
-  if (free_batches_.empty()) {
-    BatchState& batch = *batches_.emplace_back(std::make_unique<BatchState>());
-    batch.owner = this;
-    return batch;
-  }
-  BatchState* batch = free_batches_.back();
-  free_batches_.pop_back();
-  return *batch;
+ReadPlan& ReadStrategy::new_plan() {
+  plan_.clear();
+  return plan_;
 }
 
 const std::vector<std::pair<ChunkIndex, RegionId>>&
@@ -186,23 +179,23 @@ double ReadStrategy::decode_ms(std::size_t object_bytes) const {
          static_cast<double>(1_MB);
 }
 
-void ReadStrategy::start_plan(ObjectId object, ReadPlan plan,
+void ReadStrategy::start_plan(ObjectId object, const ReadPlan& plan,
                               ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
   const store::ObjectInfo& info = ctx_.backend->object_info(object);
   const std::size_t k = ctx_.backend->codec().k();
 
-  BatchState& st = take_batch();
+  const std::uint32_t b = batches_.acquire();
+  BatchState& st = batches_[b];
   st.object = object;
-  st.plan = std::move(plan);
+  st.plan = plan;  // copied into lists that keep their capacity
   st.done = std::move(done);
   st.start = loop->now();
   st.extra = decode_ms(info.object_size) + st.plan.monitor_overhead_ms;
 
-  // Cache chunks, fetched in parallel with the backend arms; the cache arm
-  // lands with the slowest of them. One that is not resident goes on the
-  // read path from its home region instead.
-  SimTimeMs cache_ms = 0.0;
+  // Cache chunks, fetched in parallel with the backend arms. One that is
+  // not resident goes on the read path from its home region instead.
+  cache_latencies_.clear();
   st.on_path.assign(st.plan.from_backend.begin(), st.plan.from_backend.end());
   for (const ChunkIndex idx : st.plan.from_cache) {
     const auto hit = engine_->get(ChunkId{object, idx}.key());
@@ -210,7 +203,7 @@ void ReadStrategy::start_plan(ObjectId object, ReadPlan plan,
       st.on_path.emplace_back(idx, info.locations[idx].region);
       continue;
     }
-    cache_ms = std::max(cache_ms, ctx_.network->cache_fetch(info.chunk_size));
+    cache_latencies_.push_back(ctx_.network->cache_fetch(info.chunk_size));
     ++st.result.cache_chunks;
     if (ctx_.verify_data) {
       st.chunks.push_back(ec::Chunk{idx, *hit});  // shared, no copy
@@ -229,28 +222,31 @@ void ReadStrategy::start_plan(ObjectId object, ReadPlan plan,
   }
   st.want = k - st.result.cache_chunks;
 
-  if (st.result.cache_chunks != 0) {
+  // The cache arm lands with the slowest of its chunks.
+  if (!cache_latencies_.empty()) {
     ++st.pending;
-    loop->schedule_in(cache_ms, [this, s = &st] { batch_arm_done(*s); });
+    loop->schedule_in(sim::Network::parallel_batch_ms(cache_latencies_),
+                      [this, b] { batch_arm_done(b); });
   }
-  batch_issue(st);
+  batch_issue(b);
   st.issued_all = true;
   if (st.pending == 0) {
     // Nothing to wait for (all regions down, or a zero-latency full hit):
     // complete asynchronously so `done` still fires on the loop.
-    loop->schedule_in(0.0, [this, s = &st] { batch_arm_done(*s); });
+    loop->schedule_in(0.0, [this, b] { batch_arm_done(b); });
     ++st.pending;
   }
 }
 
-void ReadStrategy::batch_issue(BatchState& st) {
+void ReadStrategy::batch_issue(std::uint32_t b) {
+  BatchState& st = batches_[b];
   auto try_issue = [&](const std::pair<ChunkIndex, RegionId>& target) {
     const auto [index, region] = target;
     const core::FetchStart started = fetcher_.fetch(
         ChunkId{st.object, index}, ctx_.region, region,
         ctx_.backend->object_info(st.object).chunk_size,
-        [s = &st, index](std::optional<SimTimeMs> latency) {
-          s->owner->batch_arm_landed(*s, index, latency);
+        [this, b, index](std::optional<SimTimeMs> latency) {
+          batch_arm_landed(b, index, latency);
         });
     if (started == core::FetchStart::kDown) {
       ++st.down_skips;
@@ -272,8 +268,9 @@ void ReadStrategy::batch_issue(BatchState& st) {
   }
 }
 
-void ReadStrategy::batch_arm_landed(BatchState& st, ChunkIndex index,
+void ReadStrategy::batch_arm_landed(std::uint32_t b, ChunkIndex index,
                                     std::optional<SimTimeMs> latency) {
+  BatchState& st = batches_[b];
   if (latency.has_value()) {
     st.fetched.push_back(index);
   } else {
@@ -281,12 +278,13 @@ void ReadStrategy::batch_arm_landed(BatchState& st, ChunkIndex index,
     // its retries): replace with the next fallback.
     ++st.failed_arms;
     --st.accepted;
-    batch_issue(st);
+    batch_issue(b);
   }
-  batch_arm_done(st);
+  batch_arm_done(b);
 }
 
-void ReadStrategy::batch_arm_done(BatchState& st) {
+void ReadStrategy::batch_arm_done(std::uint32_t b) {
+  BatchState& st = batches_[b];
   --st.pending;
   if (st.pending != 0 || !st.issued_all) return;
   // Every fallback exhausted before `want` backend arms landed (a mid-run
@@ -299,10 +297,11 @@ void ReadStrategy::batch_arm_done(BatchState& st) {
   st.result.degraded =
       !st.result.failed && (st.failed_arms > 0 || st.down_skips > 0);
   ctx_.loop->schedule_in(st.result.failed ? 0.0 : st.extra,
-                         [this, s = &st] { batch_finish(*s); });
+                         [this, b] { batch_finish(b); });
 }
 
-void ReadStrategy::batch_finish(BatchState& st) {
+void ReadStrategy::batch_finish(std::uint32_t b) {
+  BatchState& st = batches_[b];
   const store::ObjectInfo& info = ctx_.backend->object_info(st.object);
   const std::size_t k = ctx_.backend->codec().k();
   ReadResult result = st.result;
@@ -337,21 +336,9 @@ void ReadStrategy::batch_finish(BatchState& st) {
     result.verified = verify_payload(st.object, info.object_size, st.chunks);
   }
 
-  // Back to the pools before `done`, which may start the next read.
+  // Back to the pool before `done`, which may start the next read.
   ReadCallback done = std::move(st.done);
-  st.done = nullptr;
-  free_plans_.push_back(std::move(st.plan));
-  st.want = st.accepted = st.pending = 0;
-  st.issued_all = false;
-  st.on_path.clear();
-  st.next_on_path = 0;
-  st.fallbacks.clear();
-  st.next_fallback = 0;
-  st.failed_arms = st.down_skips = 0;
-  st.fetched.clear();
-  st.chunks.clear();
-  st.result = ReadResult{};
-  free_batches_.push_back(&st);
+  batches_.release(b);
   done(result);
 }
 
@@ -400,7 +387,7 @@ bool ReadStrategy::verify_payload(ObjectId object, std::size_t object_size,
   decode_buffer_.assign(object_size, 0);
   codec.decode(chunks, BytesSpan(decode_buffer_));
   // The code is systematic, so the store's data chunks are the payload
-  // (store::populate_working_set checked them against it at set-up):
+  // (store::put_payload_object checked them against it at set-up):
   // row d of the object must equal data chunk d, cut at the object's end.
   const std::size_t chunk_size = codec.chunk_size(object_size);
   ChunkId reference{object, 0};

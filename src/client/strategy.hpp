@@ -13,11 +13,12 @@
 // the strategy's loop until the read completes (the daemon's serve path,
 // tests and examples).
 //
-// Reads run on object ids. A read's batch state and its plan's lists come
-// from per-strategy pools and go back when the read completes, and every
-// callback on the fetch path captures at most 16 trivially copyable bytes
-// (std::function keeps those inline), so a steady-state read allocates
-// nothing.
+// Reads run on object ids. A strategy builds each plan into one reused
+// ReadPlan, a read's batch state (its copy of the plan included) comes
+// from a per-strategy SlotPool and goes back when the read completes, and
+// every callback on the fetch path captures at most 16 trivially copyable
+// bytes (std::function keeps those inline), so a steady-state read
+// allocates nothing.
 #pragma once
 
 #include <functional>
@@ -30,6 +31,7 @@
 #include "cache/cache.hpp"
 #include "client/fetch_policy.hpp"
 #include "collab/peer_info.hpp"
+#include "common/slot_pool.hpp"
 #include "common/types.hpp"
 #include "core/fetch_coordinator.hpp"
 #include "core/planner.hpp"
@@ -213,10 +215,10 @@ class ReadStrategy {
   }
 
  protected:
-  /// A cleared plan whose lists keep the capacity of an earlier read's:
-  /// start_plan returns every plan to this strategy's pool when its read
-  /// completes.
-  [[nodiscard]] ReadPlan take_plan();
+  /// The plan to build the next read into, cleared; its lists keep the
+  /// capacity of earlier reads'. start_plan copies it, so it is free again
+  /// once start_plan returns.
+  [[nodiscard]] ReadPlan& new_plan();
 
   /// Execute a planned read on the loop: the one read executor, so the
   /// systems under comparison differ only in what they plan and cache.
@@ -229,7 +231,7 @@ class ReadStrategy {
   /// latency path, and in verify mode the chunks are decoded and checked
   /// before `done` fires. A plan with cache chunks or populations needs
   /// the strategy's cache (`engine_`).
-  void start_plan(ObjectId object, ReadPlan plan, ReadCallback done);
+  void start_plan(ObjectId object, const ReadPlan& plan, ReadCallback done);
 
   /// Population download as a background event (paper §IV-A: "caching items
   /// implies downloading them a priori"): fetch one chunk from its backend
@@ -275,19 +277,18 @@ class ReadStrategy {
   Bytes decode_buffer_;
 
   /// One read's fetch batch: its backend arms plus the optional cache arm.
+  /// The functions below name a batch by its slot in `batches_`.
   struct BatchState;
-  /// A reset batch from the pool (a new one when every batch is in use).
-  BatchState& take_batch();
   /// Issue on-path/fallback fetches until `want` arms are in flight.
-  void batch_issue(BatchState& st);
+  void batch_issue(std::uint32_t b);
   /// One backend arm landed (a latency) or died (nullopt: try a fallback).
-  void batch_arm_landed(BatchState& st, ChunkIndex index,
+  void batch_arm_landed(std::uint32_t b, ChunkIndex index,
                         std::optional<SimTimeMs> latency);
   /// One arm finished; once all have, schedule the read's completion.
-  void batch_arm_done(BatchState& st);
+  void batch_arm_done(std::uint32_t b);
   /// The read completes: populations, verify, then `done`, with the batch
-  /// and its plan back in their pools.
-  void batch_finish(BatchState& st);
+  /// back in the pool.
+  void batch_finish(std::uint32_t b);
   /// A population download of `chunk` landed.
   void population_landed(const ChunkId& chunk);
 
@@ -305,14 +306,15 @@ class ReadStrategy {
 
   CollabRoute collab_route_;
   CollabDone collab_done_;
-  std::vector<CollabFetch> collab_fetches_;
-  std::vector<std::uint32_t> free_collab_fetches_;
+  SlotPool<CollabFetch> collab_fetches_;
 
-  /// Every batch this strategy made; a read holds one (by address) until
-  /// it completes. They keep their lists' capacity between reads.
-  std::vector<std::unique_ptr<BatchState>> batches_;
-  std::vector<BatchState*> free_batches_;
-  std::vector<ReadPlan> free_plans_;
+  /// A read holds one batch until it completes; a freed batch keeps its
+  /// lists' capacity.
+  SlotPool<BatchState> batches_;
+  /// new_plan's plan.
+  ReadPlan plan_;
+  /// start_plan's sampled cache-chunk latencies.
+  std::vector<SimTimeMs> cache_latencies_;
   /// chunks_by_expected_latency's result and its per-region estimates.
   std::vector<std::pair<ChunkIndex, RegionId>> candidates_;
   std::vector<SimTimeMs> region_ms_;

@@ -13,16 +13,8 @@ FetchCoordinator::FetchCoordinator(sim::Network* network)
 }
 
 std::uint32_t FetchCoordinator::new_waiter(Callback cb) {
-  std::uint32_t w;
-  if (free_waiters_.empty()) {
-    w = static_cast<std::uint32_t>(waiters_.size());
-    waiters_.emplace_back();
-  } else {
-    w = free_waiters_.back();
-    free_waiters_.pop_back();
-  }
+  const std::uint32_t w = waiters_.acquire();
   waiters_[w].cb = std::move(cb);
-  waiters_[w].next = kNone;
   return w;
 }
 
@@ -62,8 +54,7 @@ void FetchCoordinator::complete(ChunkKey key,
     // table, so take what this one needs before it runs.
     Callback cb = std::move(waiters_[w].cb);
     const std::uint32_t next = waiters_[w].next;
-    waiters_[w].cb = nullptr;
-    free_waiters_.push_back(w);
+    waiters_.release(w);
     cb(latency);
     w = next;
   }

@@ -14,15 +14,15 @@
 // requesting region, so coalescing across regions would be wrong).
 //
 // The in-flight table is keyed by the chunk's integer key; each entry
-// heads a chain of waiter records drawn from a free list, so a steady-state
+// heads a chain of waiter records drawn from a SlotPool, so a steady-state
 // fetch allocates nothing. Waiters fire in the order they joined.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/int_map.hpp"
+#include "common/slot_pool.hpp"
 #include "common/types.hpp"
 #include "sim/network.hpp"
 
@@ -89,7 +89,7 @@ class FetchCoordinator {
     std::uint32_t tail = kNone;
   };
 
-  /// A waiter record holding `cb`, from the free list when it has one.
+  /// A waiter record holding `cb`, last in its chain.
   std::uint32_t new_waiter(Callback cb);
   /// The wire fetch of `key` landed: fire its waiters in join order.
   void complete(ChunkKey key, std::optional<SimTimeMs> latency);
@@ -97,8 +97,7 @@ class FetchCoordinator {
   sim::Network* network_;  // non-owning
   Transport transport_;    // empty = raw network
   IntMap<Flight> inflight_;
-  std::vector<Waiter> waiters_;
-  std::vector<std::uint32_t> free_waiters_;
+  SlotPool<Waiter> waiters_;
   std::uint64_t started_ = 0;
   std::uint64_t coalesced_ = 0;
 };

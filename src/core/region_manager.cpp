@@ -40,14 +40,7 @@ void RegionManager::start_probe(std::function<void()> done) {
     throw std::logic_error("RegionManager: start_probe requires a bound loop");
   }
   ++probe_rounds_;
-  std::uint32_t round;
-  if (free_rounds_.empty()) {
-    round = static_cast<std::uint32_t>(rounds_.size());
-    rounds_.emplace_back();
-  } else {
-    round = free_rounds_.back();
-    free_rounds_.pop_back();
-  }
+  const std::uint32_t round = rounds_.acquire();
   // Issuing is synchronous, completions are events — `remaining` is fully
   // counted before the first completion can fire.
   rounds_[round] = ProbeRound{std::move(done), loop->now(), 0};
@@ -92,8 +85,7 @@ void RegionManager::probe_landed(std::uint32_t round, RegionId r, bool ok) {
 void RegionManager::finish_round(std::uint32_t round) {
   // The observer may start the next round, which may reuse this slot.
   std::function<void()> done = std::move(rounds_[round].done);
-  rounds_[round].done = nullptr;
-  free_rounds_.push_back(round);
+  rounds_.release(round);
   if (done) done();
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/slot_pool.hpp"
 #include "common/types.hpp"
 #include "core/option_generator.hpp"
 #include "sim/network.hpp"
@@ -70,8 +71,8 @@ class RegionManager {
 
  private:
   /// One asynchronous probe round: its observer, issue time and the
-  /// probes still in flight. Rounds may overlap; their records are reused
-  /// through a free list, so a probe's callback captures 16 bytes.
+  /// probes still in flight. Rounds may overlap; their records live in a
+  /// SlotPool, so a probe's callback captures 16 bytes.
   struct ProbeRound {
     std::function<void()> done;
     SimTimeMs issued_at = 0.0;
@@ -85,8 +86,7 @@ class RegionManager {
   RegionManagerParams params_;
   stats::LatencyEstimator estimator_;
   std::uint64_t probe_rounds_ = 0;
-  std::vector<ProbeRound> rounds_;
-  std::vector<std::uint32_t> free_rounds_;
+  SlotPool<ProbeRound> rounds_;
 };
 
 }  // namespace agar::core

@@ -13,30 +13,9 @@ void Network::bind_loop(EventLoop* loop) {
   loop_ = loop;
 }
 
-std::uint32_t Network::new_fetch(RegionId from, RegionId to,
-                                 std::size_t bytes, FetchCallback cb) {
-  std::uint32_t f;
-  if (free_fetches_.empty()) {
-    f = static_cast<std::uint32_t>(fetches_.size());
-    fetches_.emplace_back();
-  } else {
-    f = free_fetches_.back();
-    free_fetches_.pop_back();
-  }
-  Fetch& fetch = fetches_[f];
-  fetch.cb = std::move(cb);
-  fetch.from = from;
-  fetch.to = to;
-  fetch.bytes = bytes;
-  return f;
-}
-
 Network::FetchCallback Network::free_fetch(std::uint32_t f) {
-  Fetch& fetch = fetches_[f];
-  ++fetch.generation;
-  FetchCallback cb = std::move(fetch.cb);
-  fetch.cb = nullptr;
-  free_fetches_.push_back(f);
+  FetchCallback cb = std::move(fetches_[f].cb);
+  fetches_.release(f);
   return cb;
 }
 
@@ -73,7 +52,12 @@ bool Network::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
   if (loop_ == nullptr) {
     throw std::logic_error("Network: begin_fetch requires a bound loop");
   }
-  const std::uint32_t f = new_fetch(from, to, bytes, std::move(cb));
+  const std::uint32_t f = fetches_.acquire();
+  Fetch& fetch = fetches_[f];
+  fetch.cb = std::move(cb);
+  fetch.from = from;
+  fetch.to = to;
+  fetch.bytes = bytes;
   RegionState& rs = region_states_[to];
   if (max_outstanding_per_region_ != 0 &&
       rs.wire.size >= max_outstanding_per_region_) {
@@ -97,18 +81,20 @@ void Network::start_wire(std::uint32_t f) {
       model_.sample_backend_fetch(fetch.from, fetch.to, fetch.bytes);
   fetch.latency_ms = sample.latency_ms;
   fetch.dropped = sample.dropped;
+  if (++transfers_ == 0) transfers_ = 1;  // 0 marks no transfer
+  fetch.transfer = transfers_;
   push_back(region_states_[fetch.to].wire, f);
   ++total_outstanding_;
   ++stats_.wire_fetches;
   stats_.max_in_flight = std::max(stats_.max_in_flight, total_outstanding_);
   loop_->schedule_in(sample.latency_ms,
-                     [this, f, generation = fetch.generation] {
-                       wire_done(f, generation);
+                     [this, f, transfer = fetch.transfer] {
+                       wire_done(f, transfer);
                      });
 }
 
-void Network::wire_done(std::uint32_t f, std::uint32_t generation) {
-  if (fetches_[f].generation != generation) {
+void Network::wire_done(std::uint32_t f, std::uint32_t transfer) {
+  if (fetches_[f].transfer != transfer) {
     return;  // aborted by fail_region mid-flight
   }
   const RegionId to = fetches_[f].to;
@@ -141,11 +127,11 @@ void Network::drain_queue(RegionId to) {
 void Network::fail_list(FetchList& list, std::uint64_t& counter) {
   for (std::uint32_t f = list.head; f != kNone;) {
     const std::uint32_t next = fetches_[f].next;
-    // A wire completion still scheduled finds the generation moved on. The
+    // A wire completion still scheduled finds no transfer number. The
     // record stays taken until its observer hears the failure, on the
     // loop: asynchronously (like a timeout), never re-entrantly from
     // inside fail_region.
-    ++fetches_[f].generation;
+    fetches_[f].transfer = 0;
     ++counter;
     loop_->schedule_in(0.0, [this, f] { free_fetch(f)(std::nullopt); });
     f = next;
@@ -158,7 +144,7 @@ void Network::fail_region(RegionId r) {
   RegionState& rs = region_states_[r];
   // Transfers die with the region: every in-flight observer hears the
   // failure now, in issue order. The already-scheduled completion events
-  // find their records' generations moved on and become no-ops —
+  // find their records' transfer numbers gone and become no-ops —
   // restoring the region cannot resurrect them. Queued entries fail
   // immediately too, instead of stranding until an unrelated completion
   // would have drained them.
@@ -192,6 +178,11 @@ std::optional<SimTimeMs> Network::backend_fetch(RegionId from, RegionId to,
 
 SimTimeMs Network::cache_fetch(std::size_t bytes) {
   return model_.cache_fetch_ms(bytes);
+}
+
+SimTimeMs Network::parallel_batch_ms(const std::vector<SimTimeMs>& latencies) {
+  if (latencies.empty()) return 0.0;
+  return *std::max_element(latencies.begin(), latencies.end());
 }
 
 }  // namespace agar::sim

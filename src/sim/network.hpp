@@ -13,13 +13,13 @@
 // samples; reads, population downloads and the control plane's periodic
 // probes all go through `begin_fetch`.
 //
-// Every asynchronous fetch is a record in one slot table, reused through a
-// free list, and sits on one of its destination region's two lists: the
-// FIFO, or the wire. Both lists keep issue order, whichever slots the
-// records occupy, so fail_region fails fetches in the order they were
-// issued. A completion event names its record's slot and generation; an
-// aborted record's generation has moved on, so its event is a no-op. Every
-// event captures 16 bytes or less, which std::function keeps inline.
+// Every asynchronous fetch is a record in one SlotPool and sits on one of
+// its destination region's two lists: the FIFO, or the wire. Both lists
+// keep issue order, whichever slots the records occupy, so fail_region
+// fails fetches in the order they were issued. A completion event names
+// its record's slot and transfer number; an aborted or freed record holds
+// none, so its event is a no-op. Every event captures 16 bytes or less,
+// which std::function keeps inline.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +29,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/slot_pool.hpp"
 #include "common/types.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/latency_model.hpp"
@@ -126,6 +127,11 @@ class Network {
   /// client's region, so it never fails in this model).
   [[nodiscard]] SimTimeMs cache_fetch(std::size_t bytes);
 
+  /// Completion time of a parallel batch: max of the elements, 0 if empty
+  /// (the cache arm of a read: its cache-resident chunks in parallel).
+  [[nodiscard]] static SimTimeMs parallel_batch_ms(
+      const std::vector<SimTimeMs>& latencies);
+
   // ------------------------------------------------------- observability
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t in_flight() const { return total_outstanding_; }
@@ -147,8 +153,10 @@ class Network {
     std::size_t bytes = 0;
     SimTimeMs latency_ms = 0.0;  ///< on the wire: the sampled transfer
     bool dropped = false;        ///< on the wire: the response is lost
-    /// Bumped when the fetch is aborted and when its slot is freed.
-    std::uint32_t generation = 0;
+    /// On the wire: the transfer's number, which its completion event
+    /// carries. 0 while queued, once aborted and once freed, so an event
+    /// that finds another number is stale.
+    std::uint32_t transfer = 0;
     std::uint32_t prev = kNone;    ///< neighbours on the region's list
     std::uint32_t next = kNone;
   };
@@ -163,16 +171,14 @@ class Network {
     FetchList fifo;  ///< waiting for a slot, in issue order
   };
 
-  std::uint32_t new_fetch(RegionId from, RegionId to, std::size_t bytes,
-                          FetchCallback cb);
   /// Free a record's slot, handing back its callback.
   FetchCallback free_fetch(std::uint32_t f);
   void push_back(FetchList& list, std::uint32_t f);
   void unlink(FetchList& list, std::uint32_t f);
 
   void start_wire(std::uint32_t f);
-  /// Completion event of the wire transfer in slot `f`.
-  void wire_done(std::uint32_t f, std::uint32_t generation);
+  /// Completion event of transfer number `transfer`, in slot `f`.
+  void wire_done(std::uint32_t f, std::uint32_t transfer);
   /// Hand freed slots to the FIFO head(s) after a completion.
   void drain_queue(RegionId to);
   /// Fail every fetch on `list`, oldest first, charging each to the
@@ -183,8 +189,8 @@ class Network {
   EventLoop* loop_ = nullptr;  // non-owning
   std::unordered_set<RegionId> down_;
   std::vector<RegionState> region_states_;
-  std::vector<Fetch> fetches_;
-  std::vector<std::uint32_t> free_fetches_;
+  SlotPool<Fetch> fetches_;
+  std::uint32_t transfers_ = 0;  ///< the last transfer number handed out
   std::size_t max_outstanding_per_region_ = 64;
   std::size_t total_outstanding_ = 0;
   NetworkStats stats_;

@@ -1,4 +1,5 @@
-// Network wrapper: failure injection and the asynchronous fetch table.
+// Network wrapper: failure injection, the asynchronous fetch table and
+// parallel-batch semantics.
 #include "sim/network.hpp"
 
 #include <gtest/gtest.h>
@@ -276,6 +277,15 @@ TEST_F(NetworkOutageTest, FlapCyclesLeaveNoStrandedState) {
                                    [&](auto l) { ok = l.has_value(); }));
   loop_.run();
   EXPECT_TRUE(ok);
+}
+
+TEST(NetworkBatch, EmptyBatchIsZero) {
+  EXPECT_EQ(Network::parallel_batch_ms({}), 0.0);
+}
+
+TEST(NetworkBatch, BatchIsMax) {
+  EXPECT_EQ(Network::parallel_batch_ms({10.0, 50.0, 30.0}), 50.0);
+  EXPECT_EQ(Network::parallel_batch_ms({42.0}), 42.0);
 }
 
 }  // namespace

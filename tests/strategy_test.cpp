@@ -2,6 +2,7 @@
 // failure fallback, and the event loop every strategy is built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -201,6 +202,58 @@ TEST_F(StrategyTest, VerifyRejectsAnotherObjectsChunkFromTheCache) {
   EXPECT_FALSE(s.read("object0").verified);
   bucket.put(row0, stored);
   EXPECT_TRUE(s.read("object0").verified);
+}
+
+TEST_F(StrategyTest, CacheArmLandsWithItsSlowestChunk) {
+  // Jittered cache fetches. A read with no chunk in the cache draws no
+  // cache sample; a full hit draws one per cached chunk and lands with the
+  // largest. A twin of the network's latency model predicts the draws:
+  // every backend or cache sample is one jitter draw.
+  sim::LatencyModelParams params = zero_jitter();
+  params.jitter_fraction = 0.5;
+  sim::Network network(sim::LatencyModel(&topology_, params, 11));
+  sim::LatencyModel twin(&topology_, params, 11);
+  network.bind_loop(&loop_);
+  ClientContext c = ctx(sim::region::kFrankfurt);
+  c.network = &network;
+  FixedChunksParams p;
+  p.engine = "lru";
+  p.chunks_per_object = 9;
+  p.cache_capacity_bytes = 100_MB;
+  auto engine = api::EngineRegistry::instance().create(
+      p.engine, api::EngineContext{p.cache_capacity_bytes}, api::ParamMap{});
+  cache::CacheEngine& cache = *engine;
+  FixedChunksStrategy s(c, p, std::move(engine));
+  const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
+
+  // Nothing cached: nine backend samples, and the streams stay in step.
+  const ReadResult cold = s.read("object1");
+  EXPECT_EQ(cold.cache_chunks, 0u);
+  EXPECT_EQ(cold.backend_chunks, 9u);
+  for (int i = 0; i < 9; ++i) (void)twin.cache_fetch_ms(chunk_size);
+  EXPECT_EQ(network.cache_fetch(chunk_size), twin.cache_fetch_ms(chunk_size));
+
+  const ObjectId object = backend_.id_of("object0");
+  for (ChunkIndex i = 0; i < 12; ++i) {
+    cache.put(ChunkId{object, i}.key(), *backend_.get_chunk({object, i}));
+  }
+  std::vector<SimTimeMs> samples;
+  for (int i = 0; i < 9; ++i) {
+    samples.push_back(twin.cache_fetch_ms(chunk_size));
+  }
+  const SimTimeMs slowest = *std::max_element(samples.begin(), samples.end());
+  // The draws tell the slowest apart from the first, the last and the
+  // fastest.
+  ASSERT_NE(slowest, samples.front());
+  ASSERT_NE(slowest, samples.back());
+  ASSERT_NE(slowest, *std::min_element(samples.begin(), samples.end()));
+  const ReadResult hit = s.read("object0");
+  EXPECT_TRUE(hit.full_hit);
+  EXPECT_EQ(hit.cache_chunks, 9u);
+  // The read starts after the cold one, so its latency is a difference of
+  // loop times: equal up to rounding.
+  EXPECT_NEAR(hit.latency_ms, slowest, 1e-9);
+  EXPECT_TRUE(hit.verified);
 }
 
 TEST_F(StrategyTest, ChunksPerObjectOneBarelyHelps) {
