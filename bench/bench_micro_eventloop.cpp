@@ -7,14 +7,14 @@
 //
 // The dispatch workload replays the production event mix: self-rescheduling
 // one-shot events plus a standing set of periodic timers (network probes,
-// reconfiguration). Its closures come in two sizes, each labelled in the
-// config column. `inline` closures capture one pointer, as the read path's
-// do (a pooled batch or fetch record plus at most 8 more bytes), and fit
-// std::function's 16-byte buffer; the sharded rows use them. `oversized`
-// closures capture three words, over the buffer, so every schedule
-// allocates: the seed loop's baseline workload, where it also pays its
-// other real costs — a full Event COPY out of priority_queue::top() per
-// dispatch and a make_shared rebind per periodic firing.
+// reconfiguration). Its closures come in two sizes. Oversized closures
+// capture three words, over std::function's 16-byte buffer, so every
+// schedule allocates; every row but `serial-inline` runs them, and on the
+// seed loop they also pay its other real costs — a full Event COPY out of
+// priority_queue::top() per dispatch and a make_shared rebind per periodic
+// firing. Inline closures capture one pointer and fit the buffer, as the
+// read path's do (a pooled record's slot plus at most 8 more bytes):
+// `serial-inline` runs the rebuilt serial loop on them.
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array for CI's
@@ -200,7 +200,8 @@ struct Chain {
     const std::uint64_t x = spin(lcg ^ a);
     lcg = x + b;
     ++fired;
-    const SimTimeMs delay = 0.5 + static_cast<double>(x % 1024) / 256.0;
+    const SimTimeMs delay =
+        0.5 + static_cast<double>(x % 1024) / 256.0;  // 0.5 - 4.5 ms
     if (engine != nullptr && (x & 15U) == 0) {
       engine->post((lane + 1) % kLanes, loop->now() + delay, hop);
     }
@@ -272,7 +273,7 @@ void bench_sharded_dispatch(std::size_t shards, std::uint64_t target) {
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     sim::EventLoop& loop = engine.loop_of_lane(lane);
     loop.reserve(1024);
-    arm_lane(loop, &engine, lane, Closure::kInline, chains);
+    arm_lane(loop, &engine, lane, Closure::kOversized, chains);
   }
   const double sec = wall_seconds([&] {
     engine.run_windows(1000.0,
@@ -280,7 +281,7 @@ void bench_sharded_dispatch(std::size_t shards, std::uint64_t target) {
   });
   std::ostringstream note;
   note << engine.cross_shard_messages() << " cross-shard messages";
-  record("event_dispatch", "shards=" + std::to_string(shards) + "-inline",
+  record("event_dispatch", "shards=" + std::to_string(shards),
          engine.events_executed(), sec, note.str());
 }
 
@@ -346,21 +347,25 @@ void print_json() {
 }
 
 void print_table() {
-  std::printf("%-18s %-18s %12s %16s %12s\n", "bench", "config", "events",
+  std::printf("%-18s %-14s %12s %16s %12s\n", "bench", "config", "events",
               "events/s", "ns/event");
   for (const Result& r : results()) {
-    std::printf("%-18s %-18s %12llu %16.0f %12.1f  %s\n", r.bench.c_str(),
+    std::printf("%-18s %-14s %12llu %16.0f %12.1f  %s\n", r.bench.c_str(),
                 r.config.c_str(), static_cast<unsigned long long>(r.events),
                 r.events_per_s, r.ns_per_event, r.note.c_str());
   }
-  const double seed_rate = dispatch_rate("seed-oversized");
-  const double oversized = dispatch_rate("serial-oversized");
+  const double seed_rate = dispatch_rate("seed-serial");
+  const double four = dispatch_rate("shards=4");
+  if (seed_rate > 0.0 && four > 0.0) {
+    std::printf("\ndispatch speedup, 4 shards vs seed serial loop: %.2fx\n",
+                four / seed_rate);
+  }
+  const double oversized = dispatch_rate("serial");
   const double inline_rate = dispatch_rate("serial-inline");
-  if (seed_rate > 0.0 && oversized > 0.0 && inline_rate > 0.0) {
-    std::printf(
-        "\ndispatch speedup, serial loop vs seed loop (oversized "
-        "closures): %.2fx; inline vs oversized closures: %.2fx\n",
-        oversized / seed_rate, inline_rate / oversized);
+  if (oversized > 0.0 && inline_rate > 0.0) {
+    std::printf("dispatch speedup, inline vs oversized closures, serial "
+                "loop: %.2fx\n",
+                inline_rate / oversized);
   }
 }
 
@@ -387,14 +392,14 @@ int main(int argc, char** argv) {
       " hardware threads";
 
   bench_serial_dispatch<seed::EventLoop>(
-      "seed-oversized", Closure::kOversized, dispatch_events,
+      "seed-serial", Closure::kOversized, dispatch_events,
       "pre-refactor priority_queue loop, copy per dispatch");
   bench_serial_dispatch<sim::EventLoop>(
-      "serial-oversized", Closure::kOversized, dispatch_events,
-      "4-ary heap; closures over the 16-byte buffer allocate");
+      "serial", Closure::kOversized, dispatch_events,
+      "rebuilt loop, one 4-ary heap; oversized closures");
   bench_serial_dispatch<sim::EventLoop>(
       "serial-inline", Closure::kInline, dispatch_events,
-      "4-ary heap; 8-byte closures stored inline, as reads'");
+      "rebuilt loop, one 4-ary heap; inline closures, as reads'");
   for (const int shards : {1, 2, 4}) {
     bench_sharded_dispatch(static_cast<std::size_t>(shards), dispatch_events);
   }
