@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
+#include "core/option_generator.hpp"
 
 namespace agar::core {
 namespace {
@@ -220,6 +223,60 @@ TEST(Knapsack, PaperStyleInstanceMixesWeights) {
   EXPECT_GE(hottest_weight, 5u);
   EXPECT_GT(r.chosen.size(), 10u);
   EXPECT_LE(r.total_weight_units, 90u);
+}
+
+/// "key:weight" per chosen option, in the result's order.
+std::string describe(const KnapsackResult& r) {
+  std::string out;
+  for (const auto& o : r.chosen) {
+    if (!out.empty()) out += ' ';
+    out += o.key + ':' + std::to_string(o.weight);
+  }
+  return out;
+}
+
+TEST(Knapsack, IdenticalGroupsKeepTheirTieBreak) {
+  // The paper configuration plans over one stripe layout, and keys read
+  // equally often get equal EWMA popularities, so many option groups are
+  // identical and most optima are far from unique. Pin the exact keys and
+  // weights the DP picks among the ties: the installed configuration, and
+  // with it every result byte, follows them.
+  OptionGeneratorParams params;
+  params.candidate_weights = {1, 3, 5, 7, 9};
+  const OptionGenerator generator(params);
+  const std::vector<double> latency = {81.25, 196.5, 611.75,
+                                       1402.5, 3389.25, 4610.5};
+  std::vector<ChunkCost> costs;
+  for (ChunkIndex i = 0; i < 12; ++i) {
+    costs.push_back(ChunkCost{i, i % 6, latency[i % 6]});
+  }
+  std::vector<ObjectKey> keys;
+  for (int i = 0; i < 12; ++i) keys.push_back("object" + std::to_string(i));
+  std::sort(keys.begin(), keys.end());  // the snapshot's key order
+  std::vector<std::vector<CachingOption>> groups;
+  for (const auto& key : keys) {
+    groups.push_back(generator.generate(key, costs, 0.8));
+  }
+
+  const std::vector<std::pair<std::size_t, std::string>> expected = {
+      {4, "object0:1 object1:1 object10:1 object11:1"},
+      {10,
+       "object0:1 object1:1 object10:1 object11:1 object2:1 object3:1 "
+       "object4:1 object5:1 object6:1 object7:1"},
+      {25,
+       "object0:3 object1:3 object10:3 object11:3 object2:3 object3:3 "
+       "object4:1 object5:1 object6:1 object7:1 object8:1 object9:1"},
+      {40,
+       "object0:5 object1:3 object10:5 object11:3 object2:3 object3:3 "
+       "object4:3 object5:3 object6:3 object7:3 object8:3 object9:3"},
+      {90,
+       "object0:9 object1:9 object10:9 object11:7 object2:7 object3:7 "
+       "object4:7 object5:7 object6:7 object7:7 object8:7 object9:7"},
+  };
+  for (const auto& [capacity, chosen] : expected) {
+    EXPECT_EQ(describe(solve_dp(groups, capacity)), chosen)
+        << "capacity " << capacity;
+  }
 }
 
 TEST(Knapsack, BruteForceHonorsCapacityToo) {

@@ -217,6 +217,59 @@ TEST(PlannerRegistry, DpMatchesBruteForceOnGeneratedOptions) {
   }
 }
 
+TEST(PlannerRegistry, DpMatchesBruteForceOnMixedObjectSizes) {
+  // Mixed working sets: each key's options come from the generator as
+  // above, and their footprints are in units of the smallest chunk, as the
+  // cache manager sizes them (ceil(weight x chunk bytes / quantum)), so a
+  // larger object's options cost more units than their chunk count. Two
+  // and three object sizes; 1-5 keys at every capacity up to every key
+  // fully cached.
+  const std::vector<double> latency = {80, 200, 600, 1400, 3400, 4600};
+  OptionGeneratorParams params;
+  params.candidate_weights = {1, 3, 5, 7, 9};
+  const OptionGenerator generator(params);
+  auto dp = make_planner("knapsack-dp");
+  auto oracle = make_planner("brute-force");
+  const auto chunk_bytes = [](std::size_t object_bytes) {
+    return (object_bytes + 8) / 9;  // RS(9, 3) data chunks, rounded up
+  };
+  const std::vector<std::vector<std::size_t>> size_sets = {
+      {1_MB, 3_MB / 2}, {1_MB, 2_MB, 5_MB / 2}};
+  for (const auto& sizes : size_sets) {
+    const std::size_t quantum = chunk_bytes(sizes.front());
+    for (std::size_t keys = 1; keys <= 5; ++keys) {
+      std::vector<std::vector<CachingOption>> groups;
+      std::size_t all_units = 0;
+      for (std::size_t key = 0; key < keys; ++key) {
+        std::vector<ChunkCost> costs;
+        for (ChunkIndex i = 0; i < 12; ++i) {
+          const auto region = static_cast<RegionId>((i + key) % 6);
+          costs.push_back(ChunkCost{i, region, latency[region]});
+        }
+        auto group = generator.generate(
+            "object" + std::to_string(key), costs,
+            100.0 / std::pow(static_cast<double>(key + 1), 1.1));
+        const std::size_t chunk = chunk_bytes(sizes[key % sizes.size()]);
+        for (auto& o : group) {
+          o.weight_units = static_cast<std::size_t>(std::ceil(
+              static_cast<double>(o.weight) * static_cast<double>(chunk) /
+              static_cast<double>(quantum)));
+        }
+        all_units += group.back().weight_units;
+        groups.push_back(std::move(group));
+      }
+      for (std::size_t cap = 0; cap <= all_units; ++cap) {
+        const auto planned = dp->plan(groups, cap);
+        EXPECT_DOUBLE_EQ(planned.total_value,
+                         oracle->plan(groups, cap).total_value)
+            << sizes.size() << " sizes, " << keys << " keys, capacity "
+            << cap;
+        EXPECT_LE(planned.total_weight_units, cap);
+      }
+    }
+  }
+}
+
 TEST(PlannerRegistry, UnknownNameThrowsWithKnownNames) {
   try {
     (void)make_planner("simplex");
