@@ -75,8 +75,8 @@ int main() {
   std::cout << "installed configuration: " << config.entries.size()
             << " object(s), " << config.total_chunks << " chunks, "
             << format_bytes(config.total_bytes) << "\n";
-  for (const auto& [key, opt] : config.entries) {
-    std::cout << "  " << key << ": " << opt.weight
+  for (const auto& opt : config.entries) {
+    std::cout << "  " << opt.key << ": " << opt.weight
               << " chunk(s), expected latency " << opt.expected_latency_ms
               << " ms\n";
   }

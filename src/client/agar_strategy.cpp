@@ -144,8 +144,8 @@ void AgarStrategy::start_reconfiguration() {
 }
 
 void AgarStrategy::apply_reconfiguration() {
-  cache_manager_.reconfigure();
-  for (const auto& [key, option] : cache_manager_.current().entries) {
+  // Population fetches start in the configuration's key order.
+  for (const auto& option : cache_manager_.reconfigure().entries) {
     for (const ChunkIndex idx : option.chunks) {
       populate_chunk_async(ChunkId{option.object, idx});
     }
@@ -156,7 +156,7 @@ void AgarStrategy::apply_reconfiguration() {
 collab::PeerInfo AgarStrategy::collab_info() {
   collab::PeerInfo info;
   info.region = ctx_.region;
-  for (const auto& [key, opt] : cache_manager_.current().entries) {
+  for (const auto& opt : cache_manager_.current().entries) {
     for (const ChunkIndex idx : opt.chunks) {
       info.configured_chunks.push_back(ChunkId{opt.object, idx}.key());
     }

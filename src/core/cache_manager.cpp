@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -10,10 +11,17 @@
 
 namespace agar::core {
 
+const CachingOption* CacheConfiguration::find(const ObjectKey& key) const {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const CachingOption& o, const ObjectKey& k) { return o.key < k; });
+  return it != entries.end() && it->key == key ? &*it : nullptr;
+}
+
 std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
     const {
   std::map<std::size_t, std::size_t> hist;
-  for (const auto& [key, opt] : entries) ++hist[opt.weight];
+  for (const auto& opt : entries) ++hist[opt.weight];
   return hist;
 }
 
@@ -30,23 +38,6 @@ OptionGeneratorParams generator_params(const store::BackendCluster* backend,
   out.cache_latency_ms = params.cache_latency_ms;
   out.candidate_weights = params.candidate_weights;
   return out;
-}
-
-/// The smallest chunk size among the tracked objects, so every option's
-/// byte footprint maps to an integer number of units. With the paper's
-/// uniform 1 MB objects this is exactly one chunk; with no tracked object
-/// it is one byte.
-std::size_t weight_quantum_bytes(
-    const store::BackendCluster& backend,
-    const std::vector<std::pair<ObjectKey, double>>& snapshot) {
-  std::size_t quantum = std::numeric_limits<std::size_t>::max();
-  for (const auto& [key, pop] : snapshot) {
-    const auto id = backend.find_id(key);
-    if (!id.has_value()) continue;
-    quantum = std::min(quantum, backend.object_info(*id).chunk_size);
-  }
-  if (quantum == std::numeric_limits<std::size_t>::max()) quantum = 1;
-  return std::max<std::size_t>(quantum, 1);
 }
 
 }  // namespace
@@ -70,29 +61,46 @@ CacheManager::CacheManager(const store::BackendCluster* backend,
       params_.planner, api::PlannerContext{}, params_.planner_params);
 }
 
-std::vector<std::vector<CachingOption>> CacheManager::generate_options(
+void CacheManager::generate_options(
     const std::vector<std::pair<ObjectKey, double>>& snapshot,
-    std::size_t quantum) const {
-  std::vector<std::vector<CachingOption>> groups;
-  groups.reserve(snapshot.size());
-  std::vector<ChunkCost> costs;
-  for (const auto& [key, popularity] : snapshot) {
-    if (popularity <= 0.0) continue;
-    const auto id = backend_->find_id(key);
-    if (!id.has_value()) continue;
-    region_manager_->chunk_costs(*id, costs);
-    auto options = generator_.generate(key, costs, popularity);
-    const std::size_t chunk_bytes = backend_->object_info(*id).chunk_size;
-    for (auto& opt : options) {
-      opt.object = *id;
-      const double bytes =
-          static_cast<double>(opt.weight) * static_cast<double>(chunk_bytes);
+    std::size_t quantum) {
+  // Value each stripe layout at most once per reconfiguration, the first
+  // time one of its objects needs options.
+  layouts_.resize(backend_->num_layouts());
+  layout_valued_.assign(backend_->num_layouts(), false);
+  std::size_t used = 0;
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    const auto& [key, popularity] = snapshot[i];
+    if (popularity <= 0.0 || ids_[i] == kNoObject) continue;
+    const store::ObjectInfo& info = backend_->object_info(ids_[i]);
+    LayoutOptions& layout = layouts_[info.layout];
+    if (!layout_valued_[info.layout]) {
+      region_manager_->chunk_costs(info.locations, costs_);
+      generator_.value_layout(costs_, layout);
+      layout_valued_[info.layout] = true;
+    }
+    if (used == groups_.size()) {
+      if (spare_groups_.empty()) {
+        groups_.emplace_back();
+      } else {
+        groups_.push_back(std::move(spare_groups_.back()));
+        spare_groups_.pop_back();
+      }
+    }
+    auto& group = groups_[used++];
+    generator_.write_options(layout, key, ids_[i], popularity, group);
+    for (auto& opt : group) {
+      const double bytes = static_cast<double>(opt.weight) *
+                           static_cast<double>(info.chunk_size);
       opt.weight_units = static_cast<std::size_t>(
           std::ceil(bytes / static_cast<double>(quantum)));
     }
-    groups.push_back(std::move(options));
   }
-  return groups;
+  // Fewer keys than last period: keep the extra groups' buffers.
+  while (groups_.size() > used) {
+    spare_groups_.push_back(std::move(groups_.back()));
+    groups_.pop_back();
+  }
 }
 
 const CacheConfiguration& CacheManager::reconfigure() {
@@ -105,31 +113,61 @@ const CacheConfiguration& CacheManager::reconfigure() {
   // contract), so the option groups — and thus the planner's input — are
   // deterministic.
   const auto snapshot = estimator_->snapshot();
-  const std::size_t quantum = weight_quantum_bytes(*backend_, snapshot);
-  const std::size_t capacity_units = cache_->capacity_bytes() / quantum;
 
-  const auto groups = generate_options(snapshot, quantum);
+  // Resolve each key's id once. The weight quantum is the smallest chunk
+  // size among the known objects, so every option's byte footprint maps to
+  // an integer number of units; with the paper's uniform 1 MB objects it is
+  // exactly one chunk.
+  ids_.clear();
+  std::size_t quantum = std::numeric_limits<std::size_t>::max();
+  for (const auto& [key, popularity] : snapshot) {
+    const auto id = backend_->find_id(key);
+    ids_.push_back(id.value_or(kNoObject));
+    if (id.has_value()) {
+      quantum = std::min(quantum, backend_->object_info(*id).chunk_size);
+    }
+  }
+  quantum = std::max<std::size_t>(quantum, 1);
+
+  generate_options(snapshot, quantum);
+  // With no option to plan there is no quantum to measure the cache in:
+  // the planner gets the empty input at zero units.
+  const std::size_t capacity_units =
+      groups_.empty() ? 0 : cache_->capacity_bytes() / quantum;
   const auto plan_start = std::chrono::steady_clock::now();
-  KnapsackResult result = planner_->plan(groups, capacity_units);
+  KnapsackResult result = planner_->plan(groups_, capacity_units);
   const double plan_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - plan_start)
           .count();
 
-  CacheConfiguration next;
+  // The chosen list is the configuration: the population fetches walk it,
+  // so it must come back in the input's key order, one option per key.
+  const auto out_of_order = std::adjacent_find(
+      result.chosen.begin(), result.chosen.end(),
+      [](const CachingOption& a, const CachingOption& b) {
+        return !(a.key < b.key);
+      });
+  if (out_of_order != result.chosen.end()) {
+    throw std::logic_error("CacheManager: planner " + planner_->name() +
+                           " chose " + std::next(out_of_order)->key +
+                           " out of key order");
+  }
+
+  config_.total_chunks = 0;
+  config_.total_bytes = 0;
   configured_keys_.clear();
-  for (auto& opt : result.chosen) {
+  for (const auto& opt : result.chosen) {
     const std::size_t chunk_bytes =
         backend_->object_info(opt.object).chunk_size;
-    next.total_chunks += opt.weight;
-    next.total_bytes += opt.weight * chunk_bytes;
+    config_.total_chunks += opt.weight;
+    config_.total_bytes += opt.weight * chunk_bytes;
     for (const ChunkIndex idx : opt.chunks) {
       configured_keys_.push_back(ChunkId{opt.object, idx}.key());
     }
-    next.entries.emplace(opt.key, std::move(opt));
   }
-  next.total_value = result.total_value;
-  config_ = std::move(next);
+  config_.entries = std::move(result.chosen);
+  config_.total_value = result.total_value;
 
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.

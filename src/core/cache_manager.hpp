@@ -6,9 +6,11 @@
 // One reconfiguration = one run of the configured core::Planner (§IV-B;
 // `knapsack-dp` by default, any api::PlannerRegistry entry via the
 // `planner=` spec key) over the caching options of every tracked object
-// (§IV-A). The manager installs the chosen chunk set into the cache, which
-// keeps the one record of it, times every planner run and adds the
-// install's churn (chunks installed/evicted) to its ControlPlaneStats.
+// (§IV-A). Options are valued once per stripe layout and written per
+// object into group buffers the manager keeps from period to period. The
+// manager installs the chosen chunk set into the cache, which keeps the
+// one record of it, times every planner run and adds the install's churn
+// (chunks installed/evicted) to its ControlPlaneStats.
 #pragma once
 
 #include <map>
@@ -44,11 +46,14 @@ struct CacheManagerParams {
 /// histogram all iterate it, and each of those orders ends up in event
 /// sequence numbers or output.
 struct CacheConfiguration {
-  /// Chosen option per key, sorted by key.
-  std::map<ObjectKey, CachingOption> entries;
+  /// The planner's chosen options, one per key, sorted by key.
+  std::vector<CachingOption> entries;
   double total_value = 0.0;
   std::size_t total_chunks = 0;
   std::size_t total_bytes = 0;
+
+  /// The chosen option of `key`, or nullptr if it is not configured.
+  [[nodiscard]] const CachingOption* find(const ObjectKey& key) const;
 
   /// Histogram of "objects cached with w chunks" -> count (Fig. 10 data),
   /// sorted by weight.
@@ -75,12 +80,12 @@ class CacheManager {
   }
 
  private:
-  /// Options for every key of `snapshot` with positive popularity, grouped
-  /// per key in the snapshot's key order, each option's footprint in
-  /// `quantum`-byte units.
-  [[nodiscard]] std::vector<std::vector<CachingOption>> generate_options(
+  /// Options for every key of `snapshot` with positive popularity and an
+  /// id in ids_, into groups_ in the snapshot's key order, each option's
+  /// footprint in `quantum`-byte units.
+  void generate_options(
       const std::vector<std::pair<ObjectKey, double>>& snapshot,
-      std::size_t quantum) const;
+      std::size_t quantum);
 
   const store::BackendCluster* backend_;  // non-owning
   RegionManager* region_manager_;         // non-owning
@@ -93,7 +98,20 @@ class CacheManager {
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
   ControlPlaneStats stats_;
-  /// reconfigure()'s chunk keys for the cache, kept for their capacity.
+
+  // reconfigure()'s buffers, kept for their capacity and sized at the
+  // first reconfiguration.
+  /// The snapshot's ids, kNoObject for a key the backend does not know.
+  static constexpr ObjectId kNoObject = ~ObjectId{0};
+  std::vector<ObjectId> ids_;
+  /// The backend's stripe layouts, and which this reconfiguration valued.
+  std::vector<LayoutOptions> layouts_;
+  std::vector<bool> layout_valued_;
+  std::vector<ChunkCost> costs_;
+  /// The planner's input, and groups left over from a larger period.
+  std::vector<std::vector<CachingOption>> groups_;
+  std::vector<std::vector<CachingOption>> spare_groups_;
+  /// The chunk keys for the cache.
   std::vector<ChunkKey> configured_keys_;
 };
 

@@ -24,25 +24,33 @@ KnapsackResult finish(std::vector<CachingOption> chosen) {
 
 }  // namespace
 
-KnapsackResult solve_dp(
+KnapsackResult KnapsackDp::solve(
     const std::vector<std::vector<CachingOption>>& options_per_key,
     std::size_t capacity_units) {
   const std::size_t cap = capacity_units;
-  const std::size_t n = options_per_key.size();
 
+  // Flatten the usable options, group by group in input order. A group with
+  // none gets no row: its row would repeat the one before it.
+  items_.clear();
+  rows_.clear();
+  for (std::size_t g = 0; g < options_per_key.size(); ++g) {
+    const std::size_t first = items_.size();
+    const auto& group = options_per_key[g];
+    for (std::size_t o = 0; o < group.size(); ++o) {
+      if (!usable(group[o], cap)) continue;
+      items_.push_back(Item{group[o].weight_units, group[o].value, g, o});
+    }
+    if (items_.size() > first) rows_.push_back(first);
+  }
   // The table below is sized by the capacity, not by the options: with
   // nothing to choose, return the empty plan without building it.
-  const bool any_usable = std::any_of(
-      options_per_key.begin(), options_per_key.end(), [cap](const auto& g) {
-        return std::any_of(g.begin(), g.end(), [cap](const CachingOption& o) {
-          return usable(o, cap);
-        });
-      });
-  if (!any_usable) return finish({});
+  if (items_.empty()) return finish({});
+  const std::size_t rows = rows_.size();
+  rows_.push_back(items_.size());
 
-  // table[i][c]: best value achievable with the first i keys and at most c
+  // table[r][c]: best value achievable with the first r keys and at most c
   // capacity units. This is the paper's MaxV map (Fig. 4) densified over
-  // capacities; row i+1 is row i "improved" by key i's option group.
+  // capacities; row r+1 is row r "improved" by key r's option group.
   //
   // Considering every option of a group at each capacity performs both of
   // the paper's improvement moves at once:
@@ -52,36 +60,60 @@ KnapsackResult solve_dp(
   //     superseded whenever a lighter option (leaving room for other keys'
   //     options) yields more total value — that alternative is simply
   //     another cell of the same row.
-  std::vector<std::vector<double>> table(n + 1,
-                                         std::vector<double>(cap + 1, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& group = options_per_key[i];
-    for (std::size_t c = 0; c <= cap; ++c) {
-      double v = table[i][c];  // skip this key entirely
-      for (const auto& opt : group) {
-        if (!usable(opt, cap) || opt.weight_units > c) continue;
-        v = std::max(v, table[i][c - opt.weight_units] + opt.value);
+  //
+  // A row starts as the one before it (skip this key), then takes each
+  // option in group order wherever it is strictly better, so a cell keeps
+  // the first option that reaches its maximum. The loop over capacities is
+  // a branch-free max the compiler vectorizes.
+  const std::size_t width = cap + 1;
+  if (table_.size() < (rows + 1) * width) table_.resize((rows + 1) * width);
+  std::fill_n(table_.begin(), width, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* prev = table_.data() + r * width;
+    double* cur = table_.data() + (r + 1) * width;
+    std::copy_n(prev, width, cur);
+    for (std::size_t j = rows_[r]; j < rows_[r + 1]; ++j) {
+      const std::size_t w = items_[j].weight_units;
+      const double v = items_[j].value;
+      for (std::size_t c = w; c < width; ++c) {
+        const double candidate = prev[c - w] + v;
+        cur[c] = candidate > cur[c] ? candidate : cur[c];
       }
-      table[i + 1][c] = v;
     }
   }
 
-  // Trace back the choices from MaxV[CacheSize] (paper Fig. 4 line 23).
-  std::vector<CachingOption> chosen;
+  // Trace back the choices from MaxV[CacheSize] (paper Fig. 4 line 23): the
+  // first option of the key's group that reaches the cell is the one the
+  // cell took.
+  picks_.clear();
   std::size_t c = cap;
-  for (std::size_t i = n; i-- > 0;) {
-    if (table[i + 1][c] == table[i][c]) continue;  // key i contributed nothing
-    for (const auto& opt : options_per_key[i]) {
-      if (!usable(opt, cap) || opt.weight_units > c) continue;
-      if (table[i][c - opt.weight_units] + opt.value == table[i + 1][c]) {
-        chosen.push_back(opt);
-        c -= opt.weight_units;
+  for (std::size_t r = rows; r-- > 0;) {
+    const double* prev = table_.data() + r * width;
+    const double best = table_[(r + 1) * width + c];
+    if (best == prev[c]) continue;  // key r contributed nothing
+    for (std::size_t j = rows_[r]; j < rows_[r + 1]; ++j) {
+      const Item& item = items_[j];
+      if (item.weight_units > c) continue;
+      if (prev[c - item.weight_units] + item.value == best) {
+        picks_.push_back(j);
+        c -= item.weight_units;
         break;
       }
     }
   }
-  std::reverse(chosen.begin(), chosen.end());
+  std::vector<CachingOption> chosen;
+  chosen.reserve(picks_.size());
+  for (auto it = picks_.rbegin(); it != picks_.rend(); ++it) {
+    const Item& item = items_[*it];
+    chosen.push_back(options_per_key[item.group][item.option]);
+  }
   return finish(std::move(chosen));
+}
+
+KnapsackResult solve_dp(
+    const std::vector<std::vector<CachingOption>>& options_per_key,
+    std::size_t capacity_units) {
+  return KnapsackDp{}.solve(options_per_key, capacity_units);
 }
 
 KnapsackResult solve_greedy(
@@ -110,15 +142,24 @@ KnapsackResult solve_greedy(
   });
 
   std::vector<bool> key_used(options_per_key.size(), false);
-  std::vector<CachingOption> chosen;
+  std::vector<const CachingOption*> picked;
   std::size_t used = 0;
   for (const auto& f : flat) {
     if (key_used[f.key_idx]) continue;
     if (used + f.opt->weight_units > capacity_units) continue;
     key_used[f.key_idx] = true;
-    chosen.push_back(*f.opt);
+    picked.push_back(f.opt);
     used += f.opt->weight_units;
   }
+  // Report the choice in key order, as the other solvers do for a planner's
+  // key-ordered input.
+  std::stable_sort(picked.begin(), picked.end(),
+                   [](const CachingOption* a, const CachingOption* b) {
+                     return a->key < b->key;
+                   });
+  std::vector<CachingOption> chosen;
+  chosen.reserve(picked.size());
+  for (const CachingOption* o : picked) chosen.push_back(*o);
   return finish(std::move(chosen));
 }
 

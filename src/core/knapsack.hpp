@@ -25,25 +25,55 @@ namespace agar::core {
 
 /// A solved cache configuration.
 struct KnapsackResult {
-  /// Chosen options, at most one per key, in input key order.
+  /// Chosen options, at most one per key, in the order of their groups
+  /// (solve_greedy: by key). A planner's groups are in key order, so its
+  /// choice is too (see Planner::plan).
   std::vector<CachingOption> chosen;
   double total_value = 0.0;
   std::size_t total_weight_units = 0;
 };
 
-/// Exact MCKP dynamic program (the paper's POPULATE/RELAX algorithm).
+/// Exact MCKP dynamic program (the paper's POPULATE/RELAX algorithm) that
+/// keeps its buffers across solves, so a planner re-solving every period
+/// sizes them once.
 ///
 /// `options_per_key[i]` holds the candidate options for one key; options
 /// with value <= 0 or weight_units == 0 or weight_units > capacity_units
 /// are ignored. Runtime O(total_options x capacity_units), i.e. the O(C^2)
 /// the paper reports once the option count is proportional to capacity.
+/// Among equal-valued configurations a key takes the first of its options
+/// (in group order) that beats skipping it and every option before it.
+class KnapsackDp {
+ public:
+  [[nodiscard]] KnapsackResult solve(
+      const std::vector<std::vector<CachingOption>>& options_per_key,
+      std::size_t capacity_units);
+
+ private:
+  /// One usable option: its footprint and value, and where it came from.
+  struct Item {
+    std::size_t weight_units;
+    double value;
+    std::size_t group;
+    std::size_t option;
+  };
+  std::vector<Item> items_;  ///< usable options, group by group
+  /// rows_[r]: the first item of the r-th group that has any; the last
+  /// entry is items_.size().
+  std::vector<std::size_t> rows_;
+  std::vector<double> table_;     ///< (rows + 1) x (capacity + 1) values
+  std::vector<std::size_t> picks_;  ///< traceback's items, last key first
+};
+
+/// KnapsackDp used once.
 [[nodiscard]] KnapsackResult solve_dp(
     const std::vector<std::vector<CachingOption>>& options_per_key,
     std::size_t capacity_units);
 
 /// Greedy baseline: consider options by decreasing value density
 /// (value / weight_units); take an option if its key is still unused and it
-/// fits. Not optimal — kept for the §II-D ablation.
+/// fits. Not optimal — kept for the §II-D ablation. Its choice comes back
+/// in key order.
 [[nodiscard]] KnapsackResult solve_greedy(
     const std::vector<std::vector<CachingOption>>& options_per_key,
     std::size_t capacity_units);

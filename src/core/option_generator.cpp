@@ -1,6 +1,7 @@
 #include "core/option_generator.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace agar::core {
@@ -23,9 +24,8 @@ OptionGenerator::OptionGenerator(OptionGeneratorParams params)
   }
 }
 
-std::vector<CachingOption> OptionGenerator::generate(
-    const ObjectKey& key, std::vector<ChunkCost> chunk_costs,
-    double popularity) const {
+void OptionGenerator::value_layout(std::vector<ChunkCost>& chunk_costs,
+                                   LayoutOptions& out) const {
   if (chunk_costs.size() != params_.k + params_.m) {
     throw std::invalid_argument(
         "OptionGenerator: need exactly k + m chunk costs");
@@ -43,24 +43,18 @@ std::vector<CachingOption> OptionGenerator::generate(
             });
 
   // Step 2: drop the m furthest — never fetched in the failure-free case.
-  std::vector<ChunkCost> needed(chunk_costs.begin() + params_.m,
-                                chunk_costs.end());
+  const auto needed =
+      std::span<const ChunkCost>(chunk_costs).subspan(params_.m);
+  out.chunks.clear();
+  for (const ChunkCost& c : needed) out.chunks.push_back(c.index);
 
   // Latency with no chunks cached: the furthest needed chunk dominates
   // (the client fetches all k in parallel).
   const double uncached_ms = needed.front().latency_ms;
 
-  std::vector<CachingOption> out;
-  out.reserve(params_.candidate_weights.size());
+  out.gain_ms.clear();
+  out.expected_latency_ms.clear();
   for (const std::size_t w : params_.candidate_weights) {
-    CachingOption opt;
-    opt.key = key;
-    opt.weight = w;
-    opt.weight_units = w;  // refined by the cache manager for mixed sizes
-    opt.chunks.reserve(w);
-    for (std::size_t i = 0; i < w; ++i) {
-      opt.chunks.push_back(needed[i].index);
-    }
     // Furthest region still contacted once the w most distant chunks are
     // cached; the local cache when everything needed is cached. A cache
     // fetch also happens for the cached chunks, so the floor is the cache
@@ -69,11 +63,37 @@ std::vector<CachingOption> OptionGenerator::generate(
         w < needed.size() ? needed[w].latency_ms : 0.0;
     const double after_ms =
         std::max(residual_backend_ms, params_.cache_latency_ms);
-    opt.expected_latency_ms = after_ms;
-    const double improvement = std::max(0.0, uncached_ms - after_ms);
-    opt.value = popularity * improvement;
-    out.push_back(std::move(opt));
+    out.expected_latency_ms.push_back(after_ms);
+    out.gain_ms.push_back(std::max(0.0, uncached_ms - after_ms));
   }
+}
+
+void OptionGenerator::write_options(const LayoutOptions& layout,
+                                    const ObjectKey& key, ObjectId object,
+                                    double popularity,
+                                    std::vector<CachingOption>& out) const {
+  const auto& weights = params_.candidate_weights;
+  out.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    CachingOption& opt = out[i];
+    const std::size_t w = weights[i];
+    opt.key = key;
+    opt.object = object;
+    opt.chunks.assign(layout.chunks.begin(), layout.chunks.begin() + w);
+    opt.weight = w;
+    opt.weight_units = w;
+    opt.value = popularity * layout.gain_ms[i];
+    opt.expected_latency_ms = layout.expected_latency_ms[i];
+  }
+}
+
+std::vector<CachingOption> OptionGenerator::generate(
+    const ObjectKey& key, std::vector<ChunkCost> chunk_costs,
+    double popularity) const {
+  LayoutOptions layout;
+  value_layout(chunk_costs, layout);
+  std::vector<CachingOption> out;
+  write_options(layout, key, 0, popularity, out);
   return out;
 }
 

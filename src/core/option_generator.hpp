@@ -12,6 +12,12 @@
 //      with nothing cached - latency of the furthest region still
 //      contacted once the w chunks are cached). For w == k the remaining
 //      "region" is the local cache itself.
+//
+// Steps 1-3 and the latency half of step 4 depend only on where the
+// object's chunks live, and every object shares one of the backend's few
+// stripe layouts. So a reconfiguration values each layout once
+// (value_layout) and then writes each object's options from it
+// (write_options), which costs one multiplication per option.
 #pragma once
 
 #include <vector>
@@ -28,6 +34,19 @@ struct ChunkCost {
   double latency_ms = 0.0;
 };
 
+/// One stripe layout, valued: what every object on the layout would cache
+/// at each candidate weight and what that saves, before popularity.
+struct LayoutOptions {
+  /// The k needed chunks (the m furthest dropped), most distant first: the
+  /// option of weight w caches the first w.
+  std::vector<ChunkIndex> chunks;
+  /// Per candidate weight, in the generator's candidate order: the latency
+  /// the option saves (never negative) and the expected read latency once
+  /// it is installed.
+  std::vector<double> gain_ms;
+  std::vector<double> expected_latency_ms;
+};
+
 struct OptionGeneratorParams {
   std::size_t k = 9;
   std::size_t m = 3;
@@ -42,10 +61,23 @@ class OptionGenerator {
  public:
   explicit OptionGenerator(OptionGeneratorParams params);
 
-  /// Options for one object. `chunk_costs` must list all k+m chunks.
-  /// `popularity` is the request monitor's EWMA for this key.
-  /// Options with non-positive improvement are still produced (value 0) so
-  /// the solver can reason uniformly; the solver skips zero-value options.
+  /// Value one stripe layout into `out`, reusing its buffers.
+  /// `chunk_costs` must list all k+m chunks; it is sorted in place, most
+  /// distant first (latency ties broken by region, then index).
+  void value_layout(std::vector<ChunkCost>& chunk_costs,
+                    LayoutOptions& out) const;
+
+  /// One object's options on a valued layout into `out`, one per candidate
+  /// weight, reusing its buffers: value = popularity x gain. `popularity`
+  /// is the request monitor's EWMA for this key. Options with no gain are
+  /// still produced (value 0) so the solver can reason uniformly; the
+  /// solver skips zero-value options. weight_units is the chunk count,
+  /// which the cache manager rescales for mixed object sizes.
+  void write_options(const LayoutOptions& layout, const ObjectKey& key,
+                     ObjectId object, double popularity,
+                     std::vector<CachingOption>& out) const;
+
+  /// Options for one object: value_layout, then write_options.
   [[nodiscard]] std::vector<CachingOption> generate(
       const ObjectKey& key, std::vector<ChunkCost> chunk_costs,
       double popularity) const;

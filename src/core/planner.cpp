@@ -35,6 +35,20 @@ class SolverPlanner final : public Planner {
   std::string name_;
 };
 
+/// The paper's exact DP, keeping its buffers from one period to the next.
+class DpPlanner final : public Planner {
+ public:
+  KnapsackResult plan(const std::vector<std::vector<CachingOption>>& groups,
+                      std::size_t capacity_units) override {
+    return dp_.solve(groups, capacity_units);
+  }
+
+  [[nodiscard]] std::string name() const override { return "knapsack-dp"; }
+
+ private:
+  KnapsackDp dp_;
+};
+
 /// Warm-start planner: keeps the previous configuration for every key whose
 /// planning inputs (popularity x latency, i.e. option values) moved less
 /// than `threshold` since that key was last planned, and runs the exact DP
@@ -93,7 +107,7 @@ class IncrementalPlanner final : public Planner {
     dirty_groups.reserve(dirty.size());
     for (const std::size_t i : dirty) dirty_groups.push_back(groups[i]);
     const KnapsackResult partial =
-        solve_dp(dirty_groups, capacity_units - kept_units);
+        dp_.solve(dirty_groups, capacity_units - kept_units);
     std::unordered_map<ObjectKey, const CachingOption*> replanned;
     for (const auto& o : partial.chosen) replanned.emplace(o.key, &o);
 
@@ -196,7 +210,7 @@ class IncrementalPlanner final : public Planner {
   KnapsackResult full_plan(
       const std::vector<std::vector<CachingOption>>& groups,
       std::size_t capacity_units) {
-    KnapsackResult result = solve_dp(groups, capacity_units);
+    KnapsackResult result = dp_.solve(groups, capacity_units);
     memo_.clear();
     memo_.reserve(groups.size());
     std::unordered_map<ObjectKey, const CachingOption*> chosen;
@@ -216,6 +230,7 @@ class IncrementalPlanner final : public Planner {
 
   double threshold_;
   std::size_t full_every_;
+  KnapsackDp dp_;
   std::uint64_t rounds_ = 0;
   std::unordered_map<ObjectKey, KeyMemo> memo_;
 };
@@ -227,7 +242,7 @@ const api::PlannerRegistration kDp{{
     "POPULATE/RELAX algorithm, §IV-B)",
     api::ParamSchema{},
     [](const api::PlannerContext&, const api::ParamMap&) {
-      return std::make_unique<SolverPlanner<solve_dp>>("knapsack-dp");
+      return std::make_unique<DpPlanner>();
     },
     {}}};
 

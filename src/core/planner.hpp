@@ -32,7 +32,9 @@ class Planner {
 
   /// Solve one reconfiguration: choose at most one option per key, never a
   /// non-positive-value option, within `capacity_units`. `options_per_key`
-  /// groups are sorted by key and each group belongs to a single key.
+  /// groups are sorted by key and each group belongs to a single key; the
+  /// chosen options come back in that key order, which the cache manager
+  /// installs as is.
   [[nodiscard]] virtual KnapsackResult plan(
       const std::vector<std::vector<CachingOption>>& options_per_key,
       std::size_t capacity_units) = 0;

@@ -93,10 +93,11 @@ double RegionManager::estimate_ms(RegionId region) const {
   return estimator_.estimate_ms(region);
 }
 
-void RegionManager::chunk_costs(ObjectId object,
-                                std::vector<ChunkCost>& out) const {
+void RegionManager::chunk_costs(
+    std::span<const store::ChunkLocation> locations,
+    std::vector<ChunkCost>& out) const {
   out.clear();
-  for (const auto& loc : backend_->object_info(object).locations) {
+  for (const auto& loc : locations) {
     out.push_back(
         ChunkCost{loc.index, loc.region, estimate_ms(loc.region)});
   }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/slot_pool.hpp"
@@ -55,8 +56,14 @@ class RegionManager {
   [[nodiscard]] double estimate_ms(RegionId region) const;
 
   /// Chunk costs for every chunk of `object`, by index, into `out` — input
-  /// to the option generator and Agar's read planning.
-  void chunk_costs(ObjectId object, std::vector<ChunkCost>& out) const;
+  /// to Agar's read planning.
+  void chunk_costs(ObjectId object, std::vector<ChunkCost>& out) const {
+    chunk_costs(backend_->object_info(object).locations, out);
+  }
+  /// Chunk costs of one stripe layout, by index, into `out` — input to the
+  /// option generator, which values each layout once per reconfiguration.
+  void chunk_costs(std::span<const store::ChunkLocation> locations,
+                   std::vector<ChunkCost>& out) const;
 
   /// Region of one specific chunk under the placement policy.
   [[nodiscard]] RegionId region_of(ObjectId object, ChunkIndex index) const {

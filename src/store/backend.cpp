@@ -63,8 +63,10 @@ ObjectId BackendCluster::register_object(const ObjectKey& key,
   info.object_size = object_size;
   info.chunk_size = codec_.chunk_size(object_size);
   const std::size_t total = codec_.rs().total();
-  info.locations = std::span<const ChunkLocation>(layouts_).subspan(
-      placement_.offset_of(key, num_regions()) * total, total);
+  const std::size_t layout = placement_.offset_of(key, num_regions());
+  info.layout = static_cast<std::uint32_t>(layout);
+  info.locations =
+      std::span<const ChunkLocation>(layouts_).subspan(layout * total, total);
   return id;
 }
 

@@ -12,6 +12,7 @@
 // the daemon's GET requests, tests).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -38,6 +39,8 @@ struct ObjectInfo {
   /// All k + m chunks, by index. Objects with the same stripe start share
   /// one layout table, so a record owns no heap memory of its own.
   std::span<const ChunkLocation> locations;
+  /// Which of the backend's num_layouts() tables `locations` is.
+  std::uint32_t layout = 0;
 };
 
 class BackendCluster {
@@ -53,6 +56,10 @@ class BackendCluster {
   [[nodiscard]] const ec::RoundRobinPlacement& placement() const {
     return placement_;
   }
+
+  /// Stripe layouts, one per stripe start: an object's chunk regions, and
+  /// so its chunk costs and caching options, depend only on its layout.
+  [[nodiscard]] std::size_t num_layouts() const { return num_regions(); }
 
   /// Room for `objects` registrations without regrowing the directory.
   void reserve(std::size_t objects);

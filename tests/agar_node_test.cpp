@@ -147,7 +147,8 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
   s.warm_up();
   for (int i = 0; i < 50; ++i) (void)s.plan_read("object0");
   reconfigure(s);
-  const auto opt0 = s.cache_manager().current().entries.at("object0");
+  ASSERT_NE(s.cache_manager().current().find("object0"), nullptr);
+  const auto opt0 = *s.cache_manager().current().find("object0");
   for (const ChunkIndex idx : opt0.chunks) {
     ASSERT_TRUE(s.cache().contains(ChunkId{opt0.object, idx}.key()));
   }
@@ -156,7 +157,7 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
     for (int i = 0; i < 100; ++i) (void)s.plan_read("object3");
     reconfigure(s);
   }
-  EXPECT_FALSE(s.cache_manager().current().entries.contains("object0"));
+  EXPECT_EQ(s.cache_manager().current().find("object0"), nullptr);
   // Its chunks must be gone from the cache.
   for (const ChunkIndex idx : opt0.chunks) {
     EXPECT_FALSE(s.cache().contains(ChunkId{opt0.object, idx}.key()));

@@ -58,7 +58,7 @@ TEST_F(PeerInfoTest, BroadcastContainsConfiguredChunks) {
   const collab::PeerInfo info = agar->collab_info();
   EXPECT_EQ(info.region, sim::region::kFrankfurt);
   std::size_t expected = 0;
-  for (const auto& [key, opt] : agar->cache_manager().current().entries) {
+  for (const auto& opt : agar->cache_manager().current().entries) {
     expected += opt.chunks.size();
   }
   EXPECT_GT(expected, 0u);
