@@ -12,6 +12,7 @@
 
 #include "api/registry.hpp"
 #include "client/agar_strategy.hpp"
+#include "client/workload.hpp"
 #include "core/knapsack.hpp"
 #include "core/option_generator.hpp"
 #include "core/planner.hpp"
@@ -158,6 +159,36 @@ class ReconfigFixture : public benchmark::Fixture {
   std::unique_ptr<sim::EventLoop> loop_;
   std::unique_ptr<client::AgarStrategy> agar_;
 };
+
+// One whole CacheManager::reconfigure at the paper configuration: roll and
+// snapshot the monitor, generate the options, plan, install. Between
+// plans (untimed) the monitor sees a period's worth of Zipf 1.1 reads
+// (two clients' 120), so it tracks about the 144 keys the `paper`
+// workload's plans cover.
+// The traced benchmark's `core.plan_s` times only the planner.
+BENCHMARK_F(ReconfigFixture, BM_Reconfigure)(benchmark::State& state) {
+  client::Workload workload(client::WorkloadSpec::zipfian(1.1), 300, 42);
+  std::vector<ObjectKey> keys;
+  for (int i = 0; i < 300; ++i) keys.push_back("object" + std::to_string(i));
+  auto& monitor = agar_->popularity_estimator();
+  auto& manager = agar_->cache_manager();
+  const auto read_one_period = [&] {
+    for (int i = 0; i < 120; ++i) monitor.record(keys[workload.next_object()]);
+  };
+  for (int period = 0; period < 10; ++period) {
+    read_one_period();
+    (void)manager.reconfigure();
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    read_one_period();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(manager.reconfigure().total_value);
+  }
+  state.counters["tracked_keys"] =
+      static_cast<double>(monitor.tracked_keys());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
 
 BENCHMARK_F(ReconfigFixture, FullReconfiguration)(benchmark::State& state) {
   for (auto _ : state) {
