@@ -90,6 +90,9 @@ TEST_P(PlannerInvariants, RespectsCapacityOneOptionPerKeyNoZeroValue) {
     std::size_t units = 0;
     double value = 0.0;
     for (const auto& o : r.chosen) {
+      // The groups are in key order, so the choice must be too.
+      EXPECT_TRUE(keys.empty() || *keys.rbegin() < o.key)
+          << GetParam() << ": " << o.key << " out of key order";
       EXPECT_TRUE(keys.insert(o.key).second)
           << GetParam() << ": duplicate key " << o.key;
       EXPECT_GT(o.value, 0.0) << GetParam() << ": zero-value option chosen";
