@@ -79,14 +79,7 @@ void CacheManager::generate_options(
       generator_.value_layout(costs_, layout);
       layout_valued_[info.layout] = true;
     }
-    if (used == groups_.size()) {
-      if (spare_groups_.empty()) {
-        groups_.emplace_back();
-      } else {
-        groups_.push_back(std::move(spare_groups_.back()));
-        spare_groups_.pop_back();
-      }
-    }
+    if (used == groups_.size()) groups_.emplace_back();
     auto& group = groups_[used++];
     generator_.write_options(layout, key, ids_[i], popularity, group);
     for (auto& opt : group) {
@@ -96,11 +89,7 @@ void CacheManager::generate_options(
           std::ceil(bytes / static_cast<double>(quantum)));
     }
   }
-  // Fewer keys than last period: keep the extra groups' buffers.
-  while (groups_.size() > used) {
-    spare_groups_.push_back(std::move(groups_.back()));
-    groups_.pop_back();
-  }
+  groups_.resize(used);
 }
 
 const CacheConfiguration& CacheManager::reconfigure() {

@@ -108,9 +108,9 @@ class CacheManager {
   std::vector<LayoutOptions> layouts_;
   std::vector<bool> layout_valued_;
   std::vector<ChunkCost> costs_;
-  /// The planner's input, and groups left over from a larger period.
+  /// The planner's input: one group per planned key, each reused by the
+  /// key in its place next period.
   std::vector<std::vector<CachingOption>> groups_;
-  std::vector<std::vector<CachingOption>> spare_groups_;
   /// The chunk keys for the cache.
   std::vector<ChunkKey> configured_keys_;
 };

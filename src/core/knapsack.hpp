@@ -41,8 +41,9 @@ struct KnapsackResult {
 /// with value <= 0 or weight_units == 0 or weight_units > capacity_units
 /// are ignored. Runtime O(total_options x capacity_units), i.e. the O(C^2)
 /// the paper reports once the option count is proportional to capacity.
-/// Among equal-valued configurations a key takes the first of its options
-/// (in group order) that beats skipping it and every option before it.
+/// Ties keep the earlier choice: at each capacity a key is skipped unless
+/// one of its options is strictly better, and of the options that reach
+/// the best value the first in group order is taken.
 class KnapsackDp {
  public:
   [[nodiscard]] KnapsackResult solve(

@@ -148,8 +148,9 @@ TEST(VerifyAlloc, PaperReadAllocatesAtMostTheControlPlanesShare) {
   // Reads allocate nothing; what remains is the once-per-period control
   // plane, amortized over the reads of a 30 s period. Option groups and
   // the DP's table are kept from period to period, so a reconfiguration
-  // allocates the estimator's snapshot and the planner's chosen options
-  // (one chunk list each), about 0.9 per read in all.
+  // allocates the estimator's snapshot, the planner's chosen options (one
+  // chunk list each) and the groups of keys planned beyond the period
+  // before, about 1.0 per read in all.
   const Window w = count_window(
       "paper", {"system=agar", "planner=knapsack-dp", "monitor=exact-ewma",
                 "cache_bytes=10MB", "verify=false"});
