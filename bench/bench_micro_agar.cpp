@@ -161,11 +161,11 @@ class ReconfigFixture : public benchmark::Fixture {
 };
 
 // One whole CacheManager::reconfigure at the paper configuration: roll and
-// snapshot the monitor, generate the options, plan, install. Between
-// plans (untimed) the monitor sees a period's worth of Zipf 1.1 reads
-// (two clients' 120), so it tracks about the 144 keys the `paper`
-// workload's plans cover.
-// The traced benchmark's `core.plan_s` times only the planner.
+// snapshot the monitor, generate the options, plan, install (the traced
+// benchmark's `core.plan_s` times only the planner). Between plans
+// (untimed) the monitor sees a period's worth of Zipf 1.1 reads, 120 as
+// in the `paper` workload (100,000 reads over 824 periods), so it tracks
+// about the 144 keys that workload's plans cover.
 BENCHMARK_F(ReconfigFixture, BM_Reconfigure)(benchmark::State& state) {
   client::Workload workload(client::WorkloadSpec::zipfian(1.1), 300, 42);
   std::vector<ObjectKey> keys;
