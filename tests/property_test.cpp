@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
+#include "cache/arc_cache.hpp"
+#include "cache/lfu_cache.hpp"
+#include "cache/lru_cache.hpp"
 #include "cache/static_cache.hpp"
 #include "client/runner.hpp"
 #include "common/rng.hpp"
@@ -53,6 +58,7 @@ std::vector<EngineParam> all_engine_params() {
   std::vector<EngineParam> out;
   for (const auto& name : api::EngineRegistry::instance().names()) {
     out.push_back(EngineParam{name, 256});
+    out.push_back(EngineParam{name, 1024});
     out.push_back(EngineParam{name, 4096});
   }
   return out;
@@ -100,6 +106,89 @@ TEST_P(EngineInvariants, GetAfterPutReturnsLatestValue) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->size(), 20u);
   EXPECT_EQ((*v)[0], 2);
+}
+
+/// Folds 64-bit words into one (FNV-1a over words).
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; }
+};
+
+/// Every observable of one engine under a seeded mixed-size churn: each
+/// get's hit and size, each put's result, `used_bytes`, `keys()` in order
+/// every 97 ops, the stats, and the engine's own gauges (ARC's list bytes
+/// and target, LFU's frequency and next victim, LRU's next victim).
+std::uint64_t churn_digest(cache::CacheEngine& engine) {
+  const auto* arc = dynamic_cast<const cache::ArcCache*>(&engine);
+  const auto* lfu = dynamic_cast<const cache::LfuCache*>(&engine);
+  const auto* lru = dynamic_cast<const cache::LruCache*>(&engine);
+  const auto add_candidate = [](Digest& d, std::optional<ChunkKey> key) {
+    d.add(key.has_value() ? *key + 1 : 0);
+  };
+  Digest d;
+  Rng rng(4242);
+  for (std::uint64_t op = 0; op < 20000; ++op) {
+    const ChunkKey key = ChunkId{static_cast<ObjectId>(rng.next_below(64)),
+                                 static_cast<ChunkIndex>(rng.next_below(3))}
+                             .key();
+    if (rng.next_below(2) == 0) {
+      const auto v = engine.get(key);
+      d.add(v.has_value() ? 1 + v->size() + (std::uint64_t{(*v)[0]} << 8)
+                          : 0);
+    } else {
+      const std::size_t size = 1 + rng.next_below(120);
+      d.add(engine.put(key, Bytes(size, static_cast<std::uint8_t>(op))) ? 1
+                                                                         : 2);
+    }
+    d.add(engine.used_bytes());
+    if (op % 97 == 0) {
+      for (const ChunkKey k : engine.keys()) d.add(k);
+    }
+    if (arc != nullptr) {
+      d.add(arc->t1_bytes());
+      d.add(arc->t2_bytes());
+      d.add(arc->ghost_bytes());
+      d.add(arc->target_t1_bytes());
+    }
+    if (lfu != nullptr) {
+      d.add(lfu->frequency(key));
+      add_candidate(d, lfu->eviction_candidate());
+    }
+    if (lru != nullptr) add_candidate(d, lru->eviction_candidate());
+  }
+  const cache::CacheStats& s = engine.stats();
+  for (const std::uint64_t v :
+       {s.hits, s.misses, s.puts, s.admissions, s.rejections, s.evictions}) {
+    d.add(v);
+  }
+  return d.h;
+}
+
+TEST_P(EngineInvariants, ChurnDigestIsPinned) {
+  // The digests the engines produced before they moved onto SlotList:
+  // any change in eviction order, keys() order, counters or gauges moves
+  // them.
+  static const std::map<std::string, std::uint64_t> kPinned = {
+      {"arc_256", 0xbee0fed4425f2112ULL},
+      {"arc_1024", 0x68581480af12abeeULL},
+      {"arc_4096", 0x766c706e4dacac64ULL},
+      {"lfu_256", 0xbb6d64c287bdb183ULL},
+      {"lfu_1024", 0x2e5d803a2afa4324ULL},
+      {"lfu_4096", 0xae45ddd59af8e975ULL},
+      {"lru_256", 0xbf0fd4df073b8486ULL},
+      {"lru_1024", 0x92afa8d3aaf969e9ULL},
+      {"lru_4096", 0x4b0855b6a1ec3885ULL},
+      {"tinylfu_256", 0x3cf3ff67d5484fbeULL},
+      {"tinylfu_1024", 0x950b6dff8090ca51ULL},
+      {"tinylfu_4096", 0x064df1ec5ff041eaULL},
+  };
+  const EngineParam& p = GetParam();
+  auto engine = make_engine(p);
+  const std::uint64_t digest = churn_digest(*engine);
+  const auto it = kPinned.find(p.name + "_" + std::to_string(p.capacity));
+  ASSERT_NE(it, kPinned.end())
+      << "no pinned digest for " << p << "; it is 0x" << std::hex << digest;
+  EXPECT_EQ(digest, it->second) << std::hex << "0x" << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(

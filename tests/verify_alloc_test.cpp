@@ -165,5 +165,18 @@ TEST(VerifyAlloc, BackendReadAllocatesNothing) {
   EXPECT_LE(w.calls, w.reads);
 }
 
+// A fixed-chunks read: the backend read plus one engine's get and, on a
+// miss, its puts. Each engine keeps its entries in pooled records, so
+// once the cache has filled nothing allocates.
+TEST(VerifyAlloc, LruReadAllocatesNothing) {
+  const Window w = count_window("lru", {"system=lru", "verify=false"});
+  EXPECT_EQ(w.calls, 0u);
+}
+
+TEST(VerifyAlloc, TinyLfuReadAllocatesNothing) {
+  const Window w = count_window("tinylfu", {"system=tinylfu", "verify=false"});
+  EXPECT_EQ(w.calls, 0u);
+}
+
 }  // namespace
 }  // namespace agar::client
