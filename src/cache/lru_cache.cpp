@@ -22,19 +22,6 @@ const api::EngineRegistration kLruEngine{{
 
 LruCache::LruCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-void LruCache::unlink(std::uint32_t e) {
-  Entry& entry = entries_[e];
-  (entry.prev == kNone ? head_ : entries_[entry.prev].next) = entry.next;
-  (entry.next == kNone ? tail_ : entries_[entry.next].prev) = entry.prev;
-}
-
-void LruCache::push_front(std::uint32_t e) {
-  entries_[e].prev = kNone;
-  entries_[e].next = head_;
-  (head_ == kNone ? tail_ : entries_[head_].prev) = e;
-  head_ = e;
-}
-
 std::optional<SharedBytes> LruCache::get(ChunkKey key) {
   const std::uint32_t* e = index_.find(key);
   if (e == nullptr) {
@@ -42,18 +29,18 @@ std::optional<SharedBytes> LruCache::get(ChunkKey key) {
     return std::nullopt;
   }
   // Move to front (most recently used).
-  unlink(*e);
-  push_front(*e);
+  recency_.unlink(entries_, *e);
+  recency_.push_front(entries_, *e);
   ++stats_.hits;
   return entries_[*e].value;  // shared handle, no copy
 }
 
 void LruCache::evict_until_fits(std::size_t incoming) {
-  while (used_bytes_ + incoming > capacity_bytes_ && tail_ != kNone) {
-    const std::uint32_t victim = tail_;
+  while (used_bytes_ + incoming > capacity_bytes_ && !recency_.empty()) {
+    const std::uint32_t victim = recency_.back();
     used_bytes_ -= entries_[victim].value.size();
     index_.erase(entries_[victim].key);
-    unlink(victim);
+    recency_.unlink(entries_, victim);
     entries_.release(victim);
     ++stats_.evictions;
   }
@@ -71,8 +58,8 @@ bool LruCache::put(ChunkKey key, SharedBytes value) {
     used_bytes_ -= entries_[e].value.size();
     used_bytes_ += value.size();
     entries_[e].value = std::move(value);
-    unlink(e);
-    push_front(e);
+    recency_.unlink(entries_, e);
+    recency_.push_front(entries_, e);
     evict_until_fits(0);
     ++stats_.admissions;
     return true;
@@ -82,7 +69,7 @@ bool LruCache::put(ChunkKey key, SharedBytes value) {
   used_bytes_ += value.size();
   entries_[e].key = key;
   entries_[e].value = std::move(value);
-  push_front(e);
+  recency_.push_front(entries_, e);
   *index_.try_emplace(key).first = e;
   ++stats_.admissions;
   return true;
@@ -93,15 +80,14 @@ bool LruCache::contains(ChunkKey key) const { return index_.contains(key); }
 std::vector<ChunkKey> LruCache::keys() const {
   std::vector<ChunkKey> out;
   out.reserve(index_.size());
-  for (std::uint32_t e = head_; e != kNone; e = entries_[e].next) {
-    out.push_back(entries_[e].key);
-  }
+  recency_.for_each(entries_,
+                    [&](std::uint32_t e) { out.push_back(entries_[e].key); });
   return out;
 }
 
 std::optional<ChunkKey> LruCache::eviction_candidate() const {
-  if (tail_ == kNone) return std::nullopt;
-  return entries_[tail_].key;
+  if (recency_.empty()) return std::nullopt;
+  return entries_[recency_.back()].key;
 }
 
 }  // namespace agar::cache

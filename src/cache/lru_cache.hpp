@@ -2,7 +2,7 @@
 //
 // Classic intrusive design: a doubly linked list in recency order plus a
 // hash map from key to list node. All operations are O(1) expected. The
-// nodes live in a SlotPool, linked by slot, and the map is an
+// nodes live in a SlotPool, on one SlotList, and the map is an
 // integer-keyed IntMap, so once the cache has been full a put allocates
 // nothing.
 #pragma once
@@ -30,22 +30,16 @@ class LruCache final : public CacheEngine {
   [[nodiscard]] std::optional<ChunkKey> eviction_candidate() const;
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
   struct Entry {
     ChunkKey key = 0;
     SharedBytes value;
-    std::uint32_t prev = kNone;  ///< more recently used
-    std::uint32_t next = kNone;  ///< less recently used
+    SlotLinks links;
   };
 
-  void unlink(std::uint32_t e);
-  void push_front(std::uint32_t e);
   void evict_until_fits(std::size_t incoming);
 
   SlotPool<Entry> entries_;
-  std::uint32_t head_ = kNone;  ///< most recently used
-  std::uint32_t tail_ = kNone;  ///< least recently used
+  SlotList<Entry> recency_;  ///< most recently used first
   IntMap<std::uint32_t> index_;  ///< key -> slot in entries_
 };
 

@@ -12,20 +12,18 @@ FetchCoordinator::FetchCoordinator(sim::Network* network)
   }
 }
 
-std::uint32_t FetchCoordinator::new_waiter(Callback cb) {
+void FetchCoordinator::join(SlotList<Waiter>& waiting, Callback cb) {
   const std::uint32_t w = waiters_.acquire();
   waiters_[w].cb = std::move(cb);
-  return w;
+  waiting.push_back(waiters_, w);
 }
 
 FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
                                    RegionId to, std::size_t bytes,
                                    Callback cb) {
   const ChunkKey key = chunk.key();
-  if (Flight* flight = inflight_.find(key)) {
-    const std::uint32_t w = new_waiter(std::move(cb));
-    waiters_[flight->tail].next = w;
-    flight->tail = w;
+  if (SlotList<Waiter>* waiting = inflight_.find(key)) {
+    join(*waiting, std::move(cb));
     ++coalesced_;
     return FetchStart::kJoined;
   }
@@ -37,8 +35,7 @@ FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
           ? transport_(chunk, from, to, bytes, std::move(on_done))
           : network_->begin_fetch(from, to, bytes, std::move(on_done));
   if (!accepted) return FetchStart::kDown;
-  const std::uint32_t w = new_waiter(std::move(cb));
-  *inflight_.try_emplace(key).first = Flight{w, w};
+  join(*inflight_.try_emplace(key).first, std::move(cb));
   ++started_;
   return FetchStart::kStarted;
 }
@@ -47,17 +44,15 @@ void FetchCoordinator::complete(ChunkKey key,
                                 std::optional<SimTimeMs> latency) {
   // Unlink the entry before invoking: a callback may start a new fetch of
   // the same chunk, which must open a fresh entry.
-  std::uint32_t w = inflight_.find(key)->head;
+  const SlotList<Waiter> waiting = *inflight_.find(key);
   inflight_.erase(key);
-  while (w != kNone) {
+  waiting.for_each(waiters_, [this, latency](std::uint32_t w) {
     // A waiter may start fetches that reuse freed records or grow the
-    // table, so take what this one needs before it runs.
+    // pool, so take its callback before it runs.
     Callback cb = std::move(waiters_[w].cb);
-    const std::uint32_t next = waiters_[w].next;
     waiters_.release(w);
     cb(latency);
-    w = next;
-  }
+  });
 }
 
 }  // namespace agar::core

@@ -13,8 +13,8 @@
 // One coordinator serves one client region (wire latency depends on the
 // requesting region, so coalescing across regions would be wrong).
 //
-// The in-flight table is keyed by the chunk's integer key; each entry
-// heads a chain of waiter records drawn from a SlotPool, so a steady-state
+// The in-flight table is keyed by the chunk's integer key; each entry is a
+// SlotList of waiter records drawn from one SlotPool, so a steady-state
 // fetch allocates nothing. Waiters fire in the order they joined.
 #pragma once
 
@@ -77,26 +77,19 @@ class FetchCoordinator {
   [[nodiscard]] std::uint64_t coalesced() const { return coalesced_; }
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
   struct Waiter {
     Callback cb;
-    std::uint32_t next = kNone;
-  };
-  /// One in-flight chunk: its waiter chain, oldest first.
-  struct Flight {
-    std::uint32_t head = kNone;
-    std::uint32_t tail = kNone;
+    SlotLinks links;
   };
 
-  /// A waiter record holding `cb`, last in its chain.
-  std::uint32_t new_waiter(Callback cb);
+  /// Add a waiter holding `cb` to the end of `waiting`.
+  void join(SlotList<Waiter>& waiting, Callback cb);
   /// The wire fetch of `key` landed: fire its waiters in join order.
   void complete(ChunkKey key, std::optional<SimTimeMs> latency);
 
   sim::Network* network_;  // non-owning
   Transport transport_;    // empty = raw network
-  IntMap<Flight> inflight_;
+  IntMap<SlotList<Waiter>> inflight_;  ///< each chunk's waiters, oldest first
   SlotPool<Waiter> waiters_;
   std::uint64_t started_ = 0;
   std::uint64_t coalesced_ = 0;

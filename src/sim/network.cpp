@@ -19,33 +19,6 @@ Network::FetchCallback Network::free_fetch(std::uint32_t f) {
   return cb;
 }
 
-void Network::push_back(FetchList& list, std::uint32_t f) {
-  fetches_[f].prev = list.tail;
-  fetches_[f].next = kNone;
-  if (list.tail == kNone) {
-    list.head = f;
-  } else {
-    fetches_[list.tail].next = f;
-  }
-  list.tail = f;
-  ++list.size;
-}
-
-void Network::unlink(FetchList& list, std::uint32_t f) {
-  const Fetch& fetch = fetches_[f];
-  if (fetch.prev == kNone) {
-    list.head = fetch.next;
-  } else {
-    fetches_[fetch.prev].next = fetch.next;
-  }
-  if (fetch.next == kNone) {
-    list.tail = fetch.prev;
-  } else {
-    fetches_[fetch.next].prev = fetch.prev;
-  }
-  --list.size;
-}
-
 bool Network::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
                           FetchCallback cb) {
   if (is_down(to)) return false;
@@ -60,10 +33,10 @@ bool Network::begin_fetch(RegionId from, RegionId to, std::size_t bytes,
   fetch.bytes = bytes;
   RegionState& rs = region_states_[to];
   if (max_outstanding_per_region_ != 0 &&
-      rs.wire.size >= max_outstanding_per_region_) {
-    push_back(rs.fifo, f);
+      rs.wire.size() >= max_outstanding_per_region_) {
+    rs.fifo.push_back(fetches_, f);
     ++stats_.queued_fetches;
-    stats_.max_queue_depth = std::max(stats_.max_queue_depth, rs.fifo.size);
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, rs.fifo.size());
     return true;
   }
   start_wire(f);
@@ -83,7 +56,7 @@ void Network::start_wire(std::uint32_t f) {
   fetch.dropped = sample.dropped;
   if (++transfers_ == 0) transfers_ = 1;  // 0 marks no transfer
   fetch.transfer = transfers_;
-  push_back(region_states_[fetch.to].wire, f);
+  region_states_[fetch.to].wire.push_back(fetches_, f);
   ++total_outstanding_;
   ++stats_.wire_fetches;
   stats_.max_in_flight = std::max(stats_.max_in_flight, total_outstanding_);
@@ -101,7 +74,7 @@ void Network::wire_done(std::uint32_t f, std::uint32_t transfer) {
   const std::optional<SimTimeMs> latency =
       fetches_[f].dropped ? std::nullopt
                           : std::optional<SimTimeMs>(fetches_[f].latency_ms);
-  unlink(region_states_[to].wire, f);
+  region_states_[to].wire.unlink(fetches_, f);
   FetchCallback cb = free_fetch(f);
   --total_outstanding_;
   // Hand the freed slot to the queue head before the completion callback
@@ -115,18 +88,17 @@ void Network::drain_queue(RegionId to) {
   // Queued entries only exist for up regions: fail_region clears the FIFO
   // and begin_fetch refuses down destinations, so no down-check is needed.
   RegionState& rs = region_states_[to];
-  while (rs.fifo.size != 0 &&
+  while (!rs.fifo.empty() &&
          (max_outstanding_per_region_ == 0 ||
-          rs.wire.size < max_outstanding_per_region_)) {
-    const std::uint32_t next = rs.fifo.head;
-    unlink(rs.fifo, next);
+          rs.wire.size() < max_outstanding_per_region_)) {
+    const std::uint32_t next = rs.fifo.front();
+    rs.fifo.unlink(fetches_, next);
     start_wire(next);
   }
 }
 
 void Network::fail_list(FetchList& list, std::uint64_t& counter) {
-  for (std::uint32_t f = list.head; f != kNone;) {
-    const std::uint32_t next = fetches_[f].next;
+  list.for_each(fetches_, [this, &counter](std::uint32_t f) {
     // A wire completion still scheduled finds no transfer number. The
     // record stays taken until its observer hears the failure, on the
     // loop: asynchronously (like a timeout), never re-entrantly from
@@ -134,8 +106,7 @@ void Network::fail_list(FetchList& list, std::uint64_t& counter) {
     fetches_[f].transfer = 0;
     ++counter;
     loop_->schedule_in(0.0, [this, f] { free_fetch(f)(std::nullopt); });
-    f = next;
-  }
+  });
   list = FetchList{};
 }
 
@@ -148,7 +119,7 @@ void Network::fail_region(RegionId r) {
   // restoring the region cannot resurrect them. Queued entries fail
   // immediately too, instead of stranding until an unrelated completion
   // would have drained them.
-  total_outstanding_ -= rs.wire.size;
+  total_outstanding_ -= rs.wire.size();
   fail_list(rs.wire, stats_.aborted_on_wire);
   fail_list(rs.fifo, stats_.failed_in_queue);
 }
@@ -156,7 +127,7 @@ void Network::fail_region(RegionId r) {
 void Network::restore_region(RegionId r) {
   if (down_.erase(r) == 0) return;  // already up: idempotent
   const RegionState& rs = region_states_[r];
-  if (rs.wire.size != 0 || rs.fifo.size != 0) {
+  if (!rs.wire.empty() || !rs.fifo.empty()) {
     // fail_region's contract is that a downed region holds no wire or
     // queue state. Anything found here would strand forever — a restored
     // region only hands out slots on completions, and aborted transfers

@@ -14,7 +14,7 @@
 // probes all go through `begin_fetch`.
 //
 // Every asynchronous fetch is a record in one SlotPool and sits on one of
-// its destination region's two lists: the FIFO, or the wire. Both lists
+// its destination region's two SlotLists: the FIFO, or the wire. Both
 // keep issue order, whichever slots the records occupy, so fail_region
 // fails fetches in the order they were issued. A completion event names
 // its record's slot and transfer number; an aborted or freed record holds
@@ -136,15 +136,13 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t in_flight() const { return total_outstanding_; }
   [[nodiscard]] std::size_t outstanding(RegionId r) const {
-    return region_states_[r].wire.size;
+    return region_states_[r].wire.size();
   }
   [[nodiscard]] std::size_t queue_depth(RegionId r) const {
-    return region_states_[r].fifo.size;
+    return region_states_[r].fifo.size();
   }
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
   /// One asynchronous fetch, queued or on the wire.
   struct Fetch {
     FetchCallback cb;
@@ -157,15 +155,9 @@ class Network {
     /// carries. 0 while queued, once aborted and once freed, so an event
     /// that finds another number is stale.
     std::uint32_t transfer = 0;
-    std::uint32_t prev = kNone;    ///< neighbours on the region's list
-    std::uint32_t next = kNone;
+    SlotLinks links;  ///< on the region's wire or FIFO list
   };
-  /// A region's fetches in one state, oldest first.
-  struct FetchList {
-    std::uint32_t head = kNone;
-    std::uint32_t tail = kNone;
-    std::size_t size = 0;
-  };
+  using FetchList = SlotList<Fetch>;
   struct RegionState {
     FetchList wire;  ///< in the order they went on the wire
     FetchList fifo;  ///< waiting for a slot, in issue order
@@ -173,8 +165,6 @@ class Network {
 
   /// Free a record's slot, handing back its callback.
   FetchCallback free_fetch(std::uint32_t f);
-  void push_back(FetchList& list, std::uint32_t f);
-  void unlink(FetchList& list, std::uint32_t f);
 
   void start_wire(std::uint32_t f);
   /// Completion event of transfer number `transfer`, in slot `f`.
