@@ -9,103 +9,71 @@ namespace agar::cache {
 
 ArcCache::ArcCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
+std::uint32_t ArcCache::resident(ChunkKey key) const {
+  const std::uint32_t* n = index_.find(key);
+  return n != nullptr && nodes_[*n].list <= kT2 ? *n : kNoSlot;
+}
+
+void ArcCache::move(std::uint32_t n, List to) {
+  Node& node = nodes_[n];
+  lists_[node.list].unlink(nodes_, n);
+  bytes_[node.list] -= node.size;
+  node.list = to;
+  lists_[to].push_front(nodes_, n);
+  bytes_[to] += node.size;
+}
+
+void ArcCache::drop(std::uint32_t n) {
+  const Node& node = nodes_[n];
+  lists_[node.list].unlink(nodes_, n);
+  bytes_[node.list] -= node.size;
+  index_.erase(node.key);
+  nodes_.release(n);
+}
+
 std::optional<SharedBytes> ArcCache::get(ChunkKey key) {
-  const auto it = index_.find(key);
-  if (it == index_.end() || (it->second.where != Where::kT1 &&
-                             it->second.where != Where::kT2)) {
+  const std::uint32_t n = resident(key);
+  if (n == kNoSlot) {
     ++stats_.misses;
     return std::nullopt;
   }
-  Locator& loc = it->second;
   // Any repeat access promotes to the frequency side (T2 MRU).
-  if (loc.where == Where::kT1) {
-    const std::size_t size = loc.entry->value.size();
-    t2_.splice(t2_.begin(), t1_, loc.entry);
-    t1_bytes_ -= size;
-    t2_bytes_ += size;
-    loc.where = Where::kT2;
-  } else {
-    t2_.splice(t2_.begin(), t2_, loc.entry);
-  }
+  move(n, kT2);
   ++stats_.hits;
-  return loc.entry->value;
-}
-
-void ArcCache::remove_ghost(std::list<Ghost>& list, std::size_t& bytes,
-                            std::list<Ghost>::iterator it) {
-  bytes -= it->size;
-  index_.erase(it->key);
-  list.erase(it);
+  return nodes_[n].value;
 }
 
 void ArcCache::replace(std::size_t incoming, bool favor_t1) {
-  while (t1_bytes_ + t2_bytes_ + incoming > capacity_bytes_) {
+  while (bytes_[kT1] + bytes_[kT2] + incoming > capacity_bytes_) {
     const bool from_t1 =
-        !t1_.empty() &&
-        (t1_bytes_ > target_p_ || (favor_t1 && t1_bytes_ >= target_p_) ||
-         t2_.empty());
-    if (from_t1) {
-      Entry& victim = t1_.back();
-      const std::size_t size = victim.value.size();
-      Locator& loc = index_.at(victim.key);
-      b1_.push_front(Ghost{victim.key, size});
-      loc.where = Where::kB1;
-      loc.ghost = b1_.begin();
-      b1_bytes_ += size;
-      t1_bytes_ -= size;
-      used_bytes_ -= size;
-      t1_.pop_back();
-      ++stats_.evictions;
-    } else if (!t2_.empty()) {
-      Entry& victim = t2_.back();
-      const std::size_t size = victim.value.size();
-      Locator& loc = index_.at(victim.key);
-      b2_.push_front(Ghost{victim.key, size});
-      loc.where = Where::kB2;
-      loc.ghost = b2_.begin();
-      b2_bytes_ += size;
-      t2_bytes_ -= size;
-      used_bytes_ -= size;
-      t2_.pop_back();
-      ++stats_.evictions;
-    } else {
-      break;  // nothing resident to evict
-    }
+        !lists_[kT1].empty() &&
+        (bytes_[kT1] > target_p_ || (favor_t1 && bytes_[kT1] >= target_p_) ||
+         lists_[kT2].empty());
+    const List from = from_t1 ? kT1 : kT2;
+    if (lists_[from].empty()) break;  // nothing resident to evict
+    const std::uint32_t victim = lists_[from].back();
+    used_bytes_ -= nodes_[victim].size;
+    nodes_[victim].value = SharedBytes{};
+    move(victim, from == kT1 ? kB1 : kB2);
+    ++stats_.evictions;
   }
 }
 
 void ArcCache::trim_ghosts() {
   // Directory bound: resident + ghosts <= 2x capacity, and the recency
   // half (T1 + B1) <= capacity. Oldest ghosts go first.
-  while (!b1_.empty() && t1_bytes_ + b1_bytes_ > capacity_bytes_) {
-    remove_ghost(b1_, b1_bytes_, std::prev(b1_.end()));
+  const auto total = [this] {
+    return bytes_[kT1] + bytes_[kT2] + bytes_[kB1] + bytes_[kB2];
+  };
+  while (!lists_[kB1].empty() && bytes_[kT1] + bytes_[kB1] > capacity_bytes_) {
+    drop(lists_[kB1].back());
   }
-  while (!b2_.empty() && t1_bytes_ + t2_bytes_ + b1_bytes_ + b2_bytes_ >
-                             2 * capacity_bytes_) {
-    remove_ghost(b2_, b2_bytes_, std::prev(b2_.end()));
+  while (!lists_[kB2].empty() && total() > 2 * capacity_bytes_) {
+    drop(lists_[kB2].back());
   }
-  while (!b1_.empty() && t1_bytes_ + t2_bytes_ + b1_bytes_ + b2_bytes_ >
-                             2 * capacity_bytes_) {
-    remove_ghost(b1_, b1_bytes_, std::prev(b1_.end()));
+  while (!lists_[kB1].empty() && total() > 2 * capacity_bytes_) {
+    drop(lists_[kB1].back());
   }
-}
-
-void ArcCache::insert_resident(Where where, ChunkKey key,
-                               SharedBytes value) {
-  const std::size_t size = value.size();
-  Locator loc;
-  loc.where = where;
-  if (where == Where::kT1) {
-    t1_.push_front(Entry{key, std::move(value)});
-    loc.entry = t1_.begin();
-    t1_bytes_ += size;
-  } else {
-    t2_.push_front(Entry{key, std::move(value)});
-    loc.entry = t2_.begin();
-    t2_bytes_ += size;
-  }
-  used_bytes_ += size;
-  index_[key] = loc;
 }
 
 bool ArcCache::put(ChunkKey key, SharedBytes value) {
@@ -116,23 +84,14 @@ bool ArcCache::put(ChunkKey key, SharedBytes value) {
     return false;  // can never fit
   }
 
-  const auto it = index_.find(key);
-  if (it != index_.end() &&
-      (it->second.where == Where::kT1 || it->second.where == Where::kT2)) {
+  if (const std::uint32_t n = resident(key); n != kNoSlot) {
     // Resident overwrite: refresh on the frequency side.
-    Locator& loc = it->second;
-    const std::size_t old_size = loc.entry->value.size();
-    if (loc.where == Where::kT1) {
-      t2_.splice(t2_.begin(), t1_, loc.entry);
-      t1_bytes_ -= old_size;
-      t2_bytes_ += old_size;
-      loc.where = Where::kT2;
-    } else {
-      t2_.splice(t2_.begin(), t2_, loc.entry);
-    }
-    t2_bytes_ += size - old_size;
-    used_bytes_ += size - old_size;
-    loc.entry->value = std::move(value);
+    move(n, kT2);
+    Node& node = nodes_[n];
+    bytes_[kT2] += size - node.size;
+    used_bytes_ += size - node.size;
+    node.size = size;
+    node.value = std::move(value);
     // A grown entry may exceed capacity; evict others (never itself: it
     // sits at the T2 MRU position and eviction takes the LRU end).
     replace(0, false);
@@ -141,44 +100,50 @@ bool ArcCache::put(ChunkKey key, SharedBytes value) {
     return true;
   }
 
-  if (it != index_.end() && it->second.where == Where::kB1) {
-    // Recency ghost hit: a bigger T1 would have kept it. Grow the target.
-    const std::size_t ratio =
-        std::max<std::size_t>(1, b2_bytes_ / std::max<std::size_t>(b1_bytes_, 1));
-    target_p_ = std::min(capacity_bytes_, target_p_ + ratio * size);
-    remove_ghost(b1_, b1_bytes_, it->second.ghost);
-    replace(size, false);
-    insert_resident(Where::kT2, key, std::move(value));
-  } else if (it != index_.end() && it->second.where == Where::kB2) {
-    // Frequency ghost hit: shrink T1's share.
-    const std::size_t ratio =
-        std::max<std::size_t>(1, b1_bytes_ / std::max<std::size_t>(b2_bytes_, 1));
+  List to = kT1;  // a brand-new key: recency side
+  bool favor_t1 = false;
+  if (const std::uint32_t* ghost = index_.find(key)) {
+    // Ghost hit: a bigger share for the list that lost the key would have
+    // kept it, so move the target toward that list (B1: grow T1's share,
+    // B2: shrink it), and the key returns on the frequency side.
+    const bool recency = nodes_[*ghost].list == kB1;
+    const std::size_t ratio = std::max<std::size_t>(
+        1, bytes_[recency ? kB2 : kB1] /
+               std::max<std::size_t>(bytes_[recency ? kB1 : kB2], 1));
     const std::size_t delta = ratio * size;
-    target_p_ = target_p_ > delta ? target_p_ - delta : 0;
-    remove_ghost(b2_, b2_bytes_, it->second.ghost);
-    replace(size, true);
-    insert_resident(Where::kT2, key, std::move(value));
-  } else {
-    // Brand-new key: recency side.
-    replace(size, false);
-    insert_resident(Where::kT1, key, std::move(value));
+    target_p_ = recency ? std::min(capacity_bytes_, target_p_ + delta)
+                        : (target_p_ > delta ? target_p_ - delta : 0);
+    drop(*ghost);
+    to = kT2;
+    favor_t1 = !recency;
   }
+  replace(size, favor_t1);
+  const std::uint32_t n = nodes_.acquire();
+  Node& node = nodes_[n];
+  node.key = key;
+  node.size = size;
+  node.value = std::move(value);
+  node.list = to;
+  lists_[to].push_front(nodes_, n);
+  bytes_[to] += size;
+  used_bytes_ += size;
+  *index_.try_emplace(key).first = n;
   trim_ghosts();
   ++stats_.admissions;
   return true;
 }
 
 bool ArcCache::contains(ChunkKey key) const {
-  const auto it = index_.find(key);
-  return it != index_.end() && (it->second.where == Where::kT1 ||
-                                it->second.where == Where::kT2);
+  return resident(key) != kNoSlot;
 }
 
 std::vector<ChunkKey> ArcCache::keys() const {
   std::vector<ChunkKey> out;
-  out.reserve(t1_.size() + t2_.size());
-  for (const auto& e : t1_) out.push_back(e.key);
-  for (const auto& e : t2_) out.push_back(e.key);
+  out.reserve(lists_[kT1].size() + lists_[kT2].size());
+  for (const List list : {kT1, kT2}) {
+    lists_[list].for_each(
+        nodes_, [&](std::uint32_t n) { out.push_back(nodes_[n].key); });
+  }
   return out;
 }
 

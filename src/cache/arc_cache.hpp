@@ -10,12 +10,19 @@
 // adaptive target `p` — the byte share of the cache T1 is allowed — toward
 // the list that would have hit, so the cache continuously re-tunes itself
 // between LRU-like and LFU-like behaviour without any tuning parameter.
+//
+// One node per key holds either the resident entry or its ghost (the
+// bytes it had when evicted): nodes live in a SlotPool, each on one of
+// the four SlotLists, and an IntMap indexes them, so once the directory
+// has been full nothing allocates.
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
 
 #include "cache/cache.hpp"
+#include "common/int_map.hpp"
+#include "common/slot_pool.hpp"
 
 namespace agar::cache {
 
@@ -32,28 +39,28 @@ class ArcCache final : public CacheEngine {
   /// recency-side list T1. For tests and inspection.
   [[nodiscard]] std::size_t target_t1_bytes() const { return target_p_; }
   /// Resident/ghost byte gauges, for tests.
-  [[nodiscard]] std::size_t t1_bytes() const { return t1_bytes_; }
-  [[nodiscard]] std::size_t t2_bytes() const { return t2_bytes_; }
+  [[nodiscard]] std::size_t t1_bytes() const { return bytes_[kT1]; }
+  [[nodiscard]] std::size_t t2_bytes() const { return bytes_[kT2]; }
   [[nodiscard]] std::size_t ghost_bytes() const {
-    return b1_bytes_ + b2_bytes_;
+    return bytes_[kB1] + bytes_[kB2];
   }
 
  private:
-  struct Entry {
+  /// The resident lists T1, T2 and their ghost lists B1, B2; each
+  /// front is the most recent.
+  enum List : std::uint8_t { kT1, kT2, kB1, kB2 };
+  struct Node {
     ChunkKey key = 0;
-    SharedBytes value;
-  };
-  struct Ghost {
-    ChunkKey key = 0;
-    std::size_t size = 0;  ///< bytes the entry had when evicted
-  };
-  enum class Where { kT1, kT2, kB1, kB2 };
-  struct Locator {
-    Where where;
-    std::list<Entry>::iterator entry;   // kT1/kT2
-    std::list<Ghost>::iterator ghost;   // kB1/kB2
+    SharedBytes value;     ///< empty on a ghost list
+    std::size_t size = 0;  ///< the value's bytes, kept by its ghost
+    List list = kT1;
+    SlotLinks links;
   };
 
+  /// The slot of `key`'s resident node, or kNoSlot.
+  [[nodiscard]] std::uint32_t resident(ChunkKey key) const;
+  /// Move node `n` to the front of `to`, carrying its bytes along.
+  void move(std::uint32_t n, List to);
   /// Make room for `incoming` bytes: evict from T1 while it exceeds the
   /// adaptive target (from T2 otherwise), demoting victims to the ghost
   /// lists. `favor_t1` biases the boundary case toward evicting from T1
@@ -62,15 +69,13 @@ class ArcCache final : public CacheEngine {
   /// Bound the directory: B1 <= capacity - T1 (roughly), total <= 2x
   /// capacity, dropping ghost LRU entries.
   void trim_ghosts();
-  void remove_ghost(std::list<Ghost>& list, std::size_t& bytes,
-                    std::list<Ghost>::iterator it);
-  void insert_resident(Where where, ChunkKey key, SharedBytes value);
+  /// Forget ghost `n`.
+  void drop(std::uint32_t n);
 
-  std::list<Entry> t1_, t2_;  // front = MRU
-  std::list<Ghost> b1_, b2_;  // front = most recently evicted
-  std::unordered_map<ChunkKey, Locator> index_;
-  std::size_t t1_bytes_ = 0, t2_bytes_ = 0;
-  std::size_t b1_bytes_ = 0, b2_bytes_ = 0;
+  SlotPool<Node> nodes_;
+  std::array<SlotList<Node>, 4> lists_;
+  std::array<std::size_t, 4> bytes_{};  ///< each list's node bytes
+  IntMap<std::uint32_t> index_;         ///< key -> slot in nodes_
   std::size_t target_p_ = 0;  ///< T1's byte target, in [0, capacity]
 };
 

@@ -29,46 +29,48 @@ const api::EngineRegistration kLfuEngine{{
 
 LfuCache::LfuCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-void LfuCache::promote(ChunkKey key, Locator& loc) {
-  const std::uint64_t next_freq = loc.bucket->freq + 1;
-  auto next_bucket = std::next(loc.bucket);
-  if (next_bucket == buckets_.end() || next_bucket->freq != next_freq) {
-    next_bucket = buckets_.insert(next_bucket, Bucket{next_freq, {}});
+void LfuCache::unlink_entry(std::uint32_t e) {
+  const std::uint32_t b = entries_[e].bucket;
+  buckets_[b].entries.unlink(entries_, e);
+  if (buckets_[b].entries.empty()) {
+    by_freq_.unlink(buckets_, b);
+    buckets_.release(b);
   }
-  // Splice the entry to the front (most recent) of the next bucket.
-  next_bucket->entries.splice(next_bucket->entries.begin(),
-                              loc.bucket->entries, loc.entry);
-  if (loc.bucket->entries.empty()) buckets_.erase(loc.bucket);
-  loc.bucket = next_bucket;
-  loc.entry = next_bucket->entries.begin();
-  index_[key] = loc;
+}
+
+void LfuCache::promote(std::uint32_t e) {
+  const std::uint32_t from = entries_[e].bucket;
+  const std::uint64_t freq = buckets_[from].freq + 1;
+  std::uint32_t to = buckets_[from].links.next;
+  if (to == kNoSlot || buckets_[to].freq != freq) {
+    to = buckets_.acquire();
+    buckets_[to].freq = freq;
+    by_freq_.insert_after(buckets_, from, to);
+  }
+  unlink_entry(e);
+  buckets_[to].entries.push_front(entries_, e);
+  entries_[e].bucket = to;
 }
 
 std::optional<SharedBytes> LfuCache::get(ChunkKey key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  const std::uint32_t* e = index_.find(key);
+  if (e == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
-  promote(key, it->second);
+  promote(*e);
   ++stats_.hits;
-  return it->second.entry->value;  // shared handle, no copy
-}
-
-void LfuCache::remove_entry(ChunkKey key, const Locator& loc) {
-  used_bytes_ -= loc.entry->value.size();
-  auto bucket = loc.bucket;
-  bucket->entries.erase(loc.entry);
-  if (bucket->entries.empty()) buckets_.erase(bucket);
-  index_.erase(key);
+  return entries_[*e].value;  // shared handle, no copy
 }
 
 void LfuCache::evict_until_fits(std::size_t incoming) {
-  while (used_bytes_ + incoming > capacity_bytes_ && !buckets_.empty()) {
+  while (used_bytes_ + incoming > capacity_bytes_ && !by_freq_.empty()) {
     // Lowest-frequency bucket, least recently touched entry.
-    Bucket& lowest = buckets_.front();
-    const ChunkKey victim = lowest.entries.back().key;
-    remove_entry(victim, index_.at(victim));
+    const std::uint32_t victim = buckets_[by_freq_.front()].entries.back();
+    used_bytes_ -= entries_[victim].value.size();
+    index_.erase(entries_[victim].key);
+    unlink_entry(victim);
+    entries_.release(victim);
     ++stats_.evictions;
   }
 }
@@ -79,50 +81,55 @@ bool LfuCache::put(ChunkKey key, SharedBytes value) {
     ++stats_.rejections;
     return false;
   }
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    used_bytes_ -= it->second.entry->value.size();
+  if (const std::uint32_t* found = index_.find(key)) {
+    const std::uint32_t e = *found;
+    used_bytes_ -= entries_[e].value.size();
     used_bytes_ += value.size();
-    it->second.entry->value = std::move(value);
-    promote(key, it->second);
+    entries_[e].value = std::move(value);
+    promote(e);
     evict_until_fits(0);
     ++stats_.admissions;
     return true;
   }
   evict_until_fits(value.size());
   // New entries start in the frequency-1 bucket.
-  auto bucket = buckets_.begin();
-  if (bucket == buckets_.end() || bucket->freq != 1) {
-    bucket = buckets_.insert(buckets_.begin(), Bucket{1, {}});
+  std::uint32_t b = by_freq_.front();
+  if (b == kNoSlot || buckets_[b].freq != 1) {
+    b = buckets_.acquire();
+    buckets_[b].freq = 1;
+    by_freq_.push_front(buckets_, b);
   }
-  bucket->entries.push_front(Entry{key, std::move(value)});
-  used_bytes_ += bucket->entries.front().value.size();
-  index_[key] = Locator{bucket, bucket->entries.begin()};
+  const std::uint32_t e = entries_.acquire();
+  used_bytes_ += value.size();
+  entries_[e].key = key;
+  entries_[e].value = std::move(value);
+  entries_[e].bucket = b;
+  buckets_[b].entries.push_front(entries_, e);
+  *index_.try_emplace(key).first = e;
   ++stats_.admissions;
   return true;
 }
 
-bool LfuCache::contains(ChunkKey key) const {
-  return index_.contains(key);
-}
+bool LfuCache::contains(ChunkKey key) const { return index_.contains(key); }
 
 std::vector<ChunkKey> LfuCache::keys() const {
   std::vector<ChunkKey> out;
   out.reserve(index_.size());
-  for (const auto& bucket : buckets_) {
-    for (const auto& e : bucket.entries) out.push_back(e.key);
-  }
+  by_freq_.for_each(buckets_, [&](std::uint32_t b) {
+    buckets_[b].entries.for_each(
+        entries_, [&](std::uint32_t e) { out.push_back(entries_[e].key); });
+  });
   return out;
 }
 
 std::uint64_t LfuCache::frequency(ChunkKey key) const {
-  const auto it = index_.find(key);
-  return it == index_.end() ? 0 : it->second.bucket->freq;
+  const std::uint32_t* e = index_.find(key);
+  return e == nullptr ? 0 : buckets_[entries_[*e].bucket].freq;
 }
 
 std::optional<ChunkKey> LfuCache::eviction_candidate() const {
-  if (buckets_.empty()) return std::nullopt;
-  return buckets_.front().entries.back().key;
+  if (by_freq_.empty()) return std::nullopt;
+  return entries_[buckets_[by_freq_.front()].entries.back()].key;
 }
 
 }  // namespace agar::cache

@@ -5,13 +5,16 @@
 // linked list of frequency buckets, each holding an LRU-ordered list of
 // entries with that frequency. Eviction takes the least recent entry of the
 // lowest-frequency bucket, so ties fall back to LRU like the paper's WLFU
-// discussion suggests.
+// discussion suggests. Buckets and entries are records in two SlotPools,
+// each list a SlotList, and the index an IntMap, so once the cache has
+// been full nothing allocates.
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
 
 #include "cache/cache.hpp"
+#include "common/int_map.hpp"
+#include "common/slot_pool.hpp"
 
 namespace agar::cache {
 
@@ -34,26 +37,26 @@ class LfuCache final : public CacheEngine {
   struct Entry {
     ChunkKey key = 0;
     SharedBytes value;
+    std::uint32_t bucket = 0;  ///< slot in buckets_
+    SlotLinks links;           ///< on its bucket's list
   };
   struct Bucket {
-    std::uint64_t freq;
-    std::list<Entry> entries;  // front = most recently touched
-  };
-  using BucketList = std::list<Bucket>;
-
-  struct Locator {
-    BucketList::iterator bucket;
-    std::list<Entry>::iterator entry;
+    std::uint64_t freq = 0;
+    SlotList<Entry> entries;  ///< most recently touched first
+    SlotLinks links;          ///< on by_freq_
   };
 
-  /// Move an entry from its bucket to the bucket with frequency+1,
-  /// creating/destroying buckets as needed.
-  void promote(ChunkKey key, Locator& loc);
+  /// Move entry `e` to the front of the bucket with its frequency + 1,
+  /// creating that bucket and dropping its old one as needed.
+  void promote(std::uint32_t e);
+  /// Take entry `e` off its bucket, dropping the bucket if it empties.
+  void unlink_entry(std::uint32_t e);
   void evict_until_fits(std::size_t incoming);
-  void remove_entry(ChunkKey key, const Locator& loc);
 
-  BucketList buckets_;  // ascending frequency order
-  std::unordered_map<ChunkKey, Locator> index_;
+  SlotPool<Entry> entries_;
+  SlotPool<Bucket> buckets_;
+  SlotList<Bucket> by_freq_;     ///< ascending frequency
+  IntMap<std::uint32_t> index_;  ///< key -> slot in entries_
 };
 
 }  // namespace agar::cache

@@ -178,5 +178,16 @@ TEST(VerifyAlloc, TinyLfuReadAllocatesNothing) {
   EXPECT_EQ(w.calls, 0u);
 }
 
+TEST(VerifyAlloc, LfuEvictionReadAllocatesNothing) {
+  const Window w =
+      count_window("lfu-eviction", {"system=lfu-eviction", "verify=false"});
+  EXPECT_EQ(w.calls, 0u);
+}
+
+TEST(VerifyAlloc, ArcReadAllocatesNothing) {
+  const Window w = count_window("arc", {"system=arc", "verify=false"});
+  EXPECT_EQ(w.calls, 0u);
+}
+
 }  // namespace
 }  // namespace agar::client
