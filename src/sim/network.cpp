@@ -111,8 +111,9 @@ void Network::fail_list(FetchList& list, std::uint64_t& counter) {
 }
 
 void Network::fail_region(RegionId r) {
-  if (!down_.insert(r).second) return;  // already down
   RegionState& rs = region_states_[r];
+  if (rs.down) return;  // already down
+  rs.down = true;
   // Transfers die with the region: every in-flight observer hears the
   // failure now, in issue order. The already-scheduled completion events
   // find their records' transfer numbers gone and become no-ops —
@@ -125,8 +126,9 @@ void Network::fail_region(RegionId r) {
 }
 
 void Network::restore_region(RegionId r) {
-  if (down_.erase(r) == 0) return;  // already up: idempotent
-  const RegionState& rs = region_states_[r];
+  RegionState& rs = region_states_[r];
+  if (!rs.down) return;  // already up: idempotent
+  rs.down = false;
   if (!rs.wire.empty() || !rs.fifo.empty()) {
     // fail_region's contract is that a downed region holds no wire or
     // queue state. Anything found here would strand forever — a restored

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/slot_pool.hpp"
@@ -114,8 +113,15 @@ class Network {
   /// Fetches aborted by `fail_region` stay failed — their completion
   /// events are already dead and cannot resurrect.
   void restore_region(RegionId r);
-  [[nodiscard]] bool is_down(RegionId r) const { return down_.contains(r); }
-  [[nodiscard]] std::size_t down_count() const { return down_.size(); }
+  /// `r` must be a region of the topology, as for every call here.
+  [[nodiscard]] bool is_down(RegionId r) const {
+    return region_states_[r].down;
+  }
+  [[nodiscard]] std::size_t down_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(region_states_.begin(), region_states_.end(),
+                      [](const RegionState& rs) { return rs.down; }));
+  }
 
   /// Latency for one backend chunk fetch, or nullopt if `to` is down.
   /// Synchronous path: the warm-up probe round and Paxos RTT samples.
@@ -161,6 +167,7 @@ class Network {
   struct RegionState {
     FetchList wire;  ///< in the order they went on the wire
     FetchList fifo;  ///< waiting for a slot, in issue order
+    bool down = false;
   };
 
   /// Free a record's slot, handing back its callback.
@@ -177,8 +184,7 @@ class Network {
 
   LatencyModel model_;
   EventLoop* loop_ = nullptr;  // non-owning
-  std::unordered_set<RegionId> down_;
-  std::vector<RegionState> region_states_;
+  std::vector<RegionState> region_states_;  ///< by topology region
   SlotPool<Fetch> fetches_;
   std::uint32_t transfers_ = 0;  ///< the last transfer number handed out
   std::size_t max_outstanding_per_region_ = 64;
