@@ -18,6 +18,7 @@ printed. The entries without a "version" key are the earlier records of
 bench_micro_eventloop. Nothing is written unless all four runs succeed.
 """
 
+import argparse
 import datetime
 import json
 import os
@@ -60,6 +61,9 @@ def append_entry(entry):
 
 
 def main():
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     label = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", "--short", "HEAD"],
         capture_output=True, text=True).stdout.strip() or "unknown"

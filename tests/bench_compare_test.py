@@ -1,4 +1,5 @@
-"""Self-test of scripts/bench_compare.py on fixture run.py output lines.
+"""Self-test of scripts/bench_compare.py on fixture run.py output lines,
+and of scripts/record_bench.py's argument handling.
 
     python3 tests/bench_compare_test.py
 """
@@ -12,7 +13,9 @@ import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCRIPT = os.path.join(HERE, os.pardir, "scripts", "bench_compare.py")
+RECORD = os.path.join(HERE, os.pardir, "scripts", "record_bench.py")
 BENCHMARK = os.path.join(HERE, os.pardir, "BENCHMARK.json")
+BENCH_CORE = os.path.join(HERE, os.pardir, "BENCH_core.json")
 
 with open(BENCHMARK) as f:
     END_TO_END = json.load(f)["end_to_end"]
@@ -107,6 +110,35 @@ class BenchCompareTest(unittest.TestCase):
                                       run_lines(PARENT)[:-2])
         self.assertEqual(status, 2)
         self.assertIn("10 parent runs but 9 change runs", err)
+
+
+class RecordBenchArgsTest(unittest.TestCase):
+    """record_bench.py takes no options: --help prints its usage and any
+    other argument is refused, and neither starts a benchmark run or
+    touches BENCH_core.json. A run would take minutes, so the timeout
+    catches one that starts."""
+
+    def record(self, *args):
+        with open(BENCH_CORE, "rb") as f:
+            before = f.read()
+        proc = subprocess.run([sys.executable, RECORD, *args],
+                              capture_output=True, text=True, timeout=60)
+        with open(BENCH_CORE, "rb") as f:
+            self.assertEqual(f.read(), before)
+        return proc
+
+    def test_help_prints_usage(self):
+        proc = self.record("--help")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("usage: record_bench.py", proc.stdout)
+        self.assertIn("BENCH_core.json", proc.stdout)
+
+    def test_other_arguments_are_refused(self):
+        for args in (["--seconds", "1"], ["paper"], ["-x"]):
+            proc = self.record(*args)
+            self.assertEqual(proc.returncode, 2, args)
+            self.assertIn("usage: record_bench.py", proc.stderr)
+            self.assertEqual(proc.stdout, "")
 
 
 if __name__ == "__main__":
