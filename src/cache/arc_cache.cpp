@@ -92,8 +92,9 @@ bool ArcCache::put(ChunkKey key, SharedBytes value) {
     used_bytes_ += size - node.size;
     node.size = size;
     node.value = std::move(value);
-    // A grown entry may exceed capacity; evict others (never itself: it
-    // sits at the T2 MRU position and eviction takes the LRU end).
+    // A grown entry may exceed capacity: evict to fit. When T1 is within
+    // its target and the entry is alone in T2, the victim is the entry
+    // itself, and put still reports it stored.
     replace(0, false);
     trim_ghosts();
     ++stats_.admissions;

@@ -165,9 +165,9 @@ std::uint64_t churn_digest(cache::CacheEngine& engine) {
 }
 
 TEST_P(EngineInvariants, ChurnDigestIsPinned) {
-  // The digests the engines produced before they moved onto SlotList:
-  // any change in eviction order, keys() order, counters or gauges moves
-  // them.
+  // One digest per engine and capacity. A change to an engine's eviction
+  // order, keys() order, counters or gauges moves it; a change meant to
+  // move it updates the pin and says why.
   static const std::map<std::string, std::uint64_t> kPinned = {
       {"arc_256", 0xbee0fed4425f2112ULL},
       {"arc_1024", 0x68581480af12abeeULL},
