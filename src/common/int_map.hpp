@@ -1,7 +1,7 @@
 // IntMap — an open-addressing hash map from 64-bit integer keys to values:
 // the table behind the read path's chunk-key lookups (the Agar cache's
-// configured set and entries, the LRU engine's index, the coalescing
-// table's in-flight fetches).
+// configured set and entries, the LRU, LFU and ARC engines' indexes, the
+// coalescing table's in-flight fetches).
 //
 // Keys live in one flat slot vector (linear probing, power-of-two size,
 // at most half full); erasing shifts the rest of the probe run back, so
