@@ -1,6 +1,7 @@
 // Heap allocations of steady-state reads at the paper configuration: the
 // verify-mode read, the latency-only read (the benchmark's `paper`
-// workload) and the uncached backend read. This binary replaces the global
+// workload), the uncached backend read and a read of each fixed-chunks
+// engine. This binary replaces the global
 // operator new/delete and counts calls, bytes and allocations of 128 KiB or
 // more while a window is open. The simulation is deterministic, so the
 // counts repeat exactly from run to run and the test can pin them where a
@@ -168,25 +169,12 @@ TEST(VerifyAlloc, BackendReadAllocatesNothing) {
 // A fixed-chunks read: the backend read plus one engine's get and, on a
 // miss, its puts. Each engine keeps its entries in pooled records, so
 // once the cache has filled nothing allocates.
-TEST(VerifyAlloc, LruReadAllocatesNothing) {
-  const Window w = count_window("lru", {"system=lru", "verify=false"});
-  EXPECT_EQ(w.calls, 0u);
-}
-
-TEST(VerifyAlloc, TinyLfuReadAllocatesNothing) {
-  const Window w = count_window("tinylfu", {"system=tinylfu", "verify=false"});
-  EXPECT_EQ(w.calls, 0u);
-}
-
-TEST(VerifyAlloc, LfuEvictionReadAllocatesNothing) {
-  const Window w =
-      count_window("lfu-eviction", {"system=lfu-eviction", "verify=false"});
-  EXPECT_EQ(w.calls, 0u);
-}
-
-TEST(VerifyAlloc, ArcReadAllocatesNothing) {
-  const Window w = count_window("arc", {"system=arc", "verify=false"});
-  EXPECT_EQ(w.calls, 0u);
+TEST(VerifyAlloc, FixedChunksReadsAllocateNothing) {
+  for (const char* system : {"lru", "lfu-eviction", "arc", "tinylfu"}) {
+    const Window w = count_window(
+        system, {std::string("system=") + system, "verify=false"});
+    EXPECT_EQ(w.calls, 0u) << system;
+  }
 }
 
 }  // namespace
