@@ -166,14 +166,14 @@ collab::PeerInfo AgarStrategy::collab_info() {
 }
 
 ReadPlan AgarStrategy::plan_read(const ObjectKey& key) {
-  ReadPlan plan;
-  plan_into(ctx_.backend->id_of(key), plan);
-  return plan;
+  ReadPlan out;
+  plan(ctx_.backend->id_of(key), out);
+  return out;
 }
 
-void AgarStrategy::plan_into(ObjectId object, ReadPlan& plan) {
+void AgarStrategy::plan(ObjectId object, ReadPlan& out) {
   estimator_->record(ctx_.backend->key_of(object));
-  plan.monitor_overhead_ms = params_.processing_ms;
+  out.monitor_overhead_ms = params_.processing_ms;
 
   region_manager_.chunk_costs(object, costs_);
   // Cheapest-first order; deterministic tie-break.
@@ -192,8 +192,8 @@ void AgarStrategy::plan_into(ObjectId object, ReadPlan& plan) {
   not_resident_.clear();
   for (const auto& c : costs_) {
     const ChunkKey ck = ChunkId{object, c.index}.key();
-    if (plan.from_cache.size() < k && cache_.contains(ck)) {
-      plan.from_cache.push_back(c.index);
+    if (out.from_cache.size() < k && cache_.contains(ck)) {
+      out.from_cache.push_back(c.index);
     } else {
       not_resident_.push_back({c, cache_.is_configured(ck)});
     }
@@ -203,25 +203,19 @@ void AgarStrategy::plan_into(ObjectId object, ReadPlan& plan) {
   // configuration wants cached is written back after the read
   // (asynchronously, off the latency path).
   for (const auto& [c, configured] : not_resident_) {
-    if (plan.chunks_on_path() >= k) break;
-    plan.from_backend.emplace_back(c.index, c.region);
-    if (configured) plan.populate_after_read.push_back(c.index);
+    if (out.chunks_on_path() >= k) break;
+    out.from_backend.emplace_back(c.index, c.region);
+    if (configured) out.populate_after_read.push_back(c.index);
   }
 
   // Configured chunks that are neither resident nor fetched on-path (every
   // entry past the ones just planned) are downloaded a-priori by the
   // population thread pool.
-  for (std::size_t i = plan.from_backend.size(); i < not_resident_.size();
+  for (std::size_t i = out.from_backend.size(); i < not_resident_.size();
        ++i) {
     const auto& [c, configured] = not_resident_[i];
-    if (configured) plan.async_populate.push_back(c.index);
+    if (configured) out.async_populate.push_back(c.index);
   }
-}
-
-void AgarStrategy::start_read(ObjectId object, ReadCallback done) {
-  ReadPlan& plan = new_plan();
-  plan_into(object, plan);
-  start_plan(object, plan, std::move(done));
 }
 
 }  // namespace agar::client

@@ -51,9 +51,6 @@ class AgarStrategy final : public ReadStrategy {
  public:
   AgarStrategy(ClientContext ctx, AgarParams params);
 
-  using ReadStrategy::start_read;
-  void start_read(ObjectId object, ReadCallback done) override;
-
   /// Warm-up phase: probe per-region latencies synchronously (paper §IV:
   /// "the region manager computes this by retrieving several data blocks
   /// from each region in a warm-up phase").
@@ -79,7 +76,8 @@ class AgarStrategy final : public ReadStrategy {
   ///   * configured chunks fetched on-path are written back after the
   ///     read; configured chunks neither resident nor fetched are
   ///     downloaded asynchronously by the population pool.
-  /// start_read plans into a pooled plan; this returns a fresh one (tests).
+  void plan(ObjectId object, ReadPlan& out) override;
+  /// The same by key into a fresh plan (tests).
   [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
 
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
@@ -110,9 +108,6 @@ class AgarStrategy final : public ReadStrategy {
   }
 
  private:
-  /// plan_read's body, into `plan`.
-  void plan_into(ObjectId object, ReadPlan& plan);
-
   /// Install a new plan, start its population downloads, then notify the
   /// reconfigure observer (collab config log) with the plan current.
   void apply_reconfiguration();
@@ -124,7 +119,7 @@ class AgarStrategy final : public ReadStrategy {
   std::unique_ptr<core::PopularityEstimator> estimator_;
   core::CacheManager cache_manager_;
 
-  /// plan_into's scratch: the object's chunk costs, cheapest first, and
+  /// plan's scratch: the object's chunk costs, cheapest first, and
   /// those not resident with whether the configuration wants them.
   struct NotResident {
     core::ChunkCost cost;

@@ -20,12 +20,10 @@ const api::StrategyRegistration kBackend{{
 
 }  // namespace
 
-void BackendStrategy::start_read(ObjectId object, ReadCallback done) {
+void BackendStrategy::plan(ObjectId object, ReadPlan& out) {
   const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
   const auto& candidates = chunks_by_expected_latency(object);
-  ReadPlan& plan = new_plan();
-  plan.from_backend.assign(candidates.begin(), candidates.begin() + k);
-  start_plan(object, plan, std::move(done));
+  out.from_backend.assign(candidates.begin(), candidates.begin() + k);
 }
 
 }  // namespace agar::client

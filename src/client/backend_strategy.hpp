@@ -12,8 +12,8 @@ class BackendStrategy final : public ReadStrategy {
  public:
   explicit BackendStrategy(ClientContext ctx) : ReadStrategy(ctx) {}
 
-  using ReadStrategy::start_read;
-  void start_read(ObjectId object, ReadCallback done) override;
+  /// The k cheapest chunks by expected latency, all from the backend.
+  void plan(ObjectId object, ReadPlan& out) override;
 };
 
 }  // namespace agar::client

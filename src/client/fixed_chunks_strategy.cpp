@@ -21,28 +21,25 @@ FixedChunksStrategy::FixedChunksStrategy(
   engine_ = cache_.get();
 }
 
-void FixedChunksStrategy::start_read(ObjectId object, ReadCallback done) {
+void FixedChunksStrategy::plan(ObjectId object, ReadPlan& out) {
   const std::size_t k = ctx_.backend->codec().k();
   const std::size_t c = std::min(params_.chunks_per_object, k);
 
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks.
   const auto& candidates = chunks_by_expected_latency(object);
-  ReadPlan& plan = new_plan();
-  plan.from_backend.assign(
+  out.from_backend.assign(
       candidates.begin(),
       candidates.begin() + static_cast<std::ptrdiff_t>(k - c));
   for (std::size_t i = k - c; i < k; ++i) {
-    plan.from_cache.push_back(candidates[i].first);
+    out.from_cache.push_back(candidates[i].first);
   }
   // After the read, (re-)insert the designated chunks the engine does not
   // hold. Writes happen on a separate thread pool in the paper's client —
   // no latency charged.
-  plan.populate_after_read.assign(plan.from_cache.begin(),
-                                  plan.from_cache.end());
-  plan.populate_resident = false;
-  plan.monitor_overhead_ms = params_.proxy_overhead_ms;
-  start_plan(object, plan, std::move(done));
+  out.populate_after_read.assign(out.from_cache.begin(), out.from_cache.end());
+  out.populate_resident = false;
+  out.monitor_overhead_ms = params_.proxy_overhead_ms;
 }
 
 // ----------------------------------------------------------- registration

@@ -37,8 +37,9 @@ class FixedChunksStrategy final : public ReadStrategy {
   FixedChunksStrategy(ClientContext ctx, FixedChunksParams params,
                       std::unique_ptr<cache::CacheEngine> engine);
 
-  using ReadStrategy::start_read;
-  void start_read(ObjectId object, ReadCallback done) override;
+  /// The c most distant of the k cheapest chunks from the cache (hit or
+  /// miss) and written back after the read, the rest from the backend.
+  void plan(ObjectId object, ReadPlan& out) override;
 
   [[nodiscard]] const FixedChunksParams& params() const { return params_; }
 

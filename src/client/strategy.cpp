@@ -47,20 +47,15 @@ struct ReadStrategy::BatchState {
   }
 };
 
-ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network) {
+ReadStrategy::ReadStrategy(ClientContext ctx)
+    : ctx_(ctx),
+      fetcher_([this](const ChunkId& chunk, RegionId from, RegionId to,
+                      std::size_t bytes, core::FetchCoordinator::Callback cb) {
+        return wire_fetch(chunk, from, to, bytes, std::move(cb));
+      }) {
   if (ctx_.backend == nullptr || ctx_.network == nullptr ||
       ctx_.loop == nullptr) {
     throw std::invalid_argument("ReadStrategy: null backend/network/loop");
-  }
-  if (ctx_.fetch_policy != nullptr) {
-    // Install the policy *under* the coalescing table: one in-flight entry
-    // per chunk regardless of how many retries/hedges the policy spends.
-    fetcher_.set_transport(
-        [policy = ctx_.fetch_policy.get()](
-            const ChunkId&, RegionId from, RegionId to, std::size_t bytes,
-            core::FetchCoordinator::Callback cb) {
-          return policy->begin_fetch(from, to, bytes, std::move(cb));
-        });
   }
 }
 
@@ -76,37 +71,28 @@ void ReadPlan::clear() {
 }
 
 void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
-  // Layering per wire fetch: coalescing table -> collab routing (pick the
-  // peer or the home region) -> fetch policy (retry/hedge/timeout against
-  // the chosen target) -> network. The accounting observes the final
-  // outcome, after any retries, so a peer hit means the transfer actually
-  // landed.
   collab_route_ = std::move(route);
   collab_done_ = std::move(done);
-  fetcher_.set_transport(
-      [this](const ChunkId& chunk, RegionId from, RegionId to,
-             std::size_t bytes, core::FetchCoordinator::Callback cb) {
-        return collab_fetch(chunk, from, to, bytes, std::move(cb));
-      });
 }
 
-bool ReadStrategy::collab_fetch(const ChunkId& chunk, RegionId from,
-                                RegionId to, std::size_t bytes,
-                                core::FetchCoordinator::Callback cb) {
-  const RegionId target =
-      collab_route_ ? collab_route_(chunk, to, bytes) : to;
-  const std::uint32_t slot = collab_fetches_.acquire();
-  collab_fetches_[slot] = CollabFetch{std::move(cb), target, to, bytes};
-  core::FetchCoordinator::Callback landed =
-      [this, slot](std::optional<SimTimeMs> latency) {
-        collab_landed(slot, latency);
-      };
+bool ReadStrategy::wire_fetch(const ChunkId& chunk, RegionId from,
+                              RegionId to, std::size_t bytes,
+                              core::FetchCoordinator::Callback cb) {
+  std::uint32_t slot = kNoSlot;
+  if (collab_route_) {
+    const RegionId target = collab_route_(chunk, to, bytes);
+    slot = collab_fetches_.acquire();
+    collab_fetches_[slot] = CollabFetch{std::move(cb), target, to, bytes};
+    cb = [this, slot](std::optional<SimTimeMs> latency) {
+      collab_landed(slot, latency);
+    };
+    to = target;
+  }
   const bool accepted =
       ctx_.fetch_policy != nullptr
-          ? ctx_.fetch_policy->begin_fetch(from, target, bytes,
-                                           std::move(landed))
-          : ctx_.network->begin_fetch(from, target, bytes, std::move(landed));
-  if (!accepted) collab_fetches_.release(slot);
+          ? ctx_.fetch_policy->begin_fetch(from, to, bytes, std::move(cb))
+          : ctx_.network->begin_fetch(from, to, bytes, std::move(cb));
+  if (!accepted && slot != kNoSlot) collab_fetches_.release(slot);
   return accepted;
 }
 
@@ -145,11 +131,6 @@ ReadResult ReadStrategy::read(ObjectId object) {
 
 // ------------------------------------------------------------ read executor
 
-ReadPlan& ReadStrategy::new_plan() {
-  plan_.clear();
-  return plan_;
-}
-
 const std::vector<std::pair<ChunkIndex, RegionId>>&
 ReadStrategy::chunks_by_expected_latency(ObjectId object) {
   const store::ObjectInfo& info = ctx_.backend->object_info(object);
@@ -179,16 +160,15 @@ double ReadStrategy::decode_ms(std::size_t object_bytes) const {
          static_cast<double>(1_MB);
 }
 
-void ReadStrategy::start_plan(ObjectId object, const ReadPlan& plan,
-                              ReadCallback done) {
+void ReadStrategy::start_read(ObjectId object, ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
   const store::ObjectInfo& info = ctx_.backend->object_info(object);
   const std::size_t k = ctx_.backend->codec().k();
 
   const std::uint32_t b = batches_.acquire();
   BatchState& st = batches_[b];
+  plan(object, st.plan);  // a free batch's plan is empty
   st.object = object;
-  st.plan = plan;  // copied into lists that keep their capacity
   st.done = std::move(done);
   st.start = loop->now();
   st.extra = decode_ms(info.object_size) + st.plan.monitor_overhead_ms;

@@ -3,22 +3,22 @@
 // policy), and Agar and LFU-c (a cache configured every period; LFU-c is
 // Agar's strategy with the chunks per object fixed).
 //
-// A strategy only decides where each chunk of a read comes from: it builds
-// a ReadPlan and hands it to `start_plan`, the one read executor, which
-// turns it into events on the simulation loop. Chunk fetches begin on the
-// network (which enforces per-region concurrency limits), duplicate
-// fetches coalesce in the strategy's in-flight table, and `done` fires at
-// the virtual time the read completes — so concurrent clients genuinely
-// overlap on the timeline. A thin synchronous `read(key)` wrapper drives
-// the strategy's loop until the read completes (the daemon's serve path,
-// tests and examples).
+// A strategy only decides where each chunk of a read comes from: its `plan`
+// fills a ReadPlan, and `start_read`, the one read executor, turns that plan
+// into events on the simulation loop. Chunk fetches begin on the network
+// (which enforces per-region concurrency limits), duplicate fetches
+// coalesce in the strategy's in-flight table, and `done` fires at the
+// virtual time the read completes — so concurrent clients genuinely overlap
+// on the timeline. A thin synchronous `read(key)` wrapper drives the
+// strategy's loop until the read completes (the daemon's serve path, tests
+// and examples).
 //
-// Reads run on object ids. A strategy builds each plan into one reused
-// ReadPlan, a read's batch state (its copy of the plan included) comes
-// from a per-strategy SlotPool and goes back when the read completes, and
-// every callback on the fetch path captures at most 16 trivially copyable
-// bytes (std::function keeps those inline), so a steady-state read
-// allocates nothing.
+// Reads run on object ids. A read's batch state comes from a per-strategy
+// SlotPool and goes back when the read completes; `plan` writes straight
+// into the batch's ReadPlan, whose lists keep their capacity, and every
+// callback on the fetch path captures at most 16 trivially copyable bytes
+// (std::function keeps those inline), so a steady-state read allocates
+// nothing.
 #pragma once
 
 #include <functional>
@@ -125,12 +125,27 @@ class ReadStrategy {
   ReadStrategy(const ReadStrategy&) = delete;
   ReadStrategy& operator=(const ReadStrategy&) = delete;
 
-  /// Start one asynchronous read of a registered object. The strategy
-  /// issues its chunk fetches as events and invokes `done` exactly once
-  /// when the read completes.
-  virtual void start_read(ObjectId object, ReadCallback done) = 0;
+  /// Start one asynchronous read of a registered object: the one read
+  /// executor, so the systems under comparison differ only in what they
+  /// plan and cache. It plans the read into its batch with `plan`, then
+  /// runs the plan on the loop and invokes `done` exactly once when the
+  /// read completes. Resident `from_cache` chunks ride one cache arm in
+  /// parallel with the `from_backend` arms; a `from_cache` chunk that is
+  /// not resident is fetched from its home region after `from_backend`.
+  /// Every chunk the plan does not name is a fallback, cheapest first, for
+  /// an arm whose region is down or whose fetch fails. Decode and
+  /// monitor/proxy overhead are charged after the last arrival, the plan's
+  /// populations run off the latency path, and in verify mode the chunks
+  /// are decoded and checked before `done` fires. A plan with cache chunks
+  /// or populations needs the strategy's cache (`engine_`).
+  void start_read(ObjectId object, ReadCallback done);
   /// The same by key; throws std::out_of_range for an unknown key.
   void start_read(const ObjectKey& key, ReadCallback done);
+
+  /// Where each chunk of a read of `object` comes from, into `out` (empty
+  /// on entry). The strategy's only part in a read. It must not start a
+  /// read: it runs while the executor holds a reference into its batch.
+  virtual void plan(ObjectId object, ReadPlan& out) = 0;
 
   /// Thin synchronous wrapper: starts the read and drives the loop until
   /// it completes. Other events (timers, populations, other clients'
@@ -171,11 +186,8 @@ class ReadStrategy {
   using CollabDone =
       std::function<void(RegionId, RegionId, std::size_t, bool)>;
 
-  /// Re-install the coordinator transport with the collab tier on top: the
-  /// route picks the target, then the fetch rides the fetch policy (or the
-  /// raw network) to it — so retries/hedges/timeouts compose with
-  /// redirected transfers, and a failed peer arm falls back through the
-  /// strategies' existing degraded-read machinery.
+  /// Put the collab tier on every later wire fetch (see wire_fetch): the
+  /// route picks the target and `done` accounts for the outcome.
   void enable_collab(CollabRoute route, CollabDone done);
 
   /// Observer fired after every completed reconfiguration (the collab tier
@@ -215,24 +227,6 @@ class ReadStrategy {
   }
 
  protected:
-  /// The plan to build the next read into, cleared; its lists keep the
-  /// capacity of earlier reads'. start_plan copies it, so it is free again
-  /// once start_plan returns.
-  [[nodiscard]] ReadPlan& new_plan();
-
-  /// Execute a planned read on the loop: the one read executor, so the
-  /// systems under comparison differ only in what they plan and cache.
-  /// Resident `from_cache` chunks ride one cache arm in parallel with the
-  /// `from_backend` arms; a `from_cache` chunk that is not resident is
-  /// fetched from its home region after `from_backend`. Every chunk the plan
-  /// does not name is a fallback, cheapest first, for an arm whose region
-  /// is down or whose fetch fails. Decode and monitor/proxy overhead are
-  /// charged after the last arrival, the plan's populations run off the
-  /// latency path, and in verify mode the chunks are decoded and checked
-  /// before `done` fires. A plan with cache chunks or populations needs
-  /// the strategy's cache (`engine_`).
-  void start_plan(ObjectId object, const ReadPlan& plan, ReadCallback done);
-
   /// Population download as a background event (paper §IV-A: "caching items
   /// implies downloading them a priori"): fetch one chunk from its backend
   /// region through the coalescing table and install it in the cache when
@@ -292,6 +286,16 @@ class ReadStrategy {
   /// A population download of `chunk` landed.
   void population_landed(const ChunkId& chunk);
 
+  /// The coordinator's transport: every wire fetch passes through here.
+  /// Layering per fetch: coalescing table -> collab route (once
+  /// enable_collab ran: the peer or the home region) -> fetch policy
+  /// (retry/hedge/timeout against the chosen target) or, without one, the
+  /// network. So retries, hedges and timeouts compose with redirected
+  /// transfers, and a failed peer arm falls back through the executor's
+  /// degraded-read machinery.
+  bool wire_fetch(const ChunkId& chunk, RegionId from, RegionId to,
+                  std::size_t bytes, core::FetchCoordinator::Callback cb);
+
   /// One wire fetch the collab tier routed, until it lands.
   struct CollabFetch {
     core::FetchCoordinator::Callback cb;
@@ -299,9 +303,8 @@ class ReadStrategy {
     RegionId home = 0;
     std::size_t bytes = 0;
   };
-  /// The coordinator's transport once enable_collab ran.
-  bool collab_fetch(const ChunkId& chunk, RegionId from, RegionId to,
-                    std::size_t bytes, core::FetchCoordinator::Callback cb);
+  /// A routed fetch landed: account for its final outcome (after any
+  /// retries, so a peer hit means the transfer landed), then pass it on.
   void collab_landed(std::uint32_t slot, std::optional<SimTimeMs> latency);
 
   CollabRoute collab_route_;
@@ -311,9 +314,7 @@ class ReadStrategy {
   /// A read holds one batch until it completes; a freed batch keeps its
   /// lists' capacity.
   SlotPool<BatchState> batches_;
-  /// new_plan's plan.
-  ReadPlan plan_;
-  /// start_plan's sampled cache-chunk latencies.
+  /// start_read's sampled cache-chunk latencies.
   std::vector<SimTimeMs> cache_latencies_;
   /// chunks_by_expected_latency's result and its per-region estimates.
   std::vector<std::pair<ChunkIndex, RegionId>> candidates_;

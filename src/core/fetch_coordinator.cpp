@@ -5,10 +5,10 @@
 
 namespace agar::core {
 
-FetchCoordinator::FetchCoordinator(sim::Network* network)
-    : network_(network) {
-  if (network_ == nullptr) {
-    throw std::invalid_argument("FetchCoordinator: null network");
+FetchCoordinator::FetchCoordinator(Transport transport)
+    : transport_(std::move(transport)) {
+  if (!transport_) {
+    throw std::invalid_argument("FetchCoordinator: empty transport");
   }
 }
 
@@ -30,11 +30,9 @@ FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
   Callback on_done = [this, key](std::optional<SimTimeMs> latency) {
     complete(key, latency);
   };
-  const bool accepted =
-      transport_
-          ? transport_(chunk, from, to, bytes, std::move(on_done))
-          : network_->begin_fetch(from, to, bytes, std::move(on_done));
-  if (!accepted) return FetchStart::kDown;
+  if (!transport_(chunk, from, to, bytes, std::move(on_done))) {
+    return FetchStart::kDown;
+  }
   join(*inflight_.try_emplace(key).first, std::move(cb));
   ++started_;
   return FetchStart::kStarted;

@@ -30,7 +30,7 @@ namespace agar::core {
 
 /// How one fetch request was admitted.
 enum class FetchStart {
-  kStarted,  ///< fresh wire fetch issued to the network
+  kStarted,  ///< fresh wire fetch issued to the transport
   kJoined,   ///< coalesced onto an already in-flight fetch of the chunk
   kDown,     ///< region down and nothing in flight; callback never fires
 };
@@ -38,26 +38,22 @@ enum class FetchStart {
 class FetchCoordinator {
  public:
   using Callback = sim::Network::FetchCallback;
-  /// Pluggable wire layer with Network::begin_fetch's contract: return
-  /// false to refuse synchronously, otherwise fire the callback exactly
-  /// once on the loop. The client installs its fault-tolerant fetch policy
-  /// here, *under* the coalescing table — so retries and hedges of one
-  /// chunk still count as a single in-flight entry that others join. The
-  /// chunk identity is passed through so the cooperative cache tier can
-  /// redirect a fetch to a peer cache that holds the chunk.
+  /// The wire layer under the table, with Network::begin_fetch's contract:
+  /// return false to refuse synchronously, otherwise fire the callback
+  /// exactly once on the loop. The client's transport (its fetch policy,
+  /// collab routing, then the network) sits *under* the coalescing table,
+  /// so retries and hedges of one chunk still count as a single in-flight
+  /// entry that others join. The chunk identity is passed through so the
+  /// cooperative cache tier can redirect a fetch to a peer cache that holds
+  /// the chunk.
   using Transport = std::function<bool(const ChunkId&, RegionId, RegionId,
                                        std::size_t, Callback)>;
 
-  explicit FetchCoordinator(sim::Network* network);
+  /// Throws std::invalid_argument for an empty transport.
+  explicit FetchCoordinator(Transport transport);
   // In-flight fetches' callbacks hold `this`.
   FetchCoordinator(const FetchCoordinator&) = delete;
   FetchCoordinator& operator=(const FetchCoordinator&) = delete;
-
-  /// Route wire fetches through `transport` instead of the raw network.
-  /// An empty transport restores the direct path.
-  void set_transport(Transport transport) {
-    transport_ = std::move(transport);
-  }
 
   /// Fetch chunk `chunk` of size `bytes` from backend region `to` on behalf
   /// of a client in `from`. If the chunk is already in flight the request
@@ -71,7 +67,7 @@ class FetchCoordinator {
   }
 
   // ------------------------------------------------------- observability
-  /// Wire fetches actually issued to the network.
+  /// Wire fetches the transport accepted.
   [[nodiscard]] std::uint64_t started() const { return started_; }
   /// Requests that joined an existing in-flight fetch (deduplicated work).
   [[nodiscard]] std::uint64_t coalesced() const { return coalesced_; }
@@ -87,8 +83,7 @@ class FetchCoordinator {
   /// The wire fetch of `key` landed: fire its waiters in join order.
   void complete(ChunkKey key, std::optional<SimTimeMs> latency);
 
-  sim::Network* network_;  // non-owning
-  Transport transport_;    // empty = raw network
+  Transport transport_;
   IntMap<SlotList<Waiter>> inflight_;  ///< each chunk's waiters, oldest first
   SlotPool<Waiter> waiters_;
   std::uint64_t started_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "api/api.hpp"
@@ -45,14 +46,27 @@ class AsyncPipelineTest : public ::testing::Test {
     return c;
   }
 
+  /// A coordinator's transport straight onto the network.
+  core::FetchCoordinator::Transport network_transport() {
+    return [this](const ChunkId&, RegionId from, RegionId to,
+                  std::size_t bytes, core::FetchCoordinator::Callback cb) {
+      return network_.begin_fetch(from, to, bytes, std::move(cb));
+    };
+  }
+
   sim::Topology topology_;
   sim::EventLoop loop_;
   sim::Network network_;
   store::BackendCluster backend_;
 };
 
+TEST_F(AsyncPipelineTest, CoordinatorRejectsAnEmptyTransport) {
+  EXPECT_THROW(core::FetchCoordinator{core::FetchCoordinator::Transport{}},
+               std::invalid_argument);
+}
+
 TEST_F(AsyncPipelineTest, CoordinatorCoalescesDuplicateFetches) {
-  core::FetchCoordinator coordinator(&network_);
+  core::FetchCoordinator coordinator(network_transport());
   std::vector<SimTimeMs> completions;
   const ChunkId chunk{backend_.id_of("object0"), 2};
   ASSERT_EQ(coordinator.fetch(chunk, 0, 1, 1000,
@@ -179,7 +193,7 @@ TEST_F(AsyncPipelineTest, ContendingReadsPayQueueingDelay) {
 TEST_F(AsyncPipelineTest, CoalescedObserversSeeFailureExactlyOnce) {
   // Several requesters joined one wire fetch; the destination dies
   // mid-flight. Every observer must hear nullopt exactly once.
-  core::FetchCoordinator coordinator(&network_);
+  core::FetchCoordinator coordinator(network_transport());
   const ChunkId chunk{backend_.id_of("object0"), 1};
   const RegionId to = sim::region::kTokyo;
   std::size_t failures = 0, successes = 0;
