@@ -43,14 +43,18 @@ std::optional<SharedBytes> ArcCache::get(ChunkKey key) {
   return nodes_[n].value;
 }
 
-void ArcCache::replace(std::size_t incoming, bool favor_t1) {
+void ArcCache::replace(std::size_t incoming, bool favor_t1,
+                       std::uint32_t keep) {
   while (bytes_[kT1] + bytes_[kT2] + incoming > capacity_bytes_) {
+    // `keep` sits at T2's front, so it is T2's LRU end only when alone.
+    const bool t2_evictable =
+        !lists_[kT2].empty() && lists_[kT2].back() != keep;
     const bool from_t1 =
         !lists_[kT1].empty() &&
         (bytes_[kT1] > target_p_ || (favor_t1 && bytes_[kT1] >= target_p_) ||
-         lists_[kT2].empty());
+         !t2_evictable);
+    if (!from_t1 && !t2_evictable) break;  // nothing else resident to evict
     const List from = from_t1 ? kT1 : kT2;
-    if (lists_[from].empty()) break;  // nothing resident to evict
     const std::uint32_t victim = lists_[from].back();
     used_bytes_ -= nodes_[victim].size;
     nodes_[victim].value = SharedBytes{};
@@ -92,10 +96,10 @@ bool ArcCache::put(ChunkKey key, SharedBytes value) {
     used_bytes_ += size - node.size;
     node.size = size;
     node.value = std::move(value);
-    // A grown entry may exceed capacity: evict to fit. When T1 is within
-    // its target and the entry is alone in T2, the victim is the entry
-    // itself, and put still reports it stored.
-    replace(0, false);
+    // A grown entry may exceed capacity: evict other entries to fit. When
+    // T1 is within its target and the entry is alone in T2, T1's LRU end
+    // goes, so the entry put reports stored is resident.
+    replace(0, false, n);
     trim_ghosts();
     ++stats_.admissions;
     return true;
@@ -118,7 +122,7 @@ bool ArcCache::put(ChunkKey key, SharedBytes value) {
     to = kT2;
     favor_t1 = !recency;
   }
-  replace(size, favor_t1);
+  replace(size, favor_t1, kNoSlot);
   const std::uint32_t n = nodes_.acquire();
   Node& node = nodes_[n];
   node.key = key;

@@ -64,8 +64,9 @@ class ArcCache final : public CacheEngine {
   /// Make room for `incoming` bytes: evict from T1 while it exceeds the
   /// adaptive target (from T2 otherwise), demoting victims to the ghost
   /// lists. `favor_t1` biases the boundary case toward evicting from T1
-  /// (set on B2 ghost hits, as in the paper's REPLACE).
-  void replace(std::size_t incoming, bool favor_t1);
+  /// (set on B2 ghost hits, as in the paper's REPLACE). Node `keep` (an
+  /// overwrite's own entry, at T2's front; kNoSlot: none) is never evicted.
+  void replace(std::size_t incoming, bool favor_t1, std::uint32_t keep);
   /// Bound the directory: B1 <= capacity - T1 (roughly), total <= 2x
   /// capacity, dropping ghost LRU entries.
   void trim_ghosts();

@@ -63,10 +63,15 @@ std::optional<SharedBytes> LfuCache::get(ChunkKey key) {
   return entries_[*e].value;  // shared handle, no copy
 }
 
-void LfuCache::evict_until_fits(std::size_t incoming) {
+void LfuCache::evict_until_fits(std::size_t incoming, std::uint32_t keep) {
   while (used_bytes_ + incoming > capacity_bytes_ && !by_freq_.empty()) {
-    // Lowest-frequency bucket, least recently touched entry.
-    const std::uint32_t victim = buckets_[by_freq_.front()].entries.back();
+    // Lowest-frequency bucket, least recently touched entry. `keep` sits at
+    // its bucket's front, so it is that end only when alone in the bucket:
+    // then the next bucket's goes.
+    std::uint32_t b = by_freq_.front();
+    if (buckets_[b].entries.back() == keep) b = buckets_[b].links.next;
+    if (b == kNoSlot) break;
+    const std::uint32_t victim = buckets_[b].entries.back();
     used_bytes_ -= entries_[victim].value.size();
     index_.erase(entries_[victim].key);
     unlink_entry(victim);
@@ -87,11 +92,11 @@ bool LfuCache::put(ChunkKey key, SharedBytes value) {
     used_bytes_ += value.size();
     entries_[e].value = std::move(value);
     promote(e);
-    evict_until_fits(0);
+    evict_until_fits(0, e);
     ++stats_.admissions;
     return true;
   }
-  evict_until_fits(value.size());
+  evict_until_fits(value.size(), kNoSlot);
   // New entries start in the frequency-1 bucket.
   std::uint32_t b = by_freq_.front();
   if (b == kNoSlot || buckets_[b].freq != 1) {

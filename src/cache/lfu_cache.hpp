@@ -51,7 +51,9 @@ class LfuCache final : public CacheEngine {
   void promote(std::uint32_t e);
   /// Take entry `e` off its bucket, dropping the bucket if it empties.
   void unlink_entry(std::uint32_t e);
-  void evict_until_fits(std::size_t incoming);
+  /// Evict until `incoming` more bytes fit, never entry `keep` (an
+  /// overwrite's own entry, at its bucket's front; kNoSlot: none).
+  void evict_until_fits(std::size_t incoming, std::uint32_t keep);
 
   SlotPool<Entry> entries_;
   SlotPool<Bucket> buckets_;

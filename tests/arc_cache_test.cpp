@@ -95,6 +95,22 @@ TEST(ArcCache, OverwriteUpdatesBytesAndValue) {
   EXPECT_EQ(cache.used_bytes(), 300u);
 }
 
+TEST(ArcCache, GrownOverwriteEvictsOthersNotItself) {
+  // The last overwrite grows key 3 while it is alone in T2 and T1 is within
+  // its target: T1's LRU end goes instead of the entry, and put's true
+  // means key 3 is resident.
+  ArcCache cache(100);
+  const std::pair<const char*, std::size_t> puts[] = {
+      {"4", 96}, {"2", 45}, {"4", 6},  {"4", 43}, {"3", 84},
+      {"4", 41}, {"3", 16}, {"2", 14}, {"3", 94}};
+  for (const auto& [name, size] : puts) {
+    EXPECT_TRUE(cache.put(key(name), value(size))) << name << ":" << size;
+    EXPECT_TRUE(cache.contains(key(name))) << name << ":" << size;
+    EXPECT_LE(cache.used_bytes(), 100u);
+  }
+  EXPECT_EQ(cache.t2_bytes(), 94u);
+}
+
 TEST(ArcCache, RegisteredAsEngineOnly) {
   // The openness proof: ARC exists in the engine registry (its .cpp is its
   // ONLY wiring) and runs as a system via the fixed-chunks fallback — it

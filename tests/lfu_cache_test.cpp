@@ -101,6 +101,22 @@ TEST(LfuCache, OverwriteUpdatesByteAccounting) {
   EXPECT_EQ(c.used_bytes(), 50u);
 }
 
+TEST(LfuCache, GrownOverwriteEvictsOthersNotItself) {
+  // After its promotion b is alone in the lowest bucket (a is more
+  // frequent), so that bucket's LRU end is b itself: the overwrite must
+  // evict a instead, and put's true must mean b is resident.
+  LfuCache c(100);
+  c.put(key("a"), val(40));
+  (void)c.get(key("a"));
+  (void)c.get(key("a"));
+  c.put(key("b"), val(10));
+  EXPECT_TRUE(c.put(key("b"), val(70)));
+  EXPECT_TRUE(c.contains(key("b")));
+  EXPECT_FALSE(c.contains(key("a")));
+  EXPECT_EQ(c.used_bytes(), 70u);
+  EXPECT_EQ(c.stats().evictions, 1u);
+}
+
 TEST(LfuCache, KeysListsAllResidents) {
   LfuCache c(100);
   c.put(key("a"), val(10));
