@@ -52,7 +52,7 @@ void BM_OptionGeneration(benchmark::State& state) {
     costs.push_back({i, i % 6, latency[i % 6]});
   }
   for (auto _ : state) {
-    auto options = gen.generate("key", costs, 42.0);
+    auto options = gen.generate(costs, 42.0);
     benchmark::DoNotOptimize(options.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -71,7 +71,7 @@ std::vector<std::vector<core::CachingOption>> make_groups(std::size_t keys) {
     std::vector<core::CachingOption> group;
     for (std::size_t i = 0; i < weights.size(); ++i) {
       core::CachingOption o;
-      o.key = "object" + std::to_string(key);
+      o.object = static_cast<ObjectId>(key);
       o.weight = weights[i];
       o.weight_units = weights[i];
       o.value = popularity * improvement[i];

@@ -76,7 +76,8 @@ int main() {
             << " object(s), " << config.total_chunks << " chunks, "
             << format_bytes(config.total_bytes) << "\n";
   for (const auto& opt : config.entries) {
-    std::cout << "  " << opt.key << ": " << opt.weight
+    std::cout << "  " << deployment.backend().key_of(opt.object) << ": "
+              << opt.weight
               << " chunk(s), expected latency " << opt.expected_latency_ms
               << " ms\n";
   }

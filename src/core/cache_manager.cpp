@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -11,11 +10,11 @@
 
 namespace agar::core {
 
-const CachingOption* CacheConfiguration::find(const ObjectKey& key) const {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const CachingOption& o, const ObjectKey& k) { return o.key < k; });
-  return it != entries.end() && it->key == key ? &*it : nullptr;
+const CachingOption* CacheConfiguration::find(ObjectId object) const {
+  const auto it = std::find_if(
+      entries.begin(), entries.end(),
+      [object](const CachingOption& o) { return o.object == object; });
+  return it != entries.end() ? &*it : nullptr;
 }
 
 std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
@@ -70,7 +69,7 @@ void CacheManager::generate_options(
   layout_valued_.assign(backend_->num_layouts(), false);
   std::size_t used = 0;
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    const auto& [key, popularity] = snapshot[i];
+    const double popularity = snapshot[i].second;
     if (popularity <= 0.0 || ids_[i] == kNoObject) continue;
     const store::ObjectInfo& info = backend_->object_info(ids_[i]);
     LayoutOptions& layout = layouts_[info.layout];
@@ -81,7 +80,7 @@ void CacheManager::generate_options(
     }
     if (used == groups_.size()) groups_.emplace_back();
     auto& group = groups_[used++];
-    generator_.write_options(layout, key, ids_[i], popularity, group);
+    generator_.write_options(layout, ids_[i], popularity, group);
     for (auto& opt : group) {
       const double bytes = static_cast<double>(opt.weight) *
                            static_cast<double>(info.chunk_size);
@@ -131,16 +130,17 @@ const CacheConfiguration& CacheManager::reconfigure() {
           .count();
 
   // The chosen list is the configuration: the population fetches walk it,
-  // so it must come back in the input's key order, one option per key.
-  const auto out_of_order = std::adjacent_find(
-      result.chosen.begin(), result.chosen.end(),
-      [](const CachingOption& a, const CachingOption& b) {
-        return !(a.key < b.key);
-      });
-  if (out_of_order != result.chosen.end()) {
-    throw std::logic_error("CacheManager: planner " + planner_->name() +
-                           " chose " + std::next(out_of_order)->key +
-                           " out of key order");
+  // so it must come back in the groups' (key) order, at most one option
+  // per group.
+  std::size_t g = 0;
+  for (const CachingOption& opt : result.chosen) {
+    while (g < groups_.size() && groups_[g].front().object != opt.object) ++g;
+    if (g == groups_.size()) {
+      throw std::logic_error("CacheManager: planner " + planner_->name() +
+                             " chose " + backend_->key_of(opt.object) +
+                             " out of key order");
+    }
+    ++g;
   }
 
   config_.total_chunks = 0;

@@ -46,14 +46,15 @@ struct CacheManagerParams {
 /// histogram all iterate it, and each of those orders ends up in event
 /// sequence numbers or output.
 struct CacheConfiguration {
-  /// The planner's chosen options, one per key, sorted by key.
+  /// The planner's chosen options, at most one per object, in the order of
+  /// the objects' keys.
   std::vector<CachingOption> entries;
   double total_value = 0.0;
   std::size_t total_chunks = 0;
   std::size_t total_bytes = 0;
 
-  /// The chosen option of `key`, or nullptr if it is not configured.
-  [[nodiscard]] const CachingOption* find(const ObjectKey& key) const;
+  /// The chosen option of `object`, or nullptr if it is not configured.
+  [[nodiscard]] const CachingOption* find(ObjectId object) const;
 
   /// Histogram of "objects cached with w chunks" -> count (Fig. 10 data),
   /// sorted by weight.

@@ -14,9 +14,7 @@
 namespace agar::core {
 
 struct CachingOption {
-  ObjectKey key;
-  /// The object's id, for installing the option (CacheManager fills it;
-  /// the planners compare and order options by key).
+  /// The object the option caches chunks of: its one identity.
   ObjectId object = 0;
 
   /// The exact chunk indices to cache (most distant first, paper §IV-A).

@@ -121,7 +121,7 @@ KnapsackResult solve_greedy(
     std::size_t capacity_units) {
   struct Flat {
     const CachingOption* opt;
-    std::size_t key_idx;
+    std::size_t group;
     double density;
   };
   std::vector<Flat> flat;
@@ -132,34 +132,29 @@ KnapsackResult solve_greedy(
           Flat{&o, i, o.value / static_cast<double>(o.weight_units)});
     }
   }
-  // Deterministic total order: density first, then key and weight — equal
-  // densities must not fall through to input order, or the chosen
-  // configuration would depend on how the caller assembled the groups.
+  // Deterministic total order: density first, then group and weight. A
+  // planner's groups are in key order, so equal densities go to the
+  // earlier key.
   std::stable_sort(flat.begin(), flat.end(), [](const Flat& a, const Flat& b) {
     if (a.density != b.density) return a.density > b.density;
-    if (a.opt->key != b.opt->key) return a.opt->key < b.opt->key;
+    if (a.group != b.group) return a.group < b.group;
     return a.opt->weight_units < b.opt->weight_units;
   });
 
-  std::vector<bool> key_used(options_per_key.size(), false);
-  std::vector<const CachingOption*> picked;
+  // Each group's pick, if any; reported in group order, as the other
+  // solvers do.
+  std::vector<const CachingOption*> picked(options_per_key.size(), nullptr);
   std::size_t used = 0;
   for (const auto& f : flat) {
-    if (key_used[f.key_idx]) continue;
+    if (picked[f.group] != nullptr) continue;
     if (used + f.opt->weight_units > capacity_units) continue;
-    key_used[f.key_idx] = true;
-    picked.push_back(f.opt);
+    picked[f.group] = f.opt;
     used += f.opt->weight_units;
   }
-  // Report the choice in key order, as the other solvers do for a planner's
-  // key-ordered input.
-  std::stable_sort(picked.begin(), picked.end(),
-                   [](const CachingOption* a, const CachingOption* b) {
-                     return a->key < b->key;
-                   });
   std::vector<CachingOption> chosen;
-  chosen.reserve(picked.size());
-  for (const CachingOption* o : picked) chosen.push_back(*o);
+  for (const CachingOption* o : picked) {
+    if (o != nullptr) chosen.push_back(*o);
+  }
   return finish(std::move(chosen));
 }
 

@@ -25,9 +25,9 @@ namespace agar::core {
 
 /// A solved cache configuration.
 struct KnapsackResult {
-  /// Chosen options, at most one per key, in the order of their groups
-  /// (solve_greedy: by key). A planner's groups are in key order, so its
-  /// choice is too (see Planner::plan).
+  /// Chosen options, at most one per group, in the order of their groups.
+  /// A planner's groups are in key order, so its choice is too (see
+  /// Planner::plan).
   std::vector<CachingOption> chosen;
   double total_value = 0.0;
   std::size_t total_weight_units = 0;
@@ -72,9 +72,9 @@ class KnapsackDp {
     std::size_t capacity_units);
 
 /// Greedy baseline: consider options by decreasing value density
-/// (value / weight_units); take an option if its key is still unused and it
-/// fits. Not optimal — kept for the §II-D ablation. Its choice comes back
-/// in key order.
+/// (value / weight_units), equal densities by group then weight; take an
+/// option if its group is still unused and it fits. Not optimal — kept for
+/// the §II-D ablation. Its choice comes back in group order.
 [[nodiscard]] KnapsackResult solve_greedy(
     const std::vector<std::vector<CachingOption>>& options_per_key,
     std::size_t capacity_units);

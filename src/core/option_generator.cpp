@@ -69,15 +69,13 @@ void OptionGenerator::value_layout(std::vector<ChunkCost>& chunk_costs,
 }
 
 void OptionGenerator::write_options(const LayoutOptions& layout,
-                                    const ObjectKey& key, ObjectId object,
-                                    double popularity,
+                                    ObjectId object, double popularity,
                                     std::vector<CachingOption>& out) const {
   const auto& weights = params_.candidate_weights;
   out.resize(weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) {
     CachingOption& opt = out[i];
     const std::size_t w = weights[i];
-    opt.key = key;
     opt.object = object;
     opt.chunks.assign(layout.chunks.begin(), layout.chunks.begin() + w);
     opt.weight = w;
@@ -88,12 +86,11 @@ void OptionGenerator::write_options(const LayoutOptions& layout,
 }
 
 std::vector<CachingOption> OptionGenerator::generate(
-    const ObjectKey& key, std::vector<ChunkCost> chunk_costs,
-    double popularity) const {
+    std::vector<ChunkCost> chunk_costs, double popularity) const {
   LayoutOptions layout;
   value_layout(chunk_costs, layout);
   std::vector<CachingOption> out;
-  write_options(layout, key, 0, popularity, out);
+  write_options(layout, 0, popularity, out);
   return out;
 }
 

@@ -69,18 +69,16 @@ class OptionGenerator {
 
   /// One object's options on a valued layout into `out`, one per candidate
   /// weight, reusing its buffers: value = popularity x gain. `popularity`
-  /// is the request monitor's EWMA for this key. Options with no gain are
-  /// still produced (value 0) so the solver can reason uniformly; the
+  /// is the request monitor's EWMA for this object. Options with no gain
+  /// are still produced (value 0) so the solver can reason uniformly; the
   /// solver skips zero-value options. weight_units is the chunk count,
   /// which the cache manager rescales for mixed object sizes.
-  void write_options(const LayoutOptions& layout, const ObjectKey& key,
-                     ObjectId object, double popularity,
-                     std::vector<CachingOption>& out) const;
+  void write_options(const LayoutOptions& layout, ObjectId object,
+                     double popularity, std::vector<CachingOption>& out) const;
 
-  /// Options for one object: value_layout, then write_options.
+  /// Options for one object (object 0): value_layout, then write_options.
   [[nodiscard]] std::vector<CachingOption> generate(
-      const ObjectKey& key, std::vector<ChunkCost> chunk_costs,
-      double popularity) const;
+      std::vector<ChunkCost> chunk_costs, double popularity) const;
 
   [[nodiscard]] const OptionGeneratorParams& params() const { return params_; }
 

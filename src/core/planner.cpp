@@ -81,7 +81,7 @@ class IncrementalPlanner final : public Planner {
     for (std::size_t i = 0; i < groups.size(); ++i) {
       const auto& group = groups[i];
       if (group.empty()) continue;
-      const auto it = memo_.find(group.front().key);
+      const auto it = memo_.find(group.front().object);
       const double sig = signature(group, capacity_units);
       bool stable =
           it != memo_.end() &&
@@ -108,8 +108,8 @@ class IncrementalPlanner final : public Planner {
     for (const std::size_t i : dirty) dirty_groups.push_back(groups[i]);
     const KnapsackResult partial =
         dp_.solve(dirty_groups, capacity_units - kept_units);
-    std::unordered_map<ObjectKey, const CachingOption*> replanned;
-    for (const auto& o : partial.chosen) replanned.emplace(o.key, &o);
+    std::unordered_map<ObjectId, const CachingOption*> replanned;
+    for (const auto& o : partial.chosen) replanned.emplace(o.object, &o);
 
     // Displacement check: the partial DP cannot shrink kept keys to make
     // room. If a dirty key could not realize its best option — left out
@@ -129,7 +129,7 @@ class IncrementalPlanner final : public Planner {
       const auto& group = groups[i];
       if (group.empty()) continue;
       const double sig = signature(group, capacity_units);
-      const auto it = replanned.find(group.front().key);
+      const auto it = replanned.find(group.front().object);
       const double realized = it != replanned.end() ? it->second->value : 0.0;
       if (sig > realized + 1e-12 && sig > min_kept_value) {
         return full_plan(groups, capacity_units);
@@ -140,29 +140,29 @@ class IncrementalPlanner final : public Planner {
     // refresh the memo: dirty keys record their new signature/choice,
     // stable keys carry their last-planned signature forward.
     KnapsackResult out;
-    std::unordered_map<ObjectKey, KeyMemo> next_memo;
+    std::unordered_map<ObjectId, KeyMemo> next_memo;
     next_memo.reserve(groups.size());
     std::vector<bool> is_dirty(groups.size(), false);
     for (const std::size_t i : dirty) is_dirty[i] = true;
     for (std::size_t i = 0; i < groups.size(); ++i) {
       const auto& group = groups[i];
       if (group.empty()) continue;
-      const ObjectKey& key = group.front().key;
+      const ObjectId object = group.front().object;
       const CachingOption* pick = kept[i];
       if (pick == nullptr) {
-        const auto chosen_it = replanned.find(key);
+        const auto chosen_it = replanned.find(object);
         if (chosen_it != replanned.end()) pick = chosen_it->second;
       }
       if (pick != nullptr) out.chosen.push_back(*pick);
 
       KeyMemo memo;
-      const auto prev = memo_.find(key);
+      const auto prev = memo_.find(object);
       memo.signature = is_dirty[i] || prev == memo_.end()
                            ? signature(group, capacity_units)
                            : prev->second.signature;
       memo.chosen = pick != nullptr;
       memo.weight_units = pick != nullptr ? pick->weight_units : 0;
-      next_memo.emplace(key, memo);
+      next_memo.emplace(object, memo);
     }
     memo_ = std::move(next_memo);
     return finish(std::move(out));
@@ -213,17 +213,17 @@ class IncrementalPlanner final : public Planner {
     KnapsackResult result = dp_.solve(groups, capacity_units);
     memo_.clear();
     memo_.reserve(groups.size());
-    std::unordered_map<ObjectKey, const CachingOption*> chosen;
-    for (const auto& o : result.chosen) chosen.emplace(o.key, &o);
+    std::unordered_map<ObjectId, const CachingOption*> chosen;
+    for (const auto& o : result.chosen) chosen.emplace(o.object, &o);
     for (const auto& group : groups) {
       if (group.empty()) continue;
-      const ObjectKey& key = group.front().key;
+      const ObjectId object = group.front().object;
       KeyMemo memo;
       memo.signature = signature(group, capacity_units);
-      const auto it = chosen.find(key);
+      const auto it = chosen.find(object);
       memo.chosen = it != chosen.end();
       memo.weight_units = memo.chosen ? it->second->weight_units : 0;
-      memo_.emplace(key, memo);
+      memo_.emplace(object, memo);
     }
     return result;
   }
@@ -232,7 +232,7 @@ class IncrementalPlanner final : public Planner {
   std::size_t full_every_;
   KnapsackDp dp_;
   std::uint64_t rounds_ = 0;
-  std::unordered_map<ObjectKey, KeyMemo> memo_;
+  std::unordered_map<ObjectId, KeyMemo> memo_;
 };
 
 const api::PlannerRegistration kDp{{

@@ -30,11 +30,11 @@ class Planner {
  public:
   virtual ~Planner() = default;
 
-  /// Solve one reconfiguration: choose at most one option per key, never a
-  /// non-positive-value option, within `capacity_units`. `options_per_key`
-  /// groups are sorted by key and each group belongs to a single key; the
-  /// chosen options come back in that key order, which the cache manager
-  /// installs as is.
+  /// Solve one reconfiguration: choose at most one option per group, never
+  /// a non-positive-value option, within `capacity_units`. Each of the
+  /// `options_per_key` groups holds one object's options, and the groups
+  /// are sorted by the objects' keys; the chosen options come back in group
+  /// order, which the cache manager installs as is.
   [[nodiscard]] virtual KnapsackResult plan(
       const std::vector<std::vector<CachingOption>>& options_per_key,
       std::size_t capacity_units) = 0;

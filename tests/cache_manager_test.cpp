@@ -33,7 +33,7 @@ Recorded& recorded() {
 }
 
 /// The exact DP, recording its input; `reverse` hands the choice back out
-/// of key order.
+/// of group order.
 class RecordingPlanner final : public Planner {
  public:
   explicit RecordingPlanner(bool reverse) : reverse_(reverse) {}
@@ -63,7 +63,7 @@ const api::PlannerRegistration kRecording{{
     {}}};
 
 const api::PlannerRegistration kReversing{{
-    "reversing", "reversing", "test: the exact DP, choice out of key order",
+    "reversing", "reversing", "test: the exact DP, choice out of group order",
     api::ParamSchema{},
     [](const api::PlannerContext&, const api::ParamMap&) {
       return std::make_unique<RecordingPlanner>(true);
@@ -95,6 +95,10 @@ class CacheManagerTest : public ::testing::Test {
     cp.planner = planner;
     return std::make_unique<CacheManager>(&backend_, region_manager_.get(),
                                           estimator_.get(), cache_.get(), cp);
+  }
+
+  [[nodiscard]] ObjectId id(const ObjectKey& key) const {
+    return backend_.id_of(key);
   }
 
   sim::Topology topology_;
@@ -167,13 +171,13 @@ TEST_F(CacheManagerTest, ConfigurationIsTheChoiceInKeyOrder) {
   const auto& config = mgr->reconfigure();
   ASSERT_GT(config.entries.size(), 1u);
   for (std::size_t i = 1; i < config.entries.size(); ++i) {
-    EXPECT_LT(config.entries[i - 1].key, config.entries[i].key);
+    EXPECT_LT(backend_.key_of(config.entries[i - 1].object),
+              backend_.key_of(config.entries[i].object));
   }
   for (const auto& opt : config.entries) {
-    EXPECT_EQ(config.find(opt.key), &opt);
+    EXPECT_EQ(config.find(opt.object), &opt);
   }
-  EXPECT_EQ(config.find("object"), nullptr);
-  EXPECT_EQ(config.find("object99"), nullptr);
+  EXPECT_EQ(config.find(99), nullptr);
 }
 
 /// Options as the generator made them one object at a time, from the
@@ -211,7 +215,6 @@ std::vector<std::vector<CachingOption>> per_object_reference(
     std::vector<CachingOption> group;
     for (const std::size_t w : weights) {
       CachingOption o;
-      o.key = key;
       o.object = *id;
       for (std::size_t i = 0; i < w; ++i) {
         o.chunks.push_back(costs[kM + i].index);
@@ -279,12 +282,12 @@ TEST_P(PerLayoutOptions, MatchThePerObjectReference) {
     const auto& got = recorded().groups;
     ASSERT_EQ(got.size(), want.size()) << "period " << period;
     for (std::size_t g = 0; g < want.size(); ++g) {
-      ASSERT_EQ(got[g].size(), want[g].size()) << want[g].front().key;
+      const ObjectKey& key = backend.key_of(want[g].front().object);
+      ASSERT_EQ(got[g].size(), want[g].size()) << key;
       for (std::size_t o = 0; o < want[g].size(); ++o) {
         const CachingOption& a = got[g][o];
         const CachingOption& b = want[g][o];
-        const std::string where = b.key + " weight " + std::to_string(b.weight);
-        EXPECT_EQ(a.key, b.key) << where;
+        const std::string where = key + " weight " + std::to_string(b.weight);
         EXPECT_EQ(a.object, b.object) << where;
         EXPECT_EQ(a.chunks, b.chunks) << where;
         EXPECT_EQ(a.weight, b.weight) << where;
@@ -307,7 +310,7 @@ TEST_F(CacheManagerTest, HotKeysGetConfigured) {
   for (int i = 0; i < 50; ++i) estimator_->record("object0");
   for (int i = 0; i < 10; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
-  EXPECT_NE(config.find("object0"), nullptr);
+  EXPECT_NE(config.find(id("object0")), nullptr);
   EXPECT_GT(cache_->configured_size(), 0u);
 }
 
@@ -328,12 +331,10 @@ TEST_F(CacheManagerTest, HotterKeysGetAtLeastAsManyChunks) {
   for (int i = 0; i < 100; ++i) estimator_->record("object0");
   for (int i = 0; i < 5; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
-  if (config.find("object0") != nullptr &&
-      config.find("object1") != nullptr) {
-    EXPECT_GE(config.find("object0")->weight,
-              config.find("object1")->weight);
-  } else {
-    EXPECT_NE(config.find("object0"), nullptr);
+  const CachingOption* hot = config.find(id("object0"));
+  ASSERT_NE(hot, nullptr);
+  if (const CachingOption* cold = config.find(id("object1"))) {
+    EXPECT_GE(hot->weight, cold->weight);
   }
 }
 
@@ -341,7 +342,7 @@ TEST_F(CacheManagerTest, UnknownKeysAreIgnored) {
   auto mgr = make_manager(10_MB);
   for (int i = 0; i < 50; ++i) estimator_->record("not-in-backend");
   const auto& config = mgr->reconfigure();
-  EXPECT_EQ(config.find("not-in-backend"), nullptr);
+  EXPECT_TRUE(config.entries.empty());
 }
 
 TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
@@ -353,7 +354,7 @@ TEST_F(CacheManagerTest, WeightQuantumIsChunkSizeForUniformObjects) {
   const auto& config = mgr->reconfigure();
   ASSERT_FALSE(config.entries.empty());
   for (const auto& opt : config.entries) {
-    EXPECT_EQ(opt.weight_units, opt.weight) << opt.key;
+    EXPECT_EQ(opt.weight_units, opt.weight) << backend_.key_of(opt.object);
   }
 }
 
@@ -364,7 +365,6 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   const auto& config = mgr->reconfigure();
   std::size_t chunk_keys = 0;
   for (const auto& opt : config.entries) {
-    EXPECT_EQ(opt.object, backend_.id_of(opt.key));
     chunk_keys += opt.chunks.size();
     for (const ChunkIndex c : opt.chunks) {
       EXPECT_TRUE(cache_->is_configured(ChunkId{opt.object, c}.key()));
@@ -389,16 +389,16 @@ TEST_F(CacheManagerTest, AdaptsWhenPopularityShifts) {
   auto mgr = make_manager(5_MB);
   for (int i = 0; i < 100; ++i) estimator_->record("object0");
   mgr->reconfigure();
-  ASSERT_NE(mgr->current().find("object0"), nullptr);
+  ASSERT_NE(mgr->current().find(id("object0")), nullptr);
 
   // The workload moves to object5 for several periods; object0 decays.
   for (int period = 0; period < 8; ++period) {
     for (int i = 0; i < 100; ++i) estimator_->record("object5");
     mgr->reconfigure();
   }
-  const CachingOption* hot = mgr->current().find("object5");
+  const CachingOption* hot = mgr->current().find(id("object5"));
   ASSERT_NE(hot, nullptr);
-  if (const CachingOption* cold = mgr->current().find("object0")) {
+  if (const CachingOption* cold = mgr->current().find(id("object0"))) {
     EXPECT_LE(cold->weight, hot->weight);
   }
 }

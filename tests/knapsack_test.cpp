@@ -14,9 +14,12 @@
 namespace agar::core {
 namespace {
 
-CachingOption opt(const ObjectKey& key, std::size_t weight, double value) {
+/// Objects are named by id: a = 0, b = 1, c = 2.
+constexpr ObjectId kA = 0, kB = 1, kC = 2;
+
+CachingOption opt(ObjectId object, std::size_t weight, double value) {
   CachingOption o;
-  o.key = key;
+  o.object = object;
   o.weight = weight;
   o.weight_units = weight;
   o.value = value;
@@ -33,40 +36,41 @@ TEST(Knapsack, EmptyInput) {
 }
 
 TEST(Knapsack, ZeroCapacityChoosesNothing) {
-  const auto r = solve_dp({{opt("a", 1, 5.0)}}, 0);
+  const auto r = solve_dp({{opt(kA, 1, 5.0)}}, 0);
   EXPECT_TRUE(r.chosen.empty());
 }
 
 TEST(Knapsack, SingleOptionFits) {
-  const auto r = solve_dp({{opt("a", 3, 7.0)}}, 5);
+  const auto r = solve_dp({{opt(kA, 3, 7.0)}}, 5);
   ASSERT_EQ(r.chosen.size(), 1u);
-  EXPECT_EQ(r.chosen[0].key, "a");
+  EXPECT_EQ(r.chosen[0].object, kA);
   EXPECT_DOUBLE_EQ(r.total_value, 7.0);
   EXPECT_EQ(r.total_weight_units, 3u);
 }
 
 TEST(Knapsack, SingleOptionTooHeavy) {
-  const auto r = solve_dp({{opt("a", 6, 7.0)}}, 5);
+  const auto r = solve_dp({{opt(kA, 6, 7.0)}}, 5);
   EXPECT_TRUE(r.chosen.empty());
 }
 
 TEST(Knapsack, AtMostOneOptionPerKey) {
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 10.0), opt("a", 2, 15.0), opt("a", 3, 18.0)},
-      {opt("b", 1, 9.0), opt("b", 2, 14.0)},
+      {opt(kA, 1, 10.0), opt(kA, 2, 15.0), opt(kA, 3, 18.0)},
+      {opt(kB, 1, 9.0), opt(kB, 2, 14.0)},
   };
   const auto r = solve_dp(groups, 10);
-  std::set<ObjectKey> keys;
+  std::set<ObjectId> objects;
   for (const auto& o : r.chosen) {
-    EXPECT_TRUE(keys.insert(o.key).second) << "duplicate key " << o.key;
+    EXPECT_TRUE(objects.insert(o.object).second)
+        << "duplicate object " << o.object;
   }
 }
 
 TEST(Knapsack, PrefersHigherValueCombination) {
   // Capacity 3: best is a@1 (10) + b@2 (14) = 24, not a@3 (18).
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 10.0), opt("a", 3, 18.0)},
-      {opt("b", 2, 14.0)},
+      {opt(kA, 1, 10.0), opt(kA, 3, 18.0)},
+      {opt(kB, 2, 14.0)},
   };
   const auto r = solve_dp(groups, 3);
   EXPECT_DOUBLE_EQ(r.total_value, 24.0);
@@ -78,8 +82,8 @@ TEST(Knapsack, RelaxationShrinkAnOption) {
   // lighter one for the same key frees room. Capacity 4:
   //   a@4 alone = 20; a@2 (15) + b@2 (12) = 27.
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 2, 15.0), opt("a", 4, 20.0)},
-      {opt("b", 2, 12.0)},
+      {opt(kA, 2, 15.0), opt(kA, 4, 20.0)},
+      {opt(kB, 2, 12.0)},
   };
   const auto r = solve_dp(groups, 4);
   EXPECT_DOUBLE_EQ(r.total_value, 27.0);
@@ -87,8 +91,8 @@ TEST(Knapsack, RelaxationShrinkAnOption) {
 
 TEST(Knapsack, IgnoresZeroValueOptions) {
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 0.0)},
-      {opt("b", 1, -3.0)},
+      {opt(kA, 1, 0.0)},
+      {opt(kB, 1, -3.0)},
   };
   const auto r = solve_dp(groups, 5);
   EXPECT_TRUE(r.chosen.empty());
@@ -96,8 +100,8 @@ TEST(Knapsack, IgnoresZeroValueOptions) {
 
 TEST(Knapsack, ExactCapacityFill) {
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 5, 50.0)},
-      {opt("b", 5, 49.0)},
+      {opt(kA, 5, 50.0)},
+      {opt(kB, 5, 49.0)},
   };
   const auto r = solve_dp(groups, 10);
   EXPECT_EQ(r.total_weight_units, 10u);
@@ -111,8 +115,8 @@ TEST(Knapsack, GreedyFailsOnClassicAdversarialFamily) {
   for (const std::size_t capacity : {2u, 10u, 100u, 1000u}) {
     const double big = 9.9 * static_cast<double>(capacity);
     const std::vector<std::vector<CachingOption>> groups = {
-        {opt("a", 1, 10.0)},
-        {opt("b", capacity, big)},
+        {opt(kA, 1, 10.0)},
+        {opt(kB, capacity, big)},
     };
     const auto greedy = solve_greedy(groups, capacity);
     const auto dp = solve_dp(groups, capacity);
@@ -130,7 +134,7 @@ TEST(Knapsack, GreedyNeverBeatsDp) {
       std::vector<CachingOption> group;
       const std::size_t options = 1 + rng.next_below(4);
       for (std::size_t i = 0; i < options; ++i) {
-        group.push_back(opt('k' + std::to_string(key),
+        group.push_back(opt(static_cast<ObjectId>(key),
                             1 + rng.next_below(8),
                             static_cast<double>(rng.next_below(100))));
       }
@@ -155,7 +159,7 @@ TEST_P(DpVsBruteForce, OptimalOnRandomInstances) {
       std::vector<CachingOption> group;
       const std::size_t options = 1 + rng.next_below(5);
       for (std::size_t i = 0; i < options; ++i) {
-        group.push_back(opt('k' + std::to_string(key),
+        group.push_back(opt(static_cast<ObjectId>(key),
                             1 + rng.next_below(9),
                             1.0 + static_cast<double>(rng.next_below(1000))));
       }
@@ -177,7 +181,7 @@ TEST(Knapsack, ChosenWeightsNeverExceedCapacity) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::vector<CachingOption>> groups;
     for (std::size_t key = 0; key < 8; ++key) {
-      groups.push_back({opt('k' + std::to_string(key), 1 + rng.next_below(9),
+      groups.push_back({opt(static_cast<ObjectId>(key), 1 + rng.next_below(9),
                             static_cast<double>(1 + rng.next_below(50)))});
     }
     const std::size_t cap = rng.next_below(30);
@@ -201,7 +205,7 @@ TEST(Knapsack, PaperStyleInstanceMixesWeights) {
     const double popularity = 100.0 / (1.0 + key);  // zipf-1-ish
     std::vector<CachingOption> group;
     for (std::size_t i = 0; i < weights.size(); ++i) {
-      group.push_back(opt("object" + std::to_string(key), weights[i],
+      group.push_back(opt(static_cast<ObjectId>(key), weights[i],
                           popularity * improvement[i]));
     }
     groups.push_back(std::move(group));
@@ -218,19 +222,21 @@ TEST(Knapsack, PaperStyleInstanceMixesWeights) {
   // full-replica-only policy (90/9 = 10) must appear.
   std::size_t hottest_weight = 0;
   for (const auto& o : r.chosen) {
-    if (o.key == "object0") hottest_weight = o.weight;
+    if (o.object == 0) hottest_weight = o.weight;
   }
   EXPECT_GE(hottest_weight, 5u);
   EXPECT_GT(r.chosen.size(), 10u);
   EXPECT_LE(r.total_weight_units, 90u);
 }
 
-/// "key:weight" per chosen option, in the result's order.
-std::string describe(const KnapsackResult& r) {
+/// "key:weight" per chosen option, in the result's order; object i is
+/// keys[i].
+std::string describe(const KnapsackResult& r,
+                     const std::vector<ObjectKey>& keys) {
   std::string out;
   for (const auto& o : r.chosen) {
     if (!out.empty()) out += ' ';
-    out += o.key + ':' + std::to_string(o.weight);
+    out += keys[o.object] + ':' + std::to_string(o.weight);
   }
   return out;
 }
@@ -254,8 +260,9 @@ TEST(Knapsack, IdenticalGroupsKeepTheirTieBreak) {
   for (int i = 0; i < 12; ++i) keys.push_back("object" + std::to_string(i));
   std::sort(keys.begin(), keys.end());  // the snapshot's key order
   std::vector<std::vector<CachingOption>> groups;
-  for (const auto& key : keys) {
-    groups.push_back(generator.generate(key, costs, 0.8));
+  for (ObjectId object = 0; object < keys.size(); ++object) {
+    groups.push_back(generator.generate(costs, 0.8));
+    for (auto& o : groups.back()) o.object = object;
   }
 
   const std::vector<std::pair<std::size_t, std::string>> expected = {
@@ -274,16 +281,16 @@ TEST(Knapsack, IdenticalGroupsKeepTheirTieBreak) {
        "object4:7 object5:7 object6:7 object7:7 object8:7 object9:7"},
   };
   for (const auto& [capacity, chosen] : expected) {
-    EXPECT_EQ(describe(solve_dp(groups, capacity)), chosen)
+    EXPECT_EQ(describe(solve_dp(groups, capacity), keys), chosen)
         << "capacity " << capacity;
   }
 }
 
 TEST(Knapsack, BruteForceHonorsCapacityToo) {
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 4, 9.0)},
-      {opt("b", 4, 9.5)},
-      {opt("c", 4, 9.9)},
+      {opt(kA, 4, 9.0)},
+      {opt(kB, 4, 9.5)},
+      {opt(kC, 4, 9.9)},
   };
   const auto r = solve_brute_force(groups, 8);
   EXPECT_EQ(r.chosen.size(), 2u);

@@ -53,7 +53,7 @@ TEST(OptionGenerator, DefaultWeightsAreOneToK) {
 TEST(OptionGenerator, WrongChunkCountThrows) {
   const OptionGenerator gen(paper_params());
   std::vector<ChunkCost> costs(5);
-  EXPECT_THROW((void)gen.generate("k", costs, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)gen.generate(costs, 1.0), std::invalid_argument);
 }
 
 TEST(OptionGenerator, PaperExampleWeightOne) {
@@ -61,7 +61,7 @@ TEST(OptionGenerator, PaperExampleWeightOne) {
   // Tokyo) are discarded. Weight 1 caches the remaining Tokyo chunk; the
   // improvement is Tokyo - Sao Paulo = 3400 - 1400 = 2000, value 160,000.
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("key1", table1_costs(), 80.0);
+  const auto options = gen.generate(table1_costs(), 80.0);
   ASSERT_EQ(options.size(), 5u);
 
   const CachingOption& w1 = options[0];
@@ -79,7 +79,7 @@ TEST(OptionGenerator, PaperExampleAbsoluteValueOfWeightThree) {
   // sums to the same total: 80 * 2800 = 224,000. Options carry absolute
   // values because the planner picks at most one option per key.
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("key1", table1_costs(), 80.0);
+  const auto options = gen.generate(table1_costs(), 80.0);
   const CachingOption& w3 = options[1];
   EXPECT_EQ(w3.weight, 3u);
   EXPECT_DOUBLE_EQ(w3.value, 80.0 * 2800.0);
@@ -87,7 +87,7 @@ TEST(OptionGenerator, PaperExampleAbsoluteValueOfWeightThree) {
 
 TEST(OptionGenerator, FullWeightUsesCacheLatencyFloor) {
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("key1", table1_costs(), 1.0);
+  const auto options = gen.generate(table1_costs(), 1.0);
   const CachingOption& w9 = options.back();
   EXPECT_EQ(w9.weight, 9u);
   // Everything needed cached: improvement = 3400 - cache latency.
@@ -97,7 +97,7 @@ TEST(OptionGenerator, FullWeightUsesCacheLatencyFloor) {
 
 TEST(OptionGenerator, DiscardsTheMFurthestChunks) {
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("key1", table1_costs(), 1.0);
+  const auto options = gen.generate(table1_costs(), 1.0);
   // No option may cache a Sydney chunk (5, 11) and at most one Tokyo chunk
   // (the other was discarded as one of the m furthest).
   for (const auto& opt : options) {
@@ -112,7 +112,7 @@ TEST(OptionGenerator, DiscardsTheMFurthestChunks) {
 
 TEST(OptionGenerator, CachesMostDistantFirst) {
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("key1", table1_costs(), 1.0);
+  const auto options = gen.generate(table1_costs(), 1.0);
   // Weight 5 caches Tokyo x1, Sao Paulo x2, N. Virginia x2.
   const CachingOption& w5 = options[2];
   std::vector<RegionId> regions;
@@ -123,8 +123,8 @@ TEST(OptionGenerator, CachesMostDistantFirst) {
 
 TEST(OptionGenerator, ValueScalesWithPopularity) {
   const OptionGenerator gen(paper_params());
-  const auto low = gen.generate("k", table1_costs(), 1.0);
-  const auto high = gen.generate("k", table1_costs(), 10.0);
+  const auto low = gen.generate(table1_costs(), 1.0);
+  const auto high = gen.generate(table1_costs(), 10.0);
   for (std::size_t i = 0; i < low.size(); ++i) {
     EXPECT_DOUBLE_EQ(high[i].value, low[i].value * 10.0);
   }
@@ -132,7 +132,7 @@ TEST(OptionGenerator, ValueScalesWithPopularity) {
 
 TEST(OptionGenerator, ValuesAreMonotoneInWeight) {
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("k", table1_costs(), 5.0);
+  const auto options = gen.generate(table1_costs(), 5.0);
   for (std::size_t i = 1; i < options.size(); ++i) {
     EXPECT_GE(options[i].value, options[i - 1].value);
   }
@@ -140,7 +140,7 @@ TEST(OptionGenerator, ValuesAreMonotoneInWeight) {
 
 TEST(OptionGenerator, ExpectedLatencyMatchesResidualChunk) {
   const OptionGenerator gen(paper_params());
-  const auto options = gen.generate("k", table1_costs(), 1.0);
+  const auto options = gen.generate(table1_costs(), 1.0);
   // After caching 1 chunk the furthest remaining is Sao Paulo.
   EXPECT_DOUBLE_EQ(options[0].expected_latency_ms, 1400.0);
   // After caching 5 the furthest remaining is Dublin (200).
@@ -157,7 +157,7 @@ TEST(OptionGenerator, UniformLatencyYieldsLittleValue) {
   const OptionGenerator gen(p);
   std::vector<ChunkCost> costs;
   for (ChunkIndex i = 0; i < 6; ++i) costs.push_back({i, i, 500.0});
-  const auto options = gen.generate("k", costs, 1.0);
+  const auto options = gen.generate(costs, 1.0);
   for (const auto& opt : options) {
     if (opt.weight < 4) {
       EXPECT_DOUBLE_EQ(opt.value, 0.0) << opt.weight;
@@ -169,14 +169,14 @@ TEST(OptionGenerator, UniformLatencyYieldsLittleValue) {
 
 TEST(OptionGenerator, ZeroPopularityZeroValue) {
   const OptionGenerator gen(paper_params());
-  for (const auto& opt : gen.generate("k", table1_costs(), 0.0)) {
+  for (const auto& opt : gen.generate(table1_costs(), 0.0)) {
     EXPECT_DOUBLE_EQ(opt.value, 0.0);
   }
 }
 
 TEST(OptionGenerator, WeightEqualsChunkCount) {
   const OptionGenerator gen(paper_params());
-  for (const auto& opt : gen.generate("k", table1_costs(), 2.0)) {
+  for (const auto& opt : gen.generate(table1_costs(), 2.0)) {
     EXPECT_EQ(opt.weight, opt.chunks.size());
     EXPECT_EQ(opt.weight_units, opt.weight);
   }

@@ -17,9 +17,12 @@
 namespace agar::core {
 namespace {
 
-CachingOption opt(const ObjectKey& key, std::size_t weight, double value) {
+/// Objects are named by id: a = 0, b = 1, c = 2.
+constexpr ObjectId kA = 0, kB = 1, kC = 2;
+
+CachingOption opt(ObjectId object, std::size_t weight, double value) {
   CachingOption o;
-  o.key = key;
+  o.object = object;
   o.weight = weight;
   o.weight_units = weight;
   o.value = value;
@@ -45,7 +48,7 @@ std::vector<std::vector<CachingOption>> random_instance(Rng& rng) {
     for (std::size_t i = 0; i < options; ++i) {
       // Values include 0 so the "never select zero value" invariant is
       // actually exercised.
-      group.push_back(opt('k' + std::to_string(key), 1 + rng.next_below(8),
+      group.push_back(opt(static_cast<ObjectId>(key), 1 + rng.next_below(8),
                           static_cast<double>(rng.next_below(100))));
     }
     groups.push_back(std::move(group));
@@ -65,7 +68,7 @@ std::vector<std::vector<CachingOption>> table1_profile(std::size_t objects) {
         100.0 / std::pow(static_cast<double>(key + 1), 1.1);
     std::vector<CachingOption> group;
     for (std::size_t i = 0; i < weights.size(); ++i) {
-      group.push_back(opt("object" + std::to_string(key), weights[i],
+      group.push_back(opt(static_cast<ObjectId>(key), weights[i],
                           popularity * improvement[i]));
     }
     groups.push_back(std::move(group));
@@ -86,15 +89,15 @@ TEST_P(PlannerInvariants, RespectsCapacityOneOptionPerKeyNoZeroValue) {
     const auto r = planner->plan(groups, cap);
 
     EXPECT_LE(r.total_weight_units, cap) << GetParam();
-    std::set<ObjectKey> keys;
+    std::set<ObjectId> objects;
     std::size_t units = 0;
     double value = 0.0;
     for (const auto& o : r.chosen) {
-      // The groups are in key order, so the choice must be too.
-      EXPECT_TRUE(keys.empty() || *keys.rbegin() < o.key)
-          << GetParam() << ": " << o.key << " out of key order";
-      EXPECT_TRUE(keys.insert(o.key).second)
-          << GetParam() << ": duplicate key " << o.key;
+      // Group i holds object i, so the choice in group order is by object.
+      EXPECT_TRUE(objects.empty() || *objects.rbegin() < o.object)
+          << GetParam() << ": " << o.object << " out of group order";
+      EXPECT_TRUE(objects.insert(o.object).second)
+          << GetParam() << ": duplicate object " << o.object;
       EXPECT_GT(o.value, 0.0) << GetParam() << ": zero-value option chosen";
       EXPECT_GT(o.weight_units, 0u) << GetParam();
       units += o.weight_units;
@@ -123,9 +126,9 @@ TEST_P(PlannerInvariants, WarmPlannerHoldsInvariantsAcrossRounds) {
     }
     const auto r = planner->plan(groups, cap);
     EXPECT_LE(r.total_weight_units, cap) << GetParam() << " round " << round;
-    std::set<ObjectKey> keys;
+    std::set<ObjectId> objects;
     for (const auto& o : r.chosen) {
-      EXPECT_TRUE(keys.insert(o.key).second) << GetParam();
+      EXPECT_TRUE(objects.insert(o.object).second) << GetParam();
       EXPECT_GT(o.value, 0.0) << GetParam();
     }
   }
@@ -148,8 +151,8 @@ TEST_P(PlannerInvariants, NothingUsableYieldsTheEmptyPlan) {
   // manager passes when its monitor tracks no object.
   constexpr std::size_t kCap = 1_MB;
   const std::vector<std::vector<CachingOption>> unusable = {
-      {opt("k0", 3, 0.0), opt("k0", 2, -1.0)},  // no value
-      {opt("k1", 0, 5.0)},                      // no footprint
+      {opt(kA, 3, 0.0), opt(kA, 2, -1.0)},  // no value
+      {opt(kB, 0, 5.0)},                    // no footprint
   };
   for (const auto& groups : {std::vector<std::vector<CachingOption>>{},
                              unusable}) {
@@ -160,7 +163,7 @@ TEST_P(PlannerInvariants, NothingUsableYieldsTheEmptyPlan) {
   }
   // Every option heavier than the whole cache.
   EXPECT_TRUE(make_planner(GetParam())
-                  ->plan({{opt("k0", 8, 5.0)}, {opt("k1", 9, 1.0)}}, 7)
+                  ->plan({{opt(kA, 8, 5.0)}, {opt(kB, 9, 1.0)}}, 7)
                   .chosen.empty())
       << GetParam();
 }
@@ -209,8 +212,7 @@ TEST(PlannerRegistry, DpMatchesBruteForceOnGeneratedOptions) {
         costs.push_back(ChunkCost{i, region, latency[region]});
       }
       groups.push_back(generator.generate(
-          "object" + std::to_string(key), costs,
-          100.0 / std::pow(static_cast<double>(key + 1), 1.1)));
+          costs, 100.0 / std::pow(static_cast<double>(key + 1), 1.1)));
     }
     for (std::size_t cap = 0; cap <= 9 * keys; ++cap) {
       EXPECT_DOUBLE_EQ(dp->plan(groups, cap).total_value,
@@ -250,8 +252,7 @@ TEST(PlannerRegistry, DpMatchesBruteForceOnMixedObjectSizes) {
           costs.push_back(ChunkCost{i, region, latency[region]});
         }
         auto group = generator.generate(
-            "object" + std::to_string(key), costs,
-            100.0 / std::pow(static_cast<double>(key + 1), 1.1));
+            costs, 100.0 / std::pow(static_cast<double>(key + 1), 1.1));
         const std::size_t chunk = chunk_bytes(sizes[key % sizes.size()]);
         for (auto& o : group) {
           o.weight_units = static_cast<std::size_t>(std::ceil(
@@ -312,16 +313,16 @@ TEST(IncrementalPlanner, FirstPlanMatchesTheExactDp) {
 TEST(IncrementalPlanner, StableInputsKeepTheConfiguration) {
   auto inc = make_planner("incremental");
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 10.0), opt("a", 3, 18.0)},
-      {opt("b", 2, 14.0)},
-      {opt("c", 2, 1.0)},
+      {opt(kA, 1, 10.0), opt(kA, 3, 18.0)},
+      {opt(kB, 2, 14.0)},
+      {opt(kC, 2, 1.0)},
   };
   const auto first = inc->plan(groups, 6);
   // Unchanged inputs: nothing is dirty, the previous choices carry over.
   const auto second = inc->plan(groups, 6);
   ASSERT_EQ(first.chosen.size(), second.chosen.size());
   for (std::size_t i = 0; i < first.chosen.size(); ++i) {
-    EXPECT_EQ(first.chosen[i].key, second.chosen[i].key);
+    EXPECT_EQ(first.chosen[i].object, second.chosen[i].object);
     EXPECT_EQ(first.chosen[i].weight_units, second.chosen[i].weight_units);
   }
   EXPECT_DOUBLE_EQ(first.total_value, second.total_value);
@@ -330,8 +331,8 @@ TEST(IncrementalPlanner, StableInputsKeepTheConfiguration) {
 TEST(IncrementalPlanner, DirtyKeyIsReplanned) {
   auto inc = make_planner("incremental");
   std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 1, 10.0)},
-      {opt("b", 1, 1.0)},
+      {opt(kA, 1, 10.0)},
+      {opt(kB, 1, 1.0)},
   };
   const auto first = inc->plan(groups, 2);
   ASSERT_EQ(first.chosen.size(), 2u);
@@ -340,17 +341,18 @@ TEST(IncrementalPlanner, DirtyKeyIsReplanned) {
   groups[1][0].value = 0.0;
   const auto second = inc->plan(groups, 2);
   ASSERT_EQ(second.chosen.size(), 1u);
-  EXPECT_EQ(second.chosen[0].key, "a");
+  EXPECT_EQ(second.chosen[0].object, kA);
 }
 
 TEST(IncrementalPlanner, SmallDriftDoesNotChurnLargeDriftDoes) {
+  constexpr ObjectId kHot = 0, kWarm = 1, kCold = 2;
   auto inc = api::PlannerRegistry::instance().create(
       "incremental", api::PlannerContext{},
       api::ParamMap{});  // default threshold 0.1
   std::vector<std::vector<CachingOption>> groups = {
-      {opt("hot", 3, 100.0)},
-      {opt("warm", 3, 50.0)},
-      {opt("cold", 3, 10.0)},
+      {opt(kHot, 3, 100.0)},
+      {opt(kWarm, 3, 50.0)},
+      {opt(kCold, 3, 10.0)},
   };
   const auto first = inc->plan(groups, 6);  // hot + warm fit
   ASSERT_EQ(first.chosen.size(), 2u);
@@ -359,8 +361,8 @@ TEST(IncrementalPlanner, SmallDriftDoesNotChurnLargeDriftDoes) {
   for (auto& g : groups) g[0].value *= 1.05;
   const auto drifted = inc->plan(groups, 6);
   ASSERT_EQ(drifted.chosen.size(), 2u);
-  EXPECT_EQ(drifted.chosen[0].key, "hot");
-  EXPECT_EQ(drifted.chosen[1].key, "warm");
+  EXPECT_EQ(drifted.chosen[0].object, kHot);
+  EXPECT_EQ(drifted.chosen[1].object, kWarm);
   // Values track the fresh inputs even for kept keys.
   EXPECT_DOUBLE_EQ(drifted.chosen[0].value, 105.0);
 
@@ -368,30 +370,31 @@ TEST(IncrementalPlanner, SmallDriftDoesNotChurnLargeDriftDoes) {
   groups[2][0].value = 1000.0;
   const auto surged = inc->plan(groups, 6);
   bool has_cold = false;
-  for (const auto& o : surged.chosen) has_cold |= o.key == "cold";
+  for (const auto& o : surged.chosen) has_cold |= o.object == kCold;
   EXPECT_TRUE(has_cold);
 }
 
 TEST(IncrementalPlanner, SqueezedSurgeIsNotLockedInAtAFractionOfItsWorth) {
+  constexpr ObjectId kSurge = 2;
   // Regression: a surged key whose best option no longer fits the leftover
   // capacity must trigger a full re-plan, not be squeezed into a tiny
   // option and then remembered as "stable" at its huge signature forever.
   auto inc = make_planner("incremental");
   std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 3, 100.0)},
-      {opt("b", 3, 90.0)},
-      {opt("surge", 1, 5.0), opt("surge", 5, 6.0)},
+      {opt(kA, 3, 100.0)},
+      {opt(kB, 3, 90.0)},
+      {opt(kSurge, 1, 5.0), opt(kSurge, 5, 6.0)},
   };
   const auto first = inc->plan(groups, 7);  // a + b + surge@1
   EXPECT_EQ(first.chosen.size(), 3u);
 
   // The surge key explodes: its heavy option is now worth more than
   // everything else combined, but only 1 unit is left after a and b.
-  groups[2] = {opt("surge", 1, 5.0), opt("surge", 5, 1000.0)};
+  groups[2] = {opt(kSurge, 1, 5.0), opt(kSurge, 5, 1000.0)};
   const auto second = inc->plan(groups, 7);
   double surge_value = 0.0;
   for (const auto& o : second.chosen) {
-    if (o.key == "surge") surge_value = o.value;
+    if (o.object == kSurge) surge_value = o.value;
   }
   EXPECT_DOUBLE_EQ(surge_value, 1000.0);
   EXPECT_DOUBLE_EQ(second.total_value,
@@ -422,8 +425,8 @@ TEST(IncrementalPlanner, SmallDriftKeepsTheDpsValue) {
 TEST(IncrementalPlanner, CapacityShrinkForcesAFullReplan) {
   auto inc = make_planner("incremental");
   const std::vector<std::vector<CachingOption>> groups = {
-      {opt("a", 4, 40.0)},
-      {opt("b", 4, 39.0)},
+      {opt(kA, 4, 40.0)},
+      {opt(kB, 4, 39.0)},
   };
   const auto first = inc->plan(groups, 8);
   EXPECT_EQ(first.chosen.size(), 2u);
@@ -432,30 +435,40 @@ TEST(IncrementalPlanner, CapacityShrinkForcesAFullReplan) {
   const auto shrunk = inc->plan(groups, 4);
   EXPECT_LE(shrunk.total_weight_units, 4u);
   ASSERT_EQ(shrunk.chosen.size(), 1u);
-  EXPECT_EQ(shrunk.chosen[0].key, "a");
+  EXPECT_EQ(shrunk.chosen[0].object, kA);
 }
 
-TEST(GreedyPlanner, EqualDensityTieBreaksByKeyThenWeight) {
-  // Four options, all density 1.0. Deterministic order must be by key then
-  // weight regardless of input order.
-  const std::vector<std::vector<CachingOption>> forward = {
-      {opt("b", 2, 2.0)},
-      {opt("a", 2, 2.0), opt("a", 1, 1.0)},
+TEST(GreedyPlanner, EqualDensityTieBreaksByGroupThenWeight) {
+  // Every option has density 1.0. The earlier group wins a tie whatever
+  // its object (b before a here), and within a group the lighter option
+  // does; the picks come back in group order.
+  const std::vector<std::vector<CachingOption>> groups = {
+      {opt(kB, 2, 2.0)},
+      {opt(kA, 2, 2.0), opt(kA, 1, 1.0)},
   };
-  const std::vector<std::vector<CachingOption>> reversed = {
-      {opt("a", 1, 1.0), opt("a", 2, 2.0)},
-      {opt("b", 2, 2.0)},
+  const auto two = solve_greedy(groups, 2);
+  ASSERT_EQ(two.chosen.size(), 1u);
+  EXPECT_EQ(two.chosen[0].object, kB);
+  // b@2, then a@1 in the unit left.
+  const auto three = solve_greedy(groups, 3);
+  ASSERT_EQ(three.chosen.size(), 2u);
+  EXPECT_EQ(three.chosen[0].object, kB);
+  EXPECT_EQ(three.chosen[1].object, kA);
+  EXPECT_EQ(three.chosen[1].weight_units, 1u);
+  EXPECT_DOUBLE_EQ(three.total_value, 3.0);
+}
+
+TEST(GreedyPlanner, ReportsPicksInGroupOrder) {
+  // Greedy takes b (density 5) before a (density 1); the result lists them
+  // as their groups do.
+  const std::vector<std::vector<CachingOption>> groups = {
+      {opt(kA, 1, 1.0)},
+      {opt(kB, 1, 5.0)},
   };
-  const auto r1 = solve_greedy(forward, 3);
-  const auto r2 = solve_greedy(reversed, 3);
-  ASSERT_EQ(r1.chosen.size(), r2.chosen.size());
-  // Same outcome both times: "a" wins the key tie, its lighter option wins
-  // the weight tie (a@1), leaving room for b@2.
-  for (std::size_t i = 0; i < r1.chosen.size(); ++i) {
-    EXPECT_EQ(r1.chosen[i].key, r2.chosen[i].key);
-    EXPECT_EQ(r1.chosen[i].weight_units, r2.chosen[i].weight_units);
-  }
-  EXPECT_DOUBLE_EQ(r1.total_value, r2.total_value);
+  const auto r = solve_greedy(groups, 2);
+  ASSERT_EQ(r.chosen.size(), 2u);
+  EXPECT_EQ(r.chosen[0].object, kA);
+  EXPECT_EQ(r.chosen[1].object, kB);
 }
 
 TEST(GreedyPlanner, LosesMoreOfTheDpsValueAsTheCacheGrows) {

@@ -256,7 +256,7 @@ TEST_P(OptionProperties, InvariantsOnRandomLatencies) {
           i, i % 6, 60.0 + static_cast<double>(rng.next_below(2000))});
     }
     const double pop = 1.0 + static_cast<double>(rng.next_below(100));
-    const auto options = gen.generate("key", costs, pop);
+    const auto options = gen.generate(costs, pop);
 
     ASSERT_EQ(options.size(), 9u);
     double prev_value = -1.0;
