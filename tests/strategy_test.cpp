@@ -6,6 +6,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "client/agar_strategy.hpp"
@@ -77,12 +79,73 @@ class StrategyTest : public ::testing::Test {
     return api::StrategyRegistry::instance().create("lfu", context, params);
   }
 
+  /// Every chunk of `object`, cheapest first by the network's expected
+  /// fetch latency from `from` (ties by region, then index).
+  std::vector<std::pair<ChunkIndex, RegionId>> by_expected_latency(
+      ObjectId object, RegionId from) {
+    const store::ObjectInfo& info = backend_.object_info(object);
+    const auto ms = [&](RegionId r) {
+      return network_.model().expected_backend_fetch_ms(from, r,
+                                                        info.chunk_size);
+    };
+    std::vector<std::pair<ChunkIndex, RegionId>> out;
+    for (const auto& loc : info.locations) {
+      out.emplace_back(loc.index, loc.region);
+    }
+    std::sort(out.begin(), out.end(), [&](const auto& a, const auto& b) {
+      return std::tuple(ms(a.second), a.second, a.first) <
+             std::tuple(ms(b.second), b.second, b.first);
+    });
+    return out;
+  }
+
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
   sim::EventLoop loop_;
   ExperimentConfig experiment_;
 };
+
+TEST_F(StrategyTest, BackendPlansTheKCheapestChunks) {
+  BackendStrategy s(ctx(sim::region::kSydney));
+  const ObjectId object = backend_.id_of("object1");
+  const auto cheapest = by_expected_latency(object, sim::region::kSydney);
+  ReadPlan plan;
+  s.plan(object, plan);
+  EXPECT_EQ(plan.from_backend,
+            std::vector(cheapest.begin(), cheapest.begin() + 9));
+  // And nothing else: no cache, no populations, no overhead.
+  EXPECT_TRUE(plan.from_cache.empty());
+  EXPECT_TRUE(plan.async_populate.empty());
+  EXPECT_TRUE(plan.populate_after_read.empty());
+  EXPECT_TRUE(plan.populate_resident);
+  EXPECT_EQ(plan.monitor_overhead_ms, 0.0);
+}
+
+TEST_F(StrategyTest, FixedChunksPlansTheMostDistantOfTheKFromTheCache) {
+  FixedChunksParams p;
+  p.engine = "lru";
+  p.chunks_per_object = 4;
+  p.cache_capacity_bytes = 100_MB;
+  p.proxy_overhead_ms = 0.5;
+  auto strategy = make_fixed(ctx(sim::region::kFrankfurt), p);
+  const ObjectId object = backend_.id_of("object2");
+  const auto cheapest = by_expected_latency(object, sim::region::kFrankfurt);
+  ReadPlan plan;
+  strategy->plan(object, plan);
+  // The k - c = 5 cheapest from the backend, the c = 4 most distant of the
+  // k cheapest from the cache (hit or miss) and written back after the
+  // read unless resident.
+  EXPECT_EQ(plan.from_backend,
+            std::vector(cheapest.begin(), cheapest.begin() + 5));
+  std::vector<ChunkIndex> designated;
+  for (std::size_t i = 5; i < 9; ++i) designated.push_back(cheapest[i].first);
+  EXPECT_EQ(plan.from_cache, designated);
+  EXPECT_EQ(plan.populate_after_read, plan.from_cache);
+  EXPECT_FALSE(plan.populate_resident);
+  EXPECT_TRUE(plan.async_populate.empty());
+  EXPECT_EQ(plan.monitor_overhead_ms, 0.5);
+}
 
 TEST_F(StrategyTest, BackendLatencyIsSlowestNeededChunk) {
   BackendStrategy s(ctx(sim::region::kFrankfurt));
