@@ -81,8 +81,8 @@ bool ReadStrategy::wire_fetch(const ChunkId& chunk, RegionId from,
   std::uint32_t slot = kNoSlot;
   if (collab_route_) {
     const RegionId target = collab_route_(chunk, to, bytes);
-    slot = collab_fetches_.acquire();
-    collab_fetches_[slot] = CollabFetch{std::move(cb), target, to, bytes};
+    slot = routed_fetches_.acquire();
+    routed_fetches_[slot] = RoutedFetch{std::move(cb), target, to, bytes};
     cb = [this, slot](std::optional<SimTimeMs> latency) {
       collab_landed(slot, latency);
     };
@@ -92,14 +92,14 @@ bool ReadStrategy::wire_fetch(const ChunkId& chunk, RegionId from,
       ctx_.fetch_policy != nullptr
           ? ctx_.fetch_policy->begin_fetch(from, to, bytes, std::move(cb))
           : ctx_.network->begin_fetch(from, to, bytes, std::move(cb));
-  if (!accepted && slot != kNoSlot) collab_fetches_.release(slot);
+  if (!accepted && slot != kNoSlot) routed_fetches_.release(slot);
   return accepted;
 }
 
 void ReadStrategy::collab_landed(std::uint32_t slot,
                                  std::optional<SimTimeMs> latency) {
-  CollabFetch fetch = std::move(collab_fetches_[slot]);
-  collab_fetches_.release(slot);
+  RoutedFetch fetch = std::move(routed_fetches_[slot]);
+  routed_fetches_.release(slot);
   if (collab_done_) {
     collab_done_(fetch.target, fetch.home, fetch.bytes, latency.has_value());
   }

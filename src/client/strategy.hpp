@@ -297,7 +297,7 @@ class ReadStrategy {
                   std::size_t bytes, core::FetchCoordinator::Callback cb);
 
   /// One wire fetch the collab tier routed, until it lands.
-  struct CollabFetch {
+  struct RoutedFetch {
     core::FetchCoordinator::Callback cb;
     RegionId target = 0;
     RegionId home = 0;
@@ -309,7 +309,7 @@ class ReadStrategy {
 
   CollabRoute collab_route_;
   CollabDone collab_done_;
-  SlotPool<CollabFetch> collab_fetches_;
+  SlotPool<RoutedFetch> routed_fetches_;
 
   /// A read holds one batch until it completes; a freed batch keeps its
   /// lists' capacity.
