@@ -40,10 +40,10 @@ class FetchCoordinator {
   using Callback = sim::Network::FetchCallback;
   /// The wire layer under the table, with Network::begin_fetch's contract:
   /// return false to refuse synchronously, otherwise fire the callback
-  /// exactly once on the loop. The client's transport (its fetch policy,
-  /// collab routing, then the network) sits *under* the coalescing table,
-  /// so retries and hedges of one chunk still count as a single in-flight
-  /// entry that others join. The chunk identity is passed through so the
+  /// exactly once on the loop. The client's transport (collab routing,
+  /// then its fetch policy or the network) sits *under* the coalescing
+  /// table, so retries and hedges of one chunk still count as a single
+  /// in-flight entry that others join. The chunk identity is passed through so the
   /// cooperative cache tier can redirect a fetch to a peer cache that holds
   /// the chunk.
   using Transport = std::function<bool(const ChunkId&, RegionId, RegionId,

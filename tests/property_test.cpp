@@ -123,9 +123,9 @@ struct ChurnOp {
   std::optional<SharedBytes> got;  ///< a get's result
 };
 
-/// A seeded mixed-size churn: 20,000 gets and puts, half each, over 192
-/// chunk keys with values of 1-120 bytes, so overwrites grow and shrink
-/// entries. `after` sees each operation once it ran.
+/// A seeded mixed-size churn: 20,000 operations over 192 chunk keys, each
+/// a get or a put by a fair coin, the puts of 1-120 bytes, so overwrites
+/// grow and shrink entries. `after` sees each operation once it ran.
 void churn(cache::CacheEngine& engine,
            const std::function<void(const ChurnOp&)>& after) {
   Rng rng(4242);
