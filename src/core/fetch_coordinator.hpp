@@ -43,9 +43,9 @@ class FetchCoordinator {
   /// exactly once on the loop. The client's transport (collab routing,
   /// then its fetch policy or the network) sits *under* the coalescing
   /// table, so retries and hedges of one chunk still count as a single
-  /// in-flight entry that others join. The chunk identity is passed through so the
-  /// cooperative cache tier can redirect a fetch to a peer cache that holds
-  /// the chunk.
+  /// in-flight entry that others join. The chunk identity is passed
+  /// through so the cooperative cache tier can redirect a fetch to a peer
+  /// cache that holds the chunk.
   using Transport = std::function<bool(const ChunkId&, RegionId, RegionId,
                                        std::size_t, Callback)>;
 
