@@ -73,13 +73,11 @@ int main() {
   // 5. Peek at the configuration the knapsack solver chose.
   const auto& config = agar_strategy->cache_manager().current();
   std::cout << "installed configuration: " << config.entries.size()
-            << " object(s), " << config.total_chunks << " chunks, "
+            << " object(s), " << config.chunks.size() << " chunks, "
             << format_bytes(config.total_bytes) << "\n";
   for (const auto& opt : config.entries) {
     std::cout << "  " << deployment.backend().key_of(opt.object) << ": "
-              << opt.weight
-              << " chunk(s), expected latency " << opt.expected_latency_ms
-              << " ms\n";
+              << opt.weight << " chunk(s)\n";
   }
   return 0;
 }

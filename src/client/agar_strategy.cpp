@@ -145,10 +145,8 @@ void AgarStrategy::start_reconfiguration() {
 
 void AgarStrategy::apply_reconfiguration() {
   // Population fetches start in the configuration's key order.
-  for (const auto& option : cache_manager_.reconfigure().entries) {
-    for (const ChunkIndex idx : option.chunks) {
-      populate_chunk_async(ChunkId{option.object, idx});
-    }
+  for (const ChunkKey key : cache_manager_.reconfigure().chunks) {
+    populate_chunk_async(ChunkId::of(key));
   }
   if (on_reconfigure_) on_reconfigure_();
 }
@@ -156,11 +154,7 @@ void AgarStrategy::apply_reconfiguration() {
 collab::PeerInfo AgarStrategy::collab_info() {
   collab::PeerInfo info;
   info.region = ctx_.region;
-  for (const auto& opt : cache_manager_.current().entries) {
-    for (const ChunkIndex idx : opt.chunks) {
-      info.configured_chunks.push_back(ChunkId{opt.object, idx}.key());
-    }
-  }
+  info.configured_chunks = cache_manager_.current().chunks;
   std::sort(info.configured_chunks.begin(), info.configured_chunks.end());
   return info;
 }

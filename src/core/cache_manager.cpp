@@ -143,16 +143,16 @@ const CacheConfiguration& CacheManager::reconfigure() {
     ++g;
   }
 
-  config_.total_chunks = 0;
+  // Each chosen option caches the first `weight` chunks of its object's
+  // layout, which this reconfiguration valued.
   config_.total_bytes = 0;
-  configured_keys_.clear();
+  config_.chunks.clear();
   for (const auto& opt : result.chosen) {
-    const std::size_t chunk_bytes =
-        backend_->object_info(opt.object).chunk_size;
-    config_.total_chunks += opt.weight;
-    config_.total_bytes += opt.weight * chunk_bytes;
-    for (const ChunkIndex idx : opt.chunks) {
-      configured_keys_.push_back(ChunkId{opt.object, idx}.key());
+    const store::ObjectInfo& info = backend_->object_info(opt.object);
+    config_.total_bytes += opt.weight * info.chunk_size;
+    const auto& chunks = layouts_[info.layout].chunks;
+    for (std::size_t i = 0; i < opt.weight; ++i) {
+      config_.chunks.push_back(ChunkId{opt.object, chunks[i]}.key());
     }
   }
   config_.entries = std::move(result.chosen);
@@ -160,7 +160,7 @@ const CacheConfiguration& CacheManager::reconfigure() {
 
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.
-  const auto churn = cache_->install_configuration(configured_keys_);
+  const auto churn = cache_->install_configuration(config_.chunks);
   ++stats_.reconfigurations;
   stats_.planning_ms += plan_ms;
   stats_.chunks_installed += churn.added;

@@ -8,9 +8,9 @@
 // `planner=` spec key) over the caching options of every tracked object
 // (§IV-A). Options are valued once per stripe layout and written per
 // object into group buffers the manager keeps from period to period. The
-// manager installs the chosen chunk set into the cache, which keeps the
-// one record of it, times every planner run and adds the install's churn
-// (chunks installed/evicted) to its ControlPlaneStats.
+// manager lists the chosen options' chunks once, from their layouts,
+// installs that list into the cache, times every planner run and adds the
+// install's churn (chunks installed/evicted) to its ControlPlaneStats.
 #pragma once
 
 #include <map>
@@ -49,8 +49,10 @@ struct CacheConfiguration {
   /// The planner's chosen options, at most one per object, in the order of
   /// the objects' keys.
   std::vector<CachingOption> entries;
+  /// The configured chunks, entry by entry: each entry's first `weight`
+  /// needed chunks of its object's layout (LayoutOptions::chunks).
+  std::vector<ChunkKey> chunks;
   double total_value = 0.0;
-  std::size_t total_chunks = 0;
   std::size_t total_bytes = 0;
 
   /// The chosen option of `object`, or nullptr if it is not configured.
@@ -112,8 +114,6 @@ class CacheManager {
   /// The planner's input: one group per planned key, each reused by the
   /// key in its place next period.
   std::vector<std::vector<CachingOption>> groups_;
-  /// The chunk keys for the cache.
-  std::vector<ChunkKey> configured_keys_;
 };
 
 }  // namespace agar::core

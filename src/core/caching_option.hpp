@@ -1,13 +1,15 @@
 // Caching options — the unit of Agar's optimization (paper §IV-A).
 //
 // A caching option is a hypothetical configuration for ONE object: cache
-// this specific set of chunks, pay `weight` chunks of cache space, gain
-// `value` = popularity x latency improvement. The knapsack solver then picks
-// at most one option per object.
+// the `weight` most distant of its k needed chunks, pay `weight` chunks of
+// cache space, gain `value` = popularity x latency improvement. The
+// knapsack solver then picks at most one option per object. Which chunks
+// those are depends only on the object's stripe layout, so they are
+// recorded once per layout (LayoutOptions::chunks) and an option is plain
+// data.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "common/types.hpp"
 
@@ -17,10 +19,8 @@ struct CachingOption {
   /// The object the option caches chunks of: its one identity.
   ObjectId object = 0;
 
-  /// The exact chunk indices to cache (most distant first, paper §IV-A).
-  std::vector<ChunkIndex> chunks;
-
-  /// Cache space in chunks of this object (== chunks.size()).
+  /// Cache space in chunks of this object: the option caches the first
+  /// `weight` of its layout's needed chunks, most distant first.
   std::size_t weight = 0;
 
   /// Cache space in *quantized units* used by the knapsack DP; equals
@@ -29,10 +29,6 @@ struct CachingOption {
 
   /// popularity x estimated latency improvement (paper's value function).
   double value = 0.0;
-
-  /// Expected read latency (ms) if this option is installed; kept for
-  /// reports and the Fig. 10 cache-contents analysis.
-  double expected_latency_ms = 0.0;
 
   bool operator==(const CachingOption&) const = default;
 };

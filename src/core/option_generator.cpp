@@ -53,7 +53,6 @@ void OptionGenerator::value_layout(std::vector<ChunkCost>& chunk_costs,
   const double uncached_ms = needed.front().latency_ms;
 
   out.gain_ms.clear();
-  out.expected_latency_ms.clear();
   for (const std::size_t w : params_.candidate_weights) {
     // Furthest region still contacted once the w most distant chunks are
     // cached; the local cache when everything needed is cached. A cache
@@ -63,7 +62,6 @@ void OptionGenerator::value_layout(std::vector<ChunkCost>& chunk_costs,
         w < needed.size() ? needed[w].latency_ms : 0.0;
     const double after_ms =
         std::max(residual_backend_ms, params_.cache_latency_ms);
-    out.expected_latency_ms.push_back(after_ms);
     out.gain_ms.push_back(std::max(0.0, uncached_ms - after_ms));
   }
 }
@@ -74,14 +72,8 @@ void OptionGenerator::write_options(const LayoutOptions& layout,
   const auto& weights = params_.candidate_weights;
   out.resize(weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    CachingOption& opt = out[i];
-    const std::size_t w = weights[i];
-    opt.object = object;
-    opt.chunks.assign(layout.chunks.begin(), layout.chunks.begin() + w);
-    opt.weight = w;
-    opt.weight_units = w;
-    opt.value = popularity * layout.gain_ms[i];
-    opt.expected_latency_ms = layout.expected_latency_ms[i];
+    out[i] = CachingOption{object, weights[i], weights[i],
+                           popularity * layout.gain_ms[i]};
   }
 }
 

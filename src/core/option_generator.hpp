@@ -38,13 +38,12 @@ struct ChunkCost {
 /// at each candidate weight and what that saves, before popularity.
 struct LayoutOptions {
   /// The k needed chunks (the m furthest dropped), most distant first: the
-  /// option of weight w caches the first w.
+  /// option of weight w caches the first w. The one record of an option's
+  /// chunks.
   std::vector<ChunkIndex> chunks;
   /// Per candidate weight, in the generator's candidate order: the latency
-  /// the option saves (never negative) and the expected read latency once
-  /// it is installed.
+  /// the option saves (never negative).
   std::vector<double> gain_ms;
-  std::vector<double> expected_latency_ms;
 };
 
 struct OptionGeneratorParams {
@@ -68,7 +67,7 @@ class OptionGenerator {
                     LayoutOptions& out) const;
 
   /// One object's options on a valued layout into `out`, one per candidate
-  /// weight, reusing its buffers: value = popularity x gain. `popularity`
+  /// weight: value = popularity x gain. `popularity`
   /// is the request monitor's EWMA for this object. Options with no gain
   /// are still produced (value 0) so the solver can reason uniformly; the
   /// solver skips zero-value options. weight_units is the chunk count,

@@ -148,11 +148,15 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
   for (int i = 0; i < 50; ++i) (void)s.plan_read("object0");
   reconfigure(s);
   const ObjectId object0 = backend_.id_of("object0");
-  ASSERT_NE(s.cache_manager().current().find(object0), nullptr);
-  const auto opt0 = *s.cache_manager().current().find(object0);
-  for (const ChunkIndex idx : opt0.chunks) {
-    ASSERT_TRUE(s.cache().contains(ChunkId{opt0.object, idx}.key()));
+  const auto& config = s.cache_manager().current();
+  const core::CachingOption* opt0 = config.find(object0);
+  ASSERT_NE(opt0, nullptr);
+  std::vector<ChunkKey> chunks0;
+  for (const ChunkKey key : config.chunks) {
+    if (ChunkId::of(key).object == object0) chunks0.push_back(key);
   }
+  ASSERT_EQ(chunks0.size(), opt0->weight);
+  for (const ChunkKey key : chunks0) ASSERT_TRUE(s.cache().contains(key));
   // Shift the workload for enough periods that object0 decays away.
   for (int period = 0; period < 8; ++period) {
     for (int i = 0; i < 100; ++i) (void)s.plan_read("object3");
@@ -160,9 +164,7 @@ TEST_F(AgarStrategyNodeTest, ReconfigurationEvictsStaleResidents) {
   }
   EXPECT_EQ(s.cache_manager().current().find(object0), nullptr);
   // Its chunks must be gone from the cache.
-  for (const ChunkIndex idx : opt0.chunks) {
-    EXPECT_FALSE(s.cache().contains(ChunkId{opt0.object, idx}.key()));
-  }
+  for (const ChunkKey key : chunks0) EXPECT_FALSE(s.cache().contains(key));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -184,7 +185,13 @@ TEST_F(CacheManagerTest, ConfigurationIsTheChoiceInKeyOrder) {
 /// object's own chunk costs (RegionManager::chunk_costs by id): sort the
 /// k + m chunks most distant first, drop the m furthest, cache the w most
 /// distant of the rest, and value the drop in the furthest latency left.
-std::vector<std::vector<CachingOption>> per_object_reference(
+struct Reference {
+  std::vector<std::vector<CachingOption>> groups;
+  /// Each object's k needed chunks, most distant first.
+  std::map<ObjectId, std::vector<ChunkIndex>> chunks;
+};
+
+Reference per_object_reference(
     const store::BackendCluster& backend, const RegionManager& rm,
     const std::vector<std::pair<ObjectKey, double>>& snapshot) {
   const std::vector<std::size_t> weights = {1, 3, 5, 7, 9};
@@ -196,7 +203,7 @@ std::vector<std::vector<CachingOption>> per_object_reference(
       quantum = std::min(quantum, backend.object_info(*id).chunk_size);
     }
   }
-  std::vector<std::vector<CachingOption>> groups;
+  Reference ref;
   for (const auto& [key, popularity] : snapshot) {
     const auto id = backend.find_id(key);
     if (!id.has_value() || popularity <= 0.0) continue;
@@ -210,15 +217,15 @@ std::vector<std::vector<CachingOption>> per_object_reference(
                 if (a.region != b.region) return a.region > b.region;
                 return a.index < b.index;
               });
+    for (std::size_t i = kM; i < costs.size(); ++i) {
+      ref.chunks[*id].push_back(costs[i].index);
+    }
     const double uncached_ms = costs[kM].latency_ms;
     const std::size_t chunk_bytes = backend.object_info(*id).chunk_size;
     std::vector<CachingOption> group;
     for (const std::size_t w : weights) {
       CachingOption o;
       o.object = *id;
-      for (std::size_t i = 0; i < w; ++i) {
-        o.chunks.push_back(costs[kM + i].index);
-      }
       o.weight = w;
       o.weight_units = static_cast<std::size_t>(
           std::ceil(static_cast<double>(w) * static_cast<double>(chunk_bytes) /
@@ -226,13 +233,12 @@ std::vector<std::vector<CachingOption>> per_object_reference(
       const double after_ms =
           std::max(kM + w < costs.size() ? costs[kM + w].latency_ms : 0.0,
                    kCacheMs);
-      o.expected_latency_ms = after_ms;
       o.value = popularity * std::max(0.0, uncached_ms - after_ms);
-      group.push_back(std::move(o));
+      group.push_back(o);
     }
-    groups.push_back(std::move(group));
+    ref.groups.push_back(std::move(group));
   }
-  return groups;
+  return ref;
 }
 
 class PerLayoutOptions : public ::testing::TestWithParam<bool> {};
@@ -276,26 +282,41 @@ TEST_P(PerLayoutOptions, MatchThePerObjectReference) {
       }
     }
     estimator->record("not-in-backend");
-    (void)mgr.reconfigure();
+    const CacheConfiguration& config = mgr.reconfigure();
 
-    const auto want = per_object_reference(backend, rm, estimator->snapshot());
+    const Reference want =
+        per_object_reference(backend, rm, estimator->snapshot());
     const auto& got = recorded().groups;
-    ASSERT_EQ(got.size(), want.size()) << "period " << period;
-    for (std::size_t g = 0; g < want.size(); ++g) {
-      const ObjectKey& key = backend.key_of(want[g].front().object);
-      ASSERT_EQ(got[g].size(), want[g].size()) << key;
-      for (std::size_t o = 0; o < want[g].size(); ++o) {
+    ASSERT_EQ(got.size(), want.groups.size()) << "period " << period;
+    for (std::size_t g = 0; g < want.groups.size(); ++g) {
+      const ObjectKey& key = backend.key_of(want.groups[g].front().object);
+      ASSERT_EQ(got[g].size(), want.groups[g].size()) << key;
+      for (std::size_t o = 0; o < want.groups[g].size(); ++o) {
         const CachingOption& a = got[g][o];
-        const CachingOption& b = want[g][o];
+        const CachingOption& b = want.groups[g][o];
         const std::string where = key + " weight " + std::to_string(b.weight);
         EXPECT_EQ(a.object, b.object) << where;
-        EXPECT_EQ(a.chunks, b.chunks) << where;
         EXPECT_EQ(a.weight, b.weight) << where;
         EXPECT_EQ(a.weight_units, b.weight_units) << where;
-        EXPECT_EQ(a.expected_latency_ms, b.expected_latency_ms) << where;
         EXPECT_EQ(a.value, b.value) << where;  // bit-exact
       }
     }
+
+    // Each installed entry's run of the configured chunks is the first
+    // `weight` of its object's needed chunks.
+    ASSERT_FALSE(config.entries.empty()) << "period " << period;
+    std::size_t at = 0;
+    for (const CachingOption& opt : config.entries) {
+      const ObjectKey& key = backend.key_of(opt.object);
+      const auto& needed = want.chunks.at(opt.object);
+      ASSERT_LE(at + opt.weight, config.chunks.size()) << key;
+      for (std::size_t i = 0; i < opt.weight; ++i) {
+        EXPECT_EQ(config.chunks[at + i], (ChunkId{opt.object, needed[i]}.key()))
+            << key << " chunk " << i;
+      }
+      at += opt.weight;
+    }
+    EXPECT_EQ(at, config.chunks.size()) << "period " << period;
   }
 }
 
@@ -323,7 +344,7 @@ TEST_F(CacheManagerTest, ConfigurationFitsCapacity) {
   }
   const auto& config = mgr->reconfigure();
   EXPECT_LE(config.total_bytes, 10_MB);
-  EXPECT_GT(config.total_chunks, 0u);
+  EXPECT_FALSE(config.chunks.empty());
 }
 
 TEST_F(CacheManagerTest, HotterKeysGetAtLeastAsManyChunks) {
@@ -363,14 +384,14 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   for (int i = 0; i < 30; ++i) estimator_->record("object0");
   for (int i = 0; i < 20; ++i) estimator_->record("object1");
   const auto& config = mgr->reconfigure();
-  std::size_t chunk_keys = 0;
-  for (const auto& opt : config.entries) {
-    chunk_keys += opt.chunks.size();
-    for (const ChunkIndex c : opt.chunks) {
-      EXPECT_TRUE(cache_->is_configured(ChunkId{opt.object, c}.key()));
-    }
+  std::size_t weight = 0;
+  for (const auto& opt : config.entries) weight += opt.weight;
+  EXPECT_GT(weight, 0u);
+  EXPECT_EQ(config.chunks.size(), weight);
+  for (const ChunkKey key : config.chunks) {
+    EXPECT_TRUE(cache_->is_configured(key));
   }
-  EXPECT_EQ(cache_->configured_size(), chunk_keys);
+  EXPECT_EQ(cache_->configured_size(), config.chunks.size());
   EXPECT_FALSE(
       cache_->is_configured(ChunkId{backend_.id_of("object19"), 0}.key()));
 }

@@ -18,15 +18,7 @@ namespace {
 constexpr ObjectId kA = 0, kB = 1, kC = 2;
 
 CachingOption opt(ObjectId object, std::size_t weight, double value) {
-  CachingOption o;
-  o.object = object;
-  o.weight = weight;
-  o.weight_units = weight;
-  o.value = value;
-  for (std::size_t i = 0; i < weight; ++i) {
-    o.chunks.push_back(static_cast<ChunkIndex>(i));
-  }
-  return o;
+  return CachingOption{object, weight, weight, value};
 }
 
 TEST(Knapsack, EmptyInput) {

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 namespace agar::core {
 namespace {
+
+// An option is plain data: its chunks are its layout's.
+static_assert(std::is_trivially_copyable_v<CachingOption>);
 
 // The paper's Table I scenario: client in Frankfurt, RS(9, 3), two chunks
 // per region, latencies 80/200/600/1400/3400/4600 ms. Chunk i lives in
@@ -28,6 +32,14 @@ OptionGeneratorParams paper_params() {
   p.cache_latency_ms = 55.0;
   p.candidate_weights = {1, 3, 5, 7, 9};
   return p;
+}
+
+/// Table I's one stripe layout, valued.
+LayoutOptions table1_layout() {
+  auto costs = table1_costs();
+  LayoutOptions layout;
+  OptionGenerator(paper_params()).value_layout(costs, layout);
+  return layout;
 }
 
 TEST(OptionGenerator, ValidatesParams) {
@@ -66,9 +78,10 @@ TEST(OptionGenerator, PaperExampleWeightOne) {
 
   const CachingOption& w1 = options[0];
   EXPECT_EQ(w1.weight, 1u);
-  ASSERT_EQ(w1.chunks.size(), 1u);
-  // The cached chunk must be a Tokyo chunk (region 4 -> indices 4 or 10).
-  EXPECT_TRUE(w1.chunks[0] == 4 || w1.chunks[0] == 10);
+  // The cached chunk, the layout's first, must be a Tokyo chunk (region 4
+  // -> indices 4 or 10).
+  const ChunkIndex first = table1_layout().chunks.front();
+  EXPECT_TRUE(first == 4 || first == 10);
   EXPECT_DOUBLE_EQ(w1.value, 80.0 * 2000.0);
 }
 
@@ -92,31 +105,29 @@ TEST(OptionGenerator, FullWeightUsesCacheLatencyFloor) {
   EXPECT_EQ(w9.weight, 9u);
   // Everything needed cached: improvement = 3400 - cache latency.
   EXPECT_DOUBLE_EQ(w9.value, 3400.0 - 55.0);
-  EXPECT_DOUBLE_EQ(w9.expected_latency_ms, 55.0);
+  EXPECT_DOUBLE_EQ(table1_layout().gain_ms.back(), 3400.0 - 55.0);
 }
 
 TEST(OptionGenerator, DiscardsTheMFurthestChunks) {
-  const OptionGenerator gen(paper_params());
-  const auto options = gen.generate(table1_costs(), 1.0);
-  // No option may cache a Sydney chunk (5, 11) and at most one Tokyo chunk
-  // (the other was discarded as one of the m furthest).
-  for (const auto& opt : options) {
-    std::size_t tokyo = 0;
-    for (const ChunkIndex c : opt.chunks) {
-      EXPECT_NE(c % 6, 5u) << "cached a Sydney chunk";
-      if (c % 6 == 4) ++tokyo;
-    }
-    EXPECT_LE(tokyo, 1u);
+  // The layout's k needed chunks hold no Sydney chunk (5, 11) and at most
+  // one Tokyo chunk (the other was discarded as one of the m furthest), so
+  // no option caches either.
+  const LayoutOptions layout = table1_layout();
+  ASSERT_EQ(layout.chunks.size(), 9u);
+  std::size_t tokyo = 0;
+  for (const ChunkIndex c : layout.chunks) {
+    EXPECT_NE(c % 6, 5u) << "cached a Sydney chunk";
+    if (c % 6 == 4) ++tokyo;
   }
+  EXPECT_LE(tokyo, 1u);
 }
 
 TEST(OptionGenerator, CachesMostDistantFirst) {
-  const OptionGenerator gen(paper_params());
-  const auto options = gen.generate(table1_costs(), 1.0);
-  // Weight 5 caches Tokyo x1, Sao Paulo x2, N. Virginia x2.
-  const CachingOption& w5 = options[2];
+  // Weight 5 caches the layout's first five chunks: Tokyo x1, Sao Paulo
+  // x2, N. Virginia x2.
+  const LayoutOptions layout = table1_layout();
   std::vector<RegionId> regions;
-  for (const ChunkIndex c : w5.chunks) regions.push_back(c % 6);
+  for (std::size_t i = 0; i < 5; ++i) regions.push_back(layout.chunks[i] % 6);
   std::sort(regions.begin(), regions.end());
   EXPECT_EQ(regions, (std::vector<RegionId>{2, 2, 3, 3, 4}));
 }
@@ -138,13 +149,12 @@ TEST(OptionGenerator, ValuesAreMonotoneInWeight) {
   }
 }
 
-TEST(OptionGenerator, ExpectedLatencyMatchesResidualChunk) {
-  const OptionGenerator gen(paper_params());
-  const auto options = gen.generate(table1_costs(), 1.0);
+TEST(OptionGenerator, GainMatchesResidualChunk) {
+  const LayoutOptions layout = table1_layout();
   // After caching 1 chunk the furthest remaining is Sao Paulo.
-  EXPECT_DOUBLE_EQ(options[0].expected_latency_ms, 1400.0);
+  EXPECT_DOUBLE_EQ(layout.gain_ms[0], 3400.0 - 1400.0);
   // After caching 5 the furthest remaining is Dublin (200).
-  EXPECT_DOUBLE_EQ(options[2].expected_latency_ms, 200.0);
+  EXPECT_DOUBLE_EQ(layout.gain_ms[2], 3400.0 - 200.0);
 }
 
 TEST(OptionGenerator, UniformLatencyYieldsLittleValue) {
@@ -174,11 +184,14 @@ TEST(OptionGenerator, ZeroPopularityZeroValue) {
   }
 }
 
-TEST(OptionGenerator, WeightEqualsChunkCount) {
+TEST(OptionGenerator, WeightIsTheCandidateWeight) {
   const OptionGenerator gen(paper_params());
-  for (const auto& opt : gen.generate(table1_costs(), 2.0)) {
-    EXPECT_EQ(opt.weight, opt.chunks.size());
-    EXPECT_EQ(opt.weight_units, opt.weight);
+  const auto options = gen.generate(table1_costs(), 2.0);
+  ASSERT_EQ(options.size(), 5u);
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    EXPECT_EQ(options[i].weight, paper_params().candidate_weights[i]);
+    EXPECT_EQ(options[i].weight_units, options[i].weight);
+    EXPECT_EQ(options[i].object, 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -256,31 +257,27 @@ TEST_P(OptionProperties, InvariantsOnRandomLatencies) {
           i, i % 6, 60.0 + static_cast<double>(rng.next_below(2000))});
     }
     const double pop = 1.0 + static_cast<double>(rng.next_below(100));
-    const auto options = gen.generate(costs, pop);
+    core::LayoutOptions layout;
+    gen.value_layout(costs, layout);
+    std::vector<core::CachingOption> options;
+    gen.write_options(layout, 0, pop, options);
+
+    // The layout's k needed chunks are distinct; an option of weight w
+    // caches the first w of them, so options nest by construction.
+    ASSERT_EQ(layout.chunks.size(), 9u);
+    const std::set<ChunkIndex> unique(layout.chunks.begin(),
+                                      layout.chunks.end());
+    ASSERT_EQ(unique.size(), layout.chunks.size());
 
     ASSERT_EQ(options.size(), 9u);
     double prev_value = -1.0;
     for (const auto& opt : options) {
-      // Weight bookkeeping.
-      ASSERT_EQ(opt.chunks.size(), opt.weight);
-      // Chunk indices are distinct.
-      std::set<ChunkIndex> unique(opt.chunks.begin(), opt.chunks.end());
-      ASSERT_EQ(unique.size(), opt.chunks.size());
       // Values are non-negative and monotone non-decreasing in weight.
       ASSERT_GE(opt.value, 0.0);
       ASSERT_GE(opt.value, prev_value);
       prev_value = opt.value;
       // Options never exceed k chunks.
-      ASSERT_LE(opt.weight, 9u);
-    }
-    // A bigger option's chunk set contains the smaller option's chunks
-    // (most-distant-first nesting).
-    for (std::size_t i = 1; i < options.size(); ++i) {
-      for (const ChunkIndex c : options[i - 1].chunks) {
-        ASSERT_NE(std::find(options[i].chunks.begin(),
-                            options[i].chunks.end(), c),
-                  options[i].chunks.end());
-      }
+      ASSERT_LE(opt.weight, layout.chunks.size());
     }
   }
 }
