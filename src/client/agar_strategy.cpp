@@ -202,13 +202,20 @@ void AgarStrategy::plan(ObjectId object, ReadPlan& out) {
     if (configured) out.populate_after_read.push_back(c.index);
   }
 
-  // Configured chunks that are neither resident nor fetched on-path (every
-  // entry past the ones just planned) are downloaded a-priori by the
-  // population thread pool.
+  // Every entry past the ones just planned is neither resident nor fetched
+  // on-path: the population thread pool downloads it a-priori if the
+  // configuration wants it, and it is a fallback.
+  unplanned_.assign(costs_.size(), false);
   for (std::size_t i = out.from_backend.size(); i < not_resident_.size();
        ++i) {
     const auto& [c, configured] = not_resident_[i];
     if (configured) out.async_populate.push_back(c.index);
+    unplanned_[c.index] = true;
+  }
+  // The fallbacks go in the network's expected-latency order, like every
+  // strategy's.
+  for (const auto& chunk : chunks_by_expected_latency(object)) {
+    if (unplanned_[chunk.first]) out.fallbacks.push_back(chunk);
   }
 }
 

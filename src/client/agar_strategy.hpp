@@ -75,7 +75,9 @@ class AgarStrategy final : public ReadStrategy {
   ///     region manager's live latency estimates;
   ///   * configured chunks fetched on-path are written back after the
   ///     read; configured chunks neither resident nor fetched are
-  ///     downloaded asynchronously by the population pool.
+  ///     downloaded asynchronously by the population pool;
+  ///   * every chunk not planned is a fallback, cheapest first by the
+  ///     network's expected latency.
   void plan(ObjectId object, ReadPlan& out) override;
   /// The same by key into a fresh plan (tests).
   [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
@@ -119,14 +121,16 @@ class AgarStrategy final : public ReadStrategy {
   std::unique_ptr<core::PopularityEstimator> estimator_;
   core::CacheManager cache_manager_;
 
-  /// plan's scratch: the object's chunk costs, cheapest first, and
-  /// those not resident with whether the configuration wants them.
+  /// plan's scratch: the object's chunk costs, cheapest first, those not
+  /// resident with whether the configuration wants them, and which chunk
+  /// indices the plan leaves out.
   struct NotResident {
     core::ChunkCost cost;
     bool configured;
   };
   std::vector<core::ChunkCost> costs_;
   std::vector<NotResident> not_resident_;
+  std::vector<bool> unplanned_;
 };
 
 }  // namespace agar::client

@@ -22,8 +22,9 @@ const api::StrategyRegistration kBackend{{
 
 void BackendStrategy::plan(ObjectId object, ReadPlan& out) {
   const auto k = static_cast<std::ptrdiff_t>(ctx_.backend->codec().k());
-  const auto& candidates = chunks_by_expected_latency(object);
-  out.from_backend.assign(candidates.begin(), candidates.begin() + k);
+  const auto& ranking = chunks_by_expected_latency(object);
+  out.from_backend.assign(ranking.begin(), ranking.begin() + k);
+  out.fallbacks.assign(ranking.begin() + k, ranking.end());
 }
 
 }  // namespace agar::client

@@ -12,7 +12,8 @@ class BackendStrategy final : public ReadStrategy {
  public:
   explicit BackendStrategy(ClientContext ctx) : ReadStrategy(ctx) {}
 
-  /// The k cheapest chunks by expected latency, all from the backend.
+  /// The k cheapest chunks by expected latency, all from the backend; the
+  /// rest are the fallbacks.
   void plan(ObjectId object, ReadPlan& out) override;
 };
 

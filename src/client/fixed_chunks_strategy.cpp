@@ -34,6 +34,8 @@ void FixedChunksStrategy::plan(ObjectId object, ReadPlan& out) {
   for (std::size_t i = k - c; i < k; ++i) {
     out.from_cache.push_back(candidates[i].first);
   }
+  out.fallbacks.assign(
+      candidates.begin() + static_cast<std::ptrdiff_t>(k), candidates.end());
   // After the read, (re-)insert the designated chunks the engine does not
   // hold. Writes happen on a separate thread pool in the paper's client —
   // no latency charged.

@@ -38,7 +38,8 @@ class FixedChunksStrategy final : public ReadStrategy {
                       std::unique_ptr<cache::CacheEngine> engine);
 
   /// The c most distant of the k cheapest chunks from the cache (hit or
-  /// miss) and written back after the read, the rest from the backend.
+  /// miss) and written back after the read, the rest of the k from the
+  /// backend; the other m are the fallbacks.
   void plan(ObjectId object, ReadPlan& out) override;
 
   [[nodiscard]] const FixedChunksParams& params() const { return params_; }

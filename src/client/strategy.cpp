@@ -19,8 +19,7 @@ struct ReadStrategy::BatchState {
   bool issued_all = false;   // initial issue pass finished
   std::vector<std::pair<ChunkIndex, RegionId>> on_path;
   std::size_t next_on_path = 0;
-  std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
-  std::size_t next_fallback = 0;
+  std::size_t next_fallback = 0;  // into plan.fallbacks
   std::size_t failed_arms = 0;  // arms whose fetch came back nullopt
   std::size_t down_skips = 0;   // arms refused synchronously (region down)
   std::vector<ChunkIndex> fetched;  // in arrival order
@@ -38,7 +37,6 @@ struct ReadStrategy::BatchState {
     issued_all = false;
     on_path.clear();
     next_on_path = 0;
-    fallbacks.clear();
     next_fallback = 0;
     failed_arms = down_skips = 0;
     fetched.clear();
@@ -64,6 +62,7 @@ ReadStrategy::~ReadStrategy() = default;
 void ReadPlan::clear() {
   from_cache.clear();
   from_backend.clear();
+  fallbacks.clear();
   async_populate.clear();
   populate_after_read.clear();
   populate_resident = true;
@@ -189,17 +188,6 @@ void ReadStrategy::start_read(ObjectId object, ReadCallback done) {
       st.chunks.push_back(ec::Chunk{idx, *hit});  // shared, no copy
     }
   }
-
-  // Every other chunk (cheapest-first) is a fallback in case a region is
-  // down or a fetch fails.
-  for (const auto& cand : chunks_by_expected_latency(object)) {
-    const bool planned =
-        std::any_of(st.plan.from_backend.begin(), st.plan.from_backend.end(),
-                    [&](const auto& p) { return p.first == cand.first; }) ||
-        std::any_of(st.plan.from_cache.begin(), st.plan.from_cache.end(),
-                    [&](ChunkIndex i) { return i == cand.first; });
-    if (!planned) st.fallbacks.push_back(cand);
-  }
   st.want = k - st.result.cache_chunks;
 
   // The cache arm lands with the slowest of its chunks.
@@ -243,8 +231,9 @@ void ReadStrategy::batch_issue(std::uint32_t b) {
   }
   // Failure fallback: pull replacement chunks (typically parity from the
   // regions the planner discarded) until the batch is complete.
-  while (st.accepted < st.want && st.next_fallback < st.fallbacks.size()) {
-    (void)try_issue(st.fallbacks[st.next_fallback++]);
+  const auto& fallbacks = st.plan.fallbacks;
+  while (st.accepted < st.want && st.next_fallback < fallbacks.size()) {
+    (void)try_issue(fallbacks[st.next_fallback++]);
   }
 }
 

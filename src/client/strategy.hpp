@@ -52,6 +52,10 @@ namespace agar::client {
 struct ReadPlan {
   std::vector<ChunkIndex> from_cache;
   std::vector<std::pair<ChunkIndex, RegionId>> from_backend;
+  /// Every chunk neither list above names, in the order the executor tries
+  /// them when an arm's region is down or its fetch fails: cheapest first
+  /// by the network's expected latency.
+  std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
   std::vector<ChunkIndex> async_populate;
   std::vector<ChunkIndex> populate_after_read;
   /// False: the write-back skips populate_after_read chunks the cache
@@ -132,18 +136,19 @@ class ReadStrategy {
   /// read completes. Resident `from_cache` chunks ride one cache arm in
   /// parallel with the `from_backend` arms; a `from_cache` chunk that is
   /// not resident is fetched from its home region after `from_backend`.
-  /// Every chunk the plan does not name is a fallback, cheapest first, for
-  /// an arm whose region is down or whose fetch fails. Decode and
-  /// monitor/proxy overhead are charged after the last arrival, the plan's
-  /// populations run off the latency path, and in verify mode the chunks
-  /// are decoded and checked before `done` fires. A plan with cache chunks
-  /// or populations needs the strategy's cache (`engine_`).
+  /// The plan's fallbacks, in order, replace an arm whose region is down
+  /// or whose fetch fails. Decode and monitor/proxy overhead are charged
+  /// after the last arrival, the plan's populations run off the latency
+  /// path, and in verify mode the chunks are decoded and checked before
+  /// `done` fires. A plan with cache chunks or populations needs the
+  /// strategy's cache (`engine_`).
   void start_read(ObjectId object, ReadCallback done);
   /// The same by key; throws std::out_of_range for an unknown key.
   void start_read(const ObjectKey& key, ReadCallback done);
 
-  /// Where each chunk of a read of `object` comes from, into `out` (empty
-  /// on entry). The strategy's only part in a read. It must not start a
+  /// Where each chunk of a read of `object` comes from, and which chunks
+  /// replace a failed arm (`ReadPlan::fallbacks`), into `out` (empty on
+  /// entry). The strategy's only part in a read. It must not start a
   /// read: it runs while the executor holds a reference into its batch.
   virtual void plan(ObjectId object, ReadPlan& out) = 0;
 

@@ -83,6 +83,11 @@ TEST_F(ReadPlannerTest, PlanNeverDuplicatesChunks) {
     EXPECT_TRUE(seen.insert(c).second);
   }
   EXPECT_EQ(p.chunks_on_path(), 9u);
+  // The fallbacks name every other chunk, once: the k + m together.
+  for (const auto& [c, r] : p.fallbacks) {
+    EXPECT_TRUE(seen.insert(c).second);
+  }
+  EXPECT_EQ(seen.size(), 12u);
 }
 
 TEST_F(ReadPlannerTest, ResidentChunksComeFromCache) {

@@ -114,6 +114,8 @@ TEST_F(StrategyTest, BackendPlansTheKCheapestChunks) {
   s.plan(object, plan);
   EXPECT_EQ(plan.from_backend,
             std::vector(cheapest.begin(), cheapest.begin() + 9));
+  // The other m, cheapest first, are the fallbacks.
+  EXPECT_EQ(plan.fallbacks, std::vector(cheapest.begin() + 9, cheapest.end()));
   // And nothing else: no cache, no populations, no overhead.
   EXPECT_TRUE(plan.from_cache.empty());
   EXPECT_TRUE(plan.async_populate.empty());
@@ -141,6 +143,7 @@ TEST_F(StrategyTest, FixedChunksPlansTheMostDistantOfTheKFromTheCache) {
   std::vector<ChunkIndex> designated;
   for (std::size_t i = 5; i < 9; ++i) designated.push_back(cheapest[i].first);
   EXPECT_EQ(plan.from_cache, designated);
+  EXPECT_EQ(plan.fallbacks, std::vector(cheapest.begin() + 9, cheapest.end()));
   EXPECT_EQ(plan.populate_after_read, plan.from_cache);
   EXPECT_FALSE(plan.populate_resident);
   EXPECT_TRUE(plan.async_populate.empty());
