@@ -1,21 +1,21 @@
 // String-keyed, self-registering factories — the open replacement for the
 // old closed `StrategySpec::Kind` enum.
 //
-// Six registries exist:
-//   * api::Registry<cache::CacheEngine>  — replacement/admission policies
+// Six registries exist, each an api::Registry<Product, Context>:
+//   * api::EngineRegistry — replacement/admission policies
 //     ("lru", "lfu", "tinylfu", "arc", ...), built against a byte capacity;
-//   * api::Registry<client::ReadStrategy> — whole client systems
+//   * api::StrategyRegistry — whole client systems
 //     ("backend", "lfu", "agar", "fixed-chunks", ...), built against one
 //     region's client wiring;
-//   * api::Registry<core::Planner> — reconfiguration solvers
+//   * api::PlannerRegistry — reconfiguration solvers
 //     ("knapsack-dp", "greedy", "brute-force", "incremental"), selected
 //     with the `planner=` spec key;
-//   * api::Registry<core::PopularityEstimator> — popularity tracking behind
+//   * api::EstimatorRegistry — popularity tracking behind
 //     the request monitor ("exact-ewma", "count-min"), selected with the
 //     `monitor=` spec key;
-//   * api::Registry<client::FetchPolicy> — fault-tolerant fetch wrappers
+//   * api::FetchPolicyRegistry — fault-tolerant fetch wrappers
 //     ("none", "retry", "hedge"), selected with the `fetch=` spec key;
-//   * api::Registry<collab::CollabSettings> — cooperative cache tier modes
+//   * api::CollabRegistry — cooperative cache tier modes
 //     ("none", "broadcast"), selected with the `collab=` spec key.
 //
 // Each entry carries a factory, a one-line description, a self-describing
@@ -132,40 +132,10 @@ struct FetchPolicyContext {
 /// only exist mid-run) — so the context is empty today.
 struct CollabContext {};
 
-namespace detail {
-/// Maps a product type to the context its factories receive.
-template <typename Product>
-struct ContextOf;
-template <>
-struct ContextOf<cache::CacheEngine> {
-  using type = EngineContext;
-};
-template <>
-struct ContextOf<client::ReadStrategy> {
-  using type = StrategyContext;
-};
-template <>
-struct ContextOf<core::Planner> {
-  using type = PlannerContext;
-};
-template <>
-struct ContextOf<core::PopularityEstimator> {
-  using type = EstimatorContext;
-};
-template <>
-struct ContextOf<client::FetchPolicy> {
-  using type = FetchPolicyContext;
-};
-template <>
-struct ContextOf<collab::CollabSettings> {
-  using type = CollabContext;
-};
-}  // namespace detail
-
-template <typename Product>
+/// The registry of `Product` factories that receive a `Context`.
+template <typename Product, typename Context>
 class Registry {
  public:
-  using Context = typename detail::ContextOf<Product>::type;
   using Factory =
       std::function<std::unique_ptr<Product>(const Context&, const ParamMap&)>;
   using LabelFn = std::function<std::string(const ParamMap&)>;
@@ -249,44 +219,27 @@ class Registry {
   std::map<std::string, Entry> entries_;
 };
 
-using EngineRegistry = Registry<cache::CacheEngine>;
-using StrategyRegistry = Registry<client::ReadStrategy>;
-using PlannerRegistry = Registry<core::Planner>;
-using EstimatorRegistry = Registry<core::PopularityEstimator>;
-using FetchPolicyRegistry = Registry<client::FetchPolicy>;
-using CollabRegistry = Registry<collab::CollabSettings>;
+using EngineRegistry = Registry<cache::CacheEngine, EngineContext>;
+using StrategyRegistry = Registry<client::ReadStrategy, StrategyContext>;
+using PlannerRegistry = Registry<core::Planner, PlannerContext>;
+using EstimatorRegistry =
+    Registry<core::PopularityEstimator, EstimatorContext>;
+using FetchPolicyRegistry = Registry<client::FetchPolicy, FetchPolicyContext>;
+using CollabRegistry = Registry<collab::CollabSettings, CollabContext>;
 
-/// Static-init registration helpers:
+/// Static-init registration helper:
 ///   namespace { const api::EngineRegistration kReg{{...}}; }
-struct EngineRegistration {
-  explicit EngineRegistration(EngineRegistry::Entry entry) {
-    EngineRegistry::instance().add(std::move(entry));
+template <typename R>
+struct Registration {
+  explicit Registration(typename R::Entry entry) {
+    R::instance().add(std::move(entry));
   }
 };
-struct StrategyRegistration {
-  explicit StrategyRegistration(StrategyRegistry::Entry entry) {
-    StrategyRegistry::instance().add(std::move(entry));
-  }
-};
-struct PlannerRegistration {
-  explicit PlannerRegistration(PlannerRegistry::Entry entry) {
-    PlannerRegistry::instance().add(std::move(entry));
-  }
-};
-struct EstimatorRegistration {
-  explicit EstimatorRegistration(EstimatorRegistry::Entry entry) {
-    EstimatorRegistry::instance().add(std::move(entry));
-  }
-};
-struct FetchPolicyRegistration {
-  explicit FetchPolicyRegistration(FetchPolicyRegistry::Entry entry) {
-    FetchPolicyRegistry::instance().add(std::move(entry));
-  }
-};
-struct CollabRegistration {
-  explicit CollabRegistration(CollabRegistry::Entry entry) {
-    CollabRegistry::instance().add(std::move(entry));
-  }
-};
+using EngineRegistration = Registration<EngineRegistry>;
+using StrategyRegistration = Registration<StrategyRegistry>;
+using PlannerRegistration = Registration<PlannerRegistry>;
+using EstimatorRegistration = Registration<EstimatorRegistry>;
+using FetchPolicyRegistration = Registration<FetchPolicyRegistry>;
+using CollabRegistration = Registration<CollabRegistry>;
 
 }  // namespace agar::api

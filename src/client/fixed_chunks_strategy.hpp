@@ -8,7 +8,7 @@
 // from its home region. After the read the strategy (re-)inserts the
 // designated chunks the engine does not hold, letting the policy evict.
 //
-// The policy is any engine in api::Registry<cache::CacheEngine>, looked up
+// The policy is any engine in api::EngineRegistry, looked up
 // by name — registering a new engine ("arc", ...) makes it a runnable
 // system with zero edits here or in the runner/CLI/bench plumbing.
 #pragma once
