@@ -4,15 +4,7 @@
 
 namespace agar::core {
 
-namespace {
-
-/// An option is usable if it consumes capacity and contributes value.
-bool usable(const CachingOption& o, std::size_t capacity_units) {
-  return o.value > 0.0 && o.weight_units > 0 &&
-         o.weight_units <= capacity_units;
-}
-
-KnapsackResult finish(std::vector<CachingOption> chosen) {
+KnapsackResult KnapsackResult::of(std::vector<CachingOption> chosen) {
   KnapsackResult r;
   r.chosen = std::move(chosen);
   for (const auto& o : r.chosen) {
@@ -21,8 +13,6 @@ KnapsackResult finish(std::vector<CachingOption> chosen) {
   }
   return r;
 }
-
-}  // namespace
 
 KnapsackResult KnapsackDp::solve(
     const std::vector<std::vector<CachingOption>>& options_per_key,
@@ -44,7 +34,7 @@ KnapsackResult KnapsackDp::solve(
   }
   // The table below is sized by the capacity, not by the options: with
   // nothing to choose, return the empty plan without building it.
-  if (items_.empty()) return finish({});
+  if (items_.empty()) return KnapsackResult::of({});
   const std::size_t rows = rows_.size();
   rows_.push_back(items_.size());
 
@@ -107,7 +97,7 @@ KnapsackResult KnapsackDp::solve(
     const Item& item = items_[*it];
     chosen.push_back(options_per_key[item.group][item.option]);
   }
-  return finish(std::move(chosen));
+  return KnapsackResult::of(std::move(chosen));
 }
 
 KnapsackResult solve_dp(
@@ -155,7 +145,7 @@ KnapsackResult solve_greedy(
   for (const CachingOption* o : picked) {
     if (o != nullptr) chosen.push_back(*o);
   }
-  return finish(std::move(chosen));
+  return KnapsackResult::of(std::move(chosen));
 }
 
 namespace {
@@ -175,10 +165,7 @@ void brute_rec(const std::vector<std::vector<CachingOption>>& groups,
   brute_rec(groups, i + 1, capacity_left, value, picked, best_value,
             best_picked);
   for (const auto& o : groups[i]) {
-    if (o.value <= 0.0 || o.weight_units == 0 ||
-        o.weight_units > capacity_left) {
-      continue;
-    }
+    if (!usable(o, capacity_left)) continue;
     picked.push_back(&o);
     brute_rec(groups, i + 1, capacity_left - o.weight_units, value + o.value,
               picked, best_value, best_picked);
@@ -198,7 +185,7 @@ KnapsackResult solve_brute_force(
   std::vector<CachingOption> chosen;
   chosen.reserve(best_picked.size());
   for (const auto* p : best_picked) chosen.push_back(*p);
-  return finish(std::move(chosen));
+  return KnapsackResult::of(std::move(chosen));
 }
 
 }  // namespace agar::core

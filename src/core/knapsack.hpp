@@ -31,15 +31,25 @@ struct KnapsackResult {
   std::vector<CachingOption> chosen;
   double total_value = 0.0;
   std::size_t total_weight_units = 0;
+
+  /// The result that chooses `chosen`, with its totals.
+  [[nodiscard]] static KnapsackResult of(std::vector<CachingOption> chosen);
 };
+
+/// Whether a solver may choose `o` within `capacity_units`: it consumes
+/// capacity, contributes value and fits.
+[[nodiscard]] inline bool usable(const CachingOption& o,
+                                 std::size_t capacity_units) {
+  return o.value > 0.0 && o.weight_units > 0 &&
+         o.weight_units <= capacity_units;
+}
 
 /// Exact MCKP dynamic program (the paper's POPULATE/RELAX algorithm) that
 /// keeps its buffers across solves, so a planner re-solving every period
 /// sizes them once.
 ///
 /// `options_per_key[i]` holds the candidate options for one key; options
-/// with value <= 0 or weight_units == 0 or weight_units > capacity_units
-/// are ignored. Runtime O(total_options x capacity_units), i.e. the O(C^2)
+/// that are not `usable` are ignored. Runtime O(total_options x capacity_units), i.e. the O(C^2)
 /// the paper reports once the option count is proportional to capacity.
 /// Ties keep the earlier choice: at each capacity a key is skipped unless
 /// one of its options is strictly better, and of the options that reach

@@ -11,12 +11,6 @@ namespace agar::core {
 
 namespace {
 
-/// Same usability rule as the solvers: consumes capacity, contributes value.
-bool usable(const CachingOption& o, std::size_t capacity_units) {
-  return o.value > 0.0 && o.weight_units > 0 &&
-         o.weight_units <= capacity_units;
-}
-
 /// Thin planner over one of the stateless knapsack solvers.
 template <KnapsackResult (*Solver)(
     const std::vector<std::vector<CachingOption>>&, std::size_t)>
@@ -139,7 +133,7 @@ class IncrementalPlanner final : public Planner {
     // Stitch kept + re-planned choices back together in input key order and
     // refresh the memo: dirty keys record their new signature/choice,
     // stable keys carry their last-planned signature forward.
-    KnapsackResult out;
+    std::vector<CachingOption> chosen;
     std::unordered_map<ObjectId, KeyMemo> next_memo;
     next_memo.reserve(groups.size());
     std::vector<bool> is_dirty(groups.size(), false);
@@ -153,7 +147,7 @@ class IncrementalPlanner final : public Planner {
         const auto chosen_it = replanned.find(object);
         if (chosen_it != replanned.end()) pick = chosen_it->second;
       }
-      if (pick != nullptr) out.chosen.push_back(*pick);
+      if (pick != nullptr) chosen.push_back(*pick);
 
       KeyMemo memo;
       const auto prev = memo_.find(object);
@@ -165,7 +159,7 @@ class IncrementalPlanner final : public Planner {
       next_memo.emplace(object, memo);
     }
     memo_ = std::move(next_memo);
-    return finish(std::move(out));
+    return KnapsackResult::of(std::move(chosen));
   }
 
   [[nodiscard]] std::string name() const override { return "incremental"; }
@@ -195,16 +189,6 @@ class IncrementalPlanner final : public Planner {
       }
     }
     return nullptr;
-  }
-
-  static KnapsackResult finish(KnapsackResult r) {
-    r.total_value = 0.0;
-    r.total_weight_units = 0;
-    for (const auto& o : r.chosen) {
-      r.total_value += o.value;
-      r.total_weight_units += o.weight_units;
-    }
-    return r;
   }
 
   KnapsackResult full_plan(
