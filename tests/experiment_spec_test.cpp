@@ -245,6 +245,17 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeTimesAndRates) {
       .validate();
 }
 
+TEST(ExperimentSpec, DocumentedDefaultsAreTheDefaults) {
+  // `--list` prints the schema's defaults, while a run starts from the
+  // config structs' initializers: applying every documented default must
+  // leave a default spec as it was.
+  ExperimentSpec spec;
+  for (const ParamInfo& key : ExperimentSpec::experiment_keys().params) {
+    if (!key.default_value.empty()) spec.set(key.name, key.default_value);
+  }
+  EXPECT_EQ(spec.to_json(), ExperimentSpec{}.to_json());
+}
+
 TEST(ExperimentSpec, JsonRoundTripPreservesEverything) {
   const auto spec = ExperimentSpec::from_pairs(
       {"system=tinylfu", "chunks=7", "cache_bytes=3MB", "sketch_width=512",
