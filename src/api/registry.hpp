@@ -222,8 +222,7 @@ class Registry {
 using EngineRegistry = Registry<cache::CacheEngine, EngineContext>;
 using StrategyRegistry = Registry<client::ReadStrategy, StrategyContext>;
 using PlannerRegistry = Registry<core::Planner, PlannerContext>;
-using EstimatorRegistry =
-    Registry<core::PopularityEstimator, EstimatorContext>;
+using EstimatorRegistry = Registry<core::PopularityEstimator, EstimatorContext>;
 using FetchPolicyRegistry = Registry<client::FetchPolicy, FetchPolicyContext>;
 using CollabRegistry = Registry<collab::CollabSettings, CollabContext>;
 

@@ -49,8 +49,9 @@ struct KnapsackResult {
 /// sizes them once.
 ///
 /// `options_per_key[i]` holds the candidate options for one key; options
-/// that are not `usable` are ignored. Runtime O(total_options x capacity_units), i.e. the O(C^2)
-/// the paper reports once the option count is proportional to capacity.
+/// that are not `usable` are ignored. Runtime O(total_options x
+/// capacity_units), i.e. the O(C^2) the paper reports once the option
+/// count is proportional to capacity.
 /// Ties keep the earlier choice: at each capacity a key is skipped unless
 /// one of its options is strictly better, and of the options that reach
 /// the best value the first in group order is taken.
