@@ -53,12 +53,11 @@ EncodedObject ObjectCodec::encode(BytesView object) const {
 
 void ObjectCodec::decode(const std::vector<Chunk>& chunks,
                          BytesSpan object) const {
-  std::vector<std::pair<std::uint32_t, BytesView>> available;
-  available.reserve(chunks.size());
+  available_.clear();
   for (const auto& c : chunks) {
-    available.emplace_back(c.index, c.data.view());
+    available_.emplace_back(c.index, c.data.view());
   }
-  rs_.reconstruct_data(available, object);
+  rs_.reconstruct_data(available_, object);
 }
 
 Bytes ObjectCodec::decode(std::size_t object_size,

@@ -46,7 +46,8 @@ class ObjectCodec {
 
   /// Reassemble the object from any k of its chunks into `object`, whose
   /// size must be the original (pre-padding) size. Writes every byte of
-  /// `object` and allocates no object-sized buffer.
+  /// `object`; once the codec has decoded from as many chunks, it
+  /// allocates nothing.
   void decode(const std::vector<Chunk>& chunks, BytesSpan object) const;
 
   /// As above, into a fresh buffer of `object_size` bytes.
@@ -55,6 +56,8 @@ class ObjectCodec {
 
  private:
   ReedSolomon rs_;
+  // decode's (index, bytes) list, kept between calls like rs_'s scratch.
+  mutable std::vector<std::pair<std::uint32_t, BytesView>> available_;
 };
 
 }  // namespace agar::ec

@@ -30,6 +30,9 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
     throw std::invalid_argument("ReedSolomon: k + m must be <= 256");
   }
   encode_ = systematic_cauchy(params_.k, params_.m);
+  picked_.reserve(params_.k);
+  views_.reserve(params_.k);
+  rows_.reserve(params_.k);
 }
 
 void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,
@@ -92,8 +95,8 @@ void ReedSolomon::reconstruct_data(
 
   // Take the first k distinct chunks, preferring data chunks (identity rows)
   // so the common no-failure path is a cheap copy.
-  std::vector<std::pair<std::uint32_t, BytesView>> picked;
-  picked.reserve(params_.k);
+  auto& picked = picked_;
+  picked.clear();
   std::bitset<gf::kFieldSize> seen;  // total() <= kFieldSize (constructor)
   auto take = [&](bool data_only) {
     for (const auto& [idx, bytes] : available) {
@@ -122,8 +125,8 @@ void ReedSolomon::reconstruct_data(
   std::sort(picked.begin(), picked.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<BytesView> views;
-  views.reserve(params_.k);
+  auto& views = views_;
+  views.clear();
   for (const auto& [idx, bytes] : picked) views.push_back(bytes);
   check_uniform_size(views);
   const std::size_t chunk_size = views.front().size();
@@ -151,8 +154,8 @@ void ReedSolomon::reconstruct_data(
   // invertible k x k matrix (MDS); its inverse maps picked chunks back to
   // the original data chunks. The inverse is memoized per surviving set;
   // only the missing data rows are applied.
-  std::vector<std::size_t> rows;
-  rows.reserve(params_.k);
+  auto& rows = rows_;
+  rows.clear();
   for (const auto& [idx, bytes] : picked) rows.push_back(idx);
   const Matrix& decode = decode_plan(rows);
 

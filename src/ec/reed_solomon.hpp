@@ -9,9 +9,11 @@
 // writes the output row once from all k inputs without reading it, and
 // reconstruction memoizes the inverted decode matrix per surviving-chunk
 // set — RS(9,3) has at most C(12,9) = 220 such sets, so after warm-up a
-// degraded read pays zero matrix-inversion cost. Apart from that cache
-// (single-threaded use, like the rest of the simulation) the codec is
-// stateless, so one instance can be shared by every region.
+// degraded read pays zero matrix-inversion cost. Apart from that cache and
+// the reconstruction's scratch lists, kept so a steady-state decode
+// allocates nothing (single-threaded use, like the rest of the
+// simulation), the codec is stateless, so one instance can be shared by
+// every region of a lane.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +102,12 @@ class ReedSolomon {
   mutable Matrix plan_scratch_;  // fallback when total() > 64 (uncacheable)
   mutable std::uint64_t plan_hits_ = 0;
   mutable std::uint64_t plan_misses_ = 0;
+
+  // reconstruct_data's per-call lists, each at most k long and reserved
+  // at construction: the picked chunks, their bytes and their rows.
+  mutable std::vector<std::pair<std::uint32_t, BytesView>> picked_;
+  mutable std::vector<BytesView> views_;
+  mutable std::vector<std::size_t> rows_;
 };
 
 }  // namespace agar::ec

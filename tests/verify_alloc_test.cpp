@@ -137,12 +137,16 @@ Window count_window(const char* name, std::vector<std::string> pairs) {
 }
 
 TEST(VerifyAlloc, SteadyStateVerifyReadAllocatesNoObjectBuffers) {
+  // The decode runs on the lane's buffer and its codec's scratch lists, so
+  // a verify read allocates no more than a paper read: the control
+  // plane's share.
   const Window w = count_window(
       "verify", {"system=agar", "planner=knapsack-dp", "monitor=exact-ewma",
                  "cache_bytes=10MB", "verify=true"});
   EXPECT_EQ(w.verified, w.reads);
   EXPECT_EQ(w.large, 0u);
   EXPECT_LT(w.bytes / w.reads, 64u * 1024u);
+  EXPECT_LE(2 * w.calls, w.reads);
 }
 
 TEST(VerifyAlloc, PaperReadAllocatesAtMostTheControlPlanesShare) {
