@@ -168,11 +168,14 @@ const detail::KernelTable* backend_table(Backend b) {
       return detail::avx2_kernels();
     case Backend::kGfni:
       return detail::gfni_kernels();
+    case Backend::kGfni512:
+      return detail::gfni512_kernels();
   }
   return nullptr;
 }
 
 Backend best_backend() {
+  if (detail::gfni512_kernels() != nullptr) return Backend::kGfni512;
   if (detail::gfni_kernels() != nullptr) return Backend::kGfni;
   if (detail::avx2_kernels() != nullptr) return Backend::kAvx2;
   if (detail::ssse3_kernels() != nullptr) return Backend::kSsse3;
@@ -203,6 +206,8 @@ const char* backend_name(Backend b) {
       return "avx2";
     case Backend::kGfni:
       return "gfni";
+    case Backend::kGfni512:
+      return "gfni512";
   }
   return "unknown";
 }
@@ -211,8 +216,8 @@ bool backend_supported(Backend b) { return backend_table(b) != nullptr; }
 
 std::vector<Backend> supported_backends() {
   std::vector<Backend> out;
-  for (const Backend b : {Backend::kPortable64, Backend::kSsse3,
-                          Backend::kAvx2, Backend::kGfni}) {
+  for (const Backend b : {Backend::kPortable64, Backend::kSsse3, Backend::kAvx2,
+                          Backend::kGfni, Backend::kGfni512}) {
     if (backend_supported(b)) out.push_back(b);
   }
   return out;

@@ -10,9 +10,9 @@
 // The one bulk operation, dot, is the hot path of the erasure codec: every
 // Reed-Solomon encode and decode row is dst[i] = sum_j c_j * src_j[i] over
 // whole chunk buffers. It is served by a runtime-dispatched kernel — GFNI
-// affine SIMD or split-nibble pshufb SIMD on x86 (GFNI, AVX2 or SSSE3,
-// picked once at startup) with a portable 64-bit-word fallback — all
-// computing the same bytes as the scalar `mul`.
+// affine SIMD or split-nibble pshufb SIMD on x86 (GFNI over 64 or 32 bytes,
+// AVX2 or SSSE3, picked once at startup) with a portable 64-bit-word
+// fallback — all computing the same bytes as the scalar `mul`.
 // `set_backend` pins a specific kernel (benchmarks, differential tests).
 #pragma once
 
@@ -75,6 +75,7 @@ enum class Backend : std::uint8_t {
   kSsse3,       ///< 16-byte split-nibble pshufb
   kAvx2,        ///< 32-byte split-nibble vpshufb
   kGfni,        ///< 32-byte vgf2p8affineqb, one bit matrix per coefficient
+  kGfni512,     ///< 64-byte vgf2p8affineqb in zmm registers (AVX-512)
 };
 
 [[nodiscard]] const char* backend_name(Backend b);

@@ -1,5 +1,5 @@
 // Internal kernel plumbing shared by gf256.cpp (portable kernel, dispatch)
-// and gf256_simd.cpp (SSSE3/AVX2/GFNI kernels). Not part of the public
+// and gf256_simd.cpp (SSSE3/AVX2/GFNI/GFNI-512 kernels). Not part of the public
 // gf:: API — include gf/gf256.hpp instead.
 #pragma once
 
@@ -63,5 +63,6 @@ extern const KernelTable kPortable64Kernels;
 const KernelTable* ssse3_kernels();
 const KernelTable* avx2_kernels();
 const KernelTable* gfni_kernels();
+const KernelTable* gfni512_kernels();
 
 }  // namespace agar::gf::detail

@@ -1,12 +1,13 @@
 // SSSE3 / AVX2 split-nibble GF(256) dot kernels (Longhair / ISA-L
-// technique) and the GFNI affine dot kernel.
+// technique) and the GFNI affine dot kernels, over 32-byte ymm and 64-byte
+// zmm registers.
 //
 // A byte b is (b & 0x0F) ^ (high nibble), and GF multiplication by a fixed
 // c is GF(2)-linear, so c*b == lo_table[b & 15] ^ hi_table[b >> 4]. The two
 // 16-entry tables fit exactly one pshufb register each: 16 (SSSE3) or 2x16
 // (AVX2) products per shuffle pair, versus one per lookup in the portable
 // kernel. The same linearity makes c*b an 8x8 bit-matrix product, which GFNI
-// computes for 32 bytes in one vgf2p8affineqb.
+// computes for 32 or 64 bytes in one vgf2p8affineqb.
 //
 // Functions carry `target` attributes so this file builds with the default
 // compiler flags; the dispatcher in gf256.cpp only installs a kernel
@@ -147,6 +148,52 @@ __attribute__((target("avx2,gfni"))) void dot_gfni(
   dot_tail(t, coeffs, srcs, nsrc, dst, i, n);
 }
 
+// ------------------------------------------------------------- GFNI-512
+//
+// The same matrices over 64-byte zmm blocks. AVX-512BW's byte masks load
+// and store the last partial block, so this kernel has no byte-at-a-time
+// tail: a masked load reads no byte past a source's end.
+
+__attribute__((target("avx512f,avx512bw,gfni"))) inline __m512i
+affine_matrix512(const Tables& t, std::uint8_t c) {
+  return _mm512_set1_epi64(static_cast<long long>(t.affine_[c]));
+}
+
+__attribute__((target("avx512f,avx512bw,gfni"))) void dot_gfni512(
+    const std::uint8_t* coeffs, const std::uint8_t* const* srcs,
+    std::size_t nsrc, std::uint8_t* dst, std::size_t n) {
+  const Tables& t = tables();
+  std::size_t i = 0;
+  // Two blocks per pass: each source's matrix is loaded once per 128 bytes.
+  for (; i + 128 <= n; i += 128) {
+    __m512i d0 = _mm512_setzero_si512();
+    __m512i d1 = _mm512_setzero_si512();
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      const __m512i matrix = affine_matrix512(t, coeffs[j]);
+      const __m512i s0 = _mm512_loadu_si512(srcs[j] + i);
+      const __m512i s1 = _mm512_loadu_si512(srcs[j] + i + 64);
+      d0 = _mm512_xor_si512(d0, _mm512_gf2p8affine_epi64_epi8(s0, matrix, 0));
+      d1 = _mm512_xor_si512(d1, _mm512_gf2p8affine_epi64_epi8(s1, matrix, 0));
+    }
+    _mm512_storeu_si512(dst + i, d0);
+    _mm512_storeu_si512(dst + i + 64, d1);
+  }
+  // At most one whole block and one partial one are left.
+  while (i < n) {
+    const std::size_t len = n - i < 64 ? n - i : 64;
+    const __mmask64 mask =
+        len == 64 ? ~__mmask64{0} : (__mmask64{1} << len) - 1;
+    __m512i d = _mm512_setzero_si512();
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      const __m512i matrix = affine_matrix512(t, coeffs[j]);
+      const __m512i s = _mm512_maskz_loadu_epi8(mask, srcs[j] + i);
+      d = _mm512_xor_si512(d, _mm512_gf2p8affine_epi64_epi8(s, matrix, 0));
+    }
+    _mm512_mask_storeu_epi8(dst + i, mask, d);
+    i += len;
+  }
+}
+
 }  // namespace
 
 const KernelTable* ssse3_kernels() {
@@ -168,6 +215,14 @@ const KernelTable* gfni_kernels() {
   return supported ? &table : nullptr;
 }
 
+const KernelTable* gfni512_kernels() {
+  static const KernelTable table{dot_gfni512};
+  static const bool supported = __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512bw") &&
+                                __builtin_cpu_supports("gfni");
+  return supported ? &table : nullptr;
+}
+
 }  // namespace agar::gf::detail
 
 #else  // SIMD compiled out: portable dispatch only.
@@ -177,6 +232,7 @@ namespace agar::gf::detail {
 const KernelTable* ssse3_kernels() { return nullptr; }
 const KernelTable* avx2_kernels() { return nullptr; }
 const KernelTable* gfni_kernels() { return nullptr; }
+const KernelTable* gfni512_kernels() { return nullptr; }
 
 }  // namespace agar::gf::detail
 

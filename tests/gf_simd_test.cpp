@@ -1,8 +1,8 @@
 // Differential property tests for the GF(256) dot kernels: every
-// runtime-supported family (portable64, SSSE3, AVX2, GFNI) must agree with
-// the scalar gf::mul byte-for-byte over every coefficient, zero and unit
-// coefficients, awkward lengths (0, 1, non-multiples of 8/16/32/64) and
-// misaligned buffers.
+// runtime-supported family (portable64, SSSE3, AVX2, GFNI, GFNI-512) must
+// agree with the scalar gf::mul byte-for-byte over every coefficient,
+// zero and unit coefficients, awkward lengths (0, 1, non-multiples of
+// 8/16/32/64/128) and misaligned buffers.
 #include "gf/gf256.hpp"
 
 #include <gtest/gtest.h>
@@ -21,11 +21,11 @@ class BackendGuard {
   ~BackendGuard() { reset_backend(); }
 };
 
-// Lengths straddling every kernel's block size (8, 16, 32, 64) plus a
-// chunk-scale one.
+// Lengths straddling every kernel's block size (8, 16, 32, 64, 128) plus
+// a chunk-scale one.
 const std::vector<std::size_t> kLengths = {
-    0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 257, 4096,
-    114 * 1024 + 3};
+    0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129,
+    191, 192, 193, 257, 4096, 114 * 1024 + 3};
 
 std::vector<std::uint8_t> random_buf(Rng& rng, std::size_t n) {
   std::vector<std::uint8_t> out(n);
@@ -53,6 +53,7 @@ TEST(GfBackends, BackendNamesAreDistinct) {
   EXPECT_STREQ(backend_name(Backend::kSsse3), "ssse3");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
   EXPECT_STREQ(backend_name(Backend::kGfni), "gfni");
+  EXPECT_STREQ(backend_name(Backend::kGfni512), "gfni512");
 }
 
 TEST(GfBackends, DotMatchesMulForEveryCoefficient) {
