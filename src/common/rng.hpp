@@ -18,12 +18,19 @@ namespace agar {
 /// user-provided seed into the 256-bit state xoshiro256** requires.
 class SplitMix64 {
  public:
+  /// The state's increment and the output mix's two multipliers: the n-th
+  /// word (from 1) of a stream seeded with s mixes s + n * kGamma, so any
+  /// word can be computed on its own.
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
+  static constexpr std::uint64_t kMul2 = 0x94d049bb133111ebULL;
+
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    std::uint64_t z = (state_ += kGamma);
+    z = (z ^ (z >> 30)) * kMul1;
+    z = (z ^ (z >> 27)) * kMul2;
     return z ^ (z >> 31);
   }
 

@@ -42,12 +42,14 @@ GetResponse ServiceInstance::serve_get(const std::string& key,
   response.degraded = result.degraded;
   response.virtual_ms = result.latency_ms;
   if (want_payload && !result.failed) {
-    const store::ObjectInfo info = deployment_->backend().object_info(key);
     // The working set is deterministic-by-key, so the payload can be
     // regenerated instead of threaded through the strategies (which only
-    // move bytes in verify mode).
-    const Bytes payload = deterministic_payload(key, info.object_size);
-    response.payload.assign(payload.begin(), payload.end());
+    // move bytes in verify mode), straight into the response.
+    const std::size_t size =
+        deployment_->backend().object_info(key).object_size;
+    response.payload.resize(size);
+    auto* bytes = reinterpret_cast<std::uint8_t*>(response.payload.data());
+    fill_deterministic_payload(key, BytesSpan(bytes, size));
   }
   return response;
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/types.hpp"
 
 namespace agar {
@@ -19,6 +22,39 @@ TEST(Bytes, DeterministicPayloadVariesByKey) {
 TEST(Bytes, DeterministicPayloadSize) {
   EXPECT_EQ(deterministic_payload("x", 0).size(), 0u);
   EXPECT_EQ(deterministic_payload("x", 12345).size(), 12345u);
+}
+
+TEST(Bytes, PayloadVectorPathMatchesScalarReference) {
+  // Every size around the vector path's 64-byte blocks and a partial last
+  // word, plus the paper's object size and a ragged one past it. Where the
+  // vector path is compiled out or the CPU lacks it, only the dispatching
+  // form is compared with the reference.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 130; ++n) sizes.push_back(n);
+  sizes.push_back(1_MB);
+  sizes.push_back(1_MB + 3);
+  for (const char* key : {"", "k", "object0", "object299", "bench"}) {
+    for (const std::size_t n : sizes) {
+      Bytes reference(n + 2, 0xEE);
+      detail::fill_payload_scalar(key, BytesSpan(reference).subspan(1, n));
+      Bytes vector(n + 2, 0xEE);
+      if (detail::fill_payload_vector(key, BytesSpan(vector).subspan(1, n))) {
+        ASSERT_EQ(vector, reference) << key << " " << n;
+      }
+      Bytes filled(n, 0x11);
+      fill_deterministic_payload(key, BytesSpan(filled));
+      ASSERT_EQ(filled, Bytes(reference.begin() + 1, reference.end() - 1))
+          << key << " " << n;
+      ASSERT_EQ(deterministic_payload(key, n), filled) << key << " " << n;
+    }
+  }
+}
+
+TEST(Bytes, DeterministicPayloadDigestIsPinned) {
+  // FNV-1a of the first object of the paper's working set, as generated one
+  // SplitMix64 word at a time before the vector path existed.
+  EXPECT_EQ(fnv1a(deterministic_payload("object0", 1_MB)),
+            0xed14fb8d7daa319eULL);
 }
 
 TEST(Bytes, Fnv1aKnownVector) {
