@@ -1,14 +1,19 @@
 // EC data-plane throughput harness: the GF(256) dot kernel (every runtime
 // backend), Reed-Solomon encode/decode for the
-// paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), and
-// a verify-mode read's zero fill, decode and check.
+// paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), a
+// verify-mode read's zero fill, decode and check, and the deterministic
+// payload generator's scalar and vector paths.
+//
+// Each measurement runs several timed rounds of the same iteration count
+// and reports the median round with the fastest and slowest.
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array ("BENCH
 // JSON") for artifact upload and trend tracking. --quick shrinks the
-// per-measurement budget for smoke runs.
+// per-round budget and the round count for smoke runs.
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -26,14 +31,17 @@ namespace {
 using namespace agar;
 using Clock = std::chrono::steady_clock;
 
-double g_budget_ms = 80.0;  // per measurement; --quick lowers it
+double g_budget_ms = 30.0;  // per round; --quick lowers it
+std::size_t g_rounds = 7;   // per measurement; --quick lowers it
 
 struct Result {
   std::string bench;
   std::string backend;
   std::size_t bytes = 0;       ///< payload bytes processed per iteration
-  double mb_per_s = 0.0;
-  double ns_per_op = 0.0;
+  double mb_per_s = 0.0;       ///< at the median round
+  double ns_per_op = 0.0;      ///< median round
+  double ns_per_op_min = 0.0;  ///< fastest round
+  double ns_per_op_max = 0.0;  ///< slowest round
   std::string note;
 };
 
@@ -42,20 +50,24 @@ std::vector<Result>& results() {
   return r;
 }
 
-/// Run fn until the time budget is spent; returns seconds per iteration.
+/// Seconds per iteration of `iters` calls of fn.
 template <typename Fn>
-double time_op(Fn&& fn) {
+double time_iters(Fn& fn, std::uint64_t iters) {
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) fn();
+  return std::chrono::duration<double>(Clock::now() - start).count() /
+         static_cast<double>(iters);
+}
+
+/// Seconds per iteration of each of g_rounds rounds, sorted. The iteration
+/// count is first grown until one round takes the per-round budget.
+template <typename Fn>
+std::vector<double> time_rounds(Fn& fn) {
   fn();  // warm-up / first-touch
   std::uint64_t iters = 1;
   for (;;) {
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) fn();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    if (ms >= g_budget_ms || iters > (1ULL << 30)) {
-      return ms / 1e3 / static_cast<double>(iters);
-    }
+    const double ms = time_iters(fn, iters) * 1e3 * static_cast<double>(iters);
+    if (ms >= g_budget_ms || iters > (1ULL << 30)) break;
     const double target = g_budget_ms * 1.2;
     const std::uint64_t next =
         ms <= 0.01 ? iters * 32
@@ -64,12 +76,19 @@ double time_op(Fn&& fn) {
                          1;
     iters = std::max(next, iters + 1);
   }
+  std::vector<double> rounds;
+  for (std::size_t r = 0; r < g_rounds; ++r) {
+    rounds.push_back(time_iters(fn, iters));
+  }
+  std::sort(rounds.begin(), rounds.end());
+  return rounds;
 }
 
 template <typename Fn>
 void record(const std::string& bench, const std::string& backend,
             std::size_t bytes_per_iter, Fn&& fn, std::string note = "") {
-  const double sec = time_op(fn);
+  const std::vector<double> rounds = time_rounds(fn);
+  const double sec = rounds[rounds.size() / 2];
   Result r;
   r.bench = bench;
   r.backend = backend;
@@ -78,6 +97,8 @@ void record(const std::string& bench, const std::string& backend,
                    ? 0.0
                    : static_cast<double>(bytes_per_iter) / sec / 1e6;
   r.ns_per_op = sec * 1e9;
+  r.ns_per_op_min = rounds.front() * 1e9;
+  r.ns_per_op_max = rounds.back() * 1e9;
   r.note = std::move(note);
   results().push_back(r);
 }
@@ -238,6 +259,22 @@ void bench_verify_read() {
          "memcmp against the data chunks");
 }
 
+// ---------------------------------------------------- payload generator
+
+/// One 1 MB payload into a reused buffer, on each path the host has.
+void bench_payload() {
+  const std::string key = "object0";
+  Bytes out(1_MB);
+  record("payload_1mb", "scalar", out.size(),
+         [&] { detail::fill_payload_scalar(key, BytesSpan(out)); },
+         "one SplitMix64 word per step");
+  if (detail::fill_payload_vector(key, BytesSpan(out))) {
+    record("payload_1mb", "avx512", out.size(),
+           [&] { (void)detail::fill_payload_vector(key, BytesSpan(out)); },
+           "eight words per step");
+  }
+}
+
 // -------------------------------------------------------------- output
 
 std::string json_escape(const std::string& s) {
@@ -257,7 +294,10 @@ void print_json() {
     os << "  {\"bench\": \"" << json_escape(r.bench) << "\", \"backend\": \""
        << json_escape(r.backend) << "\", \"bytes\": " << r.bytes
        << ", \"mb_per_s\": " << r.mb_per_s
-       << ", \"ns_per_op\": " << r.ns_per_op;
+       << ", \"ns_per_op\": " << r.ns_per_op
+       << ", \"ns_per_op_min\": " << r.ns_per_op_min
+       << ", \"ns_per_op_max\": " << r.ns_per_op_max
+       << ", \"rounds\": " << g_rounds;
     if (!r.note.empty()) os << ", \"note\": \"" << json_escape(r.note) << "\"";
     os << "}" << (i + 1 < results().size() ? "," : "") << "\n";
   }
@@ -266,11 +306,15 @@ void print_json() {
 }
 
 void print_table() {
-  std::printf("%-28s %-11s %12s %14s %14s\n", "bench", "backend", "bytes",
-              "MB/s", "ns/op");
+  std::printf("median of %zu rounds, with the fastest and slowest\n", g_rounds);
+  std::printf("%-28s %-11s %9s %10s %12s %23s\n", "bench", "backend", "bytes",
+              "MB/s", "ns/op", "min-max ns/op");
   for (const Result& r : results()) {
-    std::printf("%-28s %-11s %12zu %14.1f %14.1f  %s\n", r.bench.c_str(),
-                r.backend.c_str(), r.bytes, r.mb_per_s, r.ns_per_op,
+    char spread[48];
+    std::snprintf(spread, sizeof(spread), "%.1f-%.1f", r.ns_per_op_min,
+                  r.ns_per_op_max);
+    std::printf("%-28s %-11s %9zu %10.1f %12.1f %23s  %s\n", r.bench.c_str(),
+                r.backend.c_str(), r.bytes, r.mb_per_s, r.ns_per_op, spread,
                 r.note.c_str());
   }
 }
@@ -284,7 +328,8 @@ int main(int argc, char** argv) {
     if (arg == "--json") {
       json = true;
     } else if (arg == "--quick") {
-      g_budget_ms = 10.0;
+      g_budget_ms = 5.0;
+      g_rounds = 3;
     } else {
       std::cerr << "usage: bench_micro_ec [--json] [--quick]\n";
       return 2;
@@ -299,6 +344,7 @@ int main(int argc, char** argv) {
   bench_rs();
   bench_codec();
   bench_verify_read();
+  bench_payload();
   if (json) {
     print_json();
   } else {
