@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
           std::cout << topology.name(regions[i]);
         }
         std::cout << " cache="
-                  << spec.params.get_string("cache_bytes", "(default)")
+                  << spec.params.raw("cache_bytes").value_or("(default)")
                   << " workload=" << e.workload.label() << " objects="
                   << e.deployment.num_objects << " ops=" << e.ops_per_run
                   << " x" << e.runs << " runs";

@@ -1,7 +1,6 @@
 #include "api/experiment_spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,12 +14,6 @@
 namespace agar::api {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 std::string join(const std::vector<std::string>& names) {
   std::string out;
@@ -42,6 +35,26 @@ RegionId region_id(const std::string& name) {
   }
 }
 
+std::vector<RegionId> region_list(const std::string& text) {
+  std::vector<RegionId> regions;
+  std::stringstream names(text);
+  std::string name;
+  while (std::getline(names, name, ',')) {
+    if (name.empty()) continue;
+    const RegionId region = region_id(name);
+    // One lane per client region: a repeat would bind two lanes to the
+    // first lane's network.
+    if (std::find(regions.begin(), regions.end(), region) != regions.end()) {
+      throw std::invalid_argument("'regions' lists '" + name + "' twice");
+    }
+    regions.push_back(region);
+  }
+  if (regions.empty()) {
+    throw std::invalid_argument("'regions' needs at least one region name");
+  }
+  return regions;
+}
+
 client::WorkloadSpec parse_workload(const std::string& text) {
   if (text == "uniform") return client::WorkloadSpec::uniform();
   std::string skew = text;
@@ -57,158 +70,286 @@ client::WorkloadSpec parse_workload(const std::string& text) {
   }
 }
 
+std::string quoted(const std::string& text) {
+  std::string out = "\"";
+  out += json_escape(text);
+  out += '"';
+  return out;
+}
+
+std::string region_name(RegionId region) {
+  return quoted(sim::aws_six_regions().name(region));
+}
+
+std::string flag(bool value) { return value ? "true" : "false"; }
+
+/// The members a namespaced sub-map ("fetch.retries") adds after its key.
+std::string namespaced(const std::string& prefix, const ParamMap& params) {
+  std::string out;
+  for (const auto& [k, v] : params.entries()) {
+    out += ",\n  " + quoted(prefix + k) + ": " + quoted(v);
+  }
+  return out;
+}
+
+using Config = client::ExperimentConfig;
+using Text = std::string;
+
+/// One experiment key: its schema entry, how `set` writes a value into the
+/// config (after checking that it parses as `info.type`), how the config
+/// writes the value back for `to_json`, and its check on the typed value.
+/// `system` alone has no config functions: the spec holds it itself.
+struct ExperimentKey {
+  ParamInfo info;
+  void (*set)(Config& config, const Text& value) = nullptr;
+  /// The member's JSON value, or "" to leave the key out. fetch and collab
+  /// follow theirs with their namespaced members.
+  Text (*json)(const Config& config) = nullptr;
+  /// The requirement the value breaks ("must be > 0"), or null. Negated
+  /// comparisons, so a NaN set through the typed fields fails too.
+  const char* (*check)(const Config& config) = nullptr;
+};
+
+/// Every experiment key, in `--list` and `to_json` order.
+const std::vector<ExperimentKey>& experiment_key_rows() {
+  static const std::vector<ExperimentKey> rows = {
+      {{"system", ParamType::kString, "agar",
+        "system under test (any registered strategy or cache engine)"}},
+      {{"workload", ParamType::kString, "zipf:1.1",
+        "'uniform', 'zipf:<skew>' or a plain Zipf skew"},
+       [](Config& c, const Text& v) { c.workload = parse_workload(v); },
+       [](const Config& c) {
+         return quoted(c.workload.kind == client::WorkloadSpec::Kind::kUniform
+                           ? Text("uniform")
+                           : "zipf:" + format_double(c.workload.zipf_skew));
+       }},
+      {{"region", ParamType::kString, "frankfurt", "primary client region"},
+       [](Config& c, const Text& v) {
+         c.client_region = region_id(v);
+         // Last writer wins: a multi-region list set earlier would
+         // otherwise silently override this (effective_client_regions
+         // prefers the list).
+         c.client_regions.clear();
+       },
+       [](const Config& c) {
+         return c.client_regions.empty() ? region_name(c.client_region) : "";
+       }},
+      {{"regions", ParamType::kString, "",
+        "comma-separated client regions (one cache node per region)"},
+       [](Config& c, const Text& v) {
+         c.client_regions = region_list(v);
+         c.client_region = c.client_regions.front();
+       },
+       [](const Config& c) {
+         Text out;
+         for (const RegionId r : c.client_regions) {
+           out += (out.empty() ? "[" : ", ") + region_name(r);
+         }
+         return out.empty() ? out : out + "]";
+       }},
+      {{"objects", ParamType::kSize, "300", "working-set size"},
+       [](Config& c, const Text& v) {
+         c.deployment.num_objects = parse_size(v);
+       },
+       [](const Config& c) {
+         return std::to_string(c.deployment.num_objects);
+       }},
+      {{"object_bytes", ParamType::kSize, "1MB", "object size"},
+       [](Config& c, const Text& v) {
+         c.deployment.object_size_bytes = parse_size(v);
+       },
+       [](const Config& c) {
+         return std::to_string(c.deployment.object_size_bytes);
+       }},
+      {{"ops", ParamType::kSize, "1000", "reads per run (all regions)"},
+       [](Config& c, const Text& v) { c.ops_per_run = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.ops_per_run); }},
+      {{"runs", ParamType::kSize, "5", "independent runs"},
+       [](Config& c, const Text& v) { c.runs = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.runs); }},
+      {{"clients", ParamType::kSize, "2", "closed-loop clients per region"},
+       [](Config& c, const Text& v) { c.num_clients = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.num_clients); }},
+      {{"arrival_rate", ParamType::kDouble, "0",
+        "open-loop Poisson reads/s per region (0 = closed loop)"},
+       [](Config& c, const Text& v) { c.arrival_rate_per_s = parse_double(v); },
+       [](const Config& c) { return format_double(c.arrival_rate_per_s); },
+       [](const Config& c) {
+         return c.arrival_rate_per_s >= 0.0 ? nullptr : "must be >= 0";
+       }},
+      {{"period_s", ParamType::kDouble, "30",
+        "reconfiguration period in seconds (agar, lfu)"},
+       [](Config& c, const Text& v) {
+         c.reconfig_period_ms = parse_double(v) * 1000.0;
+       },
+       [](const Config& c) {
+         return format_double(c.reconfig_period_ms / 1000.0);
+       },
+       [](const Config& c) {
+         return c.reconfig_period_ms > 0.0 ? nullptr : "must be > 0";
+       }},
+      {{"seed", ParamType::kSize, "42", "RNG seed"},
+       [](Config& c, const Text& v) { c.deployment.seed = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.deployment.seed); }},
+      {{"verify", ParamType::kBool, "false",
+        "move real bytes and RS-decode every read"},
+       [](Config& c, const Text& v) { c.verify_data = parse_bool(v); },
+       [](const Config& c) { return flag(c.verify_data); }},
+      {{"max_outstanding", ParamType::kSize, "64",
+        "per-region concurrent-fetch cap (0 = unlimited)"},
+       [](Config& c, const Text& v) {
+         c.max_outstanding_per_region = parse_size(v);
+       },
+       [](const Config& c) {
+         return std::to_string(c.max_outstanding_per_region);
+       }},
+      {{"decode_ms_per_mb", ParamType::kDouble, "10",
+        "client decode cost per MB"},
+       [](Config& c, const Text& v) { c.decode_ms_per_mb = parse_double(v); },
+       [](const Config& c) { return format_double(c.decode_ms_per_mb); },
+       [](const Config& c) {
+         return c.decode_ms_per_mb >= 0.0 ? nullptr : "must be >= 0";
+       }},
+      {{"weights", ParamType::kSizeList, "1,3,5,7,9",
+        "candidate option weights for agar"},
+       [](Config& c, const Text& v) {
+         c.agar_candidate_weights = parse_size_list(v);
+       },
+       [](const Config& c) {
+         Text out = "[";
+         for (const std::size_t w : c.agar_candidate_weights) {
+           out += (out.size() > 1 ? ", " : "") + std::to_string(w);
+         }
+         return out + "]";
+       }},
+      {{"rs_k", ParamType::kSize, "9", "Reed-Solomon data chunks"},
+       [](Config& c, const Text& v) { c.deployment.codec.k = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.deployment.codec.k); },
+       [](const Config& c) {
+         return c.deployment.codec.k >= 1 ? nullptr : "must be >= 1";
+       }},
+      {{"rs_m", ParamType::kSize, "3", "Reed-Solomon parity chunks"},
+       [](Config& c, const Text& v) { c.deployment.codec.m = parse_size(v); },
+       [](const Config& c) { return std::to_string(c.deployment.codec.m); },
+       [](const Config& c) {
+         return c.deployment.codec.m >= 1 ? nullptr : "must be >= 1";
+       }},
+      {{"placement_offset", ParamType::kBool, "false",
+        "rotate chunk placement per key"},
+       [](Config& c, const Text& v) {
+         c.deployment.per_key_placement_offset = parse_bool(v);
+       },
+       [](const Config& c) {
+         return flag(c.deployment.per_key_placement_offset);
+       }},
+      // Left out when off, as are the keys below at their defaults: specs
+      // that do not use them serialize as they did before the keys existed.
+      {{"window_ms", ParamType::kDouble, "0",
+        "windowed time-series metric width in ms (0 = off)"},
+       [](Config& c, const Text& v) { c.metric_window_ms = parse_double(v); },
+       [](const Config& c) {
+         return c.metric_window_ms > 0.0 ? format_double(c.metric_window_ms)
+                                         : "";
+       },
+       // A read lands in window floor(now / window_ms): below 1 ms the
+       // window count outgrows memory, and the index its size_t.
+       [](const Config& c) {
+         const double ms = c.metric_window_ms;
+         return ms == 0.0 || ms >= 1.0 ? nullptr : "must be 0 (off) or >= 1";
+       }},
+      {{"shards", ParamType::kSize, "1",
+        "simulation worker threads (results identical for any value)"},
+       [](Config& c, const Text& v) { c.shards = parse_size(v); },
+       [](const Config& c) {
+         return c.shards != 1 ? std::to_string(c.shards) : "";
+       },
+       [](const Config& c) {
+         return c.shards >= 1 ? nullptr : "must be >= 1";
+       }},
+      {{"fetch", ParamType::kString, "none",
+        "fault-tolerant fetch policy (none, retry, hedge); parameters "
+        "arrive namespaced as fetch.<param>"},
+       [](Config& c, const Text& v) {
+         c.fetch_policy = v.empty() ? "none" : v;
+       },
+       [](const Config& c) {
+         return c.fetch_policy == "none"
+                    ? ""
+                    : quoted(c.fetch_policy) +
+                          namespaced("fetch.", c.fetch_params);
+       }},
+      {{"collab", ParamType::kString, "none",
+        "cooperative cache tier (none, broadcast); parameters arrive "
+        "namespaced as collab.<param>"},
+       [](Config& c, const Text& v) { c.collab = v.empty() ? "none" : v; },
+       [](const Config& c) {
+         return c.collab == "none"
+                    ? ""
+                    : quoted(c.collab) + namespaced("collab.", c.collab_params);
+       }},
+      {{"scenario", ParamType::kString, "",
+        "mid-run event script: \"at_ms event k=v ...; ...\" (JSON specs "
+        "may use an array of {at_ms, event, ...} objects)"},
+       // "scenario=" clears. JSON spec files may instead carry an array,
+       // which parse_spec_json routes around this setter.
+       [](Config& c, const Text& v) {
+         c.scenario = scenario::parse_scenario_text(v);
+       },
+       [](const Config& c) {
+         return c.scenario.empty() ? "" : c.scenario.to_json("  ");
+       }},
+  };
+  return rows;
+}
+
+const ExperimentKey* find_experiment_key(const std::string& name) {
+  for (const ExperimentKey& key : experiment_key_rows()) {
+    if (key.info.name == name) return &key;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const ParamSchema& ExperimentSpec::experiment_keys() {
-  static const ParamSchema schema{{
-      {"system", ParamType::kString, "agar",
-       "system under test (any registered strategy or cache engine)"},
-      {"workload", ParamType::kString, "zipf:1.1",
-       "'uniform', 'zipf:<skew>' or a plain Zipf skew"},
-      {"region", ParamType::kString, "frankfurt", "primary client region"},
-      {"regions", ParamType::kString, "",
-       "comma-separated client regions (one cache node per region)"},
-      {"objects", ParamType::kSize, "300", "working-set size"},
-      {"object_bytes", ParamType::kSize, "1MB", "object size"},
-      {"ops", ParamType::kSize, "1000", "reads per run (all regions)"},
-      {"runs", ParamType::kSize, "5", "independent runs"},
-      {"clients", ParamType::kSize, "2", "closed-loop clients per region"},
-      {"arrival_rate", ParamType::kDouble, "0",
-       "open-loop Poisson reads/s per region (0 = closed loop)"},
-      {"period_s", ParamType::kDouble, "30",
-       "reconfiguration period in seconds (agar, lfu)"},
-      {"seed", ParamType::kSize, "42", "RNG seed"},
-      {"verify", ParamType::kBool, "false",
-       "move real bytes and RS-decode every read"},
-      {"max_outstanding", ParamType::kSize, "64",
-       "per-region concurrent-fetch cap (0 = unlimited)"},
-      {"decode_ms_per_mb", ParamType::kDouble, "10",
-       "client decode cost per MB"},
-      {"weights", ParamType::kSizeList, "1,3,5,7,9",
-       "candidate option weights for agar"},
-      {"rs_k", ParamType::kSize, "9", "Reed-Solomon data chunks"},
-      {"rs_m", ParamType::kSize, "3", "Reed-Solomon parity chunks"},
-      {"placement_offset", ParamType::kBool, "false",
-       "rotate chunk placement per key"},
-      {"window_ms", ParamType::kDouble, "0",
-       "windowed time-series metric width in ms (0 = off)"},
-      {"shards", ParamType::kSize, "1",
-       "simulation worker threads (results identical for any value)"},
-      {"fetch", ParamType::kString, "none",
-       "fault-tolerant fetch policy (none, retry, hedge); parameters "
-       "arrive namespaced as fetch.<param>"},
-      {"collab", ParamType::kString, "none",
-       "cooperative cache tier (none, broadcast); parameters arrive "
-       "namespaced as collab.<param>"},
-      {"scenario", ParamType::kString, "",
-       "mid-run event script: \"at_ms event k=v ...; ...\" (JSON specs "
-       "may use an array of {at_ms, event, ...} objects)"},
-  }};
+  static const ParamSchema schema = [] {
+    ParamSchema out;
+    for (const ExperimentKey& key : experiment_key_rows()) {
+      out.params.push_back(key.info);
+    }
+    return out;
+  }();
   return schema;
 }
 
 void ExperimentSpec::set(const std::string& key, const std::string& value) {
-  // One-entry map so typed parses reuse the ParamMap diagnostics (the error
-  // names the key and the offending value).
-  ParamMap one;
-  one.set(key, value);
-
-  if (key == "system") {
-    system = value;
-  } else if (key == "workload") {
-    experiment.workload = parse_workload(value);
-  } else if (key == "region") {
-    experiment.client_region = region_id(value);
-    // Last writer wins: a multi-region list set earlier would otherwise
-    // silently override this (effective_client_regions prefers the list).
-    experiment.client_regions.clear();
-  } else if (key == "regions") {
-    std::vector<RegionId> regions;
-    std::stringstream names(value);
-    std::string name;
-    while (std::getline(names, name, ',')) {
-      if (name.empty()) continue;
-      const RegionId region = region_id(name);
-      // One lane per client region: a repeat would bind two lanes to the
-      // first lane's network.
-      if (std::find(regions.begin(), regions.end(), region) != regions.end()) {
-        throw std::invalid_argument("'regions' lists '" + name + "' twice");
-      }
-      regions.push_back(region);
-    }
-    if (regions.empty()) {
-      throw std::invalid_argument("'regions' needs at least one region name");
-    }
-    experiment.client_regions = regions;
-    experiment.client_region = regions.front();
-  } else if (key == "objects") {
-    experiment.deployment.num_objects = one.get_size(key, 0);
-  } else if (key == "object_bytes") {
-    experiment.deployment.object_size_bytes = one.get_size(key, 0);
-  } else if (key == "ops") {
-    experiment.ops_per_run = one.get_size(key, 0);
-  } else if (key == "runs") {
-    experiment.runs = one.get_size(key, 0);
-  } else if (key == "clients") {
-    experiment.num_clients = one.get_size(key, 0);
-  } else if (key == "arrival_rate") {
-    experiment.arrival_rate_per_s = one.get_double(key, 0.0);
-  } else if (key == "period_s") {
-    experiment.reconfig_period_ms = one.get_double(key, 0.0) * 1000.0;
-  } else if (key == "seed") {
-    experiment.deployment.seed = one.get_size(key, 0);
-  } else if (key == "verify") {
-    experiment.verify_data = one.get_bool(key, false);
-  } else if (key == "max_outstanding") {
-    experiment.max_outstanding_per_region = one.get_size(key, 0);
-  } else if (key == "decode_ms_per_mb") {
-    experiment.decode_ms_per_mb = one.get_double(key, 0.0);
-  } else if (key == "weights") {
-    experiment.agar_candidate_weights = one.get_size_list(key, {});
-  } else if (key == "rs_k") {
-    experiment.deployment.codec.k = one.get_size(key, 0);
-  } else if (key == "rs_m") {
-    experiment.deployment.codec.m = one.get_size(key, 0);
-  } else if (key == "placement_offset") {
-    experiment.deployment.per_key_placement_offset = one.get_bool(key, false);
-  } else if (key == "window_ms") {
-    experiment.metric_window_ms = one.get_double(key, 0.0);
-  } else if (key == "shards") {
-    experiment.shards = one.get_size(key, 0);
-  } else if (key == "scenario") {
-    // Compact text form; "scenario=" clears. JSON spec files may instead
-    // carry an array, which parse_spec_json routes around this setter.
-    experiment.scenario = scenario::parse_scenario_text(value);
-  } else if (key == "fetch") {
-    experiment.fetch_policy = value.empty() ? "none" : value;
-  } else if (key.rfind("fetch.", 0) == 0) {
-    // Namespaced fetch-policy parameter ("fetch.retries=3"), prefix
-    // stripped; schema-checked against the policy's entry in validate().
-    const std::string sub = key.substr(6);
-    if (value.empty()) {
-      experiment.fetch_params.erase(sub);
+  if (const ExperimentKey* row = find_experiment_key(key)) {
+    check_value(row->info, value);  // the parse error names the key
+    if (row->set != nullptr) {
+      row->set(experiment, value);
     } else {
-      experiment.fetch_params.set(sub, value);
+      system = value;
     }
-  } else if (key == "collab") {
-    experiment.collab = value.empty() ? "none" : value;
+    return;
+  }
+  // Namespaced fetch-policy and collab parameters ("fetch.retries=3") land
+  // in their own maps with the prefix stripped; every other key is a
+  // strategy/engine parameter. All are schema-checked in validate().
+  ParamMap* target = &params;
+  std::string name = key;
+  if (key.rfind("fetch.", 0) == 0) {
+    target = &experiment.fetch_params;
+    name = key.substr(6);
   } else if (key.rfind("collab.", 0) == 0) {
-    // Namespaced collab parameter ("collab.period_s=5"), prefix stripped;
-    // schema-checked against the tier's registry entry in validate().
-    const std::string sub = key.substr(7);
-    if (value.empty()) {
-      experiment.collab_params.erase(sub);
-    } else {
-      experiment.collab_params.set(sub, value);
-    }
-  } else if (value.empty()) {
-    // "key=" clears a strategy param — lets a sweep/base spec drop a
-    // parameter for systems that do not take it ("cache_bytes=" for
-    // backend).
-    params.erase(key);
+    target = &experiment.collab_params;
+    name = key.substr(7);
+  }
+  // "key=" clears a parameter — lets a sweep/base spec drop one for
+  // systems that do not take it ("cache_bytes=" for backend).
+  if (value.empty()) {
+    target->erase(name);
   } else {
-    // Strategy/engine parameter; schema-checked in validate().
-    params.set(key, value);
+    target->set(name, value);
   }
 }
 
@@ -264,25 +405,21 @@ std::vector<std::string> runnable_systems() {
 
 namespace {
 
-/// Validate a control-plane selection (planner= / monitor=) against its
-/// registry: the name must be registered, and the namespaced sub-params
-/// ("planner.threshold") must match the entry's schema. The prefixed names
-/// are appended to `extra` so the strategy-level validation accepts them.
+/// The `what` named `name` in `registry` (an UnknownNameError listing the
+/// registered names otherwise), with `params` checked against its schema.
 template <typename Registry>
-void validate_control_plane_pick(const Registry& registry,
-                                 const ParamMap& effective,
-                                 const std::string& key,
-                                 const std::string& default_name,
-                                 std::vector<std::string>& extra) {
-  const std::string name = effective.get_string(key, default_name);
+const typename Registry::Entry& checked_entry(const Registry& registry,
+                                              const std::string& what,
+                                              const std::string& name,
+                                              const ParamMap& params) {
   if (!registry.contains(name)) {
-    throw UnknownNameError("unknown " + key + " '" + name +
+    throw UnknownNameError("unknown " + what + " '" + name +
                                "' (known: " + join(registry.names()) + ")",
                            registry.names());
   }
-  const auto& schema = registry.at(name).schema;
-  effective.scoped(key + ".").validate(schema, key + " '" + name + "'");
-  for (const auto& p : schema.params) extra.push_back(key + "." + p.name);
+  const auto& entry = registry.at(name);
+  params.validate(entry.schema, what + " '" + name + "'");
+  return entry;
 }
 
 }  // namespace
@@ -290,81 +427,47 @@ void validate_control_plane_pick(const Registry& registry,
 void ExperimentSpec::validate() const {
   const auto [name, effective] = resolve_system(system, params);
   const auto& entry = StrategyRegistry::instance().at(name);
+  // The params as the system's factory will see them.
+  const ParamMap resolved = effective.with_defaults(entry.schema);
   std::vector<std::string> extra;
   // Systems that declare a planner/monitor parameter (Agar's control
   // plane) get those names resolved against the planner / estimator
-  // registries, with typed validation of the namespaced sub-params.
-  if (const ParamInfo* planner = entry.schema.find("planner")) {
-    validate_control_plane_pick(PlannerRegistry::instance(), effective,
-                                "planner", planner->default_value, extra);
-  }
-  if (const ParamInfo* monitor = entry.schema.find("monitor")) {
-    validate_control_plane_pick(EstimatorRegistry::instance(), effective,
-                                "monitor", monitor->default_value, extra);
-  }
-  const auto engine = effective.raw("engine");
-  if (engine.has_value()) {
+  // registries, with typed validation of the namespaced sub-params
+  // ("planner.threshold"), which the system's own check then accepts.
+  const auto control_plane_pick = [&](const auto& registry,
+                                      const std::string& key) {
+    if (!entry.schema.has(key)) return;
+    const auto& pick = checked_entry(registry, key, resolved.get_string(key),
+                                     resolved.scoped(key + "."));
+    for (const auto& p : pick.schema.params) {
+      extra.push_back(key + "." + p.name);
+    }
+  };
+  control_plane_pick(PlannerRegistry::instance(), "planner");
+  control_plane_pick(EstimatorRegistry::instance(), "monitor");
+  if (const auto engine = resolved.raw("engine")) {
     // Fail at spec time, not mid-comparison: an explicit
     // system=fixed-chunks engine=<typo> reaches here unresolved.
-    const auto& engines = EngineRegistry::instance();
-    if (!engines.contains(*engine)) {
-      throw UnknownNameError("unknown cache engine '" + *engine +
-                                 "' (known: " + join(engines.names()) + ")",
-                             engines.names());
-    }
     // Engine-specific params (sketch_width, ...) ride along with the
     // adapter's own schema.
-    for (const auto& p : engines.at(*engine).schema.params) {
-      extra.push_back(p.name);
-    }
+    const auto& engine_entry = checked_entry(EngineRegistry::instance(),
+                                             "cache engine", *engine, {});
+    for (const auto& p : engine_entry.schema.params) extra.push_back(p.name);
   }
   effective.validate(entry.schema, "system '" + system + "'", extra);
-  {
-    const auto& fetches = FetchPolicyRegistry::instance();
-    if (!fetches.contains(experiment.fetch_policy)) {
-      throw UnknownNameError("unknown fetch policy '" +
-                                 experiment.fetch_policy +
-                                 "' (known: " + join(fetches.names()) + ")",
-                             fetches.names());
+  (void)checked_entry(FetchPolicyRegistry::instance(), "fetch policy",
+                      experiment.fetch_policy, experiment.fetch_params);
+  (void)checked_entry(CollabRegistry::instance(), "collab tier",
+                      experiment.collab, experiment.collab_params);
+  // Building the tier's settings runs its own range checks now, not after
+  // the deployment is built.
+  (void)CollabRegistry::instance().create(experiment.collab, CollabContext{},
+                                          experiment.collab_params);
+  for (const ExperimentKey& key : experiment_key_rows()) {
+    const char* broken = key.check ? key.check(experiment) : nullptr;
+    if (broken != nullptr) {
+      throw std::invalid_argument(key.info.name + " " + broken);
     }
-    experiment.fetch_params.validate(
-        fetches.at(experiment.fetch_policy).schema,
-        "fetch policy '" + experiment.fetch_policy + "'");
-  }
-  {
-    const auto& collabs = CollabRegistry::instance();
-    if (!collabs.contains(experiment.collab)) {
-      throw UnknownNameError("unknown collab tier '" + experiment.collab +
-                                 "' (known: " + join(collabs.names()) + ")",
-                             collabs.names());
-    }
-    experiment.collab_params.validate(
-        collabs.at(experiment.collab).schema,
-        "collab tier '" + experiment.collab + "'");
-    // Building the tier's settings runs its own range checks now, not
-    // after the deployment is built.
-    (void)collabs.create(experiment.collab, CollabContext{},
-                         experiment.collab_params);
-  }
-  if (experiment.deployment.codec.k == 0 ||
-      experiment.deployment.codec.m == 0) {
-    throw std::invalid_argument("rs_k and rs_m must be >= 1");
-  }
-  // Negated comparisons so a NaN set through the typed fields fails too.
-  if (!(experiment.reconfig_period_ms > 0.0)) {
-    throw std::invalid_argument("period_s must be > 0");
-  }
-  if (!(experiment.decode_ms_per_mb >= 0.0)) {
-    throw std::invalid_argument("decode_ms_per_mb must be >= 0");
-  }
-  if (!(experiment.arrival_rate_per_s >= 0.0)) {
-    throw std::invalid_argument("arrival_rate must be >= 0");
-  }
-  if (experiment.metric_window_ms < 0.0) {
-    throw std::invalid_argument("window_ms must be >= 0");
-  }
-  if (experiment.shards < 1) {
-    throw std::invalid_argument("shards must be >= 1");
   }
   experiment.scenario.validate();
 }
@@ -388,84 +491,22 @@ std::string ExperimentSpec::label() const {
 }
 
 std::string ExperimentSpec::to_json() const {
-  const auto topology = sim::aws_six_regions();
-  std::ostringstream out;
-  out << "{\n  \"system\": \"" << json_escape(system) << "\",\n";
-  const auto& e = experiment;
-  out << "  \"workload\": \""
-      << (e.workload.kind == client::WorkloadSpec::Kind::kUniform
-              ? std::string("uniform")
-              : "zipf:" + fmt_double(e.workload.zipf_skew))
-      << "\",\n";
-  if (e.client_regions.empty()) {
-    out << "  \"region\": \"" << topology.name(e.client_region) << "\",\n";
-  } else {
-    out << "  \"regions\": [";
-    for (std::size_t i = 0; i < e.client_regions.size(); ++i) {
-      out << (i > 0 ? ", " : "") << "\"" << topology.name(e.client_regions[i])
-          << "\"";
-    }
-    out << "],\n";
-  }
-  out << "  \"objects\": " << e.deployment.num_objects << ",\n"
-      << "  \"object_bytes\": " << e.deployment.object_size_bytes << ",\n"
-      << "  \"ops\": " << e.ops_per_run << ",\n"
-      << "  \"runs\": " << e.runs << ",\n"
-      << "  \"clients\": " << e.num_clients << ",\n"
-      << "  \"arrival_rate\": " << fmt_double(e.arrival_rate_per_s) << ",\n"
-      << "  \"period_s\": " << fmt_double(e.reconfig_period_ms / 1000.0)
-      << ",\n"
-      << "  \"seed\": " << e.deployment.seed << ",\n"
-      << "  \"verify\": " << (e.verify_data ? "true" : "false") << ",\n"
-      << "  \"max_outstanding\": " << e.max_outstanding_per_region << ",\n"
-      << "  \"decode_ms_per_mb\": " << fmt_double(e.decode_ms_per_mb) << ",\n"
-      << "  \"weights\": [";
-  for (std::size_t i = 0; i < e.agar_candidate_weights.size(); ++i) {
-    out << (i > 0 ? ", " : "") << e.agar_candidate_weights[i];
-  }
-  out << "],\n"
-      << "  \"rs_k\": " << e.deployment.codec.k << ",\n"
-      << "  \"rs_m\": " << e.deployment.codec.m << ",\n"
-      << "  \"placement_offset\": "
-      << (e.deployment.per_key_placement_offset ? "true" : "false");
-  if (e.metric_window_ms > 0.0) {
-    out << ",\n  \"window_ms\": " << fmt_double(e.metric_window_ms);
-  }
-  // Emitted only when sharded: the default spec JSON (and its goldens)
-  // stays unchanged, and shards never affect results anyway.
-  if (e.shards != 1) {
-    out << ",\n  \"shards\": " << e.shards;
-  }
-  // Same default-elision as shards: fetch=none specs serialize exactly as
-  // they did before the knob existed.
-  if (e.fetch_policy != "none") {
-    out << ",\n  \"fetch\": \"" << json_escape(e.fetch_policy) << "\"";
-    for (const auto& [k, v] : e.fetch_params.entries()) {
-      out << ",\n  \"fetch." << json_escape(k) << "\": \"" << json_escape(v)
-          << "\"";
-    }
-  }
-  if (e.collab != "none") {
-    out << ",\n  \"collab\": \"" << json_escape(e.collab) << "\"";
-    for (const auto& [k, v] : e.collab_params.entries()) {
-      out << ",\n  \"collab." << json_escape(k) << "\": \"" << json_escape(v)
-          << "\"";
-    }
-  }
-  if (!e.scenario.empty()) {
-    out << ",\n  \"scenario\": " << e.scenario.to_json("  ");
+  std::string out = "{";
+  for (const ExperimentKey& key : experiment_key_rows()) {
+    const std::string value =
+        key.json != nullptr ? key.json(experiment) : quoted(system);
+    if (value.empty()) continue;
+    out += (out.size() > 1 ? ",\n  " : "\n  ") + quoted(key.info.name) + ": " +
+           value;
   }
   if (!params.empty()) {
-    out << ",\n  \"params\": {";
-    const auto& entries = params.entries();
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      out << (i > 0 ? ", " : "") << "\"" << json_escape(entries[i].first)
-          << "\": \"" << json_escape(entries[i].second) << "\"";
+    std::string members;
+    for (const auto& [k, v] : params.entries()) {
+      members += (members.empty() ? "" : ", ") + quoted(k) + ": " + quoted(v);
     }
-    out << "}";
+    out += ",\n  \"params\": {" + members + "}";
   }
-  out << "\n}\n";
-  return out.str();
+  return out + "\n}\n";
 }
 
 namespace {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -27,13 +28,6 @@ const ParamInfo* ParamSchema::find(const std::string& name) const {
     if (p.name == name) return &p;
   }
   return nullptr;
-}
-
-double ParamSchema::default_double(const std::string& name,
-                                   double fallback) const {
-  const ParamInfo* info = find(name);
-  if (info == nullptr || info->default_value.empty()) return fallback;
-  return std::stod(info->default_value);
 }
 
 std::size_t parse_size(const std::string& text) {
@@ -84,6 +78,14 @@ double parse_double(const std::string& text) {
   } catch (const std::exception&) {
     throw std::invalid_argument("'" + text + "' is not a finite number");
   }
+}
+
+std::string format_double(double value) {
+  char buf[32];
+  const auto end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general)
+          .ptr;
+  return std::string(buf, end);
 }
 
 bool parse_bool(const std::string& text) {
@@ -155,8 +157,9 @@ std::optional<std::string> ParamMap::raw(const std::string& key) const {
 
 namespace {
 
-/// Re-throw a parse failure with the key attached — the user sees which of
-/// their `key=value` pairs was malformed, not just the bad value.
+/// Parse `key`'s value, re-throwing a failure with the key attached — the
+/// user sees which of their `key=value` pairs was malformed, not just the
+/// bad value.
 template <typename Fn>
 auto parse_with_context(const std::string& key, const std::string& value,
                         Fn&& parse) {
@@ -169,39 +172,48 @@ auto parse_with_context(const std::string& key, const std::string& value,
 
 }  // namespace
 
-std::string ParamMap::get_string(const std::string& key,
-                                 const std::string& fallback) const {
-  return raw(key).value_or(fallback);
+void check_value(const ParamInfo& info, const std::string& value) {
+  switch (info.type) {
+    case ParamType::kSize:
+      (void)parse_with_context(info.name, value, parse_size);
+      break;
+    case ParamType::kDouble:
+      (void)parse_with_context(info.name, value, parse_double);
+      break;
+    case ParamType::kBool:
+      (void)parse_with_context(info.name, value, parse_bool);
+      break;
+    case ParamType::kString:
+      break;
+    case ParamType::kSizeList:
+      (void)parse_with_context(info.name, value, parse_size_list);
+      break;
+  }
 }
 
-std::size_t ParamMap::get_size(const std::string& key,
-                               std::size_t fallback) const {
-  const auto value = raw(key);
-  if (!value.has_value()) return fallback;
-  return parse_with_context(key, *value,
-                            [](const std::string& v) { return parse_size(v); });
+std::string ParamMap::get_string(const std::string& key) const {
+  auto value = raw(key);
+  if (!value.has_value()) {
+    throw std::invalid_argument("parameter '" + key + "' is not set");
+  }
+  return std::move(*value);
 }
 
-double ParamMap::get_double(const std::string& key, double fallback) const {
-  const auto value = raw(key);
-  if (!value.has_value()) return fallback;
-  return parse_with_context(
-      key, *value, [](const std::string& v) { return parse_double(v); });
+std::size_t ParamMap::get_size(const std::string& key) const {
+  return parse_with_context(key, get_string(key), parse_size);
 }
 
-bool ParamMap::get_bool(const std::string& key, bool fallback) const {
-  const auto value = raw(key);
-  if (!value.has_value()) return fallback;
-  return parse_with_context(key, *value,
-                            [](const std::string& v) { return parse_bool(v); });
+double ParamMap::get_double(const std::string& key) const {
+  return parse_with_context(key, get_string(key), parse_double);
+}
+
+bool ParamMap::get_bool(const std::string& key) const {
+  return parse_with_context(key, get_string(key), parse_bool);
 }
 
 std::vector<std::size_t> ParamMap::get_size_list(
-    const std::string& key, std::vector<std::size_t> fallback) const {
-  const auto value = raw(key);
-  if (!value.has_value()) return fallback;
-  return parse_with_context(
-      key, *value, [](const std::string& v) { return parse_size_list(v); });
+    const std::string& key) const {
+  return parse_with_context(key, get_string(key), parse_size_list);
 }
 
 ParamMap ParamMap::scoped(const std::string& prefix) const {
@@ -209,6 +221,16 @@ ParamMap ParamMap::scoped(const std::string& prefix) const {
   for (const auto& [key, value] : entries_) {
     if (key.size() > prefix.size() && key.rfind(prefix, 0) == 0) {
       out.set(key.substr(prefix.size()), value);
+    }
+  }
+  return out;
+}
+
+ParamMap ParamMap::with_defaults(const ParamSchema& schema) const {
+  ParamMap out = *this;
+  for (const auto& p : schema.params) {
+    if (!p.default_value.empty() && !has(p.name)) {
+      out.entries_.emplace_back(p.name, p.default_value);
     }
   }
   return out;
@@ -234,22 +256,7 @@ void ParamMap::validate(const ParamSchema& schema, const std::string& context,
     }
     // Parse with the declared type so malformed values fail loudly at spec
     // time, not mid-experiment.
-    switch (info->type) {
-      case ParamType::kSize:
-        (void)get_size(key, 0);
-        break;
-      case ParamType::kDouble:
-        (void)get_double(key, 0.0);
-        break;
-      case ParamType::kBool:
-        (void)get_bool(key, false);
-        break;
-      case ParamType::kString:
-        break;
-      case ParamType::kSizeList:
-        (void)get_size_list(key, {});
-        break;
-    }
+    check_value(*info, value);
   }
 }
 

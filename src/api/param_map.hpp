@@ -5,7 +5,8 @@
 // access so one representation serves every front end. A ParamSchema is the
 // self-describing side: each registered engine/strategy publishes the
 // parameters it understands (name, type, default, doc line), which powers
-// `agar_cli --list`, validation diagnostics, and docs/api.md.
+// `agar_cli --list`, validation diagnostics, and docs/api.md. The schema is
+// the one place a default is written (see `with_defaults`).
 #pragma once
 
 #include <cstdint>
@@ -36,9 +37,6 @@ struct ParamSchema {
   [[nodiscard]] bool has(const std::string& name) const {
     return find(name) != nullptr;
   }
-  /// Declared default parsed as a double (`fallback` when absent).
-  [[nodiscard]] double default_double(const std::string& name,
-                                      double fallback) const;
 };
 
 /// Parse "10MB" / "512KB" / "1GB" / "4096" into bytes (also accepts plain
@@ -52,6 +50,11 @@ struct ParamSchema {
 /// std::invalid_argument with the offending text.
 [[nodiscard]] double parse_double(const std::string& text);
 
+/// The shortest text `parse_double` reads back as `value` (std::to_chars'
+/// general form: what "%g" prints for any value of six or fewer
+/// significant digits, more digits where the value needs them).
+[[nodiscard]] std::string format_double(double value);
+
 /// Parse "true"/"false"/"1"/"0"/"yes"/"no". Throws on anything else.
 [[nodiscard]] bool parse_bool(const std::string& text);
 
@@ -63,7 +66,11 @@ struct ParamSchema {
 [[nodiscard]] std::pair<std::string, std::string> split_pair(
     const std::string& pair);
 
-/// Insertion-ordered string->string map with typed, default-aware getters.
+/// Parse `value` as `info`'s declared type. Throws std::invalid_argument
+/// naming the parameter and the value when it does not parse.
+void check_value(const ParamInfo& info, const std::string& value);
+
+/// Insertion-ordered string->string map with typed getters.
 class ParamMap {
  public:
   /// Set (or overwrite) one parameter.
@@ -79,18 +86,15 @@ class ParamMap {
   /// Raw value, or std::nullopt when unset.
   [[nodiscard]] std::optional<std::string> raw(const std::string& key) const;
 
-  // Typed getters: parse the stored string, falling back to `fallback` when
-  // the key is unset. Parse failures throw std::invalid_argument naming the
-  // key and the offending value.
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& fallback) const;
-  [[nodiscard]] std::size_t get_size(const std::string& key,
-                                     std::size_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  // Typed getters: parse the stored string. An unset key, or a value that
+  // does not parse, throws std::invalid_argument naming the key (a default
+  // lives in the schema; see `with_defaults`).
+  [[nodiscard]] std::string get_string(const std::string& key) const;
+  [[nodiscard]] std::size_t get_size(const std::string& key) const;
+  [[nodiscard]] double get_double(const std::string& key) const;
+  [[nodiscard]] bool get_bool(const std::string& key) const;
   [[nodiscard]] std::vector<std::size_t> get_size_list(
-      const std::string& key, std::vector<std::size_t> fallback) const;
+      const std::string& key) const;
 
   /// All pairs in insertion order.
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
@@ -102,6 +106,11 @@ class ParamMap {
   /// scoped("planner.") turns {"planner.threshold": "0.2"} into
   /// {"threshold": "0.2"}. Insertion order preserved.
   [[nodiscard]] ParamMap scoped(const std::string& prefix) const;
+
+  /// This map plus `schema`'s non-empty default for every declared key the
+  /// map does not set. An empty default means the value is computed, so
+  /// such a key stays unset.
+  [[nodiscard]] ParamMap with_defaults(const ParamSchema& schema) const;
 
   /// Every key must be declared by `schema` (plus `extra_allowed`), and its
   /// value must parse as the declared type. Throws std::invalid_argument

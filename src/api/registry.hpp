@@ -20,10 +20,12 @@
 //
 // Each entry carries a factory, a one-line description, a self-describing
 // ParamSchema, and a label formatter, so `--list` output, bench legends and
-// JSON report labels all derive from the same registration. A factory may
-// return null: the "none" fetch policy and the "none" collab tier build
-// nothing, and their callers take a null product to mean "off". Entries
-// register themselves from their own translation unit at static-init time:
+// JSON report labels all derive from the same registration. A default is
+// written once, in the schema: `create` and `label` fill it in before the
+// factory or label formatter reads the params. A factory may return null:
+// the "none" fetch policy and the "none" collab tier build nothing, and
+// their callers take a null product to mean "off". Entries register
+// themselves from their own translation unit at static-init time:
 //
 //   namespace {
 //   const api::EngineRegistration kArc{{
@@ -192,18 +194,22 @@ class Registry {
     return it->second;
   }
 
+  /// Build `name`'s product from `params` plus the schema's defaults.
   [[nodiscard]] std::unique_ptr<Product> create(const std::string& name,
                                                 const Context& context,
                                                 const ParamMap& params) const {
-    return at(name).factory(context, params);
+    const Entry& entry = at(name);
+    return entry.factory(context, params.with_defaults(entry.schema));
   }
 
   /// Label for one parameterization — THE single source every legend, CLI
-  /// listing and JSON report goes through.
+  /// listing and JSON report goes through; it sees the factory's params.
   [[nodiscard]] std::string label(const std::string& name,
                                   const ParamMap& params) const {
     const Entry& entry = at(name);
-    if (entry.label_fn) return entry.label_fn(params);
+    if (entry.label_fn) {
+      return entry.label_fn(params.with_defaults(entry.schema));
+    }
     return entry.display.empty() ? entry.name : entry.display;
   }
 

@@ -26,9 +26,9 @@ const api::EngineRegistration kTinyLfuEngine{{
     }},
     [](const api::EngineContext& ctx, const api::ParamMap& params) {
       TinyLfuParams p;
-      p.sketch_width = params.get_size("sketch_width", p.sketch_width);
-      p.sketch_depth = params.get_size("sketch_depth", p.sketch_depth);
-      p.aging_window = params.get_size("aging_window", p.aging_window);
+      p.sketch_width = params.get_size("sketch_width");
+      p.sketch_depth = params.get_size("sketch_depth");
+      p.aging_window = params.get_size("aging_window");
       if (ctx.object_keys == nullptr) {
         throw std::invalid_argument(
             "tinylfu: needs the deployment's object keys");

@@ -17,38 +17,39 @@ namespace {
 AgarParams registered_params(const api::StrategyContext& ctx,
                              const api::ParamMap& params) {
   AgarParams p;
-  p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
+  p.cache_capacity_bytes = params.get_size("cache_bytes");
   p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
   p.cache_manager.cache_latency_ms =
       ctx.client->network->model().params().cache_base_ms;
   return p;
 }
 
+const api::ParamSchema kAgarSchema{{
+    {"cache_bytes", api::ParamType::kSize, "10MB", "cache capacity"},
+    {"probes_per_region", api::ParamType::kSize, "6",
+     "latency probes per region per warm-up/reconfiguration"},
+    {"planner", api::ParamType::kString, "knapsack-dp",
+     "planner registry entry solving each reconfiguration "
+     "(planner.<param> passes planner-specific knobs)"},
+    {"monitor", api::ParamType::kString, "exact-ewma",
+     "popularity-estimator registry entry behind the request monitor "
+     "(monitor.<param> passes estimator-specific knobs)"},
+}};
+
 const api::StrategyRegistration kAgar{{
     "agar",
     "Agar",
     "knapsack-optimized chunk caching with periodic reconfiguration "
     "(the paper's system)",
-    api::ParamSchema{{
-        {"cache_bytes", api::ParamType::kSize, "10MB", "cache capacity"},
-        {"probes_per_region", api::ParamType::kSize, "6",
-         "latency probes per region per warm-up/reconfiguration"},
-        {"planner", api::ParamType::kString, "knapsack-dp",
-         "planner registry entry solving each reconfiguration "
-         "(planner.<param> passes planner-specific knobs)"},
-        {"monitor", api::ParamType::kString, "exact-ewma",
-         "popularity-estimator registry entry behind the request monitor "
-         "(monitor.<param> passes estimator-specific knobs)"},
-    }},
+    kAgarSchema,
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
       AgarParams p = registered_params(ctx, params);
-      p.probes_per_region =
-          params.get_size("probes_per_region", p.probes_per_region);
+      p.probes_per_region = params.get_size("probes_per_region");
       p.cache_manager.candidate_weights =
           ctx.experiment->agar_candidate_weights;
-      p.cache_manager.planner = params.get_string("planner", "knapsack-dp");
+      p.cache_manager.planner = params.get_string("planner");
       p.cache_manager.planner_params = params.scoped("planner.");
-      p.estimator = params.get_string("monitor", "exact-ewma");
+      p.estimator = params.get_string("monitor");
       p.estimator_params = params.scoped("monitor.");
       return std::make_unique<AgarStrategy>(*ctx.client, p);
     },
@@ -56,10 +57,12 @@ const api::StrategyRegistration kAgar{{
       // Non-default control-plane picks show up in the label so planner /
       // estimator sweeps stay distinguishable in tables and JSON reports.
       std::string tags;
-      const auto planner = params.get_string("planner", "knapsack-dp");
-      const auto monitor = params.get_string("monitor", "exact-ewma");
-      if (planner != "knapsack-dp") tags += planner;
-      if (monitor != "exact-ewma") tags += (tags.empty() ? "" : ",") + monitor;
+      for (const char* key : {"planner", "monitor"}) {
+        const std::string pick = params.get_string(key);
+        if (pick != kAgarSchema.find(key)->default_value) {
+          tags += (tags.empty() ? "" : ",") + pick;
+        }
+      }
       return tags.empty() ? std::string("Agar") : "Agar[" + tags + "]";
     }}};
 
@@ -84,7 +87,7 @@ const api::StrategyRegistration kLfu{{
          "frequency-tracking proxy cost on the read path"},
     }},
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
-      const std::size_t chunks = params.get_size("chunks", 9);
+      const std::size_t chunks = params.get_size("chunks");
       if (chunks == 0) {
         throw std::invalid_argument("lfu: chunks must be >= 1");
       }
@@ -92,12 +95,12 @@ const api::StrategyRegistration kLfu{{
       p.cache_manager.candidate_weights = {
           std::min(chunks, ctx.client->backend->codec().k())};
       p.cache_manager.planner = "greedy";
-      p.ewma_alpha = params.get_double("ewma_alpha", 0.8);
-      p.processing_ms = params.get_double("proxy_ms", 0.5);
+      p.ewma_alpha = params.get_double("ewma_alpha");
+      p.processing_ms = params.get_double("proxy_ms");
       return std::make_unique<AgarStrategy>(*ctx.client, p);
     },
     [](const api::ParamMap& params) {
-      return "LFU-" + std::to_string(params.get_size("chunks", 9));
+      return "LFU-" + std::to_string(params.get_size("chunks"));
     }}};
 
 core::RegionManagerParams region_manager_params(const ClientContext& ctx,

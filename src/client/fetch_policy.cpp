@@ -196,15 +196,14 @@ namespace {
 
 FetchPolicyParams params_from(const api::ParamMap& params, bool hedged) {
   FetchPolicyParams out;
-  out.timeout_mult = params.get_double("timeout_mult", out.timeout_mult);
-  out.timeout_min_ms = params.get_double("timeout_min_ms", out.timeout_min_ms);
-  out.retries = params.get_size("retries", out.retries);
-  out.backoff_ms = params.get_double("backoff_ms", out.backoff_ms);
-  out.backoff_mult = params.get_double("backoff_mult", out.backoff_mult);
-  out.jitter = params.get_double("jitter", out.jitter);
-  out.hedge_after_mult =
-      hedged ? params.get_double("hedge_after_mult", 2.0) : 0.0;
-  out.ewma_alpha = params.get_double("ewma_alpha", out.ewma_alpha);
+  out.timeout_mult = params.get_double("timeout_mult");
+  out.timeout_min_ms = params.get_double("timeout_min_ms");
+  out.retries = params.get_size("retries");
+  out.backoff_ms = params.get_double("backoff_ms");
+  out.backoff_mult = params.get_double("backoff_mult");
+  out.jitter = params.get_double("jitter");
+  out.hedge_after_mult = hedged ? params.get_double("hedge_after_mult") : 0.0;
+  out.ewma_alpha = params.get_double("ewma_alpha");
   return out;
 }
 

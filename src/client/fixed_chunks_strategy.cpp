@@ -71,15 +71,18 @@ std::unique_ptr<ReadStrategy> make_fixed_chunks(
 
   FixedChunksParams p;
   p.engine = engine_name;
-  p.chunks_per_object = params.get_size("chunks", 9);
-  p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
-  p.proxy_overhead_ms = params.get_double(
-      "proxy_ms", entry.schema.default_double("proxy_ms", 0.0));
+  p.chunks_per_object = params.get_size("chunks");
+  p.cache_capacity_bytes = params.get_size("cache_bytes");
+  // The spec's proxy_ms, else the engine's declared cost, else none.
+  const api::ParamMap engine_params = params.with_defaults(entry.schema);
+  p.proxy_overhead_ms = engine_params.has("proxy_ms")
+                            ? engine_params.get_double("proxy_ms")
+                            : 0.0;
 
   auto engine = engines.create(
       engine_name,
       api::EngineContext{p.cache_capacity_bytes, &ctx.client->backend->keys()},
-      params);
+      engine_params);
   return std::make_unique<FixedChunksStrategy>(*ctx.client, std::move(p),
                                                std::move(engine));
 }
@@ -99,12 +102,11 @@ const api::StrategyRegistration kFixedChunks{{
     "cache c designated chunks per object under any registered engine",
     kFixedChunksSchema,
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
-      return make_fixed_chunks(ctx, params,
-                               params.get_string("engine", "lru"));
+      return make_fixed_chunks(ctx, params, params.get_string("engine"));
     },
     [](const api::ParamMap& params) {
-      return fixed_chunks_label(params.get_string("engine", "lru"),
-                                params.get_size("chunks", 9));
+      return fixed_chunks_label(params.get_string("engine"),
+                                params.get_size("chunks"));
     }}};
 
 // The baseline-strength ablation's eviction-driven LFU: the plain LFU
@@ -125,7 +127,7 @@ const api::StrategyRegistration kLfuEviction{{
       return make_fixed_chunks(ctx, params, "lfu");
     },
     [](const api::ParamMap& params) {
-      return fixed_chunks_label("lfu", params.get_size("chunks", 9));
+      return fixed_chunks_label("lfu", params.get_size("chunks"));
     }}};
 
 }  // namespace

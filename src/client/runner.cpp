@@ -19,19 +19,20 @@ Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
   backend_ = std::make_unique<store::BackendCluster>(
       topology_->num_regions(), config.codec,
       ec::RoundRobinPlacement(config.per_key_placement_offset));
-  // "object<i>" must register as id i (see object_id).
-  backend_->reserve(config.num_objects);
-  for (std::size_t i = 0; i < config.num_objects; ++i) {
-    const ObjectKey key = "object" + std::to_string(i);
-    const ObjectId id =
-        config.store_payloads
-            ? store::put_payload_object(*backend_, key,
-                                        config.object_size_bytes)
-            : backend_->register_object(key, config.object_size_bytes);
-    if (id != i) {
-      throw std::logic_error("Deployment: " + key + " registered as id " +
-                             std::to_string(id));
+  if (config.store_payloads) {
+    store::populate_working_set(*backend_, config.num_objects,
+                                config.object_size_bytes);
+  } else {
+    backend_->reserve(config.num_objects);
+    for (std::size_t i = 0; i < config.num_objects; ++i) {
+      (void)backend_->register_object("object" + std::to_string(i),
+                                      config.object_size_bytes);
     }
+  }
+  // "object<i>" must register as id i (see object_id): the empty backend
+  // gives each new key the next id.
+  if (backend_->num_objects() != config.num_objects) {
+    throw std::logic_error("Deployment: working-set keys collided");
   }
 }
 

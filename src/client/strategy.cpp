@@ -356,7 +356,7 @@ bool ReadStrategy::verify_payload(ObjectId object, std::size_t object_size,
   decode_buffer_.assign(object_size, 0);
   codec.decode(chunks, BytesSpan(decode_buffer_));
   // The code is systematic, so the store's data chunks are the payload
-  // (store::put_payload_object checked them against it at set-up):
+  // (store::populate_working_set checked them against it at set-up):
   // row d of the object must equal data chunk d, cut at the object's end.
   const std::size_t chunk_size = codec.chunk_size(object_size);
   ChunkId reference{object, 0};

@@ -282,14 +282,12 @@ const api::CollabRegistration kBroadcast{{
     }},
     [](const api::CollabContext&, const api::ParamMap& params) {
       auto settings = std::make_unique<CollabSettings>();
-      settings->broadcast_period_ms =
-          params.get_double("period_s", 5.0) * 1000.0;
+      settings->broadcast_period_ms = params.get_double("period_s") * 1000.0;
       if (!(settings->broadcast_period_ms > 0.0)) {
         throw std::invalid_argument("collab.period_s must be > 0");
       }
-      settings->peer_threshold_ms =
-          params.get_double("peer_threshold_ms", 400.0);
-      settings->apply_delay_ms = params.get_double("apply_ms", 10.0);
+      settings->peer_threshold_ms = params.get_double("peer_threshold_ms");
+      settings->apply_delay_ms = params.get_double("apply_ms");
       return settings;
     },
     {}}};

@@ -266,8 +266,7 @@ const api::PlannerRegistration kIncremental{{
     }},
     [](const api::PlannerContext&, const api::ParamMap& params) {
       return std::make_unique<IncrementalPlanner>(
-          params.get_double("threshold", 0.1),
-          params.get_size("full_every", 0));
+          params.get_double("threshold"), params.get_size("full_every"));
     },
     {}}};
 

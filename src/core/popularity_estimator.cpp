@@ -200,7 +200,7 @@ const api::EstimatorRegistration kExactEwma{{
     }},
     [](const api::EstimatorContext& ctx, const api::ParamMap& params) {
       return std::make_unique<ExactEwmaEstimator>(
-          ctx.ewma_alpha, params.get_double("drop_below", 1e-3));
+          ctx.ewma_alpha, params.get_double("drop_below"));
     },
     {}}};
 
@@ -219,9 +219,8 @@ const api::EstimatorRegistration kCountMin{{
     }},
     [](const api::EstimatorContext& ctx, const api::ParamMap& params) {
       return std::make_unique<CountMinEstimator>(
-          ctx.ewma_alpha, params.get_size("width", 1024),
-          params.get_size("depth", 4), params.get_size("max_keys", 4096),
-          params.get_double("drop_below", 1e-3));
+          ctx.ewma_alpha, params.get_size("width"), params.get_size("depth"),
+          params.get_size("max_keys"), params.get_double("drop_below"));
     },
     {}}};
 

@@ -6,7 +6,220 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/topology.hpp"
+
 namespace agar::scenario {
+
+namespace {
+
+api::ParamInfo region_param() {
+  return {"region", api::ParamType::kString, "",
+          "target region (name like 'tokyo', or numeric id)"};
+}
+
+RegionId region_of(const api::ParamMap& params) {
+  return resolve_region(params.get_string("region"));
+}
+
+/// flap_region's down time: half the cycle unless given.
+SimTimeMs down_ms_of(const api::ParamMap& params) {
+  return params.has("down_ms") ? params.get_double("down_ms")
+                               : params.get_double("period_ms") / 2.0;
+}
+
+}  // namespace
+
+const std::vector<EventKind>& event_kinds() {
+  static const std::vector<EventKind> kinds = ScenarioEngine::vocabulary();
+  return kinds;
+}
+
+std::vector<EventKind> ScenarioEngine::vocabulary() {
+  using api::ParamMap;
+  using api::ParamSchema;
+  using api::ParamType;
+  using Loop = sim::EventLoop;
+  using Shift = PopularityShift;
+  return {
+      {"fail_region", ParamSchema{{region_param()}},
+       "region outage: refuse new fetches, abort in-flight and queued ones",
+       nullptr,
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.network_->fail_region(region_of(p));
+       }},
+      {"restore_region", ParamSchema{{region_param()}},
+       "bring a failed region back (aborted fetches stay failed)", nullptr,
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.network_->restore_region(region_of(p));
+       }},
+      {"slow_region",
+       ParamSchema{{region_param(),
+                    {"factor", ParamType::kDouble, "1",
+                     "multiplicative latency slowdown (1 clears)"}}},
+       "latency degradation: scale fetches served by a region",
+       [](const ParamMap& p) {
+         return p.get_double("factor") > 0.0 ? nullptr : "factor must be > 0";
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.network_->model().set_region_slowdown(region_of(p),
+                                                      p.get_double("factor"));
+       }},
+      {"drop_region",
+       ParamSchema{{region_param(),
+                    {"p", ParamType::kDouble, "0",
+                     "response-loss probability in [0, 1) (0 clears)"},
+                    {"mult", ParamType::kDouble, "3",
+                     "failure-discovery delay as a multiple of the sampled "
+                     "transfer latency"}}},
+       "gray failure: lose responses; the loss surfaces only after mult x "
+       "the transfer time",
+       [](const ParamMap& p) -> const char* {
+         const double loss = p.get_double("p");
+         if (loss < 0.0 || loss >= 1.0) return "p must be in [0, 1)";
+         if (p.get_double("mult") <= 0.0) return "mult must be > 0";
+         return nullptr;
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.network_->model().set_region_drop(
+             region_of(p), p.get_double("p"), p.get_double("mult"));
+       }},
+      {"straggle_region",
+       ParamSchema{{region_param(),
+                    {"frac", ParamType::kDouble, "0",
+                     "fraction of fetches hitting the slow tail (0 clears)"},
+                    {"mult", ParamType::kDouble, "10",
+                     "latency multiplier for straggling fetches"}}},
+       "gray failure: a sampled fraction of a region's fetches straggles",
+       [](const ParamMap& p) -> const char* {
+         const double frac = p.get_double("frac");
+         if (frac < 0.0 || frac > 1.0) return "frac must be in [0, 1]";
+         if (p.get_double("mult") <= 0.0) return "mult must be > 0";
+         return nullptr;
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.network_->model().set_region_straggle(
+             region_of(p), p.get_double("frac"), p.get_double("mult"));
+       }},
+      {"flap_region",
+       ParamSchema{{region_param(),
+                    {"period_ms", ParamType::kDouble, "10000",
+                     "full up/down cycle length in ms"},
+                    {"down_ms", ParamType::kDouble, "",
+                     "down time per cycle (default: period_ms / 2)"},
+                    {"until_ms", ParamType::kDouble, "",
+                     "no new cycle starts at/after this time "
+                     "(default: flap forever)"}}},
+       "gray failure: the region fails and recovers periodically",
+       [](const ParamMap& p) -> const char* {
+         const double period = p.get_double("period_ms");
+         if (period <= 0.0) return "period_ms must be > 0";
+         const double down = down_ms_of(p);
+         if (down <= 0.0 || down >= period) {
+           return "down_ms must be in (0, period_ms)";
+         }
+         if (p.has("until_ms") && p.get_double("until_ms") < 0.0) {
+           return "until_ms must be >= 0";
+         }
+         return nullptr;
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop& loop) {
+         engine.flap_cycle(
+             loop, region_of(p), p.get_double("period_ms"), down_ms_of(p),
+             p.has("until_ms") ? p.get_double("until_ms") : 0.0);
+       }},
+      {"partition_regions",
+       ParamSchema{{{"regions", ParamType::kString, "",
+                     "comma-separated region names/ids forming one side of "
+                     "the partition"}}},
+       "network partition: the listed regions and the rest can no longer "
+       "exchange collab traffic (peer fetches, broadcasts, config appends); "
+       "backend fetches keep flowing",
+       [](const ParamMap& p) -> const char* {
+         // Absent or empty, the list names no region.
+         const auto group = resolve_region_list(p.raw("regions").value_or(""));
+         if (group.empty()) return "'regions' must list >= 1 region";
+         if (group.size() >= sim::aws_six_regions().num_regions()) {
+           return "'regions' must leave at least one region on the other "
+                  "side";
+         }
+         return nullptr;
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         if (engine.partition_) {
+           engine.partition_(resolve_region_list(p.get_string("regions")));
+         }
+       }},
+      {"heal_partition", ParamSchema{},
+       "heal the network partition: collab traffic flows everywhere again",
+       nullptr,
+       [](ScenarioEngine& engine, const ParamMap&, Loop&) {
+         if (engine.partition_) engine.partition_({});
+       }},
+      {"popularity_rotate",
+       ParamSchema{{{"by", ParamType::kSize, "0",
+                     "ranks to rotate the rank->object mapping by"}}},
+       "popularity shift: rotate which objects are hot", nullptr, nullptr,
+       [](const ParamMap& p) {
+         Shift shift;
+         shift.kind = Shift::Kind::kRotate;
+         shift.rotate_by = p.get_size("by");
+         return shift;
+       }},
+      {"popularity_reseed",
+       ParamSchema{{{"seed", ParamType::kSize, "1",
+                     "shuffle seed for the rank->object mapping"}}},
+       "popularity shift: reshuffle the rank->object mapping", nullptr,
+       nullptr,
+       [](const ParamMap& p) {
+         Shift shift;
+         shift.kind = Shift::Kind::kReseed;
+         shift.seed = p.get_size("seed");
+         return shift;
+       }},
+      {"flash_crowd",
+       ParamSchema{{{"count", ParamType::kSize, "1",
+                     "number of keys promoted to the most popular ranks"},
+                    {"from_rank", ParamType::kSize, "",
+                     "rank the promoted block starts at (default: coldest "
+                     "tail)"}}},
+       "popularity shift: a key subset jumps to the top ranks", nullptr,
+       nullptr,
+       [](const ParamMap& p) {
+         Shift shift;
+         shift.kind = Shift::Kind::kFlashCrowd;
+         shift.crowd_count = p.get_size("count");
+         if (p.has("from_rank")) shift.crowd_from = p.get_size("from_rank");
+         return shift;
+       }},
+      {"arrival_factor",
+       ParamSchema{{{"factor", ParamType::kDouble, "1",
+                     "step multiplier on open-loop arrival rate"}}},
+       "arrival modulation: step the Poisson rate up or down",
+       [](const ParamMap& p) {
+         return p.get_double("factor") > 0.0 ? nullptr : "factor must be > 0";
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
+         engine.step_factor_ = p.get_double("factor");
+       }},
+      {"arrival_sine",
+       ParamSchema{{{"period_s", ParamType::kDouble, "60",
+                     "sine period in seconds"},
+                    {"amplitude", ParamType::kDouble, "0.5",
+                     "relative amplitude in [0, 1) (0 turns the sine off)"}}},
+       "arrival modulation: diurnal-sine rate multiplier from now on",
+       [](const ParamMap& p) -> const char* {
+         const double amp = p.get_double("amplitude");
+         if (amp < 0.0 || amp >= 1.0) return "amplitude must be in [0, 1)";
+         if (p.get_double("period_s") <= 0.0) return "period_s must be > 0";
+         return nullptr;
+       },
+       [](ScenarioEngine& engine, const ParamMap& p, Loop& loop) {
+         engine.sine_amplitude_ = p.get_double("amplitude");
+         engine.sine_period_ms_ = p.get_double("period_s") * 1000.0;
+         engine.sine_start_ms_ = loop.now();
+       }},
+  };
+}
 
 ScenarioEngine::ScenarioEngine(Scenario scenario, sim::Network* network,
                                PopularityHook popularity)
@@ -19,7 +232,7 @@ ScenarioEngine::ScenarioEngine(Scenario scenario, sim::Network* network,
   scenario_.validate();
   if (!popularity_) {
     for (const auto& e : scenario_.events) {
-      if (is_popularity_event(e.event)) {
+      if (find_event_kind(e.event)->shift != nullptr) {
         throw std::invalid_argument(
             "ScenarioEngine: scenario contains popularity event '" +
             e.event + "' but no popularity hook was registered");
@@ -30,7 +243,17 @@ ScenarioEngine::ScenarioEngine(Scenario scenario, sim::Network* network,
 
 void ScenarioEngine::schedule(sim::EventLoop& loop) {
   for (const ScenarioEvent& e : scenario_.sorted()) {
-    loop.schedule_at(e.at_ms, [this, e, &loop] { apply(e, loop); });
+    const EventKind* kind = find_event_kind(e.event);
+    loop.schedule_at(e.at_ms, [this, kind, &loop,
+                               params = e.params.with_defaults(kind->schema)] {
+      ++fired_;
+      // The constructor guaranteed the hook exists for popularity shifts.
+      if (kind->shift != nullptr) {
+        popularity_(kind->shift(params));
+      } else {
+        kind->apply(*this, params, loop);
+      }
+    });
   }
 }
 
@@ -46,50 +269,6 @@ void ScenarioEngine::flap_cycle(sim::EventLoop& loop, RegionId region,
                                until_ms] {
     flap_cycle(loop, region, period_ms, down_ms, until_ms);
   });
-}
-
-void ScenarioEngine::apply(const ScenarioEvent& e, sim::EventLoop& loop) {
-  const SimTimeMs now = loop.now();
-  ++fired_;
-  if (e.event == "fail_region") {
-    network_->fail_region(resolve_region(e.params.get_string("region", "")));
-  } else if (e.event == "restore_region") {
-    network_->restore_region(
-        resolve_region(e.params.get_string("region", "")));
-  } else if (e.event == "slow_region") {
-    network_->model().set_region_slowdown(
-        resolve_region(e.params.get_string("region", "")),
-        e.params.get_double("factor", 1.0));
-  } else if (e.event == "drop_region") {
-    network_->model().set_region_drop(
-        resolve_region(e.params.get_string("region", "")),
-        e.params.get_double("p", 0.0), e.params.get_double("mult", 3.0));
-  } else if (e.event == "straggle_region") {
-    network_->model().set_region_straggle(
-        resolve_region(e.params.get_string("region", "")),
-        e.params.get_double("frac", 0.0), e.params.get_double("mult", 10.0));
-  } else if (e.event == "flap_region") {
-    const SimTimeMs period = e.params.get_double("period_ms", 10'000.0);
-    flap_cycle(loop, resolve_region(e.params.get_string("region", "")),
-               period, e.params.get_double("down_ms", period / 2.0),
-               e.params.get_double("until_ms", 0.0));
-  } else if (e.event == "partition_regions") {
-    if (partition_) {
-      partition_(resolve_region_list(e.params.get_string("regions", "")));
-    }
-  } else if (e.event == "heal_partition") {
-    if (partition_) partition_({});
-  } else if (e.event == "arrival_factor") {
-    step_factor_ = e.params.get_double("factor", 1.0);
-  } else if (e.event == "arrival_sine") {
-    sine_amplitude_ = e.params.get_double("amplitude", 0.5);
-    sine_period_ms_ = e.params.get_double("period_s", 60.0) * 1000.0;
-    sine_start_ms_ = now;
-  } else {
-    // Validated vocabulary: anything else is a popularity shift, and the
-    // constructor guaranteed the hook exists for those.
-    popularity_(popularity_shift_of(e));
-  }
 }
 
 double ScenarioEngine::arrival_multiplier(SimTimeMs now) const {

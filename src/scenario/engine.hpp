@@ -1,7 +1,8 @@
 // ScenarioEngine — executes a Scenario on the simulation's event loop.
 //
-// Network-facing events (outages, restores, latency slowdowns) are applied
-// straight to the bound Network / LatencyModel. Popularity shifts are
+// Each event fires its kind's action (see event_kinds(), defined with the
+// engine). Network-facing events (outages, restores, latency slowdowns)
+// act straight on the bound Network / LatencyModel. Popularity shifts are
 // delivered through a typed hook the runner registers (it owns the
 // workloads). Arrival-rate modulation is kept as engine state — a
 // piecewise-constant step factor times an optional diurnal sine — which the
@@ -49,7 +50,11 @@ class ScenarioEngine {
   [[nodiscard]] std::size_t fired() const { return fired_; }
 
  private:
-  void apply(const ScenarioEvent& e, sim::EventLoop& loop);
+  friend const std::vector<EventKind>& event_kinds();
+  /// The vocabulary behind event_kinds(): a member, so each kind's action
+  /// can reach the engine's state.
+  static std::vector<EventKind> vocabulary();
+
   /// One flap cycle: fail now, restore after `down_ms`, and re-arm the
   /// next cycle `period_ms` from now unless it would start at/after
   /// `until_ms` (a non-positive `until_ms` means flap forever). Cycle

@@ -26,8 +26,13 @@
 namespace agar::api {
 class JsonValue;
 }
+namespace agar::sim {
+class EventLoop;
+}
 
 namespace agar::scenario {
+
+class ScenarioEngine;
 
 /// One scripted event: what fires, when, with which parameters.
 struct ScenarioEvent {
@@ -48,18 +53,29 @@ struct PopularityShift {
   std::optional<std::size_t> crowd_from;
 };
 
-/// Self-describing event vocabulary (name, parameter schema, doc line) —
-/// powers validation diagnostics and `agar_cli --list`.
+/// One event kind: its name, parameter schema, doc line, checks and
+/// action. Validation, `agar_cli --list` and the engine all read this
+/// entry; its checks and action see the event's params with the schema's
+/// defaults filled in.
 struct EventKind {
   std::string name;
   api::ParamSchema schema;
   std::string description;
+  /// The requirement the params break ("factor must be > 0"), or null.
+  /// Null function: the schema's types are the whole check.
+  const char* (*check)(const api::ParamMap& params) = nullptr;
+  /// What firing the event does; null for a popularity shift.
+  void (*apply)(ScenarioEngine& engine, const api::ParamMap& params,
+                sim::EventLoop& loop) = nullptr;
+  /// The popularity shift the event fires through the runner's workload
+  /// hook; null for every other kind.
+  PopularityShift (*shift)(const api::ParamMap& params) = nullptr;
 };
 
+/// The event vocabulary. Defined beside ScenarioEngine, whose state the
+/// actions change.
 [[nodiscard]] const std::vector<EventKind>& event_kinds();
 [[nodiscard]] const EventKind* find_event_kind(const std::string& name);
-/// Does this event kind shift popularity (and thus need a workload hook)?
-[[nodiscard]] bool is_popularity_event(const std::string& name);
 
 struct Scenario {
   std::vector<ScenarioEvent> events;
@@ -69,8 +85,8 @@ struct Scenario {
 
   /// Every event must name a known kind, carry only that kind's declared
   /// params (each parsing as its declared type), resolve any region name,
-  /// and fire at a non-negative time. Throws std::invalid_argument with
-  /// the offending entry.
+  /// pass the kind's checks, and fire at a non-negative time. Throws
+  /// std::invalid_argument with the offending entry.
   void validate() const;
 
   /// Events sorted by (at_ms, original position) — the engine schedules in
@@ -98,9 +114,5 @@ struct Scenario {
 /// and de-duplicated in listed order. Empty text is an empty list.
 [[nodiscard]] std::vector<RegionId> resolve_region_list(
     const std::string& text);
-
-/// Parse one event's popularity shift (kind must be popularity_rotate,
-/// popularity_reseed or flash_crowd).
-[[nodiscard]] PopularityShift popularity_shift_of(const ScenarioEvent& e);
 
 }  // namespace agar::scenario

@@ -298,5 +298,82 @@ TEST(ApiGoldenFetchPolicy, ExplicitNoneMatchesDefaultByteForByte) {
   EXPECT_EQ(spec.label(), "Agar");
 }
 
+// ---------------------------------------------------------------------------
+// Documented defaults: a default declared in a schema is the default a run
+// uses. Spelling out every non-empty default a system's schema declares
+// (and its engine's, planner's and monitor's), or a fetch policy's or
+// collab tier's, moves no result byte.
+
+/// `spec` with every non-empty default of `schema` set as `prefix<name>`.
+void spell_out(api::ExperimentSpec& spec, const api::ParamSchema& schema,
+               const std::string& prefix = "") {
+  for (const auto& p : schema.params) {
+    if (!p.default_value.empty()) spec.set(prefix + p.name, p.default_value);
+  }
+}
+
+/// The run's results JSON, planning_ms (wall clock) zeroed.
+std::string result_bytes(const api::ExperimentSpec& spec) {
+  auto result = api::run(spec).result;
+  for (auto& run : result.runs) run.control_plane.planning_ms = 0.0;
+  return client::results_json({result});
+}
+
+TEST(ApiGoldenDefaults, SpelledOutDefaultsMoveNoByteOfAnySystem) {
+  for (const auto& system : api::runnable_systems()) {
+    api::ExperimentSpec implicit;
+    implicit.experiment = golden_config();
+    implicit.set("system", system);
+    auto spelled = implicit;
+    const auto [name, effective] = api::resolve_system(system, {});
+    const auto& schema = api::StrategyRegistry::instance().at(name).schema;
+    spell_out(spelled, schema);
+    if (const auto engine = effective.raw("engine")) {
+      spell_out(spelled, api::EngineRegistry::instance().at(*engine).schema);
+    }
+    if (const auto* planner = schema.find("planner")) {
+      spell_out(spelled,
+                api::PlannerRegistry::instance()
+                    .at(planner->default_value)
+                    .schema,
+                "planner.");
+    }
+    if (const auto* monitor = schema.find("monitor")) {
+      spell_out(spelled,
+                api::EstimatorRegistry::instance()
+                    .at(monitor->default_value)
+                    .schema,
+                "monitor.");
+    }
+    if (spelled.params.empty()) continue;  // declares none (backend)
+    EXPECT_EQ(result_bytes(spelled), result_bytes(implicit)) << system;
+    EXPECT_EQ(spelled.label(), implicit.label()) << system;
+  }
+}
+
+TEST(ApiGoldenDefaults, SpelledOutDefaultsMoveNoByteOfAnyFetchOrCollab) {
+  auto base = spec_of("agar", golden_config());
+  base.set("regions", "frankfurt,tokyo");
+  for (const auto& policy : api::FetchPolicyRegistry::instance().names()) {
+    auto implicit = base;
+    implicit.set("fetch", policy);
+    auto spelled = implicit;
+    spell_out(spelled,
+              api::FetchPolicyRegistry::instance().at(policy).schema,
+              "fetch.");
+    EXPECT_EQ(result_bytes(spelled), result_bytes(implicit)) << policy;
+    EXPECT_EQ(spelled.label(), implicit.label()) << policy;
+  }
+  for (const auto& tier : api::CollabRegistry::instance().names()) {
+    auto implicit = base;
+    implicit.set("collab", tier);
+    auto spelled = implicit;
+    spell_out(spelled, api::CollabRegistry::instance().at(tier).schema,
+              "collab.");
+    EXPECT_EQ(result_bytes(spelled), result_bytes(implicit)) << tier;
+    EXPECT_EQ(spelled.label(), implicit.label()) << tier;
+  }
+}
+
 }  // namespace
 }  // namespace agar

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -22,8 +23,8 @@ TEST(ExperimentSpec, KeyValueRoutingReachesTypedFields) {
        "seed=99", "verify=true", "max_outstanding=8", "decode_ms_per_mb=2",
        "weights=1,5,9", "rs_k=6", "rs_m=2", "placement_offset=true"});
   EXPECT_EQ(spec.system, "lru");
-  EXPECT_EQ(spec.params.get_size("chunks", 0), 5u);
-  EXPECT_EQ(spec.params.get_size("cache_bytes", 0), 2_MB);
+  EXPECT_EQ(spec.params.get_size("chunks"), 5u);
+  EXPECT_EQ(spec.params.get_size("cache_bytes"), 2_MB);
   EXPECT_EQ(spec.experiment.workload.kind,
             client::WorkloadSpec::Kind::kZipfian);
   EXPECT_DOUBLE_EQ(spec.experiment.workload.zipf_skew, 1.3);
@@ -53,7 +54,7 @@ TEST(ExperimentSpec, WithCopiesAndOverrides) {
   EXPECT_EQ(base.system, "agar");
   EXPECT_EQ(derived.system, "lru");
   EXPECT_EQ(derived.experiment.ops_per_run, 100u);
-  EXPECT_EQ(derived.params.get_size("chunks", 0), 3u);
+  EXPECT_EQ(derived.params.get_size("chunks"), 3u);
 }
 
 TEST(ExperimentSpec, RegionAfterRegionsWinsAndViceVersa) {
@@ -238,6 +239,24 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeTimesAndRates) {
   expect_rejected({"period_s=0"}, "period_s");
   expect_rejected({"decode_ms_per_mb=-100000"}, "decode_ms_per_mb");
   expect_rejected({"arrival_rate=-5"}, "arrival_rate");
+  // A read lands in window floor(now / window_ms): a sub-millisecond width
+  // asks for a window per microsecond of a run (1e-300 overflowed the
+  // index), and a NaN set through the typed field compared false with
+  // every bound.
+  for (const char* width : {"-1", "1e-300", "1e-6", "0.5", "0.999"}) {
+    expect_rejected({std::string("window_ms=") + width}, "window_ms");
+  }
+  try {
+    ExperimentSpec nan_window;
+    nan_window.experiment.metric_window_ms = std::nan("");
+    nan_window.validate();
+    ADD_FAILURE() << "window_ms=NaN: expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("window_ms"), std::string::npos)
+        << e.what();
+  }
+  ExperimentSpec::from_pairs({"window_ms=0"}).validate();
+  ExperimentSpec::from_pairs({"window_ms=1"}).validate();
   expect_rejected(
       {"collab=broadcast", "regions=frankfurt,dublin", "collab.period_s=0"},
       "collab.period_s");
@@ -282,6 +301,39 @@ TEST(ExperimentSpec, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(back.label(), spec.label());
 }
 
+TEST(ExperimentSpec, JsonRoundTripKeepsEveryDigit) {
+  // Each value needs more than six significant digits (what "%g" kept):
+  // agard keeps a route's warm instance while its spec JSON is unchanged,
+  // so an edit to any digit must change the JSON.
+  const auto round_trip = [](const std::vector<std::string>& pairs) {
+    const auto spec = ExperimentSpec::from_pairs(pairs);
+    const auto parsed = parse_spec_json(spec.to_json());
+    EXPECT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0].to_json(), spec.to_json());
+    return parsed[0];
+  };
+  EXPECT_EQ(round_trip({"arrival_rate=1234567"}).experiment.arrival_rate_per_s,
+            1234567.0);
+  EXPECT_EQ(
+      round_trip({"decode_ms_per_mb=10.1234567"}).experiment.decode_ms_per_mb,
+      10.1234567);
+  const auto zipf = ExperimentSpec::from_pairs({"workload=zipf:1.23456789"});
+  EXPECT_NE(zipf.to_json().find("\"zipf:1.23456789\""), std::string::npos)
+      << zipf.to_json();
+  EXPECT_EQ(round_trip({"workload=zipf:1.23456789"})
+                .experiment.workload.zipf_skew,
+            1.23456789);
+  const auto event = round_trip({"scenario=1234567 popularity_rotate by=3"});
+  ASSERT_EQ(event.experiment.scenario.size(), 1u);
+  EXPECT_EQ(event.experiment.scenario.events[0].at_ms, 1234567.0);
+  const auto a = round_trip({"period_s=12.34567891"});
+  const auto b = round_trip({"period_s=12.34567899"});
+  EXPECT_NE(a.to_json(), b.to_json());
+  EXPECT_EQ(a.experiment.reconfig_period_ms,
+            ExperimentSpec::from_pairs({"period_s=12.34567891"})
+                .experiment.reconfig_period_ms);
+}
+
 TEST(ExperimentSpec, SystemsArrayExpandsIntoComparison) {
   const auto specs = parse_spec_json(R"({
     "objects": 30, "ops": 100,
@@ -293,7 +345,7 @@ TEST(ExperimentSpec, SystemsArrayExpandsIntoComparison) {
   })");
   ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0].system, "agar");
-  EXPECT_EQ(specs[1].params.get_size("chunks", 0), 5u);
+  EXPECT_EQ(specs[1].params.get_size("chunks"), 5u);
   EXPECT_EQ(specs[2].system, "backend");
   for (const auto& s : specs) {
     EXPECT_EQ(s.experiment.deployment.num_objects, 30u);
@@ -308,9 +360,9 @@ TEST(ExperimentSpec, SweepSectionExpandsGrid) {
   })");
   ASSERT_EQ(specs.size(), 4u);
   // First sweep key is outermost.
-  EXPECT_EQ(specs[0].params.get_size("chunks", 0), 1u);
-  EXPECT_EQ(specs[1].params.get_size("chunks", 0), 1u);
-  EXPECT_EQ(specs[2].params.get_size("chunks", 0), 5u);
+  EXPECT_EQ(specs[0].params.get_size("chunks"), 1u);
+  EXPECT_EQ(specs[1].params.get_size("chunks"), 1u);
+  EXPECT_EQ(specs[2].params.get_size("chunks"), 5u);
   EXPECT_EQ(specs[0].experiment.workload.kind,
             client::WorkloadSpec::Kind::kUniform);
   EXPECT_EQ(specs[1].experiment.workload.kind,
@@ -361,10 +413,10 @@ TEST(Sweep, GridOrderAndBaseInheritance) {
   const auto specs =
       sweep(base, {{"chunks", {"1", "9"}}, {"seed", {"1", "2", "3"}}});
   ASSERT_EQ(specs.size(), 6u);
-  EXPECT_EQ(specs[0].params.get_size("chunks", 0), 1u);
+  EXPECT_EQ(specs[0].params.get_size("chunks"), 1u);
   EXPECT_EQ(specs[0].experiment.deployment.seed, 1u);
   EXPECT_EQ(specs[2].experiment.deployment.seed, 3u);
-  EXPECT_EQ(specs[3].params.get_size("chunks", 0), 9u);
+  EXPECT_EQ(specs[3].params.get_size("chunks"), 9u);
   for (const auto& s : specs) EXPECT_EQ(s.experiment.ops_per_run, 10u);
   EXPECT_THROW((void)sweep(base, {{"chunks", {}}}), std::invalid_argument);
 }

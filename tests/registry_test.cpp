@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -20,22 +21,69 @@ namespace {
 
 // ------------------------------------------------------------- ParamMap
 
-TEST(ParamMap, TypedGettersParseAndFallBack) {
+TEST(ParamMap, TypedGettersParseAndMissingKeysThrow) {
   ParamMap params;
   params.set("cache_bytes", "10MB");
   params.set("chunks", "5");
   params.set("rate", "2.5");
   params.set("verify", "true");
   params.set("weights", "1,3,9");
-  EXPECT_EQ(params.get_size("cache_bytes", 0), 10_MB);
-  EXPECT_EQ(params.get_size("chunks", 0), 5u);
-  EXPECT_DOUBLE_EQ(params.get_double("rate", 0.0), 2.5);
-  EXPECT_TRUE(params.get_bool("verify", false));
-  EXPECT_EQ(params.get_size_list("weights", {}),
+  EXPECT_EQ(params.get_size("cache_bytes"), 10_MB);
+  EXPECT_EQ(params.get_size("chunks"), 5u);
+  EXPECT_DOUBLE_EQ(params.get_double("rate"), 2.5);
+  EXPECT_TRUE(params.get_bool("verify"));
+  EXPECT_EQ(params.get_size_list("weights"),
             (std::vector<std::size_t>{1, 3, 9}));
-  // Unset keys fall back.
-  EXPECT_EQ(params.get_size("missing", 42), 42u);
-  EXPECT_EQ(params.get_string("missing", "x"), "x");
+  // A default lives in the schema, so an unset key is an error that names
+  // the key, whatever its type.
+  const std::vector<std::function<void()>> reads = {
+      [&] { (void)params.get_string("missing"); },
+      [&] { (void)params.get_size("missing"); },
+      [&] { (void)params.get_double("missing"); },
+      [&] { (void)params.get_bool("missing"); },
+      [&] { (void)params.get_size_list("missing"); },
+  };
+  for (const auto& read : reads) {
+    try {
+      read();
+      ADD_FAILURE() << "expected a throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "parameter 'missing' is not set");
+    }
+  }
+}
+
+TEST(ParamMap, WithDefaultsFillsOnlyUnsetDeclaredDefaults) {
+  const ParamSchema schema{{
+      {"chunks", ParamType::kSize, "9", ""},
+      {"cache_bytes", ParamType::kSize, "10MB", ""},
+      {"proxy_ms", ParamType::kDouble, "", "computed when unset"},
+  }};
+  ParamMap params;
+  params.set("chunks", "5");
+  params.set("other", "x");
+  const ParamMap filled = params.with_defaults(schema);
+  EXPECT_EQ(filled.get_size("chunks"), 5u);  // the caller's value wins
+  EXPECT_EQ(filled.get_size("cache_bytes"), 10_MB);
+  EXPECT_FALSE(filled.has("proxy_ms"));  // empty default: stays unset
+  EXPECT_EQ(filled.get_string("other"), "x");
+  EXPECT_FALSE(params.has("cache_bytes"));  // the source is unchanged
+}
+
+TEST(ParamMap, FormatDoubleIsShortestRoundTrip) {
+  // What "%g" printed for up to six significant digits...
+  for (const auto& [value, text] :
+       std::vector<std::pair<double, std::string>>{
+           {0.0, "0"}, {30.0, "30"}, {0.5, "0.5"}, {100000.0, "100000"},
+           {1e6, "1e+06"}, {0.0001, "0.0001"}, {1e-5, "1e-05"}}) {
+    EXPECT_EQ(format_double(value), text);
+  }
+  // ...and every digit a longer value needs.
+  for (const double value : {1234567.0, 10.1234567, 12.34567891,
+                             12.34567899, 0.1 + 0.2, 1e-300}) {
+    EXPECT_EQ(parse_double(format_double(value)), value)
+        << format_double(value);
+  }
 }
 
 TEST(ParamMap, SizeSuffixesAndCase) {
@@ -72,7 +120,7 @@ TEST(ParamMap, MalformedValueNamesTheKey) {
   ParamMap params;
   params.set("chunks", "banana");
   try {
-    (void)params.get_size("chunks", 0);
+    (void)params.get_size("chunks");
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("chunks"), std::string::npos);
@@ -177,6 +225,29 @@ TEST(Registry, EngineFactoryHonoursCapacity) {
   EXPECT_EQ(engine->capacity_bytes(), 4096u);
 }
 
+/// For every entry of `registry`: the label of no params is the label of
+/// every non-empty schema default spelled out.
+template <typename Registry>
+void expect_spelled_out_defaults_label_alike(const Registry& registry) {
+  for (const auto& name : registry.names()) {
+    ParamMap spelled;
+    for (const auto& p : registry.at(name).schema.params) {
+      if (!p.default_value.empty()) spelled.set(p.name, p.default_value);
+    }
+    EXPECT_EQ(registry.label(name, ParamMap{}), registry.label(name, spelled))
+        << name;
+  }
+}
+
+TEST(Registry, DocumentedDefaultsAreEveryEntrysDefaults) {
+  expect_spelled_out_defaults_label_alike(EngineRegistry::instance());
+  expect_spelled_out_defaults_label_alike(StrategyRegistry::instance());
+  expect_spelled_out_defaults_label_alike(PlannerRegistry::instance());
+  expect_spelled_out_defaults_label_alike(EstimatorRegistry::instance());
+  expect_spelled_out_defaults_label_alike(FetchPolicyRegistry::instance());
+  expect_spelled_out_defaults_label_alike(CollabRegistry::instance());
+}
+
 TEST(Registry, LabelsDeriveFromNameAndParams) {
   ParamMap chunks5;
   chunks5.set("chunks", "5");
@@ -204,8 +275,8 @@ TEST(Resolve, EngineNamesBecomeFixedChunksSystems) {
   params.set("chunks", "3");
   const auto [name, effective] = resolve_system("arc", params);
   EXPECT_EQ(name, "fixed-chunks");
-  EXPECT_EQ(effective.get_string("engine", ""), "arc");
-  EXPECT_EQ(effective.get_size("chunks", 0), 3u);
+  EXPECT_EQ(effective.get_string("engine"), "arc");
+  EXPECT_EQ(effective.get_size("chunks"), 3u);
 }
 
 TEST(Resolve, StrategyNameShadowsEngineName) {

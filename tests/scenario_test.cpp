@@ -34,8 +34,8 @@ TEST(ScenarioParse, CompactTextFormRoundTrips) {
   ASSERT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s.events[0].at_ms, 1000.0);
   EXPECT_EQ(s.events[0].event, "fail_region");
-  EXPECT_EQ(s.events[0].params.get_string("region", ""), "tokyo");
-  EXPECT_EQ(s.events[1].params.get_size("by", 0), 20u);
+  EXPECT_EQ(s.events[0].params.get_string("region"), "tokyo");
+  EXPECT_EQ(s.events[1].params.get_size("by"), 20u);
   s.validate();
   EXPECT_EQ(scenario::parse_scenario_text(s.to_text()).to_text(), s.to_text());
 }
@@ -76,6 +76,20 @@ TEST(ScenarioParse, ValidationRejectsBadScripts) {
       scenario::parse_scenario_text("0 slow_region region=tokyo factor=0")
           .validate(),
       std::invalid_argument);
+  // A required param left out (it has no default) is a named error.
+  for (const auto& [script, message] :
+       std::map<std::string, std::string>{
+           {"0 fail_region", "needs a 'region' param"},
+           {"0 partition_regions",
+            "event 0 ('partition_regions'): 'regions' must list"}}) {
+    try {
+      scenario::parse_scenario_text(script).validate();
+      ADD_FAILURE() << script << ": expected a throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioParse, SpecJsonArrayAndTextFormsAgree) {
