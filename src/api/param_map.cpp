@@ -157,9 +157,8 @@ std::optional<std::string> ParamMap::raw(const std::string& key) const {
 
 namespace {
 
-/// Parse `key`'s value, re-throwing a failure with the key attached — the
-/// user sees which of their `key=value` pairs was malformed, not just the
-/// bad value.
+/// Re-throw a parse failure with the key attached — the user sees which of
+/// their `key=value` pairs was malformed, not just the bad value.
 template <typename Fn>
 auto parse_with_context(const std::string& key, const std::string& value,
                         Fn&& parse) {
