@@ -121,16 +121,14 @@ class AgarStrategy final : public ReadStrategy {
   std::unique_ptr<core::PopularityEstimator> estimator_;
   core::CacheManager cache_manager_;
 
-  /// plan's scratch: the object's chunk costs, cheapest first, those not
-  /// resident with whether the configuration wants them, and which chunk
-  /// indices the plan leaves out.
+  /// plan's scratch: the object's chunk costs, cheapest first, and those
+  /// not resident with whether the configuration wants them.
   struct NotResident {
     core::ChunkCost cost;
     bool configured;
   };
   std::vector<core::ChunkCost> costs_;
   std::vector<NotResident> not_resident_;
-  std::vector<bool> unplanned_;
 };
 
 }  // namespace agar::client

@@ -132,26 +132,30 @@ ReadResult ReadStrategy::read(ObjectId object) {
 
 const std::vector<std::pair<ChunkIndex, RegionId>>&
 ReadStrategy::chunks_by_expected_latency(ObjectId object) {
-  const store::ObjectInfo& info = ctx_.backend->object_info(object);
+  candidates_.clear();
+  for (const auto& loc : ctx_.backend->object_info(object).locations) {
+    candidates_.emplace_back(loc.index, loc.region);
+  }
+  sort_by_expected_latency(object, candidates_);
+  return candidates_;
+}
+
+void ReadStrategy::sort_by_expected_latency(
+    ObjectId object, std::vector<std::pair<ChunkIndex, RegionId>>& chunks) {
+  const std::size_t chunk_size = ctx_.backend->object_info(object).chunk_size;
   // The estimate depends on the chunk's region only: one per region.
   region_ms_.resize(ctx_.backend->num_regions());
   for (RegionId r = 0; r < region_ms_.size(); ++r) {
     region_ms_[r] = ctx_.network->model().expected_backend_fetch_ms(
-        ctx_.region, r, info.chunk_size);
+        ctx_.region, r, chunk_size);
   }
-  candidates_.clear();
-  for (const auto& loc : info.locations) {
-    candidates_.emplace_back(loc.index, loc.region);
-  }
-  std::sort(candidates_.begin(), candidates_.end(),
-            [this](const auto& a, const auto& b) {
-              const SimTimeMs ma = region_ms_[a.second];
-              const SimTimeMs mb = region_ms_[b.second];
-              if (ma != mb) return ma < mb;
-              if (a.second != b.second) return a.second < b.second;
-              return a.first < b.first;
-            });
-  return candidates_;
+  std::sort(chunks.begin(), chunks.end(), [this](const auto& a, const auto& b) {
+    const SimTimeMs ma = region_ms_[a.second];
+    const SimTimeMs mb = region_ms_[b.second];
+    if (ma != mb) return ma < mb;
+    if (a.second != b.second) return a.second < b.second;
+    return a.first < b.first;
+  });
 }
 
 double ReadStrategy::decode_ms(std::size_t object_bytes) const {

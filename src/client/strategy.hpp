@@ -249,6 +249,11 @@ class ReadStrategy {
   const std::vector<std::pair<ChunkIndex, RegionId>>&
   chunks_by_expected_latency(ObjectId object);
 
+  /// Order (index, region) pairs of `object`'s chunks as
+  /// chunks_by_expected_latency does, whose order is this one.
+  void sort_by_expected_latency(
+      ObjectId object, std::vector<std::pair<ChunkIndex, RegionId>>& chunks);
+
   ClientContext ctx_;
   core::FetchCoordinator fetcher_;
   /// The cache the strategy reads and populates (null: uncached). Set by
@@ -321,7 +326,8 @@ class ReadStrategy {
   SlotPool<BatchState> batches_;
   /// start_read's sampled cache-chunk latencies.
   std::vector<SimTimeMs> cache_latencies_;
-  /// chunks_by_expected_latency's result and its per-region estimates.
+  /// chunks_by_expected_latency's result and sort_by_expected_latency's
+  /// per-region estimates.
   std::vector<std::pair<ChunkIndex, RegionId>> candidates_;
   std::vector<SimTimeMs> region_ms_;
 };
