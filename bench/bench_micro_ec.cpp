@@ -1,8 +1,8 @@
 // EC data-plane throughput harness: the GF(256) dot kernel (every runtime
 // backend), Reed-Solomon encode/decode for the
 // paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), a
-// verify-mode read's zero fill, decode and check, and the deterministic
-// payload generator's scalar and vector paths.
+// verify-mode read's tiled decode and check, and the deterministic payload
+// generator's scalar and vector paths.
 //
 // Each measurement runs several timed rounds of the same iteration count
 // and reports the median round with the fastest and slowest.
@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -215,11 +215,10 @@ void bench_codec() {
 
 // ------------------------------------------------------------ verify read
 
-/// A verify-mode read of one 1 MB object, step by step as
-/// ReadStrategy::verify_payload runs it: zero the lane's decode buffer,
-/// decode from 7 data and 2 parity chunks (two rows computed), and compare
-/// each row with the store's data chunk. One whole-read row per backend;
-/// the three steps alone on the active backend.
+/// A verify-mode read of one 1 MB object as ReadStrategy::verify_payload
+/// runs it: ObjectCodec::decode_matches from 7 data and 2 parity chunks
+/// (two rows computed) against the store's data chunks, one
+/// ec::kVerifyTileBytes tile at a time. One row per backend.
 void bench_verify_read() {
   const ec::ObjectCodec codec(ec::CodecParams{9, 3});
   const std::size_t size = 1_MB;
@@ -227,36 +226,17 @@ void bench_verify_read() {
   const ec::EncodedObject encoded = codec.encode(BytesView(payload));
   const std::vector<ec::Chunk> chunks(encoded.chunks.begin() + 2,
                                       encoded.chunks.begin() + 11);
-  const std::size_t chunk_size = codec.chunk_size(size);
-  Bytes out;
-  auto zero_fill = [&] { out.assign(size, 0); };
-  auto decode = [&] { codec.decode(chunks, BytesSpan(out)); };
-  auto compare = [&] {
-    for (std::size_t d = 0; d * chunk_size < size; ++d) {
-      const std::size_t begin = d * chunk_size;
-      const std::size_t len = std::min(chunk_size, size - begin);
-      if (std::memcmp(out.data() + begin, encoded.chunks[d].data.data(),
-                      len) != 0) {
-        throw std::runtime_error("verify_read: decoded row differs");
-      }
-    }
-  };
-
+  const std::span<const ec::Chunk> data(encoded.chunks.data(), codec.k());
+  Bytes tile(ec::kVerifyTileBytes);
   for (const gf::Backend b : gf::supported_backends()) {
     if (!gf::set_backend(b)) continue;
     record("verify_read", gf::backend_name(b), size, [&] {
-      zero_fill();
-      decode();
-      compare();
-    }, "zero fill + 2-missing-row decode + store compare");
+      if (!codec.decode_matches(chunks, data, size, BytesSpan(tile))) {
+        throw std::runtime_error("verify_read: decoded object differs");
+      }
+    }, "tiled 2-missing-row decode + store compare");
   }
   gf::reset_backend();
-
-  const std::string active = gf::backend_name(gf::active_backend());
-  record("verify_read_zero_fill", active, size, zero_fill);
-  record("verify_read_decode", active, size, decode, "2 rows computed");
-  record("verify_read_compare", active, size, compare,
-         "memcmp against the data chunks");
 }
 
 // ---------------------------------------------------- payload generator

@@ -55,6 +55,10 @@ ReadStrategy::ReadStrategy(ClientContext ctx)
       ctx_.loop == nullptr) {
     throw std::invalid_argument("ReadStrategy: null backend/network/loop");
   }
+  if (ctx_.verify_data) {
+    verify_tile_.resize(ec::kVerifyTileBytes);
+    data_chunks_.reserve(ctx_.backend->codec().k());
+  }
 }
 
 ReadStrategy::~ReadStrategy() = default;
@@ -355,25 +359,20 @@ bool ReadStrategy::verify_payload(ObjectId object, std::size_t object_size,
                                   const std::vector<ec::Chunk>& chunks) {
   const ec::ObjectCodec& codec =
       ctx_.codec != nullptr ? *ctx_.codec : ctx_.backend->codec();
-  // Zero every byte first: nothing left from an earlier read of the same
-  // key can pass the check.
-  decode_buffer_.assign(object_size, 0);
-  codec.decode(chunks, BytesSpan(decode_buffer_));
   // The code is systematic, so the store's data chunks are the payload
   // (store::populate_working_set checked them against it at set-up):
   // row d of the object must equal data chunk d, cut at the object's end.
   const std::size_t chunk_size = codec.chunk_size(object_size);
-  ChunkId reference{object, 0};
-  for (std::size_t begin = 0; begin < object_size; begin += chunk_size) {
-    const auto bytes = ctx_.backend->get_chunk(reference);
-    const std::size_t len = std::min(chunk_size, object_size - begin);
-    if (!bytes.has_value() || bytes->size() < len ||
-        std::memcmp(decode_buffer_.data() + begin, bytes->data(), len) != 0) {
-      return false;
-    }
-    ++reference.index;
+  data_chunks_.clear();
+  for (ChunkIndex d = 0; d * chunk_size < object_size; ++d) {
+    auto bytes = ctx_.backend->get_chunk(ChunkId{object, d});
+    if (!bytes.has_value()) return false;
+    data_chunks_.push_back(ec::Chunk{d, std::move(*bytes)});
   }
-  return true;
+  const bool matches = codec.decode_matches(chunks, data_chunks_, object_size,
+                                            BytesSpan(verify_tile_));
+  data_chunks_.clear();
+  return matches;
 }
 
 }  // namespace agar::client

@@ -269,16 +269,19 @@ class ReadStrategy {
   /// Decode-cost model.
   [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
 
-  /// Verify mode: decode the read's chunks (cache hits and fetched backend
-  /// chunks) into decode_buffer_ and compare it with the store's data
-  /// chunks. False when a row differs or a data chunk is missing.
+  /// Verify mode: check the read's chunks (cache hits and fetched backend
+  /// chunks) against the store's data chunks with
+  /// ObjectCodec::decode_matches, one verify_tile_ at a time. False when a
+  /// tile differs or a data chunk is missing.
   [[nodiscard]] bool verify_payload(ObjectId object, std::size_t object_size,
                                     const std::vector<ec::Chunk>& chunks);
 
-  /// Verify mode: the lane's one decode buffer, reused across reads (it
-  /// keeps its capacity, so a steady-state read allocates no object-sized
-  /// buffer). Each lane owns its strategy, so shard threads never share it.
-  Bytes decode_buffer_;
+  /// Verify mode: the lane's one decode tile (ec::kVerifyTileBytes) and
+  /// the read's data chunks from the store, both kept across reads, so a
+  /// steady-state read allocates neither. Each lane owns its strategy, so
+  /// shard threads never share them.
+  Bytes verify_tile_;
+  std::vector<ec::Chunk> data_chunks_;
 
   /// One read's fetch batch: its backend arms plus the optional cache arm.
   /// The functions below name a batch by its slot in `batches_`.

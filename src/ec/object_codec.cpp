@@ -1,6 +1,8 @@
 #include "ec/object_codec.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <stdexcept>
 
 namespace agar::ec {
 
@@ -51,20 +53,50 @@ EncodedObject ObjectCodec::encode(BytesView object) const {
   return out;
 }
 
-void ObjectCodec::decode(const std::vector<Chunk>& chunks,
-                         BytesSpan object) const {
+const std::vector<std::pair<std::uint32_t, BytesView>>&
+ObjectCodec::available_of(const std::vector<Chunk>& chunks) const {
   available_.clear();
   for (const auto& c : chunks) {
     available_.emplace_back(c.index, c.data.view());
   }
-  rs_.reconstruct_data(available_, object);
+  return available_;
 }
 
 Bytes ObjectCodec::decode(std::size_t object_size,
                           const std::vector<Chunk>& chunks) const {
   Bytes object(object_size);
-  decode(chunks, BytesSpan(object));
+  rs_.reconstruct_data(available_of(chunks), BytesSpan(object));
   return object;
+}
+
+bool ObjectCodec::decode_matches(const std::vector<Chunk>& chunks,
+                                 std::span<const Chunk> data,
+                                 std::size_t object_size,
+                                 BytesSpan tile) const {
+  if (tile.empty()) {
+    throw std::invalid_argument("ObjectCodec::decode_matches: empty tile");
+  }
+  const std::size_t cs = rs_.prepare_decode(available_of(chunks));
+  if (object_size > rs_.k() * cs) {
+    throw std::invalid_argument(
+        "ObjectCodec::decode_matches: object larger than k chunks");
+  }
+  for (std::size_t d = 0; d * cs < object_size; ++d) {
+    const std::size_t row = std::min(cs, object_size - d * cs);
+    if (d >= data.size() || data[d].data.size() < row) return false;
+    const std::uint8_t* const expected = data[d].data.data();
+    for (std::size_t offset = 0; offset < row; offset += tile.size()) {
+      // Zeroed first, so a slice the decode skipped cannot pass on bytes
+      // an earlier tile left.
+      const BytesSpan t = tile.first(std::min(tile.size(), row - offset));
+      std::fill(t.begin(), t.end(), std::uint8_t{0});
+      rs_.decode_slice(d, offset, t);
+      if (std::memcmp(t.data(), expected + offset, t.size()) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace agar::ec

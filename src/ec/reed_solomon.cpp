@@ -33,6 +33,8 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
   picked_.reserve(params_.k);
   views_.reserve(params_.k);
   rows_.reserve(params_.k);
+  source_.reserve(params_.k);
+  slices_.reserve(params_.k);
 }
 
 void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,
@@ -88,9 +90,27 @@ const Matrix& ReedSolomon::decode_plan(
 void ReedSolomon::reconstruct_data(
     const std::vector<std::pair<std::uint32_t, BytesView>>& available,
     BytesSpan out) const {
-  if (available.size() < params_.k) {
+  const std::size_t chunk_size = prepare_decode(available);
+  if (out.size() > params_.k * chunk_size) {
     throw std::invalid_argument(
-        "ReedSolomon::reconstruct_data: fewer than k chunks available");
+        "ReedSolomon::reconstruct_data: output larger than k chunks");
+  }
+  // Data row d of `out`; the row holding out's end is cut short and the
+  // rows after it are empty.
+  for (std::size_t d = 0; d < params_.k; ++d) {
+    const std::size_t begin = std::min(d * chunk_size, out.size());
+    const BytesSpan row =
+        out.subspan(begin, std::min(chunk_size, out.size() - begin));
+    if (row.empty()) break;
+    decode_slice(d, 0, row);
+  }
+}
+
+std::size_t ReedSolomon::prepare_decode(
+    const std::vector<std::pair<std::uint32_t, BytesView>>& available) const {
+  chunk_size_ = 0;  // until this set-up succeeds, no slice is in range
+  if (available.size() < params_.k) {
+    throw std::invalid_argument("ReedSolomon: fewer than k chunks available");
   }
 
   // Take the first k distinct chunks, preferring data chunks (identity rows)
@@ -102,8 +122,7 @@ void ReedSolomon::reconstruct_data(
     for (const auto& [idx, bytes] : available) {
       if (picked.size() == params_.k) break;
       if (idx >= params_.total()) {
-        throw std::invalid_argument(
-            "ReedSolomon::reconstruct_data: chunk index out of range");
+        throw std::invalid_argument("ReedSolomon: chunk index out of range");
       }
       const bool is_data = idx < params_.k;
       if (data_only != is_data || seen.test(idx)) continue;
@@ -114,8 +133,7 @@ void ReedSolomon::reconstruct_data(
   take(/*data_only=*/true);
   take(/*data_only=*/false);
   if (picked.size() < params_.k) {
-    throw std::invalid_argument(
-        "ReedSolomon::reconstruct_data: fewer than k distinct chunks");
+    throw std::invalid_argument("ReedSolomon: fewer than k distinct chunks");
   }
 
   // Canonical order: the decode plan is keyed by the chunk *set*, so the
@@ -125,50 +143,45 @@ void ReedSolomon::reconstruct_data(
   std::sort(picked.begin(), picked.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  auto& views = views_;
-  views.clear();
-  for (const auto& [idx, bytes] : picked) views.push_back(bytes);
-  check_uniform_size(views);
-  const std::size_t chunk_size = views.front().size();
-  if (out.size() > params_.k * chunk_size) {
-    throw std::invalid_argument(
-        "ReedSolomon::reconstruct_data: output larger than k chunks");
-  }
-  // Data row d of `out`; the row holding out's end is cut short and the
-  // rows after it are empty.
-  auto row = [&](std::size_t d) {
-    const std::size_t begin = std::min(d * chunk_size, out.size());
-    return out.subspan(begin, std::min(chunk_size, out.size() - begin));
-  };
-
-  // Data chunks that arrived (sorted first) are copied. A data chunk's row
-  // of the decode matrix below is a unit vector, so this is the same bytes.
+  views_.clear();
+  rows_.clear();
+  source_.assign(params_.k, kMissing);
   for (const auto& [idx, bytes] : picked) {
-    if (idx >= params_.k) break;
-    const BytesSpan dst = row(idx);
-    std::copy_n(bytes.begin(), dst.size(), dst.begin());
+    // A data chunk's row of the decode matrix is a unit vector, so a copy
+    // of the chunk is the same bytes.
+    if (idx < params_.k) source_[idx] = views_.size();
+    views_.push_back(bytes);
+    rows_.push_back(idx);
   }
-  if (picked.back().first < params_.k) return;  // all k data chunks arrived
+  check_uniform_size(views_);
+  chunk_size_ = views_.front().size();
 
   // The rows of the encoding matrix for the picked chunks form an
   // invertible k x k matrix (MDS); its inverse maps picked chunks back to
-  // the original data chunks. The inverse is memoized per surviving set;
-  // only the missing data rows are applied.
-  auto& rows = rows_;
-  rows.clear();
-  for (const auto& [idx, bytes] : picked) rows.push_back(idx);
-  const Matrix& decode = decode_plan(rows);
+  // the original data chunks. The inverse is memoized per surviving set
+  // and looked up only when a data chunk is missing.
+  decode_ = picked.back().first < params_.k ? nullptr : &decode_plan(rows_);
+  return chunk_size_;
+}
 
-  for (std::size_t d = 0; d < params_.k; ++d) {
-    if (seen.test(d)) continue;
-    const BytesSpan dst = row(d);
-    if (dst.empty()) break;
-    if (dst.size() < chunk_size) {
-      // The cut-short row: dot reads inputs of the same length.
-      for (BytesView& v : views) v = v.first(dst.size());
-    }
-    apply_row(decode, d, views, dst);
+void ReedSolomon::decode_slice(std::size_t d, std::size_t offset,
+                               BytesSpan out) const {
+  if (d >= params_.k || offset > chunk_size_ ||
+      out.size() > chunk_size_ - offset) {
+    throw std::invalid_argument(
+        "ReedSolomon::decode_slice: slice outside the data rows");
   }
+  if (out.empty()) return;
+  if (source_[d] != kMissing) {
+    const BytesView in = views_[source_[d]].subspan(offset, out.size());
+    std::copy(in.begin(), in.end(), out.begin());
+    return;
+  }
+  slices_.clear();
+  for (const BytesView v : views_) {
+    slices_.push_back(v.subspan(offset, out.size()));
+  }
+  apply_row(*decode_, d, slices_, out);
 }
 
 Bytes ReedSolomon::reconstruct_chunk(

@@ -55,10 +55,26 @@ class ReedSolomon {
   /// its bytes. Data chunks that arrived are copied; only the missing data
   /// rows are computed. Throws std::invalid_argument if fewer than k
   /// distinct chunks are supplied, an index is out of range, sizes are
-  /// ragged, or `out` is larger than k chunks.
+  /// ragged, or `out` is larger than k chunks. It is prepare_decode plus
+  /// decode_slice over each whole row.
   void reconstruct_data(
       const std::vector<std::pair<std::uint32_t, BytesView>>& available,
       BytesSpan out) const;
+
+  /// A decode's set-up: pick the first k distinct chunks of `available`
+  /// (data chunks first), order them and, if a data chunk is missing, look
+  /// up the memoized decode plan. Returns the chunk size. The views must
+  /// outlive the decode_slice calls that follow, up to the next set-up.
+  /// Throws like reconstruct_data.
+  std::size_t prepare_decode(
+      const std::vector<std::pair<std::uint32_t, BytesView>>& available) const;
+
+  /// A decode's row step: bytes [offset, offset + out.size()) of data row
+  /// d, from the chunks of the last prepare_decode. A data chunk that
+  /// arrived is copied; a missing one is one gf::dot over the same slice
+  /// of each picked chunk. Throws std::invalid_argument if d >= k or the
+  /// slice runs past the chunk size (0 until a set-up succeeds).
+  void decode_slice(std::size_t d, std::size_t offset, BytesSpan out) const;
 
   /// Reconstruct one specific chunk (data or parity) from any k available
   /// chunks. Used by repair paths and tests.
@@ -103,11 +119,19 @@ class ReedSolomon {
   mutable std::uint64_t plan_hits_ = 0;
   mutable std::uint64_t plan_misses_ = 0;
 
-  // reconstruct_data's per-call lists, each at most k long and reserved
-  // at construction: the picked chunks, their bytes and their rows.
+  // The set-up's lists, each k long and reserved at construction: the
+  // picked chunks, their bytes, their rows, each data row's position in
+  // views_ (kMissing if it did not arrive) and decode_slice's input slices.
+  static constexpr std::size_t kMissing = ~std::size_t{0};
   mutable std::vector<std::pair<std::uint32_t, BytesView>> picked_;
   mutable std::vector<BytesView> views_;
   mutable std::vector<std::size_t> rows_;
+  mutable std::vector<std::size_t> source_;
+  mutable std::vector<BytesView> slices_;
+  // The set-up's chunk size and decode plan (null when no data row is
+  // missing).
+  mutable std::size_t chunk_size_ = 0;
+  mutable const Matrix* decode_ = nullptr;
 };
 
 }  // namespace agar::ec

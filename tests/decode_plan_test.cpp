@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/types.hpp"
 #include "gf/gf256.hpp"
 
 namespace agar::ec {
@@ -205,6 +207,85 @@ TEST(DecodePlanCache, ReconstructChunkUsesCacheToo) {
   EXPECT_EQ(rebuilt11, stripe.chunks[11]);
   EXPECT_EQ(rs.decode_plan_misses(), 1u);
   EXPECT_EQ(rs.decode_plan_hits(), 1u);
+}
+
+TEST(DecodePlanCache, RowStepTileByTileEqualsReconstructData) {
+  // The verify check decodes one tile of a row at a time with
+  // decode_slice. On every nine-chunk set, tiles whose edges fall inside
+  // the dot kernels' 64- and 128-byte blocks must rebuild exactly the bytes
+  // reconstruct_data writes, up to an object end that cuts the last row
+  // short (1 MB and 1 MB + 3 B) or leaves rows empty (5 B).
+  const std::vector<std::size_t> tiles = {65,   127,   192,  1000,
+                                          4097, 16384, 16447};
+  for (const std::size_t object_size : {1_MB, 1_MB + 3, std::size_t{5}}) {
+    const std::size_t chunk_size = (object_size + kK - 1) / kK;
+    const ReedSolomon rs(CodecParams{kK, kM});
+    const Stripe stripe = make_stripe(rs, chunk_size, object_size);
+    Bytes expected(object_size);
+    Bytes tiled(object_size);
+    std::size_t sets = 0;
+    for (unsigned mask = 0; mask < (1u << kTotal); ++mask) {
+      if (std::popcount(mask) != static_cast<int>(kK)) continue;
+      const std::size_t tile = tiles[sets++ % tiles.size()];
+      std::vector<std::pair<std::uint32_t, BytesView>> available;
+      for (const auto i : mask_to_indices(mask)) {
+        available.emplace_back(i, BytesView(stripe.chunks[i]));
+      }
+      rs.reconstruct_data(available, BytesSpan(expected));
+      // Start from the complement, so a byte no slice writes differs.
+      for (std::size_t i = 0; i < object_size; ++i) {
+        tiled[i] = static_cast<std::uint8_t>(~expected[i]);
+      }
+      ASSERT_EQ(rs.prepare_decode(available), chunk_size);
+      for (std::size_t d = 0; d * chunk_size < object_size; ++d) {
+        const std::size_t begin = d * chunk_size;
+        const std::size_t row = std::min(chunk_size, object_size - begin);
+        ASSERT_TRUE(std::ranges::equal(BytesView(expected).subspan(begin, row),
+                                       BytesView(stripe.chunks[d]).first(row)))
+            << "object_size=" << object_size << " mask=" << mask
+            << " d=" << d;
+        for (std::size_t offset = 0; offset < row; offset += tile) {
+          rs.decode_slice(d, offset,
+                          BytesSpan(tiled).subspan(
+                              begin + offset, std::min(tile, row - offset)));
+        }
+      }
+      ASSERT_EQ(tiled, expected) << "object_size=" << object_size
+                                 << " mask=" << mask << " tile=" << tile;
+    }
+    EXPECT_EQ(sets, 220u);  // C(12,9)
+  }
+}
+
+TEST(DecodePlanCache, RowStepRejectsASliceOutsideTheRows) {
+  const ReedSolomon rs(CodecParams{kK, kM});
+  const Stripe stripe = make_stripe(rs, 100, 29);
+  std::vector<std::pair<std::uint32_t, BytesView>> available;
+  for (std::uint32_t i = 2; i < kTotal - 1; ++i) {
+    available.emplace_back(i, BytesView(stripe.chunks[i]));
+  }
+  ASSERT_EQ(rs.prepare_decode(available), 100u);
+  Bytes out(100);
+  // Row 0 is computed, row 5 copied.
+  for (const std::size_t d : {std::size_t{0}, std::size_t{5}}) {
+    EXPECT_NO_THROW(rs.decode_slice(d, 0, BytesSpan(out)));
+    EXPECT_EQ(out, stripe.chunks[d]);
+    EXPECT_NO_THROW(rs.decode_slice(d, 100, BytesSpan(out).first(0)));
+    EXPECT_THROW(rs.decode_slice(d, 1, BytesSpan(out)),
+                 std::invalid_argument);
+    EXPECT_THROW(rs.decode_slice(d, 101, BytesSpan(out).first(0)),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(rs.decode_slice(kK, 0, BytesSpan(out)),
+               std::invalid_argument);
+  // Before a set-up, or after one that threw, no slice is in range.
+  available.pop_back();
+  EXPECT_THROW((void)rs.prepare_decode(available), std::invalid_argument);
+  EXPECT_THROW(rs.decode_slice(5, 0, BytesSpan(out)), std::invalid_argument);
+  const ReedSolomon fresh(CodecParams{kK, kM});
+  EXPECT_THROW(fresh.decode_slice(0, 0, BytesSpan(out)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(fresh.decode_slice(0, 0, BytesSpan(out).first(0)));
 }
 
 }  // namespace
