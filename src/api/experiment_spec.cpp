@@ -21,36 +21,19 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
-RegionId region_id(const std::string& name) {
-  const auto topology = sim::aws_six_regions();
-  try {
-    return topology.id_of(name);
-  } catch (const std::exception&) {
-    std::string known;
-    for (RegionId r = 0; r < topology.num_regions(); ++r) {
-      known += (known.empty() ? "" : " ") + topology.name(r);
-    }
-    throw std::invalid_argument("unknown region '" + name +
-                                "' (known: " + known + ")");
-  }
-}
-
-std::vector<RegionId> region_list(const std::string& text) {
-  std::vector<RegionId> regions;
-  std::stringstream names(text);
-  std::string name;
-  while (std::getline(names, name, ',')) {
-    if (name.empty()) continue;
-    const RegionId region = region_id(name);
-    // One lane per client region: a repeat would bind two lanes to the
-    // first lane's network.
-    if (std::find(regions.begin(), regions.end(), region) != regions.end()) {
-      throw std::invalid_argument("'regions' lists '" + name + "' twice");
-    }
-    regions.push_back(region);
-  }
+/// The `regions` key: one lane per client region, so a repeat would bind
+/// two lanes to the first lane's network.
+std::vector<RegionId> client_regions(const std::string& text) {
+  const std::vector<RegionId> regions = sim::resolve_region_list(text);
   if (regions.empty()) {
     throw std::invalid_argument("'regions' needs at least one region name");
+  }
+  for (auto it = regions.begin(); it != regions.end(); ++it) {
+    if (std::find(regions.begin(), it, *it) != it) {
+      throw std::invalid_argument("'regions' lists '" +
+                                  sim::aws_six_regions().name(*it) +
+                                  "' twice");
+    }
   }
   return regions;
 }
@@ -125,7 +108,7 @@ const std::vector<ExperimentKey>& experiment_key_rows() {
        }},
       {{"region", ParamType::kString, "frankfurt", "primary client region"},
        [](Config& c, const Text& v) {
-         c.client_region = region_id(v);
+         c.client_region = sim::resolve_region(v);
          // Last writer wins: a multi-region list set earlier would
          // otherwise silently override this (effective_client_regions
          // prefers the list).
@@ -137,7 +120,7 @@ const std::vector<ExperimentKey>& experiment_key_rows() {
       {{"regions", ParamType::kString, "",
         "comma-separated client regions (one cache node per region)"},
        [](Config& c, const Text& v) {
-         c.client_regions = region_list(v);
+         c.client_regions = client_regions(v);
          c.client_region = c.client_regions.front();
        },
        [](const Config& c) {

@@ -18,7 +18,19 @@ api::ParamInfo region_param() {
 }
 
 RegionId region_of(const api::ParamMap& params) {
-  return resolve_region(params.get_string("region"));
+  return sim::resolve_region(params.get_string("region"));
+}
+
+/// partition_regions' group: the listed regions, a repeat dropped.
+std::vector<RegionId> partition_group(const api::ParamMap& params) {
+  std::vector<RegionId> group;
+  for (const RegionId r :
+       sim::resolve_region_list(params.raw("regions").value_or(""))) {
+    if (std::find(group.begin(), group.end(), r) == group.end()) {
+      group.push_back(r);
+    }
+  }
+  return group;
 }
 
 /// flap_region's down time: half the cycle unless given.
@@ -136,7 +148,7 @@ std::vector<EventKind> ScenarioEngine::vocabulary() {
        "backend fetches keep flowing",
        [](const ParamMap& p) -> const char* {
          // Absent or empty, the list names no region.
-         const auto group = resolve_region_list(p.raw("regions").value_or(""));
+         const auto group = partition_group(p);
          if (group.empty()) return "'regions' must list >= 1 region";
          if (group.size() >= sim::aws_six_regions().num_regions()) {
            return "'regions' must leave at least one region on the other "
@@ -146,7 +158,7 @@ std::vector<EventKind> ScenarioEngine::vocabulary() {
        },
        [](ScenarioEngine& engine, const ParamMap& p, Loop&) {
          if (engine.partition_) {
-           engine.partition_(resolve_region_list(p.get_string("regions")));
+           engine.partition_(partition_group(p));
          }
        }},
       {"heal_partition", ParamSchema{},

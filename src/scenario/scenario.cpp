@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,52 +33,6 @@ const EventKind* find_event_kind(const std::string& name) {
   return nullptr;
 }
 
-RegionId resolve_region(const std::string& text) {
-  if (text.empty()) {
-    throw std::invalid_argument("scenario: event needs a 'region' param");
-  }
-  if (std::all_of(text.begin(), text.end(),
-                  [](char c) { return c >= '0' && c <= '9'; })) {
-    std::size_t id = 0;
-    try {
-      id = std::stoul(text);
-    } catch (const std::out_of_range&) {
-      id = std::numeric_limits<std::size_t>::max();  // fails the range check
-    }
-    if (id >= sim::aws_six_regions().num_regions()) {
-      throw std::invalid_argument("scenario: region id '" + text +
-                                  "' out of range");
-    }
-    return static_cast<RegionId>(id);
-  }
-  const auto topology = sim::aws_six_regions();
-  try {
-    return topology.id_of(text);
-  } catch (const std::exception&) {
-    std::string known;
-    for (RegionId r = 0; r < topology.num_regions(); ++r) {
-      known += (known.empty() ? "" : " ") + topology.name(r);
-    }
-    throw std::invalid_argument("scenario: unknown region '" + text +
-                                "' (known: " + known + ")");
-  }
-}
-
-std::vector<RegionId> resolve_region_list(const std::string& text) {
-  std::vector<RegionId> out;
-  std::stringstream parts(text);
-  std::string part;
-  while (std::getline(parts, part, ',')) {
-    // Trim surrounding whitespace so "dublin, tokyo" works.
-    const auto begin = part.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto end = part.find_last_not_of(" \t");
-    const RegionId r = resolve_region(part.substr(begin, end - begin + 1));
-    if (std::find(out.begin(), out.end(), r) == out.end()) out.push_back(r);
-  }
-  return out;
-}
-
 void Scenario::validate() const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ScenarioEvent& e = events[i];
@@ -102,11 +55,17 @@ void Scenario::validate() const {
     }
     e.params.validate(kind->schema, context);
     const api::ParamMap params = e.params.with_defaults(kind->schema);
-    if (kind->schema.has("region")) {
-      // An absent region reaches resolve_region's "needs a region" error.
-      (void)resolve_region(params.raw("region").value_or(""));
+    const bool needs_region = kind->schema.has("region");
+    if (needs_region && !params.has("region")) {
+      throw std::invalid_argument(context + ": needs a 'region' param");
     }
-    const char* broken = kind->check ? kind->check(params) : nullptr;
+    const char* broken = nullptr;
+    try {
+      if (needs_region) (void)sim::resolve_region(params.get_string("region"));
+      if (kind->check) broken = kind->check(params);
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(context + ": " + error.what());
+    }
     if (broken != nullptr) {
       throw std::invalid_argument(context + ": " + broken);
     }

@@ -106,13 +106,4 @@ struct Scenario {
 /// Parse a JSON array of event objects (the "scenario" spec member).
 [[nodiscard]] Scenario scenario_from_json(const api::JsonValue& value);
 
-/// Resolve a scenario "region" parameter: a region name ("tokyo") or a
-/// numeric id, checked against the paper's six-region topology.
-[[nodiscard]] RegionId resolve_region(const std::string& text);
-
-/// Resolve a comma-separated "regions" list (partition_regions), trimmed
-/// and de-duplicated in listed order. Empty text is an empty list.
-[[nodiscard]] std::vector<RegionId> resolve_region_list(
-    const std::string& text);
-
 }  // namespace agar::scenario

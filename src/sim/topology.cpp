@@ -1,8 +1,10 @@
 #include "sim/topology.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 
 namespace agar::sim {
@@ -72,6 +74,40 @@ Topology aws_six_regions() {
           {1130, 1200, 900, 1370, 80, 470},
           {1530, 1600, 530, 1430, 470, 80},
       });
+}
+
+RegionId resolve_region(const std::string& text) {
+  const auto first = text.find_first_not_of(" \t");
+  const std::string name =
+      first == std::string::npos
+          ? std::string()
+          : text.substr(first, text.find_last_not_of(" \t") - first + 1);
+  const Topology topology = aws_six_regions();
+  std::size_t id = 0;
+  const char* const end = name.data() + name.size();
+  const auto [stop, error] = std::from_chars(name.data(), end, id);
+  if (error == std::errc{} && stop == end && id < topology.num_regions()) {
+    return static_cast<RegionId>(id);
+  }
+  std::string known;
+  for (RegionId r = 0; r < topology.num_regions(); ++r) {
+    if (topology.name(r) == name) return r;
+    known += (known.empty() ? "" : " ") + topology.name(r);
+  }
+  throw std::invalid_argument("unknown region '" + name + "' (known: " +
+                              known + ", or an id below " +
+                              std::to_string(topology.num_regions()) + ")");
+}
+
+std::vector<RegionId> resolve_region_list(const std::string& text) {
+  std::vector<RegionId> out;
+  std::stringstream items(text);
+  std::string item;
+  while (std::getline(items, item, ',')) {
+    if (item.find_first_not_of(" \t") == std::string::npos) continue;
+    out.push_back(resolve_region(item));
+  }
+  return out;
 }
 
 }  // namespace agar::sim

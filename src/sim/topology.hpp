@@ -55,6 +55,18 @@ class Topology {
 /// The paper's six-region deployment (Fig. 1).
 [[nodiscard]] Topology aws_six_regions();
 
+/// The region of aws_six_regions() that `text` names: its name ("tokyo")
+/// or its id ("4"), surrounding spaces ignored. Spec keys and scenario
+/// params both resolve regions here. Throws std::invalid_argument listing
+/// the known regions.
+[[nodiscard]] RegionId resolve_region(const std::string& text);
+
+/// The regions of a comma-separated list, in listed order and repeats
+/// kept (the caller rejects or drops them); empty items are skipped.
+/// Throws like resolve_region.
+[[nodiscard]] std::vector<RegionId> resolve_region_list(
+    const std::string& text);
+
 /// Region indices of aws_six_regions(), for readable test/bench code.
 namespace region {
 inline constexpr RegionId kFrankfurt = 0;

@@ -86,6 +86,34 @@ TEST(ExperimentSpec, RepeatedClientRegionIsRejected) {
   }
 }
 
+TEST(ExperimentSpec, RegionKeysTakeIdsAndSpacesLikeScenarioParams) {
+  // One resolver serves spec keys and scenario params: a name or an id,
+  // with spaces around it.
+  const auto listed = ExperimentSpec::from_pairs({"regions=frankfurt, tokyo"});
+  EXPECT_EQ(listed.experiment.client_regions,
+            (std::vector<RegionId>{sim::region::kFrankfurt,
+                                   sim::region::kTokyo}));
+  const auto by_id = ExperimentSpec::from_pairs({"region=2"});
+  EXPECT_EQ(by_id.experiment.client_region, sim::region::kVirginia);
+  EXPECT_EQ(ExperimentSpec::from_pairs({"region= sydney "})
+                .experiment.client_region,
+            sim::region::kSydney);
+  // A spec key's error is not a scenario's.
+  for (const char* pair : {"region=atlantis", "region=6", "regions=dublin,9",
+                           "regions= , "}) {
+    try {
+      (void)ExperimentSpec::from_pairs({pair});
+      ADD_FAILURE() << pair << ": expected a throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).rfind("scenario:", 0), 0u)
+          << pair << ": " << e.what();
+    }
+  }
+  // An id repeating a listed name is still a repeat.
+  EXPECT_THROW((void)ExperimentSpec::from_pairs({"regions=dublin, 1"}),
+               std::invalid_argument);
+}
+
 TEST(ExperimentSpec, CandidateWeightAboveKFailsBeforeAnyRead) {
   // The default weights 1,3,5,7,9 exceed k = 6. A 30 s period never
   // reconfigures within 40 reads, so only a check at build time sees it.

@@ -92,6 +92,31 @@ TEST(ScenarioParse, ValidationRejectsBadScripts) {
   }
 }
 
+TEST(ScenarioParse, PartitionGroupDropsARepeat) {
+  // Six names with one repeat (by id) leave Sydney on the other side.
+  EXPECT_NO_THROW(
+      scenario::parse_scenario_text(
+          "0 partition_regions regions=frankfurt,dublin,virginia,saopaulo,"
+          "tokyo,1")
+          .validate());
+  EXPECT_THROW(scenario::parse_scenario_text(
+                   "0 partition_regions regions=frankfurt,dublin,virginia,"
+                   "saopaulo,tokyo,5")
+                   .validate(),
+               std::invalid_argument);
+  // A bad name is named with its event.
+  try {
+    scenario::parse_scenario_text("0 partition_regions regions=dublin,mars")
+        .validate();
+    ADD_FAILURE() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "event 0 ('partition_regions'): unknown region 'mars'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioParse, SpecJsonArrayAndTextFormsAgree) {
   const auto from_json = api::parse_spec_json(R"({
     "system": "backend", "ops": 10, "runs": 1, "window_ms": 500,
