@@ -12,6 +12,8 @@
 
 #include "api/experiment_spec.hpp"
 #include "cache/cache.hpp"
+#include "cache/tinylfu_cache.hpp"
+#include "client/agar_strategy.hpp"
 #include "client/fetch_policy.hpp"
 #include "client/runner.hpp"
 #include "collab/collab.hpp"
@@ -260,6 +262,86 @@ TEST(Registry, LabelsDeriveFromNameAndParams) {
   arc.set("engine", "arc");
   arc.set("chunks", "7");
   EXPECT_EQ(StrategyRegistry::instance().label("fixed-chunks", arc), "ARC-7");
+}
+
+// ------------------------------------------------ params struct defaults
+
+// Library callers build these structs directly, while a registry factory
+// fills them from the schema's defaults alone, so each field's initializer
+// must be its schema entry's default (the experiment keys have
+// ExperimentSpec.DocumentedDefaultsAreTheDefaults).
+
+/// Expect `value` to be `name`'s default in `schema`, parsed by the
+/// entry's ParamType.
+void expect_schema_default(const ParamSchema& schema, const std::string& name,
+                           double value) {
+  const ParamInfo* info = schema.find(name);
+  ASSERT_NE(info, nullptr) << name;
+  const ParamMap defaults = ParamMap{}.with_defaults(schema);
+  switch (info->type) {
+    case ParamType::kSize:
+      EXPECT_EQ(static_cast<double>(defaults.get_size(name)), value) << name;
+      break;
+    case ParamType::kDouble:
+      EXPECT_EQ(defaults.get_double(name), value) << name;
+      break;
+    default:
+      ADD_FAILURE() << name << " is a " << to_string(info->type);
+  }
+}
+
+TEST(SchemaDefaults, FetchPolicyParamsAreTheRetryAndHedgeSchemas) {
+  const client::FetchPolicyParams p;
+  for (const char* policy : {"retry", "hedge"}) {
+    SCOPED_TRACE(policy);
+    const ParamSchema& schema =
+        FetchPolicyRegistry::instance().at(policy).schema;
+    expect_schema_default(schema, "timeout_mult", p.timeout_mult);
+    expect_schema_default(schema, "timeout_min_ms", p.timeout_min_ms);
+    expect_schema_default(schema, "retries", static_cast<double>(p.retries));
+    expect_schema_default(schema, "backoff_ms", p.backoff_ms);
+    expect_schema_default(schema, "backoff_mult", p.backoff_mult);
+    expect_schema_default(schema, "jitter", p.jitter);
+    expect_schema_default(schema, "ewma_alpha", p.ewma_alpha);
+  }
+  // The struct's hedge_after_mult is 0, no hedging: the retry policy's,
+  // whose schema has no such entry.
+  EXPECT_EQ(p.hedge_after_mult, 0.0);
+  EXPECT_FALSE(
+      FetchPolicyRegistry::instance().at("retry").schema.has(
+          "hedge_after_mult"));
+}
+
+TEST(SchemaDefaults, TinyLfuParamsAreTheEngineSchemas) {
+  const cache::TinyLfuParams p;
+  const ParamSchema& schema = EngineRegistry::instance().at("tinylfu").schema;
+  expect_schema_default(schema, "sketch_width",
+                        static_cast<double>(p.sketch_width));
+  expect_schema_default(schema, "sketch_depth",
+                        static_cast<double>(p.sketch_depth));
+  expect_schema_default(schema, "aging_window",
+                        static_cast<double>(p.aging_window));
+}
+
+TEST(SchemaDefaults, AgarParamsAreTheStrategySchemas) {
+  const client::AgarParams p;
+  const ParamSchema& schema = StrategyRegistry::instance().at("agar").schema;
+  expect_schema_default(schema, "probes_per_region",
+                        static_cast<double>(p.probes_per_region));
+  expect_schema_default(schema, "cache_bytes",
+                        static_cast<double>(p.cache_capacity_bytes));
+  const ParamMap defaults = ParamMap{}.with_defaults(schema);
+  EXPECT_EQ(defaults.get_string("monitor"), p.estimator);
+  EXPECT_EQ(defaults.get_string("planner"), p.cache_manager.planner);
+}
+
+TEST(SchemaDefaults, CollabSettingsAreTheBroadcastSchemas) {
+  // The schema gives the period in seconds, the struct in ms.
+  const collab::CollabSettings p;
+  const ParamSchema& schema = CollabRegistry::instance().at("broadcast").schema;
+  expect_schema_default(schema, "period_s", p.broadcast_period_ms / 1000.0);
+  expect_schema_default(schema, "peer_threshold_ms", p.peer_threshold_ms);
+  expect_schema_default(schema, "apply_ms", p.apply_delay_ms);
 }
 
 // -------------------------------------------- engine fallback resolution
