@@ -39,7 +39,9 @@ struct EncodedObject {
 /// the `verify` benchmark, 8, 16 and 32 KiB tiles gave medians of 7,878,
 /// 7,461 and 6,219 reads/s, against 5,235 for decoding the whole object
 /// before comparing it: 32 KiB, whose tile and slice overflow L1d, kept
-/// the least of the gain.
+/// the least of the gain. 8 KiB, twice the tiles per row, measured level
+/// with 16 KiB over 10 alternating pairs (9,208 against 9,034 reads/s,
+/// inside the 8 KiB runs' quartiles of 8,972-9,449).
 inline constexpr std::size_t kVerifyTileBytes = 16 * 1024;
 
 class ObjectCodec {
